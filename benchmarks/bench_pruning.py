@@ -10,13 +10,14 @@ the Fig. 7 workload (T = 1e7 K, 10-45 Angstrom) and reports, per setting:
 - integrand evaluations saved (the pruning ledger), and
 - the max per-bin relative error against the unpruned reference.
 
-Two structural effects produce the win: window pruning skips the
-(level, bin) pairs whose contribution fits inside the tail budget, and
-the shared-abscissa fast path computes ``exp(-x/kT)`` (and the Gaunt
-``cbrt``) once per ion instead of once per level.
+Dense and pruned settings run the same kernel
+(:func:`repro.physics.rrc_kernel.simpson_rrc`; ``tail_tol = 0`` is
+``cutoff = n_bins``), so wall time differs only by the pairs the budget
+prunes — on this grid the few above-grid edges, i.e. almost nothing.
+The wall column is reported, not asserted.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a tiny configuration (few ions,
-200 bins) without the speedup floor — the CI smoke mode.
+200 bins) — the CI smoke mode.
 """
 
 from __future__ import annotations
@@ -198,6 +199,3 @@ def test_pruning_speedup_sweep(results_dir):
         >= measured[1e-9]["saved"]
         >= measured[1e-12]["saved"]
     )
-    if not SMOKE:
-        # Headline: >= 5x wall-clock at the 1e-9 budget.
-        assert base_wall / measured[1e-9]["wall"] >= 5.0

@@ -11,6 +11,8 @@
   tasks execute.
 - :mod:`repro.physics.windows` — per-level active bin windows with the
   accuracy-budgeted tail cutoff that prunes the batch kernels.
+- :mod:`repro.physics.rrc_kernel` — the one Simpson RRC kernel behind the
+  per-ion path and the compiled plans, dense and pruned.
 """
 
 from repro.physics.rrc import (

@@ -42,20 +42,17 @@ from repro.parallel.executor import (
 from repro.physics.ionbalance import ion_density
 from repro.physics.rrc import (
     RRCLevelParams,
-    gaunt_factor,
     make_level_integrand,
     rrc_prefactor,
+    window_integrand,
 )
+from repro.physics.rrc_kernel import simpson_rrc
 from repro.physics.spectrum import EnergyGrid, Spectrum
 from repro.physics.windows import LevelWindows, level_windows
 from repro.quadrature.batch import (
     batch_gauss_windows,
     batch_romberg,
     batch_romberg_windows,
-    batch_simpson,
-    batch_simpson_windows,
-    simpson_weights,
-    unit_fractions,
 )
 from repro.quadrature.gauss_legendre import batch_gauss_legendre
 from repro.quadrature.qags import qags
@@ -80,17 +77,6 @@ _BATCH_METHOD = {
 
 BatchMethod = Literal["simpson", "romberg", "gauss"]
 ScalarMethod = Literal["qags", "simpson"]
-
-#: Levels processed per fused-kernel chunk; bounds scratch memory at
-#: roughly chunk * n_bins * (pieces + 1) float64 elements.
-_LEVEL_CHUNK = 16
-
-#: Largest exponent magnitude the shared-abscissa rescaling may produce:
-#: the fast path splits exp(-(E - I)/kT) into exp(I/kT) * exp(-E/kT),
-#: which overflows float64 near 709 and loses ~(E/kT) * eps relative
-#: precision; beyond this the pruned kernel falls back to per-level
-#: abscissae.
-_SAFE_RESCALE_ARG = 600.0
 
 
 @dataclass(frozen=True)
@@ -162,205 +148,6 @@ def _flat_constants(ls, point: GridPoint, n_ion: float) -> np.ndarray:
     )
 
 
-def _fused_simpson(
-    db: AtomicDatabase,
-    ion: Ion,
-    point: GridPoint,
-    grid: EnergyGrid,
-    pieces: int,
-    gaunt: bool,
-    abundances: AbundanceSet = SOLAR,
-) -> np.ndarray:
-    """All levels x all bins of one ion in chunked broadcast evaluations.
-
-    This is the software analogue of the Algorithm 2 CUDA kernel: the
-    per-level emission is accumulated *inside* the kernel, and only the
-    final n_bins array leaves (one device-to-host transfer per ion task).
-    """
-    ls = db.levels(ion)
-    n_levels = len(ls)
-    out = np.zeros(grid.n_bins, dtype=np.float64)
-    if n_levels == 0:
-        return out
-
-    n_ion = ion_density(
-        ion, point.temperature_k, point.ne_cm3, abundances=abundances
-    )
-    kt = point.kt_kev
-    c_l = _flat_constants(ls, point, n_ion)
-
-    w = simpson_weights(pieces)
-    frac = unit_fractions(pieces + 1)
-
-    for start in range(0, n_levels, _LEVEL_CHUNK):
-        sl = slice(start, min(start + _LEVEL_CHUNK, n_levels))
-        i_l = ls.energy_kev[sl][:, None]  # (chunk, 1)
-        # APEC tabulates each level's RRC from its recombination edge
-        # upward, so the bin integral runs over [max(E0, I_l), E1]; bins
-        # entirely below the edge have zero width and contribute nothing.
-        lo = np.maximum(grid.lower[None, :], i_l)  # (chunk, n_bins)
-        width = np.maximum(grid.upper[None, :] - lo, 0.0)
-        x = lo[:, :, None] + width[:, :, None] * frac[None, None, :]
-        with np.errstate(over="ignore", under="ignore"):
-            y = np.exp(-(x - i_l[:, :, None]) / kt)
-            if gaunt:
-                y = y * gaunt_factor(x / i_l[:, :, None])
-        y *= c_l[sl][:, None, None]
-        h = width / pieces
-        # Simpson reduce over points, then sum the chunk's levels.
-        out += (h * (y @ w)).sum(axis=0)
-    return out
-
-
-def _window_integrand(energies: np.ndarray, c_l: np.ndarray, kt: float, gaunt: bool):
-    """Ragged-batch form of the collapsed Eq. (1) integrand.
-
-    ``f(rows, x)`` evaluates level ``rows[i]`` at abscissae ``x[i]`` —
-    the calling convention of the CSR window kernels in
-    :mod:`repro.quadrature.batch`.
-    """
-
-    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        i_r = energies[rows][:, None]
-        with np.errstate(over="ignore", under="ignore"):
-            y = np.exp(-np.maximum(x - i_r, 0.0) / kt)
-            if gaunt:
-                y = y * gaunt_factor(np.maximum(x / i_r, 1.0))
-        return c_l[rows][:, None] * y
-
-    return f
-
-
-def _fused_simpson_windows(
-    db: AtomicDatabase,
-    ion: Ion,
-    point: GridPoint,
-    grid: EnergyGrid,
-    pieces: int,
-    gaunt: bool,
-    tail_tol: float,
-    abundances: AbundanceSet = SOLAR,
-) -> np.ndarray:
-    """Active-window variant of :func:`_fused_simpson`.
-
-    Two task-shaping moves on top of the fused kernel:
-
-    1. **Pruning** — only bins inside each level's accuracy-budgeted
-       window (:func:`repro.physics.windows.level_windows`) are
-       evaluated; levels whose window is empty are skipped outright.
-    2. **Shared abscissae** — every full bin (not split by a
-       recombination edge) uses the same Simpson nodes for every level,
-       so ``exp(-x/kT)`` (and the Gaunt factor's ``cbrt``) is computed
-       once per ion and each level only rescales it by
-       ``C_l * exp(I_l/kT)``.  Edge bins keep per-level nodes.  When the
-       rescaling would overflow or cost more precision than ``tail_tol``
-       allows, the kernel falls back to the generic CSR evaluation with
-       unfactored exponentials.
-
-    Results agree with :func:`_fused_simpson` to within ``tail_tol``
-    (dropped tail mass) plus floating-point reassociation noise many
-    orders below it.
-    """
-    ls = db.levels(ion)
-    n_levels = len(ls)
-    out = np.zeros(grid.n_bins, dtype=np.float64)
-    if n_levels == 0:
-        return out
-    n_ion = ion_density(
-        ion, point.temperature_k, point.ne_cm3, abundances=abundances
-    )
-    kt = point.kt_kev
-    c_l = _flat_constants(ls, point, n_ion)
-    energies = ls.energy_kev
-    win = level_windows(energies, grid, kt, tail_tol, gaunt=gaunt)
-    first, cutoff = win.first, win.cutoff
-    active = first < cutoff
-    if not active.any():
-        return out
-
-    # Rescaling safety: exponent magnitude of the exp(I/kT) * exp(-E/kT)
-    # split, and the precision it costs relative to the tail budget.
-    arg = (float(energies.max()) + float(grid.upper[-1])) / kt
-    if arg >= _SAFE_RESCALE_ARG or arg * np.finfo(np.float64).eps >= 0.05 * tail_tol:
-        return batch_simpson_windows(
-            _window_integrand(energies, c_l, kt, gaunt),
-            grid.edges,
-            first,
-            cutoff,
-            lower_clip=energies,
-            pieces=pieces,
-        )
-
-    w = simpson_weights(pieces)
-    frac = unit_fractions(pieces + 1)
-
-    # --- edge bins: the one bin per level split by its recombination
-    # edge needs level-specific abscissae (integration from I_l up).
-    has_edge = active & (grid.lower[np.minimum(first, grid.n_bins - 1)] < energies)
-    if has_edge.any():
-        b_e = first[has_edge]
-        i_e = energies[has_edge][:, None]
-        width_e = grid.upper[b_e][:, None] - i_e
-        x = i_e + width_e * frac[None, :]
-        with np.errstate(over="ignore", under="ignore"):
-            y = np.exp(-(x - i_e) / kt)
-            if gaunt:
-                y = y * gaunt_factor(x / i_e)
-        vals = (width_e[:, 0] / pieces) * (y @ w) * c_l[has_edge]
-        # Several levels can share one edge bin -> unbuffered scatter-add.
-        np.add.at(out, b_e, vals)
-
-    # --- full bins: shared abscissae across the union of windows.
-    start = np.minimum(np.where(has_edge, first + 1, first), cutoff)
-    full = start < cutoff
-    if not full.any():
-        return out
-    bmin = int(start[full].min())
-    bmax = int(cutoff[full].max())
-    lo_u = grid.lower[bmin:bmax]
-    width_u = grid.widths[bmin:bmax]
-    x_sh = lo_u[:, None] + width_u[:, None] * frac[None, :]
-    with np.errstate(under="ignore"):
-        e_sh = np.exp(-x_sh / kt)
-    h_u = width_u / pieces
-    scale = c_l * np.exp(np.where(full, energies, 0.0) / kt)
-
-    if not gaunt:
-        # The integrand factorizes completely: each level contributes
-        # scale_l * base[b] on its window, so accumulate the per-bin sum
-        # of scales with a difference array (O(levels + bins) adds).
-        base = h_u * (e_sh @ w)
-        diff = np.zeros(bmax - bmin + 1)
-        np.add.at(diff, start[full] - bmin, scale[full])
-        np.add.at(diff, cutoff[full] - bmin, -scale[full])
-        out[bmin:bmax] += np.cumsum(diff[:-1]) * base
-        return out
-
-    # With the Gaunt correction the per-level factor g(E / I_l) remains,
-    # but its cbrt is shared: g(x/I) = (a + b*c) / (d + e*c^2) with
-    # c = cbrt(x) / cbrt(I), so each level costs only cheap arithmetic
-    # on its own window slice (small enough to stay cache-resident —
-    # chunking levels here would spill the scratch out of cache).
-    cbrt_sh = np.cbrt(x_sh)
-    ehw = e_sh * (h_u[:, None] * w[None, :])
-    inv_cbrt = 1.0 / np.cbrt(energies)
-    for li in np.flatnonzero(full):
-        s = int(start[li]) - bmin
-        e = int(cutoff[li]) - bmin
-        c = cbrt_sh[s:e] * inv_cbrt[li]
-        np.maximum(c, 1.0, out=c)
-        num = 0.1728 * c
-        num += 1.0 - 0.1728
-        den = c * c
-        den *= 0.0496
-        den += 1.0 - 0.0496
-        num /= den
-        out[bmin + s : bmin + e] += scale[li] * np.einsum(
-            "bp,bp->b", num, ehw[s:e]
-        )
-    return out
-
-
 def ion_emissivity_batched(
     db: AtomicDatabase,
     ion: Ion,
@@ -385,47 +172,51 @@ def ion_emissivity_batched(
     ``tail_tol > 0`` enables active-window pruning: each level is only
     evaluated inside its accuracy-budgeted bin window and the result
     differs from the unpruned kernel by at most ``tail_tol`` relative
-    tail mass per level.  ``tail_tol = 0`` (default) runs the original
-    unpruned kernels bit-for-bit.
+    tail mass per level.  ``tail_tol = 0`` (default) keeps every bin
+    above each level's edge.  Simpson runs
+    :func:`repro.physics.rrc_kernel.simpson_rrc` either way — dense is
+    the pruned kernel with ``cutoff = n_bins``.
     """
     if tail_tol < 0.0:
         raise ValueError("tail_tol must be non-negative")
-    if method == "simpson":
-        if tail_tol > 0.0:
-            return _fused_simpson_windows(
-                db, ion, point, grid, pieces, gaunt, tail_tol, abundances
-            )
-        return _fused_simpson(db, ion, point, grid, pieces, gaunt, abundances)
-    if method in ("romberg", "gauss"):
-        ls = db.levels(ion)
-        if tail_tol > 0.0 and len(ls) > 0:
-            n_ion = ion_density(
-                ion, point.temperature_k, point.ne_cm3, abundances=abundances
-            )
-            kt = point.kt_kev
-            win = level_windows(ls.energy_kev, grid, kt, tail_tol, gaunt=gaunt)
-            f = _window_integrand(ls.energy_kev, _flat_constants(ls, point, n_ion), kt, gaunt)
-            if method == "romberg":
-                return batch_romberg_windows(
-                    f, grid.edges, win.first, win.cutoff,
-                    lower_clip=ls.energy_kev, k=k,
-                )
-            return batch_gauss_windows(
+    if method not in ("simpson", "romberg", "gauss"):
+        raise ValueError(f"unknown batch method {method!r}")
+    ls = db.levels(ion)
+    if len(ls) == 0:
+        return np.zeros(grid.n_bins, dtype=np.float64)
+    if method == "simpson" or tail_tol > 0.0:
+        n_ion = ion_density(
+            ion, point.temperature_k, point.ne_cm3, abundances=abundances
+        )
+        kt = point.kt_kev
+        c_l = _flat_constants(ls, point, n_ion)
+        win = level_windows(ls.energy_kev, grid, kt, tail_tol, gaunt=gaunt)
+        if method == "simpson":
+            return simpson_rrc(
+                grid, pieces, gaunt, ls.energy_kev, win.first,
+                win.cutoff[None, :], c_l[None, :], np.array([kt]),
+            )[0].values
+        f = window_integrand(ls.energy_kev, c_l, kt, gaunt)
+        if method == "romberg":
+            return batch_romberg_windows(
                 f, grid.edges, win.first, win.cutoff,
-                lower_clip=ls.energy_kev, n=gl_points,
+                lower_clip=ls.energy_kev, k=k,
             )
-        out = np.zeros(grid.n_bins, dtype=np.float64)
-        for i in range(len(ls)):
-            p = level_params_for(db, ion, i, point, abundances)
-            f = make_level_integrand(p, gaunt=gaunt)
-            lo = np.maximum(grid.lower, p.binding_kev)
-            hi = np.maximum(grid.upper, lo)
-            if method == "romberg":
-                out += batch_romberg(f, lo, hi, k=k)
-            else:
-                out += batch_gauss_legendre(f, lo, hi, n=gl_points)
-        return out
-    raise ValueError(f"unknown batch method {method!r}")
+        return batch_gauss_windows(
+            f, grid.edges, win.first, win.cutoff,
+            lower_clip=ls.energy_kev, n=gl_points,
+        )
+    out = np.zeros(grid.n_bins, dtype=np.float64)
+    for i in range(len(ls)):
+        p = level_params_for(db, ion, i, point, abundances)
+        f = make_level_integrand(p, gaunt=gaunt)
+        lo = np.maximum(grid.lower, p.binding_kev)
+        hi = np.maximum(grid.upper, lo)
+        if method == "romberg":
+            out += batch_romberg(f, lo, hi, k=k)
+        else:
+            out += batch_gauss_legendre(f, lo, hi, n=gl_points)
+    return out
 
 
 def ion_emissivity_scalar(
@@ -573,8 +364,7 @@ class SerialAPEC:
         reference itself would be too slow at full scale).
     tail_tol:
         Relative tail tolerance of active-window pruning; ``0`` (the
-        default) disables pruning and reproduces the unpruned kernels
-        bit-for-bit.
+        default) keeps every bin above each level's edge.
     fused:
         Execute each grid point's RRC component as megabatch plans
         (:mod:`repro.physics.plan`) — all ions of a shard in one fused

@@ -16,10 +16,12 @@ combination into flat structure-of-arrays form:
   the plan's windows reproduce :func:`repro.physics.windows.level_windows`
   ion by ion, bit for bit.
 
-Executing a plan at a grid point binds the temperature-dependent pieces
-(windows for ``kT``, per-ion prefactors) and issues one megabatch launch
-(:mod:`repro.quadrature.megabatch`) over the fused windows of every ion —
-a handful of vectorized passes instead of one launch per ion.
+Executing a plan binds the temperature-dependent pieces (windows for
+``kT``, per-ion prefactors) and issues one launch over the fused windows
+of every ion instead of one launch per ion: Simpson plans run
+:func:`repro.physics.rrc_kernel.simpson_rrc` (the kernel the per-ion
+path runs too) over a whole batch of temperatures, Romberg and Gauss
+plans the generic kernels of :mod:`repro.quadrature.megabatch`.
 
 :class:`PlanCache` content-addresses compiled plans so repeated grid
 points, parameter sweeps, and cache-miss service requests reuse them; hit,
@@ -43,20 +45,14 @@ from repro.atomic.database import AtomicDatabase
 from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, ME_C2_KEV, SIGMA_KRAMERS_CM2, maxwellian_norm
 from repro.physics.ionbalance import ion_density
-from repro.physics.rrc import gaunt_factor
+from repro.physics.rrc import gaunt_factor, window_integrand
+from repro.physics.rrc_kernel import simpson_rrc
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import GAUNT_SUP
-from repro.quadrature.batch import (
-    _chunks,
-    _flatten_windows,
-    simpson_weights,
-    unit_fractions,
-)
 from repro.quadrature.megabatch import (
     MegabatchResult,
     megabatch_gauss_windows,
     megabatch_romberg_windows,
-    megabatch_simpson_windows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,10 +70,6 @@ __all__ = [
 ]
 
 PLAN_METHODS = ("simpson", "romberg", "gauss")
-
-#: Scratch elements per cache block of the factorized pair loop — sized
-#: so the per-block gather + rational buffers stay L2-resident.
-_PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
 def db_fingerprint(db: AtomicDatabase) -> str:
@@ -179,7 +171,6 @@ class SpectrumPlan:
         self._window_memo: OrderedDict[float, tuple[np.ndarray, np.ndarray]]
         self._window_memo = OrderedDict()
         self._memo_lock = threading.Lock()
-        self._simpson_shared_arrays: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -266,250 +257,56 @@ class SpectrumPlan:
             pref[i] = ne * n_ion * 4.0 * norm / kt
         return pref[self.ion_index] * self.c_base
 
-    def _simpson_shared(self) -> tuple[np.ndarray, ...]:
-        """Temperature-independent Simpson node arrays, built once per plan.
-
-        Every quantity here depends only on the grid and the rule knobs:
-        the full-grid node matrix ``x_all``, its ``cbrt``, the per-bin
-        step ``h_all = width / pieces`` and its outer product with the
-        Simpson weights, and the per-level ``1 / cbrt(I_l)``.  The
-        factorized executor *slices* these instead of recomputing them —
-        elementwise ufuncs make the slice bit-identical to computing on
-        the slice — so repeated and batched executions amortize every
-        transcendental except ``exp(-E/kT)`` itself.
-        """
-        shared = self._simpson_shared_arrays
-        if shared is None:
-            pieces = self.key.pieces
-            w = simpson_weights(pieces)
-            frac = unit_fractions(pieces + 1)
-            grid = self.grid
-            x_all = grid.lower[:, None] + grid.widths[:, None] * frac[None, :]
-            cbrt_all = np.cbrt(x_all)
-            h_all = grid.widths / pieces
-            hw_all = h_all[:, None] * w[None, :]
-            with np.errstate(divide="ignore"):
-                inv_cbrt = 1.0 / np.cbrt(self.energy_kev)
-            shared = (w, frac, x_all, cbrt_all, h_all, hw_all, inv_cbrt)
-            for arr in shared:
-                arr.setflags(write=False)
-            self._simpson_shared_arrays = shared
-        return shared
-
-    def _factorized_safe(self, kt: float) -> bool:
-        """Whether the shared-abscissa rescaling holds at this ``kT``.
-
-        Mirrors the guard inside :meth:`_execute_simpson_factorized`:
-        ``exp(I_l/kT) * exp(-E/kT)`` must neither overflow nor cost more
-        relative precision than the tail budget tolerates.
-        """
-        from repro.physics.apec import _SAFE_RESCALE_ARG
-
-        tail_tol = self.key.tail_tol
-        if tail_tol <= 0.0 or self.n_levels == 0:
-            return False
-        arg = (float(self.energy_kev.max()) + float(self.grid.upper[-1])) / kt
-        return (
-            arg < _SAFE_RESCALE_ARG
-            and arg * np.finfo(np.float64).eps < 0.05 * tail_tol
-        )
-
     def execute(
         self, point: "GridPointLike", abundances: AbundanceSet = SOLAR
     ) -> MegabatchResult:
         """One fused launch: the grid point's full RRC spectrum + stats."""
-        kt = point.kt_kev
-        first, cutoff = self.windows(kt)
-        if self.n_levels == 0:
-            return MegabatchResult(np.zeros(self.grid.n_bins), 0, 0, 0, 0)
-        c_l = self.flat_constants(point, abundances)
-        f = _flat_window_integrand(self.energy_kev, c_l, kt, self.key.gaunt)
-        if self.key.method == "simpson":
-            fast = self._execute_simpson_factorized(first, cutoff, c_l, kt)
-            if fast is not None:
-                return fast
-            return megabatch_simpson_windows(
-                f, self.grid.edges, first, cutoff,
-                lower_clip=self.energy_kev, pieces=self.key.pieces,
-            )
-        if self.key.method == "romberg":
-            return megabatch_romberg_windows(
-                f, self.grid.edges, first, cutoff,
-                lower_clip=self.energy_kev, k=self.key.k,
-            )
-        return megabatch_gauss_windows(
-            f, self.grid.edges, first, cutoff,
-            lower_clip=self.energy_kev, n=self.key.gl_points,
-        )
+        return self.execute_many([point], abundances)[0]
 
     def execute_many(
         self,
         points: Iterable["GridPointLike"],
         abundances: AbundanceSet = SOLAR,
     ) -> list[MegabatchResult]:
-        """Execute one plan at N grid points with shared launch setup.
+        """Execute the plan at N grid points with shared launch setup.
 
-        The temperature axis of the factorized Simpson path is batched:
-        ``exp(-x/kT)`` for every temperature is issued as *one* stacked
-        ufunc call over the plan's shared node matrix, and the node
-        ``cbrt``/weight products are reused from the per-plan memo — so a
-        group of N compatible requests pays the transcendental setup once
-        instead of N times.  Each element of the result is bit-identical
-        to ``execute(points[i])``: the stacked exp is elementwise, so its
-        i-th row equals the per-temperature exp exactly, and every other
-        array on the path is shared (not recomputed) between the two
-        entry points.  Non-Simpson methods and temperatures rejected by
-        the rescaling guard fall back to a per-point :meth:`execute`
-        loop.
+        Simpson plans hand the whole temperature axis to
+        :func:`repro.physics.rrc_kernel.simpson_rrc`, which evaluates the
+        temperature-independent Gaunt blocks once per batch; row ``j`` is
+        bit-identical to ``execute(points[j])`` for any batch composition
+        and order (the kernel's level order, block partition and per-pair
+        reduction never depend on the batch).  Romberg and Gauss plans
+        run one generic megabatch per point.
         """
         points = list(points)
+        if self.n_levels == 0:
+            return [
+                MegabatchResult(np.zeros(self.grid.n_bins), 0, 0, 0, 0)
+                for _ in points
+            ]
         if not points:
             return []
-        results: list[MegabatchResult | None] = [None] * len(points)
-        batch: list[tuple[int, float]] = []
+        kts = np.array([float(point.kt_kev) for point in points])
+        windows = [self.windows(kt) for kt in kts]
+        c_l = np.stack([self.flat_constants(p, abundances) for p in points])
         if self.key.method == "simpson":
-            for i, point in enumerate(points):
-                kt = float(point.kt_kev)
-                if self._factorized_safe(kt):
-                    batch.append((i, kt))
-        if batch:
-            x_all = self._simpson_shared()[2]
-            kts = np.array([kt for _, kt in batch])
-            with np.errstate(under="ignore"):
-                exp_stack = np.exp(-x_all[None, :, :] / kts[:, None, None])
-            for j, (i, kt) in enumerate(batch):
-                first, cutoff = self.windows(kt)
-                c_l = self.flat_constants(points[i], abundances)
-                results[i] = self._execute_simpson_factorized(
-                    first, cutoff, c_l, kt, exp_full=exp_stack[j]
-                )
-        for i, point in enumerate(points):
-            if results[i] is None:
-                results[i] = self.execute(point, abundances)
-        return results
-
-    def _execute_simpson_factorized(
-        self,
-        first: np.ndarray,
-        cutoff: np.ndarray,
-        c_l: np.ndarray,
-        kt: float,
-        exp_full: np.ndarray | None = None,
-    ) -> MegabatchResult | None:
-        """Shared-abscissa Simpson megabatch (all ions fused, one exp).
-
-        The megabatch analogue of
-        :func:`repro.physics.apec._fused_simpson_windows`: every full bin
-        (not split by a recombination edge) uses the same Simpson nodes
-        for *every level of every ion*, so ``exp(-E/kT)`` and the Gaunt
-        factor's ``cbrt`` are computed once per launch over the bin union
-        and each (level, bin) pair only rescales by
-        ``C_l * exp(I_l/kT)`` plus the cheap Gaunt rational.  Edge bins
-        keep per-level nodes.  Returns ``None`` when the rescaling would
-        overflow or cost more precision than the tail budget allows — the
-        caller then takes the generic unfactored megabatch.
-
-        ``exp_full``, when given, is the precomputed ``exp(-x/kT)`` over
-        the *whole* grid's node matrix (one row of the stacked exp that
-        :meth:`execute_many` issues for N temperatures at once); the bin
-        union is sliced out of it.
-        """
-        if not self._factorized_safe(kt):
-            return None
-        energies = self.energy_kev
-        grid = self.grid
-
-        n_bins = grid.n_bins
-        out = np.zeros(n_bins, dtype=np.float64)
-        active = first < cutoff
-        if not active.any():
-            return MegabatchResult(out, 0, 0, 0, 0)
-        pieces = self.key.pieces
-        w, frac, x_all, cbrt_all, h_all, hw_all, inv_cbrt = (
-            self._simpson_shared()
-        )
-        n_passes = 0
-
-        # --- edge pairs: the one bin per level split by its
-        # recombination edge needs level-specific abscissae (from I_l up).
-        has_edge = active & (
-            grid.lower[np.minimum(first, n_bins - 1)] < energies
-        )
-        n_edge = int(np.count_nonzero(has_edge))
-        if n_edge:
-            b_e = first[has_edge]
-            i_e = energies[has_edge][:, None]
-            width_e = grid.upper[b_e][:, None] - i_e
-            x = i_e + width_e * frac[None, :]
-            with np.errstate(over="ignore", under="ignore"):
-                y = np.exp(-(x - i_e) / kt)
-                if self.key.gaunt:
-                    y = y * gaunt_factor(x / i_e)
-            vals = (width_e[:, 0] / pieces) * (y @ w) * c_l[has_edge]
-            # Levels of different ions can share one edge bin ->
-            # unbuffered scatter-add.
-            np.add.at(out, b_e, vals)
-            n_passes += 1
-
-        # --- full bins: shared abscissae across the union of windows.
-        start = np.minimum(np.where(has_edge, first + 1, first), cutoff)
-        full = start < cutoff
-        if not full.any():
-            return MegabatchResult(out, n_passes, n_edge, 0, 0)
-        bmin = int(start[full].min())
-        bmax = int(cutoff[full].max())
-        if exp_full is not None:
-            e_sh = exp_full[bmin:bmax]
-        else:
-            with np.errstate(under="ignore"):
-                e_sh = np.exp(-x_all[bmin:bmax] / kt)
-        h_u = h_all[bmin:bmax]
-        scale = c_l * np.exp(np.where(full, energies, 0.0) / kt)
-        n_passes += 1
-
-        if not self.key.gaunt:
-            # The integrand factorizes completely: each level contributes
-            # scale_l * base[b] on its window, so accumulate the per-bin
-            # sum of scales with a difference array (O(levels + bins)).
-            base = h_u * (e_sh @ w)
-            diff = np.zeros(bmax - bmin + 1)
-            np.add.at(diff, start[full] - bmin, scale[full])
-            np.add.at(diff, cutoff[full] - bmin, -scale[full])
-            out[bmin:bmax] += np.cumsum(diff[:-1]) * base
-            n_full = int((cutoff[full] - start[full]).sum())
-            return MegabatchResult(out, n_passes, n_edge + n_full, 0, 0)
-
-        # With the Gaunt correction the per-(level, bin) factor
-        # g(E / I_l) remains, but its cbrt is shared: g = (a + b*c) /
-        # (d + e*c^2) with c = cbrt(E) / cbrt(I_l), so each chunk of the
-        # flat (row, bin) batch gathers the shared transcendentals and
-        # pays only cheap rational arithmetic per pair.
-        rows, bins = _flatten_windows(start, cutoff)
-        rel = bins - bmin
-        cbrt_sh = cbrt_all[bmin:bmax]
-        ehw = e_sh * hw_all[bmin:bmax]
-        # One logical launch per memory-bounded chunk (what a device
-        # would issue); within a chunk the host evaluation blocks pairs
-        # so the rational-arithmetic scratch stays cache-resident — the
-        # CPU analogue of the launch's thread blocks.
-        n_passes += sum(1 for _ in _chunks(rows.size, pieces + 1))
-        vals = np.empty(rows.size)
-        block = max(1, _PAIR_BLOCK_ELEMENTS // (pieces + 1))
-        for s in range(0, rows.size, block):
-            sl = slice(s, min(s + block, rows.size))
-            c = cbrt_sh[rel[sl]] * inv_cbrt[rows[sl]][:, None]
-            np.maximum(c, 1.0, out=c)
-            num = 0.1728 * c
-            num += 1.0 - 0.1728
-            den = c * c
-            den *= 0.0496
-            den += 1.0 - 0.0496
-            num /= den
-            vals[sl] = scale[rows[sl]] * np.einsum(
-                "bp,bp->b", num, ehw[rel[sl]]
+            return simpson_rrc(
+                self.grid, self.key.pieces, self.key.gaunt, self.energy_kev,
+                windows[0][0], np.stack([cutoff for _, cutoff in windows]),
+                c_l, kts,
             )
-        out += np.bincount(bins, weights=vals, minlength=n_bins)
-        return MegabatchResult(out, n_passes, n_edge + int(rows.size), 0, 0)
+        if self.key.method == "romberg":
+            kernel, knob = megabatch_romberg_windows, {"k": self.key.k}
+        else:
+            kernel, knob = megabatch_gauss_windows, {"n": self.key.gl_points}
+        return [
+            kernel(
+                window_integrand(self.energy_kev, c_l[j], kt, self.key.gaunt),
+                self.grid.edges, first, cutoff,
+                lower_clip=self.energy_kev, **knob,
+            )
+            for j, (kt, (first, cutoff)) in enumerate(zip(kts.tolist(), windows))
+        ]
 
 
 class GridPointLike:
@@ -518,26 +315,6 @@ class GridPointLike:
     temperature_k: float
     ne_cm3: float
     kt_kev: float
-
-
-def _flat_window_integrand(
-    energies: np.ndarray, c_l: np.ndarray, kt: float, gaunt: bool
-):
-    """Megabatch form of the collapsed Eq. (1) integrand.
-
-    Identical math to ``repro.physics.apec._window_integrand``; ``rows``
-    index the plan's flat level arrays instead of one ion's levels.
-    """
-
-    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        i_r = energies[rows][:, None]
-        with np.errstate(over="ignore", under="ignore"):
-            y = np.exp(-np.maximum(x - i_r, 0.0) / kt)
-            if gaunt:
-                y = y * gaunt_factor(np.maximum(x / i_r, 1.0))
-        return c_l[rows][:, None] * y
-
-    return f
 
 
 @dataclass

@@ -35,6 +35,7 @@ __all__ = [
     "rrc_prefactor",
     "rrc_integrand",
     "make_level_integrand",
+    "window_integrand",
     "analytic_bin_integral",
 ]
 
@@ -146,6 +147,26 @@ def make_level_integrand(
 
     def f(e_gamma_kev: np.ndarray) -> np.ndarray:
         return rrc_integrand(e_gamma_kev, p, gaunt=gaunt)
+
+    return f
+
+
+def window_integrand(energies: np.ndarray, c_l: np.ndarray, kt: float, gaunt: bool):
+    """Ragged-batch form of the collapsed Eq. (1) integrand.
+
+    ``f(rows, x)`` evaluates level ``rows[i]`` at abscissae ``x[i]`` —
+    the calling convention of the CSR window kernels in
+    :mod:`repro.quadrature.batch` and :mod:`repro.quadrature.megabatch`;
+    ``c_l`` are the levels' flat constants (see :func:`_flat_constant`).
+    """
+
+    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        i_r = energies[rows][:, None]
+        with np.errstate(over="ignore", under="ignore"):
+            y = np.exp(-np.maximum(x - i_r, 0.0) / kt)
+            if gaunt:
+                y = y * gaunt_factor(np.maximum(x / i_r, 1.0))
+        return c_l[rows][:, None] * y
 
     return f
 

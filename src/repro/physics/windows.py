@@ -17,8 +17,8 @@ the mass beyond ``E`` is exactly ``C * kT * exp(-(E - I)/kT)`` for
 ``tail_tol`` times the level's total emission above its edge gives every
 batch kernel a license to skip the inactive bins.
 
-:class:`LevelWindows` is consumed by the pruned kernels in
-:mod:`repro.quadrature.batch` and :mod:`repro.physics.apec`, and by the
+:class:`LevelWindows` is consumed by the window kernels in
+:mod:`repro.quadrature.batch` and :mod:`repro.physics.rrc_kernel`, and by the
 service cost model (:func:`repro.service.requests.compile_tasks`), which
 prices tasks by *active* integral counts so the simulated device, the
 scheduler's load counters, and the autotuner all see the cheaper tasks.

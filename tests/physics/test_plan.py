@@ -18,8 +18,10 @@ from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.constants import K_B_KEV
 from repro.physics.apec import GridPoint, ion_emissivity_batched
 from repro.physics.plan import PlanCache, SpectrumPlan
+from repro.physics.rrc import window_integrand
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import level_windows
+from repro.quadrature.megabatch import megabatch_simpson_windows
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +99,13 @@ class TestMegabatchEquivalence:
         plan = _get(PlanCache(), db, grid, method="simpson")
         point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
         fast = plan.execute(point)
-        # Disable the shared-abscissa fast path on this instance only.
-        plan._execute_simpson_factorized = lambda *a, **k: None
-        generic = plan.execute(point)
+        first, cutoff = plan.windows(point.kt_kev)
+        generic = megabatch_simpson_windows(
+            window_integrand(
+                plan.energy_kev, plan.flat_constants(point), point.kt_kev, True
+            ),
+            grid.edges, first, cutoff, lower_clip=plan.energy_kev, pieces=32,
+        )
         assert fast.n_pairs == generic.n_pairs + generic.n_pairs_skipped
         scale = float(np.abs(generic.values).max())
         assert np.abs(fast.values - generic.values).max() <= 1.0e-12 * scale
@@ -136,8 +142,8 @@ class TestExecuteMany:
         )
 
     def test_unsafe_temperatures_fall_back_per_point(self, db, grid):
-        # A kT far outside the rescaling guard's comfort zone must not
-        # poison the batch: the guard routes it through execute().
+        # A kT where exp(I/kT) overflows must not poison the batch (the
+        # kernel factorizes about bin edges, so it needs no fallback).
         plan = _get(PlanCache(), db, grid)
         points = [
             GridPoint(temperature_k=t, ne_cm3=1.0) for t in (1.0e4, 1.0e7)
