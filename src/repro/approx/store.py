@@ -45,6 +45,10 @@ from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["LatticeResult", "LatticeStats", "LatticeStore", "RequestEvaluator"]
 
+#: Families whose fingerprint an evaluator remembers (every distinct
+#: density is a family, so the memo must not grow with the traffic).
+_FINGERPRINT_MEMO_MAX = 1024
+
 
 class RequestEvaluator:
     """Exact service-path spectra for lattice nodes.
@@ -57,20 +61,34 @@ class RequestEvaluator:
 
     def __init__(self, db) -> None:
         self.db = db
+        self._fingerprints: dict[tuple, str] = {}
 
     def fingerprint(self, request) -> str:
-        """Content address of everything a node spectrum derives from."""
-        from repro.physics.plan import db_fingerprint, grid_fingerprint
-        from repro.service.requests import request_grid
+        """Content address of everything a node spectrum derives from.
 
-        text = "|".join(
-            (
-                db_fingerprint(self.db),
-                grid_fingerprint(request_grid(request)),
-                request.family_canonical(),
+        Consulted on every lattice lookup, so it is memoized on its own
+        inputs — the database config and the family's canonical form
+        (which carries ``n_bins``, hence the grid).
+        """
+        family = request.family_canonical()
+        key = (self.db.config, family)
+        cached = self._fingerprints.get(key)
+        if cached is None:
+            from repro.physics.plan import db_fingerprint, grid_fingerprint
+            from repro.service.requests import request_grid
+
+            text = "|".join(
+                (
+                    db_fingerprint(self.db),
+                    grid_fingerprint(request_grid(request)),
+                    family,
+                )
             )
-        )
-        return hashlib.sha1(text.encode("ascii")).hexdigest()
+            cached = hashlib.sha1(text.encode("ascii")).hexdigest()
+            if len(self._fingerprints) >= _FINGERPRINT_MEMO_MAX:
+                self._fingerprints.clear()
+            self._fingerprints[key] = cached
+        return cached
 
     def exact_fn(self, request) -> ExactFn:
         """Exact evaluator over temperature for one request family."""

@@ -73,11 +73,13 @@ class AtomicDatabase:
     def __init__(self, config: AtomicConfig | None = None) -> None:
         self.config = config or AtomicConfig.small()
         self._levels: dict[Ion, LevelStructure] = {}
+        # The config is frozen, so the scope never changes after this.
+        self._ions = tuple(i for i in ion_registry() if i.z <= self.config.z_max)
 
     @property
     def ions(self) -> tuple[Ion, ...]:
         """All ions in scope, (Z, charge) ordered."""
-        return tuple(i for i in ion_registry() if i.z <= self.config.z_max)
+        return self._ions
 
     def levels(self, ion: Ion) -> LevelStructure:
         """Level structure of the recombined product of ``ion`` (cached)."""

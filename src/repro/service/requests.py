@@ -15,7 +15,11 @@ cached and returned to clients.
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +32,12 @@ from repro.physics.plan import PLAN_CACHE, PlanCache
 from repro.physics.spectrum import EnergyGrid
 
 __all__ = [
+    "FamilyBasis",
     "SpectrumRequest",
     "compile_group_tasks",
     "compile_tasks",
+    "emission_block",
+    "family_basis",
     "family_spectra",
     "group_member_weights",
     "ion_emission",
@@ -47,6 +54,18 @@ LAMBDA_MAX_A = 45.0
 #: Emission lines modelled per ion — caps the synthetic numerics at
 #: O(lines x bins) so a service batch stays cheap.
 MAX_LINES_PER_ION = 8
+
+#: Largest emission block the payload paths evaluate at once:
+#: ``family_spectra`` tiles its temperature axis and a dispatched
+#: group's shared block its ion axis to stay under it.  Kept below
+#: glibc's 128 KiB mmap threshold on purpose: freeing one mmapped block
+#: raises the allocator's dynamic mmap and trim thresholds for the rest
+#: of the process, which measured +1.3 MiB peak RSS on a burst trace
+#: (512 KiB tiles) for no gain in speed.
+BLOCK_TILE_BYTES = 96 << 10
+
+#: Family bases kept resident; a service sees one or two families.
+_BASIS_CACHE_FAMILIES = 8
 
 
 @dataclass(frozen=True)
@@ -176,9 +195,18 @@ class SpectrumRequest:
         return 2**k + 1
 
 
+@lru_cache(maxsize=32)
+def _grid_for_bins(n_bins: int) -> EnergyGrid:
+    return EnergyGrid.from_wavelength(LAMBDA_MIN_A, LAMBDA_MAX_A, n_bins)
+
+
 def request_grid(request: SpectrumRequest) -> EnergyGrid:
-    """The energy grid a request's spectrum is accumulated on."""
-    return EnergyGrid.from_wavelength(LAMBDA_MIN_A, LAMBDA_MAX_A, request.n_bins)
+    """The energy grid a request's spectrum is accumulated on.
+
+    Memoized per ``n_bins``: an :class:`EnergyGrid` is frozen and its
+    edges are read-only, so every caller can share one instance.
+    """
+    return _grid_for_bins(request.n_bins)
 
 
 def ion_emission(
@@ -188,11 +216,15 @@ def ion_emission(
 
     A cheap vectorized stand-in for the full RRC integration — a
     recombination-continuum-shaped exponential plus a hydrogenic line
-    ladder — used as the *real* payload both execution paths return, so
-    spectra accumulated through the scheduler are reproducible and
-    byte-sized for the cache.  (The physics-grade path stays
-    :class:`repro.physics.apec.SerialAPEC`; the service models the
-    workload's data flow, not its opacity tables.)
+    ladder — that defines the service payload, so spectra accumulated
+    through the scheduler are reproducible and byte-sized for the cache.
+    (The physics-grade path stays :class:`repro.physics.apec.SerialAPEC`;
+    the service models the workload's data flow, not its opacity tables.)
+
+    This is the scalar *oracle*: production code evaluates the same
+    numbers for every ion and temperature of a request family at once
+    through :func:`emission_block`, whose rows the tests compare
+    against this function bit for bit.
     """
     grid = grid or request_grid(request)
     e = grid.centers
@@ -214,6 +246,170 @@ def ion_emission(
     return out * request.ne_cm3
 
 
+@dataclass(frozen=True, eq=False)
+class FamilyBasis:
+    """Everything about a request family that no temperature changes.
+
+    One basis serves every request with the same database scope,
+    ``z_max`` and ``n_bins``: the parts :func:`compile_tasks` and
+    :func:`compile_group_tasks` used to rebuild per request (grid, ion
+    tuple, names, level counts) and the grid-only factors of
+    :func:`ion_emission` laid out for :func:`emission_block`.
+    """
+
+    grid: EnergyGrid
+    ions: tuple[Ion, ...]
+    names: tuple[str, ...]
+    n_levels: tuple[int, ...]
+    #: ``-E`` at the bin centres, shape ``(n_bins,)``.
+    neg_centers: np.ndarray
+    #: Continuum mask x ``z / (1 + charge)``, shape ``(n_ions, n_bins)``.
+    continuum: np.ndarray
+    #: ``-E_line`` per line slot ``n = 2 + k``, shape ``(n_lines, n_ions)``;
+    #: 0 where the ion has no such line inside the window.
+    neg_line_e: np.ndarray
+    #: ``n**3`` per line slot, shape ``(n_lines, 1)``.
+    n_cubed: np.ndarray
+    #: Gaussian line profiles, shape ``(n_lines, n_ions, n_bins)``; all
+    #: zero where the ion has no such line.
+    profiles: np.ndarray
+
+    @classmethod
+    def build(cls, db: AtomicDatabase, z_max: int, n_bins: int) -> "FamilyBasis":
+        """Compute the basis (uncached; :func:`family_basis` memoizes it)."""
+        grid = _grid_for_bins(n_bins)
+        ions = tuple(ion for ion in db.ions if ion.z <= z_max)
+        n_levels = tuple(db.n_levels(ion) for ion in ions)
+        e = grid.centers
+        width = max(2.0 * float(np.mean(grid.widths)), 1e-4)
+
+        # Per-ion scalars, computed with the oracle's own Python-float
+        # expressions so the arrays below start from identical bits.
+        continuum = np.empty((len(ions), n_bins), dtype=np.float64)
+        # 0 marks "no such line": a real line energy is >= 0.75 e_bind > 0.
+        line_e = np.zeros((MAX_LINES_PER_ION, len(ions)), dtype=np.float64)
+        for i, (ion, levels) in enumerate(zip(ions, n_levels)):
+            e_bind = RYDBERG_KEV * ion.charge**2
+            continuum[i] = np.where(
+                e >= min(e_bind, e[-1] * 0.999), 0.0, ion.z / (1.0 + ion.charge)
+            )
+            for k in range(min(levels, MAX_LINES_PER_ION)):
+                e_line = e_bind * (1.0 - 1.0 / (2 + k) ** 2)
+                if e[0] <= e_line <= e[-1]:
+                    line_e[k, i] = e_line
+
+        # Trailing slots no ion fills cost a pass each for nothing.
+        used = np.flatnonzero(line_e.any(axis=1))
+        n_lines = int(used[-1]) + 1 if used.size else 0
+        line_e = line_e[:n_lines]
+        profiles = np.exp(-0.5 * ((e - line_e[:, :, None]) / width) ** 2)
+        # An absent line must add exactly +0.0 to the non-negative running
+        # sum: a zero profile does that whatever the slot's strength.
+        profiles[line_e == 0.0] = 0.0
+        n_cubed = np.array([[float((2 + k) ** 3)] for k in range(n_lines)])
+
+        arrays = (-e, continuum, -line_e, n_cubed, profiles)
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(grid, ions, tuple(ion.name for ion in ions), n_levels, *arrays)
+
+
+_BASES: "OrderedDict[tuple, FamilyBasis]" = OrderedDict()
+_BASES_LOCK = threading.Lock()
+
+
+def family_basis(db: AtomicDatabase, z_max: int, n_bins: int) -> FamilyBasis:
+    """The cached :class:`FamilyBasis` of ``(db scope, z_max, n_bins)``.
+
+    A small LRU (payload workers call this from threads, hence the
+    lock): a basis holds ``n_lines x n_ions x n_bins`` profile values,
+    so only a handful of families stay resident.
+    """
+    key = (db.config, z_max, n_bins)
+    with _BASES_LOCK:
+        basis = _BASES.get(key)
+        if basis is not None:
+            _BASES.move_to_end(key)
+            return basis
+    basis = FamilyBasis.build(db, z_max, n_bins)
+    with _BASES_LOCK:
+        _BASES[key] = basis
+        while len(_BASES) > _BASIS_CACHE_FAMILIES:
+            _BASES.popitem(last=False)
+    return basis
+
+
+def emission_block(
+    basis: FamilyBasis,
+    requests: Sequence[SpectrumRequest],
+    ions: slice = slice(None),
+) -> np.ndarray:
+    """Per-ion emission of every request at once: ``(W, n_ions, n_bins)``.
+
+    ``requests`` must belong to the basis's family (same ``z_max`` and
+    ``n_bins``); ``ions`` restricts the block to a run of the basis's
+    ions.  Block ``[j, i]`` is bit-identical to
+    ``ion_emission(basis.ions[i], basis.n_levels[i], requests[j])``:
+    every element sees the oracle's operations in the oracle's order —
+    continuum first, lines in ascending ``n``, density last — and a line
+    the ion lacks adds ``+0.0`` to a non-negative value, which is exact.
+    What is shared is computed once: one ``exp(-E/kT)`` per temperature,
+    one ``exp`` over all line strengths, one multiply-add pass per line
+    slot.
+    """
+    kt = np.array([K_B_KEV * r.temperature_k for r in requests])
+    block = np.exp(basis.neg_centers / kt[:, None])[:, None, :] * basis.continuum[ions]
+    if len(basis.profiles):
+        strength = np.exp(basis.neg_line_e[:, ions] / kt[:, None, None]) / basis.n_cubed
+        term = np.empty_like(block)
+        for k, profile in enumerate(basis.profiles):
+            np.multiply(strength[:, k, :, None], profile[ions], out=term)
+            block += term
+    block *= np.array([r.ne_cm3 for r in requests])[:, None, None]
+    return block
+
+
+class _SharedBlock:
+    """The lazily evaluated emission block shared by the task closures
+    of one request or megabatch group.
+
+    Evaluated in runs of ions no larger than :data:`BLOCK_TILE_BYTES`,
+    each when a task first asks for one of its ions and dropped once all
+    of its rows have been handed out — tasks run in roughly ion order,
+    so a group holds about one run at a time and a task list that
+    outlives its batch pins no payload memory.  A row asked for again
+    after its run was dropped (a task re-run) re-evaluates the run:
+    same bits, just not free.
+    """
+
+    __slots__ = ("_basis", "_requests", "_run", "_live")
+
+    def __init__(
+        self, basis: FamilyBasis, requests: tuple[SpectrumRequest, ...]
+    ) -> None:
+        self._basis = basis
+        self._requests = requests
+        self._run = max(
+            1, BLOCK_TILE_BYTES // (8 * len(requests) * basis.grid.n_bins)
+        )
+        #: run start -> [block, rows not yet handed out]
+        self._live: dict[int, list] = {}
+
+    def rows(self, i: int) -> np.ndarray:
+        """Ion ``i``'s ``(W, n_bins)`` rows (a view the caller must not keep)."""
+        start = i - i % self._run
+        entry = self._live.get(start)
+        if entry is None:
+            stop = min(start + self._run, len(self._basis.ions))
+            block = emission_block(self._basis, self._requests, slice(start, stop))
+            entry = self._live[start] = [block, stop - start]
+        rows = entry[0][:, i - start]
+        entry[1] -= 1
+        if entry[1] == 0:
+            del self._live[start]
+        return rows
+
+
 def _plan_rule_knobs(request: SpectrumRequest) -> tuple[int, int]:
     """(pieces, k) implied by the request's rule + tolerance pricing."""
     evals = request.evals_per_integral
@@ -233,17 +429,8 @@ def request_spectrum(
     synchronous per-point task order bit for bit, so precomputed and
     simulation-accumulated spectra are interchangeable.
     """
-    from repro.physics.apec import _worker_db
-
     request, n_max, z_max = payload
-    db = _worker_db(n_max, z_max)
-    grid = request_grid(request)
-    out = np.zeros(grid.n_bins, dtype=np.float64)
-    for ion in db.ions:
-        if ion.z > request.z_max:
-            continue
-        out += ion_emission(ion, db.n_levels(ion), request, grid)
-    return out
+    return family_spectra(((request,), n_max, z_max))[0]
 
 
 def family_spectra(
@@ -255,11 +442,12 @@ def family_spectra(
     picklable like :func:`request_spectrum`, so megabatch payloads can
     cross a process pool.  Returns shape ``(len(requests), n_bins)``.
 
-    Accumulation runs ion-major (outer loop over ions, inner over
-    temperatures): row ``j`` receives exactly the same additions in
-    exactly the same order as ``request_spectrum(requests[j])``, so each
-    row is bit-identical to unbatched evaluation — the determinism
-    contract the continuous-batching tests pin down.
+    Accumulation runs ion-major over :func:`emission_block` rows: row
+    ``j`` receives exactly the additions ``ion_emission`` would supply,
+    in ion order, so each row is bit-identical to unbatched evaluation —
+    the determinism contract the continuous-batching tests pin down.
+    The temperature axis is tiled (lattice builds pass hundreds of
+    probes) so no block exceeds :data:`BLOCK_TILE_BYTES`.
     """
     from repro.physics.apec import _worker_db
 
@@ -267,15 +455,15 @@ def family_spectra(
     if not requests:
         return np.zeros((0, 0), dtype=np.float64)
     lead = requests[0]
-    db = _worker_db(n_max, z_max)
-    grid = request_grid(lead)
-    out = np.zeros((len(requests), grid.n_bins), dtype=np.float64)
-    for ion in db.ions:
-        if ion.z > lead.z_max:
-            continue
-        n_levels = db.n_levels(ion)
-        for j, request in enumerate(requests):
-            out[j] += ion_emission(ion, n_levels, request, grid)
+    basis = family_basis(_worker_db(n_max, z_max), lead.z_max, lead.n_bins)
+    n_ions = len(basis.ions)
+    out = np.zeros((len(requests), lead.n_bins), dtype=np.float64)
+    tile = max(1, BLOCK_TILE_BYTES // (8 * n_ions * lead.n_bins))
+    for start in range(0, len(requests), tile):
+        block = emission_block(basis, requests[start : start + tile])
+        rows = out[start : start + tile]
+        for i in range(n_ions):
+            rows += block[:, i]
     return out
 
 
@@ -307,10 +495,9 @@ def compile_tasks(
             f"request z_max={request.z_max} exceeds database "
             f"z_max={db.config.z_max}"
         )
-    grid = request_grid(request)
+    basis = family_basis(db, request.z_max, request.n_bins)
     evals = request.evals_per_integral
     kt_kev = K_B_KEV * request.temperature_k
-    ions = tuple(ion for ion in db.ions if ion.z <= request.z_max)
 
     # Active-window pruning shrinks the priced workload: the device
     # model, scheduler load counters, and autotuner all see the cheaper
@@ -320,26 +507,27 @@ def compile_tasks(
     if request.tail_tol > 0.0:
         pieces, k = _plan_rule_knobs(request)
         plan = plan_cache.get(
-            db, grid, ions=ions, method=request.rule,
+            db, basis.grid, ions=basis.ions, method=request.rule,
             pieces=pieces, k=k, tail_tol=request.tail_tol, gaunt=True,
             trace_parent=trace_parent,
         )
         active_per_ion = plan.per_ion_active(kt_kev)
 
+    shared = _SharedBlock(basis, (request,)) if with_payload else None
     tasks: list[Task] = []
     tid = task_id_base
-    for i, ion in enumerate(ions):
-        n_levels = db.n_levels(ion)
+    for i, n_levels in enumerate(basis.n_levels):
         n_active = None
         if active_per_ion is not None and n_levels > 0:
             n_active = int(active_per_ion[i])
 
-        if with_payload:
-            def execute(ion=ion, n_levels=n_levels) -> np.ndarray:
-                return ion_emission(ion, n_levels, request, grid)
+        if shared is not None:
+            def execute(i=i) -> np.ndarray:
+                return shared.rows(i)[0]
         else:
             execute = None
 
+        label = f"req{point_index}/{basis.names[i]}"
         tasks.append(
             Task(
                 task_id=tid,
@@ -348,14 +536,14 @@ def compile_tasks(
                     n_levels=n_levels,
                     n_bins=request.n_bins,
                     evals_per_integral=evals,
-                    label=f"req{point_index}/{ion.name}",
+                    label=label,
                     execute=execute,
                     n_active=n_active,
                 ),
                 point_index=point_index,
                 n_levels=n_levels,
                 cpu_execute=execute,
-                label=f"req{point_index}/{ion.name}",
+                label=label,
                 trace_parent=trace_parent,
                 method=request.rule,
             )
@@ -400,7 +588,8 @@ def compile_group_tasks(
     if not group:
         return []
     lead = group[0]
-    if any(r.family_key != lead.family_key for r in group[1:]):
+    family = lead.family_canonical()
+    if any(r.family_canonical() != family for r in group[1:]):
         raise ValueError("megabatch group must share one request family")
     if lead.z_max > db.config.z_max:
         raise ValueError(
@@ -408,39 +597,36 @@ def compile_group_tasks(
             f"z_max={db.config.z_max}"
         )
     width = len(group)
-    grid = request_grid(lead)
+    basis = family_basis(db, lead.z_max, lead.n_bins)
     evals = lead.evals_per_integral
-    ions = tuple(ion for ion in db.ions if ion.z <= lead.z_max)
 
     active_per_ion = None
     if lead.tail_tol > 0.0:
         pieces, k = _plan_rule_knobs(lead)
         plan = plan_cache.get(
-            db, grid, ions=ions, method=lead.rule,
+            db, basis.grid, ions=basis.ions, method=lead.rule,
             pieces=pieces, k=k, tail_tol=lead.tail_tol, gaunt=True,
             trace_parent=trace_parent,
         )
-        active_per_ion = np.zeros(len(ions), dtype=np.int64)
+        active_per_ion = np.zeros(len(basis.ions), dtype=np.int64)
         for request in group:
             active_per_ion += plan.per_ion_active(K_B_KEV * request.temperature_k)
 
+    shared = _SharedBlock(basis, group) if with_payload else None
     tasks: list[Task] = []
     tid = task_id_base
-    for i, ion in enumerate(ions):
-        n_levels = db.n_levels(ion)
+    for i, n_levels in enumerate(basis.n_levels):
         n_active = None
         if active_per_ion is not None and n_levels > 0:
             n_active = int(active_per_ion[i])
 
-        if with_payload:
-            def execute(ion=ion, n_levels=n_levels) -> np.ndarray:
-                return np.stack(
-                    [ion_emission(ion, n_levels, r, grid) for r in group]
-                )
+        if shared is not None:
+            def execute(i=i) -> np.ndarray:
+                return shared.rows(i)
         else:
             execute = None
 
-        label = f"grp{point_index}/{ion.name}x{width}"
+        label = f"grp{point_index}/{basis.names[i]}x{width}"
         tasks.append(
             Task(
                 task_id=tid,
@@ -490,11 +676,10 @@ def group_member_weights(
     lead = group[0]
     if lead.tail_tol <= 0.0:
         return [1.0] * len(group)
-    grid = request_grid(lead)
-    ions = tuple(ion for ion in db.ions if ion.z <= lead.z_max)
+    basis = family_basis(db, lead.z_max, lead.n_bins)
     pieces, k = _plan_rule_knobs(lead)
     plan = plan_cache.get(
-        db, grid, ions=ions, method=lead.rule,
+        db, basis.grid, ions=basis.ions, method=lead.rule,
         pieces=pieces, k=k, tail_tol=lead.tail_tol, gaunt=True,
     )
     weights = [

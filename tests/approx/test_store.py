@@ -151,6 +151,17 @@ class TestRequestEvaluator:
         b = ev.fingerprint(_request(n_bins=32))
         assert a != b
 
+    def test_fingerprint_memo_tracks_the_database(self):
+        from repro.atomic.database import AtomicConfig, AtomicDatabase
+
+        ev = RequestEvaluator(AtomicDatabase(AtomicConfig.tiny()))
+        a = ev.fingerprint(_request())
+        assert ev.fingerprint(_request(temperature_k=2.0e6)) is a  # memo hit
+        ev.db = AtomicDatabase(AtomicConfig(n_max=5, z_max=8))
+        b = ev.fingerprint(_request())
+        assert b != a
+        assert b == RequestEvaluator(ev.db).fingerprint(_request())
+
     def test_exact_fn_matches_service_payload(self):
         from repro.atomic.database import AtomicConfig, AtomicDatabase
         from repro.service.requests import request_spectrum

@@ -30,6 +30,9 @@ class TestAtomicDatabase:
     def test_tiny_scope(self, tiny_db):
         assert len(tiny_db.ions) == 36  # sum 1..8
 
+    def test_ion_tuple_built_once(self, tiny_db):
+        assert tiny_db.ions is tiny_db.ions
+
     def test_levels_cached(self, tiny_db):
         ion = tiny_db.ions[10]
         assert tiny_db.levels(ion) is tiny_db.levels(ion)

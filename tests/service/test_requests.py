@@ -5,7 +5,12 @@ import pytest
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.core.task import TaskKind
-from repro.service.requests import SpectrumRequest, compile_tasks, ion_emission
+from repro.service.requests import (
+    SpectrumRequest,
+    compile_tasks,
+    ion_emission,
+    request_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +103,13 @@ class TestCompileTasks:
         req = SpectrumRequest(temperature_k=1e7, z_max=4, n_bins=16)
         task = compile_tasks(req, db)[0]
         np.testing.assert_array_equal(task.run_gpu(), task.run_cpu())
+
+    def test_grid_shared_per_bin_count(self):
+        a = request_grid(SpectrumRequest(temperature_k=1e7, n_bins=48))
+        b = request_grid(SpectrumRequest(temperature_k=3e6, ne_cm3=2.0, n_bins=48))
+        assert a is b and a.n_bins == 48
+        assert not a.edges.flags.writeable
+        assert request_grid(SpectrumRequest(temperature_k=1e7, n_bins=47)) is not a
 
     def test_emission_deterministic_and_positive(self, db):
         req = SpectrumRequest(temperature_k=1e7, n_bins=32)
