@@ -14,6 +14,7 @@ the contract.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator
 
 import numpy as np
@@ -22,41 +23,50 @@ __all__ = ["SharedArray", "SharedSegment"]
 
 
 class SharedArray:
-    """An int64 array with the atomic operations Algorithm 1 relies on."""
+    """An int64 array with the atomic operations Algorithm 1 relies on.
+
+    ``cells`` is the mapped memory itself — a plain ``list[int]``, which
+    is what the scheduler's scan reads after ``attach()``, as a process
+    reads the array ``shmat()`` handed it.  Every *write* goes through
+    the atomic operations below.
+    """
+
+    __slots__ = ("name", "cells")
 
     def __init__(self, size: int, name: str = "") -> None:
         if size < 1:
             raise ValueError("shared array needs at least one slot")
         self.name = name
-        self._data = np.zeros(size, dtype=np.int64)
+        self.cells: list[int] = [0] * size
 
     def __len__(self) -> int:
-        return self._data.size
+        return len(self.cells)
 
     def __getitem__(self, i: int) -> int:
-        return int(self._data[i])
+        return self.cells[i]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(int(v) for v in self._data)
+        return iter(self.cells)
 
     def snapshot(self) -> np.ndarray:
         """A point-in-time copy (what a racing reader could observe)."""
-        return self._data.copy()
+        return np.array(self.cells, dtype=np.int64)
 
     def atomic_add(self, i: int, delta: int) -> int:
         """Atomically add ``delta`` to slot ``i``; returns the new value."""
-        self._data[i] += delta
-        return int(self._data[i])
+        cells = self.cells
+        cells[i] = new = cells[i] + index(delta)
+        return new
 
     def atomic_cas(self, i: int, expected: int, new: int) -> bool:
         """Compare-and-swap; True when the swap happened."""
-        if int(self._data[i]) == expected:
-            self._data[i] = new
+        if self.cells[i] == expected:
+            self.cells[i] = index(new)
             return True
         return False
 
     def store(self, i: int, value: int) -> None:
-        self._data[i] = value
+        self.cells[i] = index(value)
 
 
 class SharedSegment:

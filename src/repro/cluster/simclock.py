@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from math import inf
 from typing import Callable, Generator, Iterable, Optional, Union
 
 __all__ = ["SimClock", "Signal", "Interrupt", "ProcessHandle"]
@@ -27,7 +28,7 @@ class Interrupt(Exception):
     """Thrown into a process that is killed while waiting."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Signal:
     """One-shot event; processes yield it to block until :meth:`fire`.
 
@@ -46,14 +47,16 @@ class Signal:
             raise RuntimeError(f"signal {self.name!r} fired twice")
         self.fired = True
         self.payload = payload
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            clock._schedule(0.0, proc._step, payload)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for proc in waiters:
+                clock._schedule(0.0, proc._step, payload)
 
     def add_callback(self, clock: "SimClock", fn: Callable[[object], None]) -> None:
         """Run ``fn(payload)`` when the signal fires (or now, if it has)."""
         if self.fired:
-            clock._schedule(0.0, lambda _arg: fn(self.payload), None)
+            clock._schedule(0.0, fn, self.payload)
         else:
             self._waiters.append(_FnWaiter(fn))
 
@@ -61,14 +64,18 @@ class Signal:
 class _FnWaiter:
     """Adapter placing a plain callback in a signal's waiter list."""
 
-    def __init__(self, fn: Callable[[object], None]) -> None:
-        self._fn = fn
+    __slots__ = ("_step",)
 
-    def _step(self, payload: object = None) -> None:
-        self._fn(payload)
+    def __init__(self, fn: Callable[[object], None]) -> None:
+        self._step = fn
 
 
 Yieldable = Union[float, int, Signal, "ProcessHandle"]
+
+
+def _call(fn: Callable[[], None]) -> None:
+    """Heap trampoline of :meth:`SimClock.at`: the event's arg is ``fn``."""
+    fn()
 
 
 class ProcessHandle:
@@ -106,28 +113,36 @@ class ProcessHandle:
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._dispatch(target)
-
-    def _dispatch(self, target: Yieldable) -> None:
-        clock = self._clock
-        if isinstance(target, (float, int)):
-            if target < 0:
-                raise ValueError(
-                    f"process {self.name!r} yielded negative delay {target}"
-                )
-            clock._schedule(float(target), self._step, None)
-        elif isinstance(target, Signal):
-            if target.fired:
-                clock._schedule(0.0, self._step, target.payload)
-            else:
-                target._waiters.append(self)
-        elif isinstance(target, ProcessHandle):
-            self._dispatch(target.done)
+        # The two yields a simulated task is made of come first: a plain
+        # float sleep and a wait on a Signal.
+        kind = type(target)
+        if kind is float and 0.0 <= target < inf:
+            self._clock._schedule(target, self._step, None)
+            return
+        if kind is not Signal:
+            if isinstance(target, ProcessHandle):
+                target = target.done  # join = wait for the done signal
+            elif not isinstance(target, Signal):
+                self._sleep(target)
+                return
+        if target.fired:
+            self._clock._schedule(0.0, self._step, target.payload)
         else:
+            target._waiters.append(self)
+
+    def _sleep(self, target: Yieldable) -> None:
+        """Ints, NumPy floats, and every yield that must be refused."""
+        if not isinstance(target, (float, int)):
             raise TypeError(
                 f"process {self.name!r} yielded unsupported {target!r}; "
                 "yield a delay, a Signal, or a ProcessHandle"
             )
+        if not 0 <= target < inf:
+            raise ValueError(
+                f"process {self.name!r} yielded negative or non-finite "
+                f"delay {target}"
+            )
+        self._clock._schedule(float(target), self._step, None)
 
 
 class SimClock:
@@ -137,7 +152,6 @@ class SimClock:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable, object]] = []
         self._seq = 0
-        self._processes: list[ProcessHandle] = []
 
     def _schedule(self, delay: float, fn: Callable, arg: object) -> None:
         self._seq += 1
@@ -145,14 +159,19 @@ class SimClock:
 
     def at(self, delay: float, fn: Callable[[], None]) -> None:
         """Run a plain callback ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self._schedule(delay, lambda _arg: fn(), None)
+        self.call_at(delay, _call, fn)
+
+    def call_at(self, delay: float, fn: Callable[[object], None], arg: object) -> None:
+        """Run ``fn(arg)`` ``delay`` seconds from now — the raw heap event,
+        for callers that would otherwise close over ``arg`` per event."""
+        if not 0 <= delay < inf:
+            raise ValueError("delay must be non-negative and finite")
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, arg))
 
     def spawn(self, gen: Generator, name: str = "proc") -> ProcessHandle:
         """Start a generator process immediately (first step at t = now)."""
         handle = ProcessHandle(self, gen, name)
-        self._processes.append(handle)
         self._schedule(0.0, handle._step, None)
         return handle
 
@@ -166,12 +185,12 @@ class SimClock:
         would move backwards (a corrupted heap — should be impossible, but
         cheap to assert and invaluable when it is not).
         """
-        while self._heap:
-            t, _seq, fn, arg = self._heap[0]
-            if until is not None and t > until:
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return self.now
-            heapq.heappop(self._heap)
+            t, _seq, fn, arg = heapq.heappop(heap)
             if t < self.now:
                 raise RuntimeError(f"causality violation: {t} < {self.now}")
             self.now = t

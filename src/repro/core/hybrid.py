@@ -26,7 +26,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.cluster.simclock import SimClock
+from repro.cluster.simclock import Signal, SimClock
 from repro.core.calibration import CostModel
 from repro.core.metrics import MetricsLedger, RunResult, TaskEvent
 from repro.obs.attribution import ion_from_label
@@ -463,8 +463,10 @@ class HybridRunner:
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
                 submitted_at = clock.now
+                gpu = gpus[device]
+                price = gpu.spec.phase_times(task.kernel)
                 try:
-                    done = gpus[device].submit(task.kernel, parent=span_id)
+                    done = gpu.submit(task.kernel, span_id, price)
                 except RuntimeError:
                     # The device died between admission and submission:
                     # release the slot, revoke the phantom admission, and
@@ -476,9 +478,9 @@ class HybridRunner:
                     device = NO_DEVICE
                 if device != NO_DEVICE:
                     payload = yield done
-                    service = gpus[device].spec.service_time(task.kernel)
+                    service = price[0] + price[1] + price[2]
                     wait_s = max(0.0, clock.now - submitted_at - service)
-                    bus.on_task_timing(wait_s=wait_s, service_s=service)
+                    bus.on_task_timing(wait_s, service)
                     if sched.rpc_latency_s:
                         yield sched.rpc_latency_s
                     sched.sche_free(device, clock.now)
@@ -639,13 +641,14 @@ class HybridRunner:
             task_started = clock.now
             span_id = tracer.new_id() if tracer.enabled else 0
             yield cost.prep_s(task.n_levels) + point_share[task.point_index]
-            ion, method, evals = _task_cost_key(task)
-            predicted = model.predict(ion, method, evals)
+            key = _task_cost_key(task)
+            predicted = model.predict(*key)
+            ticks = sched.cost_ticks(predicted)
             if tracer.enabled:
                 loads = sched.loads()
                 histories = sched.histories()
                 backlogs = sched.backlogs_s()
-            device = sched.sche_alloc(clock.now, cost_s=predicted)
+            device = sched.sche_alloc(clock.now, ticks=ticks)
             if tracer.enabled:
                 tracer.instant(
                     rank_track,
@@ -662,7 +665,9 @@ class HybridRunner:
                 )
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
-                entry = dispatch.enqueue(device, task, predicted, span_id)
+                entry = dispatch.enqueue(
+                    device, task, key, predicted, ticks, span_id
+                )
                 payload = yield entry.done
                 if entry.failed:
                     bus.on_admission_revoked(entry.executed_device)
@@ -807,22 +812,22 @@ class _PendingTask:
     """One admitted task parked in a device's dispatch queue."""
 
     __slots__ = (
-        "task", "ion", "method", "evals", "cost_s", "span_id",
-        "enqueued_at", "done", "executed_device", "exec_started",
-        "service_s", "failed",
+        "task", "key", "cost_s", "ticks", "span_id", "enqueued_at", "done",
+        "executed_device", "exec_started", "service_s", "failed",
     )
 
-    def __init__(self, task, ion, method, evals, cost_s, span_id, now, done):
+    def __init__(self, task, key, cost_s, ticks, span_id, now):
         self.task = task
-        self.ion = ion
-        self.method = method
-        self.evals = evals
-        #: Predicted cost at admission time — the exact value added to
-        #: the segment backlog, carried so free/steal remove it exactly.
+        #: (ion, method, evals) — computed once, at placement.
+        self.key = key
+        #: Predicted cost at admission time and its integer-tick form —
+        #: the exact amount added to the segment backlog, carried so
+        #: free/steal remove it exactly without re-rounding.
         self.cost_s = cost_s
+        self.ticks = ticks
         self.span_id = span_id
         self.enqueued_at = now
-        self.done = done
+        self.done = Signal("task.done")
         # Set by the executing dispatch worker:
         self.executed_device = -1
         self.exec_started = 0.0
@@ -856,17 +861,16 @@ class _PredictiveDispatch:
         self.model = model
         self.steal = steal
         self.pending: list[deque] = [deque() for _ in gpus]
+        #: Summed ``ticks`` of each pending queue, kept in step with it.
+        self.pending_ticks = [0] * len(gpus)
         self._idle: list = []
         self.closed = False
 
-    def enqueue(self, device, task, cost_s, span_id) -> _PendingTask:
+    def enqueue(self, device, task, key, cost_s, ticks, span_id) -> _PendingTask:
         """Park one admitted task on ``device``'s queue; wake idle workers."""
-        ion, method, evals = _task_cost_key(task)
-        entry = _PendingTask(
-            task, ion, method, evals, cost_s, span_id,
-            self.clock.now, self.clock.signal(f"task{task.task_id}.done"),
-        )
+        entry = _PendingTask(task, key, cost_s, ticks, span_id, self.clock.now)
         self.pending[device].append(entry)
+        self.pending_ticks[device] += ticks
         self._wake_all(prefer=device)
         return entry
 
@@ -894,15 +898,14 @@ class _PredictiveDispatch:
         for d, queue in enumerate(self.pending):
             if d == thief or not queue:
                 continue
-            ticks = sum(
-                PredictiveScheduler.cost_ticks(e.cost_s) for e in queue
-            )
+            ticks = self.pending_ticks[d]
             if best < 0 or ticks > best_ticks:
                 best, best_ticks = d, ticks
         if best < 0:
             return None
         entry = self.pending[best].pop()
-        self.sched.on_steal(best, thief, self.clock.now, cost_s=entry.cost_s)
+        self.pending_ticks[best] -= entry.ticks
+        self.sched.on_steal(best, thief, self.clock.now, ticks=entry.ticks)
         return entry
 
     def device_worker(self, device: int) -> Generator:
@@ -910,10 +913,13 @@ class _PredictiveDispatch:
         clock = self.clock
         sched = self.sched
         gpu = self.gpus[device]
+        own = self.pending[device]
+        idle_name = f"gpu{device}.disp.idle"
         while True:
             entry = None
-            if self.pending[device]:
-                entry = self.pending[device].popleft()
+            if own:
+                entry = own.popleft()
+                self.pending_ticks[device] -= entry.ticks
             elif (
                 self.steal
                 and not gpu.failed
@@ -923,7 +929,7 @@ class _PredictiveDispatch:
             if entry is None:
                 if self.closed and not any(self.pending):
                     return
-                sig = clock.signal(f"gpu{device}.disp.idle")
+                sig = Signal(idle_name)
                 self._idle.append((device, sig))
                 yield sig
                 continue
@@ -934,7 +940,7 @@ class _PredictiveDispatch:
                 # entry; the owning rank revokes the placement count and
                 # degrades to the CPU path.  Keep looping so later
                 # entries (enqueued or stolen here) fail fast too.
-                sched.sche_free(device, clock.now, cost_s=entry.cost_s)
+                sched.sche_free(device, clock.now, ticks=entry.ticks)
                 entry.executed_device = device
                 entry.failed = True
                 entry.done.fire(clock, None)
@@ -944,11 +950,8 @@ class _PredictiveDispatch:
             measured = clock.now - entry.exec_started
             entry.executed_device = device
             entry.service_s = measured
-            self.model.observe(entry.ion, entry.method, entry.evals, measured)
+            self.model.observe(*entry.key, measured)
             self.bus.on_prediction(entry.cost_s, measured)
-            self.bus.on_task_timing(
-                wait_s=entry.exec_started - entry.enqueued_at,
-                service_s=measured,
-            )
-            sched.sche_free(device, clock.now, cost_s=entry.cost_s)
+            self.bus.on_task_timing(entry.exec_started - entry.enqueued_at, measured)
+            sched.sche_free(device, clock.now, ticks=entry.ticks)
             entry.done.fire(clock, payload)

@@ -66,15 +66,14 @@ class MetricsLedger:
         #: larger simulation (the service broker), so residency intervals
         #: open at the batch start rather than at t = 0.
         self.start_time = start_time
-        self.gpu_tasks = np.zeros(max(1, n_devices), dtype=np.int64)
+        # The per-load-change state is plain Python lists (two updates per
+        # task); ``gpu_tasks`` and ``load_residency`` hand out ndarrays.
+        rows = max(1, n_devices)
+        self._gpu_tasks = [0] * rows
         self.cpu_tasks = 0
-        # Load residency: residency[d, L] = virtual seconds device d spent
-        # with load exactly L.
-        self.load_residency = np.zeros(
-            (max(1, n_devices), max_queue_length + 1), dtype=np.float64
-        )
-        self._last_change = np.full(max(1, n_devices), start_time, dtype=np.float64)
-        self._current_load = np.zeros(max(1, n_devices), dtype=np.int64)
+        self._residency = [[0.0] * (max_queue_length + 1) for _ in range(rows)]
+        self._last_change = [float(start_time)] * rows
+        self._current_load = [0] * rows
         self.task_waits: list[float] = []
         self.task_services: list[float] = []
         #: Work stealing (predictive dispatch): tasks each device pulled
@@ -93,25 +92,36 @@ class MetricsLedger:
         #: configured with ``record_trace=True``).
         self.trace: list[TaskEvent] = []
 
+    @property
+    def gpu_tasks(self) -> np.ndarray:
+        """Tasks placed on each device so far: int64, shape (n_devices,)."""
+        return np.array(self._gpu_tasks, dtype=np.int64)
+
+    @property
+    def load_residency(self) -> np.ndarray:
+        """``[d, L]`` = virtual seconds device d spent with load exactly L:
+        float64, shape (n_devices, max_queue_length + 1)."""
+        return np.array(self._residency, dtype=np.float64)
+
     # ------------------------------------------------------------------
     # Hooks called by the scheduler / runner
     # ------------------------------------------------------------------
     def on_load_change(self, device: int, old: int, new: int, now: float) -> None:
         """Close the residency interval at ``old`` and open one at ``new``."""
-        self.load_residency[device, old] += now - self._last_change[device]
+        self._residency[device][old] += now - self._last_change[device]
         self._last_change[device] = now
         self._current_load[device] = new
         if new > old:
-            self.gpu_tasks[device] += 1
+            self._gpu_tasks[device] += 1
 
     def on_cpu_task(self) -> None:
         self.cpu_tasks += 1
 
     def on_admission_revoked(self, device: int) -> None:
         """Undo one GPU-task count (admission whose submit failed)."""
-        if self.gpu_tasks[device] <= 0:
+        if self._gpu_tasks[device] <= 0:
             raise ValueError(f"device {device} has no admissions to revoke")
-        self.gpu_tasks[device] -= 1
+        self._gpu_tasks[device] -= 1
 
     def on_task_timing(self, wait_s: float, service_s: float) -> None:
         self.task_waits.append(wait_s)
@@ -124,9 +134,9 @@ class MetricsLedger:
         a thief placement, so the victim hands its admission-time count
         back — total GPU task counts are conserved across steals.
         """
-        if self.gpu_tasks[victim] <= 0:
+        if self._gpu_tasks[victim] <= 0:
             raise ValueError(f"device {victim} has no admissions to donate")
-        self.gpu_tasks[victim] -= 1
+        self._gpu_tasks[victim] -= 1
         self.steals[thief] += 1
         self.donations[victim] += 1
 
@@ -186,9 +196,7 @@ class MetricsLedger:
     def finalize(self, now: float) -> None:
         """Close all residency intervals at the end of the run."""
         for d in range(self.n_devices):
-            self.load_residency[d, self._current_load[d]] += (
-                now - self._last_change[d]
-            )
+            self._residency[d][self._current_load[d]] += now - self._last_change[d]
             self._last_change[d] = now
         self.end_time = now
 
@@ -197,18 +205,18 @@ class MetricsLedger:
     # ------------------------------------------------------------------
     @property
     def total_tasks(self) -> int:
-        return int(self.gpu_tasks.sum()) + self.cpu_tasks
+        return sum(self._gpu_tasks) + self.cpu_tasks
 
     def gpu_task_ratio(self) -> float:
         """Fig. 5: tasks achieved by GPUs / total tasks."""
         total = self.total_tasks
         if total == 0:
             return 0.0
-        return float(self.gpu_tasks.sum()) / total
+        return float(sum(self._gpu_tasks)) / total
 
     def load_distribution_percent(self, device: int = 0) -> np.ndarray:
         """Fig. 6: % of run time device spent at each load 0..max."""
-        row = self.load_residency[device]
+        row = np.array(self._residency[device])
         total = row.sum()
         if total == 0.0:
             return np.zeros_like(row)
@@ -216,7 +224,7 @@ class MetricsLedger:
 
     def load_at_least_ratio(self, threshold: int, device: int = 0) -> float:
         """Table I: fraction of run time with load >= ``threshold``."""
-        row = self.load_residency[device]
+        row = np.array(self._residency[device])
         total = row.sum()
         if total == 0.0:
             return 0.0
@@ -237,7 +245,7 @@ class MetricsLedger:
 
     def mean_device_load(self, device: int) -> float:
         """Time-weighted mean queue load of one device over the run."""
-        row = self.load_residency[device]
+        row = np.array(self._residency[device])
         total = row.sum()
         if total == 0.0:
             return 0.0

@@ -40,12 +40,12 @@ class TaskQueue:
     @property
     def load(self) -> int:
         """Current load: active + waiting tasks."""
-        return self.segment.load[self.device_index]
+        return self.segment.load.cells[self.device_index]
 
     @property
     def history(self) -> int:
         """History task count: total tasks ever admitted."""
-        return self.segment.history[self.device_index]
+        return self.segment.history.cells[self.device_index]
 
     @property
     def is_full(self) -> bool:
@@ -54,10 +54,11 @@ class TaskQueue:
     @property
     def backlog_ticks(self) -> int:
         """Predicted backlog of admitted tasks, integer picosecond ticks."""
-        return self.segment.backlog[self.device_index]
+        return self.segment.backlog.cells[self.device_index]
 
-    def occupy(self, cost_ticks: int = 0) -> None:
-        """Admit one task: load++ and history++ in one atomic step.
+    def occupy(self, cost_ticks: int = 0) -> int:
+        """Admit one task: load++ and history++ in one atomic step;
+        returns the new load.
 
         Mirrors the paper: "the scheduler will increase the current load
         value of the GPU by one in an atomic operation" together with the
@@ -80,9 +81,11 @@ class TaskQueue:
             )
         if cost_ticks:
             self.segment.backlog.atomic_add(self.device_index, cost_ticks)
+        return new_load
 
-    def release(self, cost_ticks: int = 0) -> None:
-        """Task finished: load-- (history is monotone, never decremented)."""
+    def release(self, cost_ticks: int = 0) -> int:
+        """Task finished: load-- (history is monotone, never decremented);
+        returns the new load."""
         if cost_ticks < 0:
             raise ValueError("cost_ticks must be non-negative")
         new_load = self.segment.load.atomic_add(self.device_index, -1)
@@ -102,6 +105,7 @@ class TaskQueue:
                     f"device {self.device_index}: backlog release exceeds "
                     f"admitted cost"
                 )
+        return new_load
 
     def transfer_to(self, thief: "TaskQueue", cost_ticks: int = 0) -> None:
         """Move one admitted task's slot (and backlog) to ``thief``.

@@ -82,7 +82,7 @@ class SharedMemoryScheduler:
         """
         if self.n_devices == 0:
             return NO_DEVICE
-        load, history = self.segment.attach()
+        load, history = self.segment.load.cells, self.segment.history.cells
         best = 0
         l_min = load[0]
         h_min = history[0]
@@ -94,20 +94,18 @@ class SharedMemoryScheduler:
                 best, l_min, h_min = d, l_d, h_d
         if l_min >= self.max_queue_length:
             return NO_DEVICE
-        old_load = self.queues[best].load
         self.queues[best].occupy()
         if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
+            self.metrics.on_load_change(best, l_min, l_min + 1, now)
         return best
 
     def sche_free(self, device: int, now: float = 0.0) -> None:
         """Algorithm 1 SCHE-FREE: release the slot after completion."""
         if not 0 <= device < self.n_devices:
             raise ValueError(f"device {device} out of range")
-        old_load = self.queues[device].load
-        self.queues[device].release()
+        new_load = self.queues[device].release()
         if self.metrics is not None:
-            self.metrics.on_load_change(device, old_load, old_load - 1, now)
+            self.metrics.on_load_change(device, new_load + 1, new_load, now)
 
     def loads(self) -> list[int]:
         return [q.load for q in self.queues]
@@ -295,7 +293,9 @@ class PredictiveScheduler(SharedMemoryScheduler):
             raise ValueError("predicted cost must be non-negative")
         return int(round(cost_s * TICKS_PER_S))
 
-    def sche_alloc(self, now: float = 0.0, cost_s: float = 0.0) -> int:
+    def sche_alloc(
+        self, now: float = 0.0, cost_s: float = 0.0, ticks: Optional[int] = None
+    ) -> int:
         """Place one task of predicted cost ``cost_s`` (seconds).
 
         Scans for the minimum predicted finish time (device backlog +
@@ -304,12 +304,19 @@ class PredictiveScheduler(SharedMemoryScheduler):
         admission step.  Returns ``NO_DEVICE`` when every queue is at
         the slot cap or the best predicted finish time crosses
         ``cpu_threshold_s``.
+
+        ``ticks``, here and in :meth:`sche_free` / :meth:`on_steal`, is
+        the same cost already converted by :meth:`cost_ticks`: a caller
+        that converts once per task and carries the integer passes it
+        instead of ``cost_s``.
         """
         if self.n_devices == 0:
             return NO_DEVICE
-        ticks = self.cost_ticks(cost_s)
-        load, history = self.segment.attach()
-        backlog = self.segment.backlog
+        if ticks is None:
+            ticks = self.cost_ticks(cost_s)
+        segment = self.segment
+        load, history = segment.load.cells, segment.history.cells
+        backlog = segment.backlog.cells
         use_history = self.tie_break == "history"
         best = -1
         best_finish = 0
@@ -332,13 +339,18 @@ class PredictiveScheduler(SharedMemoryScheduler):
             and best_finish > self.cost_ticks(self.cpu_threshold_s)
         ):
             return NO_DEVICE
-        old_load = self.queues[best].load
-        self.queues[best].occupy(ticks)
+        new_load = self.queues[best].occupy(ticks)
         if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
+            self.metrics.on_load_change(best, new_load - 1, new_load, now)
         return best
 
-    def sche_free(self, device: int, now: float = 0.0, cost_s: float = 0.0) -> None:
+    def sche_free(
+        self,
+        device: int,
+        now: float = 0.0,
+        cost_s: float = 0.0,
+        ticks: Optional[int] = None,
+    ) -> None:
         """Release one slot, removing the cost admitted for the task.
 
         ``cost_s`` must be the value passed to the matching
@@ -348,19 +360,26 @@ class PredictiveScheduler(SharedMemoryScheduler):
         """
         if not 0 <= device < self.n_devices:
             raise ValueError(f"device {device} out of range")
-        old_load = self.queues[device].load
-        self.queues[device].release(self.cost_ticks(cost_s))
+        if ticks is None:
+            ticks = self.cost_ticks(cost_s)
+        new_load = self.queues[device].release(ticks)
         if self.metrics is not None:
-            self.metrics.on_load_change(device, old_load, old_load - 1, now)
+            self.metrics.on_load_change(device, new_load + 1, new_load, now)
 
     def on_steal(
-        self, victim: int, thief: int, now: float = 0.0, cost_s: float = 0.0
+        self,
+        victim: int,
+        thief: int,
+        now: float = 0.0,
+        cost_s: float = 0.0,
+        ticks: Optional[int] = None,
     ) -> None:
         """Transfer one admitted task's slot + backlog from victim to thief."""
         for d in (victim, thief):
             if not 0 <= d < self.n_devices:
                 raise ValueError(f"device {d} out of range")
-        ticks = self.cost_ticks(cost_s)
+        if ticks is None:
+            ticks = self.cost_ticks(cost_s)
         victim_old = self.queues[victim].load
         thief_old = self.queues[thief].load
         self.queues[victim].transfer_to(self.queues[thief], ticks)

@@ -74,18 +74,24 @@ class DeviceSpec:
             return 0.0
         return self.pcie_latency_s + nbytes / (self.pcie_bandwidth_gbs * 1.0e9)
 
+    def phase_times(self, spec: KernelSpec) -> tuple[float, float, float]:
+        """(ingress, compute, egress) seconds of one task — the one place
+        a kernel is priced; ingress = context switch + H2D + launch."""
+        return (
+            self.context_switch_s
+            + self.transfer_time(spec.bytes_in)
+            + self.kernel_launch_s,
+            self.compute_time(spec),
+            self.transfer_time(spec.bytes_out),
+        )
+
     def service_time(self, spec: KernelSpec) -> float:
         """End-to-end device time of one task.
 
         context switch + H2D + launch + compute + D2H.
         """
-        return (
-            self.context_switch_s
-            + self.transfer_time(spec.bytes_in)
-            + self.kernel_launch_s
-            + self.compute_time(spec)
-            + self.transfer_time(spec.bytes_out)
-        )
+        ingress, compute, egress = self.phase_times(spec)
+        return ingress + compute + egress
 
     def with_eval_rate(self, eval_rate: float) -> "DeviceSpec":
         """Calibration helper: same card, different achieved throughput."""
@@ -166,15 +172,17 @@ class SimulatedGPU:
         self.index = index
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
-        self._waiting: deque[tuple[KernelSpec, Signal, int]] = deque()
+        # A job is (kernel, done, parent, ingress_s, compute_s, egress_s):
+        # priced once at submit, then carried through the three phases.
+        self._waiting: deque[tuple] = deque()
         self._active = 0  # tasks in any phase
-        self._compute_queue: deque[tuple[KernelSpec, Signal, int]] = deque()
+        self._compute_queue: deque[tuple] = deque()
         self._compute_busy = False
         self.busy_time = 0.0  # any-phase-active time
         self.completed = 0
         self._busy_since: float | None = None
         self.failed = False
-        self._seq = 0
+        self._done_name = f"gpu{index}.task"
 
     @property
     def in_flight(self) -> int:
@@ -185,100 +193,88 @@ class SimulatedGPU:
         """Failure injection: device stops accepting and completing work."""
         self.failed = True
 
-    def submit(self, kernel: KernelSpec, parent: int = 0) -> Signal:
+    def submit(
+        self,
+        kernel: KernelSpec,
+        parent: int = 0,
+        price: tuple[float, float, float] | None = None,
+    ) -> Signal:
         """Queue one task; returns the signal fired at completion.
 
         ``parent`` is the trace span id of the causing task span; the
-        three sub-spans the device emits link back to it.
+        three sub-spans the device emits link back to it.  ``price`` is
+        ``spec.phase_times(kernel)`` when the caller already holds it.
         """
         if self.failed:
             raise RuntimeError(f"GPU {self.index} has failed")
-        self._seq += 1
-        done = self.clock.signal(f"gpu{self.index}.task{self._seq}")
+        done = Signal(self._done_name)
+        job = (kernel, done, parent) + (price or self.spec.phase_times(kernel))
         if self._active < self.spec.max_concurrent_kernels:
-            self._start(kernel, done, parent)
+            self._start(job)
         else:
-            self._waiting.append((kernel, done, parent))
+            self._waiting.append(job)
         return done
 
     # ------------------------------------------------------------------
-    # Phases
+    # Phases: each is one heap event (bound method, (job, phase start));
+    # the start time is only read when tracing.
     # ------------------------------------------------------------------
-    def _ingress_time(self, kernel: KernelSpec) -> float:
-        return (
-            self.spec.context_switch_s
-            + self.spec.transfer_time(kernel.bytes_in)
-            + self.spec.kernel_launch_s
-        )
-
-    def _start(self, kernel: KernelSpec, done: Signal, parent: int = 0) -> None:
+    def _start(self, job: tuple) -> None:
         self._active += 1
+        now = self.clock.now
         if self._busy_since is None:
-            self._busy_since = self.clock.now
-        t0 = self.clock.now if self.tracer.enabled else 0.0
-        self.clock.at(
-            self._ingress_time(kernel),
-            lambda k=kernel, d=done, t=t0, p=parent: self._enter_compute(k, d, t, p),
-        )
+            self._busy_since = now
+        self.clock.call_at(job[3], self._enter_compute, (job, now))
 
-    def _enter_compute(
-        self, kernel: KernelSpec, done: Signal, started: float = 0.0, parent: int = 0
-    ) -> None:
+    def _enter_compute(self, event: tuple) -> None:
         if self.failed:
             return
+        job, started = event
         if self.tracer.enabled:
+            kernel = job[0]
             self.tracer.complete(
                 self.track,
                 "h2d+launch",
                 started,
                 cat="ingress",
                 args={"label": kernel.label, "bytes_in": kernel.bytes_in},
-                parent=parent or None,
+                parent=job[2] or None,
             )
-        self._compute_queue.append((kernel, done, parent))
+        self._compute_queue.append(job)
         self._pump_compute()
 
     def _pump_compute(self) -> None:
         if self._compute_busy or not self._compute_queue:
             return
         self._compute_busy = True
-        kernel, done, parent = self._compute_queue.popleft()
-        t0 = self.clock.now if self.tracer.enabled else 0.0
-        self.clock.at(
-            self.spec.compute_time(kernel),
-            lambda k=kernel, d=done, t=t0, p=parent: self._finish_compute(k, d, t, p),
-        )
+        job = self._compute_queue.popleft()
+        self.clock.call_at(job[4], self._finish_compute, (job, self.clock.now))
 
-    def _finish_compute(
-        self, kernel: KernelSpec, done: Signal, started: float = 0.0, parent: int = 0
-    ) -> None:
+    def _finish_compute(self, event: tuple) -> None:
         self._compute_busy = False
-        if self.tracer.enabled and not self.failed:
-            self.tracer.complete(
-                self.track,
-                "compute",
-                started,
-                cat="compute",
-                args={
-                    "label": kernel.label,
-                    "evals": kernel.total_evals,
-                    "evals_saved": kernel.evals_saved,
-                },
-                parent=parent or None,
-            )
         if not self.failed:
-            t0 = self.clock.now if self.tracer.enabled else 0.0
-            self.clock.at(
-                self.spec.transfer_time(kernel.bytes_out),
-                lambda k=kernel, d=done, t=t0, p=parent: self._complete(k, d, t, p),
-            )
+            job, started = event
+            if self.tracer.enabled:
+                kernel = job[0]
+                self.tracer.complete(
+                    self.track,
+                    "compute",
+                    started,
+                    cat="compute",
+                    args={
+                        "label": kernel.label,
+                        "evals": kernel.total_evals,
+                        "evals_saved": kernel.evals_saved,
+                    },
+                    parent=job[2] or None,
+                )
+            self.clock.call_at(job[5], self._complete, (job, self.clock.now))
         self._pump_compute()
 
-    def _complete(
-        self, kernel: KernelSpec, done: Signal, started: float = 0.0, parent: int = 0
-    ) -> None:
+    def _complete(self, event: tuple) -> None:
         if self.failed:
             return  # results from a failed device never arrive
+        (kernel, done, parent, _, _, _), started = event
         if self.tracer.enabled:
             self.tracer.complete(
                 self.track,
@@ -296,8 +292,7 @@ class SimulatedGPU:
         payload = kernel.execute() if kernel.execute is not None else None
         done.fire(self.clock, payload)
         if self._waiting and self._active < self.spec.max_concurrent_kernels:
-            kernel_next, done_next, parent_next = self._waiting.popleft()
-            self._start(kernel_next, done_next, parent_next)
+            self._start(self._waiting.popleft())
 
     def utilization(self, makespan: float) -> float:
         """Fraction of the run this device had work in some phase."""

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 __all__ = [
@@ -93,7 +94,13 @@ def _split_ticks(total: int, weights: list[float]) -> list[int]:
 
 def ion_from_label(label: str) -> str:
     """Ion name carried by a kernel label (``req3/O+7``, ``grp0/Fe+13x4``)."""
-    seg = label.split("/", 1)[-1]
+    return _ion_of_segment(label.split("/", 1)[-1])
+
+
+@lru_cache(maxsize=4096)
+def _ion_of_segment(seg: str) -> str:
+    # Keyed on the part after the request/point prefix: a few hundred
+    # ions x group widths recur for ever, the prefixes never do.
     return _GROUP_LABEL_SUFFIX.sub("", seg)
 
 
@@ -225,7 +232,6 @@ class _TaskState:
     label: str = ""
     evals: int = 0
     cpu: bool = False
-    observed: bool = False
 
 
 class Attribution:
@@ -245,6 +251,9 @@ class Attribution:
         self._entries: dict[int, CostEntry] = {}
         self._groups: dict[int, _Group] = {}
         self._tasks: dict[int, _TaskState] = {}
+        #: Tasks with no observation emitted yet, in first-seen order —
+        #: the only ones ``_emit_observations`` has to look at.
+        self._unobserved: dict[int, _TaskState] = {}
         self._pending: list = []  # measured TraceEvents awaiting their chain
         self._measured: dict[str, int] = {c: 0 for c in COMPONENTS}
         self._attributed: dict[str, int] = {c: 0 for c in COMPONENTS}
@@ -287,7 +296,9 @@ class Attribution:
                     method=args.get("method", ""),
                 )
             elif ev.ph == "X" and ev.cat == "task" and ev.id is not None:
-                state = self._tasks.setdefault(ev.id, _TaskState())
+                state = self._tasks.get(ev.id)
+                if state is None:
+                    state = self._tasks[ev.id] = self._unobserved[ev.id] = _TaskState()
                 state.group = ev.parent or 0
                 state.label = ev.name
                 if (ev.args or {}).get("placement") == "cpu":
@@ -350,8 +361,9 @@ class Attribution:
             state.parts["cpu"] = state.parts.get("cpu", 0) + total
 
     def _emit_observations(self) -> None:
-        for tid, state in self._tasks.items():
-            if state.observed or not state.group:
+        emitted = []
+        for tid, state in self._unobserved.items():
+            if not state.group:
                 continue
             group = self._groups.get(state.group)
             if group is None:
@@ -361,7 +373,7 @@ class Attribution:
             # device cost model.
             if "egress" not in state.parts or "compute" not in state.parts:
                 continue
-            state.observed = True
+            emitted.append(tid)
             service = sum(
                 state.parts.get(p, 0) for p in ("ingress", "compute", "egress")
             )
@@ -373,6 +385,8 @@ class Attribution:
                     service_s=service / TICKS_PER_S,
                 )
             )
+        for tid in emitted:
+            del self._unobserved[tid]
 
     def drain_observations(self) -> list[TaskObservation]:
         """New completed-task observations since the last drain."""

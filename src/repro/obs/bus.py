@@ -34,48 +34,54 @@ class RunBus:
     shows each GPU's queue occupancy as a filled series.
     """
 
-    __slots__ = ("ledger", "tracer", "device_tracks")
+    __slots__ = (
+        "ledger", "tracer", "device_tracks", "on_load_change", "on_cpu_task",
+        "on_admission_revoked", "on_task_timing", "on_steal", "on_prediction",
+        "on_task_event",
+    )
 
     def __init__(self, ledger, tracer=None, device_tracks: Sequence[int] = ()) -> None:
         self.ledger = ledger
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.device_tracks = tuple(device_tracks)
+        # The hook surface is bound once: hooks with nothing to trace are
+        # the ledger's own methods, and with tracing off so are the rest —
+        # no fan-out frame between the scheduler and the ledger.
+        self.on_cpu_task = ledger.on_cpu_task
+        self.on_task_timing = ledger.on_task_timing
+        self.on_prediction = ledger.on_prediction
+        self.on_task_event = ledger.on_task_event
+        if self.tracer.enabled:
+            self.on_load_change = self._traced_load_change
+            self.on_admission_revoked = self._traced_admission_revoked
+            self.on_steal = self._traced_steal
+        else:
+            self.on_load_change = ledger.on_load_change
+            self.on_admission_revoked = ledger.on_admission_revoked
+            self.on_steal = ledger.on_steal
 
-    # -- MetricsLedger hook surface ------------------------------------
-    def on_load_change(self, device: int, old: int, new: int, now: float) -> None:
+    # -- MetricsLedger hooks that also feed the tracer -------------------
+    def _traced_load_change(self, device: int, old: int, new: int, now: float) -> None:
         self.ledger.on_load_change(device, old, new, now)
-        t = self.tracer
-        if t.enabled and device < len(self.device_tracks):
-            t.counter(self.device_tracks[device], "load", new)
+        if device < len(self.device_tracks):
+            self.tracer.counter(self.device_tracks[device], "load", new)
 
-    def on_cpu_task(self) -> None:
-        self.ledger.on_cpu_task()
-
-    def on_admission_revoked(self, device: int) -> None:
+    def _traced_admission_revoked(self, device: int) -> None:
         self.ledger.on_admission_revoked(device)
-        t = self.tracer
-        if t.enabled and device < len(self.device_tracks):
-            t.instant(self.device_tracks[device], "admission.revoked", cat="sched")
+        if device < len(self.device_tracks):
+            self.tracer.instant(
+                self.device_tracks[device], "admission.revoked", cat="sched"
+            )
 
-    def on_task_timing(self, wait_s: float, service_s: float) -> None:
-        self.ledger.on_task_timing(wait_s, service_s)
-
-    def on_steal(self, victim: int, thief: int) -> None:
+    def _traced_steal(self, victim: int, thief: int) -> None:
         self.ledger.on_steal(victim, thief)
-        t = self.tracer
-        if t.enabled and thief < len(self.device_tracks):
-            t.instant(
+        if thief < len(self.device_tracks):
+            self.tracer.instant(
                 self.device_tracks[thief],
                 "steal",
                 cat="sched",
                 args={"victim": victim},
             )
-
-    def on_prediction(self, predicted_s: float, measured_s: float) -> None:
-        self.ledger.on_prediction(predicted_s, measured_s)
-
-    def on_task_event(self, event) -> None:
-        self.ledger.on_task_event(event)
 
 
 class ServiceBus:

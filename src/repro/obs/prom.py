@@ -881,9 +881,10 @@ def run_registry(result, wall_s: Optional[float] = None) -> MetricsRegistry:
         "Virtual seconds each device load level was held",
         ("device", "load"),
     )
+    seconds = m.load_residency
     for d in range(m.n_devices):
         for load in range(m.max_queue_length + 1):
-            residency.set(float(m.load_residency[d, load]), device=d, load=load)
+            residency.set(float(seconds[d, load]), device=d, load=load)
     _sched_metrics(
         reg,
         m.n_devices,

@@ -629,6 +629,7 @@ class SpectrumBroker:
         )
         window = self.config.batch_window_s
         batching = window is not None
+        idle_name = f"svc{wid}.idle"
         while True:
             if (
                 batching
@@ -645,7 +646,7 @@ class SpectrumBroker:
                 yield window
             batch = self._drain_batch()
             if not batch:
-                idle = Signal(name=f"svc{wid}.idle")
+                idle = Signal(name=idle_name)
                 self._idle.append(idle)
                 yield idle
                 continue

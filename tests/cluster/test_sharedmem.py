@@ -1,5 +1,6 @@
 """Shared-memory segment and atomic operations."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.sharedmem import SharedArray, SharedSegment
@@ -29,6 +30,32 @@ class TestSharedArray:
         snap = arr.snapshot()
         arr.atomic_add(0, 1)
         assert snap[0] == 0
+
+    def test_snapshot_is_an_independent_int64_array(self):
+        arr = SharedArray(3)
+        arr.atomic_add(2, 10**12)
+        snap = arr.snapshot()
+        assert isinstance(snap, np.ndarray)
+        assert snap.dtype == np.int64 and snap.shape == (3,)
+        snap[0] = 99
+        assert arr[0] == 0 and arr.snapshot()[2] == 10**12
+
+    def test_reads_are_python_ints_whatever_was_written(self):
+        arr = SharedArray(3)
+        arr.atomic_add(0, np.int64(5))
+        arr.store(1, np.int64(6))
+        arr.atomic_cas(2, 0, np.int64(7))
+        reads = [arr[0], arr[1], arr[2], *arr, arr.atomic_add(0, 1)]
+        assert reads == [5, 6, 7, 5, 6, 7, 6]
+        assert all(type(v) is int for v in reads)
+
+    def test_non_integer_writes_rejected(self):
+        arr = SharedArray(1)
+        with pytest.raises(TypeError):
+            arr.atomic_add(0, 0.5)
+        with pytest.raises(TypeError):
+            arr.store(0, 1.0)
+        assert arr[0] == 0
 
     def test_store(self):
         arr = SharedArray(2)

@@ -1,5 +1,9 @@
 """The discrete-event engine: determinism, causality, process semantics."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.cluster.simclock import Interrupt, SimClock, Signal
@@ -28,6 +32,22 @@ class TestScheduling:
         clock = SimClock()
         with pytest.raises(ValueError):
             clock.at(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        clock = SimClock()
+        with pytest.raises(ValueError):
+            clock.at(delay, lambda: None)
+        with pytest.raises(ValueError):
+            clock.call_at(delay, print, None)
+        assert clock.run() == 0.0
+
+    def test_call_at_passes_its_argument(self):
+        clock = SimClock()
+        got = []
+        clock.call_at(1.0, got.append, "x")
+        clock.run()
+        assert got == ["x"] and clock.now == 1.0
 
     def test_run_until(self):
         clock = SimClock()
@@ -146,6 +166,34 @@ class TestProcesses:
         clock.spawn(proc())
         with pytest.raises(ValueError):
             clock.run()
+
+    @pytest.mark.parametrize(
+        "delay", [float("nan"), float("inf"), np.float64("nan"), np.float64("inf")]
+    )
+    def test_non_finite_yield_rejected(self, delay):
+        clock = SimClock()
+
+        def proc():
+            yield delay
+
+        clock.spawn(proc())
+        with pytest.raises(ValueError):
+            clock.run()
+        assert clock.now == 0.0
+
+    def test_finished_processes_are_not_retained(self):
+        """The clock keeps no list of what it ever spawned: a finished
+        process (generator frame, result, done signal) is collectable."""
+        clock = SimClock()
+
+        def proc():
+            yield 1.0
+            return bytearray(8)
+
+        ref = weakref.ref(clock.spawn(proc()))
+        clock.run()
+        gc.collect()
+        assert ref() is None
 
     def test_bad_yield_type_rejected(self):
         clock = SimClock()

@@ -41,6 +41,47 @@ class TestLoadResidency:
         assert m.load_at_least_ratio(0) == pytest.approx(1.0)
 
 
+class TestArrayViews:
+    """``gpu_tasks`` / ``load_residency`` / ``steals`` / ``donations`` are
+    ndarrays of the documented dtype and shape whenever they are read —
+    telemetry, the Prometheus registry and the CLI index and sum them."""
+
+    @staticmethod
+    def _check(m, n_devices, max_len):
+        assert isinstance(m.gpu_tasks, np.ndarray)
+        assert m.gpu_tasks.dtype == np.int64 and m.gpu_tasks.shape == (n_devices,)
+        assert isinstance(m.load_residency, np.ndarray)
+        assert m.load_residency.dtype == np.float64
+        assert m.load_residency.shape == (n_devices, max_len + 1)
+        for counts in (m.steals, m.donations):
+            assert isinstance(counts, np.ndarray)
+            assert counts.dtype == np.int64 and counts.shape == (n_devices,)
+
+    def test_mid_run_and_after_finalize(self):
+        m = MetricsLedger(n_devices=2, max_queue_length=3, start_time=1.0)
+        self._check(m, 2, 3)
+        m.on_load_change(0, 0, 1, now=1.5)
+        m.on_load_change(1, 0, 1, now=2.0)
+        m.on_steal(victim=1, thief=0)
+        self._check(m, 2, 3)
+        assert m.gpu_tasks.tolist() == [1, 0]
+        assert m.load_residency[0, 0] == 0.5 and m.load_residency[1, 0] == 1.0
+        m.finalize(4.0)
+        self._check(m, 2, 3)
+        assert m.load_residency.sum(axis=1).tolist() == [3.0, 3.0]
+        assert int(m.gpu_tasks.sum()) == m.total_tasks == 1
+
+    def test_reads_are_snapshots(self):
+        m = MetricsLedger(1, 2)
+        seen = m.load_residency
+        seen[0, 0] = 99.0
+        m.on_load_change(0, 0, 1, now=1.0)
+        assert m.load_residency[0, 0] == 1.0
+
+    def test_zero_devices_keeps_one_row(self):
+        self._check(MetricsLedger(0, 4), 1, 4)
+
+
 class TestTaskCounting:
     def test_gpu_tasks_counted_on_load_increase_only(self):
         m = MetricsLedger(2, 4)

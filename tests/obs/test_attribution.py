@@ -268,3 +268,40 @@ class TestStandaloneSpans:
         assert result.unattributed_ticks["compute"] == int(
             round(0.25 * TICKS_PER_S)
         )
+
+
+class TestObservationOrder:
+    """``drain_observations`` hands each finished GPU task over exactly
+    once, in first-seen task order — however many ingests it takes."""
+
+    @staticmethod
+    def _kernel(tracer, track, task_id, ion, cats):
+        for cat in cats:
+            tracer.span(
+                track, cat, 0.0, 0.5, cat=cat, parent=task_id,
+                args={"label": f"req{task_id}/{ion}", "evals": 64},
+            )
+
+    def test_first_seen_order_across_ingests(self):
+        tracer = EventTracer()
+        t = tracer.track("node", "gpu0")
+        tracer.span(
+            t, "grp", 0.0, 9.0, cat="group", id=100,
+            args={"members": [7], "weights": [1.0], "method": "simpson"},
+        )
+        for task_id, ion in ((1, "O+7"), (2, "Fe+16"), (3, "Ne+9")):
+            tracer.span(t, f"req{task_id}/{ion}", 0.0, 1.0, cat="task",
+                        id=task_id, parent=100)
+        # Task 2 finishes first; 1 and 3 have not left the device yet.
+        self._kernel(tracer, t, 2, "Fe+16", ("ingress", "compute", "egress"))
+        self._kernel(tracer, t, 1, "O+7", ("ingress", "compute"))
+        ledger = Attribution(tracer)
+        ledger.ingest()
+        assert [o.ion for o in ledger.drain_observations()] == ["Fe+16"]
+        # 3 then 1 complete, in that order: reported in first-seen order.
+        self._kernel(tracer, t, 3, "Ne+9", ("ingress", "compute", "egress"))
+        self._kernel(tracer, t, 1, "O+7", ("egress",))
+        ledger.ingest()
+        assert [o.ion for o in ledger.drain_observations()] == ["O+7", "Ne+9"]
+        ledger.ingest()
+        assert ledger.drain_observations() == []
