@@ -633,11 +633,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             write_chrome_trace(args.trace, tracer)
             print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
         if registry is not None:
-            from repro.obs.prom import _plan_cache_metrics
+            from repro.obs.prom import PLAN_CACHE_FAMILIES, fill
+            from repro.physics.plan import PLAN_CACHE
 
             wall_gauge.set(wall_s)
             peak_gauge.set(float(spec.values.max()))
-            _plan_cache_metrics(registry)
+            fill(registry, PLAN_CACHE_FAMILIES, PLAN_CACHE)
             if args.metrics:
                 with open(args.metrics, "w") as fh:
                     fh.write(registry.render())

@@ -127,8 +127,8 @@ class HybridRunner:
     (the service broker sets it to the owning worker's name).
 
     ``tsdb`` (default: the no-op :data:`~repro.obs.tsdb.NULL_TSDB`)
-    receives continuous telemetry: each batch scrapes a live registry of
-    the ledger's state at its start and end, plus every
+    receives continuous telemetry: each batch scrapes one registry over
+    the ledger's live state at its start and end, plus every
     ``scrape_cadence_s`` of virtual time in between via a cadence
     process on the batch's clock.  Scraping is pure observation — the
     simulated schedule is bit-identical with or without it.
@@ -367,17 +367,24 @@ class HybridRunner:
         # observation — the workers' schedule is untouched.
         batch_done = [False]
         if self.tsdb.enabled:
-            self.tsdb.scrape(self._live_registry(metrics, cfg.n_gpus), clock.now)
+            from repro.obs.prom import NODE_FAMILIES, MetricsRegistry, fill
+
+            # One registry per batch over the ledger's *live* mid-run
+            # state; every scrape refreshes its values in place.
+            live = MetricsRegistry()
+
+            def scrape_ledger() -> None:
+                fill(live, NODE_FAMILIES, metrics)
+                self.tsdb.scrape(live, clock.now)
 
             def scraper() -> Generator:
                 while True:
                     yield self.scrape_cadence_s
                     if batch_done[0]:
                         return
-                    self.tsdb.scrape(
-                        self._live_registry(metrics, cfg.n_gpus), clock.now
-                    )
+                    scrape_ledger()
 
+            scrape_ledger()
             clock.spawn(scraper(), name=f"{name}.scraper")
 
         for handle in handles:
@@ -388,8 +395,7 @@ class HybridRunner:
         makespan = clock.now - start
         metrics.finalize(clock.now)
         if self.tsdb.enabled:
-            # Boundary scrape on the finalized ledger.
-            self.tsdb.scrape(self._live_registry(metrics, cfg.n_gpus), clock.now)
+            scrape_ledger()  # boundary scrape on the finalized ledger
         sched.validate()
         if sched.segment.total_load() != 0:
             raise RuntimeError("scheduler leaked queue slots at end of run")
@@ -398,10 +404,11 @@ class HybridRunner:
                 "scheduler leaked predicted backlog at end of run"
             )
         if tracer.enabled:
-            tracer.complete(
+            tracer.span(
                 batch_track,
                 name,
                 start,
+                clock.now,
                 cat="batch",
                 args={
                     "n_tasks": len(tasks),
@@ -493,10 +500,11 @@ class HybridRunner:
                                 args={"device": device},
                                 parent=span_id,
                             )
-                        tracer.complete(
+                        tracer.span(
                             rank_track,
                             task.label or f"task{task.task_id}",
                             task_started,
+                            clock.now,
                             cat="task",
                             args={
                                 "placement": "gpu",
@@ -519,10 +527,11 @@ class HybridRunner:
                 yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
                 self._accumulate(spectra, task, task.run_cpu())
                 if tracer.enabled:
-                    tracer.complete(
+                    tracer.span(
                         rank_track,
                         task.label or f"task{task.task_id}",
                         task_started,
+                        clock.now,
                         cat="task",
                         args={"placement": "cpu", "device": -1, "wait_s": 0.0},
                         id=span_id,
@@ -587,10 +596,11 @@ class HybridRunner:
                     sched.sche_free(d, clock.now)
                     self._accumulate(spectra, t, payload)
                     if tracer.enabled:
-                        tracer.complete(
+                        tracer.span(
                             rank_track,
                             t.label or f"task{t.task_id}",
                             t0,
+                            clock.now,
                             cat="task",
                             args={"placement": "gpu", "device": d},
                             id=sid,
@@ -605,10 +615,11 @@ class HybridRunner:
                 yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
                 self._accumulate(spectra, task, task.run_cpu())
                 if tracer.enabled:
-                    tracer.complete(
+                    tracer.span(
                         rank_track,
                         task.label or f"task{task.task_id}",
                         cpu_started,
+                        clock.now,
                         cat="task",
                         args={"placement": "cpu", "device": -1},
                         id=span_id,
@@ -683,10 +694,11 @@ class HybridRunner:
                                 args={"device": entry.executed_device},
                                 parent=span_id,
                             )
-                        tracer.complete(
+                        tracer.span(
                             rank_track,
                             task.label or f"task{task.task_id}",
                             task_started,
+                            clock.now,
                             cat="task",
                             args={
                                 "placement": "gpu",
@@ -712,10 +724,11 @@ class HybridRunner:
                 yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
                 self._accumulate(spectra, task, task.run_cpu())
                 if tracer.enabled:
-                    tracer.complete(
+                    tracer.span(
                         rank_track,
                         task.label or f"task{task.task_id}",
                         task_started,
+                        clock.now,
                         cat="task",
                         args={"placement": "cpu", "device": -1, "wait_s": 0.0},
                         id=span_id,
@@ -731,40 +744,6 @@ class HybridRunner:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _live_registry(metrics: MetricsLedger, n_gpus: int):
-        """A registry snapshot of the ledger's *live* mid-run state.
-
-        Unlike :func:`repro.obs.prom.run_registry` (which needs a
-        finished :class:`RunResult`), this reads the incremental fields
-        a running batch maintains — task placements, instantaneous
-        device loads, evals saved — so the cadence scraper can observe
-        a batch while it executes.
-        """
-        from repro.obs.prom import MetricsRegistry
-
-        reg = MetricsRegistry()
-        tasks = reg.counter(
-            "repro_node_tasks_total",
-            "Tasks completed so far by placement.",
-            ("placement",),
-        )
-        tasks.inc(float(metrics.gpu_tasks.sum()), placement="gpu")
-        tasks.inc(float(metrics.cpu_tasks), placement="cpu")
-        load = reg.gauge(
-            "repro_node_device_load",
-            "Instantaneous admitted queue length per device.",
-            ("device",),
-        )
-        for d in range(n_gpus):
-            load.set(float(metrics._current_load[d]), device=str(d))
-        saved = reg.counter(
-            "repro_node_evals_saved_total",
-            "Kernel evaluations elided by active-window pruning.",
-        )
-        saved.inc(float(metrics.evals_saved))
-        return reg
-
     def _partition(self, tasks: list[Task]) -> list[list[Task]]:
         """Equal sub-spaces: rank r owns the points with index % n == r."""
         n = self.config.n_workers

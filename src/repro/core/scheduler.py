@@ -108,10 +108,10 @@ class SharedMemoryScheduler:
             self.metrics.on_load_change(device, new_load + 1, new_load, now)
 
     def loads(self) -> list[int]:
-        return [q.load for q in self.queues]
+        return self.segment.load.cells[: self.n_devices]
 
     def histories(self) -> list[int]:
-        return [q.history for q in self.queues]
+        return self.segment.history.cells[: self.n_devices]
 
     def validate(self) -> None:
         self.segment.validate(self.max_queue_length)

@@ -232,11 +232,8 @@ class SimulatedGPU:
         job, started = event
         if self.tracer.enabled:
             kernel = job[0]
-            self.tracer.complete(
-                self.track,
-                "h2d+launch",
-                started,
-                cat="ingress",
+            self.tracer.span(
+                self.track, "h2d+launch", started, self.clock.now, cat="ingress",
                 args={"label": kernel.label, "bytes_in": kernel.bytes_in},
                 parent=job[2] or None,
             )
@@ -256,11 +253,8 @@ class SimulatedGPU:
             job, started = event
             if self.tracer.enabled:
                 kernel = job[0]
-                self.tracer.complete(
-                    self.track,
-                    "compute",
-                    started,
-                    cat="compute",
+                self.tracer.span(
+                    self.track, "compute", started, self.clock.now, cat="compute",
                     args={
                         "label": kernel.label,
                         "evals": kernel.total_evals,
@@ -276,11 +270,8 @@ class SimulatedGPU:
             return  # results from a failed device never arrive
         (kernel, done, parent, _, _, _), started = event
         if self.tracer.enabled:
-            self.tracer.complete(
-                self.track,
-                "d2h",
-                started,
-                cat="egress",
+            self.tracer.span(
+                self.track, "d2h", started, self.clock.now, cat="egress",
                 args={"label": kernel.label, "bytes_out": kernel.bytes_out},
                 parent=parent or None,
             )

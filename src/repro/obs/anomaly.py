@@ -25,6 +25,7 @@ series window included.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional
@@ -67,8 +68,8 @@ class AnomalyEvent:
         )
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
+def _median(ordered: list[float]) -> float:
+    """Median of an ascending list."""
     n = len(ordered)
     mid = n // 2
     if n % 2:
@@ -79,6 +80,8 @@ def _median(values: list[float]) -> float:
 @dataclass
 class _SeriesState:
     window: deque = field(default_factory=lambda: deque(maxlen=64))
+    #: The window's values ascending, kept in step with it.
+    ordered: list = field(default_factory=list)
     ewma: Optional[float] = None
     seen: int = 0
     prev_raw: Optional[float] = None  # counters: last raw value
@@ -88,9 +91,9 @@ class _SeriesState:
 class AnomalyDetector:
     """Per-series robust baselines over a :class:`TimeSeriesStore`.
 
-    :meth:`scan` consumes only points appended since the previous scan
-    (eviction-aware cursors), so calling it after every scrape costs
-    O(new points).  Defaults are tuned so the seeded steady service
+    :meth:`scan` reads only the points appended since the previous scan
+    (eviction-aware cursors into each ring), so calling it after every
+    scrape costs O(series + new points).  Defaults are tuned so the seeded steady service
     trace produces zero false positives (gated by the
     ``telemetry_pipeline`` bench case) while genuine latency spikes and
     utilization collapses on bursty traces still alarm.
@@ -136,15 +139,15 @@ class AnomalyDetector:
                     window=deque(maxlen=self.window)
                 )
                 self._states[series.key] = state
-            points = series.points()
             start = state.cursor - series.evicted
             if start < 0:
                 # The ring outran us; resynchronize without alarming on
                 # the gap (deltas across unseen points are meaningless).
                 state.prev_raw = None
                 start = 0
+            state.cursor = series.evicted + len(series)
             is_counter = series.kind in ("counter", "histogram")
-            for t, raw in points[start:]:
+            for t, raw in zip(*series.tail(start)):
                 self.points_seen += 1
                 if is_counter:
                     if state.prev_raw is None:
@@ -157,7 +160,6 @@ class AnomalyDetector:
                 event = self._observe(state, series, t, x)
                 if event is not None:
                     new_events.append(event)
-            state.cursor = series.evicted + len(points)
         self.events.extend(new_events)
         for event in new_events:
             for listener in self._listeners:
@@ -168,8 +170,12 @@ class AnomalyDetector:
         event = None
         if state.seen >= self.warmup and state.ewma is not None:
             center = state.ewma
-            window_median = _median(list(state.window))
-            mad = _median([abs(v - window_median) for v in state.window])
+            ordered = state.ordered
+            if ordered[0] == ordered[-1]:
+                mad = 0.0  # a flat window: every deviation is zero
+            else:
+                window_median = _median(ordered)
+                mad = _median(sorted(abs(v - window_median) for v in ordered))
             scale = 1.4826 * mad
             floor = max(self.min_scale_abs, self.min_scale_frac * abs(center))
             band = self.k * max(scale, floor)
@@ -187,7 +193,11 @@ class AnomalyDetector:
                 )
         # The baseline absorbs the point either way: a real regime shift
         # should alarm once and adapt, not alarm forever.
-        state.window.append(x)
+        window, ordered = state.window, state.ordered
+        if len(window) == window.maxlen:
+            del ordered[bisect.bisect_left(ordered, window[0])]
+        window.append(x)
+        bisect.insort(ordered, x)
         state.ewma = (
             x
             if state.ewma is None

@@ -34,6 +34,7 @@ serializable — the substrate a measured-cost scheduler plugs into.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -185,18 +186,7 @@ class AttributionResult:
 
     @property
     def conservation(self) -> float:
-        """min over components of attributed/measured (1.0 = exact).
-
-        Both sides are integer tick sums, so equality — and a ratio of
-        exactly 1.0 — is decidable at zero tolerance.
-        """
-        worst = 1.0
-        for comp in COMPONENTS:
-            measured = self.measured_ticks[comp]
-            if measured == 0:
-                continue
-            worst = min(worst, self.attributed_ticks[comp] / measured)
-        return worst
+        return _conservation(self.measured_ticks, self.attributed_ticks)
 
     def as_dict(self) -> dict:
         return {
@@ -218,20 +208,78 @@ class TaskObservation:
     service_s: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _Group:
-    members: list[int]
+    """One landed megabatch group: who pays for its spans, in what shares."""
+
+    entries: list[CostEntry]
     weights: list[float]
     method: str
 
 
-@dataclass
+@dataclass(slots=True)
 class _TaskState:
+    """What is known of one task: its spans wait here for the group span."""
+
     group: int = 0  # group span id once the task span arrives
-    parts: dict[str, int] = field(default_factory=dict)  # cat -> ticks
+    seq: int = -1  # task-span arrival rank (-1: not arrived yet)
+    spans: list[tuple[str, int]] = field(default_factory=list)  # (component, ticks)
     label: str = ""
-    evals: int = 0
-    cpu: bool = False
+    #: The device measurement the cost model gets: the compute span's
+    #: args (None until it lands), summed phase ticks, egress seen.
+    kernel: Optional[dict] = None
+    service: int = 0
+    finished: bool = False
+    landed: bool = False  # group span seen: attribute on arrival
+
+
+class _SumById:
+    """Float sum of per-id terms *taken in id order*.
+
+    The cost counters are defined as the sum of every entry's seconds in
+    trace-id order; float addition is not associative, so a running total
+    is that sum only while ids arrive ascending.  A late id (a batch of
+    the other worker finishing first) re-adds the tail behind it — the
+    cost of being out of order, not of the history.
+    """
+
+    __slots__ = ("ids", "terms", "prefix")
+
+    def __init__(self) -> None:
+        self.ids: list[int] = []
+        self.terms: list[float] = []
+        self.prefix: list[float] = []
+
+    def set(self, id: int, term: float) -> None:
+        ids, terms, prefix = self.ids, self.terms, self.prefix
+        k = bisect.bisect_left(ids, id)
+        if k < len(ids) and ids[k] == id:
+            terms[k] = term
+        else:
+            ids.insert(k, id)
+            terms.insert(k, term)
+            prefix.insert(k, 0.0)
+        total = prefix[k - 1] if k else 0.0
+        for j in range(k, len(ids)):
+            total += terms[j]
+            prefix[j] = total
+
+    @property
+    def total(self) -> float:
+        return self.prefix[-1] if self.prefix else 0.0
+
+
+def _conservation(measured: dict[str, int], attributed: dict[str, int]) -> float:
+    """min over components of attributed/measured (1.0 = exact).
+
+    Both sides are integer tick sums, so equality — and a ratio of
+    exactly 1.0 — is decidable at zero tolerance.
+    """
+    worst = 1.0
+    for comp in COMPONENTS:
+        if measured[comp]:
+            worst = min(worst, attributed[comp] / measured[comp])
+    return worst
 
 
 class Attribution:
@@ -241,8 +289,12 @@ class Attribution:
     :meth:`ingest` whenever new events have landed (the broker does so at
     every batch completion); :meth:`result` snapshots the ledger at any
     point.  Events arrive out of causal order — kernel sub-spans close
-    before their task span, task spans before their group span — so
-    measured spans wait in a pending set until their chain resolves.
+    before their task span, task spans before their group span — so a
+    task's measured spans wait on its :class:`_TaskState` and are
+    attributed when the group span lands: every event is visited once.
+    The ledger keeps its own totals (:meth:`lane_seconds`,
+    :meth:`unattributed_ticks`, :attr:`conservation`), so exporting them
+    never walks the entries.
     """
 
     def __init__(self, tracer) -> None:
@@ -251,13 +303,15 @@ class Attribution:
         self._entries: dict[int, CostEntry] = {}
         self._groups: dict[int, _Group] = {}
         self._tasks: dict[int, _TaskState] = {}
-        #: Tasks with no observation emitted yet, in first-seen order —
-        #: the only ones ``_emit_observations`` has to look at.
-        self._unobserved: dict[int, _TaskState] = {}
-        self._pending: list = []  # measured TraceEvents awaiting their chain
+        #: group span id -> its tasks whose spans wait for the group span.
+        self._waiting: dict[int, list[_TaskState]] = {}
+        self._task_seq = 0
         self._measured: dict[str, int] = {c: 0 for c in COMPONENTS}
         self._attributed: dict[str, int] = {c: 0 for c in COMPONENTS}
+        #: Span ticks with no causal edge at all / buffered on a task.
         self._orphaned: dict[str, int] = {c: 0 for c in COMPONENTS}
+        self._buffered: dict[str, int] = {c: 0 for c in COMPONENTS}
+        self._lane_sums: dict[tuple[str, str], _SumById] = {}
         self._observations: list[TaskObservation] = []
 
     # ------------------------------------------------------------------
@@ -271,122 +325,137 @@ class Attribution:
                 return thread[len("lane."):]
         return ""
 
+    def _entry(self, trace_id: int) -> CostEntry:
+        entry = self._entries.get(trace_id)
+        if entry is None:
+            entry = self._entries[trace_id] = CostEntry(trace_id=trace_id)
+        return entry
+
     def ingest(self) -> int:
         """Process events recorded since the last call; returns how many."""
         events = self._tracer.events
-        new = events[self._cursor:]
-        self._cursor = len(events)
-        for ev in new:
-            if ev.ph == "b" and ev.cat == "request" and ev.id is not None:
+        start, self._cursor = self._cursor, len(events)
+        tasks, buffered, component_of = self._tasks, self._buffered, _CAT_COMPONENT
+        #: Tasks this call made attributable, by task-span arrival rank.
+        ready: dict[int, _TaskState] = {}
+        for ev in events[start:]:
+            ph, cat = ev.ph, ev.cat
+            if ph == "X":
+                comp = component_of.get(cat)
+                if comp is not None:
+                    ticks = _ticks(ev.dur)
+                    if not ev.parent:
+                        # No causal edge at all: a standalone run's span.
+                        # It can never resolve — book it as unattributed.
+                        self._orphaned[comp] += ticks
+                        continue
+                    state = tasks.get(ev.parent)
+                    if state is None:
+                        state = tasks[ev.parent] = _TaskState()
+                    state.spans.append((comp, ticks))
+                    buffered[comp] += ticks
+                    if cat != "wait":  # a device phase: the cost model's input
+                        state.service += ticks
+                        if cat == "compute":
+                            state.kernel = ev.args or {}
+                        elif cat == "egress":
+                            state.finished = True
+                elif cat == "task" and ev.id is not None:
+                    state = tasks.get(ev.id)
+                    if state is None:
+                        state = tasks[ev.id] = _TaskState()
+                    if state.seq < 0:
+                        state.seq = self._task_seq
+                        self._task_seq += 1
+                    state.group = ev.parent or 0
+                    state.label = ev.name
+                    if ev.args and ev.args.get("placement") == "cpu":
+                        # CPU fallback: the task span *is* the compute.
+                        ticks = _ticks(ev.dur)
+                        state.spans.append(("compute", ticks))
+                        buffered["compute"] += ticks
+                    if state.group in self._groups:
+                        state.landed = True
+                    elif state.group:
+                        self._waiting.setdefault(state.group, []).append(state)
+                elif cat == "group" and ev.id is not None:
+                    args = ev.args or {}
+                    members = [int(m) for m in args.get("members", [])] or [0]
+                    weights = [float(w) for w in args.get("weights", [])]
+                    if len(weights) != len(members):
+                        weights = [1.0] * len(members)
+                    entries = [self._entry(m) for m in members]
+                    for entry in entries:
+                        if ev.id not in entry.groups:
+                            entry.groups.append(ev.id)
+                    self._groups[ev.id] = _Group(entries, weights, args.get("method", ""))
+                    for state in self._waiting.pop(ev.id, ()):
+                        state.landed = True
+                        ready[state.seq] = state
+                    continue
+                else:
+                    continue
+                if state.landed:
+                    ready[state.seq] = state
+            elif ph == "b" and cat == "request" and ev.id is not None:
                 args = ev.args or {}
-                entry = self._entries.get(ev.id)
-                if entry is None:
-                    entry = CostEntry(trace_id=ev.id)
-                    self._entries[ev.id] = entry
+                entry = self._entry(ev.id)
                 entry.key = args.get("key", entry.key)
                 entry.lane = self._lane_of(ev.track) or entry.lane
                 entry.outcome = args.get("outcome", entry.outcome)
                 if ev.parent:
                     entry.leader = ev.parent
-            elif ev.ph == "X" and ev.cat == "group" and ev.id is not None:
-                args = ev.args or {}
-                self._groups[ev.id] = _Group(
-                    members=[int(m) for m in args.get("members", [])],
-                    weights=[float(w) for w in args.get("weights", [])],
-                    method=args.get("method", ""),
-                )
-            elif ev.ph == "X" and ev.cat == "task" and ev.id is not None:
-                state = self._tasks.get(ev.id)
-                if state is None:
-                    state = self._tasks[ev.id] = self._unobserved[ev.id] = _TaskState()
-                state.group = ev.parent or 0
-                state.label = ev.name
-                if (ev.args or {}).get("placement") == "cpu":
-                    state.cpu = True
-                    self._pending.append(ev)
-            elif ev.ph == "X" and ev.cat in _CAT_COMPONENT:
-                self._pending.append(ev)
-        self._resolve()
-        return len(new)
+        if ready:
+            self._settle([ready[seq] for seq in sorted(ready)])
+        return len(events) - start
 
-    def _resolve(self) -> None:
-        """Attribute every pending span whose causal chain is complete."""
-        still_pending = []
-        for ev in self._pending:
-            task_id = ev.id if ev.cat == "task" else ev.parent
-            if not task_id:
-                # No causal edge at all: a standalone run's span.  It can
-                # never resolve — book it as unattributed and move on.
-                self._orphaned[self._component_of(ev)] += _ticks(ev.dur)
-                continue
-            state = self._tasks.get(task_id)
-            group = self._groups.get(state.group) if state and state.group else None
-            if group is None:
-                still_pending.append(ev)
-                continue
-            self._attribute(ev, task_id, state, group)
-        self._pending = still_pending
-        self._emit_observations()
-
-    @staticmethod
-    def _component_of(ev) -> str:
-        if ev.cat == "task":
-            return "compute"  # CPU fallback: the span *is* the compute
-        return _CAT_COMPONENT[ev.cat]
-
-    def _attribute(self, ev, task_id: int, state: _TaskState, group: _Group) -> None:
-        comp = self._component_of(ev)
-        total = _ticks(ev.dur)
-        self._measured[comp] += total
-        members = group.members or [0]
-        weights = group.weights if len(group.weights) == len(members) else [1.0] * len(members)
-        shares = _split_ticks(total, weights)
-        for member, share in zip(members, shares):
-            entry = self._entries.get(member)
-            if entry is None:
-                entry = CostEntry(trace_id=member)
-                self._entries[member] = entry
-            entry.ticks[comp] += share
-            self._attributed[comp] += share
-            if state.group and state.group not in entry.groups:
-                entry.groups.append(state.group)
-        # Book the measured part for the cost model's task observation.
-        if ev.cat in ("ingress", "compute", "egress"):
-            state.parts[ev.cat] = state.parts.get(ev.cat, 0) + total
-            if ev.cat == "compute":
-                args = ev.args or {}
-                state.evals = int(args.get("evals", state.evals))
-                state.label = args.get("label", state.label)
-        elif ev.cat == "task" and state.cpu:
-            state.parts["cpu"] = state.parts.get("cpu", 0) + total
-
-    def _emit_observations(self) -> None:
-        emitted = []
-        for tid, state in self._unobserved.items():
-            if not state.group:
-                continue
-            group = self._groups.get(state.group)
-            if group is None:
-                continue
+    def _settle(self, states: list[_TaskState]) -> None:
+        """Attribute the waiting spans of tasks whose group has landed and
+        hand their finished device measurements to the cost model."""
+        settled = {c: 0 for c in COMPONENTS}
+        touched: dict[int, CostEntry] = {}
+        for state in states:
+            group = self._groups[state.group]
+            if state.spans:
+                entries = group.entries
+                if len(entries) == 1:
+                    ticks = entries[0].ticks
+                    for comp, total in state.spans:
+                        settled[comp] += total
+                        ticks[comp] += total
+                else:
+                    for comp, total in state.spans:
+                        settled[comp] += total
+                        shares = _split_ticks(total, group.weights)
+                        for entry, share in zip(entries, shares):
+                            entry.ticks[comp] += share
+                state.spans = []
+                for entry in entries:
+                    touched[entry.trace_id] = entry
             # A GPU task is complete once its egress span landed; the CPU
             # fallback never reaches the device, so it stays out of the
             # device cost model.
-            if "egress" not in state.parts or "compute" not in state.parts:
-                continue
-            emitted.append(tid)
-            service = sum(
-                state.parts.get(p, 0) for p in ("ingress", "compute", "egress")
-            )
-            self._observations.append(
-                TaskObservation(
-                    ion=ion_from_label(state.label),
-                    method=group.method,
-                    evals=state.evals,
-                    service_s=service / TICKS_PER_S,
+            if state.finished and state.kernel is not None:
+                self._observations.append(
+                    TaskObservation(
+                        ion=ion_from_label(state.kernel.get("label", state.label)),
+                        method=group.method,
+                        evals=int(state.kernel.get("evals", 0)),
+                        service_s=state.service / TICKS_PER_S,
+                    )
                 )
-            )
-        for tid in emitted:
-            del self._unobserved[tid]
+                state.finished = False  # handed over exactly once
+        for comp, total in settled.items():
+            self._measured[comp] += total
+            self._attributed[comp] += total
+            self._buffered[comp] -= total
+        for entry in touched.values():
+            lane = entry.lane or "unknown"
+            for comp, ticks in entry.ticks.items():
+                sums = self._lane_sums.get((lane, comp))
+                if sums is None:
+                    sums = self._lane_sums[lane, comp] = _SumById()
+                sums.set(entry.trace_id, ticks / TICKS_PER_S)
 
     def drain_observations(self) -> list[TaskObservation]:
         """New completed-task observations since the last drain."""
@@ -395,19 +464,29 @@ class Attribution:
         return out
 
     # ------------------------------------------------------------------
-    # Snapshot
+    # Ledger totals and snapshot
     # ------------------------------------------------------------------
+    def lane_seconds(self) -> dict[tuple[str, str], float]:
+        """``(lane, component)`` -> attributed seconds: the entries'
+        seconds summed in trace-id order, kept as they are attributed."""
+        return {key: sums.total for key, sums in self._lane_sums.items()}
+
+    def unattributed_ticks(self) -> dict[str, int]:
+        """Span ticks per component no request pays for (yet): spans with
+        no causal edge, and spans still waiting for their group span."""
+        return {c: self._orphaned[c] + self._buffered[c] for c in COMPONENTS}
+
+    @property
+    def conservation(self) -> float:
+        return _conservation(self._measured, self._attributed)
+
     def result(self) -> AttributionResult:
-        """Snapshot the ledger (pending spans count as unattributed)."""
-        unattributed = dict(self._orphaned)
-        for ev in self._pending:
-            unattributed[self._component_of(ev)] += _ticks(ev.dur)
-        entries = [self._entries[k] for k in sorted(self._entries)]
+        """Snapshot the ledger (waiting spans count as unattributed)."""
         return AttributionResult(
-            entries=entries,
+            entries=[self._entries[k] for k in sorted(self._entries)],
             measured_ticks=dict(self._measured),
             attributed_ticks=dict(self._attributed),
-            unattributed_ticks=unattributed,
+            unattributed_ticks=self.unattributed_ticks(),
         )
 
 

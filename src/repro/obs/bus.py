@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, TraceEvent
 
 __all__ = ["RunBus", "ServiceBus"]
 
@@ -37,7 +37,7 @@ class RunBus:
     __slots__ = (
         "ledger", "tracer", "device_tracks", "on_load_change", "on_cpu_task",
         "on_admission_revoked", "on_task_timing", "on_steal", "on_prediction",
-        "on_task_event",
+        "on_task_event", "_load_args",
     )
 
     def __init__(self, ledger, tracer=None, device_tracks: Sequence[int] = ()) -> None:
@@ -52,6 +52,9 @@ class RunBus:
         self.on_prediction = ledger.on_prediction
         self.on_task_event = ledger.on_task_event
         if self.tracer.enabled:
+            #: One ``{"value": load}`` per load level seen, shared by every
+            #: counter sample at that level (two per task otherwise).
+            self._load_args: dict[int, dict] = {}
             self.on_load_change = self._traced_load_change
             self.on_admission_revoked = self._traced_admission_revoked
             self.on_steal = self._traced_steal
@@ -64,7 +67,15 @@ class RunBus:
     def _traced_load_change(self, device: int, old: int, new: int, now: float) -> None:
         self.ledger.on_load_change(device, old, new, now)
         if device < len(self.device_tracks):
-            self.tracer.counter(self.device_tracks[device], "load", new)
+            args = self._load_args.get(new)
+            if args is None:
+                args = self._load_args[new] = {"value": new}
+            # ``now`` is the clock reading the scheduler already holds.
+            self.tracer.events.append(
+                TraceEvent(
+                    "C", "load", "", self.device_tracks[device], now, 0.0, None, args
+                )
+            )
 
     def _traced_admission_revoked(self, device: int) -> None:
         self.ledger.on_admission_revoked(device)
@@ -92,7 +103,10 @@ class ServiceBus:
     lane tracks, queue depth to a counter track.
     """
 
-    __slots__ = ("telemetry", "tracer", "queue_track", "lane_tracks")
+    __slots__ = (
+        "telemetry", "tracer", "queue_track", "lane_tracks", "on_arrival",
+        "on_completion", "on_batch", "finalize",
+    )
 
     def __init__(
         self, telemetry, tracer=None, queue_track: int = 0, lane_tracks=None
@@ -101,14 +115,16 @@ class ServiceBus:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.queue_track = queue_track
         self.lane_tracks = dict(lane_tracks or {})
+        # Hooks with nothing to trace are the ledger's own methods.
+        self.on_arrival = telemetry.on_arrival
+        self.on_completion = telemetry.on_completion
+        self.on_batch = telemetry.on_batch
+        self.finalize = telemetry.finalize
 
     def _lane_track(self, lane: str) -> int:
         return self.lane_tracks.get(lane, self.queue_track)
 
     # -- ServiceTelemetry hook surface ---------------------------------
-    def on_arrival(self, lane: str) -> None:
-        self.telemetry.on_arrival(lane)
-
     def on_rejection(self, lane: str) -> None:
         self.telemetry.on_rejection(lane)
         t = self.tracer
@@ -120,25 +136,6 @@ class ServiceBus:
         t = self.tracer
         if t.enabled:
             t.instant(self._lane_track(lane), "retry", cat="admission")
-
-    def on_completion(
-        self,
-        lane: str,
-        latency_s: float,
-        *,
-        cached: bool,
-        coalesced: bool,
-        lattice: bool = False,
-        trace_id: int = 0,
-    ) -> None:
-        self.telemetry.on_completion(
-            lane,
-            latency_s,
-            cached=cached,
-            coalesced=coalesced,
-            lattice=lattice,
-            trace_id=trace_id,
-        )
 
     def on_queue_depth(self, depth: int, now: float) -> None:
         self.telemetry.on_queue_depth(depth, now)
@@ -163,9 +160,6 @@ class ServiceBus:
         if t.enabled:
             t.instant(self.queue_track, "batch.window_wait", cat="batch")
 
-    def on_batch(self, result, n_requests: int) -> None:
-        self.telemetry.on_batch(result, n_requests)
-
     def on_anomaly(self, event) -> None:
         """An :class:`~repro.obs.anomaly.AnomalyEvent` from the detector."""
         self.telemetry.on_anomaly(event)
@@ -177,6 +171,3 @@ class ServiceBus:
                 cat="anomaly",
                 args=event.as_dict(),
             )
-
-    def finalize(self, now: float) -> None:
-        self.telemetry.finalize(now)

@@ -6,19 +6,26 @@ real Prometheus).  No client library is required — the renderer and the
 parser are both in-repo, so CI can assert round-trips without extra
 dependencies.
 
-:func:`service_registry` derives the full serving-stack metric set from
-one :class:`~repro.service.broker.SpectrumBroker` (telemetry, cache,
-coalescer, folded hybrid ledgers): lane latency histograms, cache hit
-ratio, device load residency, evals saved by pruning, queue depth.
-The registry is a *derived consumer* — it reads the same ledgers the
+Every exported family is *declared once* (:class:`Family`: name, type,
+help, label names, and where its value is read) and :func:`fill` sets a
+registry's samples from those declarations — the same code for the
+zeroed schema, the first fill and every later refresh.  A
+:class:`~repro.service.broker.SpectrumBroker` owns one live registry
+(:func:`service_registry`): counters and gauges are set from the
+ledgers' running totals, histograms observe only the samples they have
+not seen, so a refresh costs the samples, not the history.  The
+registry is a *derived consumer* — it reads the same ledgers the
 tracer's event stream feeds, so the two exports can never disagree.
+``docs/METRICS.md`` is generated from the declarations.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import re
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -28,6 +35,8 @@ __all__ = [
     "parse_exposition",
     "service_registry",
     "run_registry",
+    "Family",
+    "fill",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -100,19 +109,52 @@ class _Metric:
             )
         return tuple(str(labels[k]) for k in self.labelnames)
 
-    def exemplar_suffix(self, name: str, labels: dict) -> str:
-        """OpenMetrics exemplar annotation for one sample line ('' = none)."""
-        return ""
+    def rows(self) -> list[tuple[tuple, float]]:
+        """``(identity, value)`` per sample, in exposition order.
+
+        The identity is the hashable ``(sample name, label names, label
+        values)`` triple, the same object from one call to the next — a
+        scraper resolves it to its series once and keeps the handle.
+        """
+        raise NotImplementedError
+
+    def samples(self) -> Iterable[tuple[str, dict, float]]:
+        for (name, names, values), value in self.rows():
+            yield name, dict(zip(names, values)), value
+
+    def lines(self) -> list[str]:
+        """The exposition format's sample lines, in order."""
+        return [
+            f"{name}{_label_str(dict(zip(names, values)))} {_fmt(value)}"
+            for (name, names, values), value in self.rows()
+        ]
 
 
-class Counter(_Metric):
-    """Monotone accumulator."""
-
-    kind = "counter"
+class _Scalar(_Metric):
+    """One float per label set (the storage counters and gauges share)."""
 
     def __init__(self, name, help, labelnames=()) -> None:
         super().__init__(name, help, labelnames)
         self._values: dict[tuple, float] = {}
+        self._order: list[tuple[tuple, tuple]] = []  # (identity, key), key-sorted
+
+    def value(self, **labels) -> float:
+        """Current value for one label set (0 if never touched)."""
+        return self._values.get(self._key(labels), 0.0)
+
+    def rows(self) -> list[tuple[tuple, float]]:
+        values = self._values
+        if len(self._order) != len(values):  # label sets are only ever added
+            self._order = [
+                ((self.name, self.labelnames, key), key) for key in sorted(values)
+            ]
+        return [(ident, values[key]) for ident, key in self._order]
+
+
+class Counter(_Scalar):
+    """Monotone accumulator."""
+
+    kind = "counter"
 
     def inc(self, value: float = 1.0, **labels) -> None:
         if value < 0:
@@ -120,34 +162,35 @@ class Counter(_Metric):
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
-    def value(self, **labels) -> float:
-        """Current value for one label set (0 if never incremented)."""
-        return self._values.get(self._key(labels), 0.0)
-
-    def samples(self) -> Iterable[tuple[str, dict, float]]:
-        for key, value in sorted(self._values.items()):
-            yield self.name, dict(zip(self.labelnames, key)), value
+    def _put(self, key: tuple, value: float) -> None:
+        """Set the running total a ledger already keeps (never downward)."""
+        if value < self._values.get(key, 0.0):
+            raise ValueError(f"{self.name}: counters only go up")
+        self._values[key] = float(value)
 
 
-class Gauge(_Metric):
+class _WaitingCounter(Counter):
+    """A counter over a ledger total that can fall back.
+
+    Spans still waiting for their group span count as unattributed until
+    it lands, so the exported total dips when they resolve — to a scraper
+    a counter reset, which rate() already tolerates.
+    """
+
+    def _put(self, key: tuple, value: float) -> None:
+        self._values[key] = float(value)
+
+
+class Gauge(_Scalar):
     """Point-in-time value."""
 
     kind = "gauge"
 
-    def __init__(self, name, help, labelnames=()) -> None:
-        super().__init__(name, help, labelnames)
-        self._values: dict[tuple, float] = {}
-
     def set(self, value: float, **labels) -> None:
         self._values[self._key(labels)] = float(value)
 
-    def value(self, **labels) -> float:
-        """Current value for one label set (0 if never set)."""
-        return self._values.get(self._key(labels), 0.0)
-
-    def samples(self) -> Iterable[tuple[str, dict, float]]:
-        for key, value in sorted(self._values.items()):
-            yield self.name, dict(zip(self.labelnames, key)), value
+    def _put(self, key: tuple, value: float) -> None:
+        self._values[key] = float(value)
 
 
 class Histogram(_Metric):
@@ -163,35 +206,44 @@ class Histogram(_Metric):
         self.bounds = bounds
         self._counts: dict[tuple, list[int]] = {}
         self._sums: dict[tuple, float] = {}
-        #: label key -> bucket index -> (exemplar labels, exemplar value).
+        #: label key -> bucket index -> (exemplar labels, exemplar value):
+        #: one OpenMetrics exemplar per bucket line, set by whoever fills.
         self._exemplars: dict[tuple, dict[int, tuple[dict, float]]] = {}
+        self._order: list[tuple[list[tuple], tuple]] = []  # (identities, key)
 
     def _bucket_index(self, value: float) -> int:
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                return i
-        return len(self.bounds)
+        return bisect.bisect_left(self.bounds, value)
 
-    def observe(self, value: float, exemplar: Optional[dict] = None, **labels) -> None:
+    def observe(self, value: float, **labels) -> None:
         key = self._key(labels)
         counts = self._counts.setdefault(key, [0] * (len(self.bounds) + 1))
         counts[self._bucket_index(value)] += 1
         self._sums[key] = self._sums.get(key, 0.0) + value
-        if exemplar:
-            self.annotate(value, exemplar, **labels)
 
-    def annotate(self, value: float, exemplar: dict, **labels) -> None:
-        """Attach an exemplar to the bucket ``value`` falls in.
+    def _put(self, key: tuple, data) -> None:
+        """Bring one label set up to date with its ledger.
 
-        Does not change any count — the observation itself must have been
-        (or be) recorded separately.  The most recent exemplar per bucket
-        wins, matching OpenMetrics's one-exemplar-per-bucket-line rule.
+        ``data`` is either the ledger's append-only sample list — only
+        the items past this label set's observation count are observed,
+        in order, so ``_sum`` is the float a full replay would give — or
+        a ``(bucket counts, sum)`` pair a ledger streams itself.
         """
-        key = self._key(labels)
-        self._exemplars.setdefault(key, {})[self._bucket_index(value)] = (
-            dict(exemplar),
-            float(value),
-        )
+        counts = self._counts.get(key)
+        if type(data) is tuple:
+            streamed, total = data
+            if counts is None and not sum(streamed):
+                return
+            if counts is not None and any(n < c for n, c in zip(streamed, counts)):
+                raise ValueError(f"{self.name}: bucket counts only go up")
+            self._counts[key] = list(streamed)
+            self._sums[key] = float(total)
+            return
+        seen = sum(counts) if counts is not None else 0
+        if len(data) == seen:
+            return
+        labels = dict(zip(self.labelnames, key))
+        for value in data[seen:]:
+            self.observe(value, **labels)
 
     def count(self, **labels) -> int:
         """Observations recorded for one label set."""
@@ -226,39 +278,35 @@ class Histogram(_Metric):
             lower = bound
         return self.bounds[-1]
 
-    def samples(self) -> Iterable[tuple[str, dict, float]]:
-        for key in sorted(self._counts):
-            labels = dict(zip(self.labelnames, key))
-            counts = self._counts[key]
-            cum = 0
-            for bound, n in zip(self.bounds, counts):
-                cum += n
-                yield self.name + "_bucket", {**labels, "le": _fmt(bound)}, cum
-            cum += counts[-1]
-            yield self.name + "_bucket", {**labels, "le": "+Inf"}, cum
-            yield self.name + "_sum", labels, self._sums[key]
-            yield self.name + "_count", labels, cum
+    def rows(self) -> list[tuple[tuple, float]]:
+        if len(self._order) != len(self._counts):  # label sets are only added
+            les = tuple(_fmt(b) for b in self.bounds) + ("+Inf",)
+            bucket_names = self.labelnames + ("le",)
+            self._order = [
+                (
+                    [(self.name + "_bucket", bucket_names, key + (le,)) for le in les]
+                    + [
+                        (self.name + "_sum", self.labelnames, key),
+                        (self.name + "_count", self.labelnames, key),
+                    ],
+                    key,
+                )
+                for key in sorted(self._counts)
+            ]
+        out = []
+        for idents, key in self._order:
+            cum = list(itertools.accumulate(self._counts[key]))
+            out.extend(zip(idents, cum + [self._sums[key], cum[-1]]))
+        return out
 
-    def exemplar_suffix(self, name: str, labels: dict) -> str:
-        if name != self.name + "_bucket" or not self._exemplars:
-            return ""
-        per = self._exemplars.get(tuple(str(labels[k]) for k in self.labelnames))
-        if not per:
-            return ""
-        le = labels.get("le", "")
-        if le == "+Inf":
-            idx = len(self.bounds)
-        else:
-            idx = next(
-                (i for i, b in enumerate(self.bounds) if _fmt(b) == le), -1
-            )
-            if idx < 0:
-                return ""
-        ex = per.get(idx)
-        if ex is None:
-            return ""
-        ex_labels, ex_value = ex
-        return f" # {_label_str(ex_labels)} {_fmt(ex_value)}"
+    def lines(self) -> list[str]:
+        out = super().lines()
+        per_key = len(self.bounds) + 3  # bucket lines, then _sum and _count
+        for k, (_, key) in enumerate(self._order):
+            # OpenMetrics exemplar annotations on the bucket lines.
+            for idx, (ex_labels, ex_value) in self._exemplars.get(key, {}).items():
+                out[k * per_key + idx] += f" # {_label_str(ex_labels)} {_fmt(ex_value)}"
+        return out
 
 
 class MetricsRegistry:
@@ -384,11 +432,7 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             lines.append(f"# HELP {metric.name} {metric.help}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-            for name, labels, value in metric.samples():
-                lines.append(
-                    f"{name}{_label_str(labels)} {_fmt(value)}"
-                    + metric.exemplar_suffix(name, labels)
-                )
+            lines.extend(metric.lines())
         return "\n".join(lines) + "\n"
 
 
@@ -470,228 +514,268 @@ def _parse_sample(line: str, lineno: int) -> tuple[str, dict[str, str], str]:
 
 
 # ----------------------------------------------------------------------
-# Derivations from the repo's ledgers
+# Family declarations: what every metric is and where its value is read
 # ----------------------------------------------------------------------
-def _plan_cache_metrics(reg: MetricsRegistry) -> None:
-    """Export the process-global plan cache into ``reg``.
+class Family(NamedTuple):
+    """One metric family, declared once.
 
-    The cache (:data:`repro.physics.plan.PLAN_CACHE`) is shared by the
-    model layer and the service cost model, so its counters describe the
-    whole process, not one broker.
+    The declaration is the schema (``docs/METRICS.md`` is generated from
+    it), the first fill and every later refresh: :func:`fill` registers
+    the family on a registry that lacks it, then *sets* its samples from
+    ``read(source)`` — a bare value for an unlabelled family (``None``:
+    no sample), else ``(label values, value)`` pairs.  Histogram
+    families read ``(label values, data)`` pairs, ``data`` being what
+    :meth:`Histogram._put` takes.
     """
+
+    cls: type[_Metric]
+    name: str
+    help: str
+    read: Callable
+    labelnames: tuple[str, ...] = ()
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
+
+    def build(self) -> _Metric:
+        if self.cls is Histogram:
+            return Histogram(self.name, self.help, self.labelnames, self.buckets)
+        return self.cls(self.name, self.help, self.labelnames)
+
+
+def fill(registry: MetricsRegistry, families: Sequence[Family], source) -> None:
+    """Bring ``families`` on ``registry`` up to date with ``source``.
+
+    Samples are set in place, so filling a registry again costs its
+    samples — not the history behind them — and renders exactly what a
+    registry filled for the first time at this instant would.
+    """
+    metrics = registry._metrics
+    for fam in families:
+        metric = metrics.get(fam.name)
+        if metric is None:
+            metric = registry.register(fam.build())
+        got = fam.read(source)
+        if fam.labelnames or fam.cls is Histogram:
+            for key, data in got:
+                metric._put(key, data)
+        elif got is not None:
+            metric._put((), got)
+
+
+def _by(**reads: Callable) -> Callable:
+    """Reader of a one-label family with fixed values: value -> reader."""
+    rows = [((value,), read) for value, read in reads.items()]
+    return lambda source: [(key, read(source)) for key, read in rows]
+
+
+def _plan_cache(_broker):
+    # Imported on use: obs stays importable without the physics layer.
     from repro.physics.plan import PLAN_CACHE
 
-    stats = PLAN_CACHE.stats
-    lookups = reg.counter(
-        "repro_plan_cache_lookups_total",
-        "Compiled-plan cache lookups by result",
-        ("result",),
-    )
-    lookups.inc(stats.hits, result="hit")
-    lookups.inc(stats.misses, result="miss")
-    reg.counter(
-        "repro_plan_compilations_total", "Spectrum plans compiled"
-    ).inc(stats.compilations)
-    reg.counter(
-        "repro_plan_cache_evictions_total", "Compiled plans evicted"
-    ).inc(stats.evictions)
-    reg.gauge(
-        "repro_plan_cache_hit_ratio", "Plan-cache hits / lookups"
-    ).set(stats.hit_rate)
-    reg.gauge(
-        "repro_plan_cache_entries", "Compiled plans resident in the cache"
-    ).set(len(PLAN_CACHE))
+    return PLAN_CACHE
 
 
-def _spectrum_cache_metrics(reg: MetricsRegistry, broker) -> None:
-    """Export the broker's spectrum cache under ``repro_spectrum_cache_*``.
-
-    Mirrors the ``repro_plan_cache_*`` family shape so dashboards treat
-    the two caches uniformly.  (The legacy ``repro_cache_*`` names stay
-    exported for compatibility.)
-    """
-    stats = broker.cache.stats
-    lookups = reg.counter(
-        "repro_spectrum_cache_lookups_total",
-        "Spectrum cache lookups by result",
-        ("result",),
-    )
-    lookups.inc(stats.hits, result="hit")
-    lookups.inc(stats.misses, result="miss")
-    reg.counter(
-        "repro_spectrum_cache_insertions_total", "Spectra inserted"
-    ).inc(stats.insertions)
-    churn = reg.counter(
-        "repro_spectrum_cache_removals_total",
-        "Spectrum cache removals by cause",
-        ("cause",),
-    )
-    churn.inc(stats.evictions, cause="evicted")
-    churn.inc(stats.expirations, cause="expired")
-    reg.counter(
-        "repro_spectrum_cache_oversize_rejections_total",
-        "Spectra refused for exceeding the byte budget",
-    ).inc(stats.oversize_rejections)
-    reg.gauge(
-        "repro_spectrum_cache_hit_ratio", "Spectrum-cache hits / lookups"
-    ).set(stats.hit_ratio())
-    reg.gauge(
-        "repro_spectrum_cache_entries", "Spectra resident in the cache"
-    ).set(len(broker.cache))
-    reg.gauge(
-        "repro_spectrum_cache_bytes", "Bytes resident in the cache"
-    ).set(broker.cache.bytes_stored)
+#: The process-global plan cache (shared by the model layer and the
+#: service cost model, so its counters describe the whole process).
+PLAN_CACHE_FAMILIES = (
+    Family(Counter, "repro_plan_cache_lookups_total",
+           "Compiled-plan cache lookups by result",
+           _by(hit=lambda c: c.stats.hits, miss=lambda c: c.stats.misses), ("result",)),
+    Family(Counter, "repro_plan_compilations_total", "Spectrum plans compiled",
+           lambda c: c.stats.compilations),
+    Family(Counter, "repro_plan_cache_evictions_total", "Compiled plans evicted",
+           lambda c: c.stats.evictions),
+    Family(Gauge, "repro_plan_cache_hit_ratio", "Plan-cache hits / lookups",
+           lambda c: c.stats.hit_rate),
+    Family(Gauge, "repro_plan_cache_entries", "Compiled plans resident in the cache",
+           len),
+)
 
 
-def _lattice_metrics(reg: MetricsRegistry, store) -> None:
-    """Export one broker's approximate-serving store.
+def _lane_outcomes(broker):
+    for lane, s in broker.telemetry.lanes.items():
+        yield (lane, "cache_hit"), s.cache_hits
+        yield (lane, "lattice_hit"), s.lattice_hits
+        yield (lane, "coalesced"), s.coalesced
+        yield (lane, "computed"), s.computed
+        yield (lane, "rejected"), s.rejections
+        yield (lane, "retried"), s.retries
 
-    ``store`` may be ``None`` (no positive-accuracy request seen yet) —
-    the families still render, at zero, so scrapers and CI assertions
-    see a stable schema.
-    """
-    from repro.approx import LatticeStats
 
-    stats = store.stats if store is not None else LatticeStats()
-    requests = reg.counter(
-        "repro_approx_lattice_requests_total",
-        "Lattice lookups by result",
-        ("result",),
-    )
-    requests.inc(stats.hits, result="hit")
-    requests.inc(stats.misses, result="miss")
-    requests.inc(stats.fallbacks, result="fallback")
-    reg.counter(
-        "repro_approx_lattice_refinements_total",
-        "Lattice intervals bisected on demand",
-    ).inc(stats.refinements)
-    reg.counter(
-        "repro_approx_lattice_builds_total", "Family lattices built"
-    ).inc(stats.builds)
-    reg.counter(
-        "repro_approx_lattice_invalidations_total",
-        "Family lattices dropped on fingerprint change",
-    ).inc(stats.invalidations)
-    reg.counter(
-        "repro_approx_lattice_evictions_total",
-        "Family lattices evicted by the byte budget",
-    ).inc(stats.evictions)
-    reg.counter(
-        "repro_approx_lattice_node_evals_total",
-        "Exact spectra evaluated for lattice nodes and certificates",
-    ).inc(stats.node_evals)
-    reg.gauge(
-        "repro_approx_lattice_hit_ratio", "Lattice hits / lookups"
-    ).set(stats.hit_ratio())
-    reg.gauge(
-        "repro_approx_lattice_families", "Family lattices resident"
-    ).set(len(store) if store is not None else 0)
-    reg.gauge(
-        "repro_approx_lattice_nodes", "Lattice nodes resident (all families)"
-    ).set(store.n_nodes if store is not None else 0)
-    reg.gauge(
-        "repro_approx_lattice_bytes", "Bytes resident across family lattices"
-    ).set(store.bytes_stored if store is not None else 0)
+# Read off the broker.  The legacy ``repro_cache_*`` names stay exported
+# for compatibility; ``repro_spectrum_cache_*`` mirrors the plan-cache
+# family shape so dashboards treat the two caches uniformly.
+_REQUEST_FAMILIES = (
+    Family(Counter, "repro_requests_total", "Requests by lane and outcome",
+           _lane_outcomes, ("lane", "outcome")),
+    Family(Histogram, "repro_request_latency_seconds",
+           "Completion latency by lane (virtual seconds)",
+           lambda b: (((lane,), s.latency_histogram())
+                      for lane, s in b.telemetry.lanes.items()),
+           ("lane",)),
+    Family(Counter, "repro_cache_lookups_total", "Cache lookups by result",
+           _by(hit=lambda b: b.cache.stats.hits, miss=lambda b: b.cache.stats.misses),
+           ("result",)),
+    Family(Gauge, "repro_cache_hit_ratio", "Cache hits / lookups",
+           lambda b: b.cache.stats.hit_ratio()),
+    Family(Gauge, "repro_cache_entries", "Entries resident in the cache",
+           lambda b: len(b.cache)),
+    Family(Gauge, "repro_cache_bytes", "Bytes resident in the cache",
+           lambda b: b.cache.bytes_stored),
+    Family(Counter, "repro_cache_churn_total", "Cache removals by cause",
+           _by(evicted=lambda b: b.cache.stats.evictions,
+               expired=lambda b: b.cache.stats.expirations), ("cause",)),
+    Family(Counter, "repro_coalesced_joins_total",
+           "Requests attached to an in-flight leader", lambda b: b.coalescer.coalesced),
+)
 
+_SPECTRUM_CACHE_FAMILIES = (
+    Family(Counter, "repro_spectrum_cache_lookups_total",
+           "Spectrum cache lookups by result",
+           _by(hit=lambda c: c.stats.hits, miss=lambda c: c.stats.misses), ("result",)),
+    Family(Counter, "repro_spectrum_cache_insertions_total", "Spectra inserted",
+           lambda c: c.stats.insertions),
+    Family(Counter, "repro_spectrum_cache_removals_total",
+           "Spectrum cache removals by cause",
+           _by(evicted=lambda c: c.stats.evictions,
+               expired=lambda c: c.stats.expirations), ("cause",)),
+    Family(Counter, "repro_spectrum_cache_oversize_rejections_total",
+           "Spectra refused for exceeding the byte budget",
+           lambda c: c.stats.oversize_rejections),
+    Family(Gauge, "repro_spectrum_cache_hit_ratio", "Spectrum-cache hits / lookups",
+           lambda c: c.stats.hit_ratio()),
+    Family(Gauge, "repro_spectrum_cache_entries", "Spectra resident in the cache",
+           len),
+    Family(Gauge, "repro_spectrum_cache_bytes", "Bytes resident in the cache",
+           lambda c: c.bytes_stored),
+)
+
+
+# Read off ``broker.lattice_report()``: the same schema, at zero, before
+# the first positive-accuracy request builds the store.
+_LATTICE_FAMILIES = (
+    Family(Counter, "repro_approx_lattice_requests_total", "Lattice lookups by result",
+           _by(hit=lambda d: d["hits"], miss=lambda d: d["misses"],
+               fallback=lambda d: d["fallbacks"]), ("result",)),
+    Family(Counter, "repro_approx_lattice_refinements_total",
+           "Lattice intervals bisected on demand", lambda d: d["refinements"]),
+    Family(Counter, "repro_approx_lattice_builds_total", "Family lattices built",
+           lambda d: d["builds"]),
+    Family(Counter, "repro_approx_lattice_invalidations_total",
+           "Family lattices dropped on fingerprint change",
+           lambda d: d["invalidations"]),
+    Family(Counter, "repro_approx_lattice_evictions_total",
+           "Family lattices evicted by the byte budget", lambda d: d["evictions"]),
+    Family(Counter, "repro_approx_lattice_node_evals_total",
+           "Exact spectra evaluated for lattice nodes and certificates",
+           lambda d: d["node_evals"]),
+    Family(Gauge, "repro_approx_lattice_hit_ratio", "Lattice hits / lookups",
+           lambda d: d["hit_ratio"]),
+    Family(Gauge, "repro_approx_lattice_families", "Family lattices resident",
+           lambda d: d["families"]),
+    Family(Gauge, "repro_approx_lattice_nodes",
+           "Lattice nodes resident (all families)", lambda d: d["nodes"]),
+    Family(Gauge, "repro_approx_lattice_bytes",
+           "Bytes resident across family lattices", lambda d: d["bytes_stored"]),
+)
 
 #: Width buckets of the megabatch histogram — powers of two up to the
 #: widest fused launch a service config can reasonably ask for.
 BATCH_WIDTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+# Read off the broker's telemetry.  The ``repro_batch_*`` families stay
+# at zero (the histogram empty) when batching never engaged.
+_DISPATCH_FAMILIES = (
+    Family(Gauge, "repro_queue_depth", "Admission depth at snapshot time",
+           lambda b: b.queue_depth),
+    Family(Gauge, "repro_queue_depth_mean", "Time-weighted mean admission depth",
+           lambda b: b.telemetry.mean_queue_depth()),
+    Family(Gauge, "repro_queue_depth_max", "Peak admission depth",
+           lambda b: b.telemetry.max_depth),
+    Family(Counter, "repro_tasks_total", "Hybrid tasks by placement",
+           _by(gpu=lambda b: b.telemetry.gpu_tasks, cpu=lambda b: b.telemetry.cpu_tasks),
+           ("placement",)),
+    Family(Counter, "repro_batches_total", "Hybrid batches dispatched",
+           lambda b: len(b.telemetry.batch_sizes)),
+    Family(Counter, "repro_evals_saved_total",
+           "Integrand evaluations pruned by active windows",
+           lambda b: b.telemetry.evals_saved),
+    Family(Histogram, "repro_batch_width", "Temperatures fused per megabatch group",
+           lambda b: (((), b.telemetry.megabatch_widths),), (), BATCH_WIDTH_BUCKETS),
+    Family(Counter, "repro_batch_groups_total", "Megabatch groups dispatched",
+           lambda b: len(b.telemetry.megabatch_widths)),
+    Family(Counter, "repro_batch_temperatures_total",
+           "Temperatures dispatched through megabatch groups",
+           lambda b: b.telemetry.batched_temperatures),
+    Family(Counter, "repro_batch_coalesced_requests_total",
+           "Requests that shared a fused launch with at least one other",
+           lambda b: b.telemetry.batch_coalesced_requests),
+    Family(Counter, "repro_batch_window_waits_total",
+           "Admission-window waits taken by service workers",
+           lambda b: b.telemetry.batch_window_waits),
+)
 
-def _batch_metrics(reg: MetricsRegistry, tel) -> None:
-    """Export continuous-batching counters under ``repro_batch_*``.
 
-    The families render even when batching never engaged (legacy
-    dispatch, or ``batch_window_s=None``) — counters at zero, the
-    histogram empty — so scrapers and the CI smoke step always see the
-    schema.
-    """
-    widths = reg.histogram(
-        "repro_batch_width",
-        "Temperatures fused per megabatch group",
-        buckets=BATCH_WIDTH_BUCKETS,
-    )
-    for w in tel.megabatch_widths:
-        widths.observe(float(w))
-    reg.counter(
-        "repro_batch_groups_total", "Megabatch groups dispatched"
-    ).inc(len(tel.megabatch_widths))
-    reg.counter(
-        "repro_batch_temperatures_total",
-        "Temperatures dispatched through megabatch groups",
-    ).inc(tel.batched_temperatures)
-    reg.counter(
-        "repro_batch_coalesced_requests_total",
-        "Requests that shared a fused launch with at least one other",
-    ).inc(tel.batch_coalesced_requests)
-    reg.counter(
-        "repro_batch_window_waits_total",
-        "Admission-window waits taken by service workers",
-    ).inc(tel.batch_window_waits)
+def _current_ledger(broker):
+    """The broker with its attribution ledger brought up to date."""
+    if broker.attribution is not None:
+        broker.fold_trace()
+    return broker
 
 
-def _cost_metrics(reg: MetricsRegistry, broker) -> None:
-    """Export the causal-attribution ledger under ``repro_request_cost_*``.
+def _lane_costs(broker):
+    from repro.obs.attribution import COMPONENTS
 
-    The families render even when tracing is off (no attribution rides
-    the broker) — zeroed samples per component, conservation at its
-    vacuous 1.0 — so scrapers and the CI smoke step always see the
-    schema.  With tracing on, the counters carry the fair-share
-    attributed virtual seconds and the gauges describe the online cost
-    model (:class:`repro.obs.attribution.CostModel`).
-    """
+    ledger = broker.attribution
+    seconds = ledger.lane_seconds() if ledger is not None else {}
+    for lane in broker.telemetry.lanes:
+        for comp in COMPONENTS:
+            yield (lane, comp), seconds.get((lane, comp), 0.0)
+    yield from seconds.items()
+
+
+def _unattributed(broker):
     from repro.obs.attribution import COMPONENTS, TICKS_PER_S
 
-    cost = reg.counter(
-        "repro_request_cost_seconds_total",
-        "Attributed virtual seconds by lane and cost component",
-        ("lane", "component"),
-    )
-    unattributed = reg.counter(
-        "repro_request_cost_unattributed_seconds_total",
-        "Measured span seconds with no causal chain to a request",
-        ("component",),
-    )
-    conservation = reg.gauge(
-        "repro_request_cost_conservation_ratio",
-        "min over components of attributed/measured cost (1.0 = exact)",
-    )
-    model_keys = reg.gauge(
-        "repro_request_cost_model_keys",
-        "Distinct (ion, method, width-bucket) cost-model keys",
-    )
-    model_obs = reg.counter(
-        "repro_request_cost_model_observations_total",
-        "Measured task costs folded into the online cost model",
-    )
-    model_err = reg.gauge(
-        "repro_request_cost_model_mean_abs_rel_error",
-        "Running mean |predicted - measured| / measured of the cost model",
-    )
-    for lane in sorted(broker.telemetry.lanes):
-        for comp in COMPONENTS:
-            cost.inc(0.0, lane=lane, component=comp)
-    for comp in COMPONENTS:
-        unattributed.inc(0.0, component=comp)
-    result = broker.cost_report() if hasattr(broker, "cost_report") else None
-    if result is None:
-        conservation.set(1.0)
-        return
-    for entry in result.entries:
-        lane = entry.lane or "unknown"
-        for comp, ticks in entry.ticks.items():
-            cost.inc(ticks / TICKS_PER_S, lane=lane, component=comp)
-    for comp in COMPONENTS:
-        unattributed.inc(
-            result.unattributed_ticks.get(comp, 0) / TICKS_PER_S, component=comp
-        )
-    conservation.set(result.conservation)
-    model = getattr(broker, "cost_model", None)
-    if model is not None:
-        model_keys.set(model.n_keys)
-        model_obs.inc(model.n_observations)
-        model_err.set(model.mean_abs_rel_error)
+    ledger = broker.attribution
+    ticks = ledger.unattributed_ticks() if ledger is not None else {}
+    return [((comp,), ticks.get(comp, 0) / TICKS_PER_S) for comp in COMPONENTS]
+
+
+# The causal-attribution ledger.  Untraced brokers carry no attribution:
+# zeroed samples per component, conservation at its vacuous 1.0.
+_COST_FAMILIES = (
+    Family(Counter, "repro_request_cost_seconds_total",
+           "Attributed virtual seconds by lane and cost component",
+           _lane_costs, ("lane", "component")),
+    Family(_WaitingCounter, "repro_request_cost_unattributed_seconds_total",
+           "Measured span seconds with no causal chain to a request",
+           _unattributed, ("component",)),
+    Family(Gauge, "repro_request_cost_conservation_ratio",
+           "min over components of attributed/measured cost (1.0 = exact)",
+           lambda b: 1.0 if b.attribution is None else b.attribution.conservation),
+)
+
+# Read off the online cost model of a *traced* broker (it learns from the
+# attributed spans); otherwise ``None``: declared, no sample.
+_COST_MODEL_FAMILIES = (
+    Family(Gauge, "repro_request_cost_model_keys",
+           "Distinct (ion, method, width-bucket) cost-model keys",
+           lambda m: m and m.n_keys),
+    Family(Counter, "repro_request_cost_model_observations_total",
+           "Measured task costs folded into the online cost model",
+           lambda m: m and m.n_observations),
+    Family(Gauge, "repro_request_cost_model_mean_abs_rel_error",
+           "Running mean |predicted - measured| / measured of the cost model",
+           lambda m: m and m.mean_abs_rel_error),
+)
+
+
+def _residency_cells(grid):
+    """(device, load) -> seconds over a device x load residency array."""
+    if grid is not None:
+        for d, row in enumerate(grid.tolist()):
+            for load, seconds in enumerate(row):
+                yield (str(d), str(load)), seconds
 
 
 #: Relative-error buckets for the predicted-vs-measured histogram: the
@@ -700,200 +784,150 @@ def _cost_metrics(reg: MetricsRegistry, broker) -> None:
 SCHED_ERROR_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
 
 
-def _sched_metrics(
-    reg: MetricsRegistry,
-    n_devices: int,
-    steals,
-    donations,
-    prediction_errors,
-    mean_loads,
-    imbalance: float,
-) -> None:
-    """Export the predictive-scheduling families under ``repro_sched_*``.
+class _Sched(NamedTuple):
+    """What the ``repro_sched_*`` families read, whichever ledger has it."""
 
-    Zeroed-schema convention: the families are always emitted — all-zero
-    counters, an empty histogram, a 0.0 imbalance — when the run used a
-    non-predictive scheduler, so scrapers and the CI validation step see
-    a stable exposition either way.
-    """
-    steal_c = reg.counter(
-        "repro_sched_steals_total",
-        "Tasks each device pulled from another device's queue",
-        ("device",),
-    )
-    donation_c = reg.counter(
-        "repro_sched_donations_total",
-        "Tasks pulled away from each device's queue",
-        ("device",),
-    )
-    err_h = reg.histogram(
-        "repro_sched_prediction_error",
-        "Relative |predicted - measured| / measured task cost",
-        buckets=SCHED_ERROR_BUCKETS,
-    )
-    load_g = reg.gauge(
-        "repro_sched_mean_device_load",
-        "Time-weighted mean queue load per device",
-        ("device",),
-    )
-    for d in range(max(1, n_devices)):
-        steal_c.inc(float(steals[d]) if d < len(steals) else 0.0, device=d)
-        donation_c.inc(
-            float(donations[d]) if d < len(donations) else 0.0, device=d
-        )
-        load_g.set(
-            float(mean_loads[d]) if d < len(mean_loads) else 0.0, device=d
-        )
-    for err in prediction_errors:
-        err_h.observe(float(err))
-    reg.gauge(
-        "repro_sched_load_imbalance",
-        "Spread (max - min) of time-weighted mean device loads",
-    ).set(float(imbalance))
+    n_devices: int
+    steals: Sequence[int]
+    donations: Sequence[int]
+    errors: Sequence[float]
+    mean_loads: Sequence[float]
+    imbalance: float
+
+    @classmethod
+    def of_telemetry(cls, broker) -> "_Sched":
+        tel = broker.telemetry
+        grid = tel.load_residency
+        return cls(grid.shape[0] if grid is not None else 1, tel.sched_steals,
+                   tel.sched_donations, tel.sched_prediction_errors,
+                   tel.sched_mean_loads(), tel.sched_imbalance())
+
+    @classmethod
+    def of_run(cls, result) -> "_Sched":
+        m = result.metrics
+        return cls(m.n_devices, m.steals, m.donations, m.prediction_errors(),
+                   [m.mean_device_load(d) for d in range(m.n_devices)],
+                   m.load_imbalance())
+
+    def per_device(self, values) -> list:
+        return [((str(d),), values[d] if d < len(values) else 0.0)
+                for d in range(max(1, self.n_devices))]
+
+
+# Predictive scheduling.  Always emitted — all-zero counters, an empty
+# histogram, a 0.0 imbalance under a depth scheduler — so scrapers and
+# the CI validation step see a stable exposition either way.
+_SCHED_FAMILIES = (
+    Family(Counter, "repro_sched_steals_total",
+           "Tasks each device pulled from another device's queue",
+           lambda s: s.per_device(s.steals), ("device",)),
+    Family(Counter, "repro_sched_donations_total",
+           "Tasks pulled away from each device's queue",
+           lambda s: s.per_device(s.donations), ("device",)),
+    Family(Histogram, "repro_sched_prediction_error",
+           "Relative |predicted - measured| / measured task cost",
+           lambda s: (((), s.errors),), (), SCHED_ERROR_BUCKETS),
+    Family(Gauge, "repro_sched_mean_device_load",
+           "Time-weighted mean queue load per device",
+           lambda s: s.per_device(s.mean_loads), ("device",)),
+    Family(Gauge, "repro_sched_load_imbalance",
+           "Spread (max - min) of time-weighted mean device loads",
+           lambda s: s.imbalance),
+)
+
+#: The serving stack's exposition, in order: ``(families, source of a
+#: broker)`` — every family :func:`service_registry` exports.
+SERVICE_FAMILIES = (
+    (_REQUEST_FAMILIES, lambda broker: broker),
+    (PLAN_CACHE_FAMILIES, _plan_cache),
+    (_SPECTRUM_CACHE_FAMILIES, lambda broker: broker.cache),
+    (_LATTICE_FAMILIES, lambda broker: broker.lattice_report()),
+    (_DISPATCH_FAMILIES, lambda broker: broker),
+    (_COST_FAMILIES, _current_ledger),
+    (_COST_MODEL_FAMILIES,
+     lambda broker: broker.cost_model if broker.attribution is not None else None),
+    ((Family(Gauge, "repro_device_load_residency_seconds",
+             "Virtual seconds each device load level was held (all batches)",
+             _residency_cells, ("device", "load")),),
+     lambda broker: broker.telemetry.load_residency),
+    (_SCHED_FAMILIES, _Sched.of_telemetry),
+    ((Family(Gauge, "repro_virtual_time_seconds", "Virtual end time of the run",
+             lambda broker: broker.telemetry.end_time),),
+     lambda broker: broker),
+)
+
+
+def fill_service(registry: MetricsRegistry, broker) -> MetricsRegistry:
+    """Bring a broker's registry up to date with the broker's ledgers."""
+    for families, source_of in SERVICE_FAMILIES:
+        fill(registry, families, source_of(broker))
+    # Trace-id exemplars: the most recent traced completions annotate the
+    # buckets their latencies fell in, linking the histogram back to the
+    # causal trace (OpenMetrics-style).  Only the lane's retained window
+    # counts, so each fill replaces the lane's exemplars outright.
+    latency = registry.get("repro_request_latency_seconds")
+    for lane, stats in broker.telemetry.lanes.items():
+        latest = {latency._bucket_index(v): (v, tid) for v, tid in stats.latency_exemplars}
+        if latest:
+            latency._exemplars[(lane,)] = {
+                idx: ({"trace_id": f"{tid:x}"}, float(v))
+                for idx, (v, tid) in latest.items()
+            }
+    return registry
 
 
 def service_registry(broker) -> MetricsRegistry:
-    """Derive the serving-stack metric set from one broker's ledgers."""
-    reg = MetricsRegistry()
-    tel = broker.telemetry
+    """The serving-stack metric set of one broker, current as of now.
 
-    arrivals = reg.counter(
-        "repro_requests_total", "Requests by lane and outcome", ("lane", "outcome")
-    )
-    latency = reg.histogram(
-        "repro_request_latency_seconds",
-        "Completion latency by lane (virtual seconds)",
-        ("lane",),
-    )
-    for lane, stats in tel.lanes.items():
-        arrivals.inc(stats.cache_hits, lane=lane, outcome="cache_hit")
-        arrivals.inc(stats.lattice_hits, lane=lane, outcome="lattice_hit")
-        arrivals.inc(stats.coalesced, lane=lane, outcome="coalesced")
-        arrivals.inc(stats.computed, lane=lane, outcome="computed")
-        arrivals.inc(stats.rejections, lane=lane, outcome="rejected")
-        arrivals.inc(stats.retries, lane=lane, outcome="retried")
-        for sample in stats.latency_samples():
-            latency.observe(sample, lane=lane)
-        # Trace-id exemplars: the most recent traced completions annotate
-        # the buckets their latencies fell in, linking the histogram back
-        # to the causal trace (OpenMetrics-style).
-        for latency_s, trace_id in getattr(stats, "latency_exemplars", ()):
-            latency.annotate(latency_s, {"trace_id": f"{trace_id:x}"}, lane=lane)
+    The broker's one live registry: built on first use, refreshed in
+    place afterwards (see :meth:`SpectrumBroker.registry`).
+    """
+    return broker.registry()
 
-    cache = broker.cache.stats
-    lookups = reg.counter(
-        "repro_cache_lookups_total", "Cache lookups by result", ("result",)
-    )
-    lookups.inc(cache.hits, result="hit")
-    lookups.inc(cache.misses, result="miss")
-    reg.gauge("repro_cache_hit_ratio", "Cache hits / lookups").set(cache.hit_ratio())
-    reg.gauge("repro_cache_entries", "Entries resident in the cache").set(
-        len(broker.cache)
-    )
-    reg.gauge("repro_cache_bytes", "Bytes resident in the cache").set(
-        broker.cache.bytes_stored
-    )
-    churn = reg.counter(
-        "repro_cache_churn_total", "Cache removals by cause", ("cause",)
-    )
-    churn.inc(cache.evictions, cause="evicted")
-    churn.inc(cache.expirations, cause="expired")
 
-    reg.counter(
-        "repro_coalesced_joins_total", "Requests attached to an in-flight leader"
-    ).inc(broker.coalescer.coalesced)
+_RUN_FAMILIES = (
+    Family(Gauge, "repro_makespan_seconds", "Virtual makespan of the run",
+           lambda r: r.makespan_s),
+    Family(Counter, "repro_tasks_total", "Tasks by placement",
+           _by(gpu=lambda r: int(r.metrics.gpu_tasks.sum()),
+               cpu=lambda r: r.metrics.cpu_tasks), ("placement",)),
+    Family(Gauge, "repro_gpu_task_ratio", "Fraction of tasks served by GPUs",
+           lambda r: r.metrics.gpu_task_ratio()),
+    Family(Counter, "repro_evals_saved_total",
+           "Integrand evaluations pruned by active windows",
+           lambda r: r.metrics.evals_saved),
+    Family(Gauge, "repro_device_load_residency_seconds",
+           "Virtual seconds each device load level was held",
+           lambda r: _residency_cells(r.metrics.load_residency[: r.metrics.n_devices]),
+           ("device", "load")),
+)
 
-    _plan_cache_metrics(reg)
-    _spectrum_cache_metrics(reg, broker)
-    _lattice_metrics(reg, getattr(broker, "lattice_store", None))
+_WALL_FAMILIES = (
+    Family(Gauge, "repro_wall_seconds", "Host wall-clock time of the run",
+           lambda wall_s: wall_s),
+)
 
-    reg.gauge("repro_queue_depth", "Admission depth at snapshot time").set(
-        broker.queue_depth
-    )
-    reg.gauge("repro_queue_depth_mean", "Time-weighted mean admission depth").set(
-        tel.mean_queue_depth()
-    )
-    reg.gauge("repro_queue_depth_max", "Peak admission depth").set(tel.max_depth)
-
-    tasks = reg.counter(
-        "repro_tasks_total", "Hybrid tasks by placement", ("placement",)
-    )
-    tasks.inc(tel.gpu_tasks, placement="gpu")
-    tasks.inc(tel.cpu_tasks, placement="cpu")
-    reg.counter("repro_batches_total", "Hybrid batches dispatched").inc(
-        len(tel.batch_sizes)
-    )
-    reg.counter(
-        "repro_evals_saved_total",
-        "Integrand evaluations pruned by active windows",
-    ).inc(tel.evals_saved)
-
-    _batch_metrics(reg, tel)
-    _cost_metrics(reg, broker)
-
-    residency = reg.gauge(
-        "repro_device_load_residency_seconds",
-        "Virtual seconds each device load level was held (all batches)",
-        ("device", "load"),
-    )
-    if tel.load_residency is not None:
-        for d in range(tel.load_residency.shape[0]):
-            for load in range(tel.load_residency.shape[1]):
-                residency.set(
-                    float(tel.load_residency[d, load]), device=d, load=load
-                )
-    _sched_metrics(
-        reg,
-        tel.load_residency.shape[0] if tel.load_residency is not None else 1,
-        tel.sched_steals,
-        tel.sched_donations,
-        tel.sched_prediction_errors,
-        tel.sched_mean_loads(),
-        tel.sched_imbalance(),
-    )
-    reg.gauge("repro_virtual_time_seconds", "Virtual end time of the run").set(
-        tel.end_time
-    )
-    return reg
+#: A running batch's ledger, scraped by the hybrid runner's cadence
+#: process while the batch executes (``run_registry`` needs it finished).
+NODE_FAMILIES = (
+    Family(Counter, "repro_node_tasks_total", "Tasks completed so far by placement.",
+           _by(gpu=lambda m: m.gpu_tasks.sum(), cpu=lambda m: m.cpu_tasks),
+           ("placement",)),
+    Family(Gauge, "repro_node_device_load",
+           "Instantaneous admitted queue length per device.",
+           lambda m: [((str(d),), m._current_load[d]) for d in range(m.n_devices)],
+           ("device",)),
+    Family(Counter, "repro_node_evals_saved_total",
+           "Kernel evaluations elided by active-window pruning.",
+           lambda m: m.evals_saved),
+)
 
 
 def run_registry(result, wall_s: Optional[float] = None) -> MetricsRegistry:
     """Derive a registry from one hybrid :class:`RunResult` ledger."""
     reg = MetricsRegistry()
-    m = result.metrics
-    reg.gauge("repro_makespan_seconds", "Virtual makespan of the run").set(
-        result.makespan_s
-    )
-    tasks = reg.counter(
-        "repro_tasks_total", "Tasks by placement", ("placement",)
-    )
-    tasks.inc(int(m.gpu_tasks.sum()), placement="gpu")
-    tasks.inc(m.cpu_tasks, placement="cpu")
-    reg.gauge("repro_gpu_task_ratio", "Fraction of tasks served by GPUs").set(
-        m.gpu_task_ratio()
-    )
-    reg.counter(
-        "repro_evals_saved_total",
-        "Integrand evaluations pruned by active windows",
-    ).inc(m.evals_saved)
-    residency = reg.gauge(
-        "repro_device_load_residency_seconds",
-        "Virtual seconds each device load level was held",
-        ("device", "load"),
-    )
-    seconds = m.load_residency
-    for d in range(m.n_devices):
-        for load in range(m.max_queue_length + 1):
-            residency.set(float(seconds[d, load]), device=d, load=load)
-    _sched_metrics(
-        reg,
-        m.n_devices,
-        m.steals,
-        m.donations,
-        m.prediction_errors(),
-        [m.mean_device_load(d) for d in range(m.n_devices)],
-        m.load_imbalance(),
-    )
+    fill(reg, _RUN_FAMILIES, result)
+    fill(reg, _SCHED_FAMILIES, _Sched.of_run(result))
     if wall_s is not None:
-        reg.gauge("repro_wall_seconds", "Host wall-clock time of the run").set(wall_s)
+        fill(reg, _WALL_FAMILIES, wall_s)
     return reg

@@ -43,13 +43,13 @@ so hot-path emission never hashes strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["TraceEvent", "NullTracer", "EventTracer", "NULL_TRACER", "WallClock"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One recorded event; ``ts``/``dur`` are virtual seconds."""
 
@@ -125,13 +125,24 @@ class _Track:
     thread: str
 
 
+class _NoClock:
+    """Stands in for the clock of an unbound tracer: reading it is the error."""
+
+    @property
+    def now(self) -> float:
+        raise RuntimeError("tracer has no clock; call bind(clock) first")
+
+
+_NO_CLOCK = _NoClock()
+
+
 class EventTracer:
     """In-memory recording tracer on a (virtual or wall) clock."""
 
     enabled = True
 
     def __init__(self, clock=None) -> None:
-        self._clock = clock
+        self._clock = clock if clock is not None else _NO_CLOCK
         self.events: list[TraceEvent] = []
         self.tracks: list[_Track] = []
         self._track_ids: dict[tuple[str, str], int] = {}
@@ -144,12 +155,10 @@ class EventTracer:
 
     @property
     def bound(self) -> bool:
-        return self._clock is not None
+        return self._clock is not _NO_CLOCK
 
     @property
     def now(self) -> float:
-        if self._clock is None:
-            raise RuntimeError("tracer has no clock; call bind(clock) first")
         return self._clock.now
 
     # ------------------------------------------------------------------
@@ -175,9 +184,10 @@ class EventTracer:
     # ------------------------------------------------------------------
     def complete(self, track, name, start, cat="", args=None, id=None, parent=None) -> None:
         """Close a span opened at virtual time ``start`` on ``track``."""
-        now = self.now
         self.events.append(
-            TraceEvent("X", name, cat, track, start, now - start, id, args, parent)
+            TraceEvent(
+                "X", name, cat, track, start, self._clock.now - start, id, args, parent
+            )
         )
 
     def span(self, track, name, start, end, cat="", args=None, id=None, parent=None) -> None:
@@ -188,19 +198,21 @@ class EventTracer:
 
     def instant(self, track, name, cat="", args=None, parent=None) -> None:
         self.events.append(
-            TraceEvent("i", name, cat, track, self.now, 0.0, None, args, parent)
+            TraceEvent("i", name, cat, track, self._clock.now, 0.0, None, args, parent)
         )
 
     def async_begin(self, track, name, id, cat="", args=None, parent=None) -> None:
         self.events.append(
-            TraceEvent("b", name, cat, track, self.now, 0.0, id, args, parent)
+            TraceEvent("b", name, cat, track, self._clock.now, 0.0, id, args, parent)
         )
 
     def async_end(self, track, name, id, cat="", args=None) -> None:
-        self.events.append(TraceEvent("e", name, cat, track, self.now, 0.0, id, args))
+        self.events.append(
+            TraceEvent("e", name, cat, track, self._clock.now, 0.0, id, args)
+        )
 
     def counter(self, track, name, value) -> None:
         """Sample a counter series (rendered as a filled track)."""
         self.events.append(
-            TraceEvent("C", name, "", track, self.now, 0.0, None, {"value": value})
+            TraceEvent("C", name, "", track, self._clock.now, 0.0, None, {"value": value})
         )

@@ -93,7 +93,7 @@ class Series:
     skip exactly the points they already saw.
     """
 
-    __slots__ = ("name", "labels", "kind", "capacity", "_ts", "_vs", "evicted")
+    __slots__ = ("name", "labels", "kind", "capacity", "key", "_ts", "_vs", "evicted")
 
     def __init__(
         self,
@@ -108,16 +108,13 @@ class Series:
         self.labels = {str(k): str(v) for k, v in labels.items()}
         self.kind = kind
         self.capacity = capacity
+        self.key = (name, _label_key(self.labels))
         self._ts: list[float] = []
         self._vs: list[float] = []
         self.evicted = 0
 
     def __len__(self) -> int:
         return len(self._ts)
-
-    @property
-    def key(self) -> tuple:
-        return (self.name, _label_key(self.labels))
 
     def append(self, t: float, value: float) -> None:
         """Add one point; same-timestamp appends overwrite in place.
@@ -145,6 +142,11 @@ class Series:
     def points(self) -> list[tuple[float, float]]:
         """Every retained point, oldest first."""
         return list(zip(self._ts, self._vs))
+
+    def tail(self, start: int) -> tuple[list[float], list[float]]:
+        """Times and values from ring index ``start`` on — what a
+        cursor-holding consumer has not read yet, and nothing else."""
+        return self._ts[start:], self._vs[start:]
 
     def times(self) -> list[float]:
         return list(self._ts)
@@ -221,10 +223,11 @@ class TimeSeriesStore:
 
     One store owns many :class:`Series`; :meth:`scrape` walks every
     sample a registry renders and appends one point per series at the
-    scrape time.  ``cadence_s`` throttles :meth:`due`/:meth:`maybe_scrape`
-    so hot paths (the broker's per-batch hook) only build registry
-    snapshots when a scrape is actually owed; ``cadence_s=0`` scrapes on
-    every opportunity.
+    scrape time — a sample is resolved to its series the first time it
+    is seen and the handle reused afterwards.  ``cadence_s`` throttles
+    :meth:`due`/:meth:`maybe_scrape` so hot paths (the broker's per-batch
+    hook) refresh their registry only when a scrape is actually owed;
+    ``cadence_s=0`` scrapes on every opportunity.
     """
 
     enabled = True
@@ -237,6 +240,9 @@ class TimeSeriesStore:
         self.capacity = capacity
         self.cadence_s = cadence_s
         self._series: dict[tuple, Series] = {}
+        self._sorted: list[Series] = []  # key-ordered view of ``_series``
+        #: Registry sample identity -> its series, resolved on first sight.
+        self._bound: dict[tuple, Series] = {}
         self.families: dict[str, str] = {}  # family name -> metric kind
         self.scrape_times: list[float] = []
         self.last_scrape: Optional[float] = None
@@ -265,15 +271,12 @@ class TimeSeriesStore:
         the store never holds two points at one instant.
         """
         appended = 0
+        bound = self._bound
         for metric in registry.metrics():
-            kind = metric.kind
-            for name, labels, value in metric.samples():
-                self.families.setdefault(name, kind)
-                key = (name, _label_key(labels))
-                series = self._series.get(key)
+            for ident, value in metric.rows():
+                series = bound.get(ident)
                 if series is None:
-                    series = Series(name, labels, kind, capacity=self.capacity)
-                    self._series[key] = series
+                    series = bound[ident] = self._bind(ident, metric.kind)
                 series.append(now, value)
                 appended += 1
         if not self.scrape_times or self.scrape_times[-1] != now:
@@ -285,11 +288,18 @@ class TimeSeriesStore:
         self.n_samples += appended
         return appended
 
+    def _bind(self, ident: tuple, kind: str) -> Series:
+        """The series a registry sample lands in (adopted or created)."""
+        name, labelnames, values = ident
+        self.families.setdefault(name, kind)
+        fresh = Series(name, dict(zip(labelnames, values)), kind, capacity=self.capacity)
+        return self._series.setdefault(fresh.key, fresh)
+
     def maybe_scrape(self, registry_fn: Callable[[], object], now: float) -> bool:
         """Scrape only when due; ``registry_fn`` is called lazily.
 
-        The laziness is the point: building a registry snapshot is the
-        expensive part, and off-cadence calls must not pay for it.
+        Off-cadence calls must not pay for bringing a registry up to
+        date, however cheap that is.
         """
         if not self.due(now):
             return False
@@ -301,13 +311,9 @@ class TimeSeriesStore:
     # ------------------------------------------------------------------
     def series(self, name: Optional[str] = None) -> list[Series]:
         """Every series (optionally restricted to one sample name)."""
-        out = [
-            s
-            for s in self._series.values()
-            if name is None or s.name == name
-        ]
-        out.sort(key=lambda s: s.key)
-        return out
+        if len(self._sorted) != len(self._series):  # series are only added
+            self._sorted = sorted(self._series.values(), key=lambda s: s.key)
+        return [s for s in self._sorted if name is None or s.name == name]
 
     def get(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Series:
         key = (name, _label_key(labels or {}))
@@ -391,6 +397,13 @@ class NullTimeSeriesStore:
 
     def scrape(self, registry, now: float) -> int:
         return 0
+
+    def _bind(self, ident: tuple, kind: str) -> Series:
+        """The series a registry sample lands in (adopted or created)."""
+        name, labelnames, values = ident
+        self.families.setdefault(name, kind)
+        fresh = Series(name, dict(zip(labelnames, values)), kind, capacity=self.capacity)
+        return self._series.setdefault(fresh.key, fresh)
 
     def maybe_scrape(self, registry_fn, now: float) -> bool:
         return False

@@ -244,7 +244,7 @@ class SpectrumBroker:
         #: Optional :class:`repro.obs.slo.SLOEngine`; sampled at each
         #: batch completion.  ``None`` (or an engine with no rules)
         #: keeps the run bit-identical to an unmonitored one — no
-        #: registry snapshot is ever built.
+        #: registry is ever built.
         self.slo = slo
         #: Continuous telemetry: a :class:`~repro.obs.tsdb.TimeSeriesStore`
         #: scraped at batch completions on this clock.  The default
@@ -314,6 +314,7 @@ class SpectrumBroker:
         else:
             self.cost_model = None
         self._payload_backend: Optional[ExecutionBackend] = None
+        self._registry = None  # built by the first registry() call
         # Built on the first positive-accuracy request, so exact-only
         # runs (and their traces) are untouched by the lattice tier.
         self._lattice: Optional[LatticeStore] = None
@@ -343,23 +344,28 @@ class SpectrumBroker:
             "opened": self.coalescer.opened,
             "coalesced": self.coalescer.coalesced,
         }
-        if self._lattice is not None:
-            out["lattice"] = self._lattice.as_dict()
-        else:
-            out["lattice"] = LatticeStats().as_dict()
-            out["lattice"].update(families=0, nodes=0, bytes_stored=0)
+        out["lattice"] = self.lattice_report()
         return out
 
+    def lattice_report(self) -> dict:
+        """The approximate-serving store's counters (zeros until first used)."""
+        if self._lattice is not None:
+            return self._lattice.as_dict()
+        return dict(LatticeStats().as_dict(), families=0, nodes=0, bytes_stored=0)
+
     def registry(self):
-        """Fresh metrics snapshot of this broker's current state.
+        """This broker's metrics registry, current as of the call.
 
-        The handle the SLO engine and exposition consumers share —
-        equivalent to :func:`repro.obs.prom.service_registry` but
-        discoverable on the object that owns the telemetry.
+        One live registry per broker: built on first use (an unobserved
+        broker never pays for it), refreshed in place from the ledgers
+        afterwards — every call returns the same object.  The handle the
+        SLO engine, the scraper and exposition consumers share.
         """
-        from repro.obs.prom import service_registry
+        from repro.obs.prom import MetricsRegistry, fill_service
 
-        return service_registry(self)
+        if self._registry is None:
+            self._registry = MetricsRegistry()
+        return fill_service(self._registry, self)
 
     def profile(self):
         """Hierarchical cost attribution over this broker's trace.
@@ -384,6 +390,14 @@ class SpectrumBroker:
         """
         if self.attribution is None:
             return None
+        self.fold_trace()
+        return self.attribution.result()
+
+    def fold_trace(self) -> None:
+        """Fold spans recorded since the last call into the cost ledger
+        and feed the completed tasks' measured costs to the online model —
+        unless the predictive dispatch already observed them directly
+        (each measurement must update the EWMA once)."""
         self.attribution.ingest()
         observations = self.attribution.drain_observations()
         if (
@@ -391,7 +405,6 @@ class SpectrumBroker:
             and self.config.hybrid.scheduler_kind != "predictive"
         ):
             self.cost_model.ingest(observations)
-        return self.attribution.result()
 
     # ------------------------------------------------------------------
     # Client API
@@ -790,17 +803,7 @@ class SpectrumBroker:
                     entry.done.fire(self.clock, spectrum)
             self.bus.on_batch(result, len(batch))
             if self.attribution is not None:
-                # Fold the batch's new spans into the ledger and feed the
-                # completed tasks' measured costs to the online model —
-                # unless the predictive dispatch already observed them
-                # directly (each measurement must update the EWMA once).
-                self.attribution.ingest()
-                observations = self.attribution.drain_observations()
-                if (
-                    self.cost_model is not None
-                    and self.config.hybrid.scheduler_kind != "predictive"
-                ):
-                    self.cost_model.ingest(observations)
+                self.fold_trace()
             registry = None
             if self.tsdb.enabled and self.tsdb.due(now):
                 registry = self.registry()

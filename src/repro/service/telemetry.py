@@ -20,12 +20,14 @@ percentiles come from the reservoir).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.core.metrics import RunResult
+from repro.obs.prom import DEFAULT_BUCKETS
 
 __all__ = ["LaneStats", "ServiceTelemetry"]
 
@@ -64,6 +66,10 @@ class LaneStats:
     _sum: float = field(default=0.0, repr=False)
     _max: float = field(default=0.0, repr=False)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
+    #: Reservoir mode only: completions per latency bucket (+Inf last).
+    _buckets: list[int] = field(
+        default_factory=lambda: [0] * (len(DEFAULT_BUCKETS) + 1), repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.reservoir is not None and self.reservoir < 1:
@@ -84,7 +90,13 @@ class LaneStats:
         self._sum += latency_s
         if latency_s > self._max:
             self._max = latency_s
-        if self.reservoir is None or len(self.latencies_s) < self.reservoir:
+        if self.reservoir is None:
+            self.latencies_s.append(latency_s)
+            return
+        # Bounded mode streams the histogram too: the reservoir forgets
+        # samples, and an exported counter must never go down.
+        self._buckets[bisect.bisect_left(DEFAULT_BUCKETS, latency_s)] += 1
+        if len(self.latencies_s) < self.reservoir:
             self.latencies_s.append(latency_s)
             return
         if self._rng is None:
@@ -92,6 +104,17 @@ class LaneStats:
         j = int(self._rng.integers(0, self._seen))
         if j < self.reservoir:
             self.latencies_s[j] = latency_s
+
+    def latency_histogram(self):
+        """What the latency histogram family exports for this lane.
+
+        Exact mode: the append-only sample list (the registry observes
+        what it has not seen).  Reservoir mode: the streamed ``(bucket
+        counts, sum)`` — monotone, ``count == completions``.
+        """
+        if self.reservoir is None:
+            return self.latencies_s
+        return self._buckets, self._sum
 
     def latency_samples(self) -> list[float]:
         """The retained samples (every one, or the reservoir's subset)."""

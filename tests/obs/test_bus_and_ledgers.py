@@ -114,6 +114,41 @@ class TestLatencyReservoir:
         assert len(tel.lanes["a"].latencies_s) == 4
         assert tel.lanes["a"].completions == 10
 
+    def test_reservoir_histogram_is_monotone_and_complete(self):
+        """The exported latency histogram streams next to the reservoir:
+        rebuilt from the reservoir's current contents its counter series
+        went *down* between scrapes and ``_count`` stopped at ``k``."""
+        from repro.obs import TimeSeriesStore
+        from repro.service.broker import ServiceConfig, run_trace
+        from repro.service.loadgen import TrafficSpec, generate_trace
+
+        trace = generate_trace(
+            TrafficSpec(
+                n_requests=120, pattern="uniform", n_distinct=30000,
+                mean_interarrival_s=0.4, seed=7,
+            )
+        )
+        store = TimeSeriesStore(cadence_s=0.5)
+        broker, _ = run_trace(
+            trace,
+            ServiceConfig(n_service_workers=2, latency_reservoir=8),
+            tsdb=store,
+        )
+        histogram = [
+            s for s in store.series()
+            if s.name.startswith("repro_request_latency_seconds_")
+        ]
+        assert histogram and store.n_scrapes > 10
+        for series in histogram:
+            values = series.values()
+            assert values == sorted(values), (series.name, series.labels)
+        latency = broker.registry().get("repro_request_latency_seconds")
+        for lane, stats in broker.telemetry.lanes.items():
+            assert latency.count(lane=lane) == stats.completions
+            if stats.completions:
+                assert latency._sums[(lane,)] == stats._sum
+        assert sum(s.completions for s in broker.telemetry.lanes.values()) == 120
+
 
 class TestTaskEventTiming:
     def test_wait_derived_from_enqueue(self):
