@@ -10,11 +10,10 @@ perf trajectory of the repo itself, enforceable in CI.
 Determinism contract: every number under a case's ``"sim"`` key derives
 from the virtual clock (makespans, virtual throughput, utilization,
 hit rates, pruning ledgers) and is **bit-identical across runs** of the
-same seed and mode — the comparator gates on those.  ``"wall_s"`` and
-the optional per-case ``"wall_metrics"`` dict (e.g. measured parallel
-speedups) are host wall-clock quantities, recorded for trend plots but
-never gated (CI machines are noisy; the simulated metrics are the
-repo's actual claims).
+same seed and mode — the comparator gates on those.  ``"wall_s"`` is a
+host wall-clock quantity, recorded for trend plots but never gated (CI
+machines are noisy; the simulated metrics are the repo's claims here,
+and ``benchmarks/wall/`` is where host time is measured properly).
 
 The schema is hand-rolled (:func:`validate_bench`) so CI needs no
 third-party JSON-Schema package.
@@ -323,26 +322,23 @@ def _case_continuous_batching(quick: bool, seed: int) -> dict:
 
 
 def _case_fused_megabatch(quick: bool, seed: int) -> dict:
-    """Megabatch fusion: pass-count ledger (sim) + wall speedups (ungated).
+    """Megabatch fusion: the pass-count ledger of the model's plan path.
 
     The gated metric is ``fused_pass_ratio`` — per-ion kernel launches
-    divided by fused megabatch passes over a temperature sweep, a pure
-    counting argument independent of the host.  The wall-clock speedups
-    land under ``wall_metrics``: recorded for trend plots, never gated.
-    Per-ion and fused runs execute the same kernel
-    (:func:`repro.physics.rrc_kernel.simpson_rrc`), so ``fused_speedup``
-    compares launch shapes — 105 per-ion calls against one all-ion call
-    — not two implementations of the math.
-    ``parallel_speedup`` is bounded above by ``cpu_count`` (recorded
-    alongside it) — on a single-CPU host it can only show the process
-    backend's overhead, never a gain.
+    divided by the passes of the cached plan ``SerialAPEC`` executes,
+    over a temperature sweep: a pure counting argument independent of
+    the host.  ``fused_max_rel_err`` holds the model against the in-order
+    sum of the per-ion oracle (:func:`ion_emissivity_batched`); both run
+    the same kernel (:func:`repro.physics.rrc_kernel.simpson_rrc`), so
+    it measures summation order — one all-ion launch against 105 per-ion
+    ones — not two implementations of the math.
     """
-    import os
-
     import numpy as np
 
+    from repro.approx import peak_rel_error
     from repro.bench.workloads import small_real_database, small_real_grid
-    from repro.physics.apec import GridPoint, SerialAPEC
+    from repro.physics.apec import GridPoint, SerialAPEC, ion_emissivity_batched
+    from repro.physics.plan import PLAN_CACHE
 
     db = small_real_database()
     grid = small_real_grid(n_bins=120 if quick else 400)
@@ -351,50 +347,37 @@ def _case_fused_megabatch(quick: bool, seed: int) -> dict:
     )
     points = [GridPoint(temperature_k=t, ne_cm3=1.0) for t in temps]
     tail_tol = 1.0e-9
+    model = SerialAPEC(
+        db, grid, method="simpson-batch", components=("rrc",),
+        tail_tol=tail_tol,
+    )
 
-    def model(**kw) -> SerialAPEC:
-        return SerialAPEC(
-            db, grid, method="simpson-batch", components=("rrc",),
-            tail_tol=tail_tol, **kw,
-        )
+    def oracle(point: GridPoint) -> np.ndarray:
+        out = np.zeros(grid.n_bins)
+        for ion in db.ions:
+            out += ion_emissivity_batched(
+                db, ion, point, grid, tail_tol=tail_tol
+            )
+        return out
 
-    def sweep(apec: SerialAPEC) -> list[np.ndarray]:
-        return [apec.compute(p).values for p in points]
-
-    def timed(apec: SerialAPEC) -> tuple[list[np.ndarray], float]:
-        sweep(apec)  # warm caches (plans, pools, windows) off the clock
-        t0 = time.perf_counter()
-        out = sweep(apec)
-        return out, time.perf_counter() - t0
-
-    legacy = model()
-    fused = model(fused=True, shards=1)
-    spectra_legacy, wall_legacy = timed(legacy)
-    spectra_fused, wall_fused = timed(fused)
-    fused_passes = 0
-    for p in points:
-        fused.compute(p)
-        fused_passes += fused.last_plan_stats["n_passes"]
+    t0 = time.perf_counter()
+    spectra = [model.compute(p).values for p in points]
+    references = [oracle(p) for p in points]
+    wall_s = time.perf_counter() - t0
+    plan = PLAN_CACHE.get(db, grid, method="simpson", tail_tol=tail_tol)
+    fused_passes = sum(plan.execute(p).n_passes for p in points)
     per_ion_launches = sum(
         1 for ion in db.ions if db.n_levels(ion) > 0
     ) * len(points)
     rel_err = max(
-        float(np.max(np.abs(f - l)) / max(float(np.max(np.abs(l))), 1e-300))
-        for f, l in zip(spectra_fused, spectra_legacy)
+        peak_rel_error(got, ref) for got, ref in zip(spectra, references)
     )
-    with model(backend="process", jobs=2, shards=4) as par:
-        _, wall_process = timed(par)
     return {
-        "wall_s": wall_legacy + wall_fused + wall_process,
+        "wall_s": wall_s,
         "sim": {
             "fused_pass_ratio": per_ion_launches / fused_passes,
             "fused_passes": float(fused_passes),
             "fused_max_rel_err": rel_err,
-        },
-        "wall_metrics": {
-            "fused_speedup": wall_legacy / wall_fused,
-            "parallel_speedup": wall_legacy / wall_process,
-            "cpu_count": float(os.cpu_count() or 1),
         },
     }
 
@@ -541,8 +524,8 @@ def _case_telemetry_pipeline(quick: bool, seed: int) -> dict:
 
     Two gates, both zero-tolerance.  ``scrape_determinism`` plays one
     bursty trace through the service with a scraping
-    :class:`~repro.obs.tsdb.TimeSeriesStore` under every payload backend
-    (serial / thread / process) and requires the serialized stores —
+    :class:`~repro.obs.tsdb.TimeSeriesStore` under both payload backends
+    (serial / thread) and requires the serialized stores —
     delta-encoded timestamps and values included — to be byte-identical:
     telemetry rides the virtual clock, so the host's thread scheduling
     must never leak into a scrape.  ``anomaly_false_positives`` runs the
@@ -592,7 +575,7 @@ def _case_telemetry_pipeline(quick: bool, seed: int) -> dict:
     t0 = time.perf_counter()
     docs = [
         json.dumps(play(bursty, backend).to_dict(), sort_keys=True)
-        for backend in ("serial", "thread", "process")
+        for backend in ("serial", "thread")
     ]
     steady_detector = AnomalyDetector()
     play(steady, "serial", detector=steady_detector)
@@ -823,17 +806,6 @@ def validate_bench(doc: object) -> list[str]:
                     f"{where}.sim[{metric!r}]: expected number, "
                     f"got {type(value).__name__}"
                 )
-        wall_metrics = case.get("wall_metrics")
-        if wall_metrics is not None:
-            if not isinstance(wall_metrics, dict):
-                errors.append(f"{where}.wall_metrics: expected object")
-                continue
-            for metric, value in wall_metrics.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append(
-                        f"{where}.wall_metrics[{metric!r}]: expected number, "
-                        f"got {type(value).__name__}"
-                    )
     return errors
 
 
@@ -977,8 +949,6 @@ def render_bench(doc: dict) -> str:
     for name, case in doc.get("cases", {}).items():
         for metric, value in case.get("sim", {}).items():
             rows.append([name, metric, f"{value:.6g}", "sim"])
-        for metric, value in (case.get("wall_metrics") or {}).items():
-            rows.append([name, metric, f"{value:.6g}", "wall"])
         rows.append([name, "wall_s", f"{case.get('wall_s', 0.0):.4f}", "wall"])
     mode = "quick" if doc.get("quick") else "full"
     return format_table(

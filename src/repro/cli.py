@@ -95,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve from a plan-backed log-T lattice with "
                         "this certified relative-error budget (rrc "
                         "component only; 0 = exact path)")
-    p.add_argument("--fused", action="store_true",
-                   help="execute the RRC component as cached megabatch "
-                        "plans (all ions of a shard in one launch)")
-    _add_backend_flags(p)
-    p.add_argument("--shards", type=int, default=8,
-                   help="work shards of the ion set (backend-independent; "
-                        "1 = maximal fusion)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (one JSON object)")
     _add_obs_flags(p)
@@ -155,7 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency-reservoir", type=int, default=None,
                    help="cap per-lane latency samples at this reservoir "
                         "size (default: keep every sample)")
-    _add_backend_flags(p)
+    p.add_argument("--backend", choices=["serial", "thread"],
+                   default="serial",
+                   help="wall-clock execution backend for payload "
+                        "evaluation (default: serial)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker count for --backend thread "
+                        "(default: one per CPU)")
     p.add_argument("--json", action="store_true")
     _add_obs_flags(p)
     p.add_argument("--gantt", action="store_true",
@@ -256,16 +255,6 @@ def _add_sched_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON cost-model state: loaded before the run "
                         "when the file exists, saved (updated) after it — "
                         "predictions warm-start across runs")
-
-
-def _add_backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=["serial", "thread", "process"],
-                   default="serial",
-                   help="wall-clock execution backend for payload "
-                        "evaluation (default: serial)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker count for --backend thread/process "
-                        "(default: one per CPU)")
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
@@ -602,18 +591,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         method="simpson-batch",
         components=tuple(args.components),
         tail_tol=args.tail_tol,
-        fused=args.fused,
-        backend=args.backend,
-        jobs=args.jobs,
-        shards=args.shards,
     )
     t0 = tracer.now if tracer is not None else 0.0
     if tsdb is not None:
         tsdb.scrape(registry, t0)  # wall-clock baseline sample
-    with apec:
-        spec = apec.compute(
-            GridPoint(temperature_k=args.temperature, ne_cm3=args.density)
-        ).normalized()
+    spec = apec.compute(
+        GridPoint(temperature_k=args.temperature, ne_cm3=args.density)
+    ).normalized()
     if tracer is not None:
         tracer.complete(
             tracer.track("spectrum", "apec"),

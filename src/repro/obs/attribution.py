@@ -538,10 +538,11 @@ class CostModel:
         per-task overhead is its context switch + launch + two PCIe
         latencies, and the prior throughput its calibrated ``eval_rate``.
         ``counters`` defaults to the process-wide
-        :data:`~repro.quadrature.batch.KERNEL_COUNTERS`; its snapshot is
-        recorded as the model's seed provenance — the pruning ledger
-        documents that priced ``evals`` already exclude window-elided
-        work, which is why the prior rate applies to them unscaled.
+        :data:`~repro.quadrature.batch.KERNEL_COUNTERS`; its two pruning
+        counters (``zero_width_pairs``, ``evals_saved``) are recorded as
+        the model's seed provenance — they document that priced ``evals``
+        already exclude window-elided work, which is why the prior rate
+        applies to them unscaled.
         """
         if counters is None:
             from repro.quadrature.batch import KERNEL_COUNTERS
@@ -554,7 +555,10 @@ class CostModel:
             alpha=alpha,
             prior_overhead_s=overhead,
             prior_eval_rate=spec.eval_rate,
-            seeded_from=counters.snapshot(),
+            seeded_from={
+                "zero_width_pairs": counters.zero_width_pairs,
+                "evals_saved": counters.evals_saved,
+            },
         )
 
     # ------------------------------------------------------------------

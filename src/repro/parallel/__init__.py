@@ -1,35 +1,24 @@
-"""Wall-clock parallel execution backends.
+"""Wall-clock execution backends of the service broker's payload map.
 
 Everything else in the reproduction measures *simulated* time on the
-event clock; this package is about *real* time — sharding real NumPy
-work across host cores so ``repro spectrum`` / ``serve`` and the bench
-harness get multi-core speedups on actual hardware.
-
-See :mod:`repro.parallel.executor` for the backend protocol and
-:func:`repro.parallel.executor.tree_reduce` for the deterministic
-reduction that keeps every backend bit-identical to serial execution.
+event clock; this package is about *real* time — running the broker's
+per-launch payloads on host threads.  See :mod:`repro.parallel.executor`.
 """
 
 from repro.parallel.executor import (
     BACKENDS,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     default_jobs,
     get_backend,
-    shard_items,
-    tree_reduce,
 )
 
 __all__ = [
     "BACKENDS",
     "ExecutionBackend",
-    "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
     "default_jobs",
     "get_backend",
-    "shard_items",
-    "tree_reduce",
 ]

@@ -8,17 +8,19 @@ integrated over every energy bin of every level of every ion:
             for bin in ~1e5 energy bins:
                 Lambda_RRC(bin) += integral of Eq. (1) over the bin
 
-Two execution styles are provided, mirroring the paper's CPU and GPU code
-paths:
+:class:`SerialAPEC` is the model: with a batch rule it executes the
+compiled plan of :mod:`repro.physics.plan` (Algorithm 2's shape — every
+level x bin of the ion set in one launch); with a scalar rule it loops
+the oracle below over the ions.  Two per-ion functions stay beside it as
+accuracy references, mirroring the paper's CPU and GPU code paths:
 
 - :func:`ion_emissivity_scalar` — one scalar integration per (level, bin),
   using QAGS (the paper's CPU fallback) or scalar Simpson;
 - :func:`ion_emissivity_batched` — all bins of all levels of one ion in
-  vectorized batches (Algorithm 2's coarse-grained kernel), with Simpson
-  (default, 64 pieces) or Romberg (accuracy-scaled by ``k``) rules.
-
-Both paths produce a per-bin array that :class:`SerialAPEC` accumulates
-into a :class:`~repro.physics.spectrum.Spectrum`.
+  one vectorized launch (the unit of work of a coarse-grained ``Ion``
+  task), with Simpson (default, 64 pieces), Romberg (accuracy-scaled by
+  ``k``) or Gauss-Legendre rules.  Summed over the ions in order it
+  reproduces the plan to summation-order rounding (<= 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -29,16 +31,9 @@ from typing import Literal
 import numpy as np
 
 from repro.atomic.abundances import SOLAR, AbundanceSet
-from repro.atomic.database import AtomicConfig, AtomicDatabase
+from repro.atomic.database import AtomicDatabase
 from repro.atomic.ions import Ion
-from repro.constants import K_B_KEV
-from repro.parallel.executor import (
-    BACKENDS,
-    ExecutionBackend,
-    get_backend,
-    shard_items,
-    tree_reduce,
-)
+from repro.constants import K_B_KEV, ME_C2_KEV, SIGMA_KRAMERS_CM2
 from repro.physics.ionbalance import ion_density
 from repro.physics.rrc import (
     RRCLevelParams,
@@ -49,12 +44,7 @@ from repro.physics.rrc import (
 from repro.physics.rrc_kernel import simpson_rrc
 from repro.physics.spectrum import EnergyGrid, Spectrum
 from repro.physics.windows import LevelWindows, level_windows
-from repro.quadrature.batch import (
-    batch_gauss_windows,
-    batch_romberg,
-    batch_romberg_windows,
-)
-from repro.quadrature.gauss_legendre import batch_gauss_legendre
+from repro.quadrature.megabatch import batch_gauss_windows, batch_romberg_windows
 from repro.quadrature.qags import qags
 from repro.quadrature.simpson import simpson
 
@@ -64,11 +54,10 @@ __all__ = [
     "ion_emissivity_batched",
     "ion_emissivity_scalar",
     "SerialAPEC",
-    "ApecModel",
 ]
 
-#: Model-level method name -> batch kernel name (the fused plan layer
-#: only exists for the vectorized kernels).
+#: Model-level method name -> batch kernel name (compiled plans only
+#: exist for the vectorized kernels).
 _BATCH_METHOD = {
     "simpson-batch": "simpson",
     "romberg": "romberg",
@@ -126,8 +115,6 @@ def _flat_constants(ls, point: GridPoint, n_ion: float) -> np.ndarray:
     integrand_l(E) = C_l * exp(-(E - I_l)/kT) * [gaunt(E / I_l)] * (E >= I_l)
     with C_l = prefactor * (g_l/2) * sigma_K n_l I_l^3 / (2 m_e c^2 c_eff_l^2).
     """
-    from repro.constants import ME_C2_KEV, SIGMA_KRAMERS_CM2
-
     base = RRCLevelParams(
         binding_kev=float(ls.energy_kev[0]),
         n=int(ls.n_arr[0]),
@@ -173,9 +160,10 @@ def ion_emissivity_batched(
     evaluated inside its accuracy-budgeted bin window and the result
     differs from the unpruned kernel by at most ``tail_tol`` relative
     tail mass per level.  ``tail_tol = 0`` (default) keeps every bin
-    above each level's edge.  Simpson runs
-    :func:`repro.physics.rrc_kernel.simpson_rrc` either way — dense is
-    the pruned kernel with ``cutoff = n_bins``.
+    above each level's edge — dense is the windowed launch with
+    ``cutoff = n_bins``, for every rule.  Simpson runs
+    :func:`repro.physics.rrc_kernel.simpson_rrc`, Romberg and Gauss the
+    generic window kernels of :mod:`repro.quadrature.megabatch`.
     """
     if tail_tol < 0.0:
         raise ValueError("tail_tol must be non-negative")
@@ -184,39 +172,27 @@ def ion_emissivity_batched(
     ls = db.levels(ion)
     if len(ls) == 0:
         return np.zeros(grid.n_bins, dtype=np.float64)
-    if method == "simpson" or tail_tol > 0.0:
-        n_ion = ion_density(
-            ion, point.temperature_k, point.ne_cm3, abundances=abundances
-        )
-        kt = point.kt_kev
-        c_l = _flat_constants(ls, point, n_ion)
-        win = level_windows(ls.energy_kev, grid, kt, tail_tol, gaunt=gaunt)
-        if method == "simpson":
-            return simpson_rrc(
-                grid, pieces, gaunt, ls.energy_kev, win.first,
-                win.cutoff[None, :], c_l[None, :], np.array([kt]),
-            )[0].values
-        f = window_integrand(ls.energy_kev, c_l, kt, gaunt)
-        if method == "romberg":
-            return batch_romberg_windows(
-                f, grid.edges, win.first, win.cutoff,
-                lower_clip=ls.energy_kev, k=k,
-            )
-        return batch_gauss_windows(
+    n_ion = ion_density(
+        ion, point.temperature_k, point.ne_cm3, abundances=abundances
+    )
+    kt = point.kt_kev
+    c_l = _flat_constants(ls, point, n_ion)
+    win = level_windows(ls.energy_kev, grid, kt, tail_tol, gaunt=gaunt)
+    if method == "simpson":
+        return simpson_rrc(
+            grid, pieces, gaunt, ls.energy_kev, win.first,
+            win.cutoff[None, :], c_l[None, :], np.array([kt]),
+        )[0].values
+    f = window_integrand(ls.energy_kev, c_l, kt, gaunt)
+    if method == "romberg":
+        return batch_romberg_windows(
             f, grid.edges, win.first, win.cutoff,
-            lower_clip=ls.energy_kev, n=gl_points,
+            lower_clip=ls.energy_kev, k=k,
         )
-    out = np.zeros(grid.n_bins, dtype=np.float64)
-    for i in range(len(ls)):
-        p = level_params_for(db, ion, i, point, abundances)
-        f = make_level_integrand(p, gaunt=gaunt)
-        lo = np.maximum(grid.lower, p.binding_kev)
-        hi = np.maximum(grid.upper, lo)
-        if method == "romberg":
-            out += batch_romberg(f, lo, hi, k=k)
-        else:
-            out += batch_gauss_legendre(f, lo, hi, n=gl_points)
-    return out
+    return batch_gauss_windows(
+        f, grid.edges, win.first, win.cutoff,
+        lower_clip=ls.energy_kev, n=gl_points,
+    )
 
 
 def ion_emissivity_scalar(
@@ -273,83 +249,8 @@ def ion_emissivity_scalar(
     return out
 
 
-@dataclass(frozen=True)
-class _RRCShard:
-    """Picklable unit of parallel RRC work: some ions at one grid point.
-
-    Carries everything a worker process needs to rebuild the calculation
-    (database size knobs, grid edges, rule configuration) — never live
-    objects with closures.
-    """
-
-    n_max: int
-    z_max: int
-    ions: tuple[Ion, ...]
-    point: GridPoint
-    edges: np.ndarray
-    method: str
-    pieces: int
-    k: int
-    gaunt: bool
-    tail_tol: float
-    abundances: AbundanceSet
-    fused: bool
-
-
-#: Per-process memo of rebuilt databases (worker processes pay the level
-#: construction once per configuration, not once per shard).
-_WORKER_DBS: dict[tuple[int, int], AtomicDatabase] = {}
-
-
-def _worker_db(n_max: int, z_max: int) -> AtomicDatabase:
-    key = (n_max, z_max)
-    db = _WORKER_DBS.get(key)
-    if db is None:
-        db = AtomicDatabase(AtomicConfig(n_max=n_max, z_max=z_max))
-        _WORKER_DBS[key] = db
-    return db
-
-
-def _rrc_shard_worker(task: _RRCShard) -> tuple[np.ndarray, dict[str, int]]:
-    """Compute one shard's RRC emission (module-level: process-picklable).
-
-    Fused shards execute one megabatch plan (compiled once per process by
-    the plan cache) and return the shard's per-bin partial plus launch
-    statistics.  Unfused shards return the *stacked per-ion* arrays so
-    the parent can reduce them in exact ion order — bit-identical to the
-    serial loop on every backend.
-    """
-    db = _worker_db(task.n_max, task.z_max)
-    grid = EnergyGrid(task.edges)
-    if task.fused:
-        from repro.physics.plan import PLAN_CACHE
-
-        plan = PLAN_CACHE.get(
-            db, grid, ions=task.ions,
-            method=_BATCH_METHOD[task.method],
-            pieces=task.pieces, k=task.k,
-            tail_tol=task.tail_tol, gaunt=task.gaunt,
-        )
-        res = plan.execute(task.point, task.abundances)
-        stats = {
-            "n_passes": res.n_passes,
-            "n_pairs": res.n_pairs,
-            "n_pairs_skipped": res.n_pairs_skipped,
-            "evals_saved": res.evals_saved,
-        }
-        return res.values, stats
-    model = SerialAPEC(
-        db, grid, method=task.method, pieces=task.pieces, k=task.k,
-        gaunt=task.gaunt, abundances=task.abundances, tail_tol=task.tail_tol,
-    )
-    rows = np.stack(
-        [model.ion_emissivity(ion, task.point) for ion in task.ions]
-    )
-    return rows, {}
-
-
 class SerialAPEC:
-    """The APEC-style calculator: serial reference plus opt-in speedups.
+    """The APEC-style calculator: one grid point in, one spectrum out.
 
     Parameters
     ----------
@@ -358,30 +259,17 @@ class SerialAPEC:
     grid:
         Output energy grid.
     method / pieces / k:
-        Integration rule used for every (level, bin) integral.  ``qags``
-        and scalar ``simpson`` follow the scalar path; ``simpson-batch``
-        and ``romberg`` use the vectorized kernels (useful when the serial
-        reference itself would be too slow at full scale).
+        Integration rule used for every (level, bin) integral.  The
+        batch rules (``simpson-batch``, ``romberg``, ``gauss``) execute
+        the compiled plan of :mod:`repro.physics.plan` — every level x
+        bin of the ion set in one launch, compiled once per
+        configuration in :data:`~repro.physics.plan.PLAN_CACHE` and
+        reused across grid points.  ``qags`` and scalar ``simpson`` loop
+        :func:`ion_emissivity_scalar` over the ions: the accuracy oracle
+        (and Algorithm 1's CPU fallback), one scalar integral at a time.
     tail_tol:
         Relative tail tolerance of active-window pruning; ``0`` (the
         default) keeps every bin above each level's edge.
-    fused:
-        Execute each grid point's RRC component as megabatch plans
-        (:mod:`repro.physics.plan`) — all ions of a shard in one fused
-        launch, compiled once and cached across grid points.  Requires a
-        batch method.  Results agree with the per-ion path to summation-
-        order rounding (<= ~1e-12 relative), not bit-for-bit.
-    backend / jobs:
-        Wall-clock execution backend for the RRC ion loop: ``serial``
-        (default; the unfused serial path is bit-for-bit the original
-        loop), ``thread`` or ``process`` (see :mod:`repro.parallel`).
-        Any backend produces the same spectrum bits as ``serial`` at the
-        same ``fused`` setting.
-    shards:
-        Number of work shards the ion set is split into.  Deliberately
-        independent of ``jobs`` so results do not depend on worker
-        count; lower it to 1 for maximal fusion, raise it for better
-        load balance.
     """
 
     def __init__(
@@ -395,10 +283,6 @@ class SerialAPEC:
         components: tuple[str, ...] = ("rrc",),
         abundances: AbundanceSet = SOLAR,
         tail_tol: float = 0.0,
-        fused: bool = False,
-        backend: str = "serial",
-        jobs: int | None = None,
-        shards: int = 8,
     ) -> None:
         if method not in ("qags", "simpson", "simpson-batch", "romberg", "gauss"):
             raise ValueError(f"unknown method {method!r}")
@@ -409,17 +293,6 @@ class SerialAPEC:
             raise ValueError("need at least one emission component")
         if tail_tol < 0.0:
             raise ValueError("tail_tol must be non-negative")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if fused and method not in _BATCH_METHOD:
-            raise ValueError(
-                f"fused execution requires a batch method "
-                f"({sorted(_BATCH_METHOD)}), got {method!r}"
-            )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.db = db
         self.grid = grid
         self.method = method
@@ -429,99 +302,31 @@ class SerialAPEC:
         self.components = tuple(components)
         self.abundances = abundances
         self.tail_tol = tail_tol
-        self.fused = fused
-        self.backend = backend
-        self.jobs = jobs
-        self.shards = shards
-        #: Launch statistics of the last fused compute (None otherwise).
-        self.last_plan_stats: dict[str, int] | None = None
-        self._backend_obj: ExecutionBackend | None = None
-
-    def _get_backend(self) -> ExecutionBackend:
-        if self._backend_obj is None:
-            self._backend_obj = get_backend(self.backend, self.jobs)
-        return self._backend_obj
-
-    def close(self) -> None:
-        """Release pooled workers (no-op for the serial backend)."""
-        if self._backend_obj is not None:
-            self._backend_obj.close()
-            self._backend_obj = None
-
-    def __enter__(self) -> "SerialAPEC":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def ion_emissivity(self, ion: Ion, point: GridPoint) -> np.ndarray:
-        if self.method in ("qags", "simpson"):
-            return ion_emissivity_scalar(
-                self.db, ion, point, self.grid,
-                method=self.method, pieces=self.pieces, gaunt=self.gaunt,
-                abundances=self.abundances, tail_tol=self.tail_tol,
-            )
-        return ion_emissivity_batched(
-            self.db, ion, point, self.grid,
-            method=_BATCH_METHOD[self.method],
-            pieces=self.pieces, k=self.k, gaunt=self.gaunt,
-            abundances=self.abundances, tail_tol=self.tail_tol,
-        )
 
     def _rrc_values(
         self, point: GridPoint, ions: tuple[Ion, ...]
     ) -> np.ndarray:
-        """RRC per-bin totals of one grid point over ``ions``.
+        """RRC per-bin totals of one grid point over ``ions``."""
+        if self.method in _BATCH_METHOD:
+            # Imported here: ``import repro`` reaches this module, and the
+            # plan layer's hashlib (OpenSSL) costs every process that
+            # never computes a spectrum +3 MiB of RSS.
+            from repro.physics.plan import PLAN_CACHE
 
-        Serial + unfused runs the original per-ion loop in-process.
-        Otherwise the ion set is split into backend-independent shards;
-        unfused shards ship per-ion arrays back and are reduced in exact
-        ion order (bit-identical to the serial loop), fused shards are
-        megabatch partials combined by a deterministic tree reduction
-        (bit-identical across backends).
-        """
-        self.last_plan_stats = None
-        if not self.fused and self.backend == "serial":
-            out = np.zeros(self.grid.n_bins, dtype=np.float64)
-            for ion in ions:
-                out += self.ion_emissivity(ion, point)
-            return out
-        shards = shard_items(ions, self.shards)
-        if not shards:
-            return np.zeros(self.grid.n_bins, dtype=np.float64)
-        tasks = [
-            _RRCShard(
-                n_max=self.db.config.n_max,
-                z_max=self.db.config.z_max,
-                ions=shard,
-                point=point,
-                edges=self.grid.edges,
-                method=self.method,
-                pieces=self.pieces,
-                k=self.k,
-                gaunt=self.gaunt,
-                tail_tol=self.tail_tol,
-                abundances=self.abundances,
-                fused=self.fused,
+            plan = PLAN_CACHE.get(
+                self.db, self.grid, ions=ions,
+                method=_BATCH_METHOD[self.method],
+                pieces=self.pieces, k=self.k,
+                tail_tol=self.tail_tol, gaunt=self.gaunt,
             )
-            for shard in shards
-        ]
-        results = self._get_backend().map(_rrc_shard_worker, tasks)
-        if self.fused:
-            totals = {
-                "n_passes": 0, "n_pairs": 0,
-                "n_pairs_skipped": 0, "evals_saved": 0,
-            }
-            for _, stats in results:
-                for name in totals:
-                    totals[name] += stats[name]
-            totals["n_shards"] = len(shards)
-            self.last_plan_stats = totals
-            return tree_reduce([values for values, _ in results])
+            return plan.execute(point, self.abundances).values
         out = np.zeros(self.grid.n_bins, dtype=np.float64)
-        for block, _ in results:
-            for row in block:
-                out += row
+        for ion in ions:
+            out += ion_emissivity_scalar(
+                self.db, ion, point, self.grid,
+                method=self.method, pieces=self.pieces, gaunt=self.gaunt,
+                abundances=self.abundances, tail_tol=self.tail_tol,
+            )
         return out
 
     def compute(self, point: GridPoint, ions: tuple[Ion, ...] | None = None) -> Spectrum:
@@ -529,8 +334,7 @@ class SerialAPEC:
 
         Sums the configured emission components: ``rrc`` (the paper's
         workload), ``lines`` (collisional line emission) and ``brems``
-        (free-free continuum).  Only the RRC component uses the fused /
-        parallel execution paths; the others stay serial.
+        (free-free continuum).
         """
         spectrum = Spectrum.zeros(
             self.grid,
@@ -564,7 +368,3 @@ class SerialAPEC:
             )
         return spectrum
 
-
-#: Public name of the model entry point; ``SerialAPEC`` is kept as the
-#: historical alias (the class long ago stopped being serial-only).
-ApecModel = SerialAPEC

@@ -1,9 +1,11 @@
 """Compiled spectrum plans and the cross-request plan cache.
 
-``SerialAPEC`` re-derives the same temperature-independent structure —
-level parameters, flat Kramers+Milne constants, active-window searches —
-for every ion on every grid point of every request.  A
-:class:`SpectrumPlan` compiles that structure *once* per
+Plans are the one production RRC path: :class:`repro.physics.apec.SerialAPEC`
+(every batch rule) and the service payload both execute them.  A per-ion
+loop would re-derive the same temperature-independent structure — level
+parameters, flat Kramers+Milne constants, active-window searches — for
+every ion on every grid point of every request.  A :class:`SpectrumPlan`
+compiles that structure *once* per
 ``(database, grid, ion set, method, rule knobs, tail_tol, gaunt)``
 combination into flat structure-of-arrays form:
 
@@ -20,7 +22,7 @@ Executing a plan binds the temperature-dependent pieces (windows for
 ``kT``, per-ion prefactors) and issues one launch over the fused windows
 of every ion instead of one launch per ion: Simpson plans run
 :func:`repro.physics.rrc_kernel.simpson_rrc` (the kernel the per-ion
-path runs too) over a whole batch of temperatures, Romberg and Gauss
+oracle runs too) over a whole batch of temperatures, Romberg and Gauss
 plans the generic kernels of :mod:`repro.quadrature.megabatch`.
 
 :class:`PlanCache` content-addresses compiled plans so repeated grid
@@ -464,7 +466,6 @@ class PlanCache:
             return len(self._plans)
 
 
-#: Process-global plan cache shared by the model layer, the service cost
-#: model, and worker processes of the parallel backend (each process gets
-#: its own instance).
+#: Process-global plan cache shared by the model layer and the service
+#: cost model.
 PLAN_CACHE = PlanCache()

@@ -25,10 +25,7 @@ from repro.quadrature.simpson import DEFAULT_PIECES, _check_pieces
 __all__ = [
     "batch_simpson",
     "batch_simpson_edges",
-    "batch_simpson_windows",
     "batch_romberg",
-    "batch_romberg_windows",
-    "batch_gauss_windows",
     "batch_trapezoid",
     "simpson_weights",
     "unit_fractions",
@@ -209,289 +206,41 @@ def batch_romberg(
 
 
 # ----------------------------------------------------------------------
-# Active-window (CSR) kernels
+# Savings ledger of the active-window kernels
 # ----------------------------------------------------------------------
-# Each "row" is one level of an ion; row r touches only the bins
-# first[r] <= b < cutoff[r] of a shared energy grid.  The flattened
-# (row, bin) pairs of *all* rows form one ragged batch that is evaluated
-# in a single vectorized pass and scatter-added into the per-bin output
-# spectrum — the software analogue of a CUDA kernel whose thread blocks
-# cover only the active tiles of the (levels x bins) iteration space.
-
-WindowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 @dataclass
 class WindowKernelCounters:
-    """Process-global savings ledger of the CSR window kernels.
+    """Process-global savings ledger of the per-ion window kernels.
 
     ``lower_clip`` clamping can collapse a (row, bin) pair to zero width
     (the bin lies entirely below its row's recombination edge).  Such a
-    pair contributes exactly 0.0, so the kernels elide it before the
-    integrand pass; the elisions are booked here so callers (the bench
-    harness, the service cost model) can surface them as extra
-    ``evals_saved`` on top of window pruning.
+    pair contributes exactly 0.0, so the window driver
+    (:mod:`repro.quadrature.megabatch`) elides it before the integrand
+    pass; the per-ion ``batch_*_windows`` names book the elisions here so
+    callers (the bench harness, the service cost model) can surface them
+    as extra ``evals_saved`` on top of window pruning.
     """
 
     zero_width_pairs: int = 0
     evals_saved: int = 0
-    #: Worker-pool lifecycle of the parallel backends: pools spun up vs
-    #: ``map`` calls served by an already-warm pool (booked by
-    #: :mod:`repro.parallel.executor`; lives here so one process-global
-    #: ledger covers every kernel-side savings counter).
-    pool_creates: int = 0
-    pool_reuses: int = 0
-    #: Chunked-map IPC ledger of the process backend: chunks submitted
-    #: across the pool boundary vs items they carried.  ``map_items -
-    #: map_chunks`` is the number of per-item round trips the chunked
-    #: submission elided.
-    map_chunks: int = 0
-    map_items: int = 0
 
-    def book(self, n_pairs: int, n_pts: int) -> None:
+    def book(self, n_pairs: int, evals_saved: int) -> None:
         self.zero_width_pairs += n_pairs
-        self.evals_saved += n_pairs * n_pts
-
-    def book_pool(self, *, reused: bool) -> None:
-        if reused:
-            self.pool_reuses += 1
-        else:
-            self.pool_creates += 1
-
-    def book_map(self, n_chunks: int, n_items: int) -> None:
-        self.map_chunks += n_chunks
-        self.map_items += n_items
+        self.evals_saved += evals_saved
 
     def reset(self) -> None:
         self.zero_width_pairs = 0
         self.evals_saved = 0
-        self.pool_creates = 0
-        self.pool_reuses = 0
-        self.map_chunks = 0
-        self.map_items = 0
 
     def snapshot(self) -> dict[str, int]:
         return {
             "zero_width_pairs": self.zero_width_pairs,
             "evals_saved": self.evals_saved,
-            "pool_creates": self.pool_creates,
-            "pool_reuses": self.pool_reuses,
-            "map_chunks": self.map_chunks,
-            "map_items": self.map_items,
         }
 
 
-#: Shared ledger instance used by every window kernel in this process.
+#: Shared ledger instance used by every per-ion window kernel in this process.
 KERNEL_COUNTERS = WindowKernelCounters()
-
-
-def _skip_zero_width(
-    rows: np.ndarray,
-    bins: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    n_pts: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Drop clamped-empty pairs (``hi == lo``) before evaluation.
-
-    Bit-identical to evaluating them: a zero-width pair's quadrature
-    value is exactly 0.0 for every rule (``h = 0`` scales the weighted
-    sum), so removing it from the scatter changes no output bit while
-    saving ``n_pts`` integrand evaluations per pair.
-    """
-    keep = hi > lo
-    n_skip = keep.size - int(np.count_nonzero(keep))
-    if n_skip == 0:
-        return rows, bins, lo, hi
-    KERNEL_COUNTERS.book(n_skip, n_pts)
-    return rows[keep], bins[keep], lo[keep], hi[keep]
-
-
-def _flatten_windows(
-    first: np.ndarray, cutoff: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR expansion: per-pair (row index, bin index) arrays.
-
-    ``first``/``cutoff`` are per-row half-open bin ranges; the result
-    enumerates every active (row, bin) pair in row-major order.
-    """
-    first = np.asarray(first, dtype=np.int64)
-    cutoff = np.asarray(cutoff, dtype=np.int64)
-    if first.shape != cutoff.shape or first.ndim != 1:
-        raise ValueError("first/cutoff must be matching 1-D arrays")
-    counts = cutoff - first
-    if np.any(counts < 0):
-        raise ValueError("cutoff must be >= first for every row")
-    rows = np.repeat(np.arange(first.size, dtype=np.int64), counts)
-    # Within each row the bin index counts up from `first`; subtracting
-    # each pair's offset-within-row start from a global arange yields the
-    # concatenated ranges without a Python loop.
-    starts = np.cumsum(counts) - counts
-    bins = (
-        np.arange(int(counts.sum()), dtype=np.int64)
-        - np.repeat(starts, counts)
-        + np.repeat(first, counts)
-    )
-    return rows, bins
-
-
-def _window_bounds(
-    edges: np.ndarray,
-    bins: np.ndarray,
-    rows: np.ndarray,
-    lower_clip: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair integration bounds, clipping bin floors at the row edge."""
-    lo = edges[bins]
-    hi = edges[bins + 1]
-    if lower_clip is not None:
-        lower_clip = np.asarray(lower_clip, dtype=np.float64)
-        lo = np.maximum(lo, lower_clip[rows])
-        hi = np.maximum(hi, lo)
-    return lo, hi
-
-
-def _scatter_windows(
-    f: WindowIntegrand,
-    edges: np.ndarray,
-    first: np.ndarray,
-    cutoff: np.ndarray,
-    lower_clip: np.ndarray | None,
-    n_pts: int,
-    reduce: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Shared driver: flatten, evaluate in chunks, reduce, scatter-add."""
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must be a 1-D array with at least 2 entries")
-    n_bins = edges.size - 1
-    rows, bins = _flatten_windows(first, cutoff)
-    out = np.zeros(n_bins, dtype=np.float64)
-    if rows.size == 0:
-        return out
-    lo, hi = _window_bounds(edges, bins, rows, lower_clip)
-    if lower_clip is not None:
-        rows, bins, lo, hi = _skip_zero_width(rows, bins, lo, hi, n_pts)
-        if rows.size == 0:
-            return out
-    frac = unit_fractions(n_pts)
-    for sl in _chunks(rows.size, n_pts):
-        width = hi[sl] - lo[sl]
-        x = lo[sl][:, None] + width[:, None] * frac[None, :]
-        y = np.asarray(f(rows[sl], x), dtype=np.float64)
-        if y.shape != x.shape:
-            raise ValueError(
-                f"integrand returned shape {y.shape}, expected {x.shape}"
-            )
-        vals = reduce(y, lo[sl], hi[sl])
-        out += np.bincount(bins[sl], weights=vals, minlength=n_bins)
-    return out
-
-
-def batch_simpson_windows(
-    f: WindowIntegrand,
-    edges: np.ndarray,
-    first: np.ndarray,
-    cutoff: np.ndarray,
-    lower_clip: np.ndarray | None = None,
-    pieces: int = DEFAULT_PIECES,
-) -> np.ndarray:
-    """Simpson integrals over the active windows of many rows at once.
-
-    Parameters
-    ----------
-    f:
-        Ragged-batch integrand ``f(rows, x)``: ``rows`` carries the row
-        (level) index of each flattened pair, ``x`` the abscissae of that
-        pair's bin; must return values of ``x``'s shape.
-    edges:
-        Shared grid edges (``n_bins + 1`` ascending entries).
-    first, cutoff:
-        Per-row half-open active bin ranges (e.g. from
-        :func:`repro.physics.windows.level_windows`).
-    lower_clip:
-        Optional per-row lower bound (the recombination edge); a bin
-        whose floor lies below its row's clip is integrated from the
-        clip upward, matching the unpruned kernels.
-
-    Returns
-    -------
-    numpy.ndarray
-        Per-bin totals: every row's window integrals scatter-added into
-        one ``n_bins`` spectrum.
-    """
-    _check_pieces(pieces)
-
-    def reduce(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        w = simpson_weights(pieces)
-        return (hi - lo) / pieces * (y @ w)
-
-    return _scatter_windows(
-        f, edges, first, cutoff, lower_clip, pieces + 1, reduce
-    )
-
-
-def batch_romberg_windows(
-    f: WindowIntegrand,
-    edges: np.ndarray,
-    first: np.ndarray,
-    cutoff: np.ndarray,
-    lower_clip: np.ndarray | None = None,
-    k: int = 7,
-) -> np.ndarray:
-    """Romberg (``k`` dichotomy levels) over active windows; see
-    :func:`batch_simpson_windows` for the calling convention."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-
-    def reduce(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return _romberg_reduce(y, hi - lo, k)
-
-    return _scatter_windows(f, edges, first, cutoff, lower_clip, 2**k + 1, reduce)
-
-
-def batch_gauss_windows(
-    f: WindowIntegrand,
-    edges: np.ndarray,
-    first: np.ndarray,
-    cutoff: np.ndarray,
-    lower_clip: np.ndarray | None = None,
-    n: int = 8,
-) -> np.ndarray:
-    """n-point Gauss-Legendre over active windows; see
-    :func:`batch_simpson_windows` for the calling convention.
-
-    Gauss nodes are not affine images of ``linspace(0, 1)``, so this
-    variant carries its own node mapping instead of ``_scatter_windows``.
-    """
-    from repro.quadrature.gauss_legendre import gauss_legendre_nodes
-
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must be a 1-D array with at least 2 entries")
-    n_bins = edges.size - 1
-    rows, bins = _flatten_windows(first, cutoff)
-    out = np.zeros(n_bins, dtype=np.float64)
-    if rows.size == 0:
-        return out
-    lo, hi = _window_bounds(edges, bins, rows, lower_clip)
-    if lower_clip is not None:
-        rows, bins, lo, hi = _skip_zero_width(rows, bins, lo, hi, n)
-        if rows.size == 0:
-            return out
-    nodes, weights = gauss_legendre_nodes(n)
-    for sl in _chunks(rows.size, n):
-        half = 0.5 * (hi[sl] - lo[sl])
-        center = 0.5 * (hi[sl] + lo[sl])
-        x = center[:, None] + half[:, None] * nodes[None, :]
-        y = np.asarray(f(rows[sl], x), dtype=np.float64)
-        if y.shape != x.shape:
-            raise ValueError(
-                f"integrand returned shape {y.shape}, expected {x.shape}"
-            )
-        vals = half * (y @ weights)
-        out += np.bincount(bins[sl], weights=vals, minlength=n_bins)
-    return out
 
 
 def _romberg_reduce(y: np.ndarray, width: np.ndarray, k: int) -> np.ndarray:

@@ -1,22 +1,26 @@
-"""Fused multi-ion megabatch kernels: one ragged batch per grid point.
+"""Active-window (CSR) kernels: one ragged batch per launch.
 
-The per-ion window kernels in :mod:`repro.quadrature.batch` already pack
-*all levels of one ion* into a single vectorized pass, but a grid point
-still issues one launch per ion (~496 for the full database).  The paper's
-granularity lesson — pack many tiny integrals into one launch so fixed
-overhead amortizes (Algorithm 2) — applies one more time: concatenate the
-CSR active windows of *every* ion of the grid point into one ragged
-``(row, bin)`` batch, where a "row" now indexes a flat structure-of-arrays
-of level parameters spanning the whole database.  One vectorized integrand
-pass per memory-bounded chunk and one ``bincount`` scatter replace the
-per-ion launch loop with a handful of passes.
+Each "row" is one level; row ``r`` touches only the bins
+``first[r] <= b < cutoff[r]`` of a shared energy grid.  The flattened
+(row, bin) pairs of *all* rows form one ragged batch that is evaluated
+in memory-bounded vectorized passes and scatter-added into the per-bin
+output spectrum — the software analogue of a CUDA kernel whose thread
+blocks cover only the active tiles of the (levels x bins) iteration
+space.  The paper's granularity lesson — pack many tiny integrals into
+one launch so fixed overhead amortizes (Algorithm 2) — decides what a
+"row" spans: the levels of one ion, or a flat structure-of-arrays of
+level parameters covering a whole ion set (one launch per grid point
+instead of ~496).
 
-The integrand calling convention is unchanged (``f(rows, x)`` with global
-flat row indices), so the same closure machinery drives both layers.  The
-megabatch drivers additionally return execution statistics —
-``n_passes`` (vectorized launches), ``n_pairs`` (evaluated pairs) and the
-zero-width elision savings — which the plan layer
-(:mod:`repro.physics.plan`) and the bench harness surface.
+There is one driver (:func:`_run_megabatch`: flatten, elide zero-width
+pairs, evaluate in chunks, scatter) and one function per rule on top of
+it.  ``megabatch_*_windows`` return a :class:`MegabatchResult` — the
+per-bin totals plus ``n_passes`` (vectorized launches), ``n_pairs``
+(evaluated pairs) and the zero-width elision savings — which the plan
+layer (:mod:`repro.physics.plan`) and the bench harness surface.  The
+per-ion names ``batch_*_windows`` are the same call reduced to its
+``values``, with the elisions booked on
+:data:`repro.quadrature.batch.KERNEL_COUNTERS`.
 """
 
 from __future__ import annotations
@@ -27,22 +31,30 @@ from typing import Callable
 import numpy as np
 
 from repro.quadrature.batch import (
-    WindowIntegrand,
+    KERNEL_COUNTERS,
     _chunks,
-    _flatten_windows,
     _romberg_reduce,
-    _window_bounds,
     simpson_weights,
     unit_fractions,
 )
+from repro.quadrature.gauss_legendre import gauss_legendre_nodes
 from repro.quadrature.simpson import DEFAULT_PIECES, _check_pieces
 
 __all__ = [
     "MegabatchResult",
+    "WindowIntegrand",
     "megabatch_simpson_windows",
     "megabatch_romberg_windows",
     "megabatch_gauss_windows",
+    "batch_simpson_windows",
+    "batch_romberg_windows",
+    "batch_gauss_windows",
 ]
+
+#: Ragged-batch integrand ``f(rows, x)``: ``rows`` carries the row
+#: (level) index of each flattened pair, ``x`` the abscissae of that
+#: pair's bin; must return values of ``x``'s shape.
+WindowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,50 @@ class MegabatchResult:
     n_pairs: int
     n_pairs_skipped: int
     evals_saved: int
+
+
+def _flatten_windows(
+    first: np.ndarray, cutoff: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR expansion: per-pair (row index, bin index) arrays.
+
+    ``first``/``cutoff`` are per-row half-open bin ranges; the result
+    enumerates every active (row, bin) pair in row-major order.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    cutoff = np.asarray(cutoff, dtype=np.int64)
+    if first.shape != cutoff.shape or first.ndim != 1:
+        raise ValueError("first/cutoff must be matching 1-D arrays")
+    counts = cutoff - first
+    if np.any(counts < 0):
+        raise ValueError("cutoff must be >= first for every row")
+    rows = np.repeat(np.arange(first.size, dtype=np.int64), counts)
+    # Within each row the bin index counts up from `first`; subtracting
+    # each pair's offset-within-row start from a global arange yields the
+    # concatenated ranges without a Python loop.
+    starts = np.cumsum(counts) - counts
+    bins = (
+        np.arange(int(counts.sum()), dtype=np.int64)
+        - np.repeat(starts, counts)
+        + np.repeat(first, counts)
+    )
+    return rows, bins
+
+
+def _window_bounds(
+    edges: np.ndarray,
+    bins: np.ndarray,
+    rows: np.ndarray,
+    lower_clip: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair integration bounds, clipping bin floors at the row edge."""
+    lo = edges[bins]
+    hi = edges[bins + 1]
+    if lower_clip is not None:
+        lower_clip = np.asarray(lower_clip, dtype=np.float64)
+        lo = np.maximum(lo, lower_clip[rows])
+        hi = np.maximum(hi, lo)
+    return lo, hi
 
 
 def _run_megabatch(
@@ -137,14 +193,28 @@ def megabatch_simpson_windows(
     lower_clip: np.ndarray | None = None,
     pieces: int = DEFAULT_PIECES,
 ) -> MegabatchResult:
-    """Composite Simpson over the fused windows of many ions at once.
+    """Composite Simpson over the active windows of many rows at once.
 
-    Same calling convention as
-    :func:`repro.quadrature.batch.batch_simpson_windows`, but ``first`` /
-    ``cutoff`` / ``lower_clip`` span the concatenated levels of a whole
-    ion set and the result carries launch statistics.  The per-pair
-    quadrature math is identical, so values match the per-ion kernel to
-    summation-order rounding (exactly, when all pairs fit one chunk).
+    Parameters
+    ----------
+    f:
+        Ragged-batch integrand (:data:`WindowIntegrand`).
+    edges:
+        Shared grid edges (``n_bins + 1`` ascending entries).
+    first, cutoff:
+        Per-row half-open active bin ranges (e.g. from
+        :func:`repro.physics.windows.level_windows`, or a plan's fused
+        windows over the concatenated levels of a whole ion set).
+    lower_clip:
+        Optional per-row lower bound (the recombination edge); a bin
+        whose floor lies below its row's clip is integrated from the
+        clip upward, and a bin entirely below it is elided.
+
+    Returns
+    -------
+    MegabatchResult
+        Every row's window integrals scatter-added into one ``n_bins``
+        spectrum, plus launch statistics.
     """
     _check_pieces(pieces)
     w = simpson_weights(pieces)
@@ -166,8 +236,8 @@ def megabatch_romberg_windows(
     lower_clip: np.ndarray | None = None,
     k: int = 7,
 ) -> MegabatchResult:
-    """Romberg (``k`` dichotomy levels) over fused windows; see
-    :func:`megabatch_simpson_windows`."""
+    """Romberg (``k`` dichotomy levels) over active windows; see
+    :func:`megabatch_simpson_windows` for the calling convention."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     n_pts = 2**k + 1
@@ -188,15 +258,12 @@ def megabatch_gauss_windows(
     lower_clip: np.ndarray | None = None,
     n: int = 8,
 ) -> MegabatchResult:
-    """n-point Gauss-Legendre over fused windows; see
-    :func:`megabatch_simpson_windows`.
+    """n-point Gauss-Legendre over active windows; see
+    :func:`megabatch_simpson_windows` for the calling convention.
 
     Gauss nodes are not affine images of ``linspace(0, 1)``, so this
-    variant carries its own (center, half-width) node mapping — the same
-    formulation as :func:`repro.quadrature.batch.batch_gauss_windows`.
+    rule carries its own (center, half-width) node mapping.
     """
-    from repro.quadrature.gauss_legendre import gauss_legendre_nodes
-
     nodes, weights = gauss_legendre_nodes(n)
 
     def make_x(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -209,4 +276,54 @@ def megabatch_gauss_windows(
 
     return _run_megabatch(
         f, edges, first, cutoff, lower_clip, n, make_x, reduce
+    )
+
+
+# ----------------------------------------------------------------------
+# Per-ion names: the same launch, values only, elisions booked
+# ----------------------------------------------------------------------
+def _booked(result: MegabatchResult) -> np.ndarray:
+    KERNEL_COUNTERS.book(result.n_pairs_skipped, result.evals_saved)
+    return result.values
+
+
+def batch_simpson_windows(
+    f: WindowIntegrand,
+    edges: np.ndarray,
+    first: np.ndarray,
+    cutoff: np.ndarray,
+    lower_clip: np.ndarray | None = None,
+    pieces: int = DEFAULT_PIECES,
+) -> np.ndarray:
+    """Per-bin totals of :func:`megabatch_simpson_windows`."""
+    return _booked(
+        megabatch_simpson_windows(f, edges, first, cutoff, lower_clip, pieces)
+    )
+
+
+def batch_romberg_windows(
+    f: WindowIntegrand,
+    edges: np.ndarray,
+    first: np.ndarray,
+    cutoff: np.ndarray,
+    lower_clip: np.ndarray | None = None,
+    k: int = 7,
+) -> np.ndarray:
+    """Per-bin totals of :func:`megabatch_romberg_windows`."""
+    return _booked(
+        megabatch_romberg_windows(f, edges, first, cutoff, lower_clip, k)
+    )
+
+
+def batch_gauss_windows(
+    f: WindowIntegrand,
+    edges: np.ndarray,
+    first: np.ndarray,
+    cutoff: np.ndarray,
+    lower_clip: np.ndarray | None = None,
+    n: int = 8,
+) -> np.ndarray:
+    """Per-bin totals of :func:`megabatch_gauss_windows`."""
+    return _booked(
+        megabatch_gauss_windows(f, edges, first, cutoff, lower_clip, n)
     )

@@ -114,10 +114,9 @@ class ServiceConfig:
     #: historical behaviour.
     latency_reservoir: Optional[int] = None
     #: Wall-clock backend for request payload evaluation ("serial" runs
-    #: payloads inside the simulated tasks exactly as before; "thread" /
-    #: "process" precompute each batch's spectra on a host pool while
-    #: the simulation prices cost-only tasks — same bits, same virtual
-    #: time, less wall time).
+    #: payloads inside the simulated tasks; "thread" precomputes each
+    #: batch's spectra on a host pool while the simulation prices
+    #: cost-only tasks — same bits, same virtual time).
     backend: str = "serial"
     #: Worker count of the payload pool (``None``: one per core).
     jobs: Optional[int] = None

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.atomic.database import AtomicDatabase
+from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, RYDBERG_KEV
 from repro.core.task import Task, TaskKind
@@ -418,16 +418,22 @@ def _plan_rule_knobs(request: SpectrumRequest) -> tuple[int, int]:
     return 64, (evals - 1).bit_length() - 1
 
 
+@lru_cache(maxsize=8)
+def _payload_db(n_max: int, z_max: int) -> AtomicDatabase:
+    """The database a payload's ``(n_max, z_max)`` scope names, built once."""
+    return AtomicDatabase(AtomicConfig(n_max=n_max, z_max=z_max))
+
+
 def request_spectrum(
     payload: tuple[SpectrumRequest, int, int]
 ) -> np.ndarray:
     """Full spectrum of one request, ion order, left-fold accumulation.
 
-    Module-level and picklable (``payload`` is ``(request, db n_max,
-    db z_max)``), so the broker can farm payload evaluation out to a
-    process pool.  The accumulation order matches the hybrid runner's
-    synchronous per-point task order bit for bit, so precomputed and
-    simulation-accumulated spectra are interchangeable.
+    ``payload`` is ``(request, db n_max, db z_max)`` — plain values, so
+    the broker can hand payload evaluation to a host pool.  The
+    accumulation order matches the hybrid runner's synchronous per-point
+    task order bit for bit, so precomputed and simulation-accumulated
+    spectra are interchangeable.
     """
     request, n_max, z_max = payload
     return family_spectra(((request,), n_max, z_max))[0]
@@ -438,9 +444,8 @@ def family_spectra(
 ) -> np.ndarray:
     """Stacked spectra of one same-family request group, ion-major.
 
-    ``payload`` is ``(requests, db n_max, db z_max)`` — module-level and
-    picklable like :func:`request_spectrum`, so megabatch payloads can
-    cross a process pool.  Returns shape ``(len(requests), n_bins)``.
+    ``payload`` is ``(requests, db n_max, db z_max)``, like
+    :func:`request_spectrum`'s.  Returns shape ``(len(requests), n_bins)``.
 
     Accumulation runs ion-major over :func:`emission_block` rows: row
     ``j`` receives exactly the additions ``ion_emission`` would supply,
@@ -449,13 +454,11 @@ def family_spectra(
     The temperature axis is tiled (lattice builds pass hundreds of
     probes) so no block exceeds :data:`BLOCK_TILE_BYTES`.
     """
-    from repro.physics.apec import _worker_db
-
     requests, n_max, z_max = payload
     if not requests:
         return np.zeros((0, 0), dtype=np.float64)
     lead = requests[0]
-    basis = family_basis(_worker_db(n_max, z_max), lead.z_max, lead.n_bins)
+    basis = family_basis(_payload_db(n_max, z_max), lead.z_max, lead.n_bins)
     n_ions = len(basis.ions)
     out = np.zeros((len(requests), lead.n_bins), dtype=np.float64)
     tile = max(1, BLOCK_TILE_BYTES // (8 * n_ions * lead.n_bins))
@@ -484,7 +487,7 @@ def compile_tasks(
     *answer*), so a batch's accumulated spectrum is independent of
     scheduling.  ``with_payload=False`` compiles *cost-only* tasks —
     identical prices, no execute callables — for brokers that evaluate
-    payloads out of band (closures cannot cross a process pool).
+    payloads out of band on a host pool.
 
     Active-window pricing goes through the plan cache: the per-ion
     window search is compiled once per ``(db, grid, rule, tail_tol)``

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from repro.quadrature.batch import (
-    batch_gauss_windows,
     batch_romberg,
-    batch_romberg_windows,
     batch_simpson,
     batch_simpson_edges,
-    batch_simpson_windows,
     batch_trapezoid,
     simpson_weights,
     unit_fractions,
+)
+from repro.quadrature.megabatch import (
+    batch_gauss_windows,
+    batch_romberg_windows,
+    batch_simpson_windows,
 )
 from repro.quadrature.romberg import romberg
 from repro.quadrature.simpson import simpson

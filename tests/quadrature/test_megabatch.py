@@ -1,21 +1,19 @@
-"""Megabatch window kernels vs the per-batch CSR kernels.
+"""The window kernels under both of their names.
 
-The megabatch drivers must produce the same per-bin totals as the
-existing :mod:`repro.quadrature.batch` window kernels on identical
-windows (they share the flatten/bounds/reduce machinery), while
-additionally reporting launch statistics and eliding zero-width pairs.
+``batch_*_windows`` is ``megabatch_*_windows(...).values`` with the
+zero-width elisions booked on ``KERNEL_COUNTERS``: one driver, so the
+per-bin totals are bit-equal on any window set, the megabatch names
+report launch statistics and book nothing, the per-ion names book.
 """
 
 import numpy as np
 import pytest
 
-from repro.quadrature.batch import (
-    KERNEL_COUNTERS,
-    batch_gauss_windows,
-    batch_simpson_windows,
-    batch_romberg_windows,
-)
+from repro.quadrature.batch import KERNEL_COUNTERS
 from repro.quadrature.megabatch import (
+    batch_gauss_windows,
+    batch_romberg_windows,
+    batch_simpson_windows,
     megabatch_gauss_windows,
     megabatch_romberg_windows,
     megabatch_simpson_windows,
@@ -38,20 +36,39 @@ def _f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.exp(-x) * (1.0 + rows[:, None])
 
 
+_RULES = [
+    (megabatch_simpson_windows, batch_simpson_windows, {"pieces": 8}),
+    (megabatch_romberg_windows, batch_romberg_windows, {"k": 4}),
+    (megabatch_gauss_windows, batch_gauss_windows, {"n": 6}),
+]
+
+
 class TestMatchesBatchKernels:
-    @pytest.mark.parametrize(
-        "mega,batch,kw",
-        [
-            (megabatch_simpson_windows, batch_simpson_windows, {"pieces": 8}),
-            (megabatch_romberg_windows, batch_romberg_windows, {"k": 4}),
-            (megabatch_gauss_windows, batch_gauss_windows, {"n": 6}),
-        ],
-    )
+    @pytest.mark.parametrize("mega,batch,kw", _RULES)
     def test_values_identical(self, windows, mega, batch, kw):
         edges, first, cutoff, clip = windows
         expected = batch(_f, edges, first, cutoff, lower_clip=clip, **kw)
         res = mega(_f, edges, first, cutoff, lower_clip=clip, **kw)
         np.testing.assert_array_equal(res.values, expected)
+
+    @pytest.mark.parametrize("mega,batch,kw", _RULES)
+    def test_all_elided_row_set_identical(self, mega, batch, kw):
+        """Every pair clamps to zero width: both names return zeros, the
+        megabatch name reports the elisions, only the per-ion name books."""
+        edges = np.linspace(0.0, 1.0, 9)
+        first, cutoff = np.array([0, 1, 3]), np.array([2, 3, 4])
+        clip = np.array([0.25, 0.5, 0.5])
+        KERNEL_COUNTERS.reset()
+        res = mega(_f, edges, first, cutoff, lower_clip=clip, **kw)
+        assert KERNEL_COUNTERS.snapshot() == {"zero_width_pairs": 0, "evals_saved": 0}
+        got = batch(_f, edges, first, cutoff, lower_clip=clip, **kw)
+        np.testing.assert_array_equal(got, res.values)
+        np.testing.assert_array_equal(got, np.zeros(8))
+        assert (res.n_passes, res.n_pairs, res.n_pairs_skipped) == (0, 0, 5)
+        assert KERNEL_COUNTERS.snapshot() == {
+            "zero_width_pairs": 5, "evals_saved": res.evals_saved,
+        }
+        KERNEL_COUNTERS.reset()
 
     def test_no_clip_matches_too(self, windows):
         edges, first, cutoff, _ = windows
@@ -107,10 +124,6 @@ class TestZeroWidthCounters:
         assert KERNEL_COUNTERS.snapshot() == {
             "zero_width_pairs": 0,
             "evals_saved": 0,
-            "pool_creates": 0,
-            "pool_reuses": 0,
-            "map_chunks": 0,
-            "map_items": 0,
         }
 
     def test_gauss_kernel_books_too(self, windows):

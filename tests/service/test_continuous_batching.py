@@ -164,7 +164,7 @@ class TestBrokerMegabatchIdentity:
         )
         return run_trace(trace, cfg)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_bit_identical_across_backends(
         self, trace, unbatched_tickets, backend
     ):

