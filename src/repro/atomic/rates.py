@@ -20,6 +20,8 @@ Units: cm^3 s^-1; temperatures in K; all functions vectorized over T.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.atomic.levels import effective_charge, quantum_defect
@@ -31,6 +33,7 @@ __all__ = [
     "radiative_recombination_rate",
     "dielectronic_recombination_rate",
     "recombination_rate",
+    "ladder_rates",
 ]
 
 
@@ -111,3 +114,46 @@ def recombination_rate(z: int, charge: int, temperature_k: np.ndarray) -> np.nda
     return radiative_recombination_rate(
         z, charge, temperature_k
     ) + dielectronic_recombination_rate(z, charge, temperature_k)
+
+
+@lru_cache(maxsize=None)
+def _ladder_parameters(z: int) -> tuple[np.ndarray, ...]:
+    """The fit parameters of the functions above, tabulated once per
+    element: one entry per step ``c -> c + 1`` of the charge ladder."""
+    rows = []
+    for c in range(z):
+        de_kev = ionization_potential(z, c)
+        t0 = de_kev / K_B_KEV * 0.3
+        rows.append((
+            de_kev,
+            2.0e-8 / (1.0 + 0.5 * c) / np.sqrt(z),
+            1.0 if (z + c) % 2 == 0 else 0.0,
+            0.35 + 0.05 * (c / z),
+            0.2 + 0.6 * (c + 1) / z,
+            2.0e-13 * (c + 1) ** 2 / np.sqrt(z),
+            0.6 + 0.1 * (c + 1) / z,
+            t0,
+            t0 * 0.1,
+            # A bare nucleus has no core electron to excite.
+            1.0e-3 * (c + 1) ** 2 / z if c + 1 < z else 0.0,
+        ))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def ladder_rates(z: int, temperature_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """``S_c(T)`` and ``alpha_{c+1}(T)`` for ``c = 0..Z-1`` in one pass.
+
+    :func:`ionization_rate` and :func:`recombination_rate` evaluated over
+    the charge axis of one element at one temperature — the same
+    expressions operation for operation, so each entry is bit-identical
+    to the per-charge call (``tests/atomic/test_rates.py`` pins it).
+    """
+    if temperature_k <= 0.0:
+        raise ValueError("temperature must be positive")
+    de_kev, a, p, k_exp, x, a_r, eta, t0, t1, a_d = _ladder_parameters(z)
+    t = np.full(z, temperature_k, dtype=np.float64)
+    u = de_kev / (K_B_KEV * t)
+    with np.errstate(over="ignore", under="ignore"):
+        s = a * (1.0 + p * np.sqrt(u)) * u**k_exp * np.exp(-u) / (x + u)
+        alpha_d = a_d * t ** (-1.5) * np.exp(-t0 / t) * (1.0 + 0.3 * np.exp(-t1 / t))
+    return s, a_r * (t / 1.0e4) ** (-eta) + alpha_d

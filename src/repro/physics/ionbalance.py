@@ -20,24 +20,18 @@ import numpy as np
 from repro.atomic.abundances import SOLAR, AbundanceSet
 from repro.atomic.elements import cosmic_abundance
 from repro.atomic.ions import Ion
-from repro.atomic.rates import ionization_rate, recombination_rate
+from repro.atomic.rates import ladder_rates
 
 __all__ = ["cie_fractions", "ion_fraction", "ion_density"]
 
 
 @lru_cache(maxsize=4096)
 def _cie_fractions_cached(z: int, temperature_k: float) -> tuple[float, ...]:
-    log_ratio = np.empty(z, dtype=np.float64)
-    t = np.array([temperature_k])
-    for c in range(z):
-        s = float(ionization_rate(z, c, t)[0])
-        a = float(recombination_rate(z, c + 1, t)[0])
-        if s <= 0.0:
-            log_ratio[c] = -np.inf
-        elif a <= 0.0:
-            log_ratio[c] = np.inf
-        else:
-            log_ratio[c] = np.log(s) - np.log(a)
+    s, a = ladder_rates(z, temperature_k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(
+            s <= 0.0, -np.inf, np.where(a <= 0.0, np.inf, np.log(s) - np.log(a))
+        )
     # log f_c relative to log f_0 = 0.
     log_f = np.concatenate([[0.0], np.cumsum(log_ratio)])
     log_f -= log_f.max()  # stabilize before exponentiating

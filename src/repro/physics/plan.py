@@ -274,11 +274,11 @@ class SpectrumPlan:
 
         Simpson plans hand the whole temperature axis to
         :func:`repro.physics.rrc_kernel.simpson_rrc`, which evaluates the
-        temperature-independent Gaunt blocks once per batch; row ``j`` is
-        bit-identical to ``execute(points[j])`` for any batch composition
-        and order (the kernel's level order, block partition and per-pair
-        reduction never depend on the batch).  Romberg and Gauss plans
-        run one generic megabatch per point.
+        temperature-independent factors of each level block once per
+        batch; row ``j`` is bit-identical to ``execute(points[j])`` for
+        any batch composition and order (the kernel's level order and
+        per-pair arithmetic never depend on the batch).  Romberg and
+        Gauss plans run one generic megabatch per point.
         """
         points = list(points)
         if self.n_levels == 0:

@@ -1,55 +1,69 @@
-"""The one Simpson RRC kernel: shared abscissae, factorized Gaunt blocks.
+"""The one Simpson RRC kernel: the Gaunt rational expanded about bin centres.
 
 Every Simpson evaluation of the collapsed Eq. (1) integrand
-
-    f_l(E) = C_l * exp(-(E - I_l)/kT) * g(E / I_l)        (E >= I_l)
-
-goes through :func:`simpson_rrc` — one ion's levels
+``f_l(E) = C_l exp(-(E - I_l)/kT) g(E / I_l)``, ``E >= I_l``, goes
+through :func:`simpson_rrc` — one ion's levels
 (:func:`repro.physics.apec.ion_emissivity_batched`) or a whole plan's
 (:meth:`repro.physics.plan.SpectrumPlan.execute_many`), dense
 (``cutoff = n_bins``) or pruned, one temperature or a batch.
 
-Every bin not split by a recombination edge uses the same Simpson nodes
-for every level, and the integrand factorizes about the bin's lower edge
-``E_b``:
+A bin not split by a recombination edge has the same Simpson nodes
+``E_p`` for every level.  With the node weights
+``W[b, p] = exp(-(E_p - E_b)/kT) h_b w_p`` about the bin's lower edge
+``E_b`` and :func:`repro.physics.rrc.gaunt_factor`'s rational written in
+``u = cbrt(E)``, ``x = u^2``, ``k = cbrt(I_l)``, ``a_l = (A/B) k``,
+``c_l = (D/E) k^2``, a (level, bin) integral is
 
-    f_l(E) = C_l * exp(-(E_b - I_l)/kT) * exp(-(E - E_b)/kT) * g(E / I_l)
+    C_l (B/E) k exp(-(E_b - I_l)/kT) * S_lb,
+    S_lb = sum_p W[b, p] (u_p + a_l) / (x_p + c_l).
 
-What is shared, and across what:
+The node sum is taken before any level is seen.  About a centre ``xbar``
+of the bin, with ``eta_p = (xbar - x_p)/xbar``, ``r = 1/(xbar + c_l)``
+and ``s = xbar r`` in (0, 1), ``1/(x_p + c_l) = r sum_m (eta_p s)^m`` and
 
-- **across levels** — the node offsets ``E - E_b``, ``cbrt(E)`` and the
-  step-times-weight products exist once per ``(grid, pieces)``
-  (:class:`SimpsonNodes`), the node weights ``exp(-(E - E_b)/kT) h w``
-  once per temperature; a level contributes one ``exp`` per *bin*, not
-  per node;
-- **across temperatures** — the Gaunt factor depends on ``E / I_l``
-  alone.  With ``u = cbrt(E)`` and ``k = cbrt(I_l)`` the rational of
-  :func:`repro.physics.rrc.gaunt_factor` is
+    S_lb = r sum_{m<M} (nu_m[b] + a_l mu_m[b]) s^m,
+    mu_m[b] = sum_p W[b, p] eta_p^m,    nu_m[b] = sum_p W[b, p] u_p eta_p^m.
 
-      g = (B/E) k * (u + (A/B) k) / (u^2 + (D/E) k^2),
+``|eta_p s| < rho = max |eta|``: the dropped orders are at most
+``rho^M (1 + rho)/(1 - rho)`` of a pair, and the kept ones sum to at most
+``(1 + rho)/(1 - rho)`` pairs (every ``W`` is positive), so nothing
+cancels.  What is shared, and across what:
 
-  two adds and a divide per node, evaluated once per level block and
-  reduced against each temperature's node weights in turn.
+- **across levels** — ``mu`` and ``nu``, two ``(M, n_bins)`` tables per
+  temperature built by recurrence from the node weights.  A pair costs
+  one ``exp`` and two Horner chains, about ``4 M + 9`` element
+  operations where the node-by-node rule spends ``5 (pieces + 1)``;
+- **across calls** — the tables are memoized per ``(edges, pieces, kT)``
+  in :data:`_MEMO_BYTES` per grid: the ions of a grid point arrive as
+  separate per-ion calls, interleaved with those of every other rank;
+- **across temperatures** — ``r`` and ``s`` depend on grid and level
+  alone and are evaluated once per level block for a whole batch.
+
+Centres and ``M`` follow from the edges alone (:class:`_Expansion`).  A
+bin's nodes form 1, 2, 4, ... contiguous cells down to one per node, each
+centred midway between its extreme ``x``; of the splits with
+``rho <= _RHO_MAX`` the one minimizing ``cells * M``,
+``M = ceil(ln _TRUNCATION / ln rho)``, is taken and a pair's cells are
+summed after the Horner pass.  The 400-bin benchmark grid gets one centre
+per bin and ``M = 7`` (``rho`` = 0.0029), 4000 linear bins over
+0.05-8 keV ``M = 10``.  At one cell per node ``eta = 0``, ``M = 1`` and
+the sum *is* the node-by-node rule, so a grid of any coarseness takes
+this one path; without the Gaunt factor ``S_lb = mu_0[b]`` (order 0).
 
 Both exponents are <= 0 inside a window, so nothing can overflow at any
-``kT`` and the split adds two roundings per node to the unfactored
-integrand (a few ``eps`` relative, for ``tail_tol = 0`` and ``> 0``
-alike): the kernel needs no temperature guard and has no fallback.
-
-Levels are walked in a fixed order (ascending first full bin) in blocks
-of :data:`_LEVEL_BLOCK`, bins in tiles that keep each of the two
-per-thread scratch buffers at :data:`_SCRATCH_ELEMENTS` float64, so a
-call allocates nothing larger than a spectrum.  Order, block partition
-and the per-pair reduction depend on the grid and the levels only —
-never on which temperatures share a batch — so a batch's row ``j`` is
-bit-identical to evaluating temperature ``j`` alone.
+``kT``: the kernel needs no temperature guard and has no fallback.
+Levels are walked in a fixed order (ascending first full bin) and added
+to the spectrum one by one; their partition into blocks only bounds the
+temporaries, on which every operation is element-wise or reduces a
+pair's own cells.  Order and arithmetic depend on the grid and the
+levels only — never on which temperatures share a batch — so a batch's
+row ``j`` is bit-identical to evaluating temperature ``j`` alone.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from functools import lru_cache
+from math import ceil, log
 
 import numpy as np
 
@@ -58,85 +72,107 @@ from repro.physics.spectrum import EnergyGrid
 from repro.quadrature.batch import _chunks, simpson_weights, unit_fractions
 from repro.quadrature.megabatch import MegabatchResult
 
-__all__ = ["SimpsonNodes", "simpson_rrc"]
+__all__ = ["simpson_rrc"]
 
-#: Levels per block and float64 elements per scratch buffer (512 KiB;
-#: two buffers per thread).  Measured on the 400-bin x 65-node benchmark
-#: grid (docs/ARCHITECTURE.md section 8): blocks of 1-8 levels and buffers
-#: of 256 KiB-2 MiB land within 15 % of each other, so these are
-#: constants, not knobs.
-_LEVEL_BLOCK = 4
-_SCRATCH_ELEMENTS = 1 << 16
-
-#: Temperatures reduced against one evaluation of a block's rational;
-#: bounds the node weights alive at once (and memoized) at 8 matrices.
+#: Temperatures sharing one evaluation of a level block's ``r`` and
+#: ``s``; bounds the moment tables one call keeps alive.
 _TEMPERATURE_BLOCK = 8
+
+#: float64 elements per temporary of the level loop (64 KiB each): a
+#: block takes as many levels as fit.  Timings from 2^13 to 2^16 agree
+#: within noise; the smallest keeps a call's peak under 1 MiB.
+_BLOCK_ELEMENTS = 1 << 13
+
+#: Relative truncation of the expansion: below one rounding.
+_TRUNCATION = 1.0e-17
+
+#: Largest ``rho`` expanded about one centre: bounds the amplification
+#: ``(1 + rho)/(1 - rho)`` at 3, and is where two cells start to beat
+#: one on the clock (docs/ARCHITECTURE.md section 8).
+_RHO_MAX = 0.5
+
+#: Bytes of moment tables memoized per grid, never fewer than one
+#: temperature: 70 on the 400-bin benchmark grid (44 KiB each).
+_MEMO_BYTES = 3 << 20
+
+#: Nodes per bin from which ``pieces`` is refused (input validation).
+_MAX_NODES = 1 << 14
 
 # gaunt_factor's rational, g = (A + B c) / (D + E c^2) with c = cbrt(x).
 _B, _E = 0.1728, 0.0496
 _A, _D = 1.0 - _B, 1.0 - _E
 
 
-@dataclass(frozen=True)
-class SimpsonNodes:
-    """Temperature-independent node arrays of one ``(grid, pieces)``,
-    shared by every plan and per-ion call on the same edges
-    (content-addressed by the edge bytes, a handful of grids kept).
+class _Expansion:
+    """Temperature-independent state of one ``(grid, pieces)``, shared by
+    every plan and per-ion call on the same edges.
 
-    All ``(n_bins, pieces + 1)`` and read-only: each node's offset
-    ``above`` its bin's lower edge, ``cbrt`` of the node energy and its
-    square, and ``hw`` — the bin step ``width / pieces`` times the
-    Simpson weight of each node.
+    ``above``, ``u``, ``eta`` and ``hw`` are ``(n_bins, pieces + 1)``: a
+    node's offset above its bin's lower edge, ``cbrt`` of its energy,
+    ``(xbar - x)/xbar`` about its cell's centre, bin step times Simpson
+    weight.  ``xbar`` is ``(n_bins * cells,)``, ``splits`` the first node
+    of each cell, ``order`` the ``M`` of the module docstring.
     """
 
-    above: np.ndarray
-    cbrt: np.ndarray
-    cbrt2: np.ndarray
-    hw: np.ndarray
+    def __init__(self, edges: np.ndarray, pieces: int) -> None:
+        n_pts = pieces + 1
+        widths = np.diff(edges)
+        self.above = widths[:, None] * unit_fractions(n_pts)[None, :]
+        self.u = np.cbrt(edges[:-1, None] + self.above)
+        self.hw = (widths / pieces)[:, None] * simpson_weights(pieces)[None, :]
+        x = self.u * self.u
+        # 1, 2, 4, ... cells per bin down to one per node (rho = 0): of the
+        # admissible splits, the cheapest (a pair costs ~ cells * order).
+        cost = None
+        for cells in sorted({min(1 << i, n_pts) for i in range(n_pts.bit_length() + 1)}):
+            splits = np.arange(cells) * n_pts // cells
+            ends = np.append(splits[1:], n_pts)
+            lo, hi = x[:, splits], x[:, ends - 1]
+            rho = float(((hi - lo) / (hi + lo)).max())
+            order = ceil(log(_TRUNCATION) / log(rho)) if rho else 1
+            if rho <= _RHO_MAX and (cost is None or cells * order < cost):
+                cost = cells * order
+                self.cells, self.order, self.splits = cells, order, splits
+                xbar = 0.5 * (lo + hi)
+                at_node = np.repeat(xbar, ends - splits, axis=1)
+                self.eta, self.xbar = (at_node - x) / at_node, xbar.ravel()
+        table_bytes = 2 * self.order * self.xbar.size * 8
+        self.moments = lru_cache(max(1, _MEMO_BYTES // table_bytes))(self._moments)
+
+    @np.errstate(under="ignore")
+    def _moments(self, kt: float) -> np.ndarray:
+        """``(mu, nu)`` stacked ``(2, M, n_bins * cells)``: everything
+        temperature contributes per node, summed over each cell."""
+        v = np.divide(self.above, -kt)
+        np.exp(v, out=v)
+        v *= self.hw
+        vu = np.empty_like(v)
+        out = np.empty((2, self.order, self.xbar.size))
+        for m in range(self.order):
+            if m:
+                v *= self.eta
+            np.multiply(v, self.u, out=vu)
+            out[0, m] = np.add.reduceat(v, self.splits, axis=1).ravel()
+            out[1, m] = np.add.reduceat(vu, self.splits, axis=1).ravel()
+        out.setflags(write=False)
+        return out
 
 
 @lru_cache(maxsize=8)
-def _nodes_of_edges(edge_bytes: bytes, pieces: int) -> SimpsonNodes:
-    edges = np.frombuffer(edge_bytes, dtype=np.float64)
-    widths = np.diff(edges)
-    above = widths[:, None] * unit_fractions(pieces + 1)[None, :]
-    cbrt = np.cbrt(edges[:-1, None] + above)
-    hw = (widths / pieces)[:, None] * simpson_weights(pieces)[None, :]
-    nodes = SimpsonNodes(above, cbrt, cbrt * cbrt, hw)
-    for arr in (nodes.above, nodes.cbrt, nodes.cbrt2, nodes.hw):
-        arr.setflags(write=False)
-    return nodes
+def _expansion_of_edges(edge_bytes: bytes, pieces: int) -> _Expansion:
+    return _Expansion(np.frombuffer(edge_bytes, dtype=np.float64), pieces)
 
 
-@lru_cache(maxsize=_TEMPERATURE_BLOCK)
+def _horner(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_m rows[m] s^m``: ``rows`` is ``(M, n)``, ``s`` is ``(L, n)``."""
+    acc, out = rows[-1], np.empty_like(s)
+    for row in rows[-2::-1]:
+        acc = np.multiply(acc, s, out=out)
+        acc += row
+    return acc
+
+
 @np.errstate(under="ignore")
-def _node_weights(edge_bytes: bytes, pieces: int, kt: float) -> np.ndarray:
-    """``exp(-(E - E_b)/kT) h w`` over the whole grid: everything
-    temperature contributes per node.  Memoized so the ions of one grid
-    point, which arrive as separate per-ion calls, share one ``exp``
-    pass."""
-    nodes = _nodes_of_edges(edge_bytes, pieces)
-    ehw = np.divide(nodes.above, -kt)
-    np.exp(ehw, out=ehw)
-    ehw *= nodes.hw
-    ehw.setflags(write=False)
-    return ehw
-
-
-class _Scratch(threading.local):
-    """The rational's two buffers: allocated on a thread's first kernel
-    call and reused by every later one (fresh megabyte buffers are
-    page-faulted in on every call, which on a per-ion call costs more
-    than the arithmetic)."""
-
-    def __init__(self) -> None:
-        self.num = np.empty(_SCRATCH_ELEMENTS)
-        self.den = np.empty(_SCRATCH_ELEMENTS)
-
-
-_SCRATCH = _Scratch()
-
-
 def simpson_rrc(
     grid: EnergyGrid,
     pieces: int,
@@ -160,32 +196,18 @@ def simpson_rrc(
     shared node weights, one per memory-bounded chunk of full-bin pairs —
     not the host's blocks.
     """
-    if _LEVEL_BLOCK * (pieces + 1) > _SCRATCH_ELEMENTS:
-        raise ValueError(f"pieces={pieces} exceeds the kernel's scratch")
-    results: list[MegabatchResult] = []
-    for lo in range(0, len(kts), _TEMPERATURE_BLOCK):
-        batch = slice(lo, lo + _TEMPERATURE_BLOCK)
-        results += _temperature_block(
-            grid, pieces, gaunt, energies, first, cutoffs[batch], c_l[batch], kts[batch]
-        )
-    return results
-
-
-@np.errstate(under="ignore")
-def _temperature_block(
-    grid: EnergyGrid,
-    pieces: int,
-    gaunt: bool,
-    energies: np.ndarray,
-    first: np.ndarray,
-    cutoffs: np.ndarray,
-    c_l: np.ndarray,
-    kts: np.ndarray,
-) -> list[MegabatchResult]:
-    """:func:`simpson_rrc` for at most ``_TEMPERATURE_BLOCK`` temperatures."""
+    if pieces >= _MAX_NODES:
+        raise ValueError(f"pieces={pieces} exceeds the kernel's {_MAX_NODES} nodes")
+    if len(kts) > _TEMPERATURE_BLOCK:
+        return [
+            result
+            for i in range(0, len(kts), _TEMPERATURE_BLOCK)
+            for result in simpson_rrc(
+                grid, pieces, gaunt, energies, first,
+                *(arr[i : i + _TEMPERATURE_BLOCK] for arr in (cutoffs, c_l, kts)),
+            )
+        ]
     n_bins, n_pts, n_t = grid.n_bins, pieces + 1, len(kts)
-    edge_bytes = grid.edges.tobytes()
-    nodes = _nodes_of_edges(edge_bytes, pieces)
     out = [np.zeros(n_bins) for _ in range(n_t)]
 
     # --- edge bins: the one bin per level split by its recombination
@@ -208,56 +230,62 @@ def _temperature_block(
             # Several levels can share one edge bin -> unbuffered scatter-add.
             np.add.at(out[j], b_e[live_edge[j]], vals[live_edge[j]])
 
-    # --- full bins: shared nodes.  Temperature enters through the node
-    # weights and one exp(-(E_b - I_l)/kT) per (level, bin) only.
+    # --- full bins: temperature enters through the moment tables and
+    # one exp(-(E_b - I_l)/kT) per (level, bin) only.
     start = first.copy()
     start[edge] += 1
     order = np.flatnonzero(start < n_bins)
     order = order[np.argsort(start[order], kind="stable")]
     n_full = np.maximum(cutoffs - start, 0).sum(axis=1)
-    ehw = [_node_weights(edge_bytes, pieces, float(kt)) for kt in kts]
+    exp = _expansion_of_edges(grid.edges.tobytes(), pieces)
+    cells = exp.cells
+    tables = [exp.moments(float(kt)) for kt in kts]
     coef = c_l
-    tile = max(1, _SCRATCH_ELEMENTS // (_LEVEL_BLOCK * n_pts))
     if gaunt:
         kappa = np.cbrt(energies)
         coef = c_l * ((_B / _E) * kappa)
         alpha, gamma = (_A / _B) * kappa, (_D / _E) * kappa * kappa
-    else:
-        base = [w_t.sum(axis=1) for w_t in ehw]
     starts, cuts = start.tolist(), cutoffs.tolist()
-    for i in range(0, order.size, _LEVEL_BLOCK):
-        rows = order[i : i + _LEVEL_BLOCK]
+    per_block = max(1, _BLOCK_ELEMENTS // (n_bins * cells))
+    for i in range(0, order.size, per_block):
+        rows = order[i : i + per_block]
         levels = rows.tolist()
+        lo = starts[levels[0]]
         hi_of = cutoffs[:, rows].max(axis=1).tolist()
-        block_hi = max(hi_of)
-        for t0 in range(starts[levels[0]], block_hi, tile):
-            t1 = min(t0 + tile, block_hi)
+        hi = max(hi_of)
+        if hi <= lo:
+            continue
+        # I_l - E_b, <= 0 in a window; the clamp keeps the block's bins
+        # below a level's first (never read) from overflowing.
+        depth = np.subtract.outer(energies[rows], grid.lower[lo:hi])
+        np.minimum(depth, 0.0, out=depth)
+        if gaunt:
+            xbar = exp.xbar[lo * cells : hi * cells]
+            r = np.add.outer(gamma[rows], xbar)
+            np.reciprocal(r, out=r)
+            s = r * xbar
+            a = alpha[rows][:, None]
+        for j in range(n_t):
+            n = hi_of[j] - lo
+            if n <= 0:
+                continue
+            pair = depth[:, :n] / kts[j]
+            np.exp(pair, out=pair)
+            pair *= coef[j, rows][:, None]
+            mu, nu = tables[j][:, :, lo * cells : hi_of[j] * cells]
             if gaunt:
-                shape = (rows.size, t1 - t0, n_pts)
-                g = _SCRATCH.num[: rows.size * (t1 - t0) * n_pts].reshape(shape)
-                d = _SCRATCH.den[: g.size].reshape(shape)
-                np.add(nodes.cbrt[None, t0:t1], alpha[rows][:, None, None], out=g)
-                np.add(nodes.cbrt2[None, t0:t1], gamma[rows][:, None, None], out=d)
-                g /= d
-            # I_l - E_b, <= 0 in a window; the clamp keeps the block's
-            # bins below a level's first (never read) from overflowing.
-            depth = np.subtract.outer(energies[rows], grid.lower[t0:t1])
-            np.minimum(depth, 0.0, out=depth)
-            for j in range(n_t):
-                hi = min(t1, hi_of[j])
-                if hi <= t0:
-                    continue
-                pair = depth[:, : hi - t0] / kts[j]
-                np.exp(pair, out=pair)
-                pair *= coef[j, rows][:, None]
-                if gaunt:
-                    pair *= np.einsum("lbp,bp->lb", g[:, : hi - t0], ehw[j][t0:hi])
-                else:
-                    pair *= base[j][t0:hi]
-                for k, l in enumerate(levels):
-                    s, e = max(starts[l], t0), min(cuts[j][l], hi)
-                    if e > s:
-                        out[j][s:e] += pair[k, s - t0 : e - t0]
+                s_j = s[:, : n * cells]
+                acc = _horner(mu, s_j) * a
+                acc += _horner(nu, s_j)
+                acc *= r[:, : n * cells]
+            else:
+                acc = mu[0]
+            if cells > 1:
+                acc = acc.reshape(-1, n, cells).sum(axis=2)
+            pair *= acc
+            for k, l in enumerate(levels):
+                if cuts[j][l] > starts[l]:
+                    out[j][starts[l] : cuts[j][l]] += pair[k, starts[l] - lo : cuts[j][l] - lo]
 
     results = []
     for j in range(n_t):

@@ -7,6 +7,7 @@ from repro.atomic.rates import (
     dielectronic_recombination_rate,
     ionization_potential,
     ionization_rate,
+    ladder_rates,
     radiative_recombination_rate,
     recombination_rate,
 )
@@ -102,3 +103,23 @@ class TestRecombinationRates:
             s = ionization_rate(z, c - 1, t)[0]
             assert 1e-18 < a < 1e-7
             assert 0.0 <= s < 1e-6
+
+
+class TestLadderRates:
+    """One vectorized pass over an element's charge states: the same
+    bits as the per-charge functions (the CIE balance, and through it
+    ``execute_many``'s batch invariance, depends on them)."""
+
+    @pytest.mark.parametrize("z", [1, 2, 8, 14, 26, 31])
+    def test_bit_identical_to_the_per_charge_functions(self, z):
+        for temperature_k in np.geomspace(1.0e4, 1.0e9, 16):
+            t = np.array([temperature_k])
+            s, alpha = ladder_rates(z, float(temperature_k))
+            assert s.shape == alpha.shape == (z,)
+            for c in range(z):
+                assert s[c] == ionization_rate(z, c, t)[0]
+                assert alpha[c] == recombination_rate(z, c + 1, t)[0]
+
+    def test_rejects_nonpositive_temperature(self):
+        with pytest.raises(ValueError, match="temperature"):
+            ladder_rates(8, 0.0)

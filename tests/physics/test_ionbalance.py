@@ -1,9 +1,12 @@
 """CIE ionization equilibrium."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.atomic.ions import Ion
+from repro.atomic.rates import ionization_rate, recombination_rate
 from repro.physics.ionbalance import cie_fractions, ion_density, ion_fraction
 
 
@@ -33,8 +36,6 @@ class TestCIEFractions:
 
     def test_detailed_balance_holds(self):
         """f_c S_c = f_{c+1} alpha_{c+1} for every adjacent pair."""
-        from repro.atomic.rates import ionization_rate, recombination_rate
-
         z, t = 8, 2e6
         f = cie_fractions(z, t)
         for c in range(z):
@@ -55,6 +56,60 @@ class TestCIEFractions:
         a[0] = 99.0
         b = cie_fractions(8, 1e6)
         assert b[0] != 99.0
+
+
+def _per_charge_loop(z: int, temperature_k: float) -> np.ndarray:
+    """``cie_fractions`` as commit caf6ad2 computed it: 2 Z one-element
+    rate calls per element.  Kept as the reference of the vectorized
+    ladder — the arithmetic is unchanged, so the bits must be."""
+    log_ratio = np.empty(z)
+    t = np.array([temperature_k])
+    for c in range(z):
+        s = float(ionization_rate(z, c, t)[0])
+        a = float(recombination_rate(z, c + 1, t)[0])
+        if s <= 0.0:
+            log_ratio[c] = -np.inf
+        elif a <= 0.0:
+            log_ratio[c] = np.inf
+        else:
+            log_ratio[c] = np.log(s) - np.log(a)
+    log_f = np.concatenate([[0.0], np.cumsum(log_ratio)])
+    log_f -= log_f.max()
+    f = np.exp(log_f)
+    return f / f.sum()
+
+
+class TestVectorizedLadderKeepsTheBits:
+    """``execute_many`` rows are bit-identical to ``execute`` only while
+    a grid point's ion fractions are the same bits on every path."""
+
+    TEMPERATURES = np.geomspace(1.0e4, 1.0e9, 64)
+    #: sha1 over ``cie_fractions(z, T)`` for z = 1..31 x the 64
+    #: temperatures above, recorded at caf6ad2 before the ladder was
+    #: vectorized (on a host whose NumPy dispatches AVX-512 loops).
+    PARENT_DIGEST = "9ad8fbddd249a56644f0a39b7074c72e5040cb56"
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """(vectorized, per-charge loop) for every (z, T) of the golden."""
+        return [
+            (cie_fractions(z, float(t)), _per_charge_loop(z, float(t)))
+            for z in range(1, 32)
+            for t in self.TEMPERATURES
+        ]
+
+    def test_array_equal_to_the_per_charge_loop(self, pairs):
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
+
+    def test_matches_the_parent_commit(self, pairs):
+        got, want = hashlib.sha1(), hashlib.sha1()
+        for vectorized, loop in pairs:
+            got.update(vectorized.tobytes())
+            want.update(loop.tobytes())
+        if want.hexdigest() != self.PARENT_DIGEST:
+            pytest.skip("this host's exp/log/pow round unlike the recording host's")
+        assert got.hexdigest() == self.PARENT_DIGEST
 
 
 class TestIonDensity:

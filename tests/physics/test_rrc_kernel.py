@@ -13,6 +13,12 @@ Pinned promises:
    oracle over the sweeps' temperature range, with and without the Gaunt
    factor (Fig. 8, gated).
 4. One 400-bin dense spectrum allocates no megabyte temporaries.
+5. The expansion about bin centres agrees with the generic kernel on any
+   grid — one bin to hundreds, linear and geometric, bins spanning up to
+   a factor 100 in energy — at any rule, temperature and window; its
+   centres and order are functions of the edges alone.
+6. The per-temperature moment tables are built once per temperature for
+   as many grid points as a node keeps in flight.
 """
 
 import tracemalloc
@@ -24,10 +30,19 @@ from hypothesis import strategies as st
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.bench.workloads import small_real_database, small_real_grid
-from repro.physics.apec import GridPoint, SerialAPEC
+from repro.constants import K_B_KEV
+from repro.physics.apec import GridPoint, SerialAPEC, ion_emissivity_batched
 from repro.physics.plan import PlanCache, SpectrumPlan
 from repro.physics.rrc import window_integrand
+from repro.physics.rrc_kernel import (
+    _RHO_MAX,
+    _TRUNCATION,
+    _Expansion,
+    _expansion_of_edges,
+    simpson_rrc,
+)
 from repro.physics.spectrum import EnergyGrid
+from repro.physics.windows import level_windows
 from repro.quadrature.megabatch import megabatch_simpson_windows
 
 
@@ -144,3 +159,103 @@ class TestNoMegabyteTemporaries:
         # spectra and per-level vectors; the retired kernel's broadcast
         # chunk alone was 16 levels x 400 bins x 65 nodes = 3.3 MB.
         assert peak < 1 << 20
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A grid, a handful of levels with edges below, inside and above it,
+    a rule and a temperature."""
+    n_bins = draw(st.integers(1, 256))
+    e_lo = 10.0 ** draw(st.floats(-2.0, 0.5))
+    ratio = draw(st.floats(1.0005, 100.0))  # E_hi / E_lo of the first bin
+    if draw(st.booleans()):
+        # Geometric: every bin has that ratio, the grid spans <= 1e4.
+        edges = e_lo * min(ratio, 1.0e4 ** (1.0 / n_bins)) ** np.arange(n_bins + 1)
+    else:
+        edges = e_lo * (1.0 + (ratio - 1.0) * np.arange(n_bins + 1))
+    decades = st.floats(np.log10(edges[0]) - 2.0, np.log10(edges[-1]) + 0.5)
+    energies = 10.0 ** np.array(draw(st.lists(decades, min_size=1, max_size=12)))
+    c_l = np.array(
+        draw(st.lists(st.floats(0.5, 2.0), min_size=energies.size, max_size=energies.size))
+    )
+    return (
+        EnergyGrid(edges), energies, c_l,
+        draw(st.sampled_from([2, 8, 64, 128])),
+        K_B_KEV * 10.0 ** draw(st.floats(4.0, 9.0)),
+        draw(st.booleans()),
+        draw(st.sampled_from([0.0, 1.0e-9])),
+    )
+
+
+class TestTheExpansionItself:
+    @given(inputs=kernel_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_generic_kernel_on_any_grid(self, inputs):
+        grid, energies, c_l, pieces, kt, gaunt, tail_tol = inputs
+        win = level_windows(energies, grid, kt, tail_tol, gaunt=gaunt)
+        generic = megabatch_simpson_windows(
+            window_integrand(energies, c_l, kt, gaunt),
+            grid.edges, win.first, win.cutoff, lower_clip=energies, pieces=pieces,
+        )
+        fast = simpson_rrc(
+            grid, pieces, gaunt, energies, win.first,
+            win.cutoff[None, :], c_l[None, :], np.array([kt]),
+        )[0]
+        assert fast.n_pairs == generic.n_pairs + generic.n_pairs_skipped
+        assert np.all(np.isfinite(fast.values))
+        scale = float(np.abs(generic.values).max())
+        # The generic kernel rounds E before it subtracts I_l, so its own
+        # exponent carries eps * E / kT: beyond 1e-12 only where a grid
+        # reaches thousands of kT (1.5e-14 observed below 100 kT).
+        budget = 1.0e-12 + 2.0 * np.finfo(float).eps * grid.edges[-1] / kt
+        assert np.abs(fast.values - generic.values).max() <= budget * scale
+
+    @pytest.mark.parametrize("tail_tol", [1.0e-9, 0.0], ids=["pruned", "dense"])
+    def test_rows_bit_identical_on_a_one_centre_grid(self, db, tail_tol):
+        """``TestBatchInvariance`` runs on a grid coarse enough for one
+        centre per node; this one expands every bin about one centre."""
+        grid = EnergyGrid.linear(0.05, 8.0, 240)
+        assert _Expansion(grid.edges, 64).cells == 1
+        plan = PlanCache().get(db, grid, method="simpson", tail_tol=tail_tol)
+        points = [_point(t) for t in np.geomspace(2.0e4, 8.0e7, 10)]
+        points += points[3::-2]
+        for point, row in zip(points, plan.execute_many(points)):
+            np.testing.assert_array_equal(row.values, plan.execute(point).values)
+
+    @pytest.mark.parametrize(
+        "grid, cells, order",
+        [
+            (small_real_grid(400), 1, 7),
+            (EnergyGrid.linear(0.05, 8.0, 4000), 1, 10),
+            (EnergyGrid.linear(0.05, 8.0, 60), 1, 44),
+            (EnergyGrid.linear(0.05, 8.0, 1), 65, 1),
+        ],
+        ids=["benchmark", "linear4000", "linear60", "one_bin"],
+    )
+    def test_centres_and_order_follow_from_the_edges(self, grid, cells, order):
+        """No level, window or temperature is an input of the expansion;
+        at one centre per node it is the node-by-node rule (order 1)."""
+        exp = _Expansion(grid.edges, 64)
+        assert (exp.cells, exp.order) == (cells, order)
+        assert exp.xbar.shape == (grid.n_bins * cells,)
+        rho = float(np.abs(exp.eta).max())
+        assert rho <= _RHO_MAX and rho**exp.order <= _TRUNCATION
+        assert (rho == 0.0) == (cells == 65)
+
+
+class TestMomentMemo:
+    def test_a_nodes_worth_of_temperatures_is_built_once_each(self):
+        """The paper's node keeps 24 ranks' grid points in flight and their
+        ions arrive interleaved as separate per-ion calls (the parent's
+        8-entry memo rebuilt the whole-grid ``exp`` 2508 times here)."""
+        db = small_real_database()
+        grid = small_real_grid(400)
+        ions = [ion for ion in db.ions if db.n_levels(ion) > 0][::20]
+        _expansion_of_edges.cache_clear()
+        for ion in ions:
+            for temperature_k in np.geomspace(2.0e6, 5.0e7, 24):
+                ion_emissivity_batched(db, ion, _point(float(temperature_k)), grid)
+        info = _expansion_of_edges(grid.edges.tobytes(), 64).moments.cache_info()
+        assert info.misses == 24
+        assert info.hits == 24 * (len(ions) - 1)
+        assert info.maxsize >= 64
