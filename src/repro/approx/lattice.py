@@ -34,6 +34,7 @@ serve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -228,12 +229,8 @@ class SpectrumLattice:
 
     def interpolate(self, temperature_k: float) -> np.ndarray:
         """The interpolated spectrum at ``T`` (must be in the domain)."""
-        return interpolate_loglog(
-            np.asarray(self._u),
-            np.asarray(self._values),
-            math.log(temperature_k),
-            method=self.spec.method,
-        )
+        u = math.log(temperature_k)
+        return interpolate_loglog(*self._stencil(u), u, method=self.spec.method)
 
     def error_bound(self, temperature_k: float) -> np.ndarray:
         """Per-bin absolute error bound at ``T``.
@@ -283,6 +280,17 @@ class SpectrumLattice:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _stencil(self, u: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(u_nodes, values)`` of the nodes :func:`interpolate_loglog`
+        reads at ``u`` — the containing interval's two, plus one to each
+        side for the cubic — and no others: on them alone it picks the
+        same interval and stencil, so the result is bit for bit that of
+        the whole lattice, without stacking it."""
+        i = min(max(bisect_left(self._u, u) - 1, 0), len(self._u) - 2)
+        reach = 1 if self.spec.method == "cubic" else 0
+        lo, hi = max(0, i - reach), i + 2 + reach
+        return np.asarray(self._u[lo:hi]), np.asarray(self._values[lo:hi])
+
     def _eval_u(self, u: float) -> np.ndarray:
         self.node_evals += 1
         out = np.asarray(self.exact_fn(float(math.exp(u))), dtype=np.float64)
@@ -323,10 +331,7 @@ class SpectrumLattice:
 
     def _measure(self, mid_u: float, mid_values: np.ndarray) -> _Interval:
         approx = interpolate_loglog(
-            np.asarray(self._u),
-            np.asarray(self._values),
-            mid_u,
-            method=self.spec.method,
+            *self._stencil(mid_u), mid_u, method=self.spec.method
         )
         raw = np.abs(approx - mid_values)
         # Per-bin certification from one midpoint sample needs two

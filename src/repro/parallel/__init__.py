@@ -1,8 +1,10 @@
-"""Wall-clock execution backends of the service broker's payload map.
+"""Real parallelism: the broker's payload map and the plan's ranks.
 
 Everything else in the reproduction measures *simulated* time on the
 event clock; this package is about *real* time — running the broker's
-per-launch payloads on host threads.  See :mod:`repro.parallel.executor`.
+per-launch payloads on host threads (:mod:`repro.parallel.executor`)
+and the grid points of ``SpectrumPlan.execute_many`` on forked rank
+processes (:mod:`repro.parallel.ranks`, imported by the plan, not here).
 """
 
 from repro.parallel.executor import (
@@ -12,6 +14,7 @@ from repro.parallel.executor import (
     ThreadBackend,
     default_jobs,
     get_backend,
+    usable_cpus,
 )
 
 __all__ = [
@@ -21,4 +24,5 @@ __all__ = [
     "ThreadBackend",
     "default_jobs",
     "get_backend",
+    "usable_cpus",
 ]

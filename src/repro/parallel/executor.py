@@ -8,9 +8,11 @@ on either backend, bit for bit.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+
+if TYPE_CHECKING:  # pragma: no cover
+    import concurrent.futures
 
 __all__ = [
     "BACKENDS",
@@ -19,6 +21,7 @@ __all__ = [
     "ThreadBackend",
     "default_jobs",
     "get_backend",
+    "usable_cpus",
 ]
 
 T = TypeVar("T")
@@ -28,9 +31,21 @@ R = TypeVar("R")
 BACKENDS: tuple[str, ...] = ("serial", "thread")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask where the platform has one — ``taskset`` and a
+    container's cpuset shrink it, ``os.cpu_count()`` ignores both.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def default_jobs() -> int:
-    """Default worker count: one per available core."""
-    return os.cpu_count() or 1
+    """Default worker count: one per usable core."""
+    return usable_cpus()
 
 
 class ExecutionBackend:
@@ -91,6 +106,11 @@ class ThreadBackend(ExecutionBackend):
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         if self._pool is None:
+            # Imported at first use: the plan imports this package for its
+            # ranks, and a spectrum should not pay for a thread pool's
+            # imports (logging, traceback: 0.3 MiB) it never starts.
+            import concurrent.futures
+
             self._pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self._jobs, thread_name_prefix="repro-worker"
             )

@@ -38,14 +38,16 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.atomic.abundances import SOLAR, AbundanceSet
-from repro.atomic.database import AtomicDatabase
+from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, ME_C2_KEV, SIGMA_KRAMERS_CM2, maxwellian_norm
+from repro.parallel.ranks import POOL
 from repro.physics.ionbalance import ion_density
 from repro.physics.rrc import gaunt_factor, window_integrand
 from repro.physics.rrc_kernel import simpson_rrc
@@ -74,25 +76,46 @@ __all__ = [
 PLAN_METHODS = ("simpson", "romberg", "gauss")
 
 
+@lru_cache(maxsize=64)
+def _config_fingerprint(config: AtomicConfig) -> str:
+    text = f"atomicdb|n_max={config.n_max}|z_max={config.z_max}"
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
 def db_fingerprint(db: AtomicDatabase) -> str:
     """Content address of a synthetic database.
 
     The database is fully determined by its :class:`AtomicConfig`
     (construction is deterministic), so hashing the size knobs suffices.
     """
-    text = f"atomicdb|n_max={db.config.n_max}|z_max={db.config.z_max}"
-    return hashlib.sha1(text.encode()).hexdigest()
+    return _config_fingerprint(db.config)
 
 
 def grid_fingerprint(grid: EnergyGrid) -> str:
     """Content address of an energy grid (exact edge bytes)."""
-    return hashlib.sha1(grid.edges.tobytes()).hexdigest()
+    return grid.fingerprint
+
+
+#: ``id(tuple) -> (tuple, fingerprint)`` of the ion tuples last seen.  An
+#: entry holds its tuple, so a live id is never another tuple's.  By
+#: identity because callers pass the same tuple every time (``db.ions``,
+#: a family basis's) and hashing 105 ions costs what the sha1 does.
+_IONS_MEMO: OrderedDict[int, tuple[tuple[Ion, ...], str]] = OrderedDict()
+_IONS_MEMO_MAX = 64
 
 
 def ions_fingerprint(ions: Iterable[Ion]) -> str:
     """Content address of an ordered ion subset."""
+    seen = _IONS_MEMO.get(id(ions))
+    if seen is not None and seen[0] is ions:
+        return seen[1]
     text = "|".join(f"{ion.z},{ion.charge}" for ion in ions)
-    return hashlib.sha1(text.encode()).hexdigest()
+    fingerprint = hashlib.sha1(text.encode()).hexdigest()
+    if isinstance(ions, tuple):
+        _IONS_MEMO[id(ions)] = (ions, fingerprint)
+        while len(_IONS_MEMO) > _IONS_MEMO_MAX:
+            _IONS_MEMO.popitem(last=False)
+    return fingerprint
 
 
 @dataclass(frozen=True)
@@ -171,6 +194,17 @@ class SpectrumPlan:
                     self.e_min_ion, self.ion_index):
             arr.setflags(write=False)
         self._window_memo: OrderedDict[float, tuple[np.ndarray, np.ndarray]]
+        self._window_memo = OrderedDict()
+        self._memo_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # What a rank is sent: the compiled arrays, not the memo.
+        state = self.__dict__.copy()
+        del state["_window_memo"], state["_memo_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
         self._window_memo = OrderedDict()
         self._memo_lock = threading.Lock()
 
@@ -263,7 +297,7 @@ class SpectrumPlan:
         self, point: "GridPointLike", abundances: AbundanceSet = SOLAR
     ) -> MegabatchResult:
         """One fused launch: the grid point's full RRC spectrum + stats."""
-        return self.execute_many([point], abundances)[0]
+        return self._execute_slice([point], abundances)[0]
 
     def execute_many(
         self,
@@ -272,15 +306,36 @@ class SpectrumPlan:
     ) -> list[MegabatchResult]:
         """Execute the plan at N grid points with shared launch setup.
 
+        Row ``j`` is bit-identical to ``execute(points[j])`` for any
+        batch composition and order (the kernels' level order and
+        per-pair arithmetic never depend on the batch), so the point
+        axis is free to be cut: the points go to
+        :data:`repro.parallel.ranks.POOL` priced by their in-window
+        pairs, which runs contiguous slices on this process and its
+        ranks and returns the rows in input order — or, on a host, a
+        caller or a batch it is not worth it for, runs the one slice
+        here.
+        """
+        points = list(points)
+        if self.n_levels == 0 or len(points) < 2:
+            return self._execute_slice(points, abundances)
+        work = [
+            int((cutoff - first).sum())
+            for first, cutoff in (self.windows(float(p.kt_kev)) for p in points)
+        ]
+        return POOL.gather(self._execute_slice, points, work, abundances)
+
+    def _execute_slice(
+        self, points: list["GridPointLike"], abundances: AbundanceSet
+    ) -> list[MegabatchResult]:
+        """The launch itself, in whichever process holds the slice.
+
         Simpson plans hand the whole temperature axis to
         :func:`repro.physics.rrc_kernel.simpson_rrc`, which evaluates the
         temperature-independent factors of each level block once per
-        batch; row ``j`` is bit-identical to ``execute(points[j])`` for
-        any batch composition and order (the kernel's level order and
-        per-pair arithmetic never depend on the batch).  Romberg and
-        Gauss plans run one generic megabatch per point.
+        batch; Romberg and Gauss plans run one generic megabatch per
+        point.
         """
-        points = list(points)
         if self.n_levels == 0:
             return [
                 MegabatchResult(np.zeros(self.grid.n_bins), 0, 0, 0, 0)

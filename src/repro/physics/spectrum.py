@@ -11,6 +11,7 @@ comparison (Fig. 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,16 @@ class EnergyGrid:
             raise ValueError("need 0 < lambda_min < lambda_max")
         wl = np.linspace(lambda_min_a, lambda_max_a, n_bins + 1)
         return cls((HC_KEV_ANGSTROM / wl)[::-1].copy())
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content address: sha1 of the exact edge bytes (the edges are
+        read-only, so it is taken once per grid)."""
+        # Imported here: hashlib maps libcrypto (3.6 MiB of RSS), and not
+        # everything that imports a grid fingerprints one.
+        import hashlib
+
+        return hashlib.sha1(self.edges.tobytes()).hexdigest()
 
     @property
     def n_bins(self) -> int:

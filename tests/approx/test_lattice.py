@@ -1,5 +1,7 @@
 """The lattice: spec validity, measured certificates, refinement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,28 @@ class TestBuild:
         lat = SpectrumLattice(_spec(), _synthetic_exact)
         with pytest.raises(ValueError, match="outside the lattice domain"):
             lat.error_bound(1.0e9)
+
+    @pytest.mark.parametrize("method", INTERP_METHODS)
+    def test_interpolate_reads_only_its_stencil(self, method):
+        # The hit path stacks the <= 4 stencil nodes, never the lattice;
+        # bit for bit what interpolating over every node gives — at the
+        # domain's ends, on nodes, next to them and after a refinement.
+        from repro.approx.interp import interpolate_loglog
+
+        lat = SpectrumLattice(_spec(method=method), _synthetic_exact)
+        lat.refine(3)
+        temps = lat.node_temperatures_k
+        probes = np.concatenate(
+            [temps, np.sqrt(temps[:-1] * temps[1:]), temps[1:] * (1 - 1e-12)]
+        )
+        for t in probes:
+            whole = interpolate_loglog(
+                np.asarray(lat._u), np.asarray(lat._values),
+                math.log(float(t)), method=method,
+            )
+            np.testing.assert_array_equal(lat.interpolate(float(t)), whole)
+        with pytest.raises(ValueError, match="outside the lattice domain"):
+            lat.interpolate(1.0e9)
 
     def test_fingerprint_is_stored(self):
         lat = SpectrumLattice(_spec(), _synthetic_exact, fingerprint="abc")

@@ -9,15 +9,35 @@ Pinned promises:
 3. The cache is content-addressed: identical inputs hit, every key knob
    (grid, method, pieces, k, tail tolerance, Gaunt flag) misses, and a
    temperature change never recompiles (plans are T-independent).
+4. ``execute_many`` over the rank pool returns, for any points and any
+   number of slices, the rows and statistics of per-point ``execute`` —
+   also when a rank dies under its slice.
 """
+
+import contextlib
+import hashlib
+import os
+import pickle
+import signal
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.physics.plan as plan_module
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.constants import K_B_KEV
+from repro.parallel import ranks
 from repro.physics.apec import GridPoint, ion_emissivity_batched
-from repro.physics.plan import PlanCache, SpectrumPlan
+from repro.physics.plan import (
+    PlanCache,
+    SpectrumPlan,
+    db_fingerprint,
+    grid_fingerprint,
+    ions_fingerprint,
+)
 from repro.physics.rrc import window_integrand
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import level_windows
@@ -153,6 +173,151 @@ class TestExecuteMany:
             np.testing.assert_array_equal(
                 res.values, plan.execute(point).values
             )
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+
+
+@needs_fork
+class TestPointAxisAcrossRanks:
+    """The pool is made eligible by patching what it observes — CPUs and
+    the work floor (the tiny grid is far under the real one) — never by
+    an argument: there is none."""
+
+    TEMPERATURES = (2.0e6, 4.0e6, 1.0e7, 1.0e7, 2.5e7, 5.0e7)
+
+    @pytest.fixture(scope="class")
+    def cache(self):
+        return PlanCache()
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        pool = ranks.RankPool()
+        yield pool
+        pool.close()
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        return EnergyGrid.from_wavelength(10.0, 45.0, 16)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _observing(pool, cpus, floor=1):
+        with mock.patch.object(plan_module, "POOL", pool), \
+                mock.patch.object(ranks, "usable_cpus", lambda: cpus), \
+                mock.patch.object(ranks, "WORK_FLOOR", floor):
+            yield
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        temperatures=st.lists(
+            st.sampled_from(TEMPERATURES) | st.floats(2.0e6, 5.0e7), max_size=9
+        ),
+        cpus=st.integers(1, 4),
+        method=st.sampled_from(["simpson", "romberg", "gauss"]),
+        tail_tol=st.sampled_from([0.0, 1.0e-9]),
+    )
+    def test_gathered_rows_are_the_per_point_rows(
+        self, db, coarse, cache, pool, temperatures, cpus, method, tail_tol
+    ):
+        plan = _get(cache, db, coarse, method=method, tail_tol=tail_tol)
+        points = [GridPoint(temperature_k=t, ne_cm3=1.0) for t in temperatures]
+        before = pool.stats.slices
+        with self._observing(pool, cpus):
+            many = plan.execute_many(points)
+        assert pool.stats.slices - before == max(0, min(cpus, len(points)) - 1)
+        assert pool.stats.faults == 0
+        assert len(many) == len(points)
+        for point, row in zip(points, many):
+            single = plan.execute(point)
+            np.testing.assert_array_equal(row.values, single.values)
+            assert (row.n_pairs, row.n_passes) == (single.n_pairs, single.n_passes)
+
+    def test_one_point_never_reaches_the_pool(self, db, coarse, cache):
+        pool = ranks.RankPool()
+        plan = _get(cache, db, coarse)
+        point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
+        with self._observing(pool, 4):
+            plan.execute(point)
+            plan.execute_many([point])
+            plan.execute_many([])
+        assert pool.stats.forks == 0 and pool.stats.slices == 0
+
+    def test_tiny_grids_stay_under_the_real_floor(self, db, grid):
+        # What keeps the hypothesis suites of tier-1 on the serial path.
+        pool = ranks.RankPool()
+        plan = _get(PlanCache(), db, grid)
+        points = [GridPoint(temperature_k=t, ne_cm3=1.0) for t in self.TEMPERATURES]
+        with self._observing(pool, 4, floor=ranks.WORK_FLOOR):
+            plan.execute_many(points)
+        assert pool.stats.forks == 0
+
+    def test_rank_killed_under_its_slice(self, db, coarse, cache, monkeypatch):
+        plan = _get(cache, db, coarse)
+        points = [GridPoint(temperature_k=t, ne_cm3=1.0) for t in self.TEMPERATURES]
+        serial = [plan.execute(p) for p in points]
+        work = [int((c - f).sum()) for f, c in (plan.windows(p.kt_kev) for p in points)]
+        lost = len(points) - ranks.split_bounds(work, 2)[1]
+        caller, real = os.getpid(), SpectrumPlan._execute_slice
+
+        def dies_in_rank(self, points, abundances):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(self, points, abundances)
+
+        pool = ranks.RankPool()
+        try:
+            with self._observing(pool, 2):
+                monkeypatch.setattr(SpectrumPlan, "_execute_slice", dies_in_rank)
+                faulty = plan.execute_many(points)
+                monkeypatch.setattr(SpectrumPlan, "_execute_slice", real)
+                healed = plan.execute_many(points)
+        finally:
+            pool.close()
+        assert pool.stats.faults == 1 and pool.stats.reissued_points == lost
+        assert pool.stats.forks == 2 and pool.stats.slices == 2
+        for rows in (faulty, healed):
+            assert len(rows) == len(points)
+            for row, want in zip(rows, serial):
+                np.testing.assert_array_equal(row.values, want.values)
+                assert (row.n_pairs, row.n_passes) == (want.n_pairs, want.n_passes)
+
+    def test_plan_pickles_without_its_memo(self, db, coarse, cache):
+        plan = _get(cache, db, coarse)
+        point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
+        want = plan.execute(point)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone.key == plan.key and not clone._window_memo
+        np.testing.assert_array_equal(clone.execute(point).values, want.values)
+
+
+class TestFingerprints:
+    """Memoized, and still the strings they always were."""
+
+    def test_strings_are_the_unmemoized_hashes(self, db, grid):
+        for _ in range(2):  # second round: every memo hits
+            assert grid_fingerprint(grid) == hashlib.sha1(
+                grid.edges.tobytes()
+            ).hexdigest()
+            assert db_fingerprint(db) == hashlib.sha1(
+                f"atomicdb|n_max={db.config.n_max}|z_max={db.config.z_max}".encode()
+            ).hexdigest()
+            text = "|".join(f"{ion.z},{ion.charge}" for ion in db.ions)
+            assert ions_fingerprint(db.ions) == hashlib.sha1(text.encode()).hexdigest()
+
+    def test_ions_memo_is_by_tuple_not_by_accident(self, db):
+        whole = ions_fingerprint(db.ions)
+        assert ions_fingerprint(list(db.ions)) == whole
+        assert ions_fingerprint(iter(db.ions)) == whole
+        assert ions_fingerprint(tuple(list(db.ions))) == whole
+        assert ions_fingerprint(db.ions[1:]) != whole
+        # Short-lived tuples may reuse an id; each must get its own hash.
+        seen = {ions_fingerprint(db.ions[:n]) for n in range(1, 30) for _ in range(3)}
+        assert len(seen) == 29
+
+    def test_equal_grids_share_a_fingerprint(self, grid):
+        twin = EnergyGrid(grid.edges.copy())
+        assert twin is not grid and grid_fingerprint(twin) == grid_fingerprint(grid)
 
 
 class TestPlanCache:
