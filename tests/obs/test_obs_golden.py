@@ -111,14 +111,13 @@ def fingerprint(case: str) -> dict:
     broker, _ = run_trace(
         generate_trace(spec), config, tracer=tracer, tsdb=tsdb, anomaly=detector
     )
-    stream = hashlib.sha1()
-    for ev in tracer.events:
-        stream.update(
-            repr(
-                (ev.ph, ev.name, ev.cat, ev.track, ev.ts.hex(),
-                 float(ev.dur).hex(), ev.id, ev.parent, _canon(ev.args))
-            ).encode()
+    records = [
+        repr(
+            (ev.ph, ev.name, ev.cat, ev.track, ev.ts.hex(),
+             float(ev.dur).hex(), ev.id, ev.parent, _canon(ev.args))
         )
+        for ev in tracer.events
+    ]
     return {
         "renders": tsdb.renders,
         "final_render": _sha1(broker.registry().render()),
@@ -128,7 +127,8 @@ def fingerprint(case: str) -> dict:
         "ledger": _sha1(ledger_fingerprint(broker.cost_report())),
         "cost_model": _sha1(_canon(broker.cost_model.to_dict())),
         "structure": _structure(tracer),
-        "events": stream.hexdigest(),
+        "events": _sha1("".join(records)),
+        "events_sorted": _sha1("".join(sorted(records))),
         "report": _sha1(_canon(broker.report())),
     }
 
@@ -383,6 +383,20 @@ PARENT_COST_MODEL = {
 _POOL_KEYS = ("pool_creates", "pool_reuses", "map_chunks", "map_items")
 
 
+#: sha1 of the *sorted* event records per case, recorded at 9e15803 — the
+#: parent of the PR that completes a task on a single-slot device in one
+#: heap event and therefore appends its three spans at completion instead
+#: of one per phase.  The multiset of events (every ts/dur bit, id, parent
+#: and arg) is pinned here across that change; only the append order in
+#: ``events`` moved.
+EVENT_MULTISET = {
+    "alarms": "fc6acca4dd652d0641a421e850034fc8401225bb",
+    "burst": "75840bcaafdd6b64886f807104a07237e76d1139",
+    "observed": "277a483c489ff1d1d75503acea218660f1b73e96",
+    "zipf": "630945e0b8666e8cc69ecd97970d170d9d543875",
+}
+
+
 #: sha1 of the store a hybrid run's cadence scraper fills (224 scrapes of
 #: the ``repro_node_*`` families over ``paper_workload(2)`` on 8 ranks /
 #: 2 GPUs), recorded at the same parent commit.
@@ -402,7 +416,7 @@ def test_node_scraper_store_matches_parent_commit():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fingerprint_matches_parent_commit(case):
     got = fingerprint(case)
-    want = GOLDEN[case]
+    want = {**GOLDEN[case], "events_sorted": EVENT_MULTISET[case]}
     for part in want:
         assert got[part] == want[part], part
     assert set(got) == set(want)
