@@ -9,15 +9,18 @@ A tiny SimPy-flavoured kernel, just large enough for the hybrid runner:
 - :class:`Signal` is a one-shot broadcast: every waiter resumes when it
   fires, and waits on an already-fired signal return immediately.
 
-Determinism: events at equal times run in schedule order (a monotone
-sequence number breaks ties), so a given workload always produces the
-identical trace — the property that makes every figure reproducible.
+Determinism: the heap is ordered by ``(time, scheduled_at, seq)`` — fire
+time, push time, a monotone sequence number.  ``seq`` is monotone in push
+time, so ordinary pushes run in schedule order at equal times and a given
+workload always produces the identical trace — the property that makes
+every figure reproducible.  :meth:`SimClock.call_chain` alone declares a
+later ``scheduled_at``: one event sorting where a chain's last link would.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import inf
 from typing import Callable, Generator, Iterable, Optional, Union
 
@@ -150,12 +153,13 @@ class SimClock:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable, object]] = []
+        self._heap: list[tuple[float, float, int, Callable, object]] = []
         self._seq = 0
 
     def _schedule(self, delay: float, fn: Callable, arg: object) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, arg))
+        now = self.now
+        heappush(self._heap, (now + delay, now, self._seq, fn, arg))
 
     def at(self, delay: float, fn: Callable[[], None]) -> None:
         """Run a plain callback ``delay`` seconds from now."""
@@ -167,7 +171,30 @@ class SimClock:
         if not 0 <= delay < inf:
             raise ValueError("delay must be non-negative and finite")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, arg))
+        now = self.now
+        heappush(self._heap, (now + delay, now, self._seq, fn, arg))
+
+    def call_chain(
+        self, hops: tuple[float, ...], fn: Callable[[object], None], arg: object
+    ) -> None:
+        """Run ``fn(arg)`` where a chain of events, each pushing the next
+        ``hops[i]`` seconds on, would run its last link — as one event.
+        Fire time is ``((now + h0) + h1) + ...`` in that float order and
+        ``scheduled_at`` the time the last link would have been pushed, so
+        the event keeps the chain's place among events at its fire time
+        unless one of them was also pushed in that very instant (then
+        ``seq`` decides, and the chain's is older than the link's).  The
+        last hop must be positive: a +0 link belongs behind the +0 events
+        already pushed in its instant, which no key can say."""
+        scheduled_at = fire = self.now
+        for hop in hops:
+            if not 0 <= hop < inf:
+                raise ValueError("hops must be non-negative and finite")
+            scheduled_at, fire = fire, fire + hop
+        if not fire > scheduled_at:
+            raise ValueError("the last hop of a chain must be positive")
+        self._seq += 1
+        heappush(self._heap, (fire, scheduled_at, self._seq, fn, arg))
 
     def spawn(self, gen: Generator, name: str = "proc") -> ProcessHandle:
         """Start a generator process immediately (first step at t = now)."""
@@ -190,7 +217,7 @@ class SimClock:
             if until is not None and heap[0][0] > until:
                 self.now = until
                 return self.now
-            t, _seq, fn, arg = heapq.heappop(heap)
+            t, _scheduled_at, _seq, fn, arg = heappop(heap)
             if t < self.now:
                 raise RuntimeError(f"causality violation: {t} < {self.now}")
             self.now = t

@@ -331,12 +331,6 @@ class HybridRunner:
                 clock, sched, gpus, bus, self.span_cost_model,
                 steal=cfg.steal,
             )
-            for d in range(cfg.n_gpus):
-                for slot in range(specs[d].max_concurrent_kernels):
-                    clock.spawn(
-                        dispatch.device_worker(d),
-                        name=f"{name}.gpu{d}.disp{slot}",
-                    )
 
         per_worker = self._partition(tasks)
         stagger = self._stagger()
@@ -345,20 +339,15 @@ class HybridRunner:
             rank_track = (
                 tracer.track(self.scope, f"rank{rank}") if tracer.enabled else 0
             )
-            if dispatch is not None:
-                gen = self._worker_predictive(
-                    rank, my_tasks, clock, sched, dispatch, bus, spectra,
-                    stagger, rank_track,
-                )
-            elif cfg.async_depth > 0:
+            if cfg.async_depth > 0:
                 gen = self._worker_async(
                     rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
                     rank_track,
                 )
             else:
                 gen = self._worker_sync(
-                    rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
-                    rank_track,
+                    rank, my_tasks, clock, sched, gpus, dispatch, bus, spectra,
+                    stagger, rank_track,
                 )
             handles.append(clock.spawn(gen, name=f"rank{rank}"))
 
@@ -390,8 +379,6 @@ class HybridRunner:
         for handle in handles:
             yield handle
         batch_done[0] = True
-        if dispatch is not None:
-            dispatch.close()
         makespan = clock.now - start
         metrics.finalize(clock.now)
         if self.tsdb.enabled:
@@ -430,12 +417,27 @@ class HybridRunner:
     # Worker processes
     # ------------------------------------------------------------------
     def _worker_sync(
-        self, rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
-        rank_track=0,
+        self, rank, my_tasks, clock, sched, gpus, dispatch, bus, spectra,
+        stagger, rank_track=0,
     ) -> Generator:
+        """One rank's task loop, for every synchronous policy.
+
+        A policy owns two things: the hand-off of an admitted task and
+        the bookkeeping at its completion.  With no ``dispatch`` the rank
+        submits to the chosen device and frees the slot itself; with the
+        predictive ``dispatch`` the task is priced by the online cost
+        model, placed by predicted finish time and parked on the
+        per-device queues (where a steal may relocate it), and the
+        executing slot frees.  Either way the rank blocks on the task's
+        completion signal, so accumulation order — and with it every
+        spectrum bit — is the rank's own task order whichever device ran
+        the task.
+        """
         cfg = self.config
         cost = cfg.cost
         tracer = self.tracer
+        traced = tracer.enabled
+        model = dispatch.model if dispatch is not None else None
         yield rank * stagger
         point_share = self._point_share(my_tasks)
         for task in my_tasks:
@@ -443,7 +445,7 @@ class HybridRunner:
             # One span id per task: the gpusim sub-spans parent under it,
             # and it parents under whatever compiled the task (megabatch
             # group span or request root) via task.trace_parent.
-            span_id = tracer.new_id() if tracer.enabled else 0
+            span_id = tracer.new_id() if traced else 0
             # Per-point overhead (I/O, ion balance) is interleaved with the
             # task loop in APEC, so it is amortized across the point's
             # tasks rather than paid as a serial prelude that would starve
@@ -451,82 +453,108 @@ class HybridRunner:
             yield cost.prep_s(task.n_levels) + point_share[task.point_index]
             if sched.rpc_latency_s:
                 yield sched.rpc_latency_s
-            if tracer.enabled:
-                loads = sched.loads()
-                histories = sched.histories()
-            device = sched.sche_alloc(clock.now)
-            if tracer.enabled:
-                tracer.instant(
-                    rank_track,
-                    "sche_alloc",
-                    cat="sched",
-                    args={
-                        "chosen": device,
-                        "loads": loads,
-                        "histories": histories,
-                        "task_id": task.task_id,
-                    },
+            if traced:
+                decision = {
+                    "chosen": NO_DEVICE,
+                    "loads": sched.loads(),
+                    "histories": sched.histories(),
+                }
+            if dispatch is None:
+                device = sched.sche_alloc(clock.now)
+            else:
+                # Priced once: the table key rides on the pending entry to
+                # the observe call, the ticks to every segment update.
+                evals = task.kernel.total_evals
+                key = model.key(
+                    ion_from_label(task.kernel.label or task.label),
+                    task.cost_key_method,
+                    evals,
                 )
+                predicted = model.predict_key(key, evals)
+                ticks = sched.cost_ticks(predicted)
+                if traced:
+                    decision["backlogs_s"] = sched.backlogs_s()
+                    decision["predicted_s"] = predicted
+                device = sched.sche_alloc(clock.now, ticks=ticks)
+            if traced:
+                decision["chosen"] = device
+                decision["task_id"] = task.task_id
+                tracer.instant(rank_track, "sche_alloc", cat="sched", args=decision)
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
                 submitted_at = clock.now
-                gpu = gpus[device]
-                price = gpu.spec.phase_times(task.kernel)
-                try:
-                    done = gpu.submit(task.kernel, span_id, price)
-                except RuntimeError:
-                    # The device died between admission and submission:
-                    # release the slot, revoke the phantom admission, and
-                    # degrade to the CPU path (the operational behaviour a
-                    # real node needs — the task must not vanish and the
-                    # queue must not leak).
-                    sched.sche_free(device, clock.now)
-                    bus.on_admission_revoked(device)
-                    device = NO_DEVICE
-                if device != NO_DEVICE:
-                    payload = yield done
-                    service = price[0] + price[1] + price[2]
-                    wait_s = max(0.0, clock.now - submitted_at - service)
-                    bus.on_task_timing(wait_s, service)
-                    if sched.rpc_latency_s:
-                        yield sched.rpc_latency_s
-                    sched.sche_free(device, clock.now)
+                if dispatch is not None:
+                    entry = dispatch.enqueue(
+                        device, task.kernel, key, evals, predicted, ticks, span_id
+                    )
+                    payload = yield entry.done
+                    placed, device = device, entry.executed_device
+                    if entry.failed:
+                        bus.on_admission_revoked(device)
+                        device = NO_DEVICE
+                    else:
+                        started, service = entry.exec_started, entry.service_s
+                        wait_s = started - submitted_at
+                else:
+                    gpu = gpus[device]
+                    price = gpu.spec.phase_times(task.kernel)
+                    try:
+                        done = gpu.submit(task.kernel, span_id, price)
+                    except RuntimeError:
+                        # The device died between admission and submission:
+                        # release the slot, revoke the phantom admission, and
+                        # degrade to the CPU path (the operational behaviour a
+                        # real node needs — the task must not vanish and the
+                        # queue must not leak).
+                        sched.sche_free(device, clock.now)
+                        bus.on_admission_revoked(device)
+                        device = NO_DEVICE
+                    else:
+                        payload = yield done
+                        service = price[0] + price[1] + price[2]
+                        wait_s = max(0.0, clock.now - submitted_at - service)
+                        started = submitted_at + wait_s
+                        bus.on_task_timing(wait_s, service)
+                        if sched.rpc_latency_s:
+                            yield sched.rpc_latency_s
+                        sched.sche_free(device, clock.now)
+            if device != NO_DEVICE:
+                if payload is not None:
                     self._accumulate(spectra, task, payload)
-                    if tracer.enabled:
-                        if wait_s > 0.0:
-                            tracer.span(
-                                rank_track, "queue-wait", submitted_at,
-                                submitted_at + wait_s, cat="wait",
-                                args={"device": device},
-                                parent=span_id,
-                            )
+                if traced:
+                    if wait_s > 0.0:
                         tracer.span(
-                            rank_track,
-                            task.label or f"task{task.task_id}",
-                            task_started,
-                            clock.now,
-                            cat="task",
-                            args={
-                                "placement": "gpu",
-                                "device": device,
-                                "wait_s": wait_s,
-                                "service_s": service,
-                            },
-                            id=span_id,
-                            parent=task.trace_parent or None,
+                            rank_track, "queue-wait", submitted_at, started,
+                            cat="wait", args={"device": device}, parent=span_id,
                         )
-                    if cfg.record_trace:
-                        bus.on_task_event(TaskEvent(
-                            rank=rank, task_id=task.task_id, placement="gpu",
-                            device=device, start=submitted_at + wait_s,
-                            end=clock.now, enqueue=submitted_at,
-                        ))
-            if device == NO_DEVICE:
+                    args = {"placement": "gpu", "device": device}
+                    if dispatch is not None:
+                        args["stolen"] = device != placed
+                        args["predicted_s"] = predicted
+                    args["wait_s"] = wait_s
+                    args["service_s"] = service
+                    tracer.span(
+                        rank_track,
+                        task.label or f"task{task.task_id}",
+                        task_started,
+                        clock.now,
+                        cat="task",
+                        args=args,
+                        id=span_id,
+                        parent=task.trace_parent or None,
+                    )
+                if cfg.record_trace:
+                    bus.on_task_event(TaskEvent(
+                        rank=rank, task_id=task.task_id, placement="gpu",
+                        device=device, start=started, end=clock.now,
+                        enqueue=submitted_at,
+                    ))
+            else:
                 bus.on_cpu_task()
                 cpu_started = clock.now
                 yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
                 self._accumulate(spectra, task, task.run_cpu())
-                if tracer.enabled:
+                if traced:
                     tracer.span(
                         rank_track,
                         task.label or f"task{task.task_id}",
@@ -590,26 +618,34 @@ class HybridRunner:
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
                 submitted_at = clock.now
-                done = gpus[device].submit(task.kernel, parent=span_id)
+                try:
+                    done = gpus[device].submit(task.kernel, parent=span_id)
+                except RuntimeError:
+                    # Dead device: as in the synchronous loop, release the
+                    # slot, revoke the admission, fall back to the CPU.
+                    sched.sche_free(device, clock.now)
+                    bus.on_admission_revoked(device)
+                    device = NO_DEVICE
+                else:
 
-                def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id):
-                    sched.sche_free(d, clock.now)
-                    self._accumulate(spectra, t, payload)
-                    if tracer.enabled:
-                        tracer.span(
-                            rank_track,
-                            t.label or f"task{t.task_id}",
-                            t0,
-                            clock.now,
-                            cat="task",
-                            args={"placement": "gpu", "device": d},
-                            id=sid,
-                            parent=t.trace_parent or None,
-                        )
+                    def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id):
+                        sched.sche_free(d, clock.now)
+                        self._accumulate(spectra, t, payload)
+                        if tracer.enabled:
+                            tracer.span(
+                                rank_track,
+                                t.label or f"task{t.task_id}",
+                                t0,
+                                clock.now,
+                                cat="task",
+                                args={"placement": "gpu", "device": d},
+                                id=sid,
+                                parent=t.trace_parent or None,
+                            )
 
-                done.add_callback(clock, on_done)
-                in_flight.append(done)
-            else:
+                    done.add_callback(clock, on_done)
+                    in_flight.append(done)
+            if device == NO_DEVICE:
                 bus.on_cpu_task()
                 cpu_started = clock.now
                 yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
@@ -627,119 +663,6 @@ class HybridRunner:
                     )
         for sig in in_flight:
             yield sig
-
-    def _worker_predictive(
-        self, rank, my_tasks, clock, sched, dispatch, bus, spectra, stagger,
-        rank_track=0,
-    ) -> Generator:
-        """Rank loop for the predictive dispatch path.
-
-        Mirrors :meth:`_worker_sync`, but admitted tasks are priced by
-        the online cost model, placed by predicted finish time, and
-        handed to the per-device dispatch queues (where work stealing
-        may relocate them).  The rank still blocks on each task's
-        completion signal, so accumulation order — and with it every
-        spectrum bit — is the rank's own task order regardless of which
-        device ends up executing each task.
-        """
-        cfg = self.config
-        cost = cfg.cost
-        tracer = self.tracer
-        model = dispatch.model
-        yield rank * stagger
-        point_share = self._point_share(my_tasks)
-        for task in my_tasks:
-            task_started = clock.now
-            span_id = tracer.new_id() if tracer.enabled else 0
-            yield cost.prep_s(task.n_levels) + point_share[task.point_index]
-            key = _task_cost_key(task)
-            predicted = model.predict(*key)
-            ticks = sched.cost_ticks(predicted)
-            if tracer.enabled:
-                loads = sched.loads()
-                histories = sched.histories()
-                backlogs = sched.backlogs_s()
-            device = sched.sche_alloc(clock.now, ticks=ticks)
-            if tracer.enabled:
-                tracer.instant(
-                    rank_track,
-                    "sche_alloc",
-                    cat="sched",
-                    args={
-                        "chosen": device,
-                        "loads": loads,
-                        "histories": histories,
-                        "backlogs_s": backlogs,
-                        "predicted_s": predicted,
-                        "task_id": task.task_id,
-                    },
-                )
-            if device != NO_DEVICE:
-                yield cost.submit_overhead_s
-                entry = dispatch.enqueue(
-                    device, task, key, predicted, ticks, span_id
-                )
-                payload = yield entry.done
-                if entry.failed:
-                    bus.on_admission_revoked(entry.executed_device)
-                    device = NO_DEVICE
-                else:
-                    self._accumulate(spectra, task, payload)
-                    wait_s = entry.exec_started - entry.enqueued_at
-                    if tracer.enabled:
-                        if wait_s > 0.0:
-                            tracer.span(
-                                rank_track, "queue-wait", entry.enqueued_at,
-                                entry.exec_started, cat="wait",
-                                args={"device": entry.executed_device},
-                                parent=span_id,
-                            )
-                        tracer.span(
-                            rank_track,
-                            task.label or f"task{task.task_id}",
-                            task_started,
-                            clock.now,
-                            cat="task",
-                            args={
-                                "placement": "gpu",
-                                "device": entry.executed_device,
-                                "stolen": entry.executed_device != device,
-                                "predicted_s": predicted,
-                                "wait_s": wait_s,
-                                "service_s": entry.service_s,
-                            },
-                            id=span_id,
-                            parent=task.trace_parent or None,
-                        )
-                    if cfg.record_trace:
-                        bus.on_task_event(TaskEvent(
-                            rank=rank, task_id=task.task_id, placement="gpu",
-                            device=entry.executed_device,
-                            start=entry.exec_started, end=clock.now,
-                            enqueue=entry.enqueued_at,
-                        ))
-            if device == NO_DEVICE:
-                bus.on_cpu_task()
-                cpu_started = clock.now
-                yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
-                self._accumulate(spectra, task, task.run_cpu())
-                if tracer.enabled:
-                    tracer.span(
-                        rank_track,
-                        task.label or f"task{task.task_id}",
-                        task_started,
-                        clock.now,
-                        cat="task",
-                        args={"placement": "cpu", "device": -1, "wait_s": 0.0},
-                        id=span_id,
-                        parent=task.trace_parent or None,
-                    )
-                if cfg.record_trace:
-                    bus.on_task_event(TaskEvent(
-                        rank=rank, task_id=task.task_id, placement="cpu",
-                        device=-1, start=cpu_started, end=clock.now,
-                        enqueue=cpu_started,
-                    ))
 
     # ------------------------------------------------------------------
     # Helpers
@@ -781,24 +704,20 @@ class HybridRunner:
 # ----------------------------------------------------------------------
 # Predictive dispatch (measured-cost placement + work stealing)
 # ----------------------------------------------------------------------
-def _task_cost_key(task: Task) -> tuple[str, str, int]:
-    """(ion, method, evals) — one task's cost-model axes."""
-    label = task.kernel.label or task.label
-    return ion_from_label(label), task.cost_key_method, task.kernel.total_evals
-
-
 class _PendingTask:
     """One admitted task parked in a device's dispatch queue."""
 
     __slots__ = (
-        "task", "key", "cost_s", "ticks", "span_id", "enqueued_at", "done",
-        "executed_device", "exec_started", "service_s", "failed",
+        "kernel", "key", "evals", "cost_s", "ticks", "span_id", "enqueued_at",
+        "done", "executed_device", "exec_started", "service_s", "failed",
     )
 
-    def __init__(self, task, key, cost_s, ticks, span_id, now):
-        self.task = task
-        #: (ion, method, evals) — computed once, at placement.
+    def __init__(self, kernel, key, evals, cost_s, ticks, span_id, now):
+        self.kernel = kernel
+        #: The cost model's table key and the priced evaluation count —
+        #: computed once, at placement.
         self.key = key
+        self.evals = evals
         #: Predicted cost at admission time and its integer-tick form —
         #: the exact amount added to the segment backlog, carried so
         #: free/steal remove it exactly without re-rounding.
@@ -807,7 +726,7 @@ class _PendingTask:
         self.span_id = span_id
         self.enqueued_at = now
         self.done = Signal("task.done")
-        # Set by the executing dispatch worker:
+        # Set by the executing dispatch slot:
         self.executed_device = -1
         self.exec_started = 0.0
         self.service_s = 0.0
@@ -818,12 +737,12 @@ class _PredictiveDispatch:
     """Per-device dispatch queues with work stealing.
 
     Rank workers enqueue admitted tasks here instead of submitting to
-    the device directly; one dispatch worker per device kernel slot
-    drains its own queue head-first (FIFO — admission order, matching
-    the direct-submit modes), and, when stealing is on, an idle device
-    pulls from the *tail* of the pending queue with the largest summed
-    predicted backlog (ties to the lowest index).  The steal rebalances
-    slot + predicted ticks on the shared segment through
+    the device directly; one :class:`_DispatchSlot` per device kernel
+    slot drains its own queue head-first (FIFO — admission order,
+    matching the direct-submit modes), and, when stealing is on, an idle
+    device pulls from the *tail* of the pending queue with the largest
+    summed predicted backlog (ties to the lowest index).  The steal
+    rebalances slot + predicted ticks on the shared segment through
     :meth:`PredictiveScheduler.on_steal`, so conservation is validated
     at end of run exactly as for unstolen tasks.
 
@@ -840,80 +759,114 @@ class _PredictiveDispatch:
         self.model = model
         self.steal = steal
         self.pending: list[deque] = [deque() for _ in gpus]
-        #: Summed ``ticks`` of each pending queue, kept in step with it.
+        #: Entries over all pending queues and summed ``ticks`` of each,
+        #: kept in step with them.
+        self.n_pending = 0
         self.pending_ticks = [0] * len(gpus)
-        self._idle: list = []
-        self.closed = False
+        #: Parked slots, in parking order; every slot starts parked.
+        self._idle = [
+            _DispatchSlot(self, d)
+            for d, gpu in enumerate(gpus)
+            for _ in range(gpu.spec.max_concurrent_kernels)
+        ]
 
-    def enqueue(self, device, task, key, cost_s, ticks, span_id) -> _PendingTask:
-        """Park one admitted task on ``device``'s queue; wake idle workers."""
-        entry = _PendingTask(task, key, cost_s, ticks, span_id, self.clock.now)
+    def enqueue(
+        self, device, kernel, key, evals, cost_s, ticks, span_id
+    ) -> _PendingTask:
+        """Park one admitted task on ``device``'s queue and wake every
+        idle slot, ``device``'s own first.
+
+        Waking is a same-instant event per slot, so push order decides
+        who claims the entry: the owning device gets first refusal, and
+        another device steals it only when the owner's slots are all busy.
+        """
+        clock = self.clock
+        entry = _PendingTask(kernel, key, evals, cost_s, ticks, span_id, clock.now)
         self.pending[device].append(entry)
+        self.n_pending += 1
         self.pending_ticks[device] += ticks
-        self._wake_all(prefer=device)
+        idle = self._idle
+        if idle:
+            self._idle = []
+            for owner in (True, False):
+                for slot in idle:
+                    if (slot.device == device) is owner:
+                        clock.call_at(0.0, slot._step, None)
         return entry
 
-    def close(self) -> None:
-        """All ranks joined: let idle dispatch workers exit."""
-        self.closed = True
-        self._wake_all()
-
-    def _wake_all(self, prefer: int = -1) -> None:
-        """Wake every idle worker; ``prefer``'s own workers step first.
-
-        Waking is a same-instant schedule, so ordering decides who claims
-        a fresh entry: the owning device gets first refusal, and another
-        device steals it only when the owner's slots are all busy.
-        """
-        waiters, self._idle = self._idle, []
-        waiters.sort(key=lambda pair: pair[0] != prefer)
-        for _d, sig in waiters:
-            sig.fire(self.clock)
-
-    def _steal_from(self, thief: int) -> Optional[_PendingTask]:
-        """Pull the tail task of the most-backlogged pending queue."""
+    def _steal_from(self, thief: int) -> _PendingTask:
+        """Pull the tail task of the most-backlogged pending queue (the
+        thief's own is empty, and some queue is not)."""
         best = -1
         best_ticks = 0
         for d, queue in enumerate(self.pending):
-            if d == thief or not queue:
+            if not queue:
                 continue
             ticks = self.pending_ticks[d]
             if best < 0 or ticks > best_ticks:
                 best, best_ticks = d, ticks
-        if best < 0:
-            return None
         entry = self.pending[best].pop()
+        self.n_pending -= 1
         self.pending_ticks[best] -= entry.ticks
         self.sched.on_steal(best, thief, self.clock.now, ticks=entry.ticks)
         return entry
 
-    def device_worker(self, device: int) -> Generator:
-        """One kernel slot's drain loop: own head, else steal, else idle."""
-        clock = self.clock
-        sched = self.sched
-        gpu = self.gpus[device]
-        own = self.pending[device]
-        idle_name = f"gpu{device}.disp.idle"
+
+class _DispatchSlot:
+    """One kernel slot's drain loop: own head, else steal, else park.
+
+    The slot is a plain waiter, not a process: an enqueue wakes it with a
+    same-instant ``_step(None)`` and the device's completion signal
+    resumes it with the payload — the events a generator yielding those
+    two waits would cause, in the same order, without the generator or a
+    signal per park.
+    """
+
+    __slots__ = ("dispatch", "device", "gpu", "own", "entry")
+
+    def __init__(self, dispatch: _PredictiveDispatch, device: int) -> None:
+        self.dispatch = dispatch
+        self.device = device
+        self.gpu = dispatch.gpus[device]
+        self.own = dispatch.pending[device]
+        #: The task on the device, None while parked.
+        self.entry: Optional[_PendingTask] = None
+
+    def _step(self, payload: object = None) -> None:
+        dispatch = self.dispatch
+        device = self.device
+        sched = dispatch.sched
+        clock = dispatch.clock
+        entry = self.entry
+        if entry is not None:
+            self.entry = None
+            now = clock.now
+            entry.executed_device = device
+            entry.service_s = measured = now - entry.exec_started
+            dispatch.model.observe_key(entry.key, entry.evals, measured)
+            dispatch.bus.on_prediction(entry.cost_s, measured)
+            dispatch.bus.on_task_timing(
+                entry.exec_started - entry.enqueued_at, measured
+            )
+            sched.sche_free(device, now, ticks=entry.ticks)
+            entry.done.fire(clock, payload)
         while True:
-            entry = None
-            if own:
-                entry = own.popleft()
-                self.pending_ticks[device] -= entry.ticks
+            if self.own:
+                entry = self.own.popleft()
+                dispatch.n_pending -= 1
+                dispatch.pending_ticks[device] -= entry.ticks
             elif (
-                self.steal
-                and not gpu.failed
+                dispatch.n_pending
+                and dispatch.steal
+                and not self.gpu.failed
                 and sched.queues[device].load < sched.max_queue_length
             ):
-                entry = self._steal_from(device)
-            if entry is None:
-                if self.closed and not any(self.pending):
-                    return
-                sig = Signal(idle_name)
-                self._idle.append((device, sig))
-                yield sig
-                continue
+                entry = dispatch._steal_from(device)
+            else:
+                dispatch._idle.append(self)
+                return
             try:
-                gpu_done = gpu.submit(entry.task.kernel, parent=entry.span_id)
+                gpu_done = self.gpu.submit(entry.kernel, parent=entry.span_id)
             except RuntimeError:
                 # Device died after admission: release the slot, flag the
                 # entry; the owning rank revokes the placement count and
@@ -925,12 +878,6 @@ class _PredictiveDispatch:
                 entry.done.fire(clock, None)
                 continue
             entry.exec_started = clock.now
-            payload = yield gpu_done
-            measured = clock.now - entry.exec_started
-            entry.executed_device = device
-            entry.service_s = measured
-            self.model.observe(*entry.key, measured)
-            self.bus.on_prediction(entry.cost_s, measured)
-            self.bus.on_task_timing(entry.exec_started - entry.enqueued_at, measured)
-            sched.sche_free(device, clock.now, ticks=entry.ticks)
-            entry.done.fire(clock, payload)
+            self.entry = entry
+            gpu_done._waiters.append(self)
+            return

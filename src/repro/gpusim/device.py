@@ -140,11 +140,15 @@ class SimulatedGPU:
 
     On Fermi (``max_concurrent_kernels = 1``) the phases of consecutive
     tasks serialize entirely — application-level context switching, "the
-    queued tasks are performed serially in their submission orders".  On
+    queued tasks are performed serially in their submission orders" — so
+    a task is **one** heap event, a ``SimClock.call_chain`` over its three
+    phase lengths: the fire-time float and the place in the event order
+    of the last of three per-phase events.  On
     Kepler, up to ``max_concurrent_kernels`` clients may be in flight at
     once: their ingress/egress phases *overlap*, but the compute phases
     still serialize through the SMs at full rate — Hyper-Q hides the
-    per-client overheads, it does not multiply the silicon.  (True
+    per-client overheads, it does not multiply the silicon — and each
+    phase is its own event.  (True
     fine-grained SM sharing would be processor-sharing; serializing
     compute at full rate has the same aggregate throughput and keeps the
     event model exact.)
@@ -172,10 +176,11 @@ class SimulatedGPU:
         self.index = index
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
-        # A job is (kernel, done, parent, ingress_s, compute_s, egress_s):
+        # A job is (kernel, done, parent, (ingress_s, compute_s, egress_s)):
         # priced once at submit, then carried through the three phases.
         self._waiting: deque[tuple] = deque()
         self._active = 0  # tasks in any phase
+        self._serial = spec.max_concurrent_kernels == 1
         self._compute_queue: deque[tuple] = deque()
         self._compute_busy = False
         self.busy_time = 0.0  # any-phase-active time
@@ -208,7 +213,7 @@ class SimulatedGPU:
         if self.failed:
             raise RuntimeError(f"GPU {self.index} has failed")
         done = Signal(self._done_name)
-        job = (kernel, done, parent) + (price or self.spec.phase_times(kernel))
+        job = (kernel, done, parent, price or self.spec.phase_times(kernel))
         if self._active < self.spec.max_concurrent_kernels:
             self._start(job)
         else:
@@ -216,27 +221,28 @@ class SimulatedGPU:
         return done
 
     # ------------------------------------------------------------------
-    # Phases: each is one heap event (bound method, (job, phase start));
-    # the start time is only read when tracing.
+    # Execution.  Every heap event carries (job, phase start); the start
+    # time is only read when tracing.
     # ------------------------------------------------------------------
     def _start(self, job: tuple) -> None:
         self._active += 1
         now = self.clock.now
         if self._busy_since is None:
             self._busy_since = now
-        self.clock.call_at(job[3], self._enter_compute, (job, now))
+        price = job[3]
+        # A zero-length egress would be a +0 last link, which a chain
+        # cannot stand for (see call_chain): that job takes the phases.
+        if self._serial and price[2] > 0.0:
+            self.clock.call_chain(price, self._complete, (job, now, True))
+        else:
+            self.clock.call_at(price[0], self._enter_compute, (job, now))
 
     def _enter_compute(self, event: tuple) -> None:
         if self.failed:
             return
         job, started = event
         if self.tracer.enabled:
-            kernel = job[0]
-            self.tracer.span(
-                self.track, "h2d+launch", started, self.clock.now, cat="ingress",
-                args={"label": kernel.label, "bytes_in": kernel.bytes_in},
-                parent=job[2] or None,
-            )
+            self._trace(0, job, started, self.clock.now)
         self._compute_queue.append(job)
         self._pump_compute()
 
@@ -245,36 +251,32 @@ class SimulatedGPU:
             return
         self._compute_busy = True
         job = self._compute_queue.popleft()
-        self.clock.call_at(job[4], self._finish_compute, (job, self.clock.now))
+        self.clock.call_at(job[3][1], self._finish_compute, (job, self.clock.now))
 
     def _finish_compute(self, event: tuple) -> None:
         self._compute_busy = False
         if not self.failed:
             job, started = event
             if self.tracer.enabled:
-                kernel = job[0]
-                self.tracer.span(
-                    self.track, "compute", started, self.clock.now, cat="compute",
-                    args={
-                        "label": kernel.label,
-                        "evals": kernel.total_evals,
-                        "evals_saved": kernel.evals_saved,
-                    },
-                    parent=job[2] or None,
-                )
-            self.clock.call_at(job[5], self._complete, (job, self.clock.now))
+                self._trace(1, job, started, self.clock.now)
+            self.clock.call_at(job[3][2], self._complete, (job, self.clock.now, False))
         self._pump_compute()
 
     def _complete(self, event: tuple) -> None:
         if self.failed:
             return  # results from a failed device never arrive
-        (kernel, done, parent, _, _, _), started = event
+        job, started, whole_task = event
         if self.tracer.enabled:
-            self.tracer.span(
-                self.track, "d2h", started, self.clock.now, cat="egress",
-                args={"label": kernel.label, "bytes_out": kernel.bytes_out},
-                parent=parent or None,
-            )
+            if whole_task:
+                # The boundaries are the floats the per-phase events
+                # would have read off the clock.
+                computing = started + job[3][0]
+                egressing = computing + job[3][1]
+                self._trace(0, job, started, computing)
+                self._trace(1, job, computing, egressing)
+                started = egressing
+            self._trace(2, job, started, self.clock.now)
+        kernel, done = job[0], job[1]
         self._active -= 1
         self.completed += 1
         if self._active == 0 and self._busy_since is not None:
@@ -284,6 +286,25 @@ class SimulatedGPU:
         done.fire(self.clock, payload)
         if self._waiting and self._active < self.spec.max_concurrent_kernels:
             self._start(self._waiting.popleft())
+
+    def _trace(self, phase: int, job: tuple, start: float, end: float) -> None:
+        kernel = job[0]
+        if phase == 0:
+            name, cat = "h2d+launch", "ingress"
+            args = {"label": kernel.label, "bytes_in": kernel.bytes_in}
+        elif phase == 1:
+            name, cat = "compute", "compute"
+            args = {
+                "label": kernel.label,
+                "evals": kernel.total_evals,
+                "evals_saved": kernel.evals_saved,
+            }
+        else:
+            name, cat = "d2h", "egress"
+            args = {"label": kernel.label, "bytes_out": kernel.bytes_out}
+        self.tracer.span(
+            self.track, name, start, end, cat=cat, args=args, parent=job[2] or None
+        )
 
     def utilization(self, makespan: float) -> float:
         """Fraction of the run this device had work in some phase."""

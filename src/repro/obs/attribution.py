@@ -107,7 +107,7 @@ def _ion_of_segment(seg: str) -> str:
 
 def width_bucket(evals: int) -> int:
     """Power-of-two work bucket of a kernel's priced evaluation count."""
-    return max(0, int(evals).bit_length())
+    return int(evals).bit_length()
 
 
 @dataclass
@@ -562,30 +562,42 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------
-    def _key(self, ion: str, method: str, evals: int) -> tuple[str, str, int]:
+    def key(self, ion: str, method: str, evals: int) -> tuple[str, str, int]:
+        """Table key of one task: a caller that prices and later observes
+        the same task builds it once and uses the ``*_key`` methods."""
         return (ion, method, width_bucket(evals))
+
+    def _prior(self, evals: int) -> float:
+        return self.prior_overhead_s + evals / self.prior_eval_rate
 
     def seed(self, ion: str, method: str, evals: int, cost_s: float) -> None:
         """Install an analytic starting point for an unseen key."""
-        key = self._key(ion, method, evals)
+        key = self.key(ion, method, evals)
         if key not in self._table:
             self._table[key] = {"mean_s": float(cost_s), "count": 0}
 
     def predict(self, ion: str, method: str, evals: int) -> float:
         """Predicted device service time of one task, in seconds."""
-        row = self._table.get(self._key(ion, method, evals))
-        if row is not None:
-            return row["mean_s"]
-        return self.prior_overhead_s + evals / self.prior_eval_rate
+        return self.predict_key(self.key(ion, method, evals), evals)
+
+    def predict_key(self, key: tuple[str, str, int], evals: int) -> float:
+        """:meth:`predict` for a caller holding the task's :meth:`key`."""
+        row = self._table.get(key)
+        return row["mean_s"] if row is not None else self._prior(evals)
 
     def observe(self, ion: str, method: str, evals: int, measured_s: float) -> None:
         """Fold one measured task cost into its key's EWMA."""
+        self.observe_key(self.key(ion, method, evals), evals, measured_s)
+
+    def observe_key(
+        self, key: tuple[str, str, int], evals: int, measured_s: float
+    ) -> None:
+        """:meth:`observe` for a caller holding the task's :meth:`key`."""
+        row = self._table.get(key)
         if measured_s > 0.0:
-            predicted = self.predict(ion, method, evals)
+            predicted = row["mean_s"] if row is not None else self._prior(evals)
             self._err_sum += abs(predicted - measured_s) / measured_s
             self._err_n += 1
-        key = self._key(ion, method, evals)
-        row = self._table.get(key)
         if row is None or row["count"] == 0:
             self._table[key] = {"mean_s": float(measured_s), "count": 1}
             return

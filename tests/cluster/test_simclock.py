@@ -49,6 +49,33 @@ class TestScheduling:
         clock.run()
         assert got == ["x"] and clock.now == 1.0
 
+    def test_call_chain_fires_at_the_left_to_right_sum_of_its_hops(self):
+        clock = SimClock()
+        clock.now = 0.3
+        got = []
+        clock.call_chain((0.1, 0.2, 0.7), lambda a: got.append((a, clock.now)), "x")
+        clock.run()
+        assert got == [("x", ((0.3 + 0.1) + 0.2) + 0.7)]
+        assert got[0][1] != 0.3 + (0.1 + (0.2 + 0.7))  # the order matters
+
+    @pytest.mark.parametrize(
+        "hops",
+        [(), (1.0, 0.0), (-1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")),
+         (1.0e300, 1.0e-300)],
+        ids=["empty", "zero-last", "negative", "nan", "inf", "absorbed-last"],
+    )
+    def test_call_chain_refuses_hops_it_cannot_stand_for(self, hops):
+        clock = SimClock()
+        with pytest.raises(ValueError):
+            clock.call_chain(hops, print, None)
+        assert clock.run() == 0.0
+
+    def test_call_chain_allows_zero_hops_before_the_last(self):
+        clock = SimClock()
+        got = []
+        clock.call_chain((0.0, 0.0, 0.5), got.append, "x")
+        assert clock.run() == 0.5 and got == ["x"]
+
     def test_run_until(self):
         clock = SimClock()
         fired = []

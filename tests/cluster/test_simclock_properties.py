@@ -5,10 +5,11 @@ causality, determinism and makespan arithmetic must hold for arbitrary
 process populations, not only the hybrid runner's shapes.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from functools import partial
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.simclock import SimClock
@@ -133,6 +134,9 @@ class TestClockProperties:
 DELAYS = st.sampled_from(
     [0.0, 0.25, 0.5, 1.0, 0, 1, 2, np.float64(0.0), np.float64(0.5)]
 )
+#: Chain hops: positive, and sums of two or three land on the delays
+#: above, so a chained event ties on fire time with ordinary ones.
+HOPS = st.lists(st.sampled_from([0.125, 0.25, 0.375, 0.5]), min_size=2, max_size=3)
 N_SIGNALS = 3
 
 
@@ -143,6 +147,7 @@ def programs(draw):
     op = st.one_of(
         st.tuples(st.just("sleep"), DELAYS),
         st.tuples(st.just("at"), DELAYS),
+        st.tuples(st.just("chain"), HOPS.map(tuple)),
         st.tuples(st.sampled_from(["wait", "fire", "callback"]),
                   st.integers(min_value=0, max_value=N_SIGNALS - 1)),
         st.tuples(st.just("join"), st.integers(min_value=0, max_value=n - 1)),
@@ -152,23 +157,32 @@ def programs(draw):
 
 def reference_order(program):
     """The engine's contract restated: events run in ``sorted`` order of
-    (time, schedule index); a fired signal schedules its waiters in wait
-    order; a finished process fires its done signal."""
-    log, events, fired, waiters = [], [], set(), defaultdict(list)
+    (time, time scheduled, schedule index); a chain is one event at the
+    left-to-right sum of its hops, scheduled when its last link would
+    have been; a fired signal schedules its waiters in wait order; a
+    finished process fires its done signal.
+
+    Returns the log and every event's (time, time scheduled, is a chain).
+    """
+    log, events, keys, fired, waiters = [], [], [], set(), defaultdict(list)
     now, seq, pc = 0.0, 0, [0] * len(program)
 
-    def schedule(delay, fn):
+    def schedule(delays, fn):
         nonlocal seq
         seq += 1
-        events.append((now + float(delay), seq, fn))
+        scheduled_at = fire = now
+        for delay in delays:
+            scheduled_at, fire = fire, fire + float(delay)
+        events.append((fire, scheduled_at, seq, fn))
+        keys.append((fire, scheduled_at, len(delays) > 1))
 
     def fire(key):
         fired.add(key)
         for fn in waiters.pop(key, []):
-            schedule(0.0, fn)
+            schedule([0.0], fn)
 
     def when(key, fn):
-        schedule(0.0, fn) if key in fired else waiters[key].append(fn)
+        schedule([0.0], fn) if key in fired else waiters[key].append(fn)
 
     def step(p):
         while pc[p] < len(program[p]):
@@ -177,13 +191,15 @@ def reference_order(program):
             pc[p] += 1
             log.append((p, i, now))
             if kind == "sleep":
-                return schedule(x, lambda: step(p))
+                return schedule([x], lambda: step(p))
             if kind == "wait":
                 return when(("sig", x), lambda: step(p))
             if kind == "join":
                 return when(("done", x), lambda: step(p))
             if kind == "at":
-                schedule(x, lambda i=i: log.append(("at", p, i, now)))
+                schedule([x], lambda i=i: log.append(("at", p, i, now)))
+            elif kind == "chain":
+                schedule(x, lambda i=i: log.append(("chain", p, i, now)))
             elif kind == "callback":
                 when(("sig", x), lambda i=i: log.append(("callback", p, i, now)))
             elif ("sig", x) not in fired:
@@ -191,15 +207,23 @@ def reference_order(program):
         fire(("done", p))
 
     for p in range(len(program)):
-        schedule(0.0, lambda p=p: step(p))
+        schedule([0.0], lambda p=p: step(p))
     while events:
-        events.sort(key=lambda e: e[:2])
-        now, _, fn = events.pop(0)
+        events.sort(key=lambda e: e[:3])
+        now, _, _, fn = events.pop(0)
         fn()
-    return log
+    return log, keys
 
 
-def engine_order(program, until):
+def hop_by_hop(clock, hops, fn, arg):
+    """The chain ``call_chain`` stands for: each event pushes the next."""
+    if len(hops) == 1:
+        clock.call_at(hops[0], fn, arg)
+    else:
+        clock.call_at(hops[0], lambda _: hop_by_hop(clock, hops[1:], fn, arg), None)
+
+
+def engine_order(program, until, chained=True):
     clock = SimClock()
     log = []
     signals = [clock.signal(f"s{k}") for k in range(N_SIGNALS)]
@@ -216,6 +240,9 @@ def engine_order(program, until):
                 yield handles[x]
             elif kind == "at":
                 clock.at(x, lambda i=i: log.append(("at", p, i, clock.now)))
+            elif kind == "chain":
+                push = clock.call_chain if chained else partial(hop_by_hop, clock)
+                push(x, lambda _a, i=i: log.append(("chain", p, i, clock.now)), None)
             elif kind == "callback":
                 signals[x].add_callback(
                     clock, lambda _p, i=i: log.append(("callback", p, i, clock.now))
@@ -230,11 +257,40 @@ def engine_order(program, until):
     return log
 
 
+UNTIL = st.one_of(st.none(), st.floats(min_value=0.0, max_value=4.0))
+
+
 class TestExecutedOrder:
-    @given(
-        program=programs(),
-        until=st.one_of(st.none(), st.floats(min_value=0.0, max_value=4.0)),
-    )
+    @given(program=programs(), until=UNTIL)
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_model(self, program, until):
-        assert engine_order(program, until) == reference_order(program)
+        assert engine_order(program, until) == reference_order(program)[0]
+
+    @given(program=programs(), until=UNTIL)
+    @settings(max_examples=300, deadline=None)
+    def test_chain_runs_where_its_last_link_would(self, program, until):
+        """One chained event and the hop-by-hop chain it stands for
+        execute every observable callback in the same order, at the same
+        floats — whenever no chained event shares *both* its fire time
+        and its schedule time with another event.  That double tie falls
+        back to ``seq``, where the chain's push is older than its last
+        link's would be, and is not guaranteed (next test)."""
+        keys = reference_order(program)[1]
+        both = Counter((t, s) for t, s, _ in keys)
+        assume(all(both[(t, s)] == 1 for t, s, chain in keys if chain))
+        assert engine_order(program, until) == engine_order(program, until, chained=False)
+
+    def test_a_tie_on_both_times_falls_back_to_push_order(self):
+        """The limit of the key, pinned: an ordinary event pushed at the
+        instant the last link would have been, for the same fire time,
+        runs before the link but after the chained event."""
+
+        def order(push_chain):
+            clock, log = SimClock(), []
+            clock.at(0.5, lambda: clock.call_at(0.5, log.append, "other"))
+            push_chain(clock, (0.5, 0.5), log.append, "chain")
+            clock.run()
+            return log
+
+        assert order(hop_by_hop) == ["other", "chain"]
+        assert order(SimClock.call_chain) == ["chain", "other"]

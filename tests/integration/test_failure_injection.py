@@ -121,9 +121,16 @@ class TestEndToEndDeviceFailure:
             WorkloadSpec(n_points=1, bins_per_level=2_000, db_config=AtomicConfig.tiny())
         )
 
-    def test_failure_before_any_submit_degrades_to_cpu(self, monkeypatch):
-        """A device dead from t=0 refuses every submit; workers must fall
-        back to CPU and the run must complete with nothing lost."""
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"scheduler_kind": "predictive"}, {"async_depth": 2}],
+        ids=["sync", "predictive", "async"],
+    )
+    def test_failure_before_any_submit_degrades_to_cpu(self, monkeypatch, knobs):
+        """A device dead from t=0 refuses every submit; under every rank
+        loop the workers must fall back to CPU and the run must complete
+        with nothing lost and no slot or backlog tick held."""
+        import repro.core.scheduler as smod
         import repro.gpusim.device as dmod
         from repro.core.hybrid import HybridConfig, HybridRunner
 
@@ -133,13 +140,24 @@ class TestEndToEndDeviceFailure:
             original_init(self, clock, spec, index)
             self.fail()
 
+        segments = []
+
+        class RecordedSegment(smod.SharedSegment):
+            def __init__(self, n_devices):
+                super().__init__(n_devices)
+                segments.append(self)
+
         monkeypatch.setattr(dmod.SimulatedGPU, "__init__", dead_on_arrival)
+        monkeypatch.setattr(smod, "SharedSegment", RecordedSegment)
         tasks = self._tasks()
         result = HybridRunner(
-            HybridConfig(n_workers=2, n_gpus=1, max_queue_length=2)
+            HybridConfig(n_workers=2, n_gpus=1, max_queue_length=2, **knobs)
         ).run(tasks)
         assert result.metrics.cpu_tasks == len(tasks)
         assert result.metrics.gpu_task_ratio() == 0.0
+        (segment,) = segments
+        assert segment.total_load() == 0
+        assert segment.total_backlog() == 0
 
     def test_failure_mid_service_detected_as_leak(self, monkeypatch):
         """A device dying *with a task in flight* strands the waiter; the
