@@ -15,6 +15,15 @@ cost model's ``seeded_from`` provenance.  ``PARENT_COST_MODEL`` keeps the
 ``test_cost_model_differs_from_parent_by_the_pool_keys_only`` shows that
 putting those four keys back reproduces them.
 
+A second declared exception: the four ``events`` hashes — the *ordered*
+stream — were re-recorded when single-slot devices began completing a
+task in one heap event, which appends a task's three device spans at its
+completion instead of one at the end of each phase.  ``EVENT_MULTISET``
+was recorded at the parent of that change (9e15803) before its first
+edit and passes on both sides: every event, to the last ts/dur bit, id,
+parent and arg, is the one the parent emitted; only positions in the
+list moved.  Nothing else in ``GOLDEN`` was touched.
+
 Four cases: ``observed`` is the wall benchmark's ``serve_observed``
 spec at 40 requests (every request crosses the whole stack), ``zipf``
 has cache hits and coalesced followers (zero-cost ledger entries,
@@ -195,7 +204,7 @@ GOLDEN = {'observed': {'renders': ['64c40f8add64940ec4c668a0e8e436e57c4a5e72',
                                        'svc1/rank2',
                                        'svc1/rank3'],
                             'n_events': 11158},
-              'events': '53db7a61b24bba8ab913f2fa34ad78dbf109504a',
+              'events': '84c885f3a3f369642898f73031b0274e9a07405b',
               'report': '370c06de3061aac430f37c31dfcc2b5f10c63746'},
  'zipf': {'renders': ['e9945233ba3598168d7330c721145b8aac426ad3',
                       'ab32700c8693c7d5e448c46b071509a6243fe7ad',
@@ -248,7 +257,7 @@ GOLDEN = {'observed': {'renders': ['64c40f8add64940ec4c668a0e8e436e57c4a5e72',
                                    'svc1/rank2',
                                    'svc1/rank3'],
                         'n_events': 3383},
-          'events': 'e5fc03710fbae0ebc440c200ec9b997a9b1c7bc9',
+          'events': '017b0ebfc4aa889bef778b8170a1332322b80b92',
           'report': 'bdcfd0f8344229515766cc791631c4b954f72c3d'},
  'burst': {'renders': ['81e040d69eaf8348e03d93f04f3a8bac0ebb9462',
                        'dcfaa85383c1eabc06537974e7d9a047f7a3ec08',
@@ -300,7 +309,7 @@ GOLDEN = {'observed': {'renders': ['64c40f8add64940ec4c668a0e8e436e57c4a5e72',
                                     'svc1/rank2',
                                     'svc1/rank3'],
                          'n_events': 1155},
-           'events': '84f4ed9b22ad854971f50e1346c5d247cc689124',
+           'events': '685337c136b77f06c7624d588c6d6784eba4507a',
            'report': '7f356e43d387ea01bca80da263fa8c3075c0037e'},
  'alarms': {'renders': ['64c40f8add64940ec4c668a0e8e436e57c4a5e72',
                         'c207e6e3c5437a993474ca8ff1c1a09d7e26c8bf',
@@ -368,7 +377,7 @@ GOLDEN = {'observed': {'renders': ['64c40f8add64940ec4c668a0e8e436e57c4a5e72',
                                      'svc1/rank2',
                                      'svc1/rank3'],
                           'n_events': 11218},
-            'events': '46b1cb01006dd11f0cdb1461e0241917796b927f',
+            'events': '691625b5b786137300b882157b916af230f404dc',
             'report': 'b8ae1685221139ee24ab8ca75b409c90fcc0b10f'}}
 
 
