@@ -106,7 +106,7 @@ class HybridConfig:
         if self.scheduler_kind == "predictive" and self.async_depth > 0:
             raise ValueError(
                 "predictive scheduling dispatches through per-device "
-                "workers; async_depth applies only to direct-submit modes"
+                "slots; async_depth applies only to direct-submit modes"
             )
         if self.cpu_threshold_s is not None and self.cpu_threshold_s <= 0.0:
             raise ValueError("cpu_threshold_s must be positive or None")
@@ -788,10 +788,12 @@ class _PredictiveDispatch:
         idle = self._idle
         if idle:
             self._idle = []
-            for owner in (True, False):
-                for slot in idle:
-                    if (slot.device == device) is owner:
-                        clock.call_at(0.0, slot._step, None)
+            for slot in idle:
+                if slot.device == device:
+                    clock.call_at(0.0, slot._step, None)
+            for slot in idle:
+                if slot.device != device:
+                    clock.call_at(0.0, slot._step, None)
         return entry
 
     def _steal_from(self, thief: int) -> _PendingTask:

@@ -180,7 +180,7 @@ class SimulatedGPU:
         # priced once at submit, then carried through the three phases.
         self._waiting: deque[tuple] = deque()
         self._active = 0  # tasks in any phase
-        self._serial = spec.max_concurrent_kernels == 1
+        self._serial = spec.max_concurrent_kernels == 1  # one event per task
         self._compute_queue: deque[tuple] = deque()
         self._compute_busy = False
         self.busy_time = 0.0  # any-phase-active time
