@@ -438,6 +438,7 @@ class HybridRunner:
         tracer = self.tracer
         traced = tracer.enabled
         model = dispatch.model if dispatch is not None else None
+        stolen = predicted = None  # per task under predictive dispatch
         yield rank * stagger
         point_share = self._point_share(my_tasks)
         for task in my_tasks:
@@ -453,14 +454,13 @@ class HybridRunner:
             yield cost.prep_s(task.n_levels) + point_share[task.point_index]
             if sched.rpc_latency_s:
                 yield sched.rpc_latency_s
-            if traced:
-                decision = {
-                    "chosen": NO_DEVICE,
-                    "loads": sched.loads(),
-                    "histories": sched.histories(),
-                }
             if dispatch is None:
                 device = sched.sche_alloc(clock.now)
+                if traced:
+                    tracer.task_alloc(
+                        rank_track, device, tuple(sched.loads()), tuple(sched.histories()),
+                        task.task_id,
+                    )
             else:
                 # Priced once: the table key rides on the pending entry to
                 # the observe call, the ticks to every segment update.
@@ -472,14 +472,12 @@ class HybridRunner:
                 )
                 predicted = model.predict_key(key, evals)
                 ticks = sched.cost_ticks(predicted)
-                if traced:
-                    decision["backlogs_s"] = sched.backlogs_s()
-                    decision["predicted_s"] = predicted
                 device = sched.sche_alloc(clock.now, ticks=ticks)
-            if traced:
-                decision["chosen"] = device
-                decision["task_id"] = task.task_id
-                tracer.instant(rank_track, "sche_alloc", cat="sched", args=decision)
+                if traced:
+                    tracer.task_alloc(
+                        rank_track, device, tuple(sched.loads()), tuple(sched.histories()),
+                        task.task_id, tuple(sched.backlog_ticks()), ticks, predicted,
+                    )
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
                 submitted_at = clock.now
@@ -488,7 +486,8 @@ class HybridRunner:
                         device, task.kernel, key, evals, predicted, ticks, span_id
                     )
                     payload = yield entry.done
-                    placed, device = device, entry.executed_device
+                    stolen = device != entry.executed_device
+                    device = entry.executed_device
                     if entry.failed:
                         bus.on_admission_revoked(device)
                         device = NO_DEVICE
@@ -522,26 +521,10 @@ class HybridRunner:
                 if payload is not None:
                     self._accumulate(spectra, task, payload)
                 if traced:
-                    if wait_s > 0.0:
-                        tracer.span(
-                            rank_track, "queue-wait", submitted_at, started,
-                            cat="wait", args={"device": device}, parent=span_id,
-                        )
-                    args = {"placement": "gpu", "device": device}
-                    if dispatch is not None:
-                        args["stolen"] = device != placed
-                        args["predicted_s"] = predicted
-                    args["wait_s"] = wait_s
-                    args["service_s"] = service
-                    tracer.span(
-                        rank_track,
-                        task.label or f"task{task.task_id}",
-                        task_started,
-                        clock.now,
-                        cat="task",
-                        args=args,
-                        id=span_id,
-                        parent=task.trace_parent or None,
+                    tracer.task_end(
+                        rank_track, task.label or f"task{task.task_id}",
+                        task_started, span_id, task.trace_parent, device,
+                        wait_s, service, submitted_at, started, stolen, predicted,
                     )
                 if cfg.record_trace:
                     bus.on_task_event(TaskEvent(
@@ -555,15 +538,9 @@ class HybridRunner:
                 yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
                 self._accumulate(spectra, task, task.run_cpu())
                 if traced:
-                    tracer.span(
-                        rank_track,
-                        task.label or f"task{task.task_id}",
-                        task_started,
-                        clock.now,
-                        cat="task",
-                        args={"placement": "cpu", "device": -1, "wait_s": 0.0},
-                        id=span_id,
-                        parent=task.trace_parent or None,
+                    tracer.task_end(
+                        rank_track, task.label or f"task{task.task_id}",
+                        task_started, span_id, task.trace_parent, NO_DEVICE, 0.0,
                     )
                 if cfg.record_trace:
                     bus.on_task_event(TaskEvent(
@@ -585,6 +562,7 @@ class HybridRunner:
         cfg = self.config
         cost = cfg.cost
         tracer = self.tracer
+        traced = tracer.enabled
         yield rank * stagger
         # Completion signals, oldest first; popleft() keeps the drain O(1)
         # per task where a list.pop(0) would shift the whole window.
@@ -592,28 +570,18 @@ class HybridRunner:
         point_share = self._point_share(my_tasks)
 
         for task in my_tasks:
-            span_id = tracer.new_id() if tracer.enabled else 0
+            span_id = tracer.new_id() if traced else 0
             yield cost.prep_s(task.n_levels) + point_share[task.point_index]
             while len(in_flight) >= cfg.async_depth:
                 oldest = in_flight.popleft()
                 yield oldest
             if sched.rpc_latency_s:
                 yield sched.rpc_latency_s
-            if tracer.enabled:
-                loads = sched.loads()
-                histories = sched.histories()
             device = sched.sche_alloc(clock.now)
-            if tracer.enabled:
-                tracer.instant(
-                    rank_track,
-                    "sche_alloc",
-                    cat="sched",
-                    args={
-                        "chosen": device,
-                        "loads": loads,
-                        "histories": histories,
-                        "task_id": task.task_id,
-                    },
+            if traced:
+                tracer.task_alloc(
+                    rank_track, device, tuple(sched.loads()), tuple(sched.histories()),
+                    task.task_id,
                 )
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
@@ -631,16 +599,10 @@ class HybridRunner:
                     def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id):
                         sched.sche_free(d, clock.now)
                         self._accumulate(spectra, t, payload)
-                        if tracer.enabled:
-                            tracer.span(
-                                rank_track,
-                                t.label or f"task{t.task_id}",
-                                t0,
-                                clock.now,
-                                cat="task",
-                                args={"placement": "gpu", "device": d},
-                                id=sid,
-                                parent=t.trace_parent or None,
+                        if traced:
+                            tracer.task_end(
+                                rank_track, t.label or f"task{t.task_id}", t0,
+                                sid, t.trace_parent, d,
                             )
 
                     done.add_callback(clock, on_done)
@@ -650,16 +612,10 @@ class HybridRunner:
                 cpu_started = clock.now
                 yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
                 self._accumulate(spectra, task, task.run_cpu())
-                if tracer.enabled:
-                    tracer.span(
-                        rank_track,
-                        task.label or f"task{task.task_id}",
-                        cpu_started,
-                        clock.now,
-                        cat="task",
-                        args={"placement": "cpu", "device": -1},
-                        id=span_id,
-                        parent=task.trace_parent or None,
+                if traced:
+                    tracer.task_end(
+                        rank_track, task.label or f"task{task.task_id}",
+                        cpu_started, span_id, task.trace_parent, NO_DEVICE,
                     )
         for sig in in_flight:
             yield sig

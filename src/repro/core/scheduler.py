@@ -388,6 +388,10 @@ class PredictiveScheduler(SharedMemoryScheduler):
             self.metrics.on_load_change(thief, thief_old, thief_old + 1, now)
             self.metrics.on_steal(victim, thief)
 
+    def backlog_ticks(self) -> list[int]:
+        """Predicted backlog per device, in integer ticks."""
+        return self.segment.backlog.cells[: self.n_devices]
+
     def backlogs_s(self) -> list[float]:
         """Predicted backlog per device, in seconds (diagnostics)."""
-        return [q.backlog_ticks / TICKS_PER_S for q in self.queues]
+        return [ticks / TICKS_PER_S for ticks in self.backlog_ticks()]

@@ -242,7 +242,9 @@ class SimulatedGPU:
             return
         job, started = event
         if self.tracer.enabled:
-            self._trace(0, job, started, self.clock.now)
+            self.tracer.device_phase(
+                self.track, job[2], job[0], 0, started, self.clock.now
+            )
         self._compute_queue.append(job)
         self._pump_compute()
 
@@ -258,7 +260,9 @@ class SimulatedGPU:
         if not self.failed:
             job, started = event
             if self.tracer.enabled:
-                self._trace(1, job, started, self.clock.now)
+                self.tracer.device_phase(
+                    self.track, job[2], job[0], 1, started, self.clock.now
+                )
             self.clock.call_at(job[3][2], self._complete, (job, self.clock.now, False))
         self._pump_compute()
 
@@ -271,11 +275,14 @@ class SimulatedGPU:
                 # The boundaries are the floats the per-phase events
                 # would have read off the clock.
                 computing = started + job[3][0]
-                egressing = computing + job[3][1]
-                self._trace(0, job, started, computing)
-                self._trace(1, job, computing, egressing)
-                started = egressing
-            self._trace(2, job, started, self.clock.now)
+                self.tracer.device_task(
+                    self.track, job[2], job[0], started, computing,
+                    computing + job[3][1], self.clock.now,
+                )
+            else:
+                self.tracer.device_phase(
+                    self.track, job[2], job[0], 2, started, self.clock.now
+                )
         kernel, done = job[0], job[1]
         self._active -= 1
         self.completed += 1
@@ -286,25 +293,6 @@ class SimulatedGPU:
         done.fire(self.clock, payload)
         if self._waiting and self._active < self.spec.max_concurrent_kernels:
             self._start(self._waiting.popleft())
-
-    def _trace(self, phase: int, job: tuple, start: float, end: float) -> None:
-        kernel = job[0]
-        if phase == 0:
-            name, cat = "h2d+launch", "ingress"
-            args = {"label": kernel.label, "bytes_in": kernel.bytes_in}
-        elif phase == 1:
-            name, cat = "compute", "compute"
-            args = {
-                "label": kernel.label,
-                "evals": kernel.total_evals,
-                "evals_saved": kernel.evals_saved,
-            }
-        else:
-            name, cat = "d2h", "egress"
-            args = {"label": kernel.label, "bytes_out": kernel.bytes_out}
-        self.tracer.span(
-            self.track, name, start, end, cat=cat, args=args, parent=job[2] or None
-        )
 
     def utilization(self, makespan: float) -> float:
         """Fraction of the run this device had work in some phase."""

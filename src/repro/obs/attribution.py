@@ -38,7 +38,9 @@ import bisect
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
+
+from repro.obs.tracer import DEVICE, END, PHASE
 
 __all__ = [
     "Attribution",
@@ -58,6 +60,15 @@ COMPONENTS = ("compute", "transfer", "wait")
 TICKS_PER_S = 10**12
 
 _CAT_COMPONENT = {"compute": "compute", "ingress": "transfer", "egress": "transfer", "wait": "wait"}
+
+#: Component of each tick field of a row-recorded task, in the order its
+#: spans stand in the stream: the three device phases, the queue wait,
+#: the CPU fallback's compute.
+_ROW_COMPONENTS = ("transfer", "compute", "transfer", "wait", "compute")
+
+#: What a task that never reached a device holds of one: no phase ticks,
+#: no label (nothing to hand the cost model).
+_NO_KERNEL = (0, 0, 0, None, 0)
 
 _GROUP_LABEL_SUFFIX = re.compile(r"x\d+$")
 
@@ -292,6 +303,10 @@ class Attribution:
     before their task span, task spans before their group span — so a
     task's measured spans wait on its :class:`_TaskState` and are
     attributed when the group span lands: every event is visited once.
+    A task the runner recorded as rows (:mod:`repro.obs.tracer`) is read
+    off the rows: its device phases wait, as integer ticks, for its END
+    row, and one flat tuple a task waits for the group span; the event
+    branch is the reference, and serves hand-built traces.
     The ledger keeps its own totals (:meth:`lane_seconds`,
     :meth:`unattributed_ticks`, :attr:`conservation`), so exporting them
     never walks the entries.
@@ -303,8 +318,14 @@ class Attribution:
         self._entries: dict[int, CostEntry] = {}
         self._groups: dict[int, _Group] = {}
         self._tasks: dict[int, _TaskState] = {}
-        #: group span id -> its tasks whose spans wait for the group span.
-        self._waiting: dict[int, list[_TaskState]] = {}
+        #: Row path: task span id -> its device phases' ticks, waiting for
+        #: the END row: ``(ingress, compute, egress, label, evals)``, the
+        #: label ``None`` until the kernel has left the device.
+        self._device: dict[int, Sequence] = {}
+        #: group span id -> its tasks waiting for the group span: a
+        #: :class:`_TaskState`, or for a row-recorded task the tuple
+        #: ``(seq, group, *ticks by _ROW_COMPONENTS, label, evals)``.
+        self._waiting: dict[int, list] = {}
         self._task_seq = 0
         self._measured: dict[str, int] = {c: 0 for c in COMPONENTS}
         self._attributed: dict[str, int] = {c: 0 for c in COMPONENTS}
@@ -333,12 +354,60 @@ class Attribution:
 
     def ingest(self) -> int:
         """Process events recorded since the last call; returns how many."""
-        events = self._tracer.events
-        start, self._cursor = self._cursor, len(events)
+        log = self._tracer.log
+        start, self._cursor = self._cursor, len(log)
         tasks, buffered, component_of = self._tasks, self._buffered, _CAT_COMPONENT
+        device, groups, waiting = self._device, self._groups, self._waiting
         #: Tasks this call made attributable, by task-span arrival rank.
-        ready: dict[int, _TaskState] = {}
-        for ev in events[start:]:
+        ready: dict[int, object] = {}
+        for ev in log[start:]:
+            if ev.__class__ is tuple:  # a task row (layouts: repro.obs.tracer)
+                kind = ev[0]
+                if kind < DEVICE:  # LOAD, ALLOC: nothing measured
+                    continue
+                if kind == DEVICE:
+                    _, _, sid, label, _, evals, _, _, t0, t1, t2, t3 = ev
+                    t_in = round((t1 - t0) * TICKS_PER_S)
+                    t_c = round((t2 - t1) * TICKS_PER_S)
+                    t_out = round((t3 - t2) * TICKS_PER_S)
+                    # No causal edge at all: unattributed for good.
+                    book = buffered if sid else self._orphaned
+                    book["transfer"] += t_in + t_out
+                    book["compute"] += t_c
+                    if sid:
+                        device[sid] = (t_in, t_c, t_out, label, evals)
+                elif kind == END:
+                    wait = cpu = 0
+                    if ev[8]:  # wait_s > 0: the queue-wait span
+                        wait = round((ev[11] - ev[10]) * TICKS_PER_S)
+                        buffered["wait"] += wait
+                    if ev[7] < 0:  # CPU fallback: the task span *is* the compute
+                        cpu = round((ev[4] - ev[3]) * TICKS_PER_S)
+                        buffered["compute"] += cpu
+                    seq = self._task_seq
+                    self._task_seq = seq + 1
+                    t_in, t_c, t_out, label, evals = device.pop(ev[5], _NO_KERNEL)
+                    gid = ev[6]
+                    if gid:
+                        task = (seq, gid, t_in, t_c, t_out, wait, cpu, label, evals)
+                        if gid in groups:
+                            ready[seq] = task
+                        else:
+                            waiting.setdefault(gid, []).append(task)
+                elif kind == PHASE:
+                    sid, phase = ev[2], ev[8]
+                    ticks = round((ev[10] - ev[9]) * TICKS_PER_S)
+                    book = buffered if sid else self._orphaned
+                    book[_ROW_COMPONENTS[phase]] += ticks
+                    if sid:
+                        dev = list(device.get(sid, _NO_KERNEL))
+                        dev[phase] = ticks
+                        if phase == 2:  # left the device: a complete measurement
+                            dev[3:] = ev[3], ev[5]
+                        device[sid] = dev
+                continue
+            if ev is None:  # padding behind a multi-event row
+                continue
             ph, cat = ev.ph, ev.cat
             if ph == "X":
                 comp = component_of.get(cat)
@@ -390,8 +459,11 @@ class Attribution:
                             entry.groups.append(ev.id)
                     self._groups[ev.id] = _Group(entries, weights, args.get("method", ""))
                     for state in self._waiting.pop(ev.id, ()):
-                        state.landed = True
-                        ready[state.seq] = state
+                        if state.__class__ is tuple:
+                            ready[state[0]] = state
+                        else:
+                            state.landed = True
+                            ready[state.seq] = state
                     continue
                 else:
                     continue
@@ -407,44 +479,54 @@ class Attribution:
                     entry.leader = ev.parent
         if ready:
             self._settle([ready[seq] for seq in sorted(ready)])
-        return len(events) - start
+        return len(log) - start
 
-    def _settle(self, states: list[_TaskState]) -> None:
+    def _settle(self, tasks: list) -> None:
         """Attribute the waiting spans of tasks whose group has landed and
         hand their finished device measurements to the cost model."""
         settled = {c: 0 for c in COMPONENTS}
         touched: dict[int, CostEntry] = {}
-        for state in states:
-            group = self._groups[state.group]
-            if state.spans:
+        for task in tasks:
+            if task.__class__ is tuple:  # recorded as rows
+                _, gid, t_in, t_c, t_out, wait, cpu, label, evals = task
+                service = t_in + t_c + t_out
+                if len(self._groups[gid].entries) == 1:
+                    # One payer adds integers: the five spans fold to three.
+                    spans = (("transfer", t_in + t_out), ("compute", t_c + cpu), ("wait", wait))
+                else:
+                    spans = zip(_ROW_COMPONENTS, (t_in, t_c, t_out, wait, cpu))
+            else:
+                gid, spans, task.spans, label = task.group, task.spans, [], None
+                # A GPU task is complete once its egress span landed; the
+                # CPU fallback never reaches the device, so it stays out
+                # of the device cost model.
+                if task.finished and task.kernel is not None:
+                    label = task.kernel.get("label", task.label)
+                    evals, service = int(task.kernel.get("evals", 0)), task.service
+                    task.finished = False  # handed over exactly once
+            group = self._groups[gid]
+            if spans:
                 entries = group.entries
                 if len(entries) == 1:
                     ticks = entries[0].ticks
-                    for comp, total in state.spans:
+                    for comp, total in spans:
                         settled[comp] += total
                         ticks[comp] += total
                 else:
-                    for comp, total in state.spans:
+                    for comp, total in spans:
                         settled[comp] += total
                         shares = _split_ticks(total, group.weights)
                         for entry, share in zip(entries, shares):
                             entry.ticks[comp] += share
-                state.spans = []
                 for entry in entries:
                     touched[entry.trace_id] = entry
-            # A GPU task is complete once its egress span landed; the CPU
-            # fallback never reaches the device, so it stays out of the
-            # device cost model.
-            if state.finished and state.kernel is not None:
+            if label is not None:
                 self._observations.append(
                     TaskObservation(
-                        ion=ion_from_label(state.kernel.get("label", state.label)),
-                        method=group.method,
-                        evals=int(state.kernel.get("evals", 0)),
-                        service_s=state.service / TICKS_PER_S,
+                        ion_from_label(label), group.method, evals,
+                        service / TICKS_PER_S,
                     )
                 )
-                state.finished = False  # handed over exactly once
         for comp, total in settled.items():
             self._measured[comp] += total
             self._attributed[comp] += total
@@ -606,7 +688,9 @@ class CostModel:
 
     def ingest(self, observations: list[TaskObservation]) -> None:
         for obs in observations:
-            self.observe(obs.ion, obs.method, obs.evals, obs.service_s)
+            self.observe_key(
+                self.key(obs.ion, obs.method, obs.evals), obs.evals, obs.service_s
+            )
 
     # ------------------------------------------------------------------
     @property

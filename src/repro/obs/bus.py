@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.obs.tracer import NULL_TRACER, TraceEvent
+from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["RunBus", "ServiceBus"]
 
@@ -37,7 +37,7 @@ class RunBus:
     __slots__ = (
         "ledger", "tracer", "device_tracks", "on_load_change", "on_cpu_task",
         "on_admission_revoked", "on_task_timing", "on_steal", "on_prediction",
-        "on_task_event", "_load_args",
+        "on_task_event",
     )
 
     def __init__(self, ledger, tracer=None, device_tracks: Sequence[int] = ()) -> None:
@@ -52,9 +52,6 @@ class RunBus:
         self.on_prediction = ledger.on_prediction
         self.on_task_event = ledger.on_task_event
         if self.tracer.enabled:
-            #: One ``{"value": load}`` per load level seen, shared by every
-            #: counter sample at that level (two per task otherwise).
-            self._load_args: dict[int, dict] = {}
             self.on_load_change = self._traced_load_change
             self.on_admission_revoked = self._traced_admission_revoked
             self.on_steal = self._traced_steal
@@ -67,15 +64,8 @@ class RunBus:
     def _traced_load_change(self, device: int, old: int, new: int, now: float) -> None:
         self.ledger.on_load_change(device, old, new, now)
         if device < len(self.device_tracks):
-            args = self._load_args.get(new)
-            if args is None:
-                args = self._load_args[new] = {"value": new}
             # ``now`` is the clock reading the scheduler already holds.
-            self.tracer.events.append(
-                TraceEvent(
-                    "C", "load", "", self.device_tracks[device], now, 0.0, None, args
-                )
-            )
+            self.tracer.load(self.device_tracks[device], now, new)
 
     def _traced_admission_revoked(self, device: int) -> None:
         self.ledger.on_admission_revoked(device)

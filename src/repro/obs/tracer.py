@@ -39,14 +39,63 @@ A *track* is one horizontal lane of the rendered timeline, named by a
 ``(process, thread)`` pair — e.g. ``("svc0", "rank3")`` or
 ``("service", "lane.interactive")`` — and interned to an integer handle
 so hot-path emission never hashes strings.
+
+Task rows.  The hybrid runner and the simulated GPUs do not build events:
+a traced task is recorded as a few flat tuples of numbers and strings —
+no ``TraceEvent``, no args dict — that :attr:`EventTracer.events` expands
+when it is first read.  The one rule: *a row is appended at the instant
+its first event used to be and expands in place*, so the list order is
+the eager order.  ``EventTracer.log`` keeps one slot per event (a row
+standing for k events is followed by k - 1 ``None``), which makes an
+index into the log an index into ``events``.  The vocabulary (``row[0]``
+is the kind):
+
+- ``(LOAD, track, ts, value)`` — one sample of a device's load counter;
+- ``(ALLOC, track, ts, chosen, loads, histories, task_id, backlog,
+  ticks, predicted_s)`` — one ``sche_alloc`` instant.  The counters are
+  read *after* the admission; the instant's args show them as the
+  decision saw them (the chosen device's load and history less the one
+  admission, its backlog less ``ticks``);
+- ``(DEVICE, track, parent, label, bytes_in, evals, evals_saved,
+  bytes_out, t0, t1, t2, t3)`` — a whole kernel from a single-slot
+  device: its ingress, compute and egress spans between the four
+  boundaries;
+- ``(PHASE, track, parent, label, bytes_in, evals, evals_saved,
+  bytes_out, phase, t0, t1)`` — one phase (0 ingress, 1 compute,
+  2 egress) from a multi-slot device, which overlaps its clients;
+- ``(END, track, name, start, end, id, parent, device, wait_s,
+  service_s, submitted_at, started, stolen, predicted_s)`` — the task
+  span, preceded by its ``queue-wait`` span when ``wait_s`` > 0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["TraceEvent", "NullTracer", "EventTracer", "NULL_TRACER", "WallClock"]
+
+#: Task-row kinds (see the module docstring for the layouts).
+LOAD, ALLOC, DEVICE, PHASE, END = range(5)
+
+#: Scheduler backlog resolution (ticks per virtual second), for showing
+#: an ALLOC row's integer backlog as the seconds its instant carries.
+_TICKS_PER_S = 10**12
+
+
+
+def _phase_span(row: tuple, phase: int, start: float, end: float) -> "TraceEvent":
+    """The span of one kernel phase of a DEVICE or PHASE row."""
+    _, track, parent, label, bytes_in, evals, saved, bytes_out = row[:8]
+    if phase == 0:
+        name, cat, args = "h2d+launch", "ingress", {"label": label, "bytes_in": bytes_in}
+    elif phase == 1:
+        name, cat = "compute", "compute"
+        args = {"label": label, "evals": evals, "evals_saved": saved}
+    else:
+        name, cat, args = "d2h", "egress", {"label": label, "bytes_out": bytes_out}
+    return TraceEvent("X", name, cat, track, start, end - start, None, args, parent or None)
 
 
 @dataclass(slots=True)
@@ -96,6 +145,24 @@ class NullTracer:
     def counter(self, track, name, value) -> None:
         pass
 
+    def load(self, track, ts, value) -> None:
+        pass
+
+    def task_alloc(self, track, chosen, loads, histories, task_id,
+                   backlog=None, ticks=0, predicted_s=None) -> None:
+        pass
+
+    def device_task(self, track, parent, kernel, t0, t1, t2, t3) -> None:
+        pass
+
+    def device_phase(self, track, parent, kernel, phase, t0, t1) -> None:
+        pass
+
+    def task_end(self, track, name, start, id, parent, device, wait_s=None,
+                 service_s=None, submitted_at=0.0, started=0.0, stolen=None,
+                 predicted_s=None) -> None:
+        pass
+
 
 #: Shared no-op instance — stateless, so one is enough for the process.
 NULL_TRACER = NullTracer()
@@ -136,6 +203,34 @@ class _NoClock:
 _NO_CLOCK = _NoClock()
 
 
+class _Events(Sequence):
+    """``EventTracer.events``: the log read as the list of events it stands
+    for.  ``len()`` is the log's; any other read expands the rows recorded
+    since the last one."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "EventTracer") -> None:
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return len(self._tracer.log)
+
+    def __getitem__(self, index):
+        return self._tracer._expanded()[index]
+
+    def __iter__(self):
+        return iter(self._tracer._expanded())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Events)):
+            return self._tracer._expanded() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._tracer._expanded())
+
+
 class EventTracer:
     """In-memory recording tracer on a (virtual or wall) clock."""
 
@@ -143,10 +238,19 @@ class EventTracer:
 
     def __init__(self, clock=None) -> None:
         self._clock = clock if clock is not None else _NO_CLOCK
-        self.events: list[TraceEvent] = []
+        #: The record stream, one slot per event: ``TraceEvent``s from the
+        #: eager API, task rows, and ``None`` behind a multi-event row.
+        self.log: list = []
+        self._events: list[TraceEvent] = []  # log[:len(_events)], expanded
+        self._load_args: dict[int, dict] = {}
         self.tracks: list[_Track] = []
         self._track_ids: dict[tuple[str, str], int] = {}
         self._next_id = 0
+
+    @property
+    def events(self) -> _Events:
+        """Every recorded event, in emission order (a read-only view)."""
+        return _Events(self)
 
     def bind(self, clock) -> "EventTracer":
         """Late-bind the clock (for runs that build their own SimClock)."""
@@ -184,7 +288,7 @@ class EventTracer:
     # ------------------------------------------------------------------
     def complete(self, track, name, start, cat="", args=None, id=None, parent=None) -> None:
         """Close a span opened at virtual time ``start`` on ``track``."""
-        self.events.append(
+        self.log.append(
             TraceEvent(
                 "X", name, cat, track, start, self._clock.now - start, id, args, parent
             )
@@ -192,27 +296,131 @@ class EventTracer:
 
     def span(self, track, name, start, end, cat="", args=None, id=None, parent=None) -> None:
         """Record a span with an explicit ``[start, end]`` interval."""
-        self.events.append(
+        self.log.append(
             TraceEvent("X", name, cat, track, start, end - start, id, args, parent)
         )
 
     def instant(self, track, name, cat="", args=None, parent=None) -> None:
-        self.events.append(
+        self.log.append(
             TraceEvent("i", name, cat, track, self._clock.now, 0.0, None, args, parent)
         )
 
     def async_begin(self, track, name, id, cat="", args=None, parent=None) -> None:
-        self.events.append(
+        self.log.append(
             TraceEvent("b", name, cat, track, self._clock.now, 0.0, id, args, parent)
         )
 
     def async_end(self, track, name, id, cat="", args=None) -> None:
-        self.events.append(
+        self.log.append(
             TraceEvent("e", name, cat, track, self._clock.now, 0.0, id, args)
         )
 
     def counter(self, track, name, value) -> None:
         """Sample a counter series (rendered as a filled track)."""
-        self.events.append(
+        self.log.append(
             TraceEvent("C", name, "", track, self._clock.now, 0.0, None, {"value": value})
         )
+
+    # ------------------------------------------------------------------
+    # Task rows (layouts in the module docstring)
+    # ------------------------------------------------------------------
+    def load(self, track, ts, value) -> None:
+        """Sample a device's load counter at the scheduler's ``ts``."""
+        self.log.append((LOAD, track, ts, value))
+
+    def task_alloc(self, track, chosen, loads, histories, task_id,
+                   backlog=None, ticks=0, predicted_s=None) -> None:
+        """One ``sche_alloc`` decision, its counters read after it."""
+        self.log.append(
+            (ALLOC, track, self._clock.now, chosen, loads, histories, task_id,
+             backlog, ticks, predicted_s)
+        )
+
+    def device_task(self, track, parent, kernel, t0, t1, t2, t3) -> None:
+        """A whole kernel: ingress ``[t0, t1]``, compute, egress ``[t2, t3]``."""
+        self.log += (
+            (DEVICE, track, parent, kernel.label, kernel.bytes_in,
+             kernel.total_evals, kernel.evals_saved, kernel.bytes_out,
+             t0, t1, t2, t3),
+            None, None,
+        )
+
+    def device_phase(self, track, parent, kernel, phase, t0, t1) -> None:
+        """One phase of a kernel (0 ingress, 1 compute, 2 egress)."""
+        self.log.append(
+            (PHASE, track, parent, kernel.label, kernel.bytes_in,
+             kernel.total_evals, kernel.evals_saved, kernel.bytes_out,
+             phase, t0, t1)
+        )
+
+    def task_end(self, track, name, start, id, parent, device, wait_s=None,
+                 service_s=None, submitted_at=0.0, started=0.0, stolen=None,
+                 predicted_s=None) -> None:
+        """Close a task: ``device`` < 0 is the CPU fallback; ``wait_s`` /
+        ``service_s`` / ``stolen`` left ``None`` stay out of the span's args."""
+        self.log.append(
+            (END, track, name, start, self._clock.now, id, parent, device,
+             wait_s, service_s, submitted_at, started, stolen, predicted_s)
+        )
+        if wait_s:
+            self.log.append(None)
+
+    def _expanded(self) -> list[TraceEvent]:
+        """``log`` as events, extended over the rows not yet expanded."""
+        events, log = self._events, self.log
+        if len(events) == len(log):
+            return events
+        add = events.append
+        for row in log[len(events):]:
+            if row.__class__ is not tuple:
+                if row is not None:
+                    add(row)
+                continue
+            kind, track = row[0], row[1]
+            if kind == LOAD:
+                value = row[3]
+                args = self._load_args.get(value)
+                if args is None:
+                    args = self._load_args[value] = {"value": value}
+                add(TraceEvent("C", "load", "", track, row[2], 0.0, None, args))
+            elif kind == ALLOC:
+                _, _, ts, chosen, loads, histories, task_id, backlog, ticks, predicted = row
+                loads, histories = list(loads), list(histories)
+                if chosen >= 0:  # undo the admission the counters include
+                    loads[chosen] -= 1
+                    histories[chosen] -= 1
+                args = {"chosen": chosen, "loads": loads, "histories": histories}
+                if backlog is not None:
+                    args["backlogs_s"] = [
+                        (b - ticks if d == chosen else b) / _TICKS_PER_S
+                        for d, b in enumerate(backlog)
+                    ]
+                    args["predicted_s"] = predicted
+                args["task_id"] = task_id
+                add(TraceEvent("i", "sche_alloc", "sched", track, ts, 0.0, None, args))
+            elif kind == DEVICE:
+                for phase in range(3):
+                    add(_phase_span(row, phase, row[8 + phase], row[9 + phase]))
+            elif kind == PHASE:
+                add(_phase_span(row, *row[8:]))
+            else:
+                (_, _, name, start, end, id, parent, device, wait_s, service_s,
+                 submitted_at, started, stolen, predicted) = row
+                if wait_s:
+                    add(TraceEvent(
+                        "X", "queue-wait", "wait", track, submitted_at,
+                        started - submitted_at, None, {"device": device}, id,
+                    ))
+                args = {"placement": "gpu" if device >= 0 else "cpu", "device": device}
+                if stolen is not None:
+                    args["stolen"] = stolen
+                    args["predicted_s"] = predicted
+                if wait_s is not None:
+                    args["wait_s"] = wait_s
+                if service_s is not None:
+                    args["service_s"] = service_s
+                add(TraceEvent(
+                    "X", name, "task", track, start, end - start, id, args,
+                    parent or None,
+                ))
+        return events

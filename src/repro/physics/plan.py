@@ -193,8 +193,8 @@ class SpectrumPlan:
         for arr in (self.energy_kev, self.c_base, self.offsets,
                     self.e_min_ion, self.ion_index):
             arr.setflags(write=False)
-        self._window_memo: OrderedDict[float, tuple[np.ndarray, np.ndarray]]
-        self._window_memo = OrderedDict()
+        #: kT -> [first, cutoff, per-ion active pairs (None until asked for)]
+        self._window_memo: OrderedDict[float, list] = OrderedDict()
         self._memo_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
@@ -222,6 +222,11 @@ class SpectrumPlan:
         :func:`repro.physics.windows.level_windows` ion by ion exactly —
         including the task prices the service cost model derives from it.
         """
+        first, cutoff, _ = self._memo_entry(kt_kev)
+        return first, cutoff
+
+    def _memo_entry(self, kt_kev: float) -> list:
+        """The memo's entry for one temperature, computed on a miss."""
         if kt_kev <= 0.0:
             raise ValueError("kT must be positive")
         kt = float(kt_kev)
@@ -233,12 +238,13 @@ class SpectrumPlan:
         first, cutoff = self._compute_windows(kt)
         first.setflags(write=False)
         cutoff.setflags(write=False)
+        entry = [first, cutoff, None]
         with self._memo_lock:
-            self._window_memo[kt] = (first, cutoff)
+            self._window_memo[kt] = entry
             self._window_memo.move_to_end(kt)
             while len(self._window_memo) > self._WINDOW_MEMO_MAX:
                 self._window_memo.popitem(last=False)
-        return first, cutoff
+        return entry
 
     def _compute_windows(self, kt: float) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
@@ -271,12 +277,18 @@ class SpectrumPlan:
         return first, cutoff
 
     def per_ion_active(self, kt_kev: float) -> np.ndarray:
-        """Active (level, bin) pairs per ion — the pruned task prices."""
-        first, cutoff = self.windows(kt_kev)
-        counts = cutoff - first
-        csum = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=csum[1:])
-        return csum[self.offsets[1:]] - csum[self.offsets[:-1]]
+        """Active (level, bin) pairs per ion — the pruned task prices
+        (read-only: kept in the temperature's window-memo entry, so task
+        compilation and attribution weights share one computation)."""
+        entry = self._memo_entry(kt_kev)
+        if entry[2] is None:
+            counts = entry[1] - entry[0]
+            csum = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=csum[1:])
+            active = csum[self.offsets[1:]] - csum[self.offsets[:-1]]
+            active.setflags(write=False)
+            entry[2] = active
+        return entry[2]
 
     def flat_constants(
         self, point: "GridPointLike", abundances: AbundanceSet = SOLAR
