@@ -10,19 +10,38 @@ the Fig. 7-scale hybrid workload (24 points x 496 Ion tasks):
   span stream (task, kernel, scheduler, counter events) is captured.
 
 The no-op assertion is made in absolute terms: the measured per-site
-guard cost times the number of sites a traced run actually visits must
-stay under 2% of the untraced wall time.
+guard cost times the number of guarded sites the *untraced* run crosses
+must stay under 2% of its wall time.  The sites are counted, not
+estimated: a ``NullTracer`` whose ``enabled`` counts its reads stands in
+for the runner's and the devices' tracer for one run (a device reads the
+flag once per task, the bus and the batch once per batch), and the rank
+loop — which reads the flag once per rank and tests the local per task —
+is priced at every ``if traced`` in its source for every task (an upper
+bound: a task crosses three of the five).
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 
 from conftest import emit
 
 from repro.bench.reporting import format_table
 from repro.core.hybrid import HybridConfig, HybridRunner
-from repro.obs import NULL_TRACER, EventTracer
+from repro.obs import NULL_TRACER, EventTracer, NullTracer
+
+
+class _CountingNullTracer(NullTracer):
+    """The no-op tracer, counting how often its ``enabled`` is read."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.reads += 1
+        return False
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -34,7 +53,7 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def test_obs_overhead(ion_tasks, results_dir):
+def test_obs_overhead(ion_tasks, results_dir, monkeypatch):
     cfg = HybridConfig(n_gpus=2, max_queue_length=8)
 
     t_off = _best_of(lambda: HybridRunner(cfg).run(ion_tasks))
@@ -49,7 +68,18 @@ def test_obs_overhead(ion_tasks, results_dir):
     t_on = _best_of(traced_run)
     n_events = event_counts[-1]
 
-    # Per-site cost of the disabled guard (`if tracer.enabled: ...`).
+    # Guarded sites an untraced run crosses: counted flag reads, plus the
+    # rank loop's tests of its cached flag (every one, for every task).
+    counting = _CountingNullTracer()
+    # An untraced runner builds its devices on the shared null tracer.
+    monkeypatch.setattr("repro.gpusim.device.NULL_TRACER", counting)
+    HybridRunner(cfg, tracer=counting).run(ion_tasks)
+    monkeypatch.undo()
+    cached_tests = inspect.getsource(HybridRunner._worker_sync).count("if traced")
+    n_cached = cached_tests * len(ion_tasks)
+
+    # Per-site costs: the disabled guard (`if tracer.enabled: ...`) and a
+    # test of the flag cached in a local (`if traced: ...`).
     n_probe = 1_000_000
     null = NULL_TRACER
     t0 = time.perf_counter()
@@ -57,10 +87,14 @@ def test_obs_overhead(ion_tasks, results_dir):
         if null.enabled:
             raise AssertionError("unreachable")
     guard_s = (time.perf_counter() - t0) / n_probe
+    traced = False
+    t0 = time.perf_counter()
+    for _ in range(n_probe):
+        if traced:
+            raise AssertionError("unreachable")
+    cached_s = (time.perf_counter() - t0) / n_probe
 
-    # Every event a traced run emits corresponds to (at least) one
-    # guarded site the untraced run crossed; price them all.
-    noop_cost_s = guard_s * n_events
+    noop_cost_s = guard_s * counting.reads + cached_s * n_cached
     noop_frac = noop_cost_s / t_off
     on_overhead = t_on / t_off - 1.0
 
@@ -75,7 +109,10 @@ def test_obs_overhead(ion_tasks, results_dir):
                 ["wall time, tracer on (s)", f"{t_on:.3f}"],
                 ["tracing-on overhead", f"{on_overhead:+.1%}"],
                 ["events recorded (on)", n_events],
-                ["disabled-guard cost (ns/site)", f"{guard_s * 1e9:.1f}"],
+                ["`enabled` reads, untraced run", counting.reads],
+                ["cached-flag tests (rank loop)", f"{n_cached} ({cached_tests} a task)"],
+                ["disabled-guard cost (ns/read)", f"{guard_s * 1e9:.1f}"],
+                ["cached-flag cost (ns/test)", f"{cached_s * 1e9:.1f}"],
                 ["no-op cost, all sites (ms)", f"{noop_cost_s * 1e3:.3f}"],
                 ["no-op overhead vs run", f"{noop_frac:.4%}"],
             ],

@@ -86,16 +86,18 @@ _TICKS_PER_S = 10**12
 
 
 def _phase_span(row: tuple, phase: int, start: float, end: float) -> "TraceEvent":
-    """The span of one kernel phase of a DEVICE or PHASE row."""
-    _, track, parent, label, bytes_in, evals, saved, bytes_out = row[:8]
+    """The span of one kernel phase of a DEVICE or PHASE row (both open
+    ``kind, track, parent, label, bytes_in, evals, evals_saved, bytes_out``)."""
     if phase == 0:
-        name, cat, args = "h2d+launch", "ingress", {"label": label, "bytes_in": bytes_in}
+        name, cat, args = "h2d+launch", "ingress", {"label": row[3], "bytes_in": row[4]}
     elif phase == 1:
         name, cat = "compute", "compute"
-        args = {"label": label, "evals": evals, "evals_saved": saved}
+        args = {"label": row[3], "evals": row[5], "evals_saved": row[6]}
     else:
-        name, cat, args = "d2h", "egress", {"label": label, "bytes_out": bytes_out}
-    return TraceEvent("X", name, cat, track, start, end - start, None, args, parent or None)
+        name, cat, args = "d2h", "egress", {"label": row[3], "bytes_out": row[7]}
+    return TraceEvent(
+        "X", name, cat, row[1], start, end - start, None, args, row[2] or None
+    )
 
 
 @dataclass(slots=True)
@@ -399,8 +401,10 @@ class EventTracer:
                 args["task_id"] = task_id
                 add(TraceEvent("i", "sche_alloc", "sched", track, ts, 0.0, None, args))
             elif kind == DEVICE:
-                for phase in range(3):
-                    add(_phase_span(row, phase, row[8 + phase], row[9 + phase]))
+                t0, t1, t2, t3 = row[8:]
+                add(_phase_span(row, 0, t0, t1))
+                add(_phase_span(row, 1, t1, t2))
+                add(_phase_span(row, 2, t2, t3))
             elif kind == PHASE:
                 add(_phase_span(row, *row[8:]))
             else:

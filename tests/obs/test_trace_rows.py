@@ -21,8 +21,12 @@ guards:
 import functools
 import hashlib
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atomic.database import AtomicConfig
 from repro.cluster.simclock import SimClock
@@ -30,7 +34,19 @@ from repro.core.calibration import CostModel
 from repro.core.granularity import WorkloadSpec, build_tasks
 from repro.core.hybrid import HybridConfig, HybridRunner
 from repro.gpusim.device import TESLA_C2075, TESLA_K20, SimulatedGPU
-from repro.obs import EventTracer
+from repro.gpusim.kernel import KernelSpec
+from repro.obs import EventTracer, tracer as tracer_mod
+from repro.obs.attribution import Attribution
+from repro.obs.attribution import CostModel as SpanCostModel
+from repro.obs.tracer import TraceEvent
+from repro.physics.plan import PLAN_CACHE
+from repro.quadrature.batch import KERNEL_COUNTERS
+from repro.service.broker import run_trace
+from repro.service.loadgen import generate_trace
+
+from tests.obs.test_attribution import ledger_fingerprint
+from tests.obs.test_obs_golden import CASES as SERVE_CASES
+from tests.obs.test_obs_golden import GOLDEN as SERVE_GOLDEN
 
 MODES = {
     "sync": dict(),
@@ -172,6 +188,262 @@ GOLDEN = {
 def test_standalone_stream_matches_parent_commit(mode, device, fail, monkeypatch):
     got = stream_hashes(*traced_run(mode, device, fail, monkeypatch))
     assert got == GOLDEN[(mode, device, fail)]
+
+
+# ----------------------------------------------------------------------
+# (b) rows and their expansion attribute alike
+# ----------------------------------------------------------------------
+_durations = st.floats(min_value=1.0e-7, max_value=2.0, allow_nan=False)
+
+#: One task: (kind, four positive durations, evals).  ``whole`` is a
+#: single-slot device's one DEVICE row, ``phased`` a multi-slot device's
+#: three PHASE rows, ``cpu`` the fallback; the first duration is the
+#: queue wait where the kind ends in ``+wait``.
+_task = st.tuples(
+    st.sampled_from(["whole", "whole+wait", "phased", "phased+wait", "cpu"]),
+    st.tuples(_durations, _durations, _durations, _durations),
+    st.integers(min_value=1, max_value=10**7),
+)
+_group = st.tuples(
+    st.lists(st.floats(min_value=0.5, max_value=1.0e6), min_size=1, max_size=8),
+    st.lists(_task, min_size=1, max_size=4),
+)
+_batches = st.lists(st.lists(_group, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def _record_batches(batches, interleave: int) -> EventTracer:
+    """Hand-built service trace in the runner's emission order: request
+    roots, then per batch its tasks' rows (alloc, device, end — tasks of
+    a batch's groups interleaved round-robin) and, last, its group spans."""
+    clock = SimpleNamespace(now=0.0)
+    tracer = EventTracer(clock)
+    lane = tracer.track("service", "lane.interactive")
+    rank, gpu, groups_track = (tracer.track("svc0", t) for t in ("rank0", "gpu0", "groups"))
+    for batch in batches:
+        landing = []
+        queues = []
+        for weights, tasks in batch:
+            members = []
+            for _ in weights:
+                members.append(tracer.new_id())
+                tracer.async_begin(lane, "request", members[-1], cat="request",
+                                   args={"key": f"k{members[-1]}", "outcome": "queued"})
+            gid = tracer.new_id()
+            landing.append((gid, members, weights))
+            queues.append([(gid, task) for task in tasks])
+        order = []
+        while any(queues):  # round-robin over the groups, ``interleave`` apart
+            for queue in queues[interleave % len(queues):] + queues[:interleave % len(queues)]:
+                if queue:
+                    order.append(queue.pop(0))
+        for gid, (kind, (wait, d_in, d_c, d_out), evals) in order:
+            sid = tracer.new_id()
+            started = clock.now
+            clock.now += 0.01
+            tracer.load(gpu, clock.now, 1)
+            tracer.task_alloc(rank, 0, (1,), (sid,), sid)
+            submitted = clock.now
+            kernel = KernelSpec(evals, 1, bytes_in=64, bytes_out=32, label=f"req{gid}/O+{evals % 8}")
+            if kind == "cpu":
+                clock.now += d_c
+                tracer.task_end(rank, f"task{sid}", started, sid, gid, -1, 0.0)
+                continue
+            wait_s = wait if kind.endswith("+wait") else 0.0
+            t0 = submitted + wait_s
+            t1 = t0 + d_in
+            t2 = t1 + d_c
+            t3 = t2 + d_out
+            if kind.startswith("whole"):
+                clock.now = t3
+                tracer.device_task(gpu, sid, kernel, t0, t1, t2, t3)
+            else:
+                for phase, (a, b) in enumerate(((t0, t1), (t1, t2), (t2, t3))):
+                    clock.now = b
+                    tracer.device_phase(gpu, sid, kernel, phase, a, b)
+            tracer.load(gpu, clock.now, 0)
+            tracer.task_end(rank, f"task{sid}", started, sid, gid, 0, wait_s,
+                            d_in + d_c + d_out, submitted, t0)
+        for gi, (gid, members, weights) in enumerate(landing):
+            tracer.span(groups_track, f"g{gi}", 0.0, clock.now, cat="group", id=gid,
+                        parent=members[0],
+                        args={"members": members, "weights": weights, "method": "simpson"})
+    return tracer
+
+
+def _fold_in_instalments(tracer: EventTracer, cuts: list[int]) -> list:
+    """Ingest the log up to each cut and to the end; returns what every
+    instalment left behind."""
+    ledger = Attribution(tracer)
+    model = SpanCostModel()
+    log, states = tracer.log, []
+    for cut in cuts + [len(log)]:
+        tracer.log = log[:cut]
+        ledger.ingest()
+        model.ingest(ledger.drain_observations())
+        states.append((
+            ledger_fingerprint(ledger.result()),
+            ledger.unattributed_ticks(),
+            ledger.lane_seconds(),
+            model.to_dict(),
+        ))
+    tracer.log = log
+    return states
+
+
+class TestRowsAttributeAsTheirEvents:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=_batches,
+        interleave=st.integers(min_value=0, max_value=2),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+    )
+    def test_ledger_and_cost_model_are_equal(self, batches, interleave, cuts):
+        rows = _record_batches(batches, interleave)
+        events = EventTracer()
+        events.tracks = rows.tracks
+        events.log = list(rows.events)  # the expansion, fed as plain events
+        assert len(events.log) == len(rows.log)
+        assert any(item.__class__ is tuple for item in rows.log)
+        # An ingest falls between emissions, never inside one: move each
+        # cut past the padding of the row it would split.
+        at = []
+        for cut in sorted(int(c * len(rows.log)) for c in cuts):
+            while cut < len(rows.log) and rows.log[cut] is None:
+                cut += 1
+            at.append(cut)
+        assert _fold_in_instalments(rows, at) == _fold_in_instalments(events, at)
+
+    def test_a_width_eight_group_splits_every_span(self):
+        """The example the property must contain: one group of eight
+        payers, a waited whole-device task, a phased one and a fallback."""
+        durations = (0.25, 0.125, 1.5, 0.0625)
+        batches = [[(
+            [3.0, 1.0, 1.0, 2.5, 7.0, 1.0, 4.0, 1.5],
+            [("whole+wait", durations, 640), ("phased", durations, 64), ("cpu", durations, 8)],
+        )]]
+        rows = _record_batches(batches, 0)
+        ledger = Attribution(rows)
+        ledger.ingest()
+        result = ledger.result()
+        assert result.conservation == 1.0
+        assert len(result.entries) == 8 and all(sum(e.ticks.values()) for e in result.entries)
+        assert [o.evals for o in ledger.drain_observations()] == [640, 64]
+        assert not any(ledger.unattributed_ticks().values())
+
+
+# ----------------------------------------------------------------------
+# (c) the budget, as counts
+# ----------------------------------------------------------------------
+#: Task-level event kinds — what a row stands for — as ``_structure`` keys.
+TASK_LEVEL = (
+    "C||load", "i|sched|sche_alloc", "X|ingress|h2d+launch", "X|compute|compute",
+    "X|egress|d2h", "X|wait|", "X|task|",
+)
+
+
+def _kind(ph: str, name: str, cat: str) -> str:
+    named = ph in ("b", "e", "i", "C") or cat in ("ingress", "compute", "egress")
+    return "|".join((ph, cat, name if named else ""))
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts every ``TraceEvent`` the tracer module builds, by kind."""
+    built = Counter()
+
+    def counting(ph, name, cat, *rest):
+        built[_kind(ph, name, cat)] += 1
+        return TraceEvent(ph, name, cat, *rest)
+
+    monkeypatch.setattr(tracer_mod, "TraceEvent", counting)
+    return built
+
+
+def _observed_run():
+    spec, config, _, _ = SERVE_CASES["observed"]
+    PLAN_CACHE.clear()
+    KERNEL_COUNTERS.reset()
+    tracer = EventTracer()
+    broker, _ = run_trace(generate_trace(spec), config, tracer=tracer)
+    return tracer, broker
+
+
+class TestBudget:
+    #: The ``observed`` golden case: 40 requests x 36 ion tasks.
+    TASKS = 1440
+    ROWS = 7200  # per task: 2 load samples, 1 alloc, 1 device, 1 end
+    SLOTS = 11158  # = events: a row standing for k events holds k slots
+    EAGER = 446  # request-, batch- and cache-level events, built as emitted
+
+    def test_rows_per_task_and_no_task_event_before_the_first_read(self, constructions):
+        tracer, broker = _observed_run()
+        broker.cost_report()  # attribution reads rows, not events
+        rows = [item for item in tracer.log if item.__class__ is tuple]
+        assert len(rows) == self.ROWS and len(rows) / self.TASKS == 5.0
+        assert len(tracer.log) == len(tracer.events) == self.SLOTS  # len() expands nothing
+        assert sum(constructions[k] for k in TASK_LEVEL) == 0
+        assert sum(constructions.values()) == self.EAGER
+        list(tracer.events)
+        counts = SERVE_GOLDEN["observed"]["structure"]["event_counts"]
+        assert {k: constructions[k] for k in TASK_LEVEL} == {k: counts[k] for k in TASK_LEVEL}
+        assert sum(constructions.values()) == self.SLOTS
+        list(tracer.events), tracer.events[0], tracer.events[-5:]
+        assert sum(constructions.values()) == self.SLOTS  # expanded once
+
+
+# ----------------------------------------------------------------------
+# (d) the view is the list it replaces
+# ----------------------------------------------------------------------
+class TestEventsView:
+    @pytest.mark.parametrize("mode,device", [("sync", "k20"), ("predictive", "c2075")])
+    def test_reads_mid_run_change_nothing(self, mode, device, monkeypatch):
+        whole, _ = traced_run(mode, device, False, monkeypatch)
+        piecewise = EventTracer()
+        seen = []
+
+        def reads(clock):
+            for at in (0.5, 1.0, 1.0, 3.0, 7.5):
+                clock.at(at, lambda: seen.append(list(piecewise.events)))
+
+        traced_run(mode, device, False, monkeypatch, tracer=piecewise, hook=reads)
+        assert 0 < len(seen[0]) < len(seen[-1]) < len(piecewise.events)
+        final = list(piecewise.events)
+        for partial in seen:  # a prefix, and the very same objects
+            assert all(a is b for a, b in zip(partial, final))
+        assert event_records(piecewise) == event_records(whole)
+        assert piecewise.log == whole.log  # reading left the rows rows
+
+    def test_len_index_slice_iterate_compare_as_a_list(self, monkeypatch, constructions):
+        tracer, _ = traced_run("sync", "c2075", False, monkeypatch)
+        view = tracer.events
+        assert len(view) == len(tracer.log) == GOLDEN[("sync", "c2075", False)][1]
+        assert sum(constructions.values()) == 1  # the eager batch span; len() built nothing
+        as_list = list(view)
+        assert len(as_list) == len(view) and bool(view)
+        assert view[0] is as_list[0] and view[-1] is as_list[-1]
+        assert view[3:9] == as_list[3:9] and view[::-7] == as_list[::-7]
+        assert view == as_list and as_list == list(tracer.events)
+        assert as_list[5] in view and view.index(as_list[5]) == 5
+        assert list(reversed(view)) == as_list[::-1]
+        with pytest.raises(IndexError):
+            view[len(view)]
+        assert not EventTracer().events and list(EventTracer().events) == []
+
+    def test_eager_events_and_rows_keep_their_order(self):
+        clock = SimpleNamespace(now=1.0)
+        tracer = EventTracer(clock)
+        kernel = KernelSpec(10, 65, bytes_in=8, bytes_out=16, label="pt0/O+7")
+        tracer.instant(0, "before")
+        tracer.device_task(1, 7, kernel, 0.0, 0.25, 0.75, 1.0)
+        tracer.instant(0, "between")
+        tracer.task_end(2, "pt0/O+7", 0.0, 7, 0, 1, 0.5, 1.0, 0.0, 0.5)
+        tracer.instant(0, "after")
+        assert [e.name for e in tracer.events] == [
+            "before", "h2d+launch", "compute", "d2h", "between",
+            "queue-wait", "pt0/O+7", "after",
+        ]
+        assert tracer.log[2:4] == [None, None] and tracer.log[6] is None
+        assert tracer.events[5].parent == tracer.events[6].id == 7
 
 
 if __name__ == "__main__":  # record: PYTHONPATH=src:. python tests/obs/test_trace_rows.py

@@ -1,5 +1,7 @@
 """The span tracer: null implementation, recording, track interning."""
 
+import inspect
+
 import pytest
 
 from repro.cluster.simclock import SimClock
@@ -11,15 +13,27 @@ class TestNullTracer:
         assert NULL_TRACER.enabled is False
 
     def test_every_method_is_a_silent_noop(self):
+        """Every public callable of the recording tracer exists on the null
+        one, takes the same call, and does nothing — so an instrumented
+        site that forgot its ``enabled`` guard cannot raise."""
         t = NullTracer()
-        assert t.bind(object()) is t
-        assert t.track("p", "t") == 0
-        t.complete(0, "x", 0.0)
-        t.span(0, "x", 0.0, 1.0)
-        t.instant(0, "x")
-        t.async_begin(0, "x", 1)
-        t.async_end(0, "x", 1)
-        t.counter(0, "x", 3)
+        methods = {
+            name: fn
+            for name, fn in inspect.getmembers(EventTracer, inspect.isfunction)
+            if not name.startswith("_")
+        }
+        assert {"span", "instant", "load", "task_alloc", "device_task", "task_end"} <= set(methods)
+        for name, recording in methods.items():
+            null = getattr(NullTracer, name)
+            params = list(inspect.signature(recording).parameters.values())
+            assert list(inspect.signature(null).parameters.values()) == params, name
+            required = [
+                object() for p in params[1:]
+                if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+            ]
+            result = null(t, *required)
+            assert result is (t if name == "bind" else None) or result == 0, name
+        assert vars(t) == {}
 
     def test_singleton_is_shared(self):
         from repro.obs.tracer import NULL_TRACER as again

@@ -95,6 +95,22 @@ class TestPlanStructure:
         b = plan.windows(0.8617)
         assert a[0] is b[0] and a[1] is b[1]
 
+    def test_per_ion_active_is_computed_once_per_temperature(self, db, grid):
+        """Task compilation and the attribution weights ask for the same
+        temperature: the second asker gets the first one's array, which
+        lives (read-only) in the window memo's entry and leaves with it."""
+        plan = _get(PlanCache(), db, grid)
+        first = plan.per_ion_active(0.8617)
+        assert plan.per_ion_active(0.8617) is first
+        assert not first.flags.writeable
+        assert len(plan._window_memo) == 1  # no second memo beside it
+        for k in range(plan._WINDOW_MEMO_MAX):
+            plan.windows(1.0 + 0.01 * k)
+        assert len(plan._window_memo) == plan._WINDOW_MEMO_MAX
+        again = plan.per_ion_active(0.8617)  # evicted with its windows
+        assert again is not first
+        np.testing.assert_array_equal(again, first)
+
 
 class TestMegabatchEquivalence:
     @pytest.mark.parametrize("method", ["simpson", "romberg", "gauss"])
