@@ -458,7 +458,7 @@ class HybridRunner:
                 device = sched.sche_alloc(clock.now)
                 if traced:
                     tracer.task_alloc(
-                        rank_track, device, tuple(sched.loads()), tuple(sched.histories()),
+                        rank_track, device, sched.loads(), sched.histories(),
                         task.task_id,
                     )
             else:
@@ -475,8 +475,8 @@ class HybridRunner:
                 device = sched.sche_alloc(clock.now, ticks=ticks)
                 if traced:
                     tracer.task_alloc(
-                        rank_track, device, tuple(sched.loads()), tuple(sched.histories()),
-                        task.task_id, tuple(sched.backlog_ticks()), ticks, predicted,
+                        rank_track, device, sched.loads(), sched.histories(),
+                        task.task_id, sched.backlog_ticks(), ticks, predicted,
                     )
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
@@ -580,7 +580,7 @@ class HybridRunner:
             device = sched.sche_alloc(clock.now)
             if traced:
                 tracer.task_alloc(
-                    rank_track, device, tuple(sched.loads()), tuple(sched.histories()),
+                    rank_track, device, sched.loads(), sched.histories(),
                     task.task_id,
                 )
             if device != NO_DEVICE:

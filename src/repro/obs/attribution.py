@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from repro.obs.tracer import DEVICE, END, PHASE
+from repro.obs.tracer import DEVICE, END, PHASE, TICKS_PER_S
 
 __all__ = [
     "Attribution",
@@ -53,11 +53,6 @@ __all__ = [
 
 #: Cost components a request's ledger entry is split into.
 COMPONENTS = ("compute", "transfer", "wait")
-
-#: Integer accounting resolution: picoseconds per virtual second.  Small
-#: enough that no simulated interval rounds to zero, large enough that
-#: run-wide tick sums stay far below 2**53 (exact in float64 and JSON).
-TICKS_PER_S = 10**12
 
 _CAT_COMPONENT = {"compute": "compute", "ingress": "transfer", "egress": "transfer", "wait": "wait"}
 
@@ -367,6 +362,7 @@ class Attribution:
                     continue
                 if kind == DEVICE:
                     _, _, sid, label, _, evals, _, _, t0, t1, t2, t3 = ev
+                    # round() of a float is the int _ticks() makes of it.
                     t_in = round((t1 - t0) * TICKS_PER_S)
                     t_c = round((t2 - t1) * TICKS_PER_S)
                     t_out = round((t3 - t2) * TICKS_PER_S)
@@ -489,12 +485,8 @@ class Attribution:
         for task in tasks:
             if task.__class__ is tuple:  # recorded as rows
                 _, gid, t_in, t_c, t_out, wait, cpu, label, evals = task
+                spans = zip(_ROW_COMPONENTS, (t_in, t_c, t_out, wait, cpu))
                 service = t_in + t_c + t_out
-                if len(self._groups[gid].entries) == 1:
-                    # One payer adds integers: the five spans fold to three.
-                    spans = (("transfer", t_in + t_out), ("compute", t_c + cpu), ("wait", wait))
-                else:
-                    spans = zip(_ROW_COMPONENTS, (t_in, t_c, t_out, wait, cpu))
             else:
                 gid, spans, task.spans, label = task.group, task.spans, [], None
                 # A GPU task is complete once its egress span landed; the
@@ -688,9 +680,7 @@ class CostModel:
 
     def ingest(self, observations: list[TaskObservation]) -> None:
         for obs in observations:
-            self.observe_key(
-                self.key(obs.ion, obs.method, obs.evals), obs.evals, obs.service_s
-            )
+            self.observe(obs.ion, obs.method, obs.evals, obs.service_s)
 
     # ------------------------------------------------------------------
     @property

@@ -76,13 +76,14 @@ from typing import Optional
 
 __all__ = ["TraceEvent", "NullTracer", "EventTracer", "NULL_TRACER", "WallClock"]
 
-#: Task-row kinds (see the module docstring for the layouts).
+#: Task-row kinds (see the module docstring for the layouts), the ones
+#: that measure nothing first: attribution skips ``kind < DEVICE``.
 LOAD, ALLOC, DEVICE, PHASE, END = range(5)
 
-#: Scheduler backlog resolution (ticks per virtual second), for showing
-#: an ALLOC row's integer backlog as the seconds its instant carries.
-_TICKS_PER_S = 10**12
-
+#: Integer accounting resolution: picoseconds per virtual second.  Small
+#: enough that no simulated interval rounds to zero, large enough that
+#: run-wide tick sums stay far below 2**53 (exact in float64 and JSON).
+TICKS_PER_S = 10**12
 
 
 def _phase_span(row: tuple, phase: int, start: float, end: float) -> "TraceEvent":
@@ -333,9 +334,12 @@ class EventTracer:
     def task_alloc(self, track, chosen, loads, histories, task_id,
                    backlog=None, ticks=0, predicted_s=None) -> None:
         """One ``sche_alloc`` decision, its counters read after it."""
+        # Tuples of numbers, all the way down: the collector stops
+        # tracking such a row, so a trace adds nothing to its full passes.
         self.log.append(
-            (ALLOC, track, self._clock.now, chosen, loads, histories, task_id,
-             backlog, ticks, predicted_s)
+            (ALLOC, track, self._clock.now, chosen, tuple(loads),
+             tuple(histories), task_id,
+             None if backlog is None else tuple(backlog), ticks, predicted_s)
         )
 
     def device_task(self, track, parent, kernel, t0, t1, t2, t3) -> None:
@@ -394,7 +398,7 @@ class EventTracer:
                 args = {"chosen": chosen, "loads": loads, "histories": histories}
                 if backlog is not None:
                     args["backlogs_s"] = [
-                        (b - ticks if d == chosen else b) / _TICKS_PER_S
+                        (b - ticks if d == chosen else b) / TICKS_PER_S
                         for d, b in enumerate(backlog)
                     ]
                     args["predicted_s"] = predicted
@@ -407,7 +411,7 @@ class EventTracer:
                 add(_phase_span(row, 2, t2, t3))
             elif kind == PHASE:
                 add(_phase_span(row, *row[8:]))
-            else:
+            else:  # END
                 (_, _, name, start, end, id, parent, device, wait_s, service_s,
                  submitted_at, started, stolen, predicted) = row
                 if wait_s:

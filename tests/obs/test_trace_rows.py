@@ -1,9 +1,9 @@
 """Task-level tracing as rows: same events, same order, far fewer objects.
 
-A traced task is recorded as ~3 compact rows (alloc, device completion,
-task end) that ``EventTracer.events`` expands, on first read, into
-exactly the ``TraceEvent`` list the eager path used to build.  Four
-guards:
+A traced task is recorded as a few flat rows (two load samples, alloc,
+device completion, task end) that ``EventTracer.events`` expands, on
+first read, into exactly the ``TraceEvent`` list the eager path used to
+build.  Four guards:
 
 (a) cross-commit goldens — ordered and sorted event-stream hashes
     recorded at 92a6c94 (the parent of the row change) *before the first
@@ -20,7 +20,6 @@ guards:
 
 import functools
 import hashlib
-import json
 from collections import Counter
 from types import SimpleNamespace
 
@@ -47,6 +46,7 @@ from repro.service.loadgen import generate_trace
 from tests.obs.test_attribution import ledger_fingerprint
 from tests.obs.test_obs_golden import CASES as SERVE_CASES
 from tests.obs.test_obs_golden import GOLDEN as SERVE_GOLDEN
+from tests.obs.test_obs_golden import _canon
 
 MODES = {
     "sync": dict(),
@@ -64,10 +64,6 @@ def _tasks():
     return build_tasks(
         WorkloadSpec(n_points=8, bins_per_level=200_000, db_config=AtomicConfig.tiny())
     )
-
-
-def _canon(doc) -> str:
-    return json.dumps(doc, sort_keys=True, default=lambda o: o.item())
 
 
 def event_records(tracer) -> list[str]:
