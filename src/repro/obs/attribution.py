@@ -485,8 +485,12 @@ class Attribution:
         for task in tasks:
             if task.__class__ is tuple:  # recorded as rows
                 _, gid, t_in, t_c, t_out, wait, cpu, label, evals = task
-                spans = zip(_ROW_COMPONENTS, (t_in, t_c, t_out, wait, cpu))
                 service = t_in + t_c + t_out
+                if len(self._groups[gid].entries) == 1:
+                    # One payer adds integers: the five spans fold to three.
+                    spans = (("transfer", t_in + t_out), ("compute", t_c + cpu), ("wait", wait))
+                else:
+                    spans = zip(_ROW_COMPONENTS, (t_in, t_c, t_out, wait, cpu))
             else:
                 gid, spans, task.spans, label = task.group, task.spans, [], None
                 # A GPU task is complete once its egress span landed; the
