@@ -130,41 +130,12 @@ class NullTracer:
     def new_id(self) -> int:
         return 0
 
-    def complete(self, track, name, start, cat="", args=None, id=None, parent=None) -> None:
+    def _noop(self, *args, **kwargs) -> None:
         pass
 
-    def span(self, track, name, start, end, cat="", args=None, id=None, parent=None) -> None:
-        pass
-
-    def instant(self, track, name, cat="", args=None, parent=None) -> None:
-        pass
-
-    def async_begin(self, track, name, id, cat="", args=None, parent=None) -> None:
-        pass
-
-    def async_end(self, track, name, id, cat="", args=None) -> None:
-        pass
-
-    def counter(self, track, name, value) -> None:
-        pass
-
-    def load(self, track, ts, value) -> None:
-        pass
-
-    def task_alloc(self, track, chosen, loads, histories, task_id,
-                   backlog=None, ticks=0, predicted_s=None) -> None:
-        pass
-
-    def device_task(self, track, parent, kernel, t0, t1, t2, t3) -> None:
-        pass
-
-    def device_phase(self, track, parent, kernel, phase, t0, t1) -> None:
-        pass
-
-    def task_end(self, track, name, start, id, parent, device, wait_s=None,
-                 service_s=None, submitted_at=0.0, started=0.0, stolen=None,
-                 predicted_s=None) -> None:
-        pass
+    #: Every emission method of :class:`EventTracer`, eager and row alike.
+    complete = span = instant = async_begin = async_end = counter = _noop
+    load = task_alloc = device_task = device_phase = task_end = _noop
 
 
 #: Shared no-op instance — stateless, so one is enough for the process.

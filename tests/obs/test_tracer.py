@@ -14,8 +14,9 @@ class TestNullTracer:
 
     def test_every_method_is_a_silent_noop(self):
         """Every public callable of the recording tracer exists on the null
-        one, takes the same call, and does nothing — so an instrumented
-        site that forgot its ``enabled`` guard cannot raise."""
+        one, takes the recorder's call, and does nothing — so a new
+        emission method cannot be missing from the null object, and an
+        instrumented site that forgot its ``enabled`` guard cannot raise."""
         t = NullTracer()
         methods = {
             name: fn
@@ -24,15 +25,11 @@ class TestNullTracer:
         }
         assert {"span", "instant", "load", "task_alloc", "device_task", "task_end"} <= set(methods)
         for name, recording in methods.items():
-            null = getattr(NullTracer, name)
-            params = list(inspect.signature(recording).parameters.values())
-            assert list(inspect.signature(null).parameters.values()) == params, name
-            required = [
-                object() for p in params[1:]
-                if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
-            ]
-            result = null(t, *required)
-            assert result is (t if name == "bind" else None) or result == 0, name
+            params = list(inspect.signature(recording).parameters.values())[1:]
+            required = [object() for p in params if p.default is p.empty]
+            optional = {p.name: object() for p in params if p.default is not p.empty}
+            result = getattr(t, name)(*required, **optional)
+            assert result is {"bind": t, "track": 0, "new_id": 0}.get(name), name
         assert vars(t) == {}
 
     def test_singleton_is_shared(self):
