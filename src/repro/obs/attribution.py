@@ -309,7 +309,7 @@ class Attribution:
 
     def __init__(self, tracer) -> None:
         self._tracer = tracer
-        self._cursor = 0
+        self._cursor = tracer.rows_unread = 0
         self._entries: dict[int, CostEntry] = {}
         self._groups: dict[int, _Group] = {}
         self._tasks: dict[int, _TaskState] = {}
@@ -351,6 +351,7 @@ class Attribution:
         """Process events recorded since the last call; returns how many."""
         log = self._tracer.log
         start, self._cursor = self._cursor, len(log)
+        self._tracer.rows_unread = self._cursor
         tasks, buffered, component_of = self._tasks, self._buffered, _CAT_COMPONENT
         device, groups, waiting = self._device, self._groups, self._waiting
         #: Tasks this call made attributable, by task-span arrival rank.
@@ -373,17 +374,18 @@ class Attribution:
                     if sid:
                         device[sid] = (t_in, t_c, t_out, label, evals)
                 elif kind == END:
+                    (_, _, _, began, ended, sid, gid, placed, _, _, submitted_at,
+                     started, _, _) = ev
                     wait = cpu = 0
-                    if ev[8]:  # wait_s > 0: the queue-wait span
-                        wait = round((ev[11] - ev[10]) * TICKS_PER_S)
+                    if submitted_at is not None:  # it waited: the queue-wait span
+                        wait = round((started - submitted_at) * TICKS_PER_S)
                         buffered["wait"] += wait
-                    if ev[7] < 0:  # CPU fallback: the task span *is* the compute
-                        cpu = round((ev[4] - ev[3]) * TICKS_PER_S)
+                    if placed < 0:  # CPU fallback: the task span *is* the compute
+                        cpu = round((ended - began) * TICKS_PER_S)
                         buffered["compute"] += cpu
                     seq = self._task_seq
                     self._task_seq = seq + 1
-                    t_in, t_c, t_out, label, evals = device.pop(ev[5], _NO_KERNEL)
-                    gid = ev[6]
+                    t_in, t_c, t_out, label, evals = device.pop(sid, _NO_KERNEL)
                     if gid:
                         task = (seq, gid, t_in, t_c, t_out, wait, cpu, label, evals)
                         if gid in groups:
@@ -391,15 +393,15 @@ class Attribution:
                         else:
                             waiting.setdefault(gid, []).append(task)
                 elif kind == PHASE:
-                    sid, phase = ev[2], ev[8]
-                    ticks = round((ev[10] - ev[9]) * TICKS_PER_S)
+                    _, _, sid, label, _, evals, _, _, phase, t0, t1 = ev
+                    ticks = round((t1 - t0) * TICKS_PER_S)
                     book = buffered if sid else self._orphaned
                     book[_ROW_COMPONENTS[phase]] += ticks
                     if sid:
                         dev = list(device.get(sid, _NO_KERNEL))
                         dev[phase] = ticks
                         if phase == 2:  # left the device: a complete measurement
-                            dev[3:] = ev[3], ev[5]
+                            dev[3:] = label, evals
                         device[sid] = dev
                 continue
             if ev is None:  # padding behind a multi-event row
@@ -486,11 +488,7 @@ class Attribution:
             if task.__class__ is tuple:  # recorded as rows
                 _, gid, t_in, t_c, t_out, wait, cpu, label, evals = task
                 service = t_in + t_c + t_out
-                if len(self._groups[gid].entries) == 1:
-                    # One payer adds integers: the five spans fold to three.
-                    spans = (("transfer", t_in + t_out), ("compute", t_c + cpu), ("wait", wait))
-                else:
-                    spans = zip(_ROW_COMPONENTS, (t_in, t_c, t_out, wait, cpu))
+                spans = zip(_ROW_COMPONENTS, (t_in, t_c, t_out, wait, cpu))
             else:
                 gid, spans, task.spans, label = task.group, task.spans, [], None
                 # A GPU task is complete once its egress span landed; the

@@ -47,7 +47,10 @@ when it is first read.  The one rule: *a row is appended at the instant
 its first event used to be and expands in place*, so the list order is
 the eager order.  ``EventTracer.log`` keeps one slot per event (a row
 standing for k events is followed by k - 1 ``None``), which makes an
-index into the log an index into ``events``.  The vocabulary (``row[0]``
+index into the log an index into ``events``.  In place in the log too:
+an expanded row gives way to its events there, unless the one reader of
+rows (an ``Attribution``, ``rows_unread``) has yet to reach it, so a
+trace that has been read is not held twice.  The vocabulary (``row[0]``
 is the kind):
 
 - ``(LOAD, track, ts, value)`` — one sample of a device's load counter;
@@ -65,7 +68,9 @@ is the kind):
   2 egress) from a multi-slot device, which overlaps its clients;
 - ``(END, track, name, start, end, id, parent, device, wait_s,
   service_s, submitted_at, started, stolen, predicted_s)`` — the task
-  span, preceded by its ``queue-wait`` span when ``wait_s`` > 0.
+  span, preceded by its ``queue-wait`` span ``[submitted_at, started]``
+  if it waited; ``submitted_at`` is ``None`` in the row of one that did
+  not.
 """
 
 from __future__ import annotations
@@ -84,6 +89,9 @@ LOAD, ALLOC, DEVICE, PHASE, END = range(5)
 #: enough that no simulated interval rounds to zero, large enough that
 #: run-wide tick sums stay far below 2**53 (exact in float64 and JSON).
 TICKS_PER_S = 10**12
+
+#: Log slots expanded between two releases of the rows behind them.
+_STRETCH = 4096
 
 
 def _phase_span(row: tuple, phase: int, start: float, end: float) -> "TraceEvent":
@@ -196,14 +204,6 @@ class _Events(Sequence):
     def __iter__(self):
         return iter(self._tracer._expanded())
 
-    def __eq__(self, other):
-        if isinstance(other, (list, _Events)):
-            return self._tracer._expanded() == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self._tracer._expanded())
-
 
 class EventTracer:
     """In-memory recording tracer on a (virtual or wall) clock."""
@@ -216,6 +216,11 @@ class EventTracer:
         #: eager API, task rows, and ``None`` behind a multi-event row.
         self.log: list = []
         self._events: list[TraceEvent] = []  # log[:len(_events)], expanded
+        #: Rows from this index on are still to be read as rows (an
+        #: ``Attribution`` keeps its cursor here; ``None``: nobody reads
+        #: rows).  Below it, an expanded row gives way to its events.
+        self.rows_unread: Optional[int] = None
+        self._released = 0  # log[:_released] holds events only
         self._load_args: dict[int, dict] = {}
         self.tracks: list[_Track] = []
         self._track_ids: dict[tuple[str, str], int] = {}
@@ -337,18 +342,28 @@ class EventTracer:
         ``service_s`` / ``stolen`` left ``None`` stay out of the span's args."""
         self.log.append(
             (END, track, name, start, self._clock.now, id, parent, device,
-             wait_s, service_s, submitted_at, started, stolen, predicted_s)
+             wait_s, service_s, submitted_at if wait_s else None, started,
+             stolen, predicted_s)
         )
-        if wait_s:
+        if wait_s:  # it waited: a slot for the queue-wait span
             self.log.append(None)
 
     def _expanded(self) -> list[TraceEvent]:
-        """``log`` as events, extended over the rows not yet expanded."""
+        """``log`` as events, extended over the rows not yet expanded — in
+        place: a stretch at a time, the expanded rows nobody is still to
+        read give way to their events, so a trace is never held twice."""
         events, log = self._events, self.log
-        if len(events) == len(log):
-            return events
-        add = events.append
-        for row in log[len(events):]:
+        keep = len(log) if self.rows_unread is None else self.rows_unread
+        for at in range(len(events), len(log), _STRETCH):
+            self._expand(log[at:at + _STRETCH])
+            upto = min(at + _STRETCH, keep)
+            log[self._released:upto] = events[self._released:upto]
+            self._released = upto
+        return events
+
+    def _expand(self, rows: list) -> None:
+        add = self._events.append
+        for row in rows:
             if row.__class__ is not tuple:
                 if row is not None:
                     add(row)
@@ -385,7 +400,7 @@ class EventTracer:
             else:  # END
                 (_, _, name, start, end, id, parent, device, wait_s, service_s,
                  submitted_at, started, stolen, predicted) = row
-                if wait_s:
+                if submitted_at is not None:
                     add(TraceEvent(
                         "X", "queue-wait", "wait", track, submitted_at,
                         started - submitted_at, None, {"device": device}, id,
@@ -402,4 +417,3 @@ class EventTracer:
                     "X", name, "task", track, start, end - start, id, args,
                     parent or None,
                 ))
-        return events
