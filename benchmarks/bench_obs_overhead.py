@@ -12,17 +12,17 @@ the Fig. 7-scale hybrid workload (24 points x 496 Ion tasks):
 The no-op assertion is made in absolute terms: the measured per-site
 guard cost times the number of guarded sites the *untraced* run crosses
 must stay under 2% of its wall time.  The sites are counted, not
-estimated: a ``NullTracer`` whose ``enabled`` counts its reads stands in
-for the runner's and the devices' tracer for one run (a device reads the
-flag once per task, the bus and the batch once per batch), and the rank
-loop — which reads the flag once per rank and tests the local per task —
-is priced at every ``if traced`` in its source for every task (an upper
-bound: a task crosses three of the five).
+estimated: a ``NullTracer`` whose ``enabled`` counts its reads, and hands
+out a false flag that counts its truth tests, stands in for the runner's
+and the devices' tracer for one run.  A device reads the flag once per
+task, the bus and the batch once per batch; the rank loop reads it once
+per rank and tests the local wherever a task crosses a guard.  Every
+read is priced as a whole guard and every test as a test of a cached
+flag (an upper bound: an inline guard is one of each).
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 
 from conftest import emit
@@ -32,16 +32,28 @@ from repro.core.hybrid import HybridConfig, HybridRunner
 from repro.obs import NULL_TRACER, EventTracer, NullTracer
 
 
+class _CountingFlag:
+    """A false flag, counting how often it is tested."""
+
+    def __init__(self) -> None:
+        self.tests = 0
+
+    def __bool__(self) -> bool:
+        self.tests += 1
+        return False
+
+
 class _CountingNullTracer(NullTracer):
     """The no-op tracer, counting how often its ``enabled`` is read."""
 
     def __init__(self) -> None:
         self.reads = 0
+        self.flag = _CountingFlag()
 
     @property
-    def enabled(self) -> bool:
+    def enabled(self) -> _CountingFlag:
         self.reads += 1
-        return False
+        return self.flag
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -68,15 +80,14 @@ def test_obs_overhead(ion_tasks, results_dir, monkeypatch):
     t_on = _best_of(traced_run)
     n_events = event_counts[-1]
 
-    # Guarded sites an untraced run crosses: counted flag reads, plus the
-    # rank loop's tests of its cached flag (every one, for every task).
+    # Guarded sites an untraced run crosses: reads of the flag and truth
+    # tests of it (the rank loop tests a local it read once), both counted.
     counting = _CountingNullTracer()
     # An untraced runner builds its devices on the shared null tracer.
     monkeypatch.setattr("repro.gpusim.device.NULL_TRACER", counting)
     HybridRunner(cfg, tracer=counting).run(ion_tasks)
     monkeypatch.undo()
-    cached_tests = inspect.getsource(HybridRunner._worker_sync).count("if traced")
-    n_cached = cached_tests * len(ion_tasks)
+    n_tests = counting.flag.tests
 
     # Per-site costs: the disabled guard (`if tracer.enabled: ...`) and a
     # test of the flag cached in a local (`if traced: ...`).
@@ -94,7 +105,7 @@ def test_obs_overhead(ion_tasks, results_dir, monkeypatch):
             raise AssertionError("unreachable")
     cached_s = (time.perf_counter() - t0) / n_probe
 
-    noop_cost_s = guard_s * counting.reads + cached_s * n_cached
+    noop_cost_s = guard_s * counting.reads + cached_s * n_tests
     noop_frac = noop_cost_s / t_off
     on_overhead = t_on / t_off - 1.0
 
@@ -110,7 +121,7 @@ def test_obs_overhead(ion_tasks, results_dir, monkeypatch):
                 ["tracing-on overhead", f"{on_overhead:+.1%}"],
                 ["events recorded (on)", n_events],
                 ["`enabled` reads, untraced run", counting.reads],
-                ["cached-flag tests (rank loop)", f"{n_cached} ({cached_tests} a task)"],
+                ["flag tests, untraced run", f"{n_tests} ({n_tests / len(ion_tasks):.2f} a task)"],
                 ["disabled-guard cost (ns/read)", f"{guard_s * 1e9:.1f}"],
                 ["cached-flag cost (ns/test)", f"{cached_s * 1e9:.1f}"],
                 ["no-op cost, all sites (ms)", f"{noop_cost_s * 1e3:.3f}"],
