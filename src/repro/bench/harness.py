@@ -523,12 +523,11 @@ def _case_telemetry_pipeline(quick: bool, seed: int) -> dict:
     """Continuous telemetry: scrape determinism + anomaly hygiene.
 
     Two gates, both zero-tolerance.  ``scrape_determinism`` plays one
-    bursty trace through the service with a scraping
-    :class:`~repro.obs.tsdb.TimeSeriesStore` under both payload backends
-    (serial / thread) and requires the serialized stores —
-    delta-encoded timestamps and values included — to be byte-identical:
-    telemetry rides the virtual clock, so the host's thread scheduling
-    must never leak into a scrape.  ``anomaly_false_positives`` runs the
+    bursty trace through the service twice with a scraping
+    :class:`~repro.obs.tsdb.TimeSeriesStore` and requires the serialized
+    stores — delta-encoded timestamps and values included — to be
+    byte-identical: telemetry rides the virtual clock, so nothing of the
+    host's may leak into a scrape.  ``anomaly_false_positives`` runs the
     online EWMA+MAD detector over a seeded steady trace and must stay at
     exactly zero — control bands that cry wolf on steady traffic are
     worse than none.  The bursty trace's anomaly count is reported
@@ -543,11 +542,11 @@ def _case_telemetry_pipeline(quick: bool, seed: int) -> dict:
 
     n = 48 if quick else 128
 
-    def play(trace, backend: str, detector=None) -> TimeSeriesStore:
+    def play(trace, detector=None) -> TimeSeriesStore:
         store = TimeSeriesStore(cadence_s=0.25)
         run_trace(
             trace,
-            ServiceConfig(n_service_workers=2, backend=backend),
+            ServiceConfig(n_service_workers=2),
             tsdb=store,
             anomaly=detector,
         )
@@ -574,13 +573,12 @@ def _case_telemetry_pipeline(quick: bool, seed: int) -> dict:
 
     t0 = time.perf_counter()
     docs = [
-        json.dumps(play(bursty, backend).to_dict(), sort_keys=True)
-        for backend in ("serial", "thread")
+        json.dumps(play(bursty).to_dict(), sort_keys=True) for _ in range(2)
     ]
     steady_detector = AnomalyDetector()
-    play(steady, "serial", detector=steady_detector)
+    play(steady, detector=steady_detector)
     bursty_detector = AnomalyDetector()
-    bursty_store = play(bursty, "serial", detector=bursty_detector)
+    bursty_store = play(bursty, detector=bursty_detector)
     wall_s = time.perf_counter() - t0
 
     return {

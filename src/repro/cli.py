@@ -148,13 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency-reservoir", type=int, default=None,
                    help="cap per-lane latency samples at this reservoir "
                         "size (default: keep every sample)")
-    p.add_argument("--backend", choices=["serial", "thread"],
-                   default="serial",
-                   help="wall-clock execution backend for payload "
-                        "evaluation (default: serial)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker count for --backend thread "
-                        "(default: one per CPU)")
     p.add_argument("--json", action="store_true")
     _add_obs_flags(p)
     p.add_argument("--gantt", action="store_true",
@@ -950,8 +943,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scheduler_kind=_sched_kind(args),
         ),
         latency_reservoir=args.latency_reservoir,
-        backend=args.backend,
-        jobs=args.jobs,
     )
     tracer = None
     if (

@@ -158,16 +158,30 @@ def measure_live_eval_rates(
     import numpy as np
 
     x = np.linspace(0.5, 1.5, n_evals)
-    t0 = time.perf_counter()
-    integrand(x)
-    t_vec = time.perf_counter() - t0
-
     n_scalar = max(200, n_evals // 1000)
     xs = x[:n_scalar]
-    t0 = time.perf_counter()
-    for v in xs:
-        integrand(np.array([v]))
-    t_scalar = time.perf_counter() - t0
+
+    def vectorized() -> None:
+        integrand(x)
+
+    def scalar() -> None:
+        for v in xs:
+            integrand(np.array([v]))
+
+    def best_of_five(run: Callable[[], None]) -> float:
+        # One untimed warm-up (first-touch page faults, ufunc set-up),
+        # then the fastest of five: a rate is a property of the kernel,
+        # and only the minimum sheds what a busy host adds to a sample.
+        run()
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    t_vec = best_of_five(vectorized)
+    t_scalar = best_of_five(scalar)
 
     return {
         "vectorized_evals_per_s": n_evals / max(t_vec, 1e-12),

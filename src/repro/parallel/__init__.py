@@ -1,28 +1,12 @@
-"""Real parallelism: the broker's payload map and the plan's ranks.
+"""Real parallelism: the plan's ranks.
 
 Everything else in the reproduction measures *simulated* time on the
-event clock; this package is about *real* time — running the broker's
-per-launch payloads on host threads (:mod:`repro.parallel.executor`)
-and the grid points of ``SpectrumPlan.execute_many`` on forked rank
-processes (:mod:`repro.parallel.ranks`, imported by the plan, not here).
+event clock; this package is about *real* time — running the grid
+points of ``SpectrumPlan.execute_many`` on forked rank processes
+(:mod:`repro.parallel.ranks`, imported by the plan, not here), sized by
+the CPUs the process may use (:mod:`repro.parallel.executor`).
 """
 
-from repro.parallel.executor import (
-    BACKENDS,
-    ExecutionBackend,
-    SerialBackend,
-    ThreadBackend,
-    default_jobs,
-    get_backend,
-    usable_cpus,
-)
+from repro.parallel.executor import usable_cpus
 
-__all__ = [
-    "BACKENDS",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "default_jobs",
-    "get_backend",
-    "usable_cpus",
-]
+__all__ = ["usable_cpus"]

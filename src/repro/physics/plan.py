@@ -190,8 +190,31 @@ class SpectrumPlan:
         self.ion_index = np.repeat(
             np.arange(len(ions), dtype=np.int64), np.diff(offsets)
         )
+        # The temperature-independent half of a window: where each
+        # level's edge falls on the grid, and the tail budget per unit
+        # kT.  ``windows(kT)`` adds ``kT * log_tail`` and searches once.
+        n_bins = grid.n_bins
+        self._first = np.minimum(
+            np.searchsorted(grid.upper, self.energy_kev, side="right"), n_bins
+        ).astype(np.int64)
+        self._log_tail: np.ndarray | None = None
+        if key.tail_tol > 0.0 and self.energy_kev.size:
+            if key.gaunt:
+                # Same double-precision expression sequence as
+                # tail_cutoff_kev, vectorized over ions: x_max -> g_inf
+                # -> safety -> log(safety / tail_tol), so the windows
+                # match level_windows ion by ion, bit for bit.
+                with np.errstate(divide="ignore"):
+                    x_max = np.maximum(1.0, grid.upper[-1] / e_min)
+                safety = GAUNT_SUP / np.minimum(1.0, gaunt_factor(x_max))
+            else:
+                safety = np.ones(len(ions))
+            self._log_tail = np.log(safety / key.tail_tol)[self.ion_index]
+            self._log_tail.setflags(write=False)
+        self._ion_slots = np.flatnonzero(np.diff(offsets))
+        self._ion_starts = offsets[self._ion_slots]
         for arr in (self.energy_kev, self.c_base, self.offsets,
-                    self.e_min_ion, self.ion_index):
+                    self.e_min_ion, self.ion_index, self._first):
             arr.setflags(write=False)
         #: kT -> [first, cutoff, per-ion active pairs (None until asked for)]
         self._window_memo: OrderedDict[float, list] = OrderedDict()
@@ -247,48 +270,46 @@ class SpectrumPlan:
         return entry
 
     def _compute_windows(self, kt: float) -> tuple[np.ndarray, np.ndarray]:
-        grid = self.grid
-        n_bins = grid.n_bins
-        energies = self.energy_kev
-        if energies.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
-        first = np.searchsorted(grid.upper, energies, side="right")
-        tail_tol = self.key.tail_tol
-        if tail_tol == 0.0:
-            cutoff = np.full(energies.shape, n_bins, dtype=np.int64)
-        else:
-            if self.key.gaunt:
-                # Same double-precision expression sequence as
-                # tail_cutoff_kev, vectorized over ions: x_max -> g_inf
-                # -> safety -> tau.
-                with np.errstate(divide="ignore"):
-                    x_max = np.maximum(1.0, grid.upper[-1] / self.e_min_ion)
-                g_inf = np.minimum(1.0, gaunt_factor(x_max))
-                safety = GAUNT_SUP / g_inf
-            else:
-                safety = np.ones(len(self.ions))
-            tau_ion = kt * np.log(safety / tail_tol)
-            cutoff = np.searchsorted(
-                grid.lower, energies + tau_ion[self.ion_index], side="left"
-            )
-        first = np.minimum(first, n_bins).astype(np.int64)
-        cutoff = np.maximum(np.minimum(cutoff, n_bins).astype(np.int64), first)
+        first = self._first
+        n_bins = self.grid.n_bins
+        if self._log_tail is None:
+            # Pruning off (or no levels): every window runs to the last bin.
+            return first, np.full(first.shape, n_bins, dtype=np.int64)
+        cutoff = np.searchsorted(
+            self.grid.lower, self.energy_kev + kt * self._log_tail, side="left"
+        ).astype(np.int64, copy=False)
+        np.minimum(cutoff, n_bins, out=cutoff)
+        np.maximum(cutoff, first, out=cutoff)
         return first, cutoff
 
     def per_ion_active(self, kt_kev: float) -> np.ndarray:
         """Active (level, bin) pairs per ion — the pruned task prices
         (read-only: kept in the temperature's window-memo entry, so task
         compilation and attribution weights share one computation)."""
-        entry = self._memo_entry(kt_kev)
-        if entry[2] is None:
-            counts = entry[1] - entry[0]
-            csum = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=csum[1:])
-            active = csum[self.offsets[1:]] - csum[self.offsets[:-1]]
+        return self._active_rows((kt_kev,))[0]
+
+    def active_pairs(self, kts_kev: Iterable[float]) -> np.ndarray:
+        """:meth:`per_ion_active` of every temperature of a group, shape
+        ``(len(kts), n_ions)``."""
+        return np.array(self._active_rows(kts_kev))
+
+    def _active_rows(self, kts_kev: Iterable[float]) -> list[np.ndarray]:
+        """The memo's per-ion active counts for these temperatures,
+        reducing every row still missing in one pass."""
+        entries = [self._memo_entry(kt) for kt in kts_kev]
+        missing = [e for e in entries if e[2] is None]
+        if missing:
+            counts = np.array([e[1] for e in missing]) - self._first
+            active = np.zeros((len(missing), len(self.ions)), dtype=np.int64)
+            # reduceat sums level runs between consecutive starts, so an
+            # ion with no levels is left out of them (and stays 0).
+            active[:, self._ion_slots] = np.add.reduceat(
+                counts, self._ion_starts, axis=1
+            )
             active.setflags(write=False)
-            entry[2] = active
-        return entry[2]
+            for entry, row in zip(missing, active):
+                entry[2] = row
+        return [e[2] for e in entries]
 
     def flat_constants(
         self, point: "GridPointLike", abundances: AbundanceSet = SOLAR
@@ -496,6 +517,20 @@ class PlanCache:
         key, ion_set = self.make_key(
             db, grid, ions, method, pieces, k, gl_points, tail_tol, gaunt
         )
+        return self.lookup(key, db, grid, ion_set, trace_parent)
+
+    def lookup(
+        self,
+        key: PlanKey,
+        db: AtomicDatabase,
+        grid: EnergyGrid,
+        ions: tuple[Ion, ...],
+        trace_parent: int = 0,
+    ) -> SpectrumPlan:
+        """:meth:`get` for a caller that kept the :class:`PlanKey` it
+        got from :meth:`make_key` for these inputs: one dict hit, booked
+        and traced like any other."""
+        method = key.method
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -507,7 +542,7 @@ class PlanCache:
             self._instant("plan-miss", parent=trace_parent, method=method)
         # Compile outside the lock: a concurrent duplicate costs repeated
         # work, never an inconsistent cache (last writer wins).
-        plan = SpectrumPlan(key, db, grid, ion_set)
+        plan = SpectrumPlan(key, db, grid, ions)
         with self._lock:
             self.stats.compilations += 1
             self._instant(

@@ -12,9 +12,11 @@ Request lifecycle (the service half of Fig. 2's architecture):
    each request to Ion tasks, and dispatch the batch through
    :meth:`repro.core.hybrid.HybridRunner.spawn_batch` on the *shared*
    clock (each worker models one hybrid node).
-3. On batch completion the per-request spectra are cached, every
-   subscriber ticket (leader + coalesced followers) completes, and the
-   batch's hybrid ledger folds into the service telemetry.
+3. On batch completion each group's spectra are evaluated — out of
+   band, through ``family_spectra``: the simulation priced cost-only
+   tasks — and cached, every subscriber ticket (leader + coalesced
+   followers) completes, and the batch's hybrid ledger folds into the
+   service telemetry.
 
 Everything runs in virtual time on one :class:`SimClock`, so a given
 trace and config reproduce the identical report, latencies included.
@@ -44,7 +46,6 @@ from repro.obs.attribution import CostModel as SpanCostModel
 from repro.obs.bus import ServiceBus
 from repro.obs.tracer import NULL_TRACER
 from repro.obs.tsdb import NULL_TSDB
-from repro.parallel.executor import BACKENDS, ExecutionBackend, get_backend
 from repro.physics.plan import PLAN_CACHE
 from repro.service.batching import BatchAssembler, MegabatchGroup
 from repro.service.cache import SpectrumCache
@@ -56,7 +57,6 @@ from repro.service.requests import (
     compile_tasks,
     family_spectra,
     group_member_weights,
-    request_spectrum,
 )
 from repro.service.telemetry import ServiceTelemetry
 
@@ -113,13 +113,6 @@ class ServiceConfig:
     #: sample, deterministic); ``None`` keeps every sample, matching the
     #: historical behaviour.
     latency_reservoir: Optional[int] = None
-    #: Wall-clock backend for request payload evaluation ("serial" runs
-    #: payloads inside the simulated tasks; "thread" precomputes each
-    #: batch's spectra on a host pool while the simulation prices
-    #: cost-only tasks — same bits, same virtual time).
-    backend: str = "serial"
-    #: Worker count of the payload pool (``None``: one per core).
-    jobs: Optional[int] = None
     #: Approximate serving (:mod:`repro.approx`).  Engages only for
     #: requests declaring a positive ``accuracy`` budget; ``False``
     #: routes every request to the exact path regardless.
@@ -153,12 +146,6 @@ class ServiceConfig:
             raise ValueError("retry_after_s must be positive")
         if self.latency_reservoir is not None and self.latency_reservoir < 1:
             raise ValueError("latency_reservoir must be >= 1 or None")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be >= 1 or None")
         if not 0.0 < self.lattice_t_min_k < self.lattice_t_max_k:
             raise ValueError("need 0 < lattice_t_min_k < lattice_t_max_k")
         if self.lattice_nodes < 2:
@@ -312,7 +299,6 @@ class SpectrumBroker:
             )
         else:
             self.cost_model = None
-        self._payload_backend: Optional[ExecutionBackend] = None
         self._registry = None  # built by the first registry() call
         # Built on the first positive-accuracy request, so exact-only
         # runs (and their traces) are untouched by the lattice tier.
@@ -578,42 +564,6 @@ class SpectrumBroker:
         if self._idle:
             self._idle.popleft().fire(self.clock)
 
-    def _backend(self) -> ExecutionBackend:
-        if self._payload_backend is None:
-            self._payload_backend = get_backend(
-                self.config.backend, self.config.jobs
-            )
-        return self._payload_backend
-
-    def close(self) -> None:
-        """Release the payload worker pool (no-op for the serial backend)."""
-        if self._payload_backend is not None:
-            self._payload_backend.close()
-            self._payload_backend = None
-
-    def _group_payloads(
-        self, groups: list[MegabatchGroup], batching: bool
-    ) -> Optional[list[np.ndarray]]:
-        """Precomputed spectra per group, or ``None`` on the serial path.
-
-        On a parallel backend the batch's request spectra are evaluated
-        on the host pool while the hybrid simulation runs cost-only
-        tasks; :func:`request_spectrum` / :func:`family_spectra`
-        accumulate in exact task order, so the results are bit-identical
-        to in-simulation accumulation.  The legacy path (``batching``
-        off, every group width 1) maps :func:`request_spectrum` exactly
-        as it always did; megabatch groups map the stacked
-        :func:`family_spectra` — one pool item per fused launch.
-        """
-        if self.config.backend == "serial":
-            return None
-        n_max, z_max = self.db.config.n_max, self.db.config.z_max
-        if not batching:
-            payloads = [(g.entries[0].request, n_max, z_max) for g in groups]
-            return self._backend().map(request_spectrum, payloads)
-        items = [(g.requests, n_max, z_max) for g in groups]
-        return self._backend().map(family_spectra, items)
-
     def _drain_batch(self) -> list[InFlight]:
         """Up to ``batch_max`` entries, interactive strictly first."""
         batch: list[InFlight] = []
@@ -642,6 +592,7 @@ class SpectrumBroker:
         window = self.config.batch_window_s
         batching = window is not None
         idle_name = f"svc{wid}.idle"
+        scope = (self.db.config.n_max, self.db.config.z_max)
         while True:
             if (
                 batching
@@ -667,14 +618,7 @@ class SpectrumBroker:
                 self.bus.on_megabatch([g.width for g in groups])
             else:
                 groups = [MegabatchGroup((entry,)) for entry in batch]
-            payloads = self._group_payloads(groups, batching)
             tasks = []
-            # Megabatch groups compile with spread point indices — one
-            # point per ion task — so the hybrid rank partition shares a
-            # group's host prep across every rank instead of chaining
-            # the whole group on one.  ``group_slots[gi]`` remembers the
-            # (first point, task count) slice for the fan-back fold.
-            group_slots: list[tuple[int, int]] = []
             # Per-group trace context: one span id per dispatched group
             # (allocated up front so compiled tasks parent under it) plus
             # the member roots and fair-share weights the attribution
@@ -699,23 +643,26 @@ class SpectrumBroker:
                         }
                     )
                 group_ids.append(gid)
+                # Cost-only tasks: the spectra are evaluated out of band
+                # at fan-back.  Megabatch groups compile with spread
+                # point indices — one point per ion task — so the hybrid
+                # rank partition shares a group's host prep across every
+                # rank instead of chaining the whole group on one.
                 if batching:
-                    base = tasks[-1].point_index + 1 if tasks else 0
-                    gtasks = compile_group_tasks(
-                        group.requests, self.db,
-                        point_index=base, task_id_base=len(tasks),
-                        with_payload=payloads is None, spread=True,
-                        trace_parent=gid,
+                    tasks.extend(
+                        compile_group_tasks(
+                            group.requests, self.db,
+                            point_index=tasks[-1].point_index + 1 if tasks else 0,
+                            task_id_base=len(tasks), with_payload=False,
+                            spread=True, trace_parent=gid,
+                        )
                     )
-                    group_slots.append((base, len(gtasks)))
-                    tasks.extend(gtasks)
                 else:
                     tasks.extend(
                         compile_tasks(
                             group.entries[0].request, self.db,
                             point_index=gi, task_id_base=len(tasks),
-                            with_payload=payloads is None,
-                            trace_parent=gid,
+                            with_payload=False, trace_parent=gid,
                         )
                     )
             self._batch_seq += 1
@@ -749,37 +696,15 @@ class SpectrumBroker:
                         parent=(members[0] or None) if members else None,
                         args=meta,
                     )
-            for gi, group in enumerate(groups):
-                if payloads is not None:
-                    block = payloads[gi]
-                elif batching:
-                    # Ion-order fold of the group's spread per-task
-                    # blocks: the same copy-then-`+=` sequence the
-                    # runner applies when every task shares one point,
-                    # so the fold is bit-identical however completions
-                    # interleaved across ranks.
-                    base, count = group_slots[gi]
-                    block = None
-                    for p in range(base, base + count):
-                        arr = result.spectra.get(p)
-                        if arr is None:
-                            continue
-                        if block is None:
-                            block = arr.copy()
-                        else:
-                            block += arr
-                else:
-                    block = result.spectra.get(gi)
+            for group in groups:
+                # The group's stacked (width, n_bins) spectra, evaluated
+                # out of band: family_spectra accumulates ion-major, the
+                # hybrid runner's own per-point task order, so each row
+                # is bit-identical to in-simulation accumulation.
+                block = family_spectra((group.requests, *scope))
                 for j, entry in enumerate(group.entries):
-                    if block is None:  # cost-only tasks, no payload
-                        spectrum = np.zeros(entry.request.n_bins)
-                    elif getattr(block, "ndim", 1) == 2:
-                        # Megabatch payloads stack one row per
-                        # temperature; each row is bit-identical to the
-                        # request's unbatched spectrum.
-                        spectrum = block[j].copy()
-                    else:
-                        spectrum = block
+                    # Copied so a cached row does not pin its group's block.
+                    spectrum = block[j].copy()
                     self.cache.put(entry.key, spectrum, now)
                     self.coalescer.resolve(entry.key)
                     for ticket in entry.subscribers:
@@ -895,10 +820,7 @@ def run_trace(
             clock.spawn(client(i, arrival), name=f"client{i}")
 
     clock.spawn(dispatcher(), name="dispatcher")
-    try:
-        clock.run()
-    finally:
-        broker.close()
+    clock.run()
     broker.bus.finalize(clock.now)
     if broker.tsdb.enabled:
         # One closing scrape so the stored series end on the finalized

@@ -6,10 +6,15 @@ binning, a quadrature rule, and a tolerance.  Two requests that would
 produce the same spectrum hash to the same :meth:`~SpectrumRequest.key`,
 which is what the cache and the coalescer address by.
 
-:func:`compile_tasks` lowers a request to the hybrid runner's task list:
-one Ion-granularity task per ion in scope, each carrying a real execute
-callable so the batch produces an actual per-bin spectrum that can be
-cached and returned to clients.
+:func:`compile_tasks` and :func:`compile_group_tasks` lower a request or
+a same-family group to the hybrid runner's task list — one
+Ion-granularity task per ion in scope — by stamping the per-ion template
+of the family's :class:`FamilyPlan`: what no grid point changes is
+planned once per family, a request contributes ``(kT, ne)``, a point
+index and a trace id.  The broker dispatches the tasks cost-only and
+evaluates the spectra it caches and returns through
+:func:`family_spectra`; tasks compiled ``with_payload`` carry a real
+execute callable and accumulate the same bits inside the simulation.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -28,16 +33,18 @@ from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, RYDBERG_KEV
 from repro.core.task import Task, TaskKind
 from repro.gpusim.kernel import KernelSpec
-from repro.physics.plan import PLAN_CACHE, PlanCache
+from repro.physics.plan import PLAN_CACHE, PlanCache, PlanKey
 from repro.physics.spectrum import EnergyGrid
 
 __all__ = [
     "FamilyBasis",
+    "FamilyPlan",
     "SpectrumRequest",
     "compile_group_tasks",
     "compile_tasks",
     "emission_block",
     "family_basis",
+    "family_plan",
     "family_spectra",
     "group_member_weights",
     "ion_emission",
@@ -64,8 +71,8 @@ MAX_LINES_PER_ION = 8
 #: (512 KiB tiles) for no gain in speed.
 BLOCK_TILE_BYTES = 96 << 10
 
-#: Family bases kept resident; a service sees one or two families.
-_BASIS_CACHE_FAMILIES = 8
+#: Family plans kept resident; a service sees one or two families.
+_FAMILY_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -314,29 +321,133 @@ class FamilyBasis:
         return cls(grid, ions, tuple(ion.name for ion in ions), n_levels, *arrays)
 
 
-_BASES: "OrderedDict[tuple, FamilyBasis]" = OrderedDict()
-_BASES_LOCK = threading.Lock()
+def _plan_rule_knobs(request: SpectrumRequest) -> tuple[int, int]:
+    """(pieces, k) implied by the request's rule + tolerance pricing."""
+    evals = request.evals_per_integral
+    if request.rule == "simpson":
+        return evals - 1, 7
+    return 64, (evals - 1).bit_length() - 1
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyPlan:
+    """Everything about lowering a request that no grid point changes.
+
+    One plan serves every request with the same database scope,
+    ``z_max``, ``n_bins``, ``rule``, ``tolerance`` and ``tail_tol``: a
+    request contributes its ``(kT, ne)``, a point index and a trace id,
+    and :func:`compile_tasks` / :func:`compile_group_tasks` stamp its
+    tasks from the per-ion template kept here.  The template is read off
+    dense :meth:`KernelSpec.for_ion_task` kernels built once per family,
+    so it is priced — and validated — by the device model's own rules.
+    """
+
+    basis: FamilyBasis
+    rule: str
+    evals_per_integral: int
+    #: Content address of the family's :class:`SpectrumPlan` — asked of
+    #: the :class:`PlanCache` on every use, so hits, evictions and
+    #: ``clear()`` behave as for any other caller.  ``None`` with
+    #: pruning off: dense prices need no windows.
+    plan_key: PlanKey | None
+    #: Per ion, at width 1: parameter upload and dense ``levels x bins``.
+    bytes_in: tuple[int, ...]
+    dense: np.ndarray
+    #: Result bytes of one temperature's row.
+    bytes_out: int
+
+    @classmethod
+    def build(
+        cls,
+        db: AtomicDatabase,
+        request: SpectrumRequest,
+        basis: FamilyBasis | None = None,
+    ) -> "FamilyPlan":
+        """Compute the plan (uncached; :func:`family_plan` memoizes it)."""
+        if request.z_max > db.config.z_max:
+            raise ValueError(
+                f"request z_max={request.z_max} exceeds database "
+                f"z_max={db.config.z_max}"
+            )
+        if basis is None:
+            basis = FamilyBasis.build(db, request.z_max, request.n_bins)
+        evals = request.evals_per_integral
+        plan_key = None
+        if request.tail_tol > 0.0:
+            pieces, k = _plan_rule_knobs(request)
+            plan_key, _ = PLAN_CACHE.make_key(
+                db, basis.grid, ions=basis.ions, method=request.rule,
+                pieces=pieces, k=k, tail_tol=request.tail_tol, gaunt=True,
+            )
+        kernels = [
+            KernelSpec.for_ion_task(n_levels, request.n_bins, evals)
+            for n_levels in basis.n_levels
+        ]
+        dense = np.array([k.n_integrals for k in kernels], dtype=np.int64)
+        dense.setflags(write=False)
+        return cls(
+            basis, request.rule, evals, plan_key,
+            tuple(k.bytes_in for k in kernels), dense,
+            kernels[0].bytes_out if kernels else 0,
+        )
+
+    def active_pairs(
+        self,
+        group: Sequence[SpectrumRequest],
+        db: AtomicDatabase,
+        plan_cache: PlanCache,
+        trace_parent: int = 0,
+    ) -> np.ndarray | None:
+        """Active (level, bin) pairs per member and ion, ``(W, n_ions)``
+        — task prices are its column sums, attribution weights its row
+        sums — or ``None`` with pruning off.  Windows are memoized per
+        ``kT`` on the shared plan, so the second asker of a batch
+        computes none.
+        """
+        if self.plan_key is None:
+            return None
+        plan = plan_cache.lookup(
+            self.plan_key, db, self.basis.grid, self.basis.ions, trace_parent
+        )
+        return plan.active_pairs([K_B_KEV * r.temperature_k for r in group])
+
+
+_FAMILIES: "OrderedDict[tuple, FamilyPlan]" = OrderedDict()
+_FAMILIES_LOCK = threading.Lock()
+
+
+def family_plan(db: AtomicDatabase, request: SpectrumRequest) -> FamilyPlan:
+    """The cached :class:`FamilyPlan` of the request's family.
+
+    A small LRU, locked like the :class:`PlanCache` it sits beside: a
+    basis holds ``n_lines x n_ions x n_bins`` profile values, so only a
+    handful of families stay resident.  Families that differ only in
+    rule or tolerances share one basis.
+    """
+    scope = (db.config, request.z_max, request.n_bins)
+    key = scope + (request.rule, request.tolerance, request.tail_tol)
+    with _FAMILIES_LOCK:
+        plan = _FAMILIES.get(key)
+        if plan is not None:
+            _FAMILIES.move_to_end(key)
+            return plan
+        basis = next(
+            (p.basis for k, p in _FAMILIES.items() if k[:3] == scope), None
+        )
+    plan = FamilyPlan.build(db, request, basis)
+    with _FAMILIES_LOCK:
+        _FAMILIES[key] = plan
+        while len(_FAMILIES) > _FAMILY_CACHE_SIZE:
+            _FAMILIES.popitem(last=False)
+    return plan
 
 
 def family_basis(db: AtomicDatabase, z_max: int, n_bins: int) -> FamilyBasis:
-    """The cached :class:`FamilyBasis` of ``(db scope, z_max, n_bins)``.
-
-    A small LRU (payload workers call this from threads, hence the
-    lock): a basis holds ``n_lines x n_ions x n_bins`` profile values,
-    so only a handful of families stay resident.
-    """
-    key = (db.config, z_max, n_bins)
-    with _BASES_LOCK:
-        basis = _BASES.get(key)
-        if basis is not None:
-            _BASES.move_to_end(key)
-            return basis
-    basis = FamilyBasis.build(db, z_max, n_bins)
-    with _BASES_LOCK:
-        _BASES[key] = basis
-        while len(_BASES) > _BASIS_CACHE_FAMILIES:
-            _BASES.popitem(last=False)
-    return basis
+    """The cached :class:`FamilyBasis` of ``(db scope, z_max, n_bins)``:
+    the one its (default-rule) :func:`family_plan` holds."""
+    return family_plan(
+        db, SpectrumRequest(temperature_k=1.0, z_max=z_max, n_bins=n_bins)
+    ).basis
 
 
 def emission_block(
@@ -371,7 +482,9 @@ def emission_block(
 
 class _SharedBlock:
     """The lazily evaluated emission block shared by the task closures
-    of one request or megabatch group.
+    of one request or megabatch group — the in-simulation payload the
+    tests fold as an oracle; the broker evaluates :func:`family_spectra`
+    out of band instead.
 
     Evaluated in runs of ions no larger than :data:`BLOCK_TILE_BYTES`,
     each when a task first asks for one of its ions and dropped once all
@@ -382,13 +495,19 @@ class _SharedBlock:
     same bits, just not free.
     """
 
-    __slots__ = ("_basis", "_requests", "_run", "_live")
+    __slots__ = ("_basis", "_requests", "_members", "_run", "_live")
 
     def __init__(
-        self, basis: FamilyBasis, requests: tuple[SpectrumRequest, ...]
+        self,
+        basis: FamilyBasis,
+        requests: tuple[SpectrumRequest, ...],
+        stacked: bool,
     ) -> None:
         self._basis = basis
         self._requests = requests
+        #: Which members a task's rows cover: all of a group's, stacked
+        #: ``(W, n_bins)``, or a lone request's one row, ``(n_bins,)``.
+        self._members = slice(None) if stacked else 0
         self._run = max(
             1, BLOCK_TILE_BYTES // (8 * len(requests) * basis.grid.n_bins)
         )
@@ -396,26 +515,18 @@ class _SharedBlock:
         self._live: dict[int, list] = {}
 
     def rows(self, i: int) -> np.ndarray:
-        """Ion ``i``'s ``(W, n_bins)`` rows (a view the caller must not keep)."""
+        """Ion ``i``'s rows (a view the caller must not keep)."""
         start = i - i % self._run
         entry = self._live.get(start)
         if entry is None:
             stop = min(start + self._run, len(self._basis.ions))
             block = emission_block(self._basis, self._requests, slice(start, stop))
             entry = self._live[start] = [block, stop - start]
-        rows = entry[0][:, i - start]
+        rows = entry[0][self._members, i - start]
         entry[1] -= 1
         if entry[1] == 0:
             del self._live[start]
         return rows
-
-
-def _plan_rule_knobs(request: SpectrumRequest) -> tuple[int, int]:
-    """(pieces, k) implied by the request's rule + tolerance pricing."""
-    evals = request.evals_per_integral
-    if request.rule == "simpson":
-        return evals - 1, 7
-    return 64, (evals - 1).bit_length() - 1
 
 
 @lru_cache(maxsize=8)
@@ -458,7 +569,7 @@ def family_spectra(
     if not requests:
         return np.zeros((0, 0), dtype=np.float64)
     lead = requests[0]
-    basis = family_basis(_payload_db(n_max, z_max), lead.z_max, lead.n_bins)
+    basis = family_plan(_payload_db(n_max, z_max), lead).basis
     n_ions = len(basis.ions)
     out = np.zeros((len(requests), lead.n_bins), dtype=np.float64)
     tile = max(1, BLOCK_TILE_BYTES // (8 * n_ions * lead.n_bins))
@@ -481,78 +592,26 @@ def compile_tasks(
 ) -> list[Task]:
     """Lower one request to Ion-granularity tasks for the hybrid runner.
 
+    :func:`compile_group_tasks` of the request alone, apart from the
+    labels (``req{p}/{ion}``) and the payload's shape: a task returns
+    its ion's one ``(n_bins,)`` row.
+
     Every task carries the same execute callable on both the GPU and the
     CPU-fallback path (the service mirrors the repo's "real numerics
     under simulated time" rule: placement decides the *price*, never the
     *answer*), so a batch's accumulated spectrum is independent of
     scheduling.  ``with_payload=False`` compiles *cost-only* tasks —
-    identical prices, no execute callables — for brokers that evaluate
-    payloads out of band on a host pool.
+    identical prices, no execute callables — which is what the broker
+    dispatches: it evaluates :func:`family_spectra` out of band.
 
     Active-window pricing goes through the plan cache: the per-ion
     window search is compiled once per ``(db, grid, rule, tail_tol)``
     combination and repeated requests reprice from the cached plan.
     """
-    if request.z_max > db.config.z_max:
-        raise ValueError(
-            f"request z_max={request.z_max} exceeds database "
-            f"z_max={db.config.z_max}"
-        )
-    basis = family_basis(db, request.z_max, request.n_bins)
-    evals = request.evals_per_integral
-    kt_kev = K_B_KEV * request.temperature_k
-
-    # Active-window pruning shrinks the priced workload: the device
-    # model, scheduler load counters, and autotuner all see the cheaper
-    # tasks.  tail_tol=0 keeps the dense levels x bins count (pruning
-    # off must price exactly like the legacy kernels).
-    active_per_ion = None
-    if request.tail_tol > 0.0:
-        pieces, k = _plan_rule_knobs(request)
-        plan = plan_cache.get(
-            db, basis.grid, ions=basis.ions, method=request.rule,
-            pieces=pieces, k=k, tail_tol=request.tail_tol, gaunt=True,
-            trace_parent=trace_parent,
-        )
-        active_per_ion = plan.per_ion_active(kt_kev)
-
-    shared = _SharedBlock(basis, (request,)) if with_payload else None
-    tasks: list[Task] = []
-    tid = task_id_base
-    for i, n_levels in enumerate(basis.n_levels):
-        n_active = None
-        if active_per_ion is not None and n_levels > 0:
-            n_active = int(active_per_ion[i])
-
-        if shared is not None:
-            def execute(i=i) -> np.ndarray:
-                return shared.rows(i)[0]
-        else:
-            execute = None
-
-        label = f"req{point_index}/{basis.names[i]}"
-        tasks.append(
-            Task(
-                task_id=tid,
-                kind=TaskKind.ION,
-                kernel=KernelSpec.for_ion_task(
-                    n_levels=n_levels,
-                    n_bins=request.n_bins,
-                    evals_per_integral=evals,
-                    label=label,
-                    execute=execute,
-                    n_active=n_active,
-                ),
-                point_index=point_index,
-                n_levels=n_levels,
-                cpu_execute=execute,
-                label=label,
-                trace_parent=trace_parent,
-                method=request.rule,
-            )
-        )
-        tid += 1
-    return tasks
+    return _stamp_tasks(
+        (request,), db, False, point_index, task_id_base, with_payload,
+        plan_cache, False, trace_parent,
+    )
 
 
 def compile_group_tasks(
@@ -567,15 +626,14 @@ def compile_group_tasks(
 ) -> list[Task]:
     """Lower a same-family request group to megabatched ion tasks.
 
-    The continuous-batching analogue of :func:`compile_tasks`: one task
-    per ion covers *all* temperatures of the group, returning a stacked
-    ``(width, n_bins)`` payload whose row ``j`` is bit-identical to the
-    single-request task for ``requests[j]``.  The kernel is priced as the
-    fused launch it models — the per-level parameter upload (``bytes_in``)
-    is paid once for the whole group while the output, the dense bound
-    and the active-pair count scale with the batch width — so the host
-    prep, RPC, and submit overheads the simulation charges per *task*
-    amortize across every temperature riding the batch.
+    One task per ion covers *all* temperatures of the group, returning a
+    stacked ``(width, n_bins)`` payload whose row ``j`` is bit-identical
+    to the single-request task for ``requests[j]``.  The kernel is priced
+    as the fused launch it models — the per-level parameter upload
+    (``bytes_in``) is paid once for the whole group while the output, the
+    dense bound and the active-pair count scale with the batch width — so
+    the host prep, RPC, and submit overheads the simulation charges per
+    *task* amortize across every temperature riding the batch.
 
     Active-window prices come from the shared plan (windows memoized per
     ``kT``), summed over the group's temperatures.
@@ -583,74 +641,85 @@ def compile_group_tasks(
     ``spread=True`` gives task ``i`` point index ``point_index + i`` —
     one point per ion task — so the hybrid runner's per-point rank
     partition spreads the group's host prep across every rank instead
-    of serializing the whole group on ``point_index % n_workers``.  The
-    caller then owns the ion-order fold of the per-task blocks (the
-    runner's per-point accumulation degenerates to identity).
+    of serializing the whole group on ``point_index % n_workers``.  A
+    caller that runs such tasks ``with_payload`` owns the ion-order fold
+    of the per-task blocks (the runner's per-point accumulation
+    degenerates to identity).
     """
     group = tuple(requests)
     if not group:
         return []
-    lead = group[0]
-    family = lead.family_canonical()
+    family = group[0].family_canonical()
     if any(r.family_canonical() != family for r in group[1:]):
         raise ValueError("megabatch group must share one request family")
-    if lead.z_max > db.config.z_max:
-        raise ValueError(
-            f"request z_max={lead.z_max} exceeds database "
-            f"z_max={db.config.z_max}"
-        )
+    return _stamp_tasks(
+        group, db, True, point_index, task_id_base, with_payload,
+        plan_cache, spread, trace_parent,
+    )
+
+
+def _stamp_tasks(
+    group: tuple[SpectrumRequest, ...],
+    db: AtomicDatabase,
+    grouped: bool,
+    point_index: int,
+    task_id_base: int,
+    with_payload: bool,
+    plan_cache: PlanCache,
+    spread: bool,
+    trace_parent: int,
+) -> list[Task]:
+    """The one lowering loop: the group's tasks stamped from its
+    family's template.  ``grouped`` picks the label and payload shape of
+    :func:`compile_group_tasks` over :func:`compile_tasks`'s."""
+    family = family_plan(db, group[0])
     width = len(group)
-    basis = family_basis(db, lead.z_max, lead.n_bins)
-    evals = lead.evals_per_integral
+    evals = family.evals_per_integral
+    dense = family.dense * width
 
-    active_per_ion = None
-    if lead.tail_tol > 0.0:
-        pieces, k = _plan_rule_knobs(lead)
-        plan = plan_cache.get(
-            db, basis.grid, ions=basis.ions, method=lead.rule,
-            pieces=pieces, k=k, tail_tol=lead.tail_tol, gaunt=True,
-            trace_parent=trace_parent,
-        )
-        active_per_ion = np.zeros(len(basis.ions), dtype=np.int64)
-        for request in group:
-            active_per_ion += plan.per_ion_active(K_B_KEV * request.temperature_k)
+    # Active-window pruning shrinks the priced workload: the device
+    # model, scheduler load counters, and autotuner all see the cheaper
+    # tasks.  tail_tol=0 keeps the dense levels x bins count (pruning
+    # off must price exactly like the legacy kernels).
+    active = family.active_pairs(group, db, plan_cache, trace_parent)
+    if active is None:
+        n_integrals = dense.tolist()
+        saved = [0] * len(n_integrals)
+    else:
+        active = active.sum(axis=0)
+        if ((active < 0) | (active > dense)).any():
+            raise ValueError("active pairs outside [0, levels x bins x width]")
+        n_integrals = active.tolist()
+        saved = ((dense - active) * evals).tolist()
 
-    shared = _SharedBlock(basis, group) if with_payload else None
+    basis = family.basis
+    rows = _SharedBlock(basis, group, grouped).rows if with_payload else None
+    prefix = f"grp{point_index}/" if grouped else f"req{point_index}/"
+    suffix = f"x{width}" if grouped else ""
+    bytes_out = family.bytes_out * width
+    rule = family.rule
+    point = point_index
     tasks: list[Task] = []
-    tid = task_id_base
-    for i, n_levels in enumerate(basis.n_levels):
-        n_active = None
-        if active_per_ion is not None and n_levels > 0:
-            n_active = int(active_per_ion[i])
-
-        if shared is not None:
-            def execute(i=i) -> np.ndarray:
-                return shared.rows(i)
-        else:
-            execute = None
-
-        label = f"grp{point_index}/{basis.names[i]}x{width}"
+    # 36 kernels and tasks a request: positional construction, which
+    # costs half of what keywords do.  Field order as declared;
+    # tests/service/test_family_plan.py compares every field with the
+    # keyword-built reference, so a reordered dataclass fails there.
+    for i, (name, n_levels, bytes_in, n_active, n_saved) in enumerate(
+        zip(basis.names, basis.n_levels, family.bytes_in, n_integrals, saved)
+    ):
+        execute = partial(rows, i) if rows is not None else None
+        label = f"{prefix}{name}{suffix}"
+        if spread:
+            point = point_index + i
+        kernel = KernelSpec(
+            n_active, evals, bytes_in, bytes_out, execute, 1.0, n_saved, label
+        )
         tasks.append(
             Task(
-                task_id=tid,
-                kind=TaskKind.ION,
-                kernel=KernelSpec.for_ion_task(
-                    n_levels=n_levels,
-                    n_bins=lead.n_bins * width,
-                    evals_per_integral=evals,
-                    label=label,
-                    execute=execute,
-                    n_active=n_active,
-                ),
-                point_index=point_index + len(tasks) if spread else point_index,
-                n_levels=n_levels,
-                cpu_execute=execute,
-                label=label,
-                trace_parent=trace_parent,
-                method=lead.rule,
+                task_id_base + i, TaskKind.ION, kernel, point, n_levels,
+                None, execute, label, trace_parent, rule,
             )
         )
-        tid += 1
     return tasks
 
 
@@ -665,31 +734,21 @@ def group_member_weights(
     launch) corrected by each member's *marginal* work: with active-window
     pruning on, a member's weight is its temperature's total active
     (level, bin) pair count summed over the group's ions — exactly the
-    term its row contributes to the fused kernel's priced work — so hot
-    temperatures that keep more windows alive carry proportionally more
-    of the group's measured cost.  With pruning off every temperature
-    prices the same dense ``levels x bins`` work and the weights are
-    uniform.  Weights are plain deterministic floats (no measurement in
-    the loop), so attribution splits are bit-identical across execution
-    backends.
+    term its row contributes to the fused kernel's priced work, read
+    from the same :meth:`FamilyPlan.active_pairs` the compile prices
+    from — so hot temperatures that keep more windows alive carry
+    proportionally more of the group's measured cost.  With pruning off
+    every temperature prices the same dense ``levels x bins`` work and
+    the weights are uniform.  Weights are plain deterministic floats (no
+    measurement in the loop), so attribution splits are a function of
+    the trace alone.
     """
     group = tuple(requests)
     if not group:
         return []
-    lead = group[0]
-    if lead.tail_tol <= 0.0:
-        return [1.0] * len(group)
-    basis = family_basis(db, lead.z_max, lead.n_bins)
-    pieces, k = _plan_rule_knobs(lead)
-    plan = plan_cache.get(
-        db, basis.grid, ions=basis.ions, method=lead.rule,
-        pieces=pieces, k=k, tail_tol=lead.tail_tol, gaunt=True,
-    )
-    weights = [
-        float(plan.per_ion_active(K_B_KEV * r.temperature_k).sum()) for r in group
-    ]
-    if all(w <= 0.0 for w in weights):
+    active = family_plan(db, group[0]).active_pairs(group, db, plan_cache)
+    if active is None or not active.any():
         return [1.0] * len(group)
     # A fully pruned member still rode the launch: floor at one pair so
     # the split stays defined and every member pays a nonzero share.
-    return [max(w, 1.0) for w in weights]
+    return [float(max(w, 1)) for w in active.sum(axis=1).tolist()]

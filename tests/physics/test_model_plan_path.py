@@ -12,8 +12,8 @@ The contract pinned here, for every batch rule x {dense, pruned} x
    (<= 1e-12 peak-relative) and scalar QAGS to the ``sweep_dense``
    check's bound (<= 1e-9).
 4. The knobs that selected other paths are gone, loudly: ``fused=``,
-   ``shards=``, ``backend=``, ``jobs=`` raise ``TypeError`` and the
-   broker refuses ``backend="process"``.
+   ``shards=``, ``backend=``, ``jobs=`` raise ``TypeError`` on the
+   model, and on the broker's config too: it has one payload route.
 
 The grid (0.05-8 keV at 2e6 K) is one where ``tail_tol = 1e-9`` really
 prunes — about half the dense (level, bin) pairs.
@@ -169,5 +169,5 @@ def test_removed_keywords_raise(db, grid, removed):
 
 
 def test_broker_refuses_the_process_backend():
-    with pytest.raises(ValueError, match="backend"):
+    with pytest.raises(TypeError):
         ServiceConfig(backend="process")

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import repro.physics.plan as plan_module
 from repro.atomic.database import AtomicConfig, AtomicDatabase
+from repro.atomic.levels import LevelStructure
 from repro.constants import K_B_KEV
 from repro.parallel import ranks
 from repro.physics.apec import GridPoint, ion_emissivity_batched
@@ -88,6 +89,35 @@ class TestPlanStructure:
                 db.levels(ion).energy_kev, grid, kt, 1.0e-9, gaunt=True
             )
             assert active[i] == win.n_active
+
+    def test_active_pairs_stacks_per_ion_active_and_skips_empty_ions(self, db, grid):
+        """The group call is the per-temperature one, row by row — also
+        for a plan some of whose ions have no levels (first, middle and
+        last), whose counts must read 0 without shifting a neighbour's."""
+        class Sparse(AtomicDatabase):
+            def levels(self, ion):
+                ls = super().levels(ion)
+                if ion not in (self.ions[0], self.ions[7], self.ions[-1]):
+                    return ls
+                return LevelStructure(
+                    ls.z, ls.charge, ls.n_arr[:0], ls.l_arr[:0],
+                    ls.energy_kev[:0], ls.degeneracy[:0], ls.c_eff[:0],
+                )
+
+        kts = [0.05, 0.4, 0.8617, 1.5, 0.4]
+        for database in (db, Sparse(db.config)):
+            plan = _get(PlanCache(), database, grid)
+            stacked = plan.active_pairs(kts)
+            assert stacked.shape == (len(kts), len(plan.ions))
+            for row, kt in zip(stacked, kts):
+                first, cutoff = plan.windows(kt)
+                want = [
+                    int((cutoff[lo:hi] - first[lo:hi]).sum())
+                    for lo, hi in zip(plan.offsets[:-1], plan.offsets[1:])
+                ]
+                assert row.tolist() == want
+                assert plan.per_ion_active(kt).tolist() == want
+        assert [want[i] for i in (0, 7, -1)] == [0, 0, 0] and any(want)
 
     def test_window_memo_reuses_arrays(self, db, grid):
         plan = _get(PlanCache(), db, grid)

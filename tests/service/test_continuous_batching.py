@@ -5,20 +5,27 @@ of a drained backlog into one launch — whose contract is that every
 served spectrum stays bit-identical to one-request-at-a-time dispatch.
 These tests pin that contract at each layer: group compilation, the
 stacked family payload, the assembler's grouping rules, and the broker's
-batched dispatch across every execution backend.
+dispatch — which evaluates its spectra out of band — against two
+oracles that do not: the in-simulation fold of payload-carrying tasks
+and the scalar ``ion_emission`` left fold.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
+from repro.core.hybrid import HybridRunner
 from repro.service import ServiceConfig, TrafficSpec, generate_trace, run_trace
 from repro.service.batching import BatchAssembler
+from repro.service.broker import _default_hybrid
 from repro.service.requests import (
     SpectrumRequest,
     compile_group_tasks,
     compile_tasks,
     family_spectra,
+    ion_emission,
     request_spectrum,
 )
 
@@ -164,17 +171,6 @@ class TestBrokerMegabatchIdentity:
         )
         return run_trace(trace, cfg)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_bit_identical_across_backends(
-        self, trace, unbatched_tickets, backend
-    ):
-        extra = {} if backend == "serial" else {"backend": backend, "jobs": 2}
-        broker, tickets = self._batched(trace, **extra)
-        assert len(tickets) == len(unbatched_tickets)
-        for a, b in zip(unbatched_tickets, tickets):
-            np.testing.assert_array_equal(a.result, b.result)
-        assert len(broker.telemetry.megabatch_widths) > 0
-
     def test_telemetry_books_widths_and_coalesced(self, trace):
         broker, _ = self._batched(trace)
         tel = broker.telemetry
@@ -227,6 +223,85 @@ class TestBrokerMegabatchIdentity:
             ServiceConfig(batch_window_s=-0.1)
         with pytest.raises(ValueError, match="batch_width_max"):
             ServiceConfig(batch_width_max=0)
+
+
+class TestBrokerAgainstOracles:
+    """The broker's answers come from ``family_spectra``; checking them
+    against ``request_spectrum`` would compare that function with
+    itself.  Every ticket of a cold and a burst trace, under each
+    dispatch policy, must equal (a) what the hybrid runner accumulates
+    *inside the simulation* from payload-carrying tasks and (b) the
+    scalar oracle folded ion by ion."""
+
+    DISPATCH = {
+        "shared": {},
+        "predictive": {"scheduler_kind": "predictive"},
+        "async_depth": {"async_depth": 2},
+    }
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        cold = generate_trace(
+            TrafficSpec(
+                n_requests=12, seed=7, pattern="uniform", n_distinct=30000,
+                mean_interarrival_s=0.4, tail_tol=1.0e-9,
+            )
+        )
+        burst = generate_trace(
+            TrafficSpec(
+                n_requests=24, seed=13, n_distinct=8, burst=6,
+                mean_interarrival_s=0.02, pattern="uniform",
+            )
+        )
+        batching = dict(batch_max=8, batch_width_max=8, batch_window_s=0.02)
+        return {"cold": (cold, {}), "burst": (burst, batching)}
+
+    @staticmethod
+    def _scalar_fold(db, request: SpectrumRequest) -> np.ndarray:
+        out = np.zeros(request.n_bins)
+        for ion in db.ions:
+            if ion.z <= request.z_max:
+                out += ion_emission(ion, db.n_levels(ion), request)
+        return out
+
+    @pytest.mark.parametrize("dispatch", sorted(DISPATCH))
+    @pytest.mark.parametrize("shape", ["cold", "burst"])
+    def test_tickets_equal_the_in_simulation_fold_and_the_scalar_fold(
+        self, traces, shape, dispatch
+    ):
+        trace, batching = traces[shape]
+        hybrid = replace(_default_hybrid(), **self.DISPATCH[dispatch])
+        broker, tickets = run_trace(
+            trace, ServiceConfig(n_service_workers=2, hybrid=hybrid, **batching)
+        )
+        db = broker.db
+        assert len(tickets) == len(trace) and all(t.done for t in tickets)
+        if batching:
+            assert max(broker.telemetry.megabatch_widths) > 1
+
+        # (a) in-simulation: one run per request, and one per family with
+        # every distinct member riding a single fused group.
+        runner = HybridRunner(hybrid)
+        distinct = list(dict.fromkeys(a.request for a in trace))
+        in_sim = {
+            r: runner.run(compile_tasks(r, db, with_payload=True)).spectra[0]
+            for r in distinct
+        }
+        families: dict[str, list[SpectrumRequest]] = {}
+        for r in distinct:
+            families.setdefault(r.family_key, []).append(r)
+        grouped = {}
+        for members in families.values():
+            block = runner.run(
+                compile_group_tasks(tuple(members), db, with_payload=True)
+            ).spectra[0]
+            grouped.update(zip(members, block))
+
+        for ticket in tickets:
+            request = ticket.request
+            assert np.array_equal(ticket.result, in_sim[request])
+            assert np.array_equal(ticket.result, grouped[request])
+            assert np.array_equal(ticket.result, self._scalar_fold(db, request))
 
 
 class TestBatchedLatticeTier:

@@ -13,6 +13,11 @@ The property below it is the same statement without a literal: for any
 family, group and call arguments, the emitted tasks equal — field by
 field — the ones the parent's loop builds (``_reference_tasks``: one
 ``for_ion_task`` per ion, one ``per_ion_active`` per member).
+
+The last two classes are about the ``FamilyPlan`` itself: there is one
+family cache (``family_basis`` reads it), and a batch computes each
+distinct temperature's windows once and rebuilds no ``PlanKey`` —
+compile and attribution weights price from one ``active_pairs``.
 """
 
 import hashlib
@@ -26,11 +31,15 @@ from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.constants import K_B_KEV
 from repro.core.task import Task, TaskKind
 from repro.gpusim.kernel import KernelSpec
-from repro.physics.plan import PlanCache
+from repro.obs import EventTracer
+from repro.physics.plan import PLAN_CACHE, PlanCache, SpectrumPlan
+from repro.service import ServiceConfig, TrafficSpec, generate_trace, run_trace
 from repro.service.requests import (
     SpectrumRequest,
     compile_group_tasks,
     compile_tasks,
+    family_basis,
+    family_plan,
     request_grid,
 )
 
@@ -215,3 +224,65 @@ def test_stamped_tasks_equal_the_per_ion_loop_field_by_field(db, call):
             assert task.cpu_evals_per_integral is None
             assert (task.kernel.execute is not None) == with_payload
             assert task.cpu_execute is task.kernel.execute
+
+
+# ----------------------------------------------------------------------
+# One family cache, one window computation per temperature
+# ----------------------------------------------------------------------
+class TestFamilyCache:
+    def test_one_entry_per_family_and_siblings_share_a_basis(self, db):
+        a = family_plan(db, SpectrumRequest(temperature_k=1.0e7, n_bins=40))
+        assert family_plan(db, SpectrumRequest(temperature_k=3.0e6, ne_cm3=2.0, n_bins=40)) is a
+        assert family_plan(AtomicDatabase(db.config), SpectrumRequest(temperature_k=1.0e7, n_bins=40)) is a
+        pruned = family_plan(
+            db, SpectrumRequest(temperature_k=1.0e7, n_bins=40, rule="romberg", tail_tol=1.0e-9)
+        )
+        assert pruned is not a and pruned.basis is a.basis
+        assert a.plan_key is None and pruned.plan_key.method == "romberg"
+        # family_basis reads the same cache: no second one beside it.
+        assert family_basis(db, 8, 40) is a.basis
+
+    def test_out_of_scope_family_is_refused_every_time(self, db):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds database"):
+                family_plan(db, SpectrumRequest(temperature_k=1.0e7, z_max=30))
+
+
+class TestWindowsOncePerTemperature:
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_a_batch_computes_each_temperatures_windows_once(self, monkeypatch, traced):
+        """Compile and — traced — the attribution weights price from one
+        ``FamilyPlan.active_pairs``: no second window pass, and no
+        ``PlanKey`` rebuilt per request."""
+        def spec(seed):
+            return TrafficSpec(
+                n_requests=20, seed=seed, pattern="uniform", n_distinct=30000,
+                mean_interarrival_s=0.4, tail_tol=1.0e-9,
+            )
+
+        run_trace(generate_trace(spec(3)), ServiceConfig())  # family plan cached
+        PLAN_CACHE.clear()  # a fresh SpectrumPlan, so an empty window memo
+        computed, keys_built = [], []
+        compute_windows, make_key = SpectrumPlan._compute_windows, PlanCache.make_key
+
+        def counting_windows(plan, kt):
+            computed.append(kt)
+            return compute_windows(plan, kt)
+
+        def counting_make_key(cache, *args, **kwargs):
+            keys_built.append(args)
+            return make_key(cache, *args, **kwargs)
+
+        monkeypatch.setattr(SpectrumPlan, "_compute_windows", counting_windows)
+        monkeypatch.setattr(PlanCache, "make_key", counting_make_key)
+        trace = generate_trace(spec(7))
+        broker, tickets = run_trace(
+            trace, ServiceConfig(), tracer=EventTracer() if traced else None
+        )
+        assert all(t.done for t in tickets)
+        temperatures = {K_B_KEV * a.request.temperature_k for a in trace}
+        assert sorted(computed) == sorted(temperatures)
+        assert keys_built == []
+        # The plan is still asked of the cache on every use: once per
+        # compile, once more per group for the traced weights.
+        assert PLAN_CACHE.stats.lookups == len(temperatures) * (2 if traced else 1)

@@ -1,6 +1,5 @@
-"""Plan cache and execution backends through the service layer."""
+"""The plan cache through the service layer."""
 
-import numpy as np
 import pytest
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
@@ -64,34 +63,11 @@ class TestCompileTasksPlanCache:
 
 
 class TestBrokerBackends:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        return generate_trace(TrafficSpec(n_requests=30, seed=7, n_distinct=6))
-
-    @pytest.fixture(scope="class")
-    def serial_tickets(self, trace):
-        _, tickets = run_trace(trace, ServiceConfig())
-        return tickets
-
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_spectra_bit_identical_to_serial(
-        self, trace, serial_tickets, backend
-    ):
-        _, tickets = run_trace(
-            trace, ServiceConfig(backend=backend, jobs=2)
-        )
-        assert len(tickets) == len(serial_tickets)
-        for a, b in zip(serial_tickets, tickets):
-            np.testing.assert_array_equal(a.result, b.result)
-
     def test_config_validates_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ServiceConfig(backend="mpi")
-        # The process pool is gone, not silently accepted.
-        with pytest.raises(ValueError, match="backend"):
-            ServiceConfig(backend="process")
-        with pytest.raises(ValueError, match="jobs"):
-            ServiceConfig(backend="thread", jobs=0)
+        # The payload pool and its two knobs are gone, not silently accepted.
+        for removed in ({"backend": "thread"}, {"backend": "process"}, {"jobs": 2}):
+            with pytest.raises(TypeError):
+                ServiceConfig(**removed)
 
 
 class TestPlanMetricsExported:

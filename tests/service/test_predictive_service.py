@@ -3,8 +3,9 @@
 The broker contract: switching the hybrid nodes to the predictive
 scheduler (with work stealing) changes *when* tasks run, never *what*
 they compute — every served spectrum is bit-identical to the depth
-scheduler's, across all payload backends — and the per-batch steal /
-donation ledgers stay conserved.  The cost model persists: a second
+scheduler's (and to the oracles of
+``test_continuous_batching.TestBrokerAgainstOracles``) — and the
+per-batch steal / donation ledgers stay conserved.  The cost model persists: a second
 broker seeded from the first one's serialized model keeps refining the
 same observation history.
 """
@@ -64,21 +65,6 @@ class TestPredictiveBroker:
         _, tickets = predictive_run
         for a, b in zip(depth_tickets, tickets):
             np.testing.assert_array_equal(a.result, b.result)
-
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_bit_identical_across_backends(
-        self, trace, predictive_run, backend
-    ):
-        serial_broker, serial_tickets = predictive_run
-        broker, tickets = run_trace(
-            trace, _config(backend=backend, jobs=2)
-        )
-        for a, b in zip(serial_tickets, tickets):
-            np.testing.assert_array_equal(a.result, b.result)
-        # The virtual schedule — steals included — is backend-invariant.
-        tel, stel = broker.telemetry, serial_broker.telemetry
-        assert tel.sched_steals == stel.sched_steals
-        assert tel.sched_donations == stel.sched_donations
 
     def test_steals_conserved(self, predictive_run):
         broker, _ = predictive_run

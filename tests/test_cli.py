@@ -39,7 +39,7 @@ class TestParser:
             ["serve", "--slo", "--slo-p95", "1.5"],
             ["spectrum", "--profile"],
             ["spectrum", "--tail-tol", "1e-9", "--metrics", "out.prom"],
-            ["serve", "--backend", "thread", "--jobs", "2"],
+            ["serve", "--batch-window", "0.05", "--batch-width", "8"],
             ["bench", "--quick", "--seed", "3"],
             ["bench", "--compare", "old.json", "new.json"],
             ["bench", "--cases", "nei", "--flamegraph", "fg.txt"],
@@ -68,14 +68,13 @@ class TestParser:
             build_parser().parse_args(["serve", "--pattern", "flat"])
 
     def test_spectrum_rejects_bad_backend(self):
-        # The model has one RRC path: none of the four execution flags
-        # survives on `spectrum`, and `serve` lost its process pool.
+        # The model has one RRC path and the broker one payload route:
+        # none of the four execution flags survives on either command.
         for flag in (["--fused"], ["--shards", "4"], ["--backend", "thread"],
                      ["--jobs", "2"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["spectrum", *flag])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "process"])
+            for command in ("spectrum", "serve"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, *flag])
 
     def test_submit_rejects_bad_lane(self):
         with pytest.raises(SystemExit):
