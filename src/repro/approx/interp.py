@@ -14,6 +14,11 @@ a fake epsilon, each bin picks its transform from its own stencil: bins
 whose stencil values are all positive interpolate in log flux, the rest
 fall back to linear flux (which reproduces exact zeros exactly).
 
+Interpolation is *derive*, then *evaluate*: what an interval's stencil
+determines (mask, transformed endpoints, Hermite slopes) is an
+:class:`IntervalTable`; :func:`interpolate_loglog` derives one and
+evaluates it once, a lattice keeps it and evaluates it per hit.
+
 Errors are measured **peak-relative**: ``max |approx - exact|`` over
 bins divided by the exact spectrum's peak.  Per-bin relative error is
 meaningless in the far tail (fluxes underflow toward 0 where even a
@@ -24,11 +29,16 @@ metric the repo's fused-kernel gates already use
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "INTERP_METHODS",
+    "IntervalTable",
+    "eval_table",
     "interpolate_loglog",
+    "interval_table",
     "peak_rel_error",
 ]
 
@@ -45,11 +55,6 @@ def peak_rel_error(approx: np.ndarray, exact: np.ndarray) -> float:
     exact = np.asarray(exact, dtype=np.float64)
     peak = max(float(np.max(np.abs(exact))), _TINY_PEAK)
     return float(np.max(np.abs(approx - exact)) / peak)
-
-
-def _log_mask(stencil: np.ndarray) -> np.ndarray:
-    """Bins safe for the log transform: every stencil value positive."""
-    return np.all(stencil > 0.0, axis=0)
 
 
 def _hermite_slopes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -73,13 +78,57 @@ def _hermite_slopes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return m
 
 
-def _hermite_eval(
-    u0: float, u1: float, v0: np.ndarray, v1: np.ndarray,
-    m0: np.ndarray, m1: np.ndarray, u: float,
-) -> np.ndarray:
-    """Cubic Hermite value at ``u`` on one interval (vectorized per bin)."""
-    h = u1 - u0
-    t = (u - u0) / h
+class IntervalTable(NamedTuple):
+    """What every hit inside one interval shares: derived once
+    (:func:`interval_table`), evaluated per hit (:func:`eval_table`)."""
+
+    u0: float
+    h: float
+    #: Bins safe for the log transform: every stencil value positive.
+    log_ok: np.ndarray
+    #: Rows ``(v0, v1)`` (cubic: plus Hermite slopes ``m0, m1``) in ``ln
+    #: flux`` over the ``log_ok`` bins, in raw flux over the rest, or ``()``.
+    logged: tuple
+    raw: tuple
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.log_ok, *self.logged, *self.raw))
+
+
+def _rows(u_stencil: np.ndarray, vals: np.ndarray, a: int, method: str):
+    """Interval ``a``'s endpoint values and (cubic) slopes, as copies —
+    a row view would keep its whole block alive, uncounted."""
+    picked = [vals[a], vals[a + 1]]
+    if method == "cubic":
+        m = _hermite_slopes(u_stencil, vals)
+        picked += [m[a], m[a + 1]]
+    return tuple(row.copy() for row in picked)
+
+
+def interval_table(
+    u_stencil: np.ndarray, v_stencil: np.ndarray, a: int, method: str
+) -> IntervalTable:
+    """Derive the table of interval ``[u_stencil[a], u_stencil[a + 1]]``
+    from the nodes the method reads there: its two, plus (cubic) one to
+    each side where the lattice has one."""
+    ok = np.all(v_stencil > 0.0, axis=0)
+    logged = np.log(v_stencil[:, ok])
+    return IntervalTable(
+        float(u_stencil[a]),
+        float(u_stencil[a + 1] - u_stencil[a]),
+        ok,
+        _rows(u_stencil, logged, a, method) if ok.any() else (),
+        () if ok.all() else _rows(u_stencil, v_stencil[:, ~ok], a, method),
+    )
+
+
+def _eval_rows(rows: tuple, t: float, h: float) -> np.ndarray:
+    """One row tuple at interval coordinate ``t`` (vectorized per bin)."""
+    if len(rows) == 2:
+        v0, v1 = rows
+        return (1.0 - t) * v0 + t * v1
+    v0, v1, m0, m1 = rows
     t2 = t * t
     t3 = t2 * t
     h00 = 2.0 * t3 - 3.0 * t2 + 1.0
@@ -87,6 +136,19 @@ def _hermite_eval(
     h01 = -2.0 * t3 + 3.0 * t2
     h11 = t3 - t2
     return h00 * v0 + h10 * h * m0 + h01 * v1 + h11 * h * m1
+
+
+def eval_table(table: IntervalTable, u: float) -> np.ndarray:
+    """The interpolated spectrum at ``u`` inside the table's interval."""
+    u0, h, log_ok, logged, raw = table
+    t = (u - u0) / h
+    if not raw:
+        return np.exp(_eval_rows(logged, t, h))
+    out = np.empty(log_ok.size)
+    out[~log_ok] = _eval_rows(raw, t, h)
+    if logged:
+        out[log_ok] = np.exp(_eval_rows(logged, t, h))
+    return out
 
 
 def interpolate_loglog(
@@ -124,28 +186,7 @@ def interpolate_loglog(
     if j < n and u_nodes[j] == u:
         return values[j].copy()
     i = j - 1  # containing interval [u_i, u_{i+1}]
-
-    if method == "linear":
-        lo, hi = i, i + 2
-    else:
-        lo, hi = max(0, i - 1), min(n, i + 3)
-    stencil = values[lo:hi]
-    log_ok = _log_mask(stencil)
-
-    def blend(vals: np.ndarray) -> np.ndarray:
-        """Interpolate one (stencil, bins) value block at ``u``."""
-        if method == "linear":
-            t = (u - u_nodes[i]) / (u_nodes[i + 1] - u_nodes[i])
-            return (1.0 - t) * vals[i - lo] + t * vals[i + 1 - lo]
-        m = _hermite_slopes(u_nodes[lo:hi], vals)
-        return _hermite_eval(
-            u_nodes[i], u_nodes[i + 1],
-            vals[i - lo], vals[i + 1 - lo],
-            m[i - lo], m[i + 1 - lo], u,
-        )
-
-    out = blend(stencil)
-    if log_ok.any():
-        logged = np.exp(blend(np.log(stencil[:, log_ok])))
-        out[log_ok] = logged
-    return out
+    reach = 1 if method == "cubic" else 0
+    lo, hi = max(0, i - reach), i + 2 + reach
+    table = interval_table(u_nodes[lo:hi], values[lo:hi], i - lo, method)
+    return eval_table(table, u)

@@ -34,7 +34,7 @@ serve.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,7 +42,9 @@ import numpy as np
 
 from repro.approx.interp import (
     INTERP_METHODS,
-    interpolate_loglog,
+    IntervalTable,
+    eval_table,
+    interval_table,
     peak_rel_error,
 )
 
@@ -52,7 +54,6 @@ __all__ = [
     "LatticeSpec",
     "SpectrumLattice",
     "plan_exact_fn",
-    "plan_exact_many_fn",
 ]
 
 #: An exact spectrum evaluator: temperature (K) -> per-bin flux array.
@@ -123,22 +124,27 @@ class LatticeSpec:
 
 @dataclass
 class _Interval:
-    """Certificate of one inter-node interval.
+    """Certificate and interpolation table of one inter-node interval.
 
     The midpoint spectrum is retained so (a) re-certification after a
     neighbouring insert costs no exact evaluation (the cubic stencil
     changes when a neighbour gains a node) and (b) refinement promotes
-    it to a node for free.
+    it to a node for free.  The table is what every hit inside the
+    interval evaluates; ``refine`` replaces exactly the intervals whose
+    stencil changed, so replacement *is* invalidation.
     """
 
     mid_u: float
     mid_values: np.ndarray
     abs_err: np.ndarray  # per-bin |interp(mid) - exact(mid)|
     rel_err: float  # peak-relative midpoint error
+    table: IntervalTable
+    abs_bound: np.ndarray  # cert scale x abs_err, read-only, served as is
 
     @property
     def nbytes(self) -> int:
-        return int(self.mid_values.nbytes + self.abs_err.nbytes)
+        held = (self.mid_values, self.abs_err, self.abs_bound, self.table)
+        return sum(a.nbytes for a in held)
 
 
 class SpectrumLattice:
@@ -164,6 +170,7 @@ class SpectrumLattice:
         self.fingerprint = fingerprint
         #: Exact evaluations performed (build + certification + refines).
         self.node_evals = 0
+        self._cert_scale = spec.safety * _CERT_FACTOR[spec.method]
         u = np.log(
             np.geomspace(spec.t_min_k, spec.t_max_k, spec.n_nodes)
         )
@@ -177,8 +184,13 @@ class SpectrumLattice:
         ]
         mid_values = self._eval_many_u(mid_us)
         self._intervals: list[_Interval] = [
-            self._measure(mu, mv) for mu, mv in zip(mid_us, mid_values)
+            self._measure(i, mu, mv)
+            for i, (mu, mv) in enumerate(zip(mid_us, mid_values))
         ]
+        #: Budgeted size (nodes, certificates, tables); refine keeps it.
+        self.nbytes = self.n_nodes * NODE_OVERHEAD_BYTES + sum(
+            a.nbytes for a in self._values + self._intervals
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -195,13 +207,6 @@ class SpectrumLattice:
     def node_temperatures_k(self) -> np.ndarray:
         return np.exp(np.asarray(self._u))
 
-    @property
-    def nbytes(self) -> int:
-        """Budgeted size: node spectra + certificates + fixed overhead."""
-        payload = sum(v.nbytes for v in self._values)
-        certs = sum(iv.nbytes for iv in self._intervals)
-        return payload + certs + self.n_nodes * NODE_OVERHEAD_BYTES
-
     def max_certified_error(self) -> float:
         """The loosest interval's certified peak-relative bound."""
         return max(self.certified_error(i) for i in range(self.n_intervals))
@@ -213,15 +218,13 @@ class SpectrumLattice:
         """Index of the interval containing ``T``; None outside the domain."""
         if temperature_k <= 0.0:
             return None
-        u = math.log(temperature_k)
+        return self.locate_u(math.log(temperature_k))
+
+    def locate_u(self, u: float) -> Optional[int]:
+        """:meth:`locate` on the ``u = ln T`` axis: one bisection."""
         if not self._u[0] <= u <= self._u[-1]:
             return None
-        j = int(np.searchsorted(self._u, u, side="right"))
-        return min(j - 1, self.n_intervals - 1) if j > 0 else 0
-
-    @property
-    def _cert_scale(self) -> float:
-        return self.spec.safety * _CERT_FACTOR[self.spec.method]
+        return min(bisect_right(self._u, u) - 1, self.n_intervals - 1)
 
     def certified_error(self, interval: int) -> float:
         """Peak-relative error bound certified for one interval."""
@@ -229,8 +232,15 @@ class SpectrumLattice:
 
     def interpolate(self, temperature_k: float) -> np.ndarray:
         """The interpolated spectrum at ``T`` (must be in the domain)."""
-        u = math.log(temperature_k)
-        return interpolate_loglog(*self._stencil(u), u, method=self.spec.method)
+        return self.interpolate_in(*self._located(temperature_k))
+
+    def interpolate_in(self, interval: int, u: float) -> np.ndarray:
+        """:meth:`interpolate` at ``u`` in the interval :meth:`locate_u`
+        gave: its table evaluated there, or on a node that node's bits."""
+        for j in (interval, interval + 1):
+            if self._u[j] == u:
+                return self._values[j].copy()
+        return eval_table(self._intervals[interval].table, u)
 
     def error_bound(self, temperature_k: float) -> np.ndarray:
         """Per-bin absolute error bound at ``T``.
@@ -240,12 +250,19 @@ class SpectrumLattice:
         lattice-served spectrum.  A ``T`` exactly on a node is exact,
         but still reports its interval's bound (a valid over-estimate).
         """
+        return self.abs_bound(self._located(temperature_k)[0])
+
+    def abs_bound(self, interval: int) -> np.ndarray:
+        """One interval's :meth:`error_bound`: read-only, shared by hits."""
+        return self._intervals[interval].abs_bound
+
+    def _located(self, temperature_k: float) -> tuple[int, float]:
         i = self.locate(temperature_k)
         if i is None:
             raise ValueError(
                 f"temperature {temperature_k} outside the lattice domain"
             )
-        return self._cert_scale * self._intervals[i].abs_err
+        return i, math.log(temperature_k)
 
     # ------------------------------------------------------------------
     # Refinement
@@ -263,11 +280,13 @@ class SpectrumLattice:
                 f"lattice at max_nodes={self.spec.max_nodes}; cannot refine"
             )
         iv = self._intervals[interval]
+        # All this call may replace: the interval and (cubic) its neighbours.
+        lo, hi = max(0, interval - 1), interval + 2
+        self.nbytes -= sum(old.nbytes for old in self._intervals[lo:hi])
         self._u.insert(interval + 1, iv.mid_u)
         self._values.insert(interval + 1, iv.mid_values)
         self._intervals[interval: interval + 1] = [
-            self._certify(interval),
-            self._certify(interval + 1),
+            self._certify(j) for j in (interval, interval + 1)
         ]
         if self.spec.method == "cubic":
             # The Hermite stencil of the flanking intervals now includes
@@ -275,21 +294,26 @@ class SpectrumLattice:
             # midpoint spectra (no new exact evaluations).
             for j in (interval - 1, interval + 2):
                 if 0 <= j < self.n_intervals:
-                    self._intervals[j] = self._recertify(j, self._intervals[j])
+                    old = self._intervals[j]
+                    self._intervals[j] = self._measure(
+                        j, old.mid_u, old.mid_values
+                    )
+        self.nbytes += iv.mid_values.nbytes + NODE_OVERHEAD_BYTES + sum(
+            new.nbytes for new in self._intervals[lo: hi + 1]
+        )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _stencil(self, u: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(u_nodes, values)`` of the nodes :func:`interpolate_loglog`
-        reads at ``u`` — the containing interval's two, plus one to each
-        side for the cubic — and no others: on them alone it picks the
-        same interval and stencil, so the result is bit for bit that of
-        the whole lattice, without stacking it."""
-        i = min(max(bisect_left(self._u, u) - 1, 0), len(self._u) - 2)
+    def _stencil(self, interval: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(u_nodes, values, a)`` for :func:`interval_table`: the nodes
+        the method reads on one interval — its two, plus one to each
+        side for the cubic — and the interval's place among them; bit
+        for bit what the whole lattice gives, without stacking it."""
         reach = 1 if self.spec.method == "cubic" else 0
-        lo, hi = max(0, i - reach), i + 2 + reach
-        return np.asarray(self._u[lo:hi]), np.asarray(self._values[lo:hi])
+        lo, hi = max(0, interval - reach), interval + 2 + reach
+        u, v = np.asarray(self._u[lo:hi]), np.asarray(self._values[lo:hi])
+        return u, v, interval - lo
 
     def _eval_u(self, u: float) -> np.ndarray:
         self.node_evals += 1
@@ -323,16 +347,12 @@ class SpectrumLattice:
 
     def _certify(self, interval: int) -> _Interval:
         mid_u = 0.5 * (self._u[interval] + self._u[interval + 1])
-        mid_values = self._eval_u(mid_u)
-        return self._measure(mid_u, mid_values)
+        return self._measure(interval, mid_u, self._eval_u(mid_u))
 
-    def _recertify(self, interval: int, old: _Interval) -> _Interval:
-        return self._measure(old.mid_u, old.mid_values)
-
-    def _measure(self, mid_u: float, mid_values: np.ndarray) -> _Interval:
-        approx = interpolate_loglog(
-            *self._stencil(mid_u), mid_u, method=self.spec.method
-        )
+    def _measure(self, interval: int, mid_u: float, mid_values) -> _Interval:
+        # Certified on its table's first evaluation: the serving arithmetic.
+        table = interval_table(*self._stencil(interval), self.spec.method)
+        approx = eval_table(table, mid_u)
         raw = np.abs(approx - mid_values)
         # Per-bin certification from one midpoint sample needs two
         # corrections.  (a) Dilate by one bin to each side: in steep
@@ -351,11 +371,15 @@ class SpectrumLattice:
             np.maximum(abs_err[:-1], raw[1:], out=abs_err[:-1])
         np.maximum(abs_err, 0.5 * float(raw.max(initial=0.0)), out=abs_err)
         abs_err.setflags(write=False)
+        abs_bound = self._cert_scale * abs_err
+        abs_bound.setflags(write=False)
         return _Interval(
             mid_u=mid_u,
             mid_values=mid_values,
             abs_err=abs_err,
             rel_err=peak_rel_error(approx, mid_values),
+            table=table,
+            abs_bound=abs_bound,
         )
 
 
@@ -393,41 +417,3 @@ def plan_exact_fn(
         return plan.execute(point).values
 
     return exact
-
-
-def plan_exact_many_fn(
-    db,
-    grid,
-    ions=None,
-    method: str = "simpson",
-    pieces: int = 64,
-    k: int = 7,
-    gl_points: int = 12,
-    tail_tol: float = 0.0,
-    gaunt: bool = True,
-    ne_cm3: float = 1.0,
-    plan_cache=None,
-) -> ExactManyFn:
-    """An :data:`ExactManyFn` over ``SpectrumPlan.execute_many``.
-
-    The batched companion of :func:`plan_exact_fn`: a whole lattice
-    build becomes one plan lookup plus a single stacked-exp megabatch
-    over every node temperature, bit-identical per node to the scalar
-    evaluator.
-    """
-    from repro.physics.apec import GridPoint
-    from repro.physics.plan import PLAN_CACHE
-
-    cache = plan_cache if plan_cache is not None else PLAN_CACHE
-
-    def exact_many(temps_k: list[float]) -> list[np.ndarray]:
-        plan = cache.get(
-            db, grid, ions=ions, method=method, pieces=pieces, k=k,
-            gl_points=gl_points, tail_tol=tail_tol, gaunt=gaunt,
-        )
-        points = [
-            GridPoint(temperature_k=float(t), ne_cm3=ne_cm3) for t in temps_k
-        ]
-        return [res.values for res in plan.execute_many(points)]
-
-    return exact_many

@@ -22,13 +22,16 @@ drops any lattice whose input fingerprint (database + energy grid) no
 longer matches the live evaluator — stale spectra are never served.
 Lattice construction is host-side precomputation (the plan-compilation
 idiom: zero virtual time), so building costs wall time once and every
-subsequent in-budget request is an O(1) lookup.
+subsequent in-budget request is a lookup: one ``log``, one bisection of
+the node abscissae, one evaluation of the table its interval has kept
+since it was certified — nothing is re-derived from the nodes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -178,7 +181,8 @@ class LatticeResult:
     values: Optional[np.ndarray] = None
     #: Certified peak-relative error bound of the served spectrum.
     error_bound: float = 0.0
-    #: Certified per-bin absolute error bound (hits only).
+    #: Certified per-bin absolute error bound (hits only): the served
+    #: interval's own read-only array, shared by all its hits.
     abs_bound: Optional[np.ndarray] = None
     #: Intervals bisected while serving this request.
     refinements: int = 0
@@ -248,7 +252,9 @@ class LatticeStore:
         """
         self.stats.requests += 1
         lat = self._resident(request)
-        i = lat.locate(request.temperature_k)
+        # Located once, for the certificate, the interpolant and the bound.
+        u = math.log(request.temperature_k)
+        i = lat.locate_u(u)
         if i is None:
             self.stats.misses += 1
             self._instant("lattice.miss", request)
@@ -265,10 +271,10 @@ class LatticeStore:
             refined += 1
             self.stats.refinements += 1
             self._instant("lattice.refine", request)
-            i = lat.locate(request.temperature_k)
+            i = lat.locate_u(u)
         self.stats.node_evals += lat.node_evals - evals_before
         if refined:
-            self._enforce_budget(keep=request.family_key)
+            self._enforce_budget()
 
         bound = lat.certified_error(i)
         if bound > request.accuracy:
@@ -282,9 +288,9 @@ class LatticeStore:
         self._instant("lattice.hit", request, bound=bound)
         return LatticeResult(
             status="hit",
-            values=lat.interpolate(request.temperature_k),
+            values=lat.interpolate_in(i, u),
             error_bound=bound,
-            abs_bound=lat.error_bound(request.temperature_k),
+            abs_bound=lat.abs_bound(i),
             refinements=refined,
         )
 
@@ -331,18 +337,17 @@ class LatticeStore:
                 "lattice.build", request,
                 nodes=lat.n_nodes, nbytes=lat.nbytes,
             )
-            self._enforce_budget(keep=key)
+            self._enforce_budget()
         else:
             self._lattices.move_to_end(key)
         return lat
 
-    def _enforce_budget(self, keep: str) -> None:
-        while self.bytes_stored > self.max_bytes and len(self._lattices) > 1:
-            victim = next(iter(self._lattices))
-            if victim == keep:
-                self._lattices.move_to_end(victim, last=False)
-                break
-            del self._lattices[victim]
+    def _enforce_budget(self) -> None:
+        """Evict LRU-first down to the budget; the family just served is
+        the most recent, so it is the one that stays."""
+        stored = self.bytes_stored  # one running size per family
+        while stored > self.max_bytes and len(self._lattices) > 1:
+            stored -= self._lattices.popitem(last=False)[1].nbytes
             self.stats.evictions += 1
 
     def _instant(self, name: str, request, **extra) -> None:

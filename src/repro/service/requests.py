@@ -23,7 +23,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -165,7 +165,13 @@ class SpectrumRequest:
         temperature and the accuracy budget.  One family maps to one
         lattice in :class:`repro.approx.store.LatticeStore` — the
         lattice spans the temperature axis, and budgets are evaluated
-        per request against its certificates."""
+        per request against its certificates.  Rendered once a request:
+        the lattice tier reads it for the family key and again for the
+        fingerprint memo."""
+        return self._family
+
+    @cached_property
+    def _family(self) -> str:
         return "|".join(
             (
                 f"ne={self.ne_cm3:.9e}",

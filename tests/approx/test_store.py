@@ -42,6 +42,16 @@ def _store(**kw) -> LatticeStore:
     return LatticeStore(**args)
 
 
+def _family_bytes() -> int:
+    """Budgeted size of one freshly built family (``lat.nbytes``: node
+    spectra, certificates and interval tables) — what budgets below are
+    derived from, so they track whatever a lattice holds."""
+    probe = _store()
+    probe.serve(_request())
+    (lat,) = probe._lattices.values()
+    return lat.nbytes
+
+
 class TestServeOutcomes:
     def test_hit_within_budget(self):
         store = _store()
@@ -115,7 +125,7 @@ class TestLifecycle:
         assert store.stats.invalidations == 1
 
     def test_byte_budget_evicts_lru_family_never_current(self):
-        store = _store(max_bytes=1)
+        store = _store(max_bytes=_family_bytes() - 1)
         store.serve(_request(n_bins=64))
         assert len(store) == 1  # over budget, but the only family stays
         store.serve(_request(n_bins=32))  # different family
@@ -123,6 +133,48 @@ class TestLifecycle:
         assert store.stats.evictions == 1
         # The survivor is the family just served.
         assert store.lattice(_request(n_bins=32).family_key) is not None
+
+    def test_budget_for_two_families_holds_two(self):
+        one = _family_bytes()
+        store = _store(max_bytes=2 * one)
+        for n_bins in (64, 32, 16):
+            store.serve(_request(n_bins=n_bins))
+        assert len(store) == 2
+        assert store.stats.evictions == 1
+        assert store.bytes_stored == 2 * one
+        assert store.lattice(_request(n_bins=64).family_key) is None  # the LRU
+
+    def test_refinement_growth_is_charged_to_the_budget(self):
+        one = _family_bytes()
+        store = _store(max_bytes=2 * one, refine_max=1)
+        store.serve(_request(n_bins=64))
+        store.serve(_request(n_bins=32))
+        assert store.stats.evictions == 0
+        # One bisection adds a node, a certificate and its table to the
+        # second family: past the budget, so the first (LRU) goes.
+        store.serve(_request(n_bins=32, accuracy=1.0e-15))
+        assert store.stats.refinements == 1
+        assert store.stats.evictions == 1
+        survivor = store.lattice(_request(n_bins=32).family_key)
+        assert one < survivor.nbytes == store.bytes_stored <= store.max_bytes
+
+    def test_stored_bytes_stay_within_budget_after_every_serve(self):
+        store = _store(max_bytes=int(2.5 * _family_bytes()), refine_max=2)
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            store.serve(
+                _request(
+                    temperature_k=float(np.exp(rng.uniform(np.log(1.0e6), np.log(5.0e7)))),
+                    accuracy=float(rng.choice([1.0e-2, 1.0e-6])),
+                    n_bins=int(rng.choice([16, 32, 64])),
+                )
+            )
+            # Tables counted; only the family just served may overshoot.
+            assert store.bytes_stored <= store.max_bytes or len(store) == 1
+            assert store.bytes_stored == sum(
+                lat.nbytes for lat in store._lattices.values()
+            )
+        assert store.stats.evictions > 0 and store.stats.refinements > 0
 
     def test_as_dict_shape(self):
         store = _store()
