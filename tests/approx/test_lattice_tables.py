@@ -22,18 +22,9 @@ from repro.approx import INTERP_METHODS, LatticeSpec, LatticeStore, SpectrumLatt
 from repro.approx.interp import interpolate_loglog
 from repro.approx.lattice import NODE_OVERHEAD_BYTES
 from repro.service.requests import SpectrumRequest
-
-_E_KEV = np.linspace(0.3, 3.0, 24)
-_K_B_KEV = 8.617333262e-8
-
-
-def _edged_exact(temperature_k: float) -> np.ndarray:
-    """Spectrum-shaped; bin ``b`` is exactly zero while ``E_b > 9 kT``,
-    so low-temperature stencils mix the log and raw-flux transforms."""
-    kt = _K_B_KEV * temperature_k
-    flux = np.exp(-_E_KEV / kt) / np.sqrt(kt)
-    flux[_E_KEV > 9.0 * kt] = 0.0
-    return flux
+# Bins exactly zero below a temperature that moves with the bin, so
+# low-temperature stencils mix the log and raw-flux transforms.
+from tests.approx.test_lattice_golden import _edged_exact
 
 
 def _lattice(method: str) -> SpectrumLattice:
