@@ -27,7 +27,7 @@ drained entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.service.coalesce import InFlight
 from repro.service.requests import SpectrumRequest
@@ -35,11 +35,15 @@ from repro.service.requests import SpectrumRequest
 __all__ = ["BatchAssembler", "MegabatchGroup"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class MegabatchGroup:
     """One assembled megabatch: same-family entries, drain-ordered."""
 
     entries: tuple[InFlight, ...]
+    #: Trace context, stamped by the broker's compile stage when tracing
+    #: is on: the group's span id and that span's args.
+    span_id: int = 0
+    meta: Optional[dict] = None
 
     @property
     def width(self) -> int:

@@ -1,22 +1,18 @@
 """The admission broker: bounded queue, priority lanes, worker pool.
 
-Request lifecycle (the service half of Fig. 2's architecture):
+The service half of Fig. 2's architecture, as two short call sequences
+(docs/ARCHITECTURE.md §7 tabulates what each stage reads and writes):
 
-1. :meth:`SpectrumBroker.submit` — cache lookup first (hit: the ticket
-   completes immediately), then the coalescer (identical request already
-   in flight: attach, no queue slot consumed), then admission into the
-   bounded queue (full: reject with a retry-after hint — backpressure
-   instead of unbounded buffering).
-2. Service workers drain the queue — interactive lane strictly before
-   survey — in batches of up to ``batch_max`` unique requests, lower
-   each request to Ion tasks, and dispatch the batch through
-   :meth:`repro.core.hybrid.HybridRunner.spawn_batch` on the *shared*
-   clock (each worker models one hybrid node).
-3. On batch completion each group's spectra are evaluated — out of
-   band, through ``family_spectra``: the simulation priced cost-only
-   tasks — and cached, every subscriber ticket (leader + coalesced
-   followers) completes, and the batch's hybrid ledger folds into the
-   service telemetry.
+- :meth:`SpectrumBroker.submit` — validate → exact cache → lattice →
+  coalesce → admit.  Each tier returns the ticket it finished or falls
+  through; a full queue rejects with a retry-after hint (backpressure
+  instead of unbounded buffering).
+- :meth:`SpectrumBroker._worker` — linger → drain → assemble → compile →
+  dispatch → trace → fan-back → observe, over one :class:`_Batch`
+  record.  Each worker models one hybrid node and dispatches through
+  :meth:`repro.core.hybrid.HybridRunner.spawn_batch` on the *shared*
+  clock; the simulation prices cost-only tasks and the spectra are
+  evaluated out of band, through ``family_spectra``, at fan-back.
 
 Everything runs in virtual time on one :class:`SimClock`, so a given
 trace and config reproduce the identical report, latencies included.
@@ -26,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Generator, Optional, Sequence
 
 import numpy as np
@@ -41,6 +38,8 @@ from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.cluster.simclock import Signal, SimClock
 from repro.core.calibration import CostModel
 from repro.core.hybrid import HybridConfig, HybridRunner
+from repro.core.metrics import RunResult
+from repro.core.task import Task
 from repro.obs.attribution import Attribution, AttributionResult
 from repro.obs.attribution import CostModel as SpanCostModel
 from repro.obs.bus import ServiceBus
@@ -212,8 +211,38 @@ class Ticket:
         self.result = result
 
 
+@dataclass
+class _Batch:
+    """What one worker pass carries from drain to fan-back."""
+
+    #: Drained unique requests, interactive lane first.
+    entries: list[InFlight]
+    #: Dispatch units: one per entry, or the assembler's family groups.
+    groups: list[MegabatchGroup] = field(default_factory=list)
+    #: Cost-only ion tasks of every group, in group order.
+    tasks: list[Task] = field(default_factory=list)
+    name: str = ""
+    dispatched_at: float = 0.0
+    #: The hybrid batch's ledger, folded into the service telemetry.
+    result: Optional[RunResult] = None
+
+
 class SpectrumBroker:
-    """Admission, coalescing, caching, and dispatch on one SimClock."""
+    """Admission, coalescing, caching, and dispatch on one SimClock.
+
+    The observers are optional and cost one attribute read when absent:
+
+    - ``slo``: a :class:`repro.obs.slo.SLOEngine`, sampled at each batch
+      completion.  ``None`` (or an engine with no rules) keeps the run
+      bit-identical to an unmonitored one — no registry is ever built.
+    - ``tsdb``: a :class:`~repro.obs.tsdb.TimeSeriesStore` scraped at
+      batch completions on this clock (default
+      :data:`~repro.obs.tsdb.NULL_TSDB`).
+    - ``anomaly``: an :class:`~repro.obs.anomaly.AnomalyDetector`,
+      scanned after each scrape; events flow onto the service bus.
+    - ``flight``: the :class:`~repro.obs.flight.FlightRecorder`
+      ``run_trace`` arms when asked for postmortem bundles.
+    """
 
     def __init__(
         self,
@@ -227,82 +256,49 @@ class SpectrumBroker:
         cost_model=None,
     ) -> None:
         self.clock = clock
-        #: Optional :class:`repro.obs.slo.SLOEngine`; sampled at each
-        #: batch completion.  ``None`` (or an engine with no rules)
-        #: keeps the run bit-identical to an unmonitored one — no
-        #: registry is ever built.
         self.slo = slo
-        #: Continuous telemetry: a :class:`~repro.obs.tsdb.TimeSeriesStore`
-        #: scraped at batch completions on this clock.  The default
-        #: :data:`~repro.obs.tsdb.NULL_TSDB` reduces the hot path to one
-        #: ``enabled`` attribute read.
         self.tsdb = tsdb if tsdb is not None else NULL_TSDB
-        #: Optional :class:`~repro.obs.anomaly.AnomalyDetector`, scanned
-        #: after each scrape; events flow onto the service bus.
         self.anomaly = anomaly
-        self.config = config or ServiceConfig()
+        self.flight = None
+        self.config = config = config or ServiceConfig()
         self.db = db or AtomicDatabase(
-            AtomicConfig(n_max=self.config.db_n_max, z_max=self.config.db_z_max)
+            AtomicConfig(n_max=config.db_n_max, z_max=config.db_z_max)
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled:
-            cache_track = self.tracer.track("service", "cache")
-            coalesce_track = self.tracer.track("service", "coalescer")
-            queue_track = self.tracer.track("service", "queue")
-            lane_tracks = {
-                lane: self.tracer.track("service", f"lane.{lane}") for lane in LANES
-            }
-        else:
-            cache_track = coalesce_track = queue_track = 0
-            lane_tracks = {}
-        self._lane_tracks = lane_tracks
+        track = self.tracer.track  # 0 for every track of the null tracer
         self.cache = SpectrumCache(
-            max_entries=self.config.cache_max_entries,
-            max_bytes=self.config.cache_max_bytes,
-            ttl_s=self.config.cache_ttl_s,
+            max_entries=config.cache_max_entries,
+            max_bytes=config.cache_max_bytes,
+            ttl_s=config.cache_ttl_s,
             tracer=self.tracer,
-            track=cache_track,
+            track=track("service", "cache"),
         )
-        self.coalescer = RequestCoalescer(tracer=self.tracer, track=coalesce_track)
-        self.telemetry = ServiceTelemetry(
-            LANES, latency_reservoir=self.config.latency_reservoir
-        )
+        self.coalescer = RequestCoalescer(self.tracer, track("service", "coalescer"))
+        self.telemetry = ServiceTelemetry(LANES, config.latency_reservoir)
         self.bus = ServiceBus(
             self.telemetry,
             tracer=self.tracer,
-            queue_track=queue_track,
-            lane_tracks=lane_tracks,
+            queue_track=track("service", "queue"),
+            lane_tracks={lane: track("service", f"lane.{lane}") for lane in LANES},
         )
         self._queues: dict[str, deque[InFlight]] = {lane: deque() for lane in LANES}
-        self._assembler = BatchAssembler(width_max=self.config.batch_width_max)
+        self._assembler = BatchAssembler(width_max=config.batch_width_max)
         self._idle: deque[Signal] = deque()
         self._batch_seq = 0
         self._started = False
-        # Causal cost attribution rides the trace: with tracing off the
-        # handle stays None and the hot path pays nothing.  The online
-        # cost model additionally backs predictive scheduling, so it is
-        # built whenever the trace *or* the scheduler needs it (or the
-        # caller injects a persisted one via ``cost_model`` — the
-        # ``--cost-model PATH`` round-trip).
-        if self.tracer.enabled:
-            self.attribution: Optional[Attribution] = Attribution(self.tracer)
-        else:
-            self.attribution = None
-        if cost_model is not None:
-            self.cost_model: Optional[SpanCostModel] = cost_model
-        elif (
-            self.tracer.enabled
-            or self.config.hybrid.scheduler_kind == "predictive"
+        # Causal cost attribution rides the trace (None untraced: the hot
+        # path pays nothing).  The online cost model also backs predictive
+        # scheduling, so it is built when the trace *or* the scheduler
+        # needs it, unless the caller injects a persisted one
+        # (the ``--cost-model PATH`` round-trip).
+        self.attribution = Attribution(self.tracer) if self.tracer.enabled else None
+        if cost_model is None and (
+            self.tracer.enabled or config.hybrid.scheduler_kind == "predictive"
         ):
-            self.cost_model = SpanCostModel.seeded_from_counters(
-                self.config.hybrid.device
-            )
-        else:
-            self.cost_model = None
+            cost_model = SpanCostModel.seeded_from_counters(config.hybrid.device)
+        self.cost_model: Optional[SpanCostModel] = cost_model
         self._registry = None  # built by the first registry() call
-        # Built on the first positive-accuracy request, so exact-only
-        # runs (and their traces) are untouched by the lattice tier.
-        self._lattice: Optional[LatticeStore] = None
+        self._lattice: Optional[LatticeStore] = None  # built by _open_lattice()
         # Route plan-cache events to this broker's tracer (the cache is
         # process-global; the newest broker owns the instrumentation).
         PLAN_CACHE.bind_tracer(self.tracer if self.tracer.enabled else None)
@@ -392,165 +388,163 @@ class SpectrumBroker:
             self.cost_model.ingest(observations)
 
     # ------------------------------------------------------------------
-    # Client API
+    # Client API: validate -> exact cache -> lattice -> coalesce -> admit
     # ------------------------------------------------------------------
     def submit(
         self, request: SpectrumRequest, lane: str = "interactive", *, retry: bool = False
     ) -> Ticket:
         """Admit one request at the current virtual time.
 
-        Returns a ticket that is already completed (cache hit), pending
-        (queued or coalesced — wait on ``ticket.signal``), or rejected
-        (queue full — resubmit with ``retry=True`` after
+        Returns a ticket that is already completed (cache or lattice
+        hit), pending (queued or coalesced — wait on ``ticket.signal``),
+        or rejected (queue full — resubmit with ``retry=True`` after
         ``ticket.retry_after_s`` so only the first attempt counts as an
-        arrival).
+        arrival).  A request this broker can never serve raises
+        ``ValueError`` before an arrival is counted.
         """
-        if lane not in LANES:
-            raise ValueError(f"unknown lane {lane!r}; expected one of {LANES}")
-        if not self._started:
-            raise RuntimeError("broker not started; call start() first")
+        self._validate(request, lane)
         now = self.clock.now
         if retry:
             self.bus.on_retry(lane)
         else:
             self.bus.on_arrival(lane)
-        key = request.key
-        ticket = Ticket(request=request, lane=lane, key=key, submitted_at=now)
-        traced = self.tracer.enabled
-        if traced:
+        ticket = Ticket(request=request, lane=lane, key=request.key, submitted_at=now)
+        if self.tracer.enabled:
             ticket.trace_id = self.tracer.new_id()
+        # Each tier returns the ticket it finished, or None to fall through.
+        return (
+            self._serve_cached(ticket, now)
+            or self._serve_lattice(ticket, now)
+            or self._coalesce(ticket, now)
+            or self._admit(ticket, now)
+        )
 
-        hit = self.cache.get(key, now)
-        if hit is not None:
-            ticket.cached = True
-            ticket._complete(now, hit)
-            sig = Signal(name=f"cached.{key[:8]}")
-            sig.fire(self.clock, hit)
-            ticket.signal = sig
-            if traced:
-                lt = self._lane_tracks[lane]
-                self.tracer.async_begin(
-                    lt, "request", ticket.trace_id, cat="request",
-                    args={"key": key[:8], "outcome": "cache_hit"},
-                )
-                self.tracer.async_end(lt, "request", ticket.trace_id, cat="request")
-            self.bus.on_completion(
-                lane, 0.0, cached=True, coalesced=False, trace_id=ticket.trace_id
+    def _validate(self, request: SpectrumRequest, lane: str) -> None:
+        if lane not in LANES:
+            raise ValueError(f"unknown lane {lane!r}; expected one of {LANES}")
+        if not self._started:
+            raise RuntimeError("broker not started; call start() first")
+        # Raised here, not from family_plan inside a worker, where it
+        # would strand every request drained into the same batch.
+        if request.z_max > self.db.config.z_max:
+            raise ValueError(
+                f"request z_max={request.z_max} exceeds database "
+                f"z_max={self.db.config.z_max}"
             )
-            return ticket
 
-        if self.config.lattice and request.accuracy > 0.0:
-            served = self._lattice_serve(request)
-            if served is not None:
-                ticket.lattice = True
-                ticket.error_bound = served.error_bound
-                ticket._complete(now, served.values)
-                sig = Signal(name=f"lattice.{key[:8]}")
-                sig.fire(self.clock, served.values)
-                ticket.signal = sig
-                if traced:
-                    lt = self._lane_tracks[lane]
-                    self.tracer.async_begin(
-                        lt, "request", ticket.trace_id, cat="request",
-                        args={
-                            "key": key[:8],
-                            "outcome": "lattice_hit",
-                            "error_bound": served.error_bound,
-                        },
-                    )
-                    self.tracer.async_end(
-                        lt, "request", ticket.trace_id, cat="request"
-                    )
-                self.bus.on_completion(
-                    lane,
-                    0.0,
-                    cached=False,
-                    coalesced=False,
-                    lattice=True,
-                    trace_id=ticket.trace_id,
-                )
-                return ticket
+    def _serve_cached(self, ticket: Ticket, now: float) -> Optional[Ticket]:
+        hit = self.cache.get(ticket.key, now)
+        if hit is None:
+            return None
+        ticket.cached = True
+        return self._resolve_now(ticket, now, hit, "cache_hit")
 
-        entry = self.coalescer.lookup(key)
-        if entry is not None:
-            ticket.coalesced = True
-            ticket.signal = entry.done
-            self.coalescer.attach(entry, ticket)
-            if traced:
-                # The leader (first subscriber) owns the executed work;
-                # the follower's span parents under it so the trace shows
-                # exactly which request's compute it rode.
-                leader = entry.subscribers[0] if entry.subscribers else None
-                ticket.leader_trace_id = leader.trace_id if leader else 0
-                self.tracer.async_begin(
-                    self._lane_tracks[lane], "request", ticket.trace_id,
-                    cat="request",
-                    args={
-                        "key": key[:8],
-                        "outcome": "coalesced",
-                        "leader": ticket.leader_trace_id,
-                    },
-                    parent=ticket.leader_trace_id or None,
-                )
-            return ticket
+    def _serve_lattice(self, ticket: Ticket, now: float) -> Optional[Ticket]:
+        """A certified lattice answer for a positive-accuracy request;
+        falls through when the exact path must run (tier off, out of
+        domain, or still over budget after refinement)."""
+        if not (self.config.lattice and ticket.request.accuracy > 0.0):
+            return None
+        if self._lattice is None:
+            self._open_lattice()
+        served = self._lattice.serve(ticket.request)
+        if not served.served:
+            return None
+        ticket.lattice = True
+        ticket.error_bound = served.error_bound
+        return self._resolve_now(ticket, now, served.values, "lattice_hit")
 
+    def _coalesce(self, ticket: Ticket, now: float) -> Optional[Ticket]:
+        entry = self.coalescer.lookup(ticket.key)
+        if entry is None:
+            return None
+        ticket.coalesced = True
+        ticket.signal = entry.done
+        self.coalescer.attach(entry, ticket)
+        # The leader (first subscriber) owns the executed work; the
+        # follower's span parents under it so the trace shows exactly
+        # which request's compute it rode.
+        if self.tracer.enabled:
+            ticket.leader_trace_id = entry.subscribers[0].trace_id
+            self._open_span(ticket, "coalesced")
+        return ticket
+
+    def _admit(self, ticket: Ticket, now: float) -> Ticket:
         if self.queue_depth >= self.config.queue_capacity:
             ticket.status = "rejected"
             ticket.retry_after_s = self.config.retry_after_s
-            self.bus.on_rejection(lane)
+            self.bus.on_rejection(ticket.lane)
             return ticket
-
-        entry = self.coalescer.open(key, request, lane, now)
+        entry = self.coalescer.open(ticket.key, ticket.request, ticket.lane, now)
         entry.subscribers.append(ticket)
         ticket.signal = entry.done
-        self._queues[lane].append(entry)
-        if traced:
-            self.tracer.async_begin(
-                self._lane_tracks[lane], "request", ticket.trace_id,
-                cat="request", args={"key": key[:8], "outcome": "queued"},
-            )
+        self._queues[ticket.lane].append(entry)
+        if self.tracer.enabled:
+            self._open_span(ticket, "queued")
         self.bus.on_queue_depth(self.queue_depth, now)
-        self._wake_worker()
+        if self._idle:
+            self._idle.popleft().fire(self.clock)
         return ticket
 
-    # ------------------------------------------------------------------
-    # Approximate serving
-    # ------------------------------------------------------------------
-    def _lattice_serve(self, request: SpectrumRequest):
-        """Lattice lookup for one positive-accuracy request.
+    def _resolve_now(
+        self, ticket: Ticket, now: float, values: np.ndarray, outcome: str
+    ) -> Ticket:
+        """Complete a ticket at admission: a reuse tier answered it."""
+        ticket._complete(now, values)
+        ticket.signal = Signal(name=f"{outcome}.{ticket.key[:8]}")
+        ticket.signal.fire(self.clock, values)
+        if self.tracer.enabled:
+            self._open_span(ticket, outcome)
+            self._close_span(ticket)
+        self.bus.on_completion(
+            ticket.lane, 0.0, cached=ticket.cached, coalesced=False,
+            lattice=ticket.lattice, trace_id=ticket.trace_id,
+        )
+        return ticket
 
-        Returns the :class:`~repro.approx.store.LatticeResult` on a
-        certified hit, ``None`` when the exact path must run (out of
-        domain, or still over budget after refinement).  Store work is
-        host-side precomputation — zero virtual time, like plan
-        compilation.
-        """
-        if self._lattice is None:
-            track = (
-                self.tracer.track("service", "lattice")
-                if self.tracer.enabled
-                else 0
-            )
-            cfg = self.config
-            self._lattice = LatticeStore(
-                evaluator=RequestEvaluator(self.db),
-                spec=LatticeSpec(
-                    t_min_k=cfg.lattice_t_min_k,
-                    t_max_k=cfg.lattice_t_max_k,
-                    n_nodes=cfg.lattice_nodes,
-                    method=cfg.lattice_method,
-                    safety=cfg.lattice_safety,
-                ),
-                max_bytes=cfg.lattice_max_bytes,
-                refine_max=cfg.lattice_refine_max,
-                tracer=self.tracer,
-                track=track,
-            )
-        result = self._lattice.serve(request)
-        return result if result.served else None
+    def _open_span(self, ticket: Ticket, outcome: str) -> None:
+        """Begin the ticket's async request span on its lane track
+        (callers guard on ``tracer.enabled``, like every traced site)."""
+        args = {"key": ticket.key[:8], "outcome": outcome}
+        if ticket.lattice:
+            args["error_bound"] = ticket.error_bound
+        if ticket.coalesced:
+            args["leader"] = ticket.leader_trace_id
+        self.tracer.async_begin(
+            self.bus.lane_tracks[ticket.lane], "request", ticket.trace_id,
+            cat="request", args=args, parent=ticket.leader_trace_id or None,
+        )
+
+    def _close_span(self, ticket: Ticket, args: Optional[dict] = None) -> None:
+        self.tracer.async_end(
+            self.bus.lane_tracks[ticket.lane], "request", ticket.trace_id,
+            cat="request", args=args,
+        )
+
+    def _open_lattice(self) -> None:
+        """Build the approximate-serving store — on the first positive-
+        accuracy request, so exact-only runs (and their traces) are
+        untouched by the tier.  Store work is host-side precomputation:
+        zero virtual time, like plan compilation."""
+        cfg = self.config
+        self._lattice = LatticeStore(
+            evaluator=RequestEvaluator(self.db),
+            spec=LatticeSpec(
+                t_min_k=cfg.lattice_t_min_k,
+                t_max_k=cfg.lattice_t_max_k,
+                n_nodes=cfg.lattice_nodes,
+                method=cfg.lattice_method,
+                safety=cfg.lattice_safety,
+            ),
+            max_bytes=cfg.lattice_max_bytes,
+            refine_max=cfg.lattice_refine_max,
+            tracer=self.tracer,
+            track=self.tracer.track("service", "lattice"),
+        )
 
     # ------------------------------------------------------------------
-    # Worker pool
+    # Worker pool: linger -> drain -> assemble -> compile -> dispatch ->
+    # trace -> fan-back -> observe
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn the service workers on the clock (idempotent)."""
@@ -560,21 +554,6 @@ class SpectrumBroker:
         for wid in range(self.config.n_service_workers):
             self.clock.spawn(self._worker(wid), name=f"svc{wid}")
 
-    def _wake_worker(self) -> None:
-        if self._idle:
-            self._idle.popleft().fire(self.clock)
-
-    def _drain_batch(self) -> list[InFlight]:
-        """Up to ``batch_max`` entries, interactive strictly first."""
-        batch: list[InFlight] = []
-        for lane in LANES:
-            queue = self._queues[lane]
-            while queue and len(batch) < self.config.batch_max:
-                batch.append(queue.popleft())
-        if batch:
-            self.bus.on_queue_depth(self.queue_depth, self.clock.now)
-        return batch
-
     def _worker(self, wid: int) -> Generator:
         runner = HybridRunner(
             self.config.hybrid,
@@ -582,163 +561,165 @@ class SpectrumBroker:
             scope=f"svc{wid}",
             span_cost_model=self.cost_model,
         )
-        traced = self.tracer.enabled
-        worker_track = (
-            self.tracer.track(f"svc{wid}", "dispatch") if traced else 0
+        tracks = (
+            self.tracer.track(f"svc{wid}", "dispatch"),
+            self.tracer.track(f"svc{wid}", "groups"),
         )
-        groups_track = (
-            self.tracer.track(f"svc{wid}", "groups") if traced else 0
-        )
-        window = self.config.batch_window_s
-        batching = window is not None
-        idle_name = f"svc{wid}.idle"
-        scope = (self.db.config.n_max, self.db.config.z_max)
         while True:
-            if (
-                batching
-                and window > 0.0
-                and 0 < self.queue_depth < self.config.batch_max
-                and not self._queues["interactive"]
-            ):
-                # Admission window: a pure-survey backlog narrower than
-                # a full batch lingers so plan-compatible arrivals can
-                # pile onto the same fused launch.  An interactive
-                # entry anywhere in the queue short-circuits the wait —
-                # latency-sensitive requests never pay for batch width.
+            if self._should_linger():
                 self.bus.on_window_wait()
-                yield window
-            batch = self._drain_batch()
-            if not batch:
-                idle = Signal(name=idle_name)
+                yield self.config.batch_window_s
+            batch = self._drain()
+            if batch is None:
+                idle = Signal(name=f"svc{wid}.idle")
                 self._idle.append(idle)
                 yield idle
                 continue
-            if batching:
-                groups = self._assembler.assemble(batch)
-                self.bus.on_megabatch([g.width for g in groups])
-            else:
-                groups = [MegabatchGroup((entry,)) for entry in batch]
-            tasks = []
-            # Per-group trace context: one span id per dispatched group
-            # (allocated up front so compiled tasks parent under it) plus
-            # the member roots and fair-share weights the attribution
-            # layer splits the group's measured spans by.
-            group_ids: list[int] = []
-            group_meta: list[dict] = []
-            for gi, group in enumerate(groups):
-                gid = 0
-                if traced:
-                    gid = self.tracer.new_id()
-                    group_meta.append(
-                        {
-                            "members": [
-                                e.subscribers[0].trace_id if e.subscribers else 0
-                                for e in group.entries
-                            ],
-                            "weights": group_member_weights(
-                                group.requests, self.db
-                            ),
-                            "width": group.width,
-                            "method": group.entries[0].request.rule,
-                        }
-                    )
-                group_ids.append(gid)
-                # Cost-only tasks: the spectra are evaluated out of band
-                # at fan-back.  Megabatch groups compile with spread
-                # point indices — one point per ion task — so the hybrid
-                # rank partition shares a group's host prep across every
-                # rank instead of chaining the whole group on one.
-                if batching:
-                    tasks.extend(
-                        compile_group_tasks(
-                            group.requests, self.db,
-                            point_index=tasks[-1].point_index + 1 if tasks else 0,
-                            task_id_base=len(tasks), with_payload=False,
-                            spread=True, trace_parent=gid,
-                        )
-                    )
-                else:
-                    tasks.extend(
-                        compile_tasks(
-                            group.entries[0].request, self.db,
-                            point_index=gi, task_id_base=len(tasks),
-                            with_payload=False, trace_parent=gid,
-                        )
-                    )
+            self._assemble(batch)
+            self._compile(batch)
             self._batch_seq += 1
-            batch_name = f"svc{wid}.batch{self._batch_seq}"
-            dispatched_at = self.clock.now
-            handle = runner.spawn_batch(tasks, self.clock, name=batch_name)
-            result = yield handle
+            batch.name = f"svc{wid}.batch{self._batch_seq}"
+            batch.dispatched_at = self.clock.now
+            batch.result = yield runner.spawn_batch(
+                batch.tasks, self.clock, name=batch.name
+            )
             now = self.clock.now
-            if traced:
-                self.tracer.span(
-                    worker_track,
-                    batch_name,
-                    dispatched_at,
-                    now,
-                    cat="dispatch",
-                    args={"n_requests": len(batch), "n_tasks": len(tasks)},
+            self._trace(batch, tracks, now)
+            self._fan_back(batch, now)
+            self.bus.on_batch(batch.result, len(batch.entries))
+            self._observe(now)
+
+    def _should_linger(self) -> bool:
+        """Admission window: a pure-survey backlog narrower than a full
+        batch lingers so plan-compatible arrivals can pile onto the same
+        fused launch.  An interactive entry anywhere in the queue
+        short-circuits the wait — latency-sensitive requests never pay
+        for batch width."""
+        window = self.config.batch_window_s
+        return (
+            window is not None
+            and window > 0.0
+            and 0 < self.queue_depth < self.config.batch_max
+            and not self._queues["interactive"]
+        )
+
+    def _drain(self) -> Optional[_Batch]:
+        """Up to ``batch_max`` entries, interactive strictly first."""
+        entries: list[InFlight] = []
+        for lane in LANES:
+            queue = self._queues[lane]
+            while queue and len(entries) < self.config.batch_max:
+                entries.append(queue.popleft())
+        if not entries:
+            return None
+        self.bus.on_queue_depth(self.queue_depth, self.clock.now)
+        return _Batch(entries)
+
+    def _assemble(self, batch: _Batch) -> None:
+        if self.config.batch_window_s is None:
+            batch.groups = [MegabatchGroup((entry,)) for entry in batch.entries]
+        else:
+            batch.groups = self._assembler.assemble(batch.entries)
+            self.bus.on_megabatch([g.width for g in batch.groups])
+
+    def _compile(self, batch: _Batch) -> None:
+        """Lower every group to cost-only ion tasks.  Traced, a group
+        first gets its span id (so its tasks parent under it) and the
+        span's args: member roots and the fair-share weights attribution
+        splits the group's measured spans by."""
+        batching = self.config.batch_window_s is not None
+        tasks = batch.tasks
+        for group in batch.groups:
+            if self.tracer.enabled:
+                group.span_id = self.tracer.new_id()
+                group.meta = {
+                    "members": [e.subscribers[0].trace_id for e in group.entries],
+                    "weights": group_member_weights(group.requests, self.db),
+                    "width": group.width,
+                    "method": group.entries[0].request.rule,
+                }
+            # A plain request compiles to req{p}/{ion} tasks on one point;
+            # a megabatch group to grp{p}/{ion}x{W} with one point per ion
+            # task, so the hybrid rank partition shares the group's host
+            # prep across every rank instead of chaining it on one.
+            lower = (
+                partial(compile_group_tasks, group.requests, spread=True)
+                if batching
+                else partial(compile_tasks, group.requests[0])
+            )
+            tasks.extend(
+                lower(
+                    self.db,
+                    point_index=tasks[-1].point_index + 1 if tasks else 0,
+                    task_id_base=len(tasks),
+                    with_payload=False,
+                    trace_parent=group.span_id,
                 )
-                # One span per dispatched group, parented under its
-                # leading member's request root — the middle link of the
-                # request -> group -> task -> kernel chain.  Groups of one
-                # batch share the dispatch interval, which nests cleanly.
-                for gi, meta in enumerate(group_meta):
-                    members = meta["members"]
-                    self.tracer.span(
-                        groups_track,
-                        f"{batch_name}.g{gi}",
-                        dispatched_at,
-                        now,
-                        cat="group",
-                        id=group_ids[gi],
-                        parent=(members[0] or None) if members else None,
-                        args=meta,
+            )
+
+    def _trace(self, batch: _Batch, tracks: tuple[int, int], now: float) -> None:
+        """The batch's dispatch span and one span per group, parented
+        under the group's leading member's request root — the middle
+        link of the request -> group -> task -> kernel chain.  Groups of
+        one batch share the dispatch interval, which nests cleanly."""
+        if not self.tracer.enabled:
+            return
+        dispatch_track, groups_track = tracks
+        self.tracer.span(
+            dispatch_track, batch.name, batch.dispatched_at, now, cat="dispatch",
+            args={"n_requests": len(batch.entries), "n_tasks": len(batch.tasks)},
+        )
+        for gi, group in enumerate(batch.groups):
+            self.tracer.span(
+                groups_track, f"{batch.name}.g{gi}", batch.dispatched_at, now,
+                cat="group", id=group.span_id,
+                parent=group.meta["members"][0] or None, args=group.meta,
+            )
+
+    def _fan_back(self, batch: _Batch, now: float) -> None:
+        """Evaluate each group's spectra, fill the cache, close the
+        in-flight entries and complete every subscriber ticket."""
+        scope = (self.db.config.n_max, self.db.config.z_max)
+        for group in batch.groups:
+            # The group's stacked (width, n_bins) spectra, evaluated out
+            # of band: family_spectra accumulates ion-major, the hybrid
+            # runner's own per-point task order, so each row is
+            # bit-identical to in-simulation accumulation.
+            block = family_spectra((group.requests, *scope))
+            for entry, row in zip(group.entries, block):
+                # Copied so a cached row does not pin its group's block.
+                spectrum = row.copy()
+                self.cache.put(entry.key, spectrum, now)
+                self.coalescer.resolve(entry.key)
+                for ticket in entry.subscribers:
+                    ticket._complete(now, spectrum)
+                    if self.tracer.enabled:
+                        self._close_span(ticket, {"latency_s": ticket.latency_s})
+                    self.bus.on_completion(
+                        ticket.lane, ticket.latency_s, cached=False,
+                        coalesced=ticket.coalesced, trace_id=ticket.trace_id,
                     )
-            for group in groups:
-                # The group's stacked (width, n_bins) spectra, evaluated
-                # out of band: family_spectra accumulates ion-major, the
-                # hybrid runner's own per-point task order, so each row
-                # is bit-identical to in-simulation accumulation.
-                block = family_spectra((group.requests, *scope))
-                for j, entry in enumerate(group.entries):
-                    # Copied so a cached row does not pin its group's block.
-                    spectrum = block[j].copy()
-                    self.cache.put(entry.key, spectrum, now)
-                    self.coalescer.resolve(entry.key)
-                    for ticket in entry.subscribers:
-                        ticket._complete(now, spectrum)
-                        if traced and ticket.trace_id:
-                            self.tracer.async_end(
-                                self._lane_tracks[ticket.lane],
-                                "request",
-                                ticket.trace_id,
-                                cat="request",
-                                args={"latency_s": ticket.latency_s},
-                            )
-                        self.bus.on_completion(
-                            ticket.lane,
-                            ticket.latency_s,
-                            cached=False,
-                            coalesced=ticket.coalesced,
-                            trace_id=ticket.trace_id,
-                        )
-                    entry.done.fire(self.clock, spectrum)
-            self.bus.on_batch(result, len(batch))
-            if self.attribution is not None:
-                self.fold_trace()
-            registry = None
-            if self.tsdb.enabled and self.tsdb.due(now):
-                registry = self.registry()
-                self.tsdb.scrape(registry, now)
-                if self.anomaly is not None:
-                    for event in self.anomaly.scan(self.tsdb):
-                        self.bus.on_anomaly(event)
-            if self.slo is not None and self.slo.rules:
-                self.slo.sample(
-                    registry if registry is not None else self.registry(), now
-                )
+                entry.done.fire(self.clock, spectrum)
+
+    def _observe(self, now: float) -> None:
+        """The batch-completion tail: fold the trace into the cost
+        ledger, scrape when the cadence says so, sample the SLO rules."""
+        if self.attribution is not None:
+            self.fold_trace()
+        registry = None
+        if self.tsdb.enabled and self.tsdb.due(now):
+            registry = self._scrape(now)
+        if self.slo is not None and self.slo.rules:
+            self.slo.sample(registry if registry is not None else self.registry(), now)
+
+    def _scrape(self, now: float):
+        """One scrape of the live registry and the anomaly scan over it."""
+        registry = self.registry()
+        self.tsdb.scrape(registry, now)
+        if self.anomaly is not None:
+            for event in self.anomaly.scan(self.tsdb):
+                self.bus.on_anomaly(event)
+        return registry
 
 
 # ----------------------------------------------------------------------
@@ -785,7 +766,6 @@ def run_trace(
         clock, config, db=db, tracer=tracer, slo=slo, tsdb=tsdb,
         anomaly=anomaly, cost_model=cost_model,
     )
-    broker.flight = None
     if flight_dir is not None and (slo is not None or anomaly is not None):
         from repro.obs.flight import FlightRecorder
 
@@ -825,8 +805,5 @@ def run_trace(
     if broker.tsdb.enabled:
         # One closing scrape so the stored series end on the finalized
         # registry state (residency folded, end_time stamped).
-        broker.tsdb.scrape(broker.registry(), clock.now)
-        if broker.anomaly is not None:
-            for event in broker.anomaly.scan(broker.tsdb):
-                broker.bus.on_anomaly(event)
+        broker._scrape(clock.now)
     return broker, tickets

@@ -20,6 +20,7 @@ execute callable and accumulate the same bits inside the simulation.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -115,22 +116,23 @@ class SpectrumRequest:
     accuracy: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.temperature_k <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.ne_cm3 <= 0.0:
-            raise ValueError("density must be positive")
+        # Chained so NaN (every comparison false) and inf are refused too.
+        if not 0.0 < self.temperature_k < math.inf:
+            raise ValueError("temperature must be positive and finite")
+        if not 0.0 < self.ne_cm3 < math.inf:
+            raise ValueError("density must be positive and finite")
         if self.z_max < 1:
             raise ValueError("z_max must be >= 1")
         if self.n_bins < 1:
             raise ValueError("need at least one bin")
         if self.rule not in _RULES:
             raise ValueError(f"unknown rule {self.rule!r}; expected {_RULES}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.tail_tol < 0.0:
-            raise ValueError("tail tolerance must be non-negative")
-        if self.accuracy < 0.0:
-            raise ValueError("accuracy budget must be non-negative")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if not 0.0 <= self.tail_tol < math.inf:
+            raise ValueError("tail tolerance must be non-negative and finite")
+        if not 0.0 <= self.accuracy < math.inf:
+            raise ValueError("accuracy budget must be non-negative and finite")
 
     # ------------------------------------------------------------------
     # Content addressing

@@ -32,6 +32,21 @@ class TestSubmit:
         with pytest.raises(ValueError, match="unknown lane"):
             broker.submit(req(), lane="batch")
 
+    def test_out_of_scope_request_refused_before_it_is_an_arrival(self):
+        """Admitted, it raised out of ``clock.run()`` from inside the
+        worker and stranded the valid request drained beside it."""
+        clock, broker = make_broker(db_z_max=8, n_service_workers=1)
+        mate = broker.submit(req(), lane="survey")
+        with pytest.raises(ValueError, match="exceeds database z_max=8"):
+            broker.submit(req(2.0e7, z_max=14), lane="survey")
+        assert broker.telemetry.arrivals == 1
+        assert broker.queue_depth == 1 and len(broker.coalescer) == 1
+        clock.run()
+        assert mate.done
+        report = broker.report()
+        assert report["arrivals"] == report["completions"] == 1
+        assert report["lost"] == 0
+
     def test_miss_then_hit(self):
         clock, broker = make_broker()
         first = broker.submit(req())

@@ -32,6 +32,12 @@ class TestValidation:
             {"temperature_k": 1e7, "rule": "magic"},
             {"temperature_k": 1e7, "tolerance": 0.0},
             {"temperature_k": 1e7, "tail_tol": -1e-9},
+            {"temperature_k": 1e7, "accuracy": -1e-3},
+            *(
+                {"temperature_k": 1e7, **{name: bad}}
+                for name in ("temperature_k", "ne_cm3", "tolerance", "tail_tol", "accuracy")
+                for bad in (float("nan"), float("inf"))
+            ),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
