@@ -11,7 +11,7 @@ the Fig. 7 workload (T = 1e7 K, 10-45 Angstrom) and reports, per setting:
 - the max per-bin relative error against the unpruned reference.
 
 Dense and pruned settings run the same kernel
-(:func:`repro.physics.rrc_kernel.simpson_rrc`; ``tail_tol = 0`` is
+(:func:`repro.physics.rrc_kernel.rule_rrc`; ``tail_tol = 0`` is
 ``cutoff = n_bins``), so wall time differs only by the pairs the budget
 prunes — on this grid the few above-grid edges, i.e. almost nothing.
 The wall column is reported, not asserted.

@@ -329,7 +329,7 @@ def _case_fused_megabatch(quick: bool, seed: int) -> dict:
     over a temperature sweep: a pure counting argument independent of
     the host.  ``fused_max_rel_err`` holds the model against the in-order
     sum of the per-ion oracle (:func:`ion_emissivity_batched`); both run
-    the same kernel (:func:`repro.physics.rrc_kernel.simpson_rrc`), so
+    the same kernel (:func:`repro.physics.rrc_kernel.rule_rrc`), so
     it measures summation order — one all-ion launch against 105 per-ion
     ones — not two implementations of the math.
     """

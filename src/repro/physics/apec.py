@@ -19,8 +19,8 @@ accuracy references, mirroring the paper's CPU and GPU code paths:
 - :func:`ion_emissivity_batched` — all bins of all levels of one ion in
   one vectorized launch (the unit of work of a coarse-grained ``Ion``
   task), with Simpson (default, 64 pieces), Romberg (accuracy-scaled by
-  ``k``) or Gauss-Legendre rules.  Summed over the ions in order it
-  reproduces the plan to summation-order rounding (<= 1e-12 relative).
+  ``k``) or Gauss-Legendre rules, on the plan's kernel.  Summed over the
+  ions in order it checks the plan's summation order (<= 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -35,16 +35,10 @@ from repro.atomic.database import AtomicDatabase
 from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, ME_C2_KEV, SIGMA_KRAMERS_CM2
 from repro.physics.ionbalance import ion_density
-from repro.physics.rrc import (
-    RRCLevelParams,
-    make_level_integrand,
-    rrc_prefactor,
-    window_integrand,
-)
-from repro.physics.rrc_kernel import simpson_rrc
+from repro.physics.rrc import RRCLevelParams, make_level_integrand, rrc_prefactor
+from repro.physics.rrc_kernel import rule_rrc
 from repro.physics.spectrum import EnergyGrid, Spectrum
 from repro.physics.windows import LevelWindows, level_windows
-from repro.quadrature.megabatch import batch_gauss_windows, batch_romberg_windows
 from repro.quadrature.qags import qags
 from repro.quadrature.simpson import simpson
 
@@ -161,13 +155,13 @@ def ion_emissivity_batched(
     differs from the unpruned kernel by at most ``tail_tol`` relative
     tail mass per level.  ``tail_tol = 0`` (default) keeps every bin
     above each level's edge — dense is the windowed launch with
-    ``cutoff = n_bins``, for every rule.  Simpson runs
-    :func:`repro.physics.rrc_kernel.simpson_rrc`, Romberg and Gauss the
-    generic window kernels of :mod:`repro.quadrature.megabatch`.
+    ``cutoff = n_bins``.  Every rule runs
+    :func:`repro.physics.rrc_kernel.rule_rrc`.
     """
     if tail_tol < 0.0:
         raise ValueError("tail_tol must be non-negative")
-    if method not in ("simpson", "romberg", "gauss"):
+    order = {"simpson": pieces, "romberg": k, "gauss": gl_points}
+    if method not in order:
         raise ValueError(f"unknown batch method {method!r}")
     ls = db.levels(ion)
     if len(ls) == 0:
@@ -178,21 +172,10 @@ def ion_emissivity_batched(
     kt = point.kt_kev
     c_l = _flat_constants(ls, point, n_ion)
     win = level_windows(ls.energy_kev, grid, kt, tail_tol, gaunt=gaunt)
-    if method == "simpson":
-        return simpson_rrc(
-            grid, pieces, gaunt, ls.energy_kev, win.first,
-            win.cutoff[None, :], c_l[None, :], np.array([kt]),
-        )[0].values
-    f = window_integrand(ls.energy_kev, c_l, kt, gaunt)
-    if method == "romberg":
-        return batch_romberg_windows(
-            f, grid.edges, win.first, win.cutoff,
-            lower_clip=ls.energy_kev, k=k,
-        )
-    return batch_gauss_windows(
-        f, grid.edges, win.first, win.cutoff,
-        lower_clip=ls.energy_kev, n=gl_points,
-    )
+    return rule_rrc(
+        grid, (method, order[method]), gaunt, ls.energy_kev, win.first,
+        win.cutoff[None, :], c_l[None, :], np.array([kt]),
+    )[0].values
 
 
 def ion_emissivity_scalar(

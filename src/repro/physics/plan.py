@@ -6,7 +6,7 @@ loop would re-derive the same temperature-independent structure — level
 parameters, flat Kramers+Milne constants, active-window searches — for
 every ion on every grid point of every request.  A :class:`SpectrumPlan`
 compiles that structure *once* per
-``(database, grid, ion set, method, rule knobs, tail_tol, gaunt)``
+``(database, grid, ion set, rule, tail_tol, gaunt)``
 combination into flat structure-of-arrays form:
 
 - ``energy_kev`` / ``c_base`` — per-level binding energies and the
@@ -20,10 +20,9 @@ combination into flat structure-of-arrays form:
 
 Executing a plan binds the temperature-dependent pieces (windows for
 ``kT``, per-ion prefactors) and issues one launch over the fused windows
-of every ion instead of one launch per ion: Simpson plans run
-:func:`repro.physics.rrc_kernel.simpson_rrc` (the kernel the per-ion
-oracle runs too) over a whole batch of temperatures, Romberg and Gauss
-plans the generic kernels of :mod:`repro.quadrature.megabatch`.
+of every ion instead of one launch per ion:
+:func:`repro.physics.rrc_kernel.rule_rrc` (the kernel the per-ion oracle
+runs too) over a whole batch of temperatures, whatever the plan's rule.
 
 :class:`PlanCache` content-addresses compiled plans so repeated grid
 points, parameter sweeps, and cache-miss service requests reuse them; hit,
@@ -49,15 +48,11 @@ from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, ME_C2_KEV, SIGMA_KRAMERS_CM2, maxwellian_norm
 from repro.parallel.ranks import POOL
 from repro.physics.ionbalance import ion_density
-from repro.physics.rrc import gaunt_factor, window_integrand
-from repro.physics.rrc_kernel import simpson_rrc
+from repro.physics.rrc import gaunt_factor
+from repro.physics.rrc_kernel import rule_rrc
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import GAUNT_SUP
-from repro.quadrature.megabatch import (
-    MegabatchResult,
-    megabatch_gauss_windows,
-    megabatch_romberg_windows,
-)
+from repro.quadrature.megabatch import MegabatchResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer, Track
@@ -72,8 +67,6 @@ __all__ = [
     "grid_fingerprint",
     "ions_fingerprint",
 ]
-
-PLAN_METHODS = ("simpson", "romberg", "gauss")
 
 
 @lru_cache(maxsize=64)
@@ -125,15 +118,15 @@ class PlanKey:
     Every field that changes the compiled structure or the launch math is
     part of the key; anything temperature-dependent is deliberately *not*
     (plans are reused across grid points and bound at execution time).
+    ``order`` is the one knob ``method`` reads: Simpson's ``pieces``,
+    Romberg's ``k`` or Gauss's ``gl_points``.
     """
 
     db: str
     grid: str
     ions: str
     method: str
-    pieces: int
-    k: int
-    gl_points: int
+    order: int
     tail_tol: float
     gaunt: bool
 
@@ -361,14 +354,10 @@ class SpectrumPlan:
     def _execute_slice(
         self, points: list["GridPointLike"], abundances: AbundanceSet
     ) -> list[MegabatchResult]:
-        """The launch itself, in whichever process holds the slice.
-
-        Simpson plans hand the whole temperature axis to
-        :func:`repro.physics.rrc_kernel.simpson_rrc`, which evaluates the
-        temperature-independent factors of each level block once per
-        batch; Romberg and Gauss plans run one generic megabatch per
-        point.
-        """
+        """The launch itself, in whichever process holds the slice:
+        :func:`repro.physics.rrc_kernel.rule_rrc` over the whole
+        temperature axis, each level block's temperature-independent
+        factors evaluated once per batch."""
         if self.n_levels == 0:
             return [
                 MegabatchResult(np.zeros(self.grid.n_bins), 0, 0, 0, 0)
@@ -379,24 +368,11 @@ class SpectrumPlan:
         kts = np.array([float(point.kt_kev) for point in points])
         windows = [self.windows(kt) for kt in kts]
         c_l = np.stack([self.flat_constants(p, abundances) for p in points])
-        if self.key.method == "simpson":
-            return simpson_rrc(
-                self.grid, self.key.pieces, self.key.gaunt, self.energy_kev,
-                windows[0][0], np.stack([cutoff for _, cutoff in windows]),
-                c_l, kts,
-            )
-        if self.key.method == "romberg":
-            kernel, knob = megabatch_romberg_windows, {"k": self.key.k}
-        else:
-            kernel, knob = megabatch_gauss_windows, {"n": self.key.gl_points}
-        return [
-            kernel(
-                window_integrand(self.energy_kev, c_l[j], kt, self.key.gaunt),
-                self.grid.edges, first, cutoff,
-                lower_clip=self.energy_kev, **knob,
-            )
-            for j, (kt, (first, cutoff)) in enumerate(zip(kts.tolist(), windows))
-        ]
+        return rule_rrc(
+            self.grid, (self.key.method, self.key.order), self.key.gaunt,
+            self.energy_kev, windows[0][0],
+            np.stack([cutoff for _, cutoff in windows]), c_l, kts,
+        )
 
 
 class GridPointLike:
@@ -477,7 +453,8 @@ class PlanCache:
         tail_tol: float = 0.0,
         gaunt: bool = True,
     ) -> tuple[PlanKey, tuple[Ion, ...]]:
-        if method not in PLAN_METHODS:
+        order = {"simpson": pieces, "romberg": k, "gauss": gl_points}
+        if method not in order:
             raise ValueError(f"unknown plan method {method!r}")
         if tail_tol < 0.0:
             raise ValueError("tail_tol must be non-negative")
@@ -487,9 +464,7 @@ class PlanCache:
             grid=grid_fingerprint(grid),
             ions=ions_fingerprint(ion_set),
             method=method,
-            pieces=int(pieces),
-            k=int(k),
-            gl_points=int(gl_points),
+            order=int(order[method]),
             tail_tol=float(tail_tol),
             gaunt=bool(gaunt),
         )

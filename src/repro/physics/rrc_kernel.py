@@ -1,14 +1,21 @@
-"""The one Simpson RRC kernel: the Gaunt rational expanded about bin centres.
+"""The one RRC kernel of every linear rule: the Gaunt rational expanded
+about bin centres.
 
-Every Simpson evaluation of the collapsed Eq. (1) integrand
+Every fixed-node evaluation of the collapsed Eq. (1) integrand
 ``f_l(E) = C_l exp(-(E - I_l)/kT) g(E / I_l)``, ``E >= I_l``, goes
-through :func:`simpson_rrc` — one ion's levels
+through :func:`rule_rrc` — one ion's levels
 (:func:`repro.physics.apec.ion_emissivity_batched`) or a whole plan's
 (:meth:`repro.physics.plan.SpectrumPlan.execute_many`), dense
 (``cutoff = n_bins``) or pruned, one temperature or a batch.
 
-A bin not split by a recombination edge has the same Simpson nodes
-``E_p`` for every level.  With the node weights
+The rule — Simpson's pieces, Romberg's ``k`` dichotomies, ``n``-point
+Gauss-Legendre — enters only as the node fractions and weights ``w_p`` of
+:func:`repro.quadrature.batch.linear_rule`; Romberg's are its Richardson
+tableau run on the trapezoid ladder's weight rows (it is linear in the
+samples).  All are positive, which is what the bound below asks of them.
+
+A bin not split by a recombination edge has the same nodes ``E_p`` for
+every level.  With the node weights
 ``W[b, p] = exp(-(E_p - E_b)/kT) h_b w_p`` about the bin's lower edge
 ``E_b`` and :func:`repro.physics.rrc.gaunt_factor`'s rational written in
 ``u = cbrt(E)``, ``x = u^2``, ``k = cbrt(I_l)``, ``a_l = (A/B) k``,
@@ -32,23 +39,23 @@ cancels.  What is shared, and across what:
 - **across levels** — ``mu`` and ``nu``, two ``(M, n_bins)`` tables per
   temperature built by recurrence from the node weights.  A pair costs
   one ``exp`` and two Horner chains, about ``4 M + 9`` element
-  operations where the node-by-node rule spends ``5 (pieces + 1)``;
-- **across calls** — the tables are memoized per ``(edges, pieces, kT)``
+  operations where the node-by-node rule spends 5 a node;
+- **across calls** — the tables are memoized per ``(edges, rule, kT)``
   in :data:`_MEMO_BYTES` per grid: the ions of a grid point arrive as
   separate per-ion calls, interleaved with those of every other rank;
 - **across temperatures** — ``r`` and ``s`` depend on grid and level
   alone and are evaluated once per level block for a whole batch.
 
-Centres and ``M`` follow from the edges alone (:class:`_Expansion`).  A
-bin's nodes form 1, 2, 4, ... contiguous cells down to one per node, each
-centred midway between its extreme ``x``; of the splits with
+Centres and ``M`` follow from edges and rule alone (:class:`_Expansion`).
+A bin's nodes form 1, 2, 4, ... contiguous cells down to one per node,
+each centred midway between its extreme ``x``; of the splits with
 ``rho <= _RHO_MAX`` the one minimizing ``cells * M``,
 ``M = ceil(ln _TRUNCATION / ln rho)``, is taken and a pair's cells are
-summed after the Horner pass.  The 400-bin benchmark grid gets one centre
-per bin and ``M = 7`` (``rho`` = 0.0029), 4000 linear bins over
-0.05-8 keV ``M = 10``.  At one cell per node ``eta = 0``, ``M = 1`` and
-the sum *is* the node-by-node rule, so a grid of any coarseness takes
-this one path; without the Gaunt factor ``S_lb = mu_0[b]`` (order 0).
+summed after the Horner pass.  Simpson-64 on the 400-bin benchmark grid
+gets one centre per bin and ``M = 7`` (``rho`` = 0.0029), on 4000 linear
+bins over 0.05-8 keV ``M = 10``.  At one cell per node ``eta = 0``,
+``M = 1`` and the sum *is* the node-by-node rule, so any grid and rule
+take this one path; without the Gaunt factor ``S_lb = mu_0[b]``.
 
 Both exponents are <= 0 inside a window, so nothing can overflow at any
 ``kT``: the kernel needs no temperature guard and has no fallback.
@@ -69,10 +76,10 @@ import numpy as np
 
 from repro.physics.rrc import gaunt_factor
 from repro.physics.spectrum import EnergyGrid
-from repro.quadrature.batch import _chunks, simpson_weights, unit_fractions
+from repro.quadrature.batch import _chunks, linear_rule
 from repro.quadrature.megabatch import MegabatchResult
 
-__all__ = ["simpson_rrc"]
+__all__ = ["rule_rrc"]
 
 #: Temperatures sharing one evaluation of a level block's ``r`` and
 #: ``s``; bounds the moment tables one call keeps alive.
@@ -95,7 +102,8 @@ _RHO_MAX = 0.5
 #: temperature: 70 on the 400-bin benchmark grid (44 KiB each).
 _MEMO_BYTES = 3 << 20
 
-#: Nodes per bin from which ``pieces`` is refused (input validation).
+#: Simpson pieces, Romberg ``2**k`` or Gauss points from which a rule is
+#: refused (input validation): ``n_bins x nodes`` tables are not chunked.
 _MAX_NODES = 1 << 14
 
 # gaunt_factor's rational, g = (A + B c) / (D + E c^2) with c = cbrt(x).
@@ -104,22 +112,23 @@ _A, _D = 1.0 - _B, 1.0 - _E
 
 
 class _Expansion:
-    """Temperature-independent state of one ``(grid, pieces)``, shared by
+    """Temperature-independent state of one ``(grid, rule)``, shared by
     every plan and per-ion call on the same edges.
 
-    ``above``, ``u``, ``eta`` and ``hw`` are ``(n_bins, pieces + 1)``: a
+    ``above``, ``u``, ``eta`` and ``hw`` are ``(n_bins, nodes)``: a
     node's offset above its bin's lower edge, ``cbrt`` of its energy,
-    ``(xbar - x)/xbar`` about its cell's centre, bin step times Simpson
-    weight.  ``xbar`` is ``(n_bins * cells,)``, ``splits`` the first node
-    of each cell, ``order`` the ``M`` of the module docstring.
+    ``(xbar - x)/xbar`` about its cell's centre, bin width times the
+    rule's weight.  ``xbar`` is ``(n_bins * cells,)``, ``splits`` the first
+    node of each cell, ``order`` the ``M`` of the module docstring.
     """
 
-    def __init__(self, edges: np.ndarray, pieces: int) -> None:
-        n_pts = pieces + 1
+    def __init__(self, edges: np.ndarray, rule: tuple[str, int]) -> None:
+        frac, weights, norm = linear_rule(*rule)
+        n_pts = frac.size
         widths = np.diff(edges)
-        self.above = widths[:, None] * unit_fractions(n_pts)[None, :]
+        self.above = widths[:, None] * frac[None, :]
         self.u = np.cbrt(edges[:-1, None] + self.above)
-        self.hw = (widths / pieces)[:, None] * simpson_weights(pieces)[None, :]
+        self.hw = (widths / norm)[:, None] * weights[None, :]
         x = self.u * self.u
         # 1, 2, 4, ... cells per bin down to one per node (rho = 0): of the
         # admissible splits, the cheapest (a pair costs ~ cells * order).
@@ -159,8 +168,8 @@ class _Expansion:
 
 
 @lru_cache(maxsize=8)
-def _expansion_of_edges(edge_bytes: bytes, pieces: int) -> _Expansion:
-    return _Expansion(np.frombuffer(edge_bytes, dtype=np.float64), pieces)
+def _expansion_of_edges(edge_bytes: bytes, rule: tuple[str, int]) -> _Expansion:
+    return _Expansion(np.frombuffer(edge_bytes, dtype=np.float64), rule)
 
 
 def _horner(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -173,9 +182,9 @@ def _horner(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(under="ignore")
-def simpson_rrc(
+def rule_rrc(
     grid: EnergyGrid,
-    pieces: int,
+    rule: tuple[str, int],
     gaunt: bool,
     energies: np.ndarray,
     first: np.ndarray,
@@ -183,7 +192,8 @@ def simpson_rrc(
     c_l: np.ndarray,
     kts: np.ndarray,
 ) -> list[MegabatchResult]:
-    """Window integrals of ``n >= 1`` levels at ``T`` temperatures.
+    """Window integrals of ``n >= 1`` levels at ``T`` temperatures by
+    ``linear_rule(*rule)``.
 
     ``energies`` and ``first`` are per level (``first`` is the bin holding
     the level's edge, temperature-independent); ``cutoffs`` and ``c_l``
@@ -196,18 +206,20 @@ def simpson_rrc(
     shared node weights, one per memory-bounded chunk of full-bin pairs —
     not the host's blocks.
     """
-    if pieces >= _MAX_NODES:
-        raise ValueError(f"pieces={pieces} exceeds the kernel's {_MAX_NODES} nodes")
+    limit = _MAX_NODES.bit_length() - 1 if rule[0] == "romberg" else _MAX_NODES
+    if rule[1] >= limit:
+        raise ValueError(f"rule {rule} exceeds the kernel's {_MAX_NODES} nodes")
     if len(kts) > _TEMPERATURE_BLOCK:
         return [
             result
             for i in range(0, len(kts), _TEMPERATURE_BLOCK)
-            for result in simpson_rrc(
-                grid, pieces, gaunt, energies, first,
+            for result in rule_rrc(
+                grid, rule, gaunt, energies, first,
                 *(arr[i : i + _TEMPERATURE_BLOCK] for arr in (cutoffs, c_l, kts)),
             )
         ]
-    n_bins, n_pts, n_t = grid.n_bins, pieces + 1, len(kts)
+    frac, w, norm = linear_rule(*rule)
+    n_bins, n_pts, n_t = grid.n_bins, frac.size, len(kts)
     out = [np.zeros(n_bins) for _ in range(n_t)]
 
     # --- edge bins: the one bin per level split by its recombination
@@ -221,12 +233,11 @@ def simpson_rrc(
         b_e = first[edge]
         i_e = energies[edge][:, None]
         width_e = grid.upper[b_e][:, None] - i_e
-        above = width_e * unit_fractions(n_pts)[None, :]
+        above = width_e * frac[None, :]
         g_e = gaunt_factor((i_e + above) / i_e) if gaunt else 1.0
-        w = simpson_weights(pieces)
         for j in range(n_t):
             y = np.exp(-above / kts[j]) * g_e
-            vals = (width_e[:, 0] / pieces) * (y @ w) * c_l[j, edge]
+            vals = (width_e[:, 0] / norm) * (y @ w) * c_l[j, edge]
             # Several levels can share one edge bin -> unbuffered scatter-add.
             np.add.at(out[j], b_e[live_edge[j]], vals[live_edge[j]])
 
@@ -237,7 +248,7 @@ def simpson_rrc(
     order = np.flatnonzero(start < n_bins)
     order = order[np.argsort(start[order], kind="stable")]
     n_full = np.maximum(cutoffs - start, 0).sum(axis=1)
-    exp = _expansion_of_edges(grid.edges.tobytes(), pieces)
+    exp = _expansion_of_edges(grid.edges.tobytes(), rule)
     cells = exp.cells
     tables = [exp.moments(float(kt)) for kt in kts]
     coef = c_l

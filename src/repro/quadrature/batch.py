@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.quadrature.gauss_legendre import gauss_legendre_nodes
 from repro.quadrature.simpson import DEFAULT_PIECES, _check_pieces
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "batch_simpson_edges",
     "batch_romberg",
     "batch_trapezoid",
+    "linear_rule",
     "simpson_weights",
     "unit_fractions",
     "KERNEL_COUNTERS",
@@ -69,6 +71,35 @@ def unit_fractions(n_points: int) -> np.ndarray:
     frac = np.linspace(0.0, 1.0, n_points)
     frac.setflags(write=False)
     return frac
+
+
+@lru_cache(maxsize=64)
+def linear_rule(method: str, order: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """A fixed-node rule as read-only ``(fractions, weights, norm)``:
+    ``width / norm * sum_p weights[p] f(lo + width * fractions[p])``
+    integrates ``f`` over ``[lo, lo + width]``; the weights are positive
+    and sum to ``norm``.  ``order`` is Simpson's pieces (exact to degree
+    3), Gauss-Legendre's points (``2 order - 1``) or Romberg's
+    dichotomies (``2 order + 1``).  Romberg's tableau is linear in the
+    samples, so run on the trapezoid ladder's weight rows instead (as
+    :func:`_romberg_reduce` runs it on samples) it ends in one weight a node.
+    """
+    if method == "simpson":
+        return unit_fractions(order + 1), simpson_weights(order), float(order)
+    if method == "gauss":
+        nodes, weights = gauss_legendre_nodes(order)
+        frac = 0.5 * (nodes + 1.0)
+        frac.setflags(write=False)
+        return frac, weights, 2.0
+    if method != "romberg" or order < 0:
+        raise ValueError(f"no {method!r} rule of order {order}")
+    table = np.zeros((order + 1, 2**order + 1))
+    for level in range(order + 1):
+        table[level, :: 2 ** (order - level)] = _trapezoid_weights(2**level) / 2**level
+    for m in range(1, order + 1):
+        table = (4.0**m * table[1:] - table[:-1]) / (4.0**m - 1.0)
+    table.setflags(write=False)
+    return unit_fractions(table.shape[1]), table[0], 1.0
 
 
 @lru_cache(maxsize=64)

@@ -7,10 +7,11 @@ The contract pinned here, for every batch rule x {dense, pruned} x
    ``execute(p).values`` — ``array_equal``, not close.
 2. The plan is compiled once per configuration: a second ``compute`` at
    a new temperature adds nothing to ``PLAN_CACHE.stats.compilations``.
-3. The plan agrees with the retained oracles: the in-order sum of the
-   per-ion ``ion_emissivity_batched`` to summation-order rounding
-   (<= 1e-12 peak-relative) and scalar QAGS to the ``sweep_dense``
-   check's bound (<= 1e-9).
+3. The plan agrees with its references: the generic pair-by-pair
+   window kernel of its rule (<= 1e-12 peak-relative) and scalar QAGS to
+   the ``sweep_dense`` check's bound (<= 1e-9).  The in-order sum of the
+   per-ion ``ion_emissivity_batched`` runs the plan's own kernel, so it
+   checks summation order only (<= 1e-12).
 4. The knobs that selected other paths are gone, loudly: ``fused=``,
    ``shards=``, ``backend=``, ``jobs=`` raise ``TypeError`` on the
    model, and on the broker's config too: it has one payload route.
@@ -28,6 +29,7 @@ from repro.physics.apec import GridPoint, SerialAPEC, ion_emissivity_batched
 from repro.physics.plan import PLAN_CACHE
 from repro.physics.spectrum import EnergyGrid
 from repro.service.broker import ServiceConfig
+from tests.physics.test_plan import generic_launch
 
 RULES = {"simpson-batch": "simpson", "romberg": "romberg", "gauss": "gauss"}
 TAIL_TOLS = [0.0, 1.0e-9]
@@ -99,6 +101,10 @@ class TestModelExecutesTheCachedPlan:
                 db, ion, POINT, grid, method=RULES[method], tail_tol=tail_tol
             )
         assert peak_rel_error(got, per_ion) <= 1.0e-12
+        plan = PLAN_CACHE.get(
+            db, grid, ions=ions, method=RULES[method], tail_tol=tail_tol
+        )
+        assert peak_rel_error(got, generic_launch(plan, POINT).values) <= 1.0e-12
         assert peak_rel_error(got, qags_reference(tail_tol, ions)) <= 1.0e-9
 
 

@@ -4,11 +4,14 @@ Pinned promises:
 
 1. A plan's fused windows and per-ion active counts match the per-ion
    :func:`repro.physics.windows.level_windows` search exactly.
-2. A fused megabatch execution matches the per-ion kernel path within
-   1e-12 relative on seeded (temperature, method) combinations.
+2. A fused execution matches the generic window kernels of
+   :mod:`repro.quadrature.megabatch` within 1e-12 relative for every
+   rule, and the in-order per-ion sum (a summation-order check: it runs
+   the same kernel) on seeded (temperature, method) combinations.
 3. The cache is content-addressed: identical inputs hit, every key knob
-   (grid, method, pieces, k, tail tolerance, Gaunt flag) misses, and a
-   temperature change never recompiles (plans are T-independent).
+   (grid, method, the method's own order, tail tolerance, Gaunt flag)
+   misses, an order another method reads does not, and a temperature
+   change never recompiles (plans are T-independent).
 4. ``execute_many`` over the rank pool returns, for any points and any
    number of slices, the rows and statistics of per-point ``execute`` —
    also when a rank dies under its slice.
@@ -42,7 +45,11 @@ from repro.physics.plan import (
 from repro.physics.rrc import window_integrand
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import level_windows
-from repro.quadrature.megabatch import megabatch_simpson_windows
+from repro.quadrature.megabatch import (
+    megabatch_gauss_windows,
+    megabatch_romberg_windows,
+    megabatch_simpson_windows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,39 +149,57 @@ class TestPlanStructure:
         np.testing.assert_array_equal(again, first)
 
 
+#: method -> (the generic reference kernel, the name of its order knob).
+GENERIC = {
+    "simpson": (megabatch_simpson_windows, "pieces"),
+    "romberg": (megabatch_romberg_windows, "k"),
+    "gauss": (megabatch_gauss_windows, "n"),
+}
+
+
+def generic_launch(plan: SpectrumPlan, point: GridPoint):
+    """The plan's launch by the unfactored pair-by-pair reference."""
+    kernel, knob = GENERIC[plan.key.method]
+    first, cutoff = plan.windows(point.kt_kev)
+    return kernel(
+        window_integrand(
+            plan.energy_kev, plan.flat_constants(point), point.kt_kev, plan.key.gaunt
+        ),
+        plan.grid.edges, first, cutoff,
+        lower_clip=plan.energy_kev, **{knob: plan.key.order},
+    )
+
+
 class TestMegabatchEquivalence:
     @pytest.mark.parametrize("method", ["simpson", "romberg", "gauss"])
     def test_matches_per_ion_path_seeded(self, db, grid, method):
+        """The reference is the generic kernel; the per-ion sum runs the
+        plan's own kernel and checks the summation order only."""
         rng = np.random.default_rng(2015)
         plan = _get(PlanCache(), db, grid, method=method)
         for temperature in 10 ** rng.uniform(6.3, 7.3, size=3):
             point = GridPoint(temperature_k=float(temperature), ne_cm3=1.0)
-            expected = np.zeros(grid.n_bins)
+            per_ion = np.zeros(grid.n_bins)
             for ion in db.ions:
                 if db.n_levels(ion) == 0:
                     continue
-                expected += ion_emissivity_batched(
+                per_ion += ion_emissivity_batched(
                     db, ion, point, grid, method=method,
                     pieces=32, k=5, tail_tol=1.0e-9,
                 )
             got = plan.execute(point).values
-            scale = float(np.abs(expected).max())
-            assert np.abs(got - expected).max() <= 1.0e-12 * scale
+            for expected in (generic_launch(plan, point).values, per_ion):
+                scale = float(np.abs(expected).max())
+                assert np.abs(got - expected).max() <= 1.0e-12 * scale
 
     def test_factorized_matches_generic_megabatch(self, db, grid):
-        plan = _get(PlanCache(), db, grid, method="simpson")
         point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
-        fast = plan.execute(point)
-        first, cutoff = plan.windows(point.kt_kev)
-        generic = megabatch_simpson_windows(
-            window_integrand(
-                plan.energy_kev, plan.flat_constants(point), point.kt_kev, True
-            ),
-            grid.edges, first, cutoff, lower_clip=plan.energy_kev, pieces=32,
-        )
-        assert fast.n_pairs == generic.n_pairs + generic.n_pairs_skipped
-        scale = float(np.abs(generic.values).max())
-        assert np.abs(fast.values - generic.values).max() <= 1.0e-12 * scale
+        for method in GENERIC:
+            plan = _get(PlanCache(), db, grid, method=method)
+            fast, generic = plan.execute(point), generic_launch(plan, point)
+            assert fast.n_pairs == generic.n_pairs + generic.n_pairs_skipped
+            scale = float(np.abs(generic.values).max())
+            assert np.abs(fast.values - generic.values).max() <= 1.0e-12 * scale
 
     def test_execute_reports_launch_statistics(self, db, grid):
         plan = _get(PlanCache(), db, grid)
@@ -377,21 +402,39 @@ class TestPlanCache:
         assert cache.stats.compilations == 1
 
     @pytest.mark.parametrize(
-        "change",
+        "method, change",
         [
-            {"method": "romberg"},
-            {"pieces": 64},
-            {"k": 6},
-            {"tail_tol": 1.0e-6},
-            {"gaunt": False},
+            ("simpson", {"method": "romberg"}),
+            ("simpson", {"pieces": 64}),
+            ("romberg", {"k": 6}),
+            ("simpson", {"tail_tol": 1.0e-6}),
+            ("simpson", {"gaunt": False}),
+            ("gauss", {"gl_points": 8}),
         ],
+        ids=[f"change{i}" for i in range(6)],
     )
-    def test_every_key_knob_misses(self, db, grid, change):
+    def test_every_key_knob_misses(self, db, grid, method, change):
         cache = PlanCache()
-        _get(cache, db, grid)
-        _get(cache, db, grid, **change)
+        _get(cache, db, grid, method=method)
+        _get(cache, db, grid, **{"method": method, **change})
         assert cache.stats.compilations == 2
         assert cache.stats.hits == 0
+
+    @pytest.mark.parametrize(
+        "method, ignored",
+        [
+            ("simpson", {"k": 7, "gl_points": 8}),
+            ("romberg", {"pieces": 64, "gl_points": 8}),
+            ("gauss", {"pieces": 64, "k": 7}),
+        ],
+    )
+    def test_one_plan_per_rule(self, db, grid, method, ignored):
+        """The key carries the method's own order and nothing the method
+        ignores: another rule's knob neither compiles nor holds a twin."""
+        cache = PlanCache()
+        plan = _get(cache, db, grid, method=method)
+        assert _get(cache, db, grid, method=method, **ignored) is plan
+        assert (cache.stats.hits, cache.stats.compilations, len(cache)) == (1, 1, 1)
 
     def test_grid_change_misses(self, db, grid):
         cache = PlanCache()

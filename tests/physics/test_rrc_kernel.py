@@ -1,4 +1,4 @@
-"""The shared Simpson RRC kernel (:mod:`repro.physics.rrc_kernel`).
+"""The one RRC kernel of every linear rule (:mod:`repro.physics.rrc_kernel`).
 
 Pinned promises:
 
@@ -8,7 +8,7 @@ Pinned promises:
    kernel's temperature block, and temperatures so low that factoring
    ``exp(-(E - I)/kT)`` about 0 would overflow.
 2. The factorized kernel agrees with the generic unfactored megabatch at
-   every such temperature.
+   every such temperature, for Simpson, Romberg and Gauss.
 3. Dense Simpson-64 stays within 1e-9 (peak-relative) of the scalar QAGS
    oracle over the sweeps' temperature range, with and without the Gaunt
    factor (Fig. 8, gated).
@@ -16,7 +16,7 @@ Pinned promises:
 5. The expansion about bin centres agrees with the generic kernel on any
    grid — one bin to hundreds, linear and geometric, bins spanning up to
    a factor 100 in energy — at any rule, temperature and window; its
-   centres and order are functions of the edges alone.
+   centres and order are functions of the edges and the rule alone.
 6. The per-temperature moment tables are built once per temperature for
    as many grid points as a node keeps in flight.
 """
@@ -39,11 +39,11 @@ from repro.physics.rrc_kernel import (
     _TRUNCATION,
     _Expansion,
     _expansion_of_edges,
-    simpson_rrc,
+    rule_rrc,
 )
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import level_windows
-from repro.quadrature.megabatch import megabatch_simpson_windows
+from tests.physics.test_plan import GENERIC, generic_launch
 
 
 @pytest.fixture(scope="module")
@@ -100,19 +100,17 @@ class TestBatchInvariance:
 
 
 class TestAgainstGenericKernel:
+    @pytest.mark.parametrize(
+        "rule",
+        [{}, {"method": "romberg", "k": 5}, {"method": "gauss", "gl_points": 8}],
+        ids=["simpson", "romberg", "gauss"],
+    )
     @pytest.mark.parametrize("gaunt", [True, False])
     @pytest.mark.parametrize("temperature_k", [2.0e4, 3.0e5, 2.0e6, 5.0e7])
-    def test_matches_unfactored_megabatch(self, db, gaunt, temperature_k):
-        plan = _plan(db, gaunt=gaunt)
+    def test_matches_unfactored_megabatch(self, db, gaunt, temperature_k, rule):
+        plan = _plan(db, gaunt=gaunt, **rule)
         point = _point(temperature_k)
-        first, cutoff = plan.windows(point.kt_kev)
-        generic = megabatch_simpson_windows(
-            window_integrand(
-                plan.energy_kev, plan.flat_constants(point), point.kt_kev, gaunt
-            ),
-            plan.grid.edges, first, cutoff,
-            lower_clip=plan.energy_kev, pieces=plan.key.pieces,
-        )
+        generic = generic_launch(plan, point)
         fast = plan.execute(point)
         assert fast.n_pairs == generic.n_pairs + generic.n_pairs_skipped
         assert np.all(np.isfinite(fast.values))
@@ -120,9 +118,21 @@ class TestAgainstGenericKernel:
         assert np.abs(fast.values - generic.values).max() <= 1.0e-12 * scale
 
     def test_pieces_beyond_the_scratch_rejected(self, db):
-        plan = _plan(db, pieces=1 << 16)
-        with pytest.raises(ValueError, match="pieces"):
-            plan.execute(_point(1.0e7))
+        """A rule of 2**14 nodes or more is refused whatever the method,
+        before its ``n_bins x nodes`` tables are allocated."""
+        for rule in (
+            {"pieces": 1 << 16}, {"pieces": 1 << 14},
+            {"method": "romberg", "k": 14}, {"method": "romberg", "k": 40},
+            {"method": "gauss", "gl_points": 1 << 14},
+        ):
+            plan = _plan(db, **rule)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="exceeds the kernel's 16384 nodes"):
+                    plan.execute(_point(1.0e7))
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
 
 
 class TestAgainstQagsOracle:
@@ -164,7 +174,7 @@ class TestNoMegabyteTemporaries:
 @st.composite
 def kernel_inputs(draw):
     """A grid, a handful of levels with edges below, inside and above it,
-    a rule and a temperature."""
+    a rule (method and order) and a temperature."""
     n_bins = draw(st.integers(1, 256))
     e_lo = 10.0 ** draw(st.floats(-2.0, 0.5))
     ratio = draw(st.floats(1.0005, 100.0))  # E_hi / E_lo of the first bin
@@ -180,7 +190,11 @@ def kernel_inputs(draw):
     )
     return (
         EnergyGrid(edges), energies, c_l,
-        draw(st.sampled_from([2, 8, 64, 128])),
+        draw(st.sampled_from([
+            ("simpson", 2), ("simpson", 8), ("simpson", 64), ("simpson", 128),
+            ("romberg", 0), ("romberg", 3), ("romberg", 7),
+            ("gauss", 1), ("gauss", 5), ("gauss", 12),
+        ])),
         K_B_KEV * 10.0 ** draw(st.floats(4.0, 9.0)),
         draw(st.booleans()),
         draw(st.sampled_from([0.0, 1.0e-9])),
@@ -191,14 +205,15 @@ class TestTheExpansionItself:
     @given(inputs=kernel_inputs())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_generic_kernel_on_any_grid(self, inputs):
-        grid, energies, c_l, pieces, kt, gaunt, tail_tol = inputs
+        grid, energies, c_l, rule, kt, gaunt, tail_tol = inputs
         win = level_windows(energies, grid, kt, tail_tol, gaunt=gaunt)
-        generic = megabatch_simpson_windows(
+        kernel, knob = GENERIC[rule[0]]
+        generic = kernel(
             window_integrand(energies, c_l, kt, gaunt),
-            grid.edges, win.first, win.cutoff, lower_clip=energies, pieces=pieces,
+            grid.edges, win.first, win.cutoff, lower_clip=energies, **{knob: rule[1]},
         )
-        fast = simpson_rrc(
-            grid, pieces, gaunt, energies, win.first,
+        fast = rule_rrc(
+            grid, rule, gaunt, energies, win.first,
             win.cutoff[None, :], c_l[None, :], np.array([kt]),
         )[0]
         assert fast.n_pairs == generic.n_pairs + generic.n_pairs_skipped
@@ -215,7 +230,7 @@ class TestTheExpansionItself:
         """``TestBatchInvariance`` runs on a grid coarse enough for one
         centre per node; this one expands every bin about one centre."""
         grid = EnergyGrid.linear(0.05, 8.0, 240)
-        assert _Expansion(grid.edges, 64).cells == 1
+        assert _Expansion(grid.edges, ("simpson", 64)).cells == 1
         plan = PlanCache().get(db, grid, method="simpson", tail_tol=tail_tol)
         points = [_point(t) for t in np.geomspace(2.0e4, 8.0e7, 10)]
         points += points[3::-2]
@@ -235,7 +250,7 @@ class TestTheExpansionItself:
     def test_centres_and_order_follow_from_the_edges(self, grid, cells, order):
         """No level, window or temperature is an input of the expansion;
         at one centre per node it is the node-by-node rule (order 1)."""
-        exp = _Expansion(grid.edges, 64)
+        exp = _Expansion(grid.edges, ("simpson", 64))
         assert (exp.cells, exp.order) == (cells, order)
         assert exp.xbar.shape == (grid.n_bins * cells,)
         rho = float(np.abs(exp.eta).max())
@@ -255,7 +270,9 @@ class TestMomentMemo:
         for ion in ions:
             for temperature_k in np.geomspace(2.0e6, 5.0e7, 24):
                 ion_emissivity_batched(db, ion, _point(float(temperature_k)), grid)
-        info = _expansion_of_edges(grid.edges.tobytes(), 64).moments.cache_info()
+        info = _expansion_of_edges(
+            grid.edges.tobytes(), ("simpson", 64)
+        ).moments.cache_info()
         assert info.misses == 24
         assert info.hits == 24 * (len(ions) - 1)
         assert info.maxsize >= 64

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quadrature.batch import batch_romberg, batch_simpson
+from repro.quadrature.batch import batch_romberg, batch_simpson, linear_rule
 from repro.quadrature.qags import qags
 from repro.quadrature.romberg import romberg
 from repro.quadrature.simpson import simpson
@@ -116,6 +116,43 @@ class TestBatchConsistencyProperties:
         batch = batch_romberg(f, np.array([lo]), np.array([hi]), k=k)[0]
         scalar = romberg(f, lo, hi, k=k).value
         assert batch == pytest.approx(scalar, rel=1e-11, abs=1e-14)
+
+
+#: method -> (orders drawn, the degree the rule states for an order).
+RULE_DEGREES = {
+    "simpson": (st.integers(1, 64).map(lambda n: 2 * n), lambda pieces: 3),
+    "romberg": (st.integers(0, 10), lambda k: 2 * k + 1),
+    "gauss": (st.integers(1, 24), lambda n: 2 * n - 1),
+}
+
+
+class TestLinearRuleProperties:
+    @given(data=st.data(), method=st.sampled_from(sorted(RULE_DEGREES)))
+    @settings(max_examples=80, deadline=None)
+    def test_weights_are_positive_normalized_and_exact_to_the_degree(self, data, method):
+        """What the RRC kernel's "nothing cancels" bound rests on, and
+        what makes a rule the rule it is called: positive weights summing
+        to 1 over [0, 1] that integrate ``x^d`` to ``1 / (d + 1)`` up to
+        the stated degree — and, where one rounding can show it, not
+        beyond."""
+        orders, degree_of = RULE_DEGREES[method]
+        order = data.draw(orders)
+        frac, weights, norm = linear_rule(method, order)
+        w = weights / norm
+        assert frac.shape == w.shape and np.all(np.diff(frac) > 0.0)
+        assert 0.0 <= frac[0] and frac[-1] <= 1.0
+        assert np.all(w > 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        degree = min(degree_of(order), 40)
+        for d in range(degree + 1):
+            assert w @ frac**d == pytest.approx(1.0 / (d + 1), abs=1e-13)
+        if frac.size <= 5:
+            assert abs(w @ frac ** (degree + 1) - 1.0 / (degree + 2)) > 1e-7
+
+    def test_unknown_rules_are_refused(self):
+        for method, order in (("midpoint", 4), ("romberg", -1), ("simpson", 3), ("gauss", 0)):
+            with pytest.raises(ValueError):
+                linear_rule(method, order)
 
 
 class TestQAGSProperties:
