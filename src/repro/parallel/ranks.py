@@ -1,42 +1,39 @@
-"""Grid points across real ranks: the point axis of ``execute_many``.
+"""A plan call across real ranks: its grid points, or one point's bins.
 
 The paper's CPU side is MPI ranks that each own **grid points**.  A
 :class:`RankPool` is that, one node wide: persistent forked helper
-processes, one per usable CPU beyond the caller's, that receive a
-function, a contiguous slice of a point list and the function's other
-arguments, and return the slice's results.  :meth:`RankPool.gather` is
-the only entry: it cuts ``items`` into slices balanced by the caller's
-own price of each item, runs slice 0 inline while the ranks run theirs,
-and concatenates the parts **in input order**.  It requires of ``fn``
-what :meth:`repro.physics.plan.SpectrumPlan.execute_many` guarantees —
-result ``j`` depends on item ``j`` alone, bit for bit, whatever shares
-its batch — so nothing downstream can tell which process computed a row.
+processes, one per usable CPU beyond the caller's.  :meth:`RankPool.gather`
+is the only entry: it cuts ``items`` — a list of grid points or a
+``range`` of bins — into contiguous slices balanced by the caller's own
+price of each item, runs slice 0 inline while the ranks run theirs, and
+joins the parts **in input order**.  It requires of ``fn`` what
+:meth:`repro.physics.plan.SpectrumPlan.execute_many` guarantees on either
+axis — result ``j`` depends on item ``j`` alone, bit for bit — so nothing
+downstream can tell which process computed a row or a bin.
 
 **Selection** is by observation only; there is no switch.  A call is cut
-into ``min(usable_cpus(), len(items), sum(work) // WORK_FLOOR)`` slices,
-and runs ``fn(items, *args)`` as is — the code path of a host with one
-CPU — when that is under two, when the platform has no ``fork``, when
-the caller is not the process's only thread (a threaded process is never
-forked, and a pool already in a call is busy: serial), when a request
-does not pickle, or after quarantine.
+into ``min(width(sum(work)), len(items))`` slices and runs
+``fn(items, *args)`` as is — the code path of a host with one CPU — when
+that is under two, when the platform has no ``fork``, when the caller is
+not the process's only thread (a threaded process is never forked, and a
+pool already in a call is busy: serial), when a request does not pickle,
+or after quarantine.  The caller picks the axis by ``width`` too.
 
 **Protocol.**  A rank is forked at the first call that wants it, with a
 pipe each way, and serves ``pickle`` frames until it reads EOF — which
 the caller's exit, however it happens, delivers; a rank holds no other
 rank's pipe ends, so none keeps another alive.  Request:
-``(fn, items[a:b], args)``; reply: the ``list`` of ``b - a`` results.
-Persistent ranks over fork-per-call and pipes over shared memory are the
-measured choices (docs/ARCHITECTURE.md section 11).
+``(fn, items[a:b], args)``; reply: ``b - a`` results of the kind the
+caller's own slice returned (docs/ARCHITECTURE.md section 11 has the
+measured choices).
 
 **Failure semantics.**  A rank that is dead, hangs up, or answers with
-anything but a list of the slice's length is a *fault*: the rank is
-killed and reaped, its slice — and nothing else — is recomputed inline
-(same bits: same function, same items), and the next call forks a
-replacement.  Three consecutive faults quarantine the pool to serial for
-the rest of the process.  An exception raised *by* ``fn`` in a rank
-travels the same road, so the caller meets it where a serial run would:
-in its own call of ``fn`` on that slice.  Every item reaches exactly one
-result.
+anything else is a *fault*: the rank is killed and reaped, its slice —
+and nothing else — is recomputed inline (same bits: same function, same
+items), and the next call forks a replacement.  Three consecutive faults
+quarantine the pool to serial for the rest of the process.  An exception
+raised *by* ``fn`` in a rank travels the same road, so the caller meets
+it where a serial run would.  Every item reaches exactly one result.
 """
 
 from __future__ import annotations
@@ -50,9 +47,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import BinaryIO, Callable, NamedTuple, Sequence
 
-from repro.parallel.executor import usable_cpus
+import numpy as np
 
-__all__ = ["POOL", "WORK_FLOOR", "RankPool", "RankStats", "split_bounds"]
+__all__ = ["POOL", "WORK_FLOOR", "RankPool", "RankStats", "split_bounds", "usable_cpus"]
 
 #: Smallest priced work of a slice — in the unit ``gather``'s callers
 #: price in, the plan's in-window (level, bin) pairs — worth a hand-off.
@@ -67,6 +64,16 @@ WORK_FLOOR = 100_000
 _MAX_STRIKES = 3
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the platform
+    has one — ``taskset`` and a container's cpuset shrink it,
+    ``os.cpu_count()`` ignores both."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass
 class RankStats:
     """Monotonic counters of one :class:`RankPool`."""
@@ -77,8 +84,9 @@ class RankStats:
     slices: int = 0
     #: Slices a rank failed to answer.
     faults: int = 0
-    #: Items of those slices, recomputed by the caller.
-    reissued_points: int = 0
+    #: Items of those slices — points or bins, whichever axis was cut —
+    #: recomputed by the caller.
+    reissued_items: int = 0
 
 
 class _Rank(NamedTuple):
@@ -118,7 +126,7 @@ def _serve(rx: BinaryIO, tx: BinaryIO) -> None:
 
 
 class RankPool:
-    """Persistent forked ranks serving slices of one caller's point lists."""
+    """Persistent forked ranks serving slices of one caller's axis."""
 
     def __init__(self) -> None:
         self.stats = RankStats()
@@ -128,14 +136,22 @@ class RankPool:
         self._strikes = 0
         self._busy = threading.Lock()
 
+    def width(self, work: int) -> int:
+        """Slices a call of ``work`` priced in all is worth, by what can
+        be observed now (at most one per usable CPU)."""
+        if self.quarantined or not hasattr(os, "fork") or threading.active_count() != 1:
+            return 1
+        return max(1, min(usable_cpus(), int(work) // WORK_FLOOR))
+
     def gather(
-        self, fn: Callable[..., list], items: Sequence, work: Sequence[int], *args: object
-    ) -> list:
+        self, fn: Callable[..., Sequence], items: Sequence, work: Sequence[int], *args: object
+    ) -> Sequence:
         """``fn(items, *args)``, computed as slices on the caller and the
         ranks.  ``work[j]`` prices ``items[j]``; ``fn`` and ``args`` must
-        pickle, and ``fn`` must return one result per item, each a
-        function of its own item alone."""
-        n = self._width(work)
+        pickle, and ``fn`` must return one result per item — a list, or an
+        array whose first axis is the items — each a function of its own
+        item alone."""
+        n = min(self.width(sum(work)), len(work))
         if n < 2 or not self._busy.acquire(blocking=False):
             return fn(items, *args)
         try:
@@ -160,13 +176,6 @@ class RankPool:
             self._discard(rank)
 
     # ------------------------------------------------------------------
-    def _width(self, work: Sequence[int]) -> int:
-        """Slices this call is worth, by what can be observed now."""
-        if self.quarantined or len(work) < 2 or not hasattr(os, "fork"):
-            return 1
-        n = min(usable_cpus(), len(work), int(sum(work)) // WORK_FLOOR)
-        return n if n >= 2 and threading.active_count() == 1 else 1
-
     def _fill(self, want: int) -> int:
         """Fork up to ``want`` ranks; how many there are."""
         while len(self._ranks) < want and not self.quarantined:
@@ -212,36 +221,38 @@ class RankPool:
 
     def _scatter(
         self,
-        fn: Callable[..., list],
+        fn: Callable[..., Sequence],
         items: Sequence,
         args: tuple,
         bounds: list[int],
         requests: list[bytes],
-    ) -> list:
+    ) -> Sequence:
         """Slice ``k >= 1`` to rank ``k - 1``, slice 0 here, then the
         replies in order — or the slice again, here, where there is none."""
         ranks = self._ranks[: len(requests)]
         try:
             sent = [self._send(rank, request) for rank, request in zip(ranks, requests)]
-            out = list(fn(items[: bounds[1]], *args))
+            parts = [fn(items[: bounds[1]], *args)]
             for rank, a, b, ok in zip(ranks, bounds[1:], bounds[2:], sent):
-                part = self._receive(rank, b - a) if ok else None
+                part = self._receive(rank, parts[0], b - a) if ok else None
                 if part is None:
                     self._discard(rank)
                     self.stats.faults += 1
-                    self.stats.reissued_points += b - a
+                    self.stats.reissued_items += b - a
                     self._strike()
                     part = fn(items[a:b], *args)
                 else:
                     self._strikes = 0
-                out.extend(part)
-            return out
+                parts.append(part)
         except BaseException:
             # A reply may still be in flight; a rank that kept it would
             # answer the next call with it.
             for rank in ranks:
                 self._discard(rank)
             raise
+        if isinstance(parts[0], np.ndarray):
+            return np.concatenate(parts)
+        return [result for part in parts for result in part]
 
     def _send(self, rank: _Rank, request: bytes) -> bool:
         self.stats.slices += 1
@@ -253,14 +264,18 @@ class RankPool:
         return True
 
     @staticmethod
-    def _receive(rank: _Rank, n: int) -> list | None:
+    def _receive(rank: _Rank, own: Sequence, n: int) -> Sequence | None:
+        """The rank's reply if it is ``n`` results of the kind ``own``
+        (the caller's slice) holds, else ``None``."""
         try:
             reply = pickle.load(rank.rx)
         except Exception:
             # EOF, a frame cut short, bytes that are no pickle: whatever
             # the damage, there is no reply, and the fault is counted.
             return None
-        return reply if isinstance(reply, list) and len(reply) == n else None
+        kind = (type(own), getattr(own, "shape", ())[1:])
+        fits = (type(reply), getattr(reply, "shape", ())[1:]) == kind and len(reply) == n
+        return reply if fits else None
 
     def _strike(self) -> None:
         self._strikes += 1

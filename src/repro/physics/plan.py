@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
@@ -323,7 +323,7 @@ class SpectrumPlan:
         self, point: "GridPointLike", abundances: AbundanceSet = SOLAR
     ) -> MegabatchResult:
         """One fused launch: the grid point's full RRC spectrum + stats."""
-        return self._execute_slice([point], abundances)[0]
+        return self.execute_many([point], abundances)[0]
 
     def execute_many(
         self,
@@ -333,23 +333,38 @@ class SpectrumPlan:
         """Execute the plan at N grid points with shared launch setup.
 
         Row ``j`` is bit-identical to ``execute(points[j])`` for any
-        batch composition and order (the kernels' level order and
-        per-pair arithmetic never depend on the batch), so the point
-        axis is free to be cut: the points go to
-        :data:`repro.parallel.ranks.POOL` priced by their in-window
-        pairs, which runs contiguous slices on this process and its
-        ranks and returns the rows in input order — or, on a host, a
-        caller or a batch it is not worth it for, runs the one slice
-        here.
+        batch composition and order, and a bin's value to the same bin of
+        any contiguous run of bins (:mod:`repro.physics.rrc_kernel`), so
+        either axis is free to be cut.  The call goes to
+        :data:`repro.parallel.ranks.POOL`, priced by in-window pairs: cut
+        on the points when there are at least as many as the pool would
+        make slices, else on the bins of every point — or, on a host, a
+        caller or a call it is not worth it for, run here in one piece.
         """
         points = list(points)
-        if self.n_levels == 0 or len(points) < 2:
-            return self._execute_slice(points, abundances)
+        if not points:
+            return []
         work = [
             int((cutoff - first).sum())
             for first, cutoff in (self.windows(float(p.kt_kev)) for p in points)
         ]
-        return POOL.gather(self._execute_slice, points, work, abundances)
+        if len(points) >= POOL.width(sum(work)):
+            return POOL.gather(self._execute_slice, points, work, abundances)
+        launch, n_bins = self._launch(points, abundances), self.grid.n_bins
+        marks = len(points) * np.bincount(launch[4], minlength=n_bins + 1)
+        marks -= np.bincount(launch[5].ravel(), minlength=n_bins + 1)
+        rows = POOL.gather(_bin_rows, range(n_bins), np.cumsum(marks[:-1]).tolist(), *launch)
+        stats = rule_rrc(*launch, bins=range(0))  # no bin, the whole windows' counts
+        return [replace(s, values=v) for s, v in zip(stats, np.ascontiguousarray(rows.T))]
+
+    def _launch(self, points: list["GridPointLike"], abundances: AbundanceSet) -> tuple:
+        """:func:`repro.physics.rrc_kernel.rule_rrc`'s arguments for these
+        points: every level, the windows and flat constants per point."""
+        kts = np.array([float(point.kt_kev) for point in points])
+        cutoffs = np.stack([self.windows(kt)[1] for kt in kts])
+        c_l = np.stack([self.flat_constants(p, abundances) for p in points])
+        rule = (self.key.method, self.key.order)
+        return self.grid, rule, self.key.gaunt, self.energy_kev, self._first, cutoffs, c_l, kts
 
     def _execute_slice(
         self, points: list["GridPointLike"], abundances: AbundanceSet
@@ -358,21 +373,13 @@ class SpectrumPlan:
         :func:`repro.physics.rrc_kernel.rule_rrc` over the whole
         temperature axis, each level block's temperature-independent
         factors evaluated once per batch."""
-        if self.n_levels == 0:
-            return [
-                MegabatchResult(np.zeros(self.grid.n_bins), 0, 0, 0, 0)
-                for _ in points
-            ]
-        if not points:
-            return []
-        kts = np.array([float(point.kt_kev) for point in points])
-        windows = [self.windows(kt) for kt in kts]
-        c_l = np.stack([self.flat_constants(p, abundances) for p in points])
-        return rule_rrc(
-            self.grid, (self.key.method, self.key.order), self.key.gaunt,
-            self.energy_kev, windows[0][0],
-            np.stack([cutoff for _, cutoff in windows]), c_l, kts,
-        )
+        return rule_rrc(*self._launch(points, abundances))
+
+
+def _bin_rows(bins: range, *launch: object) -> np.ndarray:
+    """``rule_rrc(*launch)`` on ``bins``, one row per bin holding every
+    temperature's value: the bin axis as the rank pool cuts and joins it."""
+    return np.stack([result.values for result in rule_rrc(*launch, bins=bins)], axis=1)
 
 
 class GridPointLike:

@@ -65,6 +65,19 @@ temporaries, on which every operation is element-wise or reduces a
 pair's own cells.  Order and arithmetic depend on the grid and the
 levels only — never on which temperatures share a batch — so a batch's
 row ``j`` is bit-identical to evaluating temperature ``j`` alone.
+
+A bin's value is a left fold over levels that no other bin reads, so a
+call may also compute any contiguous run of bins (``bins``) and the runs
+of a cut joined are the whole call, bit for bit, given three invariants:
+
+1. levels are ordered by their **unclipped** first full bin and only
+   then clipped to the run, so every bin sees the same levels in the
+   same order;
+2. moment-table columns are cut from the memoized whole-grid
+   ``moments(kT)``;
+3. edge-bin values come from **one** ``y @ w`` GEMV over every edge
+   level, of which the run keeps its own rows: BLAS rounds a row
+   differently with different rows beside it.
 """
 
 from __future__ import annotations
@@ -191,6 +204,7 @@ def rule_rrc(
     cutoffs: np.ndarray,
     c_l: np.ndarray,
     kts: np.ndarray,
+    bins: range | None = None,
 ) -> list[MegabatchResult]:
     """Window integrals of ``n >= 1`` levels at ``T`` temperatures by
     ``linear_rule(*rule)``.
@@ -200,11 +214,13 @@ def rule_rrc(
     are ``(T, n)``, ``kts`` is ``(T,)``.  Level ``l`` is integrated over
     bins ``first[l] <= b < cutoffs[j, l]`` from ``max(E_b, I_l)`` up.
 
-    Returns one :class:`MegabatchResult` per temperature: ``n_pairs`` is
-    the in-window (level, bin) pair count and ``n_passes`` the logical
+    Returns one :class:`MegabatchResult` per temperature, its values on
+    ``bins`` (a contiguous ``range``; every bin by default): ``n_pairs``
+    is the in-window (level, bin) pair count and ``n_passes`` the logical
     launches a device would issue — one for the edge bins, one for the
     shared node weights, one per memory-bounded chunk of full-bin pairs —
-    not the host's blocks.
+    not the host's blocks.  Both count the whole windows whatever
+    ``bins`` keeps, so a cut call's statistics are any one run's.
     """
     limit = _MAX_NODES.bit_length() - 1 if rule[0] == "romberg" else _MAX_NODES
     if rule[1] >= limit:
@@ -216,21 +232,37 @@ def rule_rrc(
             for result in rule_rrc(
                 grid, rule, gaunt, energies, first,
                 *(arr[i : i + _TEMPERATURE_BLOCK] for arr in (cutoffs, c_l, kts)),
+                bins,
             )
         ]
     frac, w, norm = linear_rule(*rule)
-    n_bins, n_pts, n_t = grid.n_bins, frac.size, len(kts)
+    n_bins, n_t = grid.n_bins, len(kts)
+    b0, b1 = (0, n_bins) if bins is None else (bins.start, bins.stop)
     out = [np.zeros(n_bins) for _ in range(n_t)]
 
-    # --- edge bins: the one bin per level split by its recombination
-    # edge is integrated from I_l up on level-specific nodes.  Which
-    # levels have one depends on the grid alone.
+    # The one bin per level split by its recombination edge (which
+    # levels have one depends on the grid alone) and the full bins above.
     edge = np.flatnonzero(
         (first < n_bins) & (grid.lower[np.minimum(first, n_bins - 1)] < energies)
     )
     live_edge = cutoffs[:, edge] > first[edge]
-    if edge.size:
-        b_e = first[edge]
+    start = first.copy()
+    start[edge] += 1
+    n_edge = np.count_nonzero(live_edge, axis=1).tolist()
+    n_full = np.maximum(cutoffs - start, 0).sum(axis=1).tolist()
+    results = []  # values: views of the spectra the passes below fill
+    for j in range(n_t):
+        n_passes = int(n_edge[j] > 0)
+        if n_full[j]:
+            n_passes += 1 + (len(_chunks(n_full[j], frac.size)) if gaunt else 0)
+        results.append(MegabatchResult(out[j][b0:b1], n_passes, n_edge[j] + n_full[j], 0, 0))
+    if b1 <= b0:
+        return results
+
+    # --- edge bins: integrated from I_l up on level-specific nodes.
+    b_e = first[edge]
+    kept = (b0 <= b_e) & (b_e < b1)
+    if kept.any():
         i_e = energies[edge][:, None]
         width_e = grid.upper[b_e][:, None] - i_e
         above = width_e * frac[None, :]
@@ -239,15 +271,15 @@ def rule_rrc(
             y = np.exp(-above / kts[j]) * g_e
             vals = (width_e[:, 0] / norm) * (y @ w) * c_l[j, edge]
             # Several levels can share one edge bin -> unbuffered scatter-add.
-            np.add.at(out[j], b_e[live_edge[j]], vals[live_edge[j]])
+            live = live_edge[j] & kept
+            np.add.at(out[j], b_e[live], vals[live])
 
     # --- full bins: temperature enters through the moment tables and
     # one exp(-(E_b - I_l)/kT) per (level, bin) only.
-    start = first.copy()
-    start[edge] += 1
     order = np.flatnonzero(start < n_bins)
     order = order[np.argsort(start[order], kind="stable")]
-    n_full = np.maximum(cutoffs - start, 0).sum(axis=1)
+    # Sorted unclipped, then clipped to the run: the order of every bin.
+    order = order[(start[order] < b1) & (cutoffs[:, order].max(axis=0) > b0)]
     exp = _expansion_of_edges(grid.edges.tobytes(), rule)
     cells = exp.cells
     tables = [exp.moments(float(kt)) for kt in kts]
@@ -256,13 +288,14 @@ def rule_rrc(
         kappa = np.cbrt(energies)
         coef = c_l * ((_B / _E) * kappa)
         alpha, gamma = (_A / _B) * kappa, (_D / _E) * kappa * kappa
-    starts, cuts = start.tolist(), cutoffs.tolist()
-    per_block = max(1, _BLOCK_ELEMENTS // (n_bins * cells))
+    clipped = np.minimum(cutoffs, b1)
+    starts, cuts = np.maximum(start, b0).tolist(), clipped.tolist()
+    per_block = max(1, _BLOCK_ELEMENTS // ((b1 - b0) * cells))
     for i in range(0, order.size, per_block):
         rows = order[i : i + per_block]
         levels = rows.tolist()
         lo = starts[levels[0]]
-        hi_of = cutoffs[:, rows].max(axis=1).tolist()
+        hi_of = clipped[:, rows].max(axis=1).tolist()
         hi = max(hi_of)
         if hi <= lo:
             continue
@@ -297,14 +330,4 @@ def rule_rrc(
             for k, l in enumerate(levels):
                 if cuts[j][l] > starts[l]:
                     out[j][starts[l] : cuts[j][l]] += pair[k, starts[l] - lo : cuts[j][l] - lo]
-
-    results = []
-    for j in range(n_t):
-        n_edge = int(np.count_nonzero(live_edge[j]))
-        n_passes = int(n_edge > 0)
-        if n_full[j]:
-            n_passes += 1 + (len(_chunks(int(n_full[j]), n_pts)) if gaunt else 0)
-        results.append(
-            MegabatchResult(out[j], n_passes, n_edge + int(n_full[j]), 0, 0)
-        )
     return results

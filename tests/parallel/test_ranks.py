@@ -1,4 +1,5 @@
-"""The rank pool: input order, selection by observation, failure semantics.
+"""The rank pool: input order on either axis, selection by observation,
+failure semantics, and the CPU count it sizes itself by.
 
 Every pool here is private to its test and closed after it; the faults
 are injected by functions that misbehave only when they find themselves
@@ -16,6 +17,7 @@ import threading
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,16 @@ def _pid_of(items):
     return [os.getpid() for _ in items]
 
 
+def _rows_of(bins, offset=0):
+    """The bin axis's kind of result: one array row per item of a range."""
+    return np.array([[b, b * b + offset] for b in bins], dtype=float).reshape(-1, 2)
+
+
+def _wide_rows_in_rank(bins, caller):
+    rows = _rows_of(bins)
+    return rows if os.getpid() == caller else np.hstack([rows, rows])
+
+
 def _truncating_serve(rx, tx):
     """A rank that answers its first request with half a frame and dies."""
     fn, items, args = pickle.load(rx)
@@ -99,6 +111,32 @@ def _alive(pid: int) -> bool:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+class TestUsableCpus:
+    """``usable_cpus``: the CPU count the rank pool sizes itself by."""
+
+    def test_counts_the_affinity_mask_not_the_machine(self):
+        assert 1 <= ranks.usable_cpus() <= (os.cpu_count() or 1)
+
+    def test_pinned_process_gets_one_job(self):
+        # In a subprocess: the mask is process state the suite shares.
+        script = (
+            "import os;"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});"
+            "from repro.parallel import usable_cpus;"
+            "print(usable_cpus())"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.stdout.split() == ["1"], done.stderr
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert ranks.usable_cpus() == (os.cpu_count() or 1)
 
 
 class TestSplitBounds:
@@ -141,6 +179,11 @@ class TestGather:
         second = pool.gather(_pid_of, [4, 5, 6], [HEAVY] * 3)
         assert first == second and pool.stats.forks == 2
         assert pool.stats.slices == 4
+
+    def test_a_range_of_bins_joins_as_one_array(self, pool):
+        got = pool.gather(_rows_of, range(7), [HEAVY] * 7, 5)
+        np.testing.assert_array_equal(got, _rows_of(range(7), 5))
+        assert pool.stats.forks == 2 and pool.stats.slices == 2
 
     def test_no_more_slices_than_items(self, pool):
         assert pool.gather(_squares, [4, 5], [HEAVY] * 2) == [16, 25]
@@ -248,12 +291,18 @@ class TestFaults:
         got = pool.gather(fn, self.ITEMS, self.WORK, os.getpid())
         assert got == _squares(self.ITEMS)
         assert pool.stats.faults == 1 and pool.stats.forks == 1
-        assert pool.stats.reissued_points == 3  # the rank's half, no more
+        assert pool.stats.reissued_items == 3  # the rank's half, no more
         assert not pool.quarantined and pool._ranks == []
         # The next call is served by a fresh rank.
         pids = pool.gather(_pid_of, self.ITEMS, self.WORK)
         assert pool.stats.forks == 2 and pool.stats.faults == 1
-        assert len(set(pids)) == 2 and pool.stats.reissued_points == 3
+        assert len(set(pids)) == 2 and pool.stats.reissued_items == 3
+
+    def test_array_reply_of_the_wrong_shape(self, pool, monkeypatch):
+        monkeypatch.setattr(ranks, "usable_cpus", lambda: 2)
+        got = pool.gather(_wide_rows_in_rank, range(6), self.WORK, os.getpid())
+        np.testing.assert_array_equal(got, _rows_of(range(6)))
+        assert pool.stats.faults == 1 and pool.stats.reissued_items == 3
 
     def test_killed_rank_is_reaped(self, pool, monkeypatch):
         monkeypatch.setattr(ranks, "usable_cpus", lambda: 2)
@@ -267,13 +316,13 @@ class TestFaults:
         # Three slices, two ranks, both die: slice 0 is computed once.
         got = pool.gather(_killed_in_rank, self.ITEMS, self.WORK, os.getpid())
         assert got == _squares(self.ITEMS)
-        assert pool.stats.faults == 2 and pool.stats.reissued_points == 4
+        assert pool.stats.faults == 2 and pool.stats.reissued_items == 4
 
     def test_truncated_reply(self, pool, monkeypatch):
         monkeypatch.setattr(ranks, "usable_cpus", lambda: 2)
         monkeypatch.setattr(ranks, "_serve", _truncating_serve)
         assert pool.gather(_squares, self.ITEMS, self.WORK) == _squares(self.ITEMS)
-        assert pool.stats.faults == 1 and pool.stats.reissued_points == 3
+        assert pool.stats.faults == 1 and pool.stats.reissued_items == 3
         monkeypatch.undo()
         monkeypatch.setattr(ranks, "usable_cpus", lambda: 2)
         assert pool.gather(_squares, self.ITEMS, self.WORK) == _squares(self.ITEMS)
@@ -286,7 +335,7 @@ class TestFaults:
         os.kill(rank.pid, signal.SIGKILL)
         os.waitpid(rank.pid, 0)
         assert pool.gather(_squares, self.ITEMS, self.WORK) == _squares(self.ITEMS)
-        assert pool.stats.faults == 1 and pool.stats.reissued_points == 3
+        assert pool.stats.faults == 1 and pool.stats.reissued_items == 3
 
     def test_three_consecutive_faults_quarantine_the_pool(self, pool, monkeypatch):
         monkeypatch.setattr(ranks, "usable_cpus", lambda: 2)

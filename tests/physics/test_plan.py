@@ -13,11 +13,13 @@ Pinned promises:
    misses, an order another method reads does not, and a temperature
    change never recompiles (plans are T-independent).
 4. ``execute_many`` over the rank pool returns, for any points and any
-   number of slices, the rows and statistics of per-point ``execute`` —
-   also when a rank dies under its slice.
+   number of slices — of the points, or of the bins when there are fewer
+   points than slices — the rows and statistics of the serial call, also
+   when a rank dies under its slice.
 """
 
 import contextlib
+import functools
 import hashlib
 import os
 import pickle
@@ -251,9 +253,10 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 @needs_fork
 class TestPointAxisAcrossRanks:
-    """The pool is made eligible by patching what it observes — CPUs and
-    the work floor (the tiny grid is far under the real one) — never by
-    an argument: there is none."""
+    """Points, or one point's bins, across ranks.  The pool is made
+    eligible by patching what it observes — CPUs and the work floor (the
+    tiny grid is far under the real one) — never by an argument: there is
+    none."""
 
     TEMPERATURES = (2.0e6, 4.0e6, 1.0e7, 1.0e7, 2.5e7, 5.0e7)
 
@@ -296,7 +299,9 @@ class TestPointAxisAcrossRanks:
         before = pool.stats.slices
         with self._observing(pool, cpus):
             many = plan.execute_many(points)
-        assert pool.stats.slices - before == max(0, min(cpus, len(points)) - 1)
+        # One slice per CPU: of the points when there are enough of them,
+        # else of the bins (16 here) of every point.
+        assert pool.stats.slices - before == (cpus - 1 if points else 0)
         assert pool.stats.faults == 0
         assert len(many) == len(points)
         for point, row in zip(points, many):
@@ -304,15 +309,22 @@ class TestPointAxisAcrossRanks:
             np.testing.assert_array_equal(row.values, single.values)
             assert (row.n_pairs, row.n_passes) == (single.n_pairs, single.n_passes)
 
-    def test_one_point_never_reaches_the_pool(self, db, coarse, cache):
-        pool = ranks.RankPool()
-        plan = _get(cache, db, coarse)
+    def test_one_point_reaches_the_pool_on_bins(self, db, coarse, cache):
+        plan = _get(cache, db, coarse, tail_tol=0.0)
         point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
-        with self._observing(pool, 4):
-            plan.execute(point)
-            plan.execute_many([point])
-            plan.execute_many([])
-        assert pool.stats.forks == 0 and pool.stats.slices == 0
+        serial = plan.execute(point)
+        pool = ranks.RankPool()
+        try:
+            with self._observing(pool, 4):
+                rows = [plan.execute(point), plan.execute_many([point])[0]]
+                assert plan.execute_many([]) == []
+        finally:
+            pool.close()
+        assert pool.stats.forks == 3 and pool.stats.slices == 6
+        for row in rows:
+            np.testing.assert_array_equal(row.values, serial.values)
+            assert row.values.flags.c_contiguous
+            assert (row.n_pairs, row.n_passes) == (serial.n_pairs, serial.n_passes)
 
     def test_tiny_grids_stay_under_the_real_floor(self, db, grid):
         # What keeps the hypothesis suites of tier-1 on the serial path.
@@ -324,34 +336,48 @@ class TestPointAxisAcrossRanks:
         assert pool.stats.forks == 0
 
     def test_rank_killed_under_its_slice(self, db, coarse, cache, monkeypatch):
+        """Six points cut on the points, then one cut on its bins: each
+        time the rank's slice is recomputed here, with the same bits, and
+        the next call forks a replacement."""
         plan = _get(cache, db, coarse)
-        points = [GridPoint(temperature_k=t, ne_cm3=1.0) for t in self.TEMPERATURES]
-        serial = [plan.execute(p) for p in points]
-        work = [int((c - f).sum()) for f, c in (plan.windows(p.kt_kev) for p in points)]
-        lost = len(points) - ranks.split_bounds(work, 2)[1]
-        caller, real = os.getpid(), SpectrumPlan._execute_slice
+        six = [GridPoint(temperature_k=t, ne_cm3=1.0) for t in self.TEMPERATURES]
+        work = [int((c - f).sum()) for f, c in (plan.windows(p.kt_kev) for p in six)]
+        first, cutoff = plan.windows(six[2].kt_kev)
+        marks = np.bincount(first, minlength=17) - np.bincount(cutoff, minlength=17)
+        per_bin = np.cumsum(marks[:-1]).tolist()  # in-window pairs of each bin
+        caller = os.getpid()
 
-        def dies_in_rank(self, points, abundances):
-            if os.getpid() != caller:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(self, points, abundances)
+        def dies_in_rank(real):
+            @functools.wraps(real)
+            def wrapped(*args, **kwargs):
+                if os.getpid() != caller:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(*args, **kwargs)
+            return wrapped
 
-        pool = ranks.RankPool()
-        try:
-            with self._observing(pool, 2):
-                monkeypatch.setattr(SpectrumPlan, "_execute_slice", dies_in_rank)
-                faulty = plan.execute_many(points)
-                monkeypatch.setattr(SpectrumPlan, "_execute_slice", real)
-                healed = plan.execute_many(points)
-        finally:
-            pool.close()
-        assert pool.stats.faults == 1 and pool.stats.reissued_points == lost
-        assert pool.stats.forks == 2 and pool.stats.slices == 2
-        for rows in (faulty, healed):
-            assert len(rows) == len(points)
-            for row, want in zip(rows, serial):
-                np.testing.assert_array_equal(row.values, want.values)
-                assert (row.n_pairs, row.n_passes) == (want.n_pairs, want.n_passes)
+        cases = [  # (points, what dies in a rank, items of the lost slice)
+            (six, (SpectrumPlan, "_execute_slice"), 6 - ranks.split_bounds(work, 2)[1]),
+            (six[2:3], (plan_module, "rule_rrc"), 16 - ranks.split_bounds(per_bin, 2)[1]),
+        ]
+        for points, (owner, name), lost in cases:
+            serial = [plan.execute(p) for p in points]
+            real = getattr(owner, name)
+            pool = ranks.RankPool()
+            try:
+                with self._observing(pool, 2):
+                    monkeypatch.setattr(owner, name, dies_in_rank(real))
+                    faulty = plan.execute_many(points)
+                    monkeypatch.setattr(owner, name, real)
+                    healed = plan.execute_many(points)
+            finally:
+                pool.close()
+            assert pool.stats.faults == 1 and pool.stats.reissued_items == lost
+            assert pool.stats.forks == 2 and pool.stats.slices == 2
+            for rows in (faulty, healed):
+                assert len(rows) == len(points)
+                for row, want in zip(rows, serial):
+                    np.testing.assert_array_equal(row.values, want.values)
+                    assert (row.n_pairs, row.n_passes) == (want.n_pairs, want.n_passes)
 
     def test_plan_pickles_without_its_memo(self, db, coarse, cache):
         plan = _get(cache, db, coarse)

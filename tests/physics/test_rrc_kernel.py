@@ -16,7 +16,8 @@ Pinned promises:
 5. The expansion about bin centres agrees with the generic kernel on any
    grid — one bin to hundreds, linear and geometric, bins spanning up to
    a factor 100 in energy — at any rule, temperature and window; its
-   centres and order are functions of the edges and the rule alone.
+   centres and order are functions of the edges and the rule alone; any
+   cut of its bins into runs joins to the whole call bit for bit.
 6. The per-temperature moment tables are built once per temperature for
    as many grid points as a node keeps in flight.
 """
@@ -174,7 +175,8 @@ class TestNoMegabyteTemporaries:
 @st.composite
 def kernel_inputs(draw):
     """A grid, a handful of levels with edges below, inside and above it,
-    a rule (method and order) and a temperature."""
+    a rule (method and order), a temperature and the cuts of a bin axis
+    into contiguous runs (empty ones too)."""
     n_bins = draw(st.integers(1, 256))
     e_lo = 10.0 ** draw(st.floats(-2.0, 0.5))
     ratio = draw(st.floats(1.0005, 100.0))  # E_hi / E_lo of the first bin
@@ -198,6 +200,7 @@ def kernel_inputs(draw):
         K_B_KEV * 10.0 ** draw(st.floats(4.0, 9.0)),
         draw(st.booleans()),
         draw(st.sampled_from([0.0, 1.0e-9])),
+        [0, *sorted(draw(st.lists(st.integers(0, n_bins), max_size=4))), n_bins],
     )
 
 
@@ -205,7 +208,10 @@ class TestTheExpansionItself:
     @given(inputs=kernel_inputs())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_generic_kernel_on_any_grid(self, inputs):
-        grid, energies, c_l, rule, kt, gaunt, tail_tol = inputs
+        """... and its runs of bins, joined, are the whole call bit for bit
+        with its statistics (edge bins in a later run than the first are
+        where one GEMV per run would move bits)."""
+        grid, energies, c_l, rule, kt, gaunt, tail_tol, cuts = inputs
         win = level_windows(energies, grid, kt, tail_tol, gaunt=gaunt)
         kernel, knob = GENERIC[rule[0]]
         generic = kernel(
@@ -224,6 +230,15 @@ class TestTheExpansionItself:
         # reaches thousands of kT (1.5e-14 observed below 100 kT).
         budget = 1.0e-12 + 2.0 * np.finfo(float).eps * grid.edges[-1] / kt
         assert np.abs(fast.values - generic.values).max() <= budget * scale
+        runs = [
+            rule_rrc(
+                grid, rule, gaunt, energies, win.first, win.cutoff[None, :],
+                c_l[None, :], np.array([kt]), bins=range(a, b),
+            )[0]
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        np.testing.assert_array_equal(np.concatenate([r.values for r in runs]), fast.values)
+        assert {(r.n_pairs, r.n_passes) for r in runs} == {(fast.n_pairs, fast.n_passes)}
 
     @pytest.mark.parametrize("tail_tol", [1.0e-9, 0.0], ids=["pruned", "dense"])
     def test_rows_bit_identical_on_a_one_centre_grid(self, db, tail_tol):

@@ -13,19 +13,47 @@ Cases: the wall benchmark's 400-bin grid dense at three temperatures,
 its width-4 pruned batch, a 4000-bin linear grid pruned, grids of eight
 bins and of one (one bin spans 0.05-8 keV: the expansion needs many
 centres there), one per-ion oracle call, no Gaunt factor, and 2e4 K.
+
+Every literal is checked on hosts of 1, 2 and 3 CPUs with every plan
+call worth cutting (:func:`cut_like`): a batch of at least as many
+points as CPUs is cut on its points, and every row is also computed on
+its own — one point, cut on its bins.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.physics.plan as plan_module
 from repro.atomic.ions import Ion
 from repro.bench.workloads import small_real_database, small_real_grid
+from repro.parallel import ranks
 from repro.physics.apec import GridPoint, ion_emissivity_batched
 from repro.physics.plan import PlanCache
 from repro.physics.spectrum import EnergyGrid
 
 SAMPLES = 16
 TOLERANCE = 1.0e-13
+
+#: CPUs of the hosts the literals are checked on.
+HOSTS = (1, 2, 3)
+
+
+@contextlib.contextmanager
+def cut_like(cpus: int):
+    """Plan calls as a host of ``cpus`` CPUs cuts them with a work floor
+    of one pair, on a private pool closed after (no fault allowed)."""
+    pool = ranks.RankPool()
+    try:
+        with mock.patch.object(plan_module, "POOL", pool), \
+                mock.patch.object(ranks, "usable_cpus", lambda: cpus), \
+                mock.patch.object(ranks, "WORK_FLOOR", 1):
+            yield
+    finally:
+        pool.close()
+    assert pool.stats.faults == 0 and pool.quarantined is False
 
 
 def _point(temperature_k: float) -> GridPoint:
@@ -34,7 +62,13 @@ def _point(temperature_k: float) -> GridPoint:
 
 def _plan_rows(grid: EnergyGrid, temperatures, **knobs) -> list[np.ndarray]:
     plan = PlanCache().get(small_real_database(), grid, method="simpson", **knobs)
-    return [r.values for r in plan.execute_many([_point(t) for t in temperatures])]
+    points = [_point(t) for t in temperatures]
+    rows = plan.execute_many(points)
+    for point, row in zip(points, rows):
+        alone = plan.execute(point)
+        np.testing.assert_array_equal(alone.values, row.values)
+        assert (alone.n_pairs, alone.n_passes) == (row.n_pairs, row.n_passes)
+    return [r.values for r in rows]
 
 
 def _per_ion(temperature_k: float) -> list[np.ndarray]:
@@ -191,11 +225,24 @@ GOLDEN: dict[str, list[tuple[str, list[str]]]] = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_the_parent_commit(case):
-    spectra = CASES[case]()
-    assert len(spectra) == len(GOLDEN[case])
-    for values, (peak_hex, bins_hex) in zip(spectra, GOLDEN[case]):
-        peak = float.fromhex(peak_hex)
-        want = np.array([float.fromhex(h) for h in bins_hex])
-        assert peak > 0.0
-        assert abs(float(values.max()) - peak) <= TOLERANCE * peak
-        assert np.abs(sampled(values) - want).max() <= TOLERANCE * peak
+    for cpus in HOSTS:
+        with cut_like(cpus):
+            spectra = CASES[case]()
+        assert len(spectra) == len(GOLDEN[case])
+        for values, (peak_hex, bins_hex) in zip(spectra, GOLDEN[case]):
+            peak = float.fromhex(peak_hex)
+            want = np.array([float.fromhex(h) for h in bins_hex])
+            assert peak > 0.0
+            assert abs(float(values.max()) - peak) <= TOLERANCE * peak
+            assert np.abs(sampled(values) - want).max() <= TOLERANCE * peak
+
+
+def test_a_point_cut_on_its_bins_keeps_the_serial_statistics():
+    """Statistics count the whole windows once, never summed over runs."""
+    plan = PlanCache().get(small_real_database(), small_real_grid(400), method="simpson")
+    got = []
+    for cpus in HOSTS:
+        with cut_like(cpus):
+            result = plan.execute(_point(1.0e7))
+        got.append((result.values.tobytes(), result.n_pairs, result.n_passes))
+    assert got[0][1] > 0 and len(set(got)) == 1

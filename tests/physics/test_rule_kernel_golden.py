@@ -22,6 +22,10 @@ as hex floats.  A plan must agree within ``1e-12 + 2 eps E_max / kT`` of
 the peak — the generic kernel rounds ``E`` before it subtracts ``I_l``,
 so its own exponent carries ``eps E / kT``
 (``test_rrc_kernel.py::test_matches_the_generic_kernel_on_any_grid``).
+
+Both are checked on hosts of 1, 2 and 3 CPUs with every plan call worth
+cutting (``test_rrc_kernel_golden.cut_like``): every single-point call is
+then cut on its bins, and a batch as wide as the host on its points.
 """
 
 import hashlib
@@ -34,7 +38,7 @@ from repro.physics.apec import GridPoint
 from repro.physics.plan import PlanCache
 from repro.physics.spectrum import EnergyGrid
 from tests.physics.test_rrc_kernel_golden import CASES as SIMPSON_CASES
-from tests.physics.test_rrc_kernel_golden import sampled
+from tests.physics.test_rrc_kernel_golden import HOSTS, cut_like, sampled
 
 TEMPERATURES = (2.0e4, 2.0e6, 5.0e7)
 RULES = {
@@ -610,21 +614,25 @@ GENERIC: dict[str, list[tuple[str, list[str]]]] = {
 
 @pytest.mark.parametrize("case", sorted(SIMPSON_CASES))
 def test_simpson_keeps_its_bits(case):
-    got = [hashlib.sha1(v.tobytes()).hexdigest() for v in SIMPSON_CASES[case]()]
-    assert got == SIMPSON_SHA1[case]
+    for cpus in HOSTS:
+        with cut_like(cpus):
+            got = [hashlib.sha1(v.tobytes()).hexdigest() for v in SIMPSON_CASES[case]()]
+        assert got == SIMPSON_SHA1[case]
 
 
 @pytest.mark.parametrize("case", RULE_CASES)
 def test_rule_matches_the_parents_generic_path(case):
-    grid, spectra = rule_spectra(case)
-    assert len(spectra) == len(GENERIC[case])
-    for temperature_k, values, (peak_hex, bins_hex) in zip(
-        TEMPERATURES, spectra, GENERIC[case]
-    ):
-        kt = GridPoint(temperature_k=temperature_k, ne_cm3=1.0).kt_kev
-        budget = 1.0e-12 + 2.0 * np.finfo(float).eps * grid.edges[-1] / kt
-        peak = float.fromhex(peak_hex)
-        want = np.array([float.fromhex(h) for h in bins_hex])
-        assert peak > 0.0
-        assert abs(float(values.max()) - peak) <= budget * peak
-        assert np.abs(sampled(values) - want).max() <= budget * peak
+    for cpus in HOSTS:
+        with cut_like(cpus):
+            grid, spectra = rule_spectra(case)
+        assert len(spectra) == len(GENERIC[case])
+        for temperature_k, values, (peak_hex, bins_hex) in zip(
+            TEMPERATURES, spectra, GENERIC[case]
+        ):
+            kt = GridPoint(temperature_k=temperature_k, ne_cm3=1.0).kt_kev
+            budget = 1.0e-12 + 2.0 * np.finfo(float).eps * grid.edges[-1] / kt
+            peak = float.fromhex(peak_hex)
+            want = np.array([float.fromhex(h) for h in bins_hex])
+            assert peak > 0.0
+            assert abs(float(values.max()) - peak) <= budget * peak
+            assert np.abs(sampled(values) - want).max() <= budget * peak
