@@ -162,7 +162,7 @@ class TestCommands:
         assert validate_chrome_trace(doc) == []
         families = parse_exposition(prom.read_text())
         assert "repro_requests_total" in families
-        assert "repro_cache_hit_ratio" in families
+        assert "repro_spectrum_cache_hit_ratio" in families
 
     def test_submit_second_call_cached(self, capsys):
         import json
