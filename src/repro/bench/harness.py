@@ -676,7 +676,7 @@ def _case_predictive_scheduling(quick: bool, seed: int) -> dict:
     )
     t0 = time.perf_counter()
     depth = HybridRunner(HybridConfig(scheduler_kind="shared", **base)).run(tasks)
-    model = SpanCostModel.seeded_from_counters(TESLA_C2075)
+    model = SpanCostModel.from_spec(TESLA_C2075)
     HybridRunner(
         HybridConfig(scheduler_kind="predictive", **base), span_cost_model=model
     ).run(tasks)

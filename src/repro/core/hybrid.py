@@ -324,9 +324,7 @@ class HybridRunner:
             if self.span_cost_model is None:
                 from repro.obs.attribution import CostModel as SpanCostModel
 
-                self.span_cost_model = SpanCostModel.seeded_from_counters(
-                    cfg.device
-                )
+                self.span_cost_model = SpanCostModel.from_spec(cfg.device)
             dispatch = _PredictiveDispatch(
                 clock, sched, gpus, bus, self.span_cost_model,
                 steal=cfg.steal,

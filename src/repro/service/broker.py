@@ -295,7 +295,7 @@ class SpectrumBroker:
         if cost_model is None and (
             self.tracer.enabled or config.hybrid.scheduler_kind == "predictive"
         ):
-            cost_model = SpanCostModel.seeded_from_counters(config.hybrid.device)
+            cost_model = SpanCostModel.from_spec(config.hybrid.device)
         self.cost_model: Optional[SpanCostModel] = cost_model
         self._registry = None  # built by the first registry() call
         self._lattice: Optional[LatticeStore] = None  # built by _open_lattice()
