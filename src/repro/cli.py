@@ -592,10 +592,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         GridPoint(temperature_k=args.temperature, ne_cm3=args.density)
     ).normalized()
     if tracer is not None:
-        tracer.complete(
+        tracer.span(
             tracer.track("spectrum", "apec"),
             "apec.compute",
             t0,
+            tracer.now,
             cat="compute",
             args={
                 "temperature_k": args.temperature,

@@ -66,7 +66,7 @@ class MultiNodeResult:
     node_results: list[RunResult]
     comm_s: float
     #: Per-node telemetry stores when the run scraped (``node index ->
-    #: store``); feed to :func:`repro.obs.dash.federate` for one
+    #: store``); feed to :func:`repro.obs.federate_stores` for one
     #: cluster dashboard under ``node=`` labels.
     stores: dict | None = None
 
@@ -74,9 +74,9 @@ class MultiNodeResult:
         """Merge the per-node stores under a constant node label."""
         if not self.stores:
             raise ValueError("run() was not asked to scrape telemetry")
-        from repro.obs.dash import federate
+        from repro.obs import federate_stores
 
-        return federate(self.stores, label=label)
+        return federate_stores(self.stores, label=label)
 
     @property
     def slowest_node(self) -> int:

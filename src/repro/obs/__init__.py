@@ -22,15 +22,15 @@ shared virtual clock:
 - :mod:`repro.obs.flight` — the SLO/anomaly-triggered flight recorder
   dumping postmortem bundles (trailing trace window + scraped series +
   cost ledger);
-- :mod:`repro.obs.tsdb` — the in-process ring-buffer time-series store
-  scraping registries on the sim clock (:data:`NULL_TSDB` when off);
+- :mod:`repro.obs.tsdb` — ring-buffer time-series store on the sim clock
+  (:data:`NULL_TSDB` when off) and its federation (:func:`federate_stores`);
 - :mod:`repro.obs.query` — the PromQL-subset query engine over the
   store (``rate``, ``increase``, ``histogram_quantile``, matchers,
   binary ops);
 - :mod:`repro.obs.anomaly` — online EWMA+MAD control bands per series
   emitting :class:`AnomalyEvent` onto the bus;
 - :mod:`repro.obs.dash` — deterministic self-contained HTML dashboards
-  (inline SVG) with SLO/anomaly annotations and store federation.
+  (inline SVG) with SLO/anomaly annotations.
 """
 
 from repro.obs.anomaly import AnomalyDetector, AnomalyEvent
@@ -44,7 +44,7 @@ from repro.obs.attribution import (
     render_cost_report,
 )
 from repro.obs.bus import RunBus, ServiceBus
-from repro.obs.dash import Panel, SERVICE_PANELS, federate, render_dashboard
+from repro.obs.dash import Panel, SERVICE_PANELS, render_dashboard
 from repro.obs.flight import FlightRecorder
 from repro.obs.export import (
     render_gantt,
@@ -76,6 +76,7 @@ from repro.obs.tsdb import (
     NullTimeSeriesStore,
     Series,
     TimeSeriesStore,
+    federate_stores,
 )
 
 __all__ = [
@@ -110,7 +111,7 @@ __all__ = [
     "TimeSeriesStore",
     "Transition",
     "WallClock",
-    "federate",
+    "federate_stores",
     "kernel_root_map",
     "parse_query",
     "render_dashboard",

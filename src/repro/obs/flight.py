@@ -35,7 +35,7 @@ import os
 from types import SimpleNamespace
 from typing import Optional
 
-from repro.obs.export import to_chrome
+from repro.obs.export import write_chrome_trace
 from repro.obs.slo import RuleState, Transition
 
 __all__ = ["FlightRecorder"]
@@ -137,11 +137,8 @@ class FlightRecorder:
         n_events = 0
         if trailing:
             window = SimpleNamespace(tracks=tracer.tracks, events=trailing)
-            rows = to_chrome(window)
-            with open(os.path.join(path, "trace.json"), "w") as fh:
-                json.dump({"traceEvents": rows, "displayTimeUnit": "ms"}, fh)
+            n_events = write_chrome_trace(os.path.join(path, "trace.json"), window)
             files.append("trace.json")
-            n_events = len(rows)
 
         result = (
             self.broker.cost_report()

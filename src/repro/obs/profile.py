@@ -127,13 +127,6 @@ class TrackProfile:
         for root in self.roots:
             yield from root.walk()
 
-    def self_by_category(self) -> dict[str, float]:
-        agg: dict[str, float] = {}
-        for node in self.nodes():
-            key = node.cat or node.name
-            agg[key] = agg.get(key, 0.0) + node.self_s
-        return agg
-
 
 @dataclass
 class DeviceUsage:
@@ -157,18 +150,16 @@ class DeviceUsage:
         return max((b - a for a, b in self.gaps), default=0.0)
 
 
-def _union_within(
-    intervals, lo: float, hi: float
-) -> float:
-    """Total length of the union of ``intervals`` clipped to [lo, hi]."""
-    total = 0.0
-    cursor = lo
+def _union(intervals) -> list[list[float]]:
+    """The union of ``intervals`` as sorted disjoint ``[start, end]`` runs
+    (intervals less than ``_EPS`` apart join one run)."""
+    runs: list[list[float]] = []
     for a, b in sorted(intervals):
-        a, b = max(a, cursor), min(b, hi)
-        if b > a:
-            total += b - a
-            cursor = b
-    return total
+        if runs and a <= runs[-1][1] + _EPS:
+            runs[-1][1] = max(runs[-1][1], b)
+        else:
+            runs.append([a, b])
+    return runs
 
 
 def _build_forest(spans: list[TraceEvent]) -> list[SpanNode]:
@@ -225,22 +216,8 @@ class Profile:
         return (lo, hi)
 
     # ------------------------------------------------------------------
-    # Category roll-ups
+    # Category roll-up
     # ------------------------------------------------------------------
-    def category_table(self) -> list[tuple[str, int, float, float]]:
-        """(category, spans, total_s, self_s) rows, descending total."""
-        agg: dict[str, list[float]] = {}
-        for _track, node in self._all_nodes():
-            key = node.cat or node.name
-            row = agg.setdefault(key, [0, 0.0, 0.0])
-            row[0] += 1
-            row[1] += node.total_s
-            row[2] += node.self_s
-        return sorted(
-            ((k, int(n), t, s) for k, (n, t, s) in agg.items()),
-            key=lambda r: -r[2],
-        )
-
     def top_down(self) -> list[tuple[str, int, float, float]]:
         """Logical top-down table: (category path, spans, total_s, self_s).
 
@@ -287,8 +264,9 @@ class Profile:
                     row = agg.setdefault(paths[id(node)], [0, 0.0, 0.0])
                     row[0] += 1
                     row[1] += node.total_s
-                    covered = _union_within(
-                        child_spans.get(id(node), ()), node.start, node.end
+                    covered = sum(
+                        max(0.0, min(b, node.end) - max(a, node.start))
+                        for a, b in _union(child_spans.get(id(node), ()))
                     )
                     row[2] += node.total_s - covered
         return sorted(
@@ -324,13 +302,7 @@ class Profile:
         for track in self.tracks:
             if not _DEVICE_THREAD.match(track.thread):
                 continue
-            intervals = sorted((r.start, r.end) for r in track.roots)
-            merged: list[list[float]] = []
-            for a, b in intervals:
-                if merged and a <= merged[-1][1] + _EPS:
-                    merged[-1][1] = max(merged[-1][1], b)
-                else:
-                    merged.append([a, b])
+            merged = _union((r.start, r.end) for r in track.roots)
             busy = sum(b - a for a, b in merged)
             gaps: list[tuple[float, float]] = []
             cursor = lo

@@ -299,18 +299,6 @@ class SLOEngine:
     def state(self, name: str) -> str:
         return self._states[name].state
 
-    def firing(self) -> list[str]:
-        """Names of the rules currently firing."""
-        return [r.name for r in self.rules if self._states[r.name].state == RuleState.FIRING]
-
-    def resolved(self) -> list[Transition]:
-        """Every firing -> inactive transition observed so far."""
-        return [
-            tr
-            for tr in self.transitions
-            if tr.frm == RuleState.FIRING and tr.to == RuleState.INACTIVE
-        ]
-
     def report(self) -> str:
         """Text report: one row per rule, then the transition log."""
         if not self.rules:

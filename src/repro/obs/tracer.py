@@ -21,7 +21,7 @@ Two implementations share one duck-typed API:
 
 Event vocabulary (a deliberate subset of the Chrome trace-event model):
 
-- *complete* span — a ``[start, now]`` interval on a track ("X");
+- *complete* span — a ``[start, end]`` interval on a track ("X");
 - *async* span   — begin/end pair matched by id, for request lifetimes
   that overlap freely on one lane track ("b"/"e");
 - *instant*      — a point event (cache hit, placement decision) ("i");
@@ -142,7 +142,7 @@ class NullTracer:
         pass
 
     #: Every emission method of :class:`EventTracer`, eager and row alike.
-    complete = span = instant = async_begin = async_end = counter = _noop
+    span = instant = async_begin = async_end = counter = _noop
     load = task_alloc = device_task = device_phase = task_end = _noop
 
 
@@ -265,14 +265,6 @@ class EventTracer:
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def complete(self, track, name, start, cat="", args=None, id=None, parent=None) -> None:
-        """Close a span opened at virtual time ``start`` on ``track``."""
-        self.log.append(
-            TraceEvent(
-                "X", name, cat, track, start, self._clock.now - start, id, args, parent
-            )
-        )
-
     def span(self, track, name, start, end, cat="", args=None, id=None, parent=None) -> None:
         """Record a span with an explicit ``[start, end]`` interval."""
         self.log.append(

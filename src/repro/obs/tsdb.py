@@ -28,7 +28,7 @@ The query engine (:mod:`repro.obs.query`), anomaly detector
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 __all__ = [
     "NULL_TSDB",
@@ -225,9 +225,9 @@ class TimeSeriesStore:
     sample a registry renders and appends one point per series at the
     scrape time — a sample is resolved to its series the first time it
     is seen and the handle reused afterwards.  ``cadence_s`` throttles
-    :meth:`due`/:meth:`maybe_scrape` so hot paths (the broker's per-batch
-    hook) refresh their registry only when a scrape is actually owed;
-    ``cadence_s=0`` scrapes on every opportunity.
+    :meth:`due` so hot paths (the broker's per-batch hook) refresh their
+    registry only when a scrape is actually owed; ``cadence_s=0`` scrapes
+    on every opportunity.
     """
 
     enabled = True
@@ -294,17 +294,6 @@ class TimeSeriesStore:
         self.families.setdefault(name, kind)
         fresh = Series(name, dict(zip(labelnames, values)), kind, capacity=self.capacity)
         return self._series.setdefault(fresh.key, fresh)
-
-    def maybe_scrape(self, registry_fn: Callable[[], object], now: float) -> bool:
-        """Scrape only when due; ``registry_fn`` is called lazily.
-
-        Off-cadence calls must not pay for bringing a registry up to
-        date, however cheap that is.
-        """
-        if not self.due(now):
-            return False
-        self.scrape(registry_fn(), now)
-        return True
 
     # ------------------------------------------------------------------
     # Access
@@ -397,16 +386,6 @@ class NullTimeSeriesStore:
 
     def scrape(self, registry, now: float) -> int:
         return 0
-
-    def _bind(self, ident: tuple, kind: str) -> Series:
-        """The series a registry sample lands in (adopted or created)."""
-        name, labelnames, values = ident
-        self.families.setdefault(name, kind)
-        fresh = Series(name, dict(zip(labelnames, values)), kind, capacity=self.capacity)
-        return self._series.setdefault(fresh.key, fresh)
-
-    def maybe_scrape(self, registry_fn, now: float) -> bool:
-        return False
 
     def series(self, name=None) -> list:
         return []

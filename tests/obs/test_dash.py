@@ -12,7 +12,7 @@ from repro.obs import (
     SERVICE_PANELS,
     SLOEngine,
     TimeSeriesStore,
-    federate,
+    federate_stores,
     render_dashboard,
 )
 
@@ -117,7 +117,7 @@ class TestRenderer:
 class TestFederatedDashboard:
     def test_node_labels_render(self):
         stores = {str(i): _canned_store() for i in range(3)}
-        fed = federate(stores)
+        fed = federate_stores(stores)
         html = render_dashboard(fed, title="cluster")
         for node in ("0", "1", "2"):
             assert f"node={node}" in html

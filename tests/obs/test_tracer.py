@@ -56,22 +56,6 @@ class TestEventTracer:
         assert t.tracks[a].process == "svc0"
         assert t.tracks[a].thread == "gpu0"
 
-    def test_complete_records_virtual_interval(self):
-        clock = SimClock()
-        t = EventTracer(clock)
-
-        def proc():
-            yield 2.5
-            t.complete(0, "work", 0.5, cat="k")
-
-        clock.spawn(proc())
-        clock.run()
-        (ev,) = t.events
-        assert ev.ph == "X"
-        assert ev.ts == 0.5
-        assert ev.dur == 2.0
-        assert ev.cat == "k"
-
     def test_span_uses_explicit_interval(self):
         t = EventTracer(SimClock())
         t.span(1, "s", 1.0, 4.0)

@@ -1,11 +1,12 @@
 """Time-series store: exact round trips, ring eviction, cadence, federation."""
 
+import inspect
 import json
 import math
 
 import pytest
 
-from repro.obs import MetricsRegistry, NULL_TSDB, Series, TimeSeriesStore
+from repro.obs import MetricsRegistry, NULL_TSDB, NullTimeSeriesStore, Series, TimeSeriesStore
 from repro.obs.tsdb import decode_floats, encode_floats, federate_stores
 
 
@@ -101,16 +102,6 @@ class TestStore:
         assert not store.due(0.0)  # same instant: never
         assert not store.due(0.5)
         assert store.due(1.0)
-        calls = []
-
-        def registry_fn():
-            calls.append(1)
-            return _registry(1.0, 1.0)
-
-        assert not store.maybe_scrape(registry_fn, now=0.5)
-        assert calls == []  # off-cadence must not build the snapshot
-        assert store.maybe_scrape(registry_fn, now=1.5)
-        assert calls == [1]
 
     def test_json_round_trip_is_exact_and_stable(self):
         store = TimeSeriesStore(capacity=64, cadence_s=0.25)
@@ -145,8 +136,21 @@ class TestStore:
         assert not NULL_TSDB.enabled
         assert not NULL_TSDB.due(0.0)
         assert NULL_TSDB.scrape(None, 0.0) == 0
-        assert not NULL_TSDB.maybe_scrape(None, 0.0)
         assert NULL_TSDB.series() == [] and len(NULL_TSDB) == 0
+
+    def test_null_store_methods_are_live_store_methods(self):
+        """Like the null tracer's: every method the null store defines is
+        one of the live store's, and takes a call without raising — so a
+        copy of a live method that reads live-only state cannot hide there."""
+        methods = [
+            (name, fn) for name, fn in vars(NullTimeSeriesStore).items()
+            if inspect.isfunction(fn)
+        ]
+        assert {"due", "scrape", "series"} <= {name for name, _ in methods}
+        for name, fn in methods:
+            assert inspect.isfunction(getattr(TimeSeriesStore, name, None)), name
+            params = list(inspect.signature(fn).parameters.values())[1:]
+            getattr(NULL_TSDB, name)(*[object() for p in params if p.default is p.empty])
 
 
 class TestFederation:
