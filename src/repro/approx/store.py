@@ -297,16 +297,6 @@ class LatticeStore:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def invalidate(self, family_key: Optional[str] = None) -> int:
-        """Drop one family (or all); returns the number dropped."""
-        if family_key is None:
-            n = len(self._lattices)
-            self._lattices.clear()
-        else:
-            n = 1 if self._lattices.pop(family_key, None) is not None else 0
-        self.stats.invalidations += n
-        return n
-
     def _resident(self, request) -> SpectrumLattice:
         """The request family's lattice, building/validating as needed."""
         key = request.family_key

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
-from typing import Callable, Generator, Iterable, Optional, Union
+from typing import Callable, Generator, Optional, Union
 
 __all__ = ["SimClock", "Signal", "Interrupt", "ProcessHandle"]
 
@@ -223,10 +223,3 @@ class SimClock:
             self.now = t
             fn(arg)
         return self.now
-
-    def run_all(self, procs: Iterable[Generator], names: Optional[list[str]] = None) -> float:
-        """Spawn all generators and run to completion; returns makespan."""
-        for i, gen in enumerate(procs):
-            name = names[i] if names else f"proc{i}"
-            self.spawn(gen, name=name)
-        return self.run()

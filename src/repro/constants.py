@@ -62,17 +62,3 @@ def maxwellian_norm(temperature_k: float) -> float:
     """
     kt_erg = K_B_ERG * temperature_k
     return math.sqrt(1.0 / (2.0 * math.pi * ME_G * kt_erg))
-
-
-def wavelength_to_energy_kev(wavelength_angstrom: float) -> float:
-    """Convert photon wavelength in Angstrom to energy in keV."""
-    if wavelength_angstrom <= 0.0:
-        raise ValueError("wavelength must be positive")
-    return HC_KEV_ANGSTROM / wavelength_angstrom
-
-
-def energy_to_wavelength_angstrom(energy_kev: float) -> float:
-    """Convert photon energy in keV to wavelength in Angstrom."""
-    if energy_kev <= 0.0:
-        raise ValueError("energy must be positive")
-    return HC_KEV_ANGSTROM / energy_kev

@@ -120,25 +120,6 @@ class CostModel:
             * self.cpu_fallback_penalty
         )
 
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def serial_point_s(self, n_integrals_point: int, prep_total_s: float) -> float:
-        """Wall time of one grid point in the original serial APEC."""
-        return (
-            self.cpu_task_serial_s(n_integrals_point)
-            + prep_total_s
-            + self.point_overhead_s
-        )
-
-    def mpi_point_s(self, n_integrals_point: int, prep_total_s: float) -> float:
-        """Wall time of one grid point per rank in the pure-MPI version."""
-        return (
-            self.cpu_task_mpi_s(n_integrals_point)
-            + prep_total_s
-            + self.point_overhead_s
-        )
-
     def with_overrides(self, **kwargs: float) -> "CostModel":
         """Calibration helper: replace selected constants."""
         return replace(self, **kwargs)

@@ -46,14 +46,6 @@ class Granularity(enum.Enum):
     LEVEL = "level"
     ELEMENT = "element"
 
-    @property
-    def task_kind(self) -> TaskKind:
-        return {
-            Granularity.ION: TaskKind.ION,
-            Granularity.LEVEL: TaskKind.LEVEL,
-            Granularity.ELEMENT: TaskKind.ELEMENT,
-        }[self]
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:

@@ -147,52 +147,6 @@ class MetricsLedger:
     def on_task_event(self, event: TaskEvent) -> None:
         self.trace.append(event)
 
-    def to_chrome_trace(self) -> list[dict]:
-        """The task timeline as Chrome trace-event JSON objects.
-
-        Load the returned list (``json.dump`` it to a file) in
-        ``chrome://tracing`` or Perfetto: one row per rank, one per GPU,
-        complete ("X") events with microsecond timestamps.
-        """
-        events = []
-        for ev in self.trace:
-            if ev.placement == "gpu":
-                pid, tid = 1, ev.device
-                name = f"task {ev.task_id} (gpu{ev.device})"
-            else:
-                pid, tid = 0, ev.rank
-                name = f"task {ev.task_id} (cpu)"
-            events.append(
-                {
-                    "name": name,
-                    "cat": ev.placement,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ev.start * 1e6,
-                    "dur": ev.duration * 1e6,
-                    "args": {
-                        "rank": ev.rank,
-                        "task_id": ev.task_id,
-                        "wait_s": ev.wait,
-                    },
-                }
-            )
-        return events
-
-    def gantt_rows(self) -> list[tuple[int, str, float, float]]:
-        """(lane, label, start, end) rows for timeline rendering.
-
-        GPU executions get lanes ``n_ranks + device`` so devices and ranks
-        can be plotted on one chart; here lanes are simply rank for CPU
-        rows and 1000 + device for GPU rows.
-        """
-        rows = []
-        for ev in self.trace:
-            lane = 1000 + ev.device if ev.placement == "gpu" else ev.rank
-            rows.append((lane, f"{ev.placement}:{ev.task_id}", ev.start, ev.end))
-        return rows
-
     def finalize(self, now: float) -> None:
         """Close all residency intervals at the end of the run."""
         for d in range(self.n_devices):

@@ -65,23 +65,6 @@ class MultiNodeResult:
     makespan_s: float
     node_results: list[RunResult]
     comm_s: float
-    #: Per-node telemetry stores when the run scraped (``node index ->
-    #: store``); feed to :func:`repro.obs.federate_stores` for one
-    #: cluster dashboard under ``node=`` labels.
-    stores: dict | None = None
-
-    def federated_store(self, label: str = "node"):
-        """Merge the per-node stores under a constant node label."""
-        if not self.stores:
-            raise ValueError("run() was not asked to scrape telemetry")
-        from repro.obs import federate_stores
-
-        return federate_stores(self.stores, label=label)
-
-    @property
-    def slowest_node(self) -> int:
-        times = [r.makespan_s for r in self.node_results]
-        return times.index(max(times))
 
     def imbalance(self) -> float:
         """(max - min) / max node makespan; 0 = perfectly balanced."""
@@ -108,26 +91,12 @@ class MultiNodeRunner:
             parts[task.point_index % self.config.n_nodes].append(task)
         return parts
 
-    def run(
-        self, tasks: list[Task], scrape_cadence_s: float | None = None
-    ) -> MultiNodeResult:
-        """Run the cluster; ``scrape_cadence_s`` turns on telemetry.
-
-        When set, every node's hybrid run scrapes its own
-        :class:`~repro.obs.tsdb.TimeSeriesStore` at that virtual cadence
-        (each node has its own clock, exactly as each physical machine
-        has its own Prometheus) and the result carries the per-node
-        stores for federation.
-        """
+    def run(self, tasks: list[Task]) -> MultiNodeResult:
+        """Run the cluster: one independent hybrid schedule per node."""
         cfg = self.config
         parts = self.partition(tasks)
         node_results: list[RunResult] = []
-        stores: dict[str, object] | None = None
-        if scrape_cadence_s is not None:
-            from repro.obs.tsdb import TimeSeriesStore
-
-            stores = {}
-        for node_index, node_tasks in enumerate(parts):
+        for node_tasks in parts:
             # Re-index points onto the node's local ranks: rank r of a
             # node handles local points r, r + n_workers, ...
             local: list[Task] = []
@@ -135,15 +104,7 @@ class MultiNodeRunner:
             for task in node_tasks:
                 local_point = point_map.setdefault(task.point_index, len(point_map))
                 local.append(replace(task, point_index=local_point))
-            if stores is not None:
-                store = TimeSeriesStore()
-                stores[str(node_index)] = store
-                runner = HybridRunner(
-                    cfg.node, tsdb=store, scrape_cadence_s=scrape_cadence_s
-                )
-            else:
-                runner = HybridRunner(cfg.node)
-            node_results.append(runner.run(local) if local else _empty_result())
+            node_results.append(HybridRunner(cfg.node).run(local) if local else _empty_result())
 
         # Scatter + gather, overlapped across nodes: one latency each way
         # plus the largest node's result payload over the link.
@@ -156,7 +117,6 @@ class MultiNodeRunner:
             makespan_s=makespan,
             node_results=node_results,
             comm_s=comm,
-            stores=stores,
         )
 
 

@@ -164,13 +164,3 @@ class ParameterSpace:
             density=Axis("density", tuple(np.unique(densities_cm3))),
             time=Axis("time", tuple(np.unique(times_s))),
         )
-
-    @classmethod
-    def paper_test_space(cls) -> "ParameterSpace":
-        """The paper's 24-grid-point test: a small region where 'the
-        amount of calculation at each point is approximately the same'."""
-        return cls(
-            temperature=Axis.log("temperature", 8.0e6, 1.2e7, 4),
-            density=Axis.linear("density", 0.8, 1.2, 3),
-            time=Axis.linear("time", 0.0, 1.0, 2),
-        )

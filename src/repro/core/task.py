@@ -84,12 +84,6 @@ class Task:
     def n_integrals(self) -> int:
         return self.kernel.n_integrals
 
-    def run_gpu(self) -> object:
-        """Execute the real GPU-path numerics (vectorized batch kernel)."""
-        if self.kernel.execute is None:
-            return None
-        return self.kernel.execute()
-
     def run_cpu(self) -> object:
         """Execute the real CPU-fallback numerics (scalar QAGS path)."""
         if self.cpu_execute is None:

@@ -58,10 +58,6 @@ class DeviceSpec:
         if self.max_concurrent_kernels < 1:
             raise ValueError("need at least one concurrent kernel slot")
 
-    @property
-    def core_count(self) -> int:
-        return self.sm_count * self.cores_per_sm
-
     def compute_time(self, spec: KernelSpec) -> float:
         """Pure kernel execution time (no launch, no transfer)."""
         return spec.total_evals / (self.eval_rate * spec.efficiency)

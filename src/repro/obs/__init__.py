@@ -23,7 +23,7 @@ shared virtual clock:
   dumping postmortem bundles (trailing trace window + scraped series +
   cost ledger);
 - :mod:`repro.obs.tsdb` — ring-buffer time-series store on the sim clock
-  (:data:`NULL_TSDB` when off) and its federation (:func:`federate_stores`);
+  (:data:`NULL_TSDB` when off);
 - :mod:`repro.obs.query` — the PromQL-subset query engine over the
   store (``rate``, ``increase``, ``histogram_quantile``, matchers,
   binary ops);
@@ -71,13 +71,7 @@ from repro.obs.prom import (
 from repro.obs.query import QueryEngine, QueryError, Sample, parse_query
 from repro.obs.slo import Rule, RuleState, SLOEngine, Transition
 from repro.obs.tracer import NULL_TRACER, EventTracer, NullTracer, WallClock
-from repro.obs.tsdb import (
-    NULL_TSDB,
-    NullTimeSeriesStore,
-    Series,
-    TimeSeriesStore,
-    federate_stores,
-)
+from repro.obs.tsdb import NULL_TSDB, NullTimeSeriesStore, Series, TimeSeriesStore
 
 __all__ = [
     "AnomalyDetector",
@@ -111,7 +105,6 @@ __all__ = [
     "TimeSeriesStore",
     "Transition",
     "WallClock",
-    "federate_stores",
     "kernel_root_map",
     "parse_query",
     "render_dashboard",

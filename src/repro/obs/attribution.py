@@ -550,12 +550,9 @@ class CostModel:
         if key not in self._table:
             self._table[key] = {"mean_s": float(cost_s), "count": 0}
 
-    def predict(self, ion: str, method: str, evals: int) -> float:
-        """Predicted device service time of one task, in seconds."""
-        return self.predict_key(self.key(ion, method, evals), evals)
-
     def predict_key(self, key: tuple[str, str, int], evals: int) -> float:
-        """:meth:`predict` for a caller holding the task's :meth:`key`."""
+        """Predicted device service time of the task whose :meth:`key`
+        is ``key``, in seconds."""
         row = self._table.get(key)
         return row["mean_s"] if row is not None else self._prior(evals)
 

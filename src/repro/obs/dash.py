@@ -12,10 +12,6 @@ output and CI archive dashboards as comparable build artifacts.
 Annotations ride the charts: SLO transitions draw dashed vertical rules
 (red for ``firing``, green for resolution) and anomaly events draw
 orange markers, each listed in an annotation table under the panels.
-
-A federated store (:func:`~repro.obs.tsdb.federate_stores`: per-node
-stores under a constant ``node=`` label) renders every node's series in
-one dashboard, distinguished per-line in the legends.
 """
 
 from __future__ import annotations
@@ -243,7 +239,7 @@ def render_dashboard(
     slo=None,
     anomalies: Sequence = (),
 ) -> str:
-    """Render one store (federated or not) to self-contained HTML.
+    """Render one store to self-contained HTML.
 
     ``panels`` defaults to :data:`SERVICE_PANELS` when the store holds
     service metrics, else one auto-panel per scraped family.  ``slo``

@@ -152,12 +152,6 @@ class Counter(_Scalar):
 
     kind = "counter"
 
-    def inc(self, value: float = 1.0, **labels) -> None:
-        if value < 0:
-            raise ValueError("counters only go up")
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0.0) + value
-
     def _put(self, key: tuple, value: float) -> None:
         """Set the running total a ledger already keeps (never downward)."""
         if value < self._values.get(key, 0.0):

@@ -296,9 +296,6 @@ class SLOEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def state(self, name: str) -> str:
-        return self._states[name].state
-
     def report(self) -> str:
         """Text report: one row per rule, then the transition log."""
         if not self.rules:

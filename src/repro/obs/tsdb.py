@@ -35,7 +35,6 @@ __all__ = [
     "NullTimeSeriesStore",
     "Series",
     "TimeSeriesStore",
-    "federate_stores",
 ]
 
 TSDB_SCHEMA = "repro.tsdb/v1"
@@ -314,16 +313,6 @@ class TimeSeriesStore:
                 f"{len(self._series)} series stored"
             ) from None
 
-    def add_series(self, series: Series) -> Series:
-        """Adopt a pre-built series (federation; duplicate keys collide)."""
-        if series.key in self._series:
-            raise ValueError(
-                f"series {series.name}{series.labels} already stored"
-            )
-        self._series[series.key] = series
-        self.families.setdefault(series.name, series.kind)
-        return series
-
     # ------------------------------------------------------------------
     # Exact JSON round trip
     # ------------------------------------------------------------------
@@ -395,47 +384,3 @@ class NullTimeSeriesStore:
 
 
 NULL_TSDB = NullTimeSeriesStore()
-
-
-def federate_stores(
-    stores: Mapping[str, TimeSeriesStore], label: str = "node"
-) -> TimeSeriesStore:
-    """Merge per-node stores under a constant ``label`` (federation).
-
-    Every series of every member store reappears in the merged store
-    with ``label=<member name>`` added — the Prometheus federation
-    shape, so one dashboard renders a whole simulated cluster.  Member
-    stores are not modified; scrape times become the sorted union.
-    """
-    if not stores:
-        raise ValueError("need at least one store to federate")
-    merged = TimeSeriesStore(
-        capacity=max(s.capacity for s in stores.values()),
-        cadence_s=min(s.cadence_s for s in stores.values()),
-    )
-    times: set[float] = set()
-    for name in sorted(stores, key=str):
-        store = stores[name]
-        times.update(store.scrape_times)
-        for series in store.series():
-            if label in series.labels:
-                raise ValueError(
-                    f"series {series.name}{series.labels} already carries "
-                    f"the federation label {label!r}"
-                )
-            clone = Series(
-                series.name,
-                {**series.labels, label: str(name)},
-                series.kind,
-                capacity=merged.capacity,
-            )
-            clone._ts = series.times()
-            clone._vs = series.values()
-            clone.evicted = series.evicted
-            merged.add_series(clone)
-    merged.scrape_times = sorted(times)
-    if merged.scrape_times:
-        merged.last_scrape = merged.scrape_times[-1]
-        merged.n_scrapes = len(merged.scrape_times)
-    merged.n_samples = sum(len(s) for s in merged.series())
-    return merged

@@ -31,8 +31,6 @@ __all__ = [
     "chi_squared",
     "FitResult",
     "fit_temperature",
-    "fit_temperature_and_norm",
-    "fit_metallicity",
 ]
 
 
@@ -174,143 +172,4 @@ def fit_temperature(
     best_t, best_c2 = min(history, key=lambda tc: tc[1])
     return FitResult(
         temperature_k=best_t, chi2=best_c2, n_model_evals=len(history), history=history
-    )
-
-
-def fit_temperature_and_norm(
-    apec: SerialAPEC,
-    observed: np.ndarray,
-    response: InstrumentResponse,
-    t_bounds: tuple[float, float] = (1.0e6, 1.0e8),
-    ne_cm3: float = 1.0,
-    tol: float = 1.0e-3,
-    max_evals: int = 60,
-) -> tuple[FitResult, float]:
-    """Joint temperature + normalization fit.
-
-    Real observations never share the model's absolute scale (distance,
-    emission measure, exposure all enter), so every real fit floats a
-    normalization.  The normalization that minimizes Pearson chi^2 for a
-    fixed shape is available in closed form per temperature trial — with
-    variance ~ model, chi^2(A) = sum((d - A m)^2 / (A m)) is minimized at
-    A* = sqrt(sum(d^2/m) / sum(m)) — so the search stays one-dimensional
-    in log T with the optimal A* profiled out.
-
-    Returns ``(fit_result, best_norm)``; ``fit_result.history`` records
-    the profiled chi^2 per temperature.
-    """
-    lo, hi = t_bounds
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < t_lo < t_hi")
-    observed = np.asarray(observed, dtype=np.float64)
-    history: list[tuple[float, float]] = []
-    norms: dict[float, float] = {}
-
-    def objective(log_t: float) -> float:
-        t = 10.0**log_t
-        model = response.apply(
-            apec.compute(GridPoint(temperature_k=t, ne_cm3=ne_cm3)).values
-        )
-        usable = model > 0.0
-        m = model[usable]
-        d = observed[usable]
-        if m.size == 0 or m.sum() <= 0.0:
-            c2 = float("inf")
-            norm = 0.0
-        else:
-            norm = float(np.sqrt(np.sum(d**2 / m) / np.sum(m)))
-            c2 = chi_squared(norm * model, observed)
-        history.append((t, c2))
-        norms[t] = norm
-        return c2
-
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log10(lo), np.log10(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    evals = 2
-    while (b - a) > tol and evals < max_evals:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = objective(d)
-        evals += 1
-
-    best_t, best_c2 = min(history, key=lambda tc: tc[1])
-    result = FitResult(
-        temperature_k=best_t,
-        chi2=best_c2,
-        n_model_evals=len(history),
-        history=history,
-    )
-    return result, norms[best_t]
-
-
-def fit_metallicity(
-    db,
-    grid: EnergyGrid,
-    observed: np.ndarray,
-    response: InstrumentResponse,
-    exposure: float,
-    temperature_k: float,
-    z_bounds: tuple[float, float] = (0.05, 5.0),
-    components: tuple[str, ...] = ("rrc", "lines", "brems"),
-    tol: float = 1.0e-3,
-    max_evals: int = 40,
-) -> FitResult:
-    """Golden-section fit of the global metallicity at known temperature.
-
-    The abundance knob the plumbing exists for: cluster gas is typically
-    0.2-0.5 solar, and the metal-to-H/He emission ratio in the soft X-ray
-    band pins Z.  ``FitResult.temperature_k`` is reused to carry the
-    best-fit metallicity (the result type is a 1-D fit record).
-    """
-    from repro.atomic.abundances import AbundanceSet
-    from repro.physics.apec import SerialAPEC
-
-    lo, hi = z_bounds
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < z_lo < z_hi")
-    history: list[tuple[float, float]] = []
-
-    def objective(log_z: float) -> float:
-        z = 10.0**log_z
-        apec = SerialAPEC(
-            db, grid, method="simpson-batch", components=components,
-            abundances=AbundanceSet(metallicity=z),
-        )
-        model = apec.compute(GridPoint(temperature_k=temperature_k, ne_cm3=1.0))
-        counts = exposure * response.apply(model.values)
-        c2 = chi_squared(counts, observed)
-        history.append((z, c2))
-        return c2
-
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log10(lo), np.log10(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    evals = 2
-    while (b - a) > tol and evals < max_evals:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = objective(d)
-        evals += 1
-
-    best_z, best_c2 = min(history, key=lambda tc: tc[1])
-    return FitResult(
-        temperature_k=best_z,  # carries the metallicity (1-D fit record)
-        chi2=best_c2,
-        n_model_evals=len(history),
-        history=history,
     )

@@ -55,7 +55,7 @@ from repro.physics.windows import GAUNT_SUP
 from repro.quadrature.megabatch import MegabatchResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.trace import Tracer, Track
+    from repro.obs.tracer import EventTracer
 
 __all__ = [
     "PLAN_CACHE",
@@ -433,9 +433,9 @@ class PlanCache:
         self.stats = PlanCacheStats()
         self._plans: OrderedDict[PlanKey, SpectrumPlan] = OrderedDict()
         self._lock = threading.RLock()
-        self._tracer: "Tracer | None" = None
+        self._tracer: "EventTracer | None" = None
 
-    def bind_tracer(self, tracer: "Tracer | None") -> None:
+    def bind_tracer(self, tracer: "EventTracer | None") -> None:
         """Route hit/miss/compile instants to a tracer (or unbind)."""
         self._tracer = tracer
 

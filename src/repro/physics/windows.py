@@ -141,11 +141,6 @@ class LevelWindows:
         """Total active (level, bin) pairs — the pruned integral count."""
         return int(self.counts.sum())
 
-    @property
-    def n_total(self) -> int:
-        """Unpruned (level, bin) pairs of the same launch."""
-        return self.n_levels * self.n_bins
-
     def dropped_mass_bound(self, c_l: np.ndarray) -> np.ndarray:
         """Absolute per-level dropped-mass bounds for flat constants ``c_l``."""
         c_l = np.asarray(c_l, dtype=np.float64)

@@ -259,10 +259,6 @@ class WindowKernelCounters:
         self.zero_width_pairs += n_pairs
         self.evals_saved += evals_saved
 
-    def reset(self) -> None:
-        self.zero_width_pairs = 0
-        self.evals_saved = 0
-
     def snapshot(self) -> dict[str, int]:
         return {
             "zero_width_pairs": self.zero_width_pairs,

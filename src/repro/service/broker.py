@@ -310,11 +310,6 @@ class SpectrumBroker:
     def queue_depth(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    @property
-    def lattice_store(self) -> Optional[LatticeStore]:
-        """The approximate-serving store (``None`` until first used)."""
-        return self._lattice
-
     def report(self) -> dict:
         """One dict spanning the whole stack: service, cache, coalescer."""
         out = self.telemetry.as_dict()

@@ -37,11 +37,6 @@ class InFlight:
     #: Every ticket (leader first) waiting on this entry's result.
     subscribers: list["Ticket"] = field(default_factory=list)
 
-    @property
-    def n_coalesced(self) -> int:
-        """Followers that attached after the leader."""
-        return max(0, len(self.subscribers) - 1)
-
 
 class RequestCoalescer:
     """Tracks unique in-flight requests by content address."""

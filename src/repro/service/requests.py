@@ -44,7 +44,6 @@ __all__ = [
     "compile_group_tasks",
     "compile_tasks",
     "emission_block",
-    "family_basis",
     "family_plan",
     "family_spectra",
     "group_member_weights",
@@ -291,7 +290,7 @@ class FamilyBasis:
 
     @classmethod
     def build(cls, db: AtomicDatabase, z_max: int, n_bins: int) -> "FamilyBasis":
-        """Compute the basis (uncached; :func:`family_basis` memoizes it)."""
+        """Compute the basis (uncached; :func:`family_plan` keeps it)."""
         grid = _grid_for_bins(n_bins)
         ions = tuple(ion for ion in db.ions if ion.z <= z_max)
         n_levels = tuple(db.n_levels(ion) for ion in ions)
@@ -448,14 +447,6 @@ def family_plan(db: AtomicDatabase, request: SpectrumRequest) -> FamilyPlan:
         while len(_FAMILIES) > _FAMILY_CACHE_SIZE:
             _FAMILIES.popitem(last=False)
     return plan
-
-
-def family_basis(db: AtomicDatabase, z_max: int, n_bins: int) -> FamilyBasis:
-    """The cached :class:`FamilyBasis` of ``(db scope, z_max, n_bins)``:
-    the one its (default-rule) :func:`family_plan` holds."""
-    return family_plan(
-        db, SpectrumRequest(temperature_k=1.0, z_max=z_max, n_bins=n_bins)
-    ).basis
 
 
 def emission_block(

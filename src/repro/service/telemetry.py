@@ -116,10 +116,6 @@ class LaneStats:
             return self.latencies_s
         return self._buckets, self._sum
 
-    def latency_samples(self) -> list[float]:
-        """The retained samples (every one, or the reservoir's subset)."""
-        return list(self.latencies_s)
-
     def latency_percentile(self, q: float) -> float:
         if not self.latencies_s:
             return 0.0

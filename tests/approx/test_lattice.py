@@ -68,7 +68,7 @@ class TestBuild:
         assert lat.locate(1.0e6) == 0
         assert lat.locate(5.0e7) == lat.n_intervals - 1
         i = lat.locate(7.0e6)
-        temps = lat.node_temperatures_k
+        temps = np.exp(lat._u)
         assert temps[i] <= 7.0e6 <= temps[i + 1]
 
     def test_error_bound_outside_domain_raises(self):
@@ -85,7 +85,7 @@ class TestBuild:
 
         lat = SpectrumLattice(_spec(method=method), _synthetic_exact)
         lat.refine(3)
-        temps = lat.node_temperatures_k
+        temps = np.exp(lat._u)
         probes = np.concatenate(
             [temps, np.sqrt(temps[:-1] * temps[1:]), temps[1:] * (1 - 1e-12)]
         )

@@ -123,7 +123,7 @@ def _walk(case: str) -> dict:
         a.lattice == b.lattice and np.array_equal(a.result, b.result)
         for a, b in zip(tickets, plain)
     )
-    store = broker.lattice_store
+    store = broker._lattice
     (lat,) = store._lattices.values()
     instants = [
         repr((e.name, e.ts, sorted((k, v) for k, v in e.args.items() if k != "nbytes")))
@@ -187,7 +187,7 @@ def _direct(method: str) -> dict:
     for interval in (None, 3, 0, 9, 4, 4):
         if interval is not None:
             lat.refine(interval)
-        temps = lat.node_temperatures_k
+        temps = np.exp(lat._u)
         probes = np.concatenate(
             [temps, np.sqrt(temps[:-1] * temps[1:]), temps[1:] * (1 - 1e-12),
              temps[:-1] ** 0.3 * temps[1:] ** 0.7]

@@ -36,7 +36,7 @@ def _lattice(method: str) -> SpectrumLattice:
 def _assert_tables_current(lat: SpectrumLattice) -> None:
     method = lat.spec.method
     u_all, v_all = np.asarray(lat._u), np.asarray(lat._values)
-    temps = lat.node_temperatures_k
+    temps = np.exp(lat._u)
     probes = np.concatenate(
         [temps, temps[1:] * (1 - 1e-12), np.sqrt(temps[:-1] * temps[1:])]
     )
@@ -135,7 +135,7 @@ class TestHitsDeriveNothing:
         assert log.calls == lat.n_intervals
         assert lat.n_intervals <= slopes.calls <= 2 * lat.n_intervals
         derived = slopes.calls, log.calls
-        temps = lat.node_temperatures_k
+        temps = np.exp(lat._u)
         for t in np.geomspace(temps[2] * 1.001, temps[3] * 0.999, 50):
             lat.interpolate(float(t))
             lat.error_bound(float(t))
@@ -159,7 +159,7 @@ class TestHitsDeriveNothing:
         store.serve(_request(4.0e6))  # builds the family lattice
         derived = slopes.calls, log.calls
         lat = store.lattice(_request(4.0e6).family_key)
-        temps = lat.node_temperatures_k
+        temps = np.exp(lat._u)
         hits = [float(t) for t in np.geomspace(temps[4] * 1.001, temps[5] * 0.999, 40)]
         locate.calls = 0
         for t in hits:

@@ -116,13 +116,6 @@ class TestLifecycle:
         assert store.stats.invalidations == 1
         assert store.stats.builds == 2
 
-    def test_explicit_invalidate(self):
-        store = _store()
-        store.serve(_request())
-        assert store.invalidate() == 1
-        assert len(store) == 0
-        assert store.stats.invalidations == 1
-
     def test_byte_budget_evicts_lru_family_never_current(self):
         store = _store(max_bytes=_family_bytes() - 1)
         store.serve(_request(n_bins=64))

@@ -293,5 +293,6 @@ class TestDeterminism:
         def proc(d):
             yield d
 
-        makespan = clock.run_all([proc(1.0), proc(4.0), proc(2.0)])
-        assert makespan == 4.0
+        for d in (1.0, 4.0, 2.0):
+            clock.spawn(proc(d))
+        assert clock.run() == 4.0

@@ -37,8 +37,9 @@ class TestClockProperties:
             for d in sleeps:
                 yield d
 
-        makespan = clock.run_all([proc(s) for s in population])
-        assert makespan == max(sum(s) for s in population)
+        for sleeps in population:
+            clock.spawn(proc(sleeps))
+        assert clock.run() == max(sum(s) for s in population)
 
     @given(population=process_population())
     @settings(max_examples=60, deadline=None)
@@ -51,7 +52,9 @@ class TestClockProperties:
                 yield d
                 observations.append(clock.now)
 
-        clock.run_all([proc(s) for s in population])
+        for sleeps in population:
+            clock.spawn(proc(sleeps))
+        clock.run()
         assert observations == sorted(observations)
 
     @given(population=process_population())

@@ -113,7 +113,7 @@ class TestExecuteFactories:
         tasks = build_tasks(
             small_spec, gpu_execute_factory=gpu_factory, cpu_execute_factory=cpu_factory
         )
-        tasks[0].run_gpu()
+        tasks[0].kernel.execute()
         tasks[1].run_cpu()
         assert calls[0][0] == "gpu"
         assert calls[1][0] == "cpu"

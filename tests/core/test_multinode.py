@@ -83,48 +83,11 @@ class TestRun:
             MultiNodeConfig(n_nodes=3, node=node_cfg(n_workers=1))
         ).run(tasks_8pt)
         assert res.imbalance() > 0.0
-        assert res.slowest_node in (0, 1)
+        times = [r.makespan_s for r in res.node_results]
+        assert times.index(max(times)) in (0, 1)  # a three-point node
 
     def test_deterministic(self, tasks_8pt):
         cfg = MultiNodeConfig(n_nodes=2, node=node_cfg())
         a = MultiNodeRunner(cfg).run(tasks_8pt)
         b = MultiNodeRunner(cfg).run(tasks_8pt)
         assert a.makespan_s == b.makespan_s
-
-
-class TestFederatedTelemetry:
-    def _cfg(self, n_nodes=4):
-        return MultiNodeConfig(n_nodes=n_nodes, node=node_cfg())
-
-    def test_scraping_builds_per_node_stores(self, tasks_8pt):
-        result = MultiNodeRunner(self._cfg()).run(
-            tasks_8pt, scrape_cadence_s=0.5
-        )
-        assert set(result.stores) == {"0", "1", "2", "3"}
-        assert all(s.n_scrapes > 0 for s in result.stores.values())
-
-    def test_federated_store_carries_node_labels(self, tasks_8pt):
-        result = MultiNodeRunner(self._cfg()).run(
-            tasks_8pt, scrape_cadence_s=0.5
-        )
-        fed = result.federated_store()
-        nodes = {dict(s.key[1]).get("node") for s in fed.series()}
-        assert nodes == {"0", "1", "2", "3"}
-        # Member stores survive federation untouched.
-        for store in result.stores.values():
-            assert all("node" not in dict(s.key[1]) for s in store.series())
-
-    def test_plain_run_has_no_stores(self, tasks_8pt):
-        result = MultiNodeRunner(self._cfg()).run(tasks_8pt)
-        assert result.stores is None
-        with pytest.raises(ValueError, match="not asked to scrape"):
-            result.federated_store()
-
-    def test_scraping_is_pure_observation(self, tasks_8pt):
-        runner = MultiNodeRunner(self._cfg())
-        bare = runner.run(tasks_8pt)
-        scraped = runner.run(tasks_8pt, scrape_cadence_s=0.5)
-        assert scraped.makespan_s == bare.makespan_s
-        assert [r.makespan_s for r in scraped.node_results] == [
-            r.makespan_s for r in bare.node_results
-        ]

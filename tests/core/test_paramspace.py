@@ -87,7 +87,14 @@ class TestParameterSpace:
         assert space.point(0).time_s == 0.0
 
     def test_paper_test_space_has_24_points(self):
-        assert len(ParameterSpace.paper_test_space()) == 24
+        """The paper's test region, a small one where 'the amount of
+        calculation at each point is approximately the same'."""
+        space = ParameterSpace.from_config({
+            "temperature": {"lo": 8.0e6, "hi": 1.2e7, "n": 4, "spacing": "log"},
+            "density": {"lo": 0.8, "hi": 1.2, "n": 3},
+            "time": {"lo": 0.0, "hi": 1.0, "n": 2},
+        })
+        assert len(space) == 24
 
 
 class TestConstruction:

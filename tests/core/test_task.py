@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cluster.simclock import SimClock
 from repro.core.task import Task, TaskKind
+from repro.gpusim.device import TESLA_C2075, SimulatedGPU
 from repro.gpusim.kernel import KernelSpec
 
 
@@ -17,16 +19,24 @@ def make_task(**over):
     return Task(**base)
 
 
+def device_payload(task: Task) -> object:
+    """What a device hands back on completing ``task``'s kernel."""
+    clock = SimClock()
+    done = SimulatedGPU(clock, TESLA_C2075).submit(task.kernel)
+    clock.run()
+    return done.payload
+
+
 class TestTask:
     def test_n_integrals_from_kernel(self):
         assert make_task().n_integrals == 100
 
     def test_run_gpu_without_execute_returns_none(self):
-        assert make_task().run_gpu() is None
+        assert device_payload(make_task()) is None
 
     def test_run_gpu_with_execute(self):
         k = KernelSpec(n_integrals=1, evals_per_integral=1, execute=lambda: [1, 2])
-        assert make_task(kernel=k).run_gpu() == [1, 2]
+        assert device_payload(make_task(kernel=k)) == [1, 2]
 
     def test_run_cpu(self):
         t = make_task(cpu_execute=lambda: "cpu-result")

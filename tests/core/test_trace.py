@@ -1,4 +1,4 @@
-"""Per-task trace recording (timeline export)."""
+"""Per-task trace recording."""
 
 import pytest
 
@@ -49,15 +49,6 @@ class TestTraceRecording:
             for a, b in zip(events, events[1:]):
                 assert b.start >= a.end - 1e-9
 
-    def test_gantt_rows_lane_mapping(self, traced_run):
-        _tasks, result = traced_run
-        rows = result.metrics.gantt_rows()
-        assert len(rows) == len(result.metrics.trace)
-        for lane, label, start, end in rows:
-            assert end > start
-            if label.startswith("gpu"):
-                assert lane >= 1000
-
     def test_trace_off_by_default(self):
         tasks = build_tasks(
             WorkloadSpec(n_points=1, bins_per_level=1_000, db_config=AtomicConfig.tiny())
@@ -66,25 +57,3 @@ class TestTraceRecording:
             HybridConfig(n_workers=2, n_gpus=1, max_queue_length=2)
         ).run(tasks)
         assert res.metrics.trace == []
-
-
-class TestChromeTrace:
-    def test_export_shape(self, traced_run):
-        import json
-
-        _tasks, result = traced_run
-        events = result.metrics.to_chrome_trace()
-        assert len(events) == len(result.metrics.trace)
-        for ev in events:
-            assert ev["ph"] == "X"
-            assert ev["dur"] > 0.0
-            assert ev["cat"] in ("gpu", "cpu")
-        # Must be JSON-serializable as-is.
-        json.dumps(events)
-
-    def test_gpu_events_grouped_by_device_pid(self, traced_run):
-        _tasks, result = traced_run
-        events = result.metrics.to_chrome_trace()
-        gpu_events = [e for e in events if e["cat"] == "gpu"]
-        assert gpu_events
-        assert all(e["pid"] == 1 for e in gpu_events)

@@ -10,7 +10,7 @@ from repro.gpusim.kernel import KernelSpec
 class TestDeviceSpec:
     def test_c2075_identity(self):
         assert TESLA_C2075.architecture == "fermi"
-        assert TESLA_C2075.core_count == 448
+        assert TESLA_C2075.sm_count * TESLA_C2075.cores_per_sm == 448
         assert TESLA_C2075.dp_gflops == 515.0
         assert TESLA_C2075.max_concurrent_kernels == 1
 

@@ -36,7 +36,7 @@ def reference_final(ctx, spec) -> np.ndarray:
 class TestNEIRealExecution:
     def test_gpu_path_matches_expm(self, nei_setup):
         spec, tasks, ctx = nei_setup
-        out = tasks[0].run_gpu()
+        out = tasks[0].kernel.execute()
         ref = reference_final(ctx, spec)
         assert out.shape == (spec.points_per_task, ctx["system"].dim)
         assert np.abs(out - ref[None, :]).max() < 1e-8
@@ -71,5 +71,5 @@ class TestNEIRealExecution:
 
     def test_conservation_through_everything(self, nei_setup):
         spec, tasks, _ctx = nei_setup
-        out = tasks[0].run_gpu()
+        out = tasks[0].kernel.execute()
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)

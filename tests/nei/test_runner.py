@@ -58,7 +58,7 @@ class TestBuildNEITasks:
             gpu_execute_factory=lambda tid: (lambda: seen.append(("gpu", tid))),
             cpu_execute_factory=lambda tid: (lambda: seen.append(("cpu", tid))),
         )
-        tasks[0].run_gpu()
+        tasks[0].kernel.execute()
         tasks[1].run_cpu()
         assert seen == [("gpu", 0), ("cpu", 1)]
 

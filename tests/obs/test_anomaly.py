@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import AnomalyDetector, AnomalyEvent, MetricsRegistry, TimeSeriesStore
+from tests.obs.test_prom import set_counter
 
 
 def _gauge_store(values, name="g") -> TimeSeriesStore:
@@ -72,7 +73,7 @@ class TestDetection:
         for i in range(40):
             total += 5.0 if i != 30 else 500.0  # one burst in the rate
             reg = MetricsRegistry()
-            reg.counter("c_total", "h").inc(total)
+            set_counter(reg, "c_total", total)
             store.scrape(reg, now=float(i))
         det = AnomalyDetector(warmup=8, window=16)
         events = det.scan(store)
@@ -100,14 +101,14 @@ class TestDetection:
         for i in range(6):
             total += 5.0
             reg = MetricsRegistry()
-            reg.counter("c_total", "h").inc(total)
+            set_counter(reg, "c_total", total)
             store.scrape(reg, now=float(i))
         det.scan(store)
         # 20 more scrapes outrun the capacity-8 ring between scans.
         for i in range(6, 26):
             total += 5.0
             reg = MetricsRegistry()
-            reg.counter("c_total", "h").inc(total)
+            set_counter(reg, "c_total", total)
             store.scrape(reg, now=float(i))
         assert det.scan(store) == []  # gap deltas are meaningless, not alarms
 

@@ -12,9 +12,9 @@ from repro.obs import (
     SERVICE_PANELS,
     SLOEngine,
     TimeSeriesStore,
-    federate_stores,
     render_dashboard,
 )
+from tests.obs.test_prom import set_counter
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_dash.html")
 
@@ -24,7 +24,7 @@ def _canned_store() -> TimeSeriesStore:
     store = TimeSeriesStore()
     for i in range(12):
         reg = MetricsRegistry()
-        reg.counter("reqs_total", "h", ("lane",)).inc(3.0 * i, lane="a")
+        set_counter(reg, "reqs_total", 3.0 * i, lane="a")
         reg.gauge("depth", "h").set(float((i * 5) % 7))
         h = reg.histogram("lat", "h", buckets=(0.5, 1.0, 2.0))
         for j in range(i):
@@ -116,8 +116,15 @@ class TestRenderer:
 
 class TestFederatedDashboard:
     def test_node_labels_render(self):
-        stores = {str(i): _canned_store() for i in range(3)}
-        fed = federate_stores(stores)
-        html = render_dashboard(fed, title="cluster")
+        """A cluster's series, told apart by a ``node`` label, draw one
+        legend entry per node."""
+        store = TimeSeriesStore()
+        for i in range(4):
+            reg = MetricsRegistry()
+            depth = reg.gauge("depth", "h", ("node",))
+            for node in range(3):
+                depth.set(float(i + node), node=str(node))
+            store.scrape(reg, now=float(i))
+        html = render_dashboard(store, title="cluster")
         for node in ("0", "1", "2"):
             assert f"node={node}" in html

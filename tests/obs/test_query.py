@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, QueryEngine, QueryError, TimeSeriesStore
 from repro.obs.query import format_result, parse_query
+from tests.obs.test_prom import set_counter
 
 
 def _canned_store() -> TimeSeriesStore:
@@ -12,9 +13,8 @@ def _canned_store() -> TimeSeriesStore:
     store = TimeSeriesStore()
     for i in range(10):
         reg = MetricsRegistry()
-        c = reg.counter("reqs_total", "h", ("lane",))
-        c.inc(5.0 * i, lane="a")
-        c.inc(2.0 * i, lane="b")
+        set_counter(reg, "reqs_total", 5.0 * i, lane="a")
+        set_counter(reg, "reqs_total", 2.0 * i, lane="b")
         reg.gauge("depth", "h").set(float(i % 4))
         h = reg.histogram("lat", "h", ("lane",), buckets=(1.0, 2.0, 4.0))
         for j in range(i):

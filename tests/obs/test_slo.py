@@ -5,6 +5,13 @@ import pytest
 from repro.obs import Counter, Histogram, MetricsRegistry, Rule, RuleState, SLOEngine
 from repro.service.broker import ServiceConfig, run_trace
 from repro.service.loadgen import TrafficSpec, generate_trace
+from tests.obs.test_prom import set_counter
+
+
+def _state(engine: SLOEngine, name: str) -> str:
+    """A rule's state as the transition log tells it (inactive before any)."""
+    moves = [tr.to for tr in engine.transitions if tr.rule == name]
+    return moves[-1] if moves else RuleState.INACTIVE
 
 
 def _gauge_registry(value: float) -> MetricsRegistry:
@@ -55,22 +62,22 @@ class TestLifecycle:
         """The acceptance scenario: breach -> pending -> firing -> resolved."""
         rule = Rule(name="depth", metric="depth", op=">", threshold=5.0, for_s=2.0)
         engine = SLOEngine((rule,))
-        assert engine.state("depth") == RuleState.INACTIVE
+        assert _state(engine, "depth") == RuleState.INACTIVE
 
         engine.sample(_gauge_registry(3.0), now=0.0)
-        assert engine.state("depth") == RuleState.INACTIVE
+        assert _state(engine, "depth") == RuleState.INACTIVE
 
         engine.sample(_gauge_registry(8.0), now=1.0)  # breach starts
-        assert engine.state("depth") == RuleState.PENDING
+        assert _state(engine, "depth") == RuleState.PENDING
 
         engine.sample(_gauge_registry(9.0), now=2.0)  # 1 s < for_s
-        assert engine.state("depth") == RuleState.PENDING
+        assert _state(engine, "depth") == RuleState.PENDING
 
         engine.sample(_gauge_registry(9.0), now=3.0)  # held for 2 s
-        assert engine.state("depth") == RuleState.FIRING
+        assert _state(engine, "depth") == RuleState.FIRING
 
         engine.sample(_gauge_registry(2.0), now=4.0)  # spike drains
-        assert engine.state("depth") == RuleState.INACTIVE
+        assert _state(engine, "depth") == RuleState.INACTIVE
         assert [tr.to for tr in engine.transitions] == [
             RuleState.PENDING, RuleState.FIRING, RuleState.INACTIVE,
         ]
@@ -81,7 +88,7 @@ class TestLifecycle:
             (Rule(name="r", metric="depth", op=">=", threshold=1.0),)
         )
         engine.sample(_gauge_registry(1.0), now=0.0)
-        assert engine.state("r") == RuleState.FIRING
+        assert _state(engine, "r") == RuleState.FIRING
 
     def test_breach_interrupted_before_for_never_fires(self):
         rule = Rule(name="r", metric="depth", op=">", threshold=5.0, for_s=2.0)
@@ -90,7 +97,7 @@ class TestLifecycle:
         engine.sample(_gauge_registry(1.0), now=1.0)  # recovers early
         engine.sample(_gauge_registry(8.0), now=1.5)  # breaches again
         engine.sample(_gauge_registry(8.0), now=3.0)  # only 1.5 s held
-        assert engine.state("r") == RuleState.PENDING
+        assert _state(engine, "r") == RuleState.PENDING
 
     def test_report_lists_rules_and_transitions(self):
         rule = Rule(name="r", metric="depth", op=">", threshold=5.0)
@@ -114,7 +121,7 @@ class TestValueKinds:
         )
         engine = SLOEngine((rule,))
         engine.sample(reg, now=0.0)
-        assert engine.state("p95") == RuleState.FIRING
+        assert _state(engine, "p95") == RuleState.FIRING
 
     def test_quantile_on_non_histogram_raises(self):
         reg = MetricsRegistry()
@@ -134,15 +141,15 @@ class TestValueKinds:
 
         def reg_at(total: float) -> MetricsRegistry:
             reg = MetricsRegistry()
-            reg.counter("errors_total", "h").inc(total)
+            set_counter(reg, "errors_total", total)
             return reg
 
         engine.sample(reg_at(0.0), now=0.0)   # first sample: no rate yet
-        assert engine.state("errors") == RuleState.INACTIVE
+        assert _state(engine, "errors") == RuleState.INACTIVE
         engine.sample(reg_at(10.0), now=2.0)  # 5/s over [0, 2]
-        assert engine.state("errors") == RuleState.FIRING
+        assert _state(engine, "errors") == RuleState.FIRING
         engine.sample(reg_at(11.0), now=12.0)  # window slides; rate ~0.1/s
-        assert engine.state("errors") == RuleState.INACTIVE
+        assert _state(engine, "errors") == RuleState.INACTIVE
 
     def test_burn_rate_on_non_counter_raises(self):
         reg = MetricsRegistry()
@@ -186,7 +193,7 @@ class TestServiceIntegration:
         assert RuleState.PENDING in states
         assert RuleState.FIRING in states
         # The final batch drains the queue: the rule resolves.
-        assert engine.state("queue-depth") == RuleState.INACTIVE
+        assert _state(engine, "queue-depth") == RuleState.INACTIVE
         assert (RuleState.FIRING, RuleState.INACTIVE) in {
             (tr.frm, tr.to) for tr in engine.transitions
         }
@@ -308,9 +315,7 @@ class TestQueryEngineEquivalence:
             for j in range(i + 1):
                 h.observe(0.1 * ((i + j) % 9), lane="interactive")
             reg.gauge("repro_queue_depth", "h").set(float((i * 3) % 5))
-            reg.counter(
-                "repro_requests_total", "h", ("lane", "outcome")
-            ).inc(1.7 * i, lane="survey", outcome="computed")
+            set_counter(reg, "repro_requests_total", 1.7 * i, lane="survey", outcome="computed")
             now = 0.3 * i
             new.sample(reg, now=now)
             old.sample(reg, now=now)

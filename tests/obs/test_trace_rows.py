@@ -42,7 +42,6 @@ from repro.obs.attribution import CostModel as SpanCostModel
 from repro.obs.attribution import _split_ticks, ion_from_label
 from repro.obs.tracer import TraceEvent
 from repro.physics.plan import PLAN_CACHE
-from repro.quadrature.batch import KERNEL_COUNTERS
 from repro.service.broker import run_trace
 from repro.service.loadgen import generate_trace
 
@@ -436,7 +435,6 @@ def constructions(monkeypatch):
 def _observed_run():
     spec, config, _, _ = SERVE_CASES["observed"]
     PLAN_CACHE.clear()
-    KERNEL_COUNTERS.reset()
     tracer = EventTracer()
     broker, _ = run_trace(generate_trace(spec), config, tracer=tracer)
     return tracer, broker
@@ -555,7 +553,6 @@ class TestEventsView:
         def outcome(tracer):
             spec, config, _, _ = SERVE_CASES["observed"]
             PLAN_CACHE.clear()
-            KERNEL_COUNTERS.reset()
             broker, _ = run_trace(generate_trace(spec), config, tracer=tracer)
             return (ledger_fingerprint(broker.cost_report()),
                     broker.cost_model.to_dict(), event_records(tracer))

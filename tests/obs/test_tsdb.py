@@ -7,7 +7,8 @@ import math
 import pytest
 
 from repro.obs import MetricsRegistry, NULL_TSDB, NullTimeSeriesStore, Series, TimeSeriesStore
-from repro.obs.tsdb import decode_floats, encode_floats, federate_stores
+from repro.obs.tsdb import decode_floats, encode_floats
+from tests.obs.test_prom import set_counter
 
 
 class TestCodec:
@@ -71,7 +72,7 @@ class TestSeries:
 
 def _registry(total: float, depth: float) -> MetricsRegistry:
     reg = MetricsRegistry()
-    reg.counter("reqs_total", "h", ("lane",)).inc(total, lane="a")
+    set_counter(reg, "reqs_total", total, lane="a")
     reg.gauge("depth", "h").set(depth)
     h = reg.histogram("lat", "h", buckets=(1.0, 2.0))
     h.observe(0.5)
@@ -151,32 +152,3 @@ class TestStore:
             assert inspect.isfunction(getattr(TimeSeriesStore, name, None)), name
             params = list(inspect.signature(fn).parameters.values())[1:]
             getattr(NULL_TSDB, name)(*[object() for p in params if p.default is p.empty])
-
-
-class TestFederation:
-    def _store(self, depth: float) -> TimeSeriesStore:
-        store = TimeSeriesStore()
-        store.scrape(_registry(1.0, depth), now=1.0)
-        return store
-
-    def test_adds_constant_node_label(self):
-        fed = federate_stores({"0": self._store(1.0), "1": self._store(2.0)})
-        assert fed.get("depth", {"node": "0"}).values() == [1.0]
-        assert fed.get("depth", {"node": "1"}).values() == [2.0]
-        assert fed.scrape_times == [1.0]
-
-    def test_existing_label_collision_rejected(self):
-        store = TimeSeriesStore()
-        store.add_series(Series("m", {"node": "x"}))
-        with pytest.raises(ValueError, match="federation label"):
-            federate_stores({"0": store})
-
-    def test_empty_mapping_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            federate_stores({})
-
-    def test_members_unmodified(self):
-        a = self._store(1.0)
-        before = json.dumps(a.to_dict(), sort_keys=True)
-        federate_stores({"0": a})
-        assert json.dumps(a.to_dict(), sort_keys=True) == before

@@ -139,70 +139,3 @@ class TestTemperatureFit:
         _db, grid, apec, response = fit_setup
         with pytest.raises(ValueError):
             fit_temperature(apec, np.zeros(grid.n_bins), response, 1.0, (2e7, 1e7))
-
-
-class TestJointFit:
-    def test_recovers_temperature_and_norm(self, fit_setup):
-        from repro.physics.fitting import fit_temperature_and_norm
-
-        _db, grid, apec, response = fit_setup
-        t_true, norm_true = 9.0e6, 3.7e12
-        truth = apec.compute(GridPoint(temperature_k=t_true, ne_cm3=1.0))
-        observed = norm_true * response.apply(truth.values)
-        fit, norm = fit_temperature_and_norm(
-            apec, observed, response, t_bounds=(2e6, 5e7)
-        )
-        assert fit.temperature_k == pytest.approx(t_true, rel=1e-3)
-        assert norm == pytest.approx(norm_true, rel=1e-3)
-
-    def test_norm_profiled_out_is_scale_invariant(self, fit_setup):
-        """Scaling the observation must not move the best-fit T."""
-        from repro.physics.fitting import fit_temperature_and_norm
-
-        _db, grid, apec, response = fit_setup
-        truth = apec.compute(GridPoint(temperature_k=1.2e7, ne_cm3=1.0))
-        base = 1e12 * response.apply(truth.values)
-        fit1, n1 = fit_temperature_and_norm(apec, base, response, (3e6, 4e7), max_evals=16)
-        fit2, n2 = fit_temperature_and_norm(apec, 100.0 * base, response, (3e6, 4e7), max_evals=16)
-        assert fit1.temperature_k == pytest.approx(fit2.temperature_k, rel=1e-6)
-        assert n2 == pytest.approx(100.0 * n1, rel=1e-6)
-
-    def test_bounds_validation(self, fit_setup):
-        from repro.physics.fitting import fit_temperature_and_norm
-
-        _db, grid, apec, response = fit_setup
-        with pytest.raises(ValueError):
-            fit_temperature_and_norm(
-                apec, np.zeros(grid.n_bins), response, t_bounds=(1e7, 1e6)
-            )
-
-
-class TestMetallicityFit:
-    def test_recovers_metallicity(self, fit_setup):
-        from repro.atomic.abundances import AbundanceSet
-        from repro.physics.fitting import fit_metallicity
-
-        db, grid, _apec, response = fit_setup
-        z_true, t = 0.4, 1.0e7
-        truth_apec = SerialAPEC(
-            db, grid, method="simpson-batch",
-            components=("rrc", "lines", "brems"),
-            abundances=AbundanceSet(metallicity=z_true),
-        )
-        truth = truth_apec.compute(GridPoint(temperature_k=t, ne_cm3=1.0))
-        exposure = 1e5 / max(response.apply(truth.values).max(), 1e-300)
-        observed = exposure * response.apply(truth.values)
-        result = fit_metallicity(
-            db, grid, observed, response, exposure, temperature_k=t
-        )
-        assert result.temperature_k == pytest.approx(z_true, rel=0.05)
-
-    def test_bounds_validation(self, fit_setup):
-        from repro.physics.fitting import fit_metallicity
-
-        db, grid, _apec, response = fit_setup
-        with pytest.raises(ValueError):
-            fit_metallicity(
-                db, grid, np.zeros(grid.n_bins), response, 1.0, 1e7,
-                z_bounds=(2.0, 1.0),
-            )

@@ -95,9 +95,8 @@ class TestLevelWindows:
         grid = EnergyGrid.linear(0.1, 10.0, 100)
         win = level_windows(np.array([1.0, 3.0, 20.0]), grid, 1.0, 0.0)
         assert win.n_levels == 3
-        assert win.n_total == 300
         assert win.n_active == int((win.cutoff - win.first).sum())
-        assert win.n_active < win.n_total
+        assert win.n_active < win.n_levels * grid.n_bins
 
     def test_tail_mass_bound_pins_analytic_integral(self):
         # Sum the *exact* per-bin masses beyond the cutoff and check the

@@ -36,6 +36,14 @@ def _f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.exp(-x) * (1.0 + rows[:, None])
 
 
+def booked(run):
+    """``(what run() booked on KERNEL_COUNTERS, its result)``, read the
+    way the wall probes read the counters: a snapshot before and after."""
+    before = KERNEL_COUNTERS.snapshot()
+    out = run()
+    return {k: v - before[k] for k, v in KERNEL_COUNTERS.snapshot().items()}, out
+
+
 _RULES = [
     (megabatch_simpson_windows, batch_simpson_windows, {"pieces": 8}),
     (megabatch_romberg_windows, batch_romberg_windows, {"k": 4}),
@@ -58,17 +66,13 @@ class TestMatchesBatchKernels:
         edges = np.linspace(0.0, 1.0, 9)
         first, cutoff = np.array([0, 1, 3]), np.array([2, 3, 4])
         clip = np.array([0.25, 0.5, 0.5])
-        KERNEL_COUNTERS.reset()
-        res = mega(_f, edges, first, cutoff, lower_clip=clip, **kw)
-        assert KERNEL_COUNTERS.snapshot() == {"zero_width_pairs": 0, "evals_saved": 0}
-        got = batch(_f, edges, first, cutoff, lower_clip=clip, **kw)
+        counted, res = booked(lambda: mega(_f, edges, first, cutoff, lower_clip=clip, **kw))
+        assert counted == {"zero_width_pairs": 0, "evals_saved": 0}
+        counted, got = booked(lambda: batch(_f, edges, first, cutoff, lower_clip=clip, **kw))
         np.testing.assert_array_equal(got, res.values)
         np.testing.assert_array_equal(got, np.zeros(8))
         assert (res.n_passes, res.n_pairs, res.n_pairs_skipped) == (0, 0, 5)
-        assert KERNEL_COUNTERS.snapshot() == {
-            "zero_width_pairs": 5, "evals_saved": res.evals_saved,
-        }
-        KERNEL_COUNTERS.reset()
+        assert counted == {"zero_width_pairs": 5, "evals_saved": res.evals_saved}
 
     def test_no_clip_matches_too(self, windows):
         edges, first, cutoff, _ = windows
@@ -115,27 +119,17 @@ class TestLaunchStatistics:
 class TestZeroWidthCounters:
     def test_batch_kernels_book_elisions(self, windows):
         edges, first, cutoff, clip = windows
-        KERNEL_COUNTERS.reset()
-        batch_simpson_windows(_f, edges, first, cutoff, lower_clip=clip, pieces=8)
-        snap = KERNEL_COUNTERS.snapshot()
-        assert snap["zero_width_pairs"] == 1
-        assert snap["evals_saved"] == 9
-        KERNEL_COUNTERS.reset()
-        assert KERNEL_COUNTERS.snapshot() == {
-            "zero_width_pairs": 0,
-            "evals_saved": 0,
-        }
+        counted, _ = booked(
+            lambda: batch_simpson_windows(_f, edges, first, cutoff, lower_clip=clip, pieces=8)
+        )
+        assert counted == {"zero_width_pairs": 1, "evals_saved": 9}
 
     def test_gauss_kernel_books_too(self, windows):
         edges, first, cutoff, clip = windows
-        KERNEL_COUNTERS.reset()
-        batch_gauss_windows(_f, edges, first, cutoff, lower_clip=clip, n=6)
-        assert KERNEL_COUNTERS.zero_width_pairs == 1
-        assert KERNEL_COUNTERS.evals_saved == 6
-        KERNEL_COUNTERS.reset()
+        counted, _ = booked(lambda: batch_gauss_windows(_f, edges, first, cutoff, lower_clip=clip, n=6))
+        assert counted == {"zero_width_pairs": 1, "evals_saved": 6}
 
     def test_unclipped_books_nothing(self, windows):
         edges, first, cutoff, _ = windows
-        KERNEL_COUNTERS.reset()
-        batch_simpson_windows(_f, edges, first, cutoff, pieces=8)
-        assert KERNEL_COUNTERS.zero_width_pairs == 0
+        counted, _ = booked(lambda: batch_simpson_windows(_f, edges, first, cutoff, pieces=8))
+        assert counted == {"zero_width_pairs": 0, "evals_saved": 0}

@@ -87,7 +87,7 @@ class TestExactPathUntouched:
         broker.start()
         ticket = _submit(broker, clock, SpectrumRequest(temperature_k=1.3e7))
         assert not ticket.lattice
-        assert broker.lattice_store is None
+        assert broker._lattice is None
         lat = broker.report()["lattice"]
         assert lat["requests"] == 0
         assert lat["families"] == 0
@@ -119,7 +119,7 @@ class TestLatticeServing:
         report = broker.report()
         assert report["lattice"]["hits"] == 1
         assert report["lanes"]["interactive"]["lattice_hits"] == 1
-        assert broker.lattice_store is not None
+        assert broker._lattice is not None
 
     def test_nearby_temperatures_share_one_build(self):
         clock = SimClock()

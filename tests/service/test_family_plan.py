@@ -15,9 +15,9 @@ field — the ones the parent's loop builds (``_reference_tasks``: one
 ``for_ion_task`` per ion, one ``per_ion_active`` per member).
 
 The last two classes are about the ``FamilyPlan`` itself: there is one
-family cache (``family_basis`` reads it), and a batch computes each
-distinct temperature's windows once and rebuilds no ``PlanKey`` —
-compile and attribution weights price from one ``active_pairs``.
+family cache, and a batch computes each distinct temperature's windows
+once and rebuilds no ``PlanKey`` — compile and attribution weights price
+from one ``active_pairs``.
 """
 
 import hashlib
@@ -38,7 +38,6 @@ from repro.service.requests import (
     SpectrumRequest,
     compile_group_tasks,
     compile_tasks,
-    family_basis,
     family_plan,
     request_grid,
 )
@@ -239,8 +238,6 @@ class TestFamilyCache:
         )
         assert pruned is not a and pruned.basis is a.basis
         assert a.plan_key is None and pruned.plan_key.method == "romberg"
-        # family_basis reads the same cache: no second one beside it.
-        assert family_basis(db, 8, 40) is a.basis
 
     def test_out_of_scope_family_is_refused_every_time(self, db):
         for _ in range(2):

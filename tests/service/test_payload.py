@@ -25,7 +25,7 @@ from repro.service.requests import (
     compile_group_tasks,
     compile_tasks,
     emission_block,
-    family_basis,
+    family_plan,
     family_spectra,
     ion_emission,
     request_grid,
@@ -33,6 +33,11 @@ from repro.service.requests import (
 )
 
 Z_MAX = 8
+
+
+def basis_of(db: AtomicDatabase, z_max: int, n_bins: int) -> FamilyBasis:
+    """A family's cached basis, reached the way the broker reaches it."""
+    return family_plan(db, SpectrumRequest(temperature_k=1.0, z_max=z_max, n_bins=n_bins)).basis
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +103,7 @@ class TestEmissionBlock:
 
     def test_an_ion_run_is_a_slice_of_the_full_block(self, db):
         requests = tuple(SpectrumRequest(temperature_k=t) for t in (3.0e6, 4.0e7))
-        basis = family_basis(db, 8, 64)
+        basis = basis_of(db, 8, 64)
         full = emission_block(basis, requests)
         part = emission_block(basis, requests, slice(14, 29))
         assert np.array_equal(part, full[:, 14:29])
@@ -106,13 +111,13 @@ class TestEmissionBlock:
     def test_density_varies_per_request(self, db):
         a = SpectrumRequest(temperature_k=1.0e7, ne_cm3=1.0)
         b = SpectrumRequest(temperature_k=1.0e7, ne_cm3=3.0)
-        block = emission_block(family_basis(db, 8, 64), (a, b))
+        block = emission_block(basis_of(db, 8, 64), (a, b))
         assert np.array_equal(block[1], block[0] * 3.0)
 
     def test_basis_is_cached_per_family_and_read_only(self, db):
-        basis = family_basis(db, 6, 48)
-        assert family_basis(AtomicDatabase(db.config), 6, 48) is basis
-        assert family_basis(db, 6, 32) is not basis
+        basis = basis_of(db, 6, 48)
+        assert basis_of(AtomicDatabase(db.config), 6, 48) is basis
+        assert basis_of(db, 6, 32) is not basis
         assert basis.grid is request_grid(SpectrumRequest(temperature_k=1e7, n_bins=48))
         assert all(ion.z <= 6 for ion in basis.ions)
         with pytest.raises(ValueError):
@@ -133,7 +138,7 @@ class TestFamilySpectra:
         )
         scope = (config.n_max, config.z_max)
         stacked = family_spectra((requests, *scope))
-        basis = family_basis(AtomicDatabase(config), 8, n_bins)
+        basis = basis_of(AtomicDatabase(config), 8, n_bins)
         for j, request in enumerate(requests):
             assert np.array_equal(stacked[j], request_spectrum((request, *scope)))
             assert np.array_equal(stacked[j], _fold(basis, request))
@@ -160,12 +165,12 @@ def _burst_group() -> tuple[SpectrumRequest, ...]:
 class TestSharedBlockMemory:
     def test_task_rows_match_the_oracle_and_survive_a_rerun(self, db):
         group = _burst_group()[:3]
-        basis = family_basis(db, 8, 128)
+        basis = basis_of(db, 8, 128)
         tasks = compile_group_tasks(group, db)
         singles = compile_tasks(group[1], db)
         for _ in range(2):  # the second round re-evaluates dropped runs
             for i, task in enumerate(tasks):
-                rows = task.run_gpu()
+                rows = task.kernel.execute()
                 for j, request in enumerate(group):
                     want = ion_emission(basis.ions[i], basis.n_levels[i], request)
                     assert np.array_equal(rows[j], want)
@@ -181,7 +186,7 @@ class TestSharedBlockMemory:
         tracemalloc.start()
         try:
             for task in tasks:
-                total += task.run_gpu()
+                total += task.kernel.execute()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -195,7 +200,7 @@ class TestSharedBlockMemory:
         tasks = compile_group_tasks(_burst_group(), db)
         blocks = []
         for task in tasks:
-            rows = task.run_gpu()
+            rows = task.kernel.execute()
             if not any(ref() is rows.base for ref in blocks):
                 blocks.append(weakref.ref(rows.base))
             del rows

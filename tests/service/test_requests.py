@@ -108,7 +108,7 @@ class TestCompileTasks:
     def test_both_paths_same_answer(self, db):
         req = SpectrumRequest(temperature_k=1e7, z_max=4, n_bins=16)
         task = compile_tasks(req, db)[0]
-        np.testing.assert_array_equal(task.run_gpu(), task.run_cpu())
+        np.testing.assert_array_equal(task.kernel.execute(), task.run_cpu())
 
     def test_grid_shared_per_bin_count(self):
         a = request_grid(SpectrumRequest(temperature_k=1e7, n_bins=48))

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import constants as c
+from repro.physics.spectrum import EnergyGrid
 
 
 class TestValues:
@@ -27,16 +29,23 @@ class TestValues:
 
 
 class TestConversions:
+    """Wavelength <-> energy, as the grids convert them (through ``HC``)."""
+
     def test_wavelength_energy_roundtrip(self):
-        for wl in (1.0, 12.398, 45.0):
-            e = c.wavelength_to_energy_kev(wl)
-            assert c.energy_to_wavelength_angstrom(e) == pytest.approx(wl)
+        grid = EnergyGrid.from_wavelength(1.0, 45.0, 44)
+        assert c.HC_KEV_ANGSTROM / grid.edges[::-1] == pytest.approx(np.linspace(1.0, 45.0, 45))
 
     def test_known_anchor(self):
         """12.398 A <-> 1 keV."""
-        assert c.wavelength_to_energy_kev(12.39841984) == pytest.approx(1.0)
+        grid = EnergyGrid.from_wavelength(12.39841984, 24.79683968, 1)
+        assert grid.edges[-1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("fn", [c.wavelength_to_energy_kev, c.energy_to_wavelength_angstrom])
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda wl: EnergyGrid.from_wavelength(wl, 45.0, 4),
+         lambda e: EnergyGrid(np.array([e, 2.0])).wavelength_centers],
+        ids=["wavelength_to_energy_kev", "energy_to_wavelength_angstrom"],
+    )
     def test_positive_input_required(self, fn):
         with pytest.raises(ValueError):
             fn(0.0)
