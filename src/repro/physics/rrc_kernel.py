@@ -38,7 +38,7 @@ cancels.  What is shared, and across what:
 
 - **across levels** — ``mu`` and ``nu``, two ``(M, n_bins)`` tables per
   temperature built by recurrence from the node weights.  A pair costs
-  one ``exp`` and two Horner chains, about ``4 M + 9`` element
+  one ``exp`` and one Horner chain over both, about ``4 M + 10`` element
   operations where the node-by-node rule spends 5 a node;
 - **across calls** — the tables are memoized per ``(edges, rule, kT)``
   in :data:`_MEMO_BYTES` per grid: the ions of a grid point arrive as
@@ -59,12 +59,14 @@ take this one path; without the Gaunt factor ``S_lb = mu_0[b]``.
 
 Both exponents are <= 0 inside a window, so nothing can overflow at any
 ``kT``: the kernel needs no temperature guard and has no fallback.
-Levels are walked in a fixed order (ascending first full bin) and added
-to the spectrum one by one; their partition into blocks only bounds the
-temporaries, on which every operation is element-wise or reduces a
-pair's own cells.  Order and arithmetic depend on the grid and the
-levels only — never on which temperatures share a batch — so a batch's
-row ``j`` is bit-identical to evaluating temperature ``j`` alone.
+Levels are walked in a fixed order (ascending first full bin), in blocks
+that only bound the temporaries: a block's pairs outside their level's
+window are +0.0 and one reduction folds it onto the spectrum row after
+row, the level-by-level sum bit for bit (every term is >= 0).  Every
+other operation is element-wise or reduces a pair's own cells.  Order
+and arithmetic depend on the grid and the levels only — never on which
+temperatures share a batch — so a batch's row ``j`` is bit-identical to
+evaluating temperature ``j`` alone.
 
 A bin's value is a left fold over levels that no other bin reads, so a
 call may also compute any contiguous run of bins (``bins``) and the runs
@@ -98,10 +100,10 @@ __all__ = ["rule_rrc"]
 #: ``s``; bounds the moment tables one call keeps alive.
 _TEMPERATURE_BLOCK = 8
 
-#: float64 elements per temporary of the level loop (64 KiB each): a
-#: block takes as many levels as fit.  Timings from 2^13 to 2^16 agree
-#: within noise; the smallest keeps a call's peak under 1 MiB.
-_BLOCK_ELEMENTS = 1 << 13
+#: float64 elements per temporary of the level loop (128 KiB each, four
+#: a call): a block takes as many levels as fit.  The largest size that
+#: keeps a call's traced peak under 1 MiB (docs/ARCHITECTURE.md section 8).
+_BLOCK_ELEMENTS = 1 << 14
 
 #: Relative truncation of the expansion: below one rounding.
 _TRUNCATION = 1.0e-17
@@ -185,15 +187,6 @@ def _expansion_of_edges(edge_bytes: bytes, rule: tuple[str, int]) -> _Expansion:
     return _Expansion(np.frombuffer(edge_bytes, dtype=np.float64), rule)
 
 
-def _horner(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_m rows[m] s^m``: ``rows`` is ``(M, n)``, ``s`` is ``(L, n)``."""
-    acc, out = rows[-1], np.empty_like(s)
-    for row in rows[-2::-1]:
-        acc = np.multiply(acc, s, out=out)
-        acc += row
-    return acc
-
-
 @np.errstate(under="ignore")
 def rule_rrc(
     grid: EnergyGrid,
@@ -273,9 +266,9 @@ def rule_rrc(
             # Several levels can share one edge bin -> unbuffered scatter-add.
             live = live_edge[j] & kept
             np.add.at(out[j], b_e[live], vals[live])
+        del above, g_e, y  # their room goes to the level loop's temporaries
 
-    # --- full bins: temperature enters through the moment tables and
-    # one exp(-(E_b - I_l)/kT) per (level, bin) only.
+    # --- full bins: temperature enters via the moment tables and one exp a pair.
     order = np.flatnonzero(start < n_bins)
     order = order[np.argsort(start[order], kind="stable")]
     # Sorted unclipped, then clipped to the run: the order of every bin.
@@ -283,51 +276,58 @@ def rule_rrc(
     exp = _expansion_of_edges(grid.edges.tobytes(), rule)
     cells = exp.cells
     tables = [exp.moments(float(kt)) for kt in kts]
-    coef = c_l
-    if gaunt:
-        kappa = np.cbrt(energies)
-        coef = c_l * ((_B / _E) * kappa)
-        alpha, gamma = (_A / _B) * kappa, (_D / _E) * kappa * kappa
+    kappa = np.cbrt(energies)
+    coef = c_l * ((_B / _E) * kappa) if gaunt else c_l
+    alpha, gamma = (_A / _B) * kappa, (_D / _E) * kappa * kappa
     clipped = np.minimum(cutoffs, b1)
-    starts, cuts = np.maximum(start, b0).tolist(), clipped.tolist()
     per_block = max(1, _BLOCK_ELEMENTS // ((b1 - b0) * cells))
+    # (r, s) and the (mu, nu) chain, each pair adjacent; the nu half then holds the pairs.
+    temps = np.empty((2 if gaunt else 1, 2 * per_block * (b1 - b0) * cells))
     for i in range(0, order.size, per_block):
         rows = order[i : i + per_block]
-        levels = rows.tolist()
-        lo = starts[levels[0]]
+        lo = max(int(start[rows[0]]), b0)
         hi_of = clipped[:, rows].max(axis=1).tolist()
         hi = max(hi_of)
         if hi <= lo:
             continue
-        # I_l - E_b, <= 0 in a window; the clamp keeps the block's bins
-        # below a level's first (never read) from overflowing.
-        depth = np.subtract.outer(energies[rows], grid.lower[lo:hi])
-        np.minimum(depth, 0.0, out=depth)
         if gaunt:
             xbar = exp.xbar[lo * cells : hi * cells]
-            r = np.add.outer(gamma[rows], xbar)
+            r, s = temps[0, : 2 * rows.size * xbar.size].reshape(2, rows.size, -1)
+            np.add.outer(gamma[rows], xbar, out=r)
             np.reciprocal(r, out=r)
-            s = r * xbar
-            a = alpha[rows][:, None]
+            np.multiply(r, xbar, out=s)
         for j in range(n_t):
             n = hi_of[j] - lo
             if n <= 0:
                 continue
-            pair = depth[:, :n] / kts[j]
+            tab = tables[j][:, :, lo * cells : hi_of[j] * cells]
+            k = rows.size * n
+            if gaunt:
+                acc = temps[-1, : 2 * k * cells].reshape(2, rows.size, -1)
+                acc[...] = tab[:, -1, None]
+                for m in range(exp.order - 2, -1, -1):
+                    acc *= s[:, : n * cells]
+                    acc += tab[:, m, None]
+                g = np.multiply(acc[0], alpha[rows][:, None], out=acc[0])
+                g += acc[1]
+                g *= r[:, : n * cells]
+            else:
+                g = tab[0, 0]
+            if cells > 1:
+                g = g.reshape(-1, n, cells).sum(axis=2)
+            pair = temps[-1, k * cells : k * (cells + 1)].reshape(rows.size, n)
+            np.subtract.outer(energies[rows], grid.lower[lo : lo + n], out=pair)
+            pair /= kts[j]
+            if start[rows[-1]] > lo or clipped[j, rows].min() < hi_of[j]:
+                b = np.arange(lo, lo + n)  # off a window: exponent -inf (I_l > E_b overflows)
+                pair[(start[rows, None] > b) | (clipped[j, rows, None] <= b)] = -np.inf
             np.exp(pair, out=pair)
             pair *= coef[j, rows][:, None]
-            mu, nu = tables[j][:, :, lo * cells : hi_of[j] * cells]
-            if gaunt:
-                s_j = s[:, : n * cells]
-                acc = _horner(mu, s_j) * a
-                acc += _horner(nu, s_j)
-                acc *= r[:, : n * cells]
-            else:
-                acc = mu[0]
-            if cells > 1:
-                acc = acc.reshape(-1, n, cells).sum(axis=2)
-            pair *= acc
-            for k, l in enumerate(levels):
-                if cuts[j][l] > starts[l]:
-                    out[j][starts[l] : cuts[j][l]] += pair[k, starts[l] - lo : cuts[j][l] - lo]
+            pair *= g
+            dest = out[j][lo : lo + n]  # the fold: onto the spectrum, row after row
+            pair[0] += dest
+            if n > 1:
+                np.add.reduce(pair, axis=0, out=dest)
+            else:  # add.reduce would sum a lone column pairwise
+                dest[0] = np.add.accumulate(pair[:, 0])[-1]
     return results

@@ -20,6 +20,10 @@ Pinned promises:
    cut of its bins into runs joins to the whole call bit for bit.
 6. The per-temperature moment tables are built once per temperature for
    as many grid points as a node keeps in flight.
+7. A level block reaches the spectrum as one left fold along the level
+   axis: NumPy's axis-0 ``add.reduce`` is that fold for two or more
+   columns, and a run one bin wide (a lone column, which ``add.reduce``
+   sums pairwise) is still bit-equal to its bin of the whole call.
 """
 
 import tracemalloc
@@ -29,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.atomic.abundances import SOLAR
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.bench.workloads import small_real_database, small_real_grid
 from repro.constants import K_B_KEV
@@ -118,7 +123,7 @@ class TestAgainstGenericKernel:
         scale = float(np.abs(generic.values).max())
         assert np.abs(fast.values - generic.values).max() <= 1.0e-12 * scale
 
-    def test_pieces_beyond_the_scratch_rejected(self, db):
+    def test_rules_beyond_the_node_limit_rejected(self, db):
         """A rule of 2**14 nodes or more is refused whatever the method,
         before its ``n_bins x nodes`` tables are allocated."""
         for rule in (
@@ -152,6 +157,53 @@ class TestAgainstQagsOracle:
         )
         assert want.max() > 0.0
         assert np.abs(got - want).max() <= 1.0e-9 * want.max()
+
+
+class TestTheLevelFold:
+    @given(
+        levels=st.integers(1, 400),
+        width=st.integers(2, 500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_axis0_add_reduce_is_the_row_by_row_fold(self, levels, width, seed):
+        """A canary on NumPy itself, not on the kernel: ``rule_rrc`` folds
+        each level block onto the spectrum with ``np.add.reduce(pair,
+        axis=0, out=...)`` and is bit-identical to its per-level sum only
+        while that reduction adds whole rows in order.  If this fails
+        after a NumPy upgrade, the kernel goldens' sha1s and hex floats
+        move because of this primitive: mend the fold in
+        :func:`repro.physics.rrc_kernel.rule_rrc`, never the goldens."""
+        rng = np.random.default_rng(seed)
+        terms = 10.0 ** rng.uniform(-8.0, 8.0, (levels, width))  # 16 decades
+        terms[rng.random(terms.shape) < 0.25] = 0.0  # pairs outside a window
+        want = terms[0].copy()
+        for row in terms[1:]:
+            want += row
+        got = np.empty(width)
+        np.add.reduce(terms, axis=0, out=got)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0e-9], ids=["dense", "pruned"])
+    @pytest.mark.parametrize(
+        "rule",
+        [{}, {"method": "romberg", "k": 5}, {"method": "gauss", "gl_points": 8}],
+        ids=["simpson", "romberg", "gauss"],
+    )
+    def test_one_bin_runs_are_the_whole_call(self, rule, tail_tol):
+        """A run one bin wide folds a lone ``(levels, 1)`` column, which
+        ``np.add.reduce`` would sum pairwise.  On the real plan (1 326
+        levels, the 400-bin grid) the first, the last and every 7th bin
+        alone, and one two-bin run, equal those bins of the whole call."""
+        knobs = {"method": "simpson", "tail_tol": tail_tol, **rule}
+        plan = PlanCache().get(small_real_database(), small_real_grid(400), **knobs)
+        launch = plan._launch([_point(1.0e7)], SOLAR)
+        whole = rule_rrc(*launch)[0].values
+        last = whole.size - 1
+        runs = [range(b, b + 1) for b in sorted({*range(0, last, 7), last})]
+        for run in [*runs, range(267, 269)]:
+            got = rule_rrc(*launch, bins=run)[0].values
+            np.testing.assert_array_equal(got, whole[run.start : run.stop], err_msg=str(run))
 
 
 class TestNoMegabyteTemporaries:
