@@ -912,6 +912,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from dataclasses import replace
 
+    if args.rate <= 0.0:
+        raise SystemExit("--rate must be positive")
     trace = generate_trace(
         TrafficSpec(
             n_requests=args.requests,
@@ -1007,10 +1009,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         write_chrome_trace(args.trace, tracer)
         print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
     if args.metrics:
-        from repro.obs import service_registry
-
         with open(args.metrics, "w") as fh:
-            fh.write(service_registry(broker).render())
+            fh.write(broker.registry().render())
         print(f"wrote Prometheus metrics to {args.metrics}", file=sys.stderr)
     if args.gantt:
         from repro.obs import render_gantt, render_summary
@@ -1123,6 +1123,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     if args.repeat < 1:
         raise SystemExit("--repeat must be >= 1")
+    db_z_max = ServiceConfig().db_z_max
+    if args.z_max > db_z_max:
+        raise SystemExit(
+            f"--z-max {args.z_max} exceeds the service database's z_max={db_z_max}"
+        )
     request = SpectrumRequest(
         temperature_k=args.temperature,
         ne_cm3=args.density,
@@ -1182,10 +1187,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         write_chrome_trace(args.trace, tracer)
         print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
     if args.metrics:
-        from repro.obs import service_registry
-
         with open(args.metrics, "w") as fh:
-            fh.write(service_registry(broker).render())
+            fh.write(broker.registry().render())
         print(f"wrote Prometheus metrics to {args.metrics}", file=sys.stderr)
     _emit_profile(args, tracer)
     _emit_cost_report(args, broker=broker)

@@ -11,7 +11,9 @@ stand-ins:
 - :mod:`repro.cluster.mpi` — a miniature message-passing layer (send /
   recv / bcast / scatter / gather) over the event engine;
 - :mod:`repro.cluster.shm` — a *real* ``multiprocessing`` shared-memory
-  runner demonstrating the same scheduler on live processes.
+  runner of Algorithm 1 on live processes, with its own copy of
+  SCHE-ALLOC / SCHE-FREE rather than :mod:`repro.core.scheduler`'s
+  (ROADMAP item 4 converges them).
 """
 
 from repro.cluster.simclock import SimClock, Signal, Interrupt, ProcessHandle

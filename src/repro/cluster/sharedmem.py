@@ -6,10 +6,11 @@ task count* — which MPI processes attach with ``shmat()`` and mutate with
 atomic increments/decrements.
 
 Inside the single-threaded event simulation, atomicity is trivially
-guaranteed; the value of modelling it anyway is that the *same scheduler
-code* runs unchanged against :class:`SharedArray` here and against a real
-``multiprocessing`` shared array in :mod:`repro.cluster.shm` — the API is
-the contract.
+guaranteed; modelling it anyway keeps the scheduler written against the
+operations a real segment offers.  The live runner
+:mod:`repro.cluster.shm` does not share this code: it carries its own
+``_sche_alloc`` / ``_sche_free`` copy over a ``multiprocessing`` array
+(ROADMAP item 4 converges the two).
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from repro.core.metrics import MetricsLedger, RunResult, TaskEvent
 from repro.obs.attribution import ion_from_label
 from repro.obs.bus import RunBus
 from repro.obs.tracer import NULL_TRACER
-from repro.obs.tsdb import NULL_TSDB
 from repro.core.scheduler import (
     NO_DEVICE,
     ClientServerScheduler,
@@ -124,14 +123,9 @@ class HybridRunner:
     placement-decision attributes (queue loads, history counts, chosen
     device), queue-wait sub-spans, per-device load counters, and batch
     spans; ``scope`` names the trace process grouping the node's tracks
-    (the service broker sets it to the owning worker's name).
-
-    ``tsdb`` (default: the no-op :data:`~repro.obs.tsdb.NULL_TSDB`)
-    receives continuous telemetry: each batch scrapes one registry over
-    the ledger's live state at its start and end, plus every
-    ``scrape_cadence_s`` of virtual time in between via a cadence
-    process on the batch's clock.  Scraping is pure observation — the
-    simulated schedule is bit-identical with or without it.
+    (the service broker sets it to the owning worker's name).  A run's
+    numbers are its :class:`RunResult` ledger; a profile of the trace is
+    ``Profile.from_tracer(tracer)``.
     """
 
     def __init__(
@@ -139,53 +133,17 @@ class HybridRunner:
         config: HybridConfig | None = None,
         tracer=None,
         scope: str = "hybrid",
-        tsdb=None,
-        scrape_cadence_s: float = 0.5,
         span_cost_model=None,
     ) -> None:
         self.config = config or HybridConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.scope = scope
-        self.tsdb = tsdb if tsdb is not None else NULL_TSDB
-        if scrape_cadence_s <= 0.0:
-            raise ValueError("scrape_cadence_s must be positive")
-        self.scrape_cadence_s = scrape_cadence_s
         #: Online EWMA :class:`~repro.obs.attribution.CostModel` backing
         #: predictive placement.  ``None`` lazily seeds one from the
         #: config's device spec + the kernel-savings ledger on the first
         #: predictive batch; the broker passes its shared (possibly
         #: persisted) model so every batch prices from the same history.
         self.span_cost_model = span_cost_model
-
-    # ------------------------------------------------------------------
-    # Observability handles
-    # ------------------------------------------------------------------
-    def registry(self, result, wall_s: float | None = None):
-        """Metrics snapshot of one finished run's ledger.
-
-        Thin handle over :func:`repro.obs.prom.run_registry`, so the SLO
-        engine and exposition writers can consume a run without knowing
-        the registry module.
-        """
-        from repro.obs.prom import run_registry
-
-        return run_registry(result, wall_s=wall_s)
-
-    def profile(self):
-        """Hierarchical cost attribution over this runner's trace.
-
-        Requires the runner to have been built with an
-        :class:`~repro.obs.tracer.EventTracer` and at least one batch to
-        have run through it.
-        """
-        from repro.obs.profile import Profile
-
-        if not self.tracer.enabled:
-            raise ValueError(
-                "runner has no event tracer; construct it with "
-                "tracer=EventTracer() to profile"
-            )
-        return Profile.from_tracer(self.tracer)
 
     # ------------------------------------------------------------------
     # Baselines
@@ -349,38 +307,10 @@ class HybridRunner:
                 )
             handles.append(clock.spawn(gen, name=f"rank{rank}"))
 
-        # Continuous telemetry: scrape the ledger's live state at the
-        # batch boundaries and on a cadence process in between.  Pure
-        # observation — the workers' schedule is untouched.
-        batch_done = [False]
-        if self.tsdb.enabled:
-            from repro.obs.prom import NODE_FAMILIES, MetricsRegistry, fill
-
-            # One registry per batch over the ledger's *live* mid-run
-            # state; every scrape refreshes its values in place.
-            live = MetricsRegistry()
-
-            def scrape_ledger() -> None:
-                fill(live, NODE_FAMILIES, metrics)
-                self.tsdb.scrape(live, clock.now)
-
-            def scraper() -> Generator:
-                while True:
-                    yield self.scrape_cadence_s
-                    if batch_done[0]:
-                        return
-                    scrape_ledger()
-
-            scrape_ledger()
-            clock.spawn(scraper(), name=f"{name}.scraper")
-
         for handle in handles:
             yield handle
-        batch_done[0] = True
         makespan = clock.now - start
         metrics.finalize(clock.now)
-        if self.tsdb.enabled:
-            scrape_ledger()  # boundary scrape on the finalized ledger
         sched.validate()
         if sched.segment.total_load() != 0:
             raise RuntimeError("scheduler leaked queue slots at end of run")

@@ -65,8 +65,6 @@ from repro.obs.prom import (
     Histogram,
     MetricsRegistry,
     parse_exposition,
-    run_registry,
-    service_registry,
 )
 from repro.obs.query import QueryEngine, QueryError, Sample, parse_query
 from repro.obs.slo import Rule, RuleState, SLOEngine, Transition
@@ -113,8 +111,6 @@ __all__ = [
     "render_gantt",
     "render_profile",
     "render_summary",
-    "run_registry",
-    "service_registry",
     "to_chrome",
     "to_collapsed",
     "validate_chrome_trace",

@@ -11,7 +11,7 @@ help, label names, and where its value is read) and :func:`fill` sets a
 registry's samples from those declarations — the same code for the
 zeroed schema, the first fill and every later refresh.  A
 :class:`~repro.service.broker.SpectrumBroker` owns one live registry
-(:func:`service_registry`): counters and gauges are set from the
+(``broker.registry()``): counters and gauges are set from the
 ledgers' running totals, histograms observe only the samples they have
 not seen, so a refresh costs the samples, not the history.  The
 registry is a *derived consumer* — it reads the same ledgers the
@@ -25,7 +25,7 @@ import bisect
 import itertools
 import math
 import re
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "Counter",
@@ -33,8 +33,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "parse_exposition",
-    "service_registry",
-    "run_registry",
     "Family",
     "fill",
 ]
@@ -689,7 +687,7 @@ SCHED_ERROR_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
 
 
 class _Sched(NamedTuple):
-    """What the ``repro_sched_*`` families read, whichever ledger has it."""
+    """What the ``repro_sched_*`` families read off a broker's telemetry."""
 
     n_devices: int
     steals: Sequence[int]
@@ -705,13 +703,6 @@ class _Sched(NamedTuple):
         return cls(grid.shape[0] if grid is not None else 1, tel.sched_steals,
                    tel.sched_donations, tel.sched_prediction_errors,
                    tel.sched_mean_loads(), tel.sched_imbalance())
-
-    @classmethod
-    def of_run(cls, result) -> "_Sched":
-        m = result.metrics
-        return cls(m.n_devices, m.steals, m.donations, m.prediction_errors(),
-                   [m.mean_device_load(d) for d in range(m.n_devices)],
-                   m.load_imbalance())
 
     def per_device(self, values) -> list:
         return [((str(d),), values[d] if d < len(values) else 0.0)
@@ -740,7 +731,7 @@ _SCHED_FAMILIES = (
 )
 
 #: The serving stack's exposition, in order: ``(families, source of a
-#: broker)`` — every family :func:`service_registry` exports.
+#: broker)`` — every family ``broker.registry()`` exports.
 SERVICE_FAMILIES = (
     (_REQUEST_FAMILIES, lambda broker: broker),
     (PLAN_CACHE_FAMILIES, _plan_cache),
@@ -778,60 +769,3 @@ def fill_service(registry: MetricsRegistry, broker) -> MetricsRegistry:
                 for idx, (v, tid) in latest.items()
             }
     return registry
-
-
-def service_registry(broker) -> MetricsRegistry:
-    """The serving-stack metric set of one broker, current as of now.
-
-    The broker's one live registry: built on first use, refreshed in
-    place afterwards (see :meth:`SpectrumBroker.registry`).
-    """
-    return broker.registry()
-
-
-_RUN_FAMILIES = (
-    Family(Gauge, "repro_makespan_seconds", "Virtual makespan of the run",
-           lambda r: r.makespan_s),
-    Family(Counter, "repro_tasks_total", "Tasks by placement",
-           _by(gpu=lambda r: int(r.metrics.gpu_tasks.sum()),
-               cpu=lambda r: r.metrics.cpu_tasks), ("placement",)),
-    Family(Gauge, "repro_gpu_task_ratio", "Fraction of tasks served by GPUs",
-           lambda r: r.metrics.gpu_task_ratio()),
-    Family(Counter, "repro_evals_saved_total",
-           "Integrand evaluations pruned by active windows",
-           lambda r: r.metrics.evals_saved),
-    Family(Gauge, "repro_device_load_residency_seconds",
-           "Virtual seconds each device load level was held",
-           lambda r: _residency_cells(r.metrics.load_residency[: r.metrics.n_devices]),
-           ("device", "load")),
-)
-
-_WALL_FAMILIES = (
-    Family(Gauge, "repro_wall_seconds", "Host wall-clock time of the run",
-           lambda wall_s: wall_s),
-)
-
-#: A running batch's ledger, scraped by the hybrid runner's cadence
-#: process while the batch executes (``run_registry`` needs it finished).
-NODE_FAMILIES = (
-    Family(Counter, "repro_node_tasks_total", "Tasks completed so far by placement.",
-           _by(gpu=lambda m: m.gpu_tasks.sum(), cpu=lambda m: m.cpu_tasks),
-           ("placement",)),
-    Family(Gauge, "repro_node_device_load",
-           "Instantaneous admitted queue length per device.",
-           lambda m: [((str(d),), m._current_load[d]) for d in range(m.n_devices)],
-           ("device",)),
-    Family(Counter, "repro_node_evals_saved_total",
-           "Kernel evaluations elided by active-window pruning.",
-           lambda m: m.evals_saved),
-)
-
-
-def run_registry(result, wall_s: Optional[float] = None) -> MetricsRegistry:
-    """Derive a registry from one hybrid :class:`RunResult` ledger."""
-    reg = MetricsRegistry()
-    fill(reg, _RUN_FAMILIES, result)
-    fill(reg, _SCHED_FAMILIES, _Sched.of_run(result))
-    if wall_s is not None:
-        fill(reg, _WALL_FAMILIES, wall_s)
-    return reg

@@ -27,7 +27,7 @@ runs too) over a whole batch of temperatures, whatever the plan's rule.
 :class:`PlanCache` content-addresses compiled plans so repeated grid
 points, parameter sweeps, and cache-miss service requests reuse them; hit,
 miss, compilation and eviction counters are exported through the
-Prometheus registry (:func:`repro.obs.prom.service_registry`) and, when a
+Prometheus registry (``SpectrumBroker.registry()``) and, when a
 tracer is bound, as instant events on a ``plan-cache`` track.
 """
 

@@ -27,13 +27,7 @@ from typing import Generator, Optional, Sequence
 
 import numpy as np
 
-from repro.approx import (
-    INTERP_METHODS,
-    LatticeSpec,
-    LatticeStats,
-    LatticeStore,
-    RequestEvaluator,
-)
+from repro.approx import LatticeSpec, LatticeStats, LatticeStore, RequestEvaluator
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.cluster.simclock import Signal, SimClock
 from repro.core.calibration import CostModel
@@ -62,6 +56,10 @@ from repro.service.telemetry import ServiceTelemetry
 __all__ = ["ServiceConfig", "SpectrumBroker", "Ticket", "run_trace"]
 
 LANES = ("interactive", "survey")
+#: Backpressure hint returned with a rejection (virtual seconds).
+RETRY_AFTER_S = 0.5
+#: Cap on a ``run_trace`` client's exponential backoff factor.
+MAX_RETRY_BACKOFF = 32.0
 
 
 def _default_hybrid() -> HybridConfig:
@@ -99,8 +97,6 @@ class ServiceConfig:
     batch_window_s: Optional[float] = None
     #: Max temperatures fused into one megabatch group.
     batch_width_max: int = 16
-    #: Backpressure hint returned with a rejection.
-    retry_after_s: float = 0.5
     cache_max_entries: int = 256
     cache_max_bytes: int = 32 << 20
     cache_ttl_s: float = 3600.0
@@ -112,23 +108,13 @@ class ServiceConfig:
     #: sample, deterministic); ``None`` keeps every sample, matching the
     #: historical behaviour.
     latency_reservoir: Optional[int] = None
-    #: Approximate serving (:mod:`repro.approx`).  Engages only for
-    #: requests declaring a positive ``accuracy`` budget; ``False``
-    #: routes every request to the exact path regardless.
-    lattice: bool = True
-    #: Temperature domain of the per-family lattices (log-spaced).
-    lattice_t_min_k: float = 5.0e5
-    lattice_t_max_k: float = 1.0e8
-    #: Initial nodes per lattice; bisection refines on demand.
-    lattice_nodes: int = 33
-    #: Interpolation method along ln kT ("linear" | "cubic").
-    lattice_method: str = "cubic"
-    #: Certified bound = safety x measured midpoint error.
-    lattice_safety: float = 2.0
-    #: Store-wide byte budget across families (LRU past it).
-    lattice_max_bytes: int = 8 << 20
-    #: Interval bisections allowed per served request.
-    lattice_refine_max: int = 2
+    #: Approximate serving (:mod:`repro.approx`): the shape of every
+    #: family lattice.  Engages only for requests declaring a positive
+    #: ``accuracy`` budget; ``None`` routes every request to the exact
+    #: path regardless.
+    lattice: Optional[LatticeSpec] = LatticeSpec(
+        t_min_k=5.0e5, t_max_k=1.0e8, n_nodes=33, method="cubic", safety=2.0
+    )
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -141,25 +127,8 @@ class ServiceConfig:
             raise ValueError("batch_window_s must be >= 0 or None")
         if self.batch_width_max < 1:
             raise ValueError("batch_width_max must be >= 1")
-        if self.retry_after_s <= 0.0:
-            raise ValueError("retry_after_s must be positive")
         if self.latency_reservoir is not None and self.latency_reservoir < 1:
             raise ValueError("latency_reservoir must be >= 1 or None")
-        if not 0.0 < self.lattice_t_min_k < self.lattice_t_max_k:
-            raise ValueError("need 0 < lattice_t_min_k < lattice_t_max_k")
-        if self.lattice_nodes < 2:
-            raise ValueError("lattice_nodes must be >= 2")
-        if self.lattice_method not in INTERP_METHODS:
-            raise ValueError(
-                f"unknown lattice_method {self.lattice_method!r}; "
-                f"expected one of {INTERP_METHODS}"
-            )
-        if self.lattice_safety < 1.0:
-            raise ValueError("lattice_safety must be >= 1")
-        if self.lattice_max_bytes < 1:
-            raise ValueError("lattice_max_bytes must be >= 1")
-        if self.lattice_refine_max < 0:
-            raise ValueError("lattice_refine_max must be >= 0")
 
 
 @dataclass
@@ -242,6 +211,9 @@ class SpectrumBroker:
       scanned after each scrape; events flow onto the service bus.
     - ``flight``: the :class:`~repro.obs.flight.FlightRecorder`
       ``run_trace`` arms when asked for postmortem bundles.
+
+    Exposition reads :meth:`registry`; a profile of the trace is
+    ``Profile.from_tracer(broker.tracer)``.
     """
 
     def __init__(
@@ -343,21 +315,6 @@ class SpectrumBroker:
             self._registry = MetricsRegistry()
         return fill_service(self._registry, self)
 
-    def profile(self):
-        """Hierarchical cost attribution over this broker's trace.
-
-        Requires the broker to have been built with an
-        :class:`~repro.obs.tracer.EventTracer`.
-        """
-        from repro.obs.profile import Profile
-
-        if not self.tracer.enabled:
-            raise ValueError(
-                "broker has no event tracer; construct it with "
-                "tracer=EventTracer() to profile"
-            )
-        return Profile.from_tracer(self.tracer)
-
     def cost_report(self) -> Optional[AttributionResult]:
         """Per-request attributed cost ledger (``None`` when untraced).
 
@@ -438,7 +395,7 @@ class SpectrumBroker:
         """A certified lattice answer for a positive-accuracy request;
         falls through when the exact path must run (tier off, out of
         domain, or still over budget after refinement)."""
-        if not (self.config.lattice and ticket.request.accuracy > 0.0):
+        if self.config.lattice is None or not ticket.request.accuracy > 0.0:
             return None
         if self._lattice is None:
             self._open_lattice()
@@ -467,7 +424,7 @@ class SpectrumBroker:
     def _admit(self, ticket: Ticket, now: float) -> Ticket:
         if self.queue_depth >= self.config.queue_capacity:
             ticket.status = "rejected"
-            ticket.retry_after_s = self.config.retry_after_s
+            ticket.retry_after_s = RETRY_AFTER_S
             self.bus.on_rejection(ticket.lane)
             return ticket
         entry = self.coalescer.open(ticket.key, ticket.request, ticket.lane, now)
@@ -521,18 +478,9 @@ class SpectrumBroker:
         accuracy request, so exact-only runs (and their traces) are
         untouched by the tier.  Store work is host-side precomputation:
         zero virtual time, like plan compilation."""
-        cfg = self.config
         self._lattice = LatticeStore(
             evaluator=RequestEvaluator(self.db),
-            spec=LatticeSpec(
-                t_min_k=cfg.lattice_t_min_k,
-                t_max_k=cfg.lattice_t_max_k,
-                n_nodes=cfg.lattice_nodes,
-                method=cfg.lattice_method,
-                safety=cfg.lattice_safety,
-            ),
-            max_bytes=cfg.lattice_max_bytes,
-            refine_max=cfg.lattice_refine_max,
+            spec=self.config.lattice,
             tracer=self.tracer,
             track=self.tracer.track("service", "lattice"),
         )
@@ -724,7 +672,6 @@ def run_trace(
     trace: Sequence[Arrival],
     config: ServiceConfig | None = None,
     db: AtomicDatabase | None = None,
-    max_retry_backoff: float = 32.0,
     tracer=None,
     slo=None,
     flight_dir: Optional[str] = None,
@@ -783,7 +730,7 @@ def run_trace(
                 if not ticket.done:
                     yield ticket.signal
                 return
-            backoff = min(2.0**attempt, max_retry_backoff)
+            backoff = min(2.0**attempt, MAX_RETRY_BACKOFF)
             attempt += 1
             yield ticket.retry_after_s * backoff
 

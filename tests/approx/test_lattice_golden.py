@@ -25,6 +25,7 @@ raw-flux branch no service trace reaches.
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.service import ServiceConfig, TrafficSpec, generate_trace, run_trace
 
 WALL = Path(__file__).resolve().parents[2] / "benchmarks" / "wall"
 
-#: (lattice_method, accuracy, seed) of each walk trace.
+#: (lattice method, accuracy, seed) of each walk trace.
 WALKS = {
     "cubic": ("cubic", 1.0e-3, 7),
     "linear": ("linear", 1.0e-3, 7),
@@ -115,7 +116,9 @@ def _walk(case: str) -> dict:
     trace = generate_trace(
         TrafficSpec(n_requests=N_WALK, pattern="walk", accuracy=accuracy, seed=seed)
     )
-    config = ServiceConfig(n_service_workers=2, lattice_method=method)
+    config = ServiceConfig(
+        n_service_workers=2, lattice=replace(ServiceConfig().lattice, method=method)
+    )
     tracer = EventTracer()
     broker, tickets = run_trace(trace, config, tracer=tracer)
     _, plain = run_trace(trace, config)

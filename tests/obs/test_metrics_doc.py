@@ -29,21 +29,9 @@ declared where they are measured, in `src/repro/cli.py`.
 _SECTIONS = (
     (
         "Serving stack",
-        "`broker.registry()` / `service_registry(broker)`: one live registry "
-        "per broker, refreshed in place from the broker's ledgers.",
+        "`broker.registry()`: one live registry per broker, refreshed in "
+        "place from the broker's ledgers.",
         lambda: [f for families, _ in prom.SERVICE_FAMILIES for f in families],
-    ),
-    (
-        "Hybrid run",
-        "`run_registry(result)`: one finished `RunResult` "
-        "(`repro_wall_seconds` only when a wall time is passed).",
-        lambda: [*prom._RUN_FAMILIES, *prom._SCHED_FAMILIES, *prom._WALL_FAMILIES],
-    ),
-    (
-        "Running batch",
-        "Scraped by `HybridRunner`'s cadence process while a batch executes "
-        "(`tsdb=` attached).",
-        lambda: list(prom.NODE_FAMILIES),
     ),
 )
 

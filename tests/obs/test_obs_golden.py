@@ -47,8 +47,6 @@ import json
 
 import pytest
 
-from repro.bench.workloads import paper_workload
-from repro.core.hybrid import HybridConfig, HybridRunner
 from repro.obs import AnomalyDetector, EventTracer, TimeSeriesStore
 from repro.physics.plan import PLAN_CACHE
 from repro.service.broker import ServiceConfig, run_trace
@@ -397,22 +395,6 @@ EVENT_MULTISET = {
     "observed": "277a483c489ff1d1d75503acea218660f1b73e96",
     "zipf": "630945e0b8666e8cc69ecd97970d170d9d543875",
 }
-
-
-#: sha1 of the store a hybrid run's cadence scraper fills (224 scrapes of
-#: the ``repro_node_*`` families over ``paper_workload(2)`` on 8 ranks /
-#: 2 GPUs), recorded at the same parent commit.
-GOLDEN_NODE_STORE = "be6c8b069e72960f9e83f12df42cc6558cb2ad08"
-
-
-def test_node_scraper_store_matches_parent_commit():
-    store = TimeSeriesStore()
-    runner = HybridRunner(
-        HybridConfig(n_workers=8, n_gpus=2), tsdb=store, scrape_cadence_s=0.5
-    )
-    runner.run(paper_workload(2))
-    assert store.n_scrapes == 224
-    assert _sha1(_canon(store.to_dict())) == GOLDEN_NODE_STORE
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -107,21 +107,6 @@ class TestRender:
             "(no spans recorded)"
         )
 
-    def test_broker_profile_handle(self, golden):
-        _tracer, broker = golden
-        assert isinstance(broker.profile(), Profile)
-
-    def test_untraced_broker_profile_raises(self):
-        from repro.atomic.database import AtomicConfig, AtomicDatabase
-        from repro.cluster.simclock import SimClock
-        from repro.service.broker import SpectrumBroker
-
-        broker = SpectrumBroker(
-            SimClock(), db=AtomicDatabase(AtomicConfig(n_max=2, z_max=2))
-        )
-        with pytest.raises(ValueError, match="no event tracer"):
-            broker.profile()
-
 
 class TestCollapsed:
     def test_lines_are_speedscope_collapsed_format(self, golden):
@@ -160,28 +145,15 @@ class TestCollapsed:
         assert path.read_text() == ""
 
 
-class TestHybridRunnerHandles:
-    def test_registry_and_profile_handles(self):
+class TestHybridRunnerTrace:
+    def test_batch_span_visible_to_the_profiler(self):
         from repro.core.granularity import WorkloadSpec, build_tasks
         from repro.core.hybrid import HybridConfig, HybridRunner
-        from repro.obs import MetricsRegistry
 
         tasks = build_tasks(WorkloadSpec(n_points=2))
         tracer = EventTracer()
-        runner = HybridRunner(
+        result = HybridRunner(
             HybridConfig(n_gpus=1, max_queue_length=4), tracer=tracer
-        )
-        result = runner.run(tasks)
-        reg = runner.registry(result, wall_s=0.25)
-        assert isinstance(reg, MetricsRegistry)
-        assert reg.value("repro_makespan_seconds") == pytest.approx(
-            result.makespan_s
-        )
-        profile = runner.profile()
-        assert profile.batches(), "batch span must be visible to the profiler"
-
-    def test_untraced_runner_profile_raises(self):
-        from repro.core.hybrid import HybridRunner
-
-        with pytest.raises(ValueError, match="no event tracer"):
-            HybridRunner().profile()
+        ).run(tasks)
+        (batch,) = Profile.from_tracer(tracer).batches()
+        assert batch.total_s == pytest.approx(result.makespan_s)

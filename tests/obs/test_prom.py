@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs import MetricsRegistry, parse_exposition, run_registry, service_registry
+from repro.obs import MetricsRegistry, parse_exposition
 from repro.obs.prom import Counter, Family, fill
 
 
@@ -192,28 +192,13 @@ class TestParser:
 
 
 class TestDerivations:
-    def test_run_registry_from_hybrid_result(self):
-        from repro.core.granularity import WorkloadSpec, build_tasks
-        from repro.core.hybrid import HybridConfig, HybridRunner
-
-        tasks = build_tasks(WorkloadSpec(n_points=2))
-        result = HybridRunner(HybridConfig(n_gpus=1, max_queue_length=4)).run(tasks)
-        fams = parse_exposition(run_registry(result, wall_s=0.5).render())
-        total = sum(v for _lbl, v in fams["repro_tasks_total"])
-        assert total == len(tasks)
-        assert fams["repro_makespan_seconds"][0][1] == pytest.approx(
-            result.makespan_s
-        )
-        assert "repro_device_load_residency_seconds" in fams
-        assert fams["repro_wall_seconds"][0][1] == 0.5
-
     def test_service_registry_from_broker(self):
         from repro.service.broker import ServiceConfig, run_trace
         from repro.service.loadgen import TrafficSpec, generate_trace
 
         trace = generate_trace(TrafficSpec(n_requests=16, seed=3, n_distinct=4))
         broker, tickets = run_trace(trace, ServiceConfig(n_service_workers=1))
-        fams = parse_exposition(service_registry(broker).render())
+        fams = parse_exposition(broker.registry().render())
         requests = sum(v for _lbl, v in fams["repro_requests_total"])
         assert requests >= 16
         assert "repro_request_latency_seconds_bucket" in fams
@@ -232,7 +217,7 @@ class TestDerivations:
 
         trace = generate_trace(TrafficSpec(n_requests=8, seed=3, n_distinct=4))
         broker, _ = run_trace(trace, ServiceConfig(n_service_workers=1))
-        rendered = service_registry(broker).render()
+        rendered = broker.registry().render()
         fams = parse_exposition(rendered)
         # Stable schema: scheduler families exist (at zero) even on the
         # depth scheduler, where nothing is ever stolen or predicted.
@@ -267,7 +252,7 @@ class TestDerivations:
         broker, _ = run_trace(
             trace, ServiceConfig(n_service_workers=2, hybrid=hybrid)
         )
-        fams = parse_exposition(service_registry(broker).render())
+        fams = parse_exposition(broker.registry().render())
         steals = sum(v for _lbl, v in fams["repro_sched_steals_total"])
         donations = sum(v for _lbl, v in fams["repro_sched_donations_total"])
         assert steals == donations == broker.telemetry.total_steals
@@ -278,74 +263,13 @@ class TestDerivations:
         assert errors > 0
         assert "repro_sched_mean_device_load" in fams
 
-    def test_run_registry_sched_families_from_predictive_result(self):
-        import numpy as np
-
-        from repro.core.calibration import CostModel
-        from repro.core.hybrid import HybridConfig, HybridRunner
-        from repro.core.task import Task, TaskKind
-        from repro.gpusim.kernel import KernelSpec
-
-        tasks = []
-        for tid in range(24):
-            heavy = tid % 5 == 0
-            n_levels = 120 if heavy else 4
-            label = f"pt{tid % 6}/Ion+{tid % 3}"
-            arr = np.full(8, float(tid) + 0.5)
-            kern = KernelSpec.for_ion_task(
-                n_levels=n_levels,
-                n_bins=200,
-                evals_per_integral=65,
-                label=label,
-                efficiency=0.1 if heavy else 1.0,
-                execute=(lambda a=arr: a),
-            )
-            tasks.append(
-                Task(
-                    task_id=tid,
-                    kind=TaskKind.ION,
-                    kernel=kern,
-                    point_index=tid % 6,
-                    n_levels=n_levels,
-                    cpu_execute=(lambda a=arr: a),
-                    label=label,
-                    method="simpson",
-                )
-            )
-        host = CostModel(
-            point_overhead_s=0.0,
-            prep_fixed_s=1.0e-4,
-            prep_per_level_s=1.0e-6,
-            submit_overhead_s=1.0e-4,
-        )
-        result = HybridRunner(
-            HybridConfig(
-                n_workers=6,
-                n_gpus=2,
-                max_queue_length=8,
-                cost=host,
-                stagger_s=0.001,
-                scheduler_kind="predictive",
-            )
-        ).run(tasks)
-        fams = parse_exposition(run_registry(result, wall_s=0.1).render())
-        steals = sum(v for _lbl, v in fams["repro_sched_steals_total"])
-        assert steals == result.metrics.total_steals
-        errors = sum(
-            v for _lbl, v in fams["repro_sched_prediction_error_count"]
-        )
-        assert errors == len(result.metrics.prediction_errors())
-        assert fams["repro_sched_load_imbalance"][0][1] == pytest.approx(
-            result.metrics.load_imbalance()
-        )
-
     def test_batch_families_zeroed_without_batching(self):
         from repro.service.broker import ServiceConfig, run_trace
         from repro.service.loadgen import TrafficSpec, generate_trace
 
         trace = generate_trace(TrafficSpec(n_requests=8, seed=3, n_distinct=4))
         broker, _ = run_trace(trace, ServiceConfig(n_service_workers=1))
-        fams = parse_exposition(service_registry(broker).render())
+        fams = parse_exposition(broker.registry().render())
         # Stable schema: the batch families exist (at zero) even when
         # continuous batching never engaged.
         for family in (
@@ -355,7 +279,7 @@ class TestDerivations:
             "repro_batch_window_waits_total",
         ):
             assert sum(v for _lbl, v in fams[family]) == 0
-        assert "repro_batch_width" in service_registry(broker).render()
+        assert "repro_batch_width" in broker.registry().render()
 
     def test_batch_families_book_megabatch_dispatch(self):
         from repro.service.broker import ServiceConfig, run_trace
@@ -380,7 +304,7 @@ class TestDerivations:
                 batch_window_s=0.02,
             ),
         )
-        fams = parse_exposition(service_registry(broker).render())
+        fams = parse_exposition(broker.registry().render())
         tel = broker.telemetry
         groups = sum(v for _lbl, v in fams["repro_batch_groups_total"])
         temps = sum(v for _lbl, v in fams["repro_batch_temperatures_total"])

@@ -1,22 +1,20 @@
 """The lattice tier through the broker: budgets, bit-identity, booking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.approx import LatticeSpec
 from repro.cluster.simclock import SimClock
 from repro.service.broker import ServiceConfig, SpectrumBroker
 from repro.service.requests import SpectrumRequest
 
+SPEC = LatticeSpec(t_min_k=1.0e6, t_max_k=5.0e7, n_nodes=17, method="cubic")
+
 
 def _config(**kw) -> ServiceConfig:
-    base = dict(
-        lattice_t_min_k=1.0e6,
-        lattice_t_max_k=5.0e7,
-        lattice_nodes=17,
-        lattice_method="cubic",
-    )
-    base.update(kw)
-    return ServiceConfig(**base)
+    return ServiceConfig(**{"lattice": SPEC, **kw})
 
 
 def _submit(broker: SpectrumBroker, clock: SimClock, request: SpectrumRequest):
@@ -62,21 +60,35 @@ class TestRequestKey:
 
 class TestConfigValidation:
     def test_bad_method(self):
-        with pytest.raises(ValueError, match="lattice_method"):
-            ServiceConfig(lattice_method="spline")
+        with pytest.raises(ValueError, match="unknown method 'spline'"):
+            ServiceConfig(lattice=replace(SPEC, method="spline"))
 
     def test_bad_domain(self):
-        with pytest.raises(ValueError, match="lattice"):
-            ServiceConfig(lattice_t_min_k=1.0e8, lattice_t_max_k=1.0e6)
+        with pytest.raises(ValueError, match="t_min_k < t_max_k"):
+            ServiceConfig(lattice=replace(SPEC, t_min_k=1.0e8, t_max_k=1.0e6))
+
+    def test_default_lattice_is_the_service_spec(self):
+        """Not ``LatticeSpec``'s own defaults (17 nodes, linear); the
+        store keeps ``LatticeStore``'s byte budget and refinement cap."""
+        assert ServiceConfig().lattice == LatticeSpec(
+            t_min_k=5.0e5, t_max_k=1.0e8, n_nodes=33, method="cubic", safety=2.0
+        )
+        clock = SimClock()
+        broker = SpectrumBroker(clock, ServiceConfig())
+        broker.start()
+        _submit(broker, clock, SpectrumRequest(temperature_k=1.3e7, accuracy=1e-3))
+        assert broker._lattice.spec is broker.config.lattice
+        assert broker._lattice.max_bytes == 8 << 20
+        assert broker._lattice.refine_max == 2
 
 
 class TestExactPathUntouched:
     def test_accuracy_zero_is_bit_identical_with_tier_disabled(self):
         request = SpectrumRequest(temperature_k=1.3e7)
         results = []
-        for lattice in (True, False):
+        for spec in (SPEC, None):
             clock = SimClock()
-            broker = SpectrumBroker(clock, _config(lattice=lattice))
+            broker = SpectrumBroker(clock, _config(lattice=spec))
             broker.start()
             results.append(_submit(broker, clock, request).result)
         np.testing.assert_array_equal(results[0], results[1])
@@ -107,7 +119,7 @@ class TestLatticeServing:
 
         # Re-verify the served spectrum against exact recomputation.
         exact_clock = SimClock()
-        exact_broker = SpectrumBroker(exact_clock, _config(lattice=False))
+        exact_broker = SpectrumBroker(exact_clock, _config(lattice=None))
         exact_broker.start()
         exact = _submit(
             exact_broker, exact_clock,
@@ -137,13 +149,13 @@ class TestLatticeServing:
     def test_uncertifiable_budget_falls_back_to_exact(self):
         request = SpectrumRequest(temperature_k=1.3e7, accuracy=1.0e-13)
         clock = SimClock()
-        broker = SpectrumBroker(clock, _config(lattice_refine_max=0))
+        broker = SpectrumBroker(clock, _config())
         broker.start()
         ticket = _submit(broker, clock, request)
         assert ticket.done and not ticket.lattice
 
         exact_clock = SimClock()
-        exact_broker = SpectrumBroker(exact_clock, _config(lattice=False))
+        exact_broker = SpectrumBroker(exact_clock, _config(lattice=None))
         exact_broker.start()
         exact = _submit(
             exact_broker, exact_clock, SpectrumRequest(temperature_k=1.3e7)
@@ -163,18 +175,16 @@ class TestLatticeServing:
 
 class TestPromExport:
     def test_lattice_families_render_zeroed_without_the_tier(self):
-        from repro.obs.prom import service_registry
-
         clock = SimClock()
         broker = SpectrumBroker(clock, _config())
         broker.start()
         _submit(broker, clock, SpectrumRequest(temperature_k=1.3e7))
-        text = service_registry(broker).render()
+        text = broker.registry().render()
         assert 'repro_approx_lattice_requests_total{result="hit"} 0' in text
         assert "repro_spectrum_cache_lookups_total" in text
 
     def test_lattice_outcomes_exported(self):
-        from repro.obs.prom import parse_exposition, service_registry
+        from repro.obs.prom import parse_exposition
 
         clock = SimClock()
         broker = SpectrumBroker(clock, _config())
@@ -183,7 +193,7 @@ class TestPromExport:
             broker, clock,
             SpectrumRequest(temperature_k=1.3e7, accuracy=1.0e-3),
         )
-        families = parse_exposition(service_registry(broker).render())
+        families = parse_exposition(broker.registry().render())
         hits = {
             labels.get("result"): value
             for labels, value in families["repro_approx_lattice_requests_total"]

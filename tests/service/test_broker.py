@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.simclock import SimClock
-from repro.service.broker import ServiceConfig, SpectrumBroker
+from repro.service.broker import RETRY_AFTER_S, ServiceConfig, SpectrumBroker
 from repro.service.requests import SpectrumRequest
 
 
@@ -105,12 +105,12 @@ class TestCoalescing:
 
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self):
-        _, broker = make_broker(queue_capacity=2, retry_after_s=0.25)
+        _, broker = make_broker(queue_capacity=2)
         admitted = [broker.submit(req(t)) for t in (1e6, 2e6)]
         overflow = broker.submit(req(3e6))
         assert all(not t.rejected for t in admitted)
         assert overflow.rejected
-        assert overflow.retry_after_s == 0.25
+        assert overflow.retry_after_s == RETRY_AFTER_S == 0.5
         assert overflow.signal is None
         assert broker.telemetry.rejections == 1
 

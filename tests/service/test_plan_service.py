@@ -3,7 +3,6 @@
 import pytest
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
-from repro.obs import service_registry
 from repro.physics.plan import PLAN_CACHE, PlanCache
 from repro.service import ServiceConfig, TrafficSpec, generate_trace, run_trace
 from repro.service.requests import SpectrumRequest, compile_tasks
@@ -77,7 +76,7 @@ class TestPlanMetricsExported:
         )
         PLAN_CACHE.clear()
         broker, _ = run_trace(trace, ServiceConfig())
-        text = service_registry(broker).render()
+        text = broker.registry().render()
         assert "repro_plan_cache_lookups_total" in text
         assert "repro_plan_compilations_total" in text
         assert "repro_plan_cache_hit_ratio" in text

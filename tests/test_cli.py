@@ -224,6 +224,14 @@ class TestCommands:
                 "--dash", str(tmp_path / "d.html"), "--scrape-cadence", "0",
             ])
 
+    def test_serve_rejects_zero_rate(self):
+        with pytest.raises(SystemExit, match="--rate"):
+            main(["serve", "--requests", "10", "--rate", "0"])
+
+    def test_submit_rejects_z_max_beyond_the_database(self):
+        with pytest.raises(SystemExit, match="--z-max 20"):
+            main(["submit", "--z-max", "20"])
+
     def test_query_roundtrip(self, tmp_path, capsys):
         import json
 
