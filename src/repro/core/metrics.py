@@ -229,9 +229,3 @@ class RunResult:
     spectra: dict[int, np.ndarray] = field(default_factory=dict)
     #: Device utilizations at the end of the run.
     gpu_utilization: list[float] = field(default_factory=list)
-
-    def speedup_vs(self, baseline_s: float) -> float:
-        """Speedup of this run relative to a baseline wall time."""
-        if self.makespan_s <= 0.0:
-            raise ValueError("makespan must be positive to form a speedup")
-        return baseline_s / self.makespan_s

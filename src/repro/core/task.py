@@ -4,6 +4,18 @@ A task bundles (a) the GPU kernel it would launch, (b) enough information
 to price its CPU fallback, and (c) optional *real* execution callables so
 the same task object can drive either a cost-only simulation or a run
 that produces actual spectra.
+
+**The task protocol** is the fields :class:`Task` declares plus
+``cost_key_method``, ``n_integrals`` and ``run_cpu()``, and on
+``task.kernel`` the fields :class:`~repro.gpusim.kernel.KernelSpec`
+declares plus ``total_evals``.  The hybrid runner, ``gpusim`` and the
+tracer read those names and nothing else; they never build, copy or
+mutate a task, so any object answering them runs on the one runner path.
+``Task`` and ``KernelSpec`` are the checked dataclasses the paper
+workloads, the granularity study and NEI build.  The service's compiled
+Ion tasks are ``__slots__`` views over their family's template
+(``repro.service.requests``), checked once per template or call, not per
+task; ``MultiNodeRunner``'s ``dataclasses.replace`` needs a ``Task``.
 """
 
 from __future__ import annotations
@@ -28,28 +40,15 @@ class TaskKind(enum.Enum):
 
 @dataclass
 class Task:
-    """One schedulable unit of work.
+    """One schedulable unit of work, checked at construction."""
 
-    Attributes
-    ----------
-    task_id:
-        Unique, dense id (doubles as deterministic ordering key).
-    kind:
-        Granularity class of the task.
-    kernel:
-        GPU cost/compute descriptor.
-    point_index:
-        Which parameter-space grid point the task belongs to.
-    cpu_execute:
-        Optional real CPU computation (the QAGS path) returning the same
-        result type as ``kernel.execute``.
-    label:
-        Human-readable tag, e.g. ``"pt3/Fe+16"``.
-    """
-
+    #: Unique, dense id (doubles as deterministic ordering key).
     task_id: int
+    #: Granularity class of the task.
     kind: TaskKind
+    #: GPU cost/compute descriptor.
     kernel: KernelSpec
+    #: Which parameter-space grid point the task belongs to.
     point_index: int = 0
     #: Energy levels contained in the task (prices the host-side prep).
     n_levels: int = 1
@@ -57,7 +56,10 @@ class Task:
     #: units; None = the cost model's QAGS default.  NEI tasks override it
     #: (LSODA steps cost differently than quadrature).
     cpu_evals_per_integral: Optional[int] = None
+    #: Optional real CPU computation (the QAGS path) returning the same
+    #: result type as ``kernel.execute``.
     cpu_execute: Optional[Callable[[], object]] = field(default=None, repr=False)
+    #: Human-readable tag, e.g. ``"pt3/Fe+16"``.
     label: str = ""
     #: Trace span id of whatever caused this task (megabatch group span or
     #: request root); 0 = untraced.  The hybrid runner parents the task

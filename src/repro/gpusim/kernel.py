@@ -3,7 +3,9 @@
 A :class:`KernelSpec` is the simulation-facing summary of one Algorithm 2
 launch: how many integrand evaluations it performs, how many bytes cross
 PCIe in each direction, and — when real numerics are wanted — a callable
-producing the actual per-bin emission array.
+producing the actual per-bin emission array.  It is the checked form of
+the kernel half of the task protocol (:mod:`repro.core.task`): the device
+prices and runs any object with its fields and ``total_evals``.
 """
 
 from __future__ import annotations

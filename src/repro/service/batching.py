@@ -54,10 +54,6 @@ class MegabatchGroup:
     def requests(self) -> tuple[SpectrumRequest, ...]:
         return tuple(entry.request for entry in self.entries)
 
-    @property
-    def lanes(self) -> tuple[str, ...]:
-        return tuple(entry.lane for entry in self.entries)
-
 
 class BatchAssembler:
     """Groups a drained backlog by plan-family compatibility.

@@ -175,6 +175,8 @@ class Ticket:
         return self.completed_at - self.submitted_at
 
     def _complete(self, now: float, result: np.ndarray) -> None:
+        # Frozen, not copied: one array serves every ticket of its key.
+        result.setflags(write=False)
         self.status = "completed"
         self.completed_at = now
         self.result = result

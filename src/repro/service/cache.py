@@ -8,7 +8,7 @@ limits apply together:
 - ``max_bytes`` — total stored payload (``sizeof``: array bytes plus a
   fixed per-entry bookkeeping overhead);
 - ``ttl_s`` — entries older than this (in the caller's clock, virtual or
-  wall) are expired on access or during :meth:`sweep`.
+  wall) are expired on access.
 
 Every decision increments a counter in :class:`CacheStats`, which the
 service telemetry folds into its report.
@@ -108,10 +108,6 @@ class SpectrumCache:
         """Budgeted size of one entry: payload bytes + fixed overhead."""
         return int(np.asarray(value).nbytes) + ENTRY_OVERHEAD_BYTES
 
-    def keys(self) -> list[str]:
-        """Keys in LRU order (least recently used first)."""
-        return list(self._entries)
-
     # ------------------------------------------------------------------
     # The cache protocol
     # ------------------------------------------------------------------
@@ -126,7 +122,8 @@ class SpectrumCache:
                 )
             return None
         if now - entry.inserted_at >= self.ttl_s:
-            self._drop(key, entry)
+            del self._entries[key]
+            self._bytes -= entry.nbytes
             self.stats.expirations += 1
             self.stats.misses += 1
             if self.tracer.enabled:
@@ -168,25 +165,9 @@ class SpectrumCache:
         self._evict_over_budget()
         return True
 
-    def sweep(self, now: float) -> int:
-        """Expire every entry past its TTL; returns how many went."""
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if now - entry.inserted_at >= self.ttl_s
-        ]
-        for key in stale:
-            self._drop(key, self._entries[key])
-            self.stats.expirations += 1
-        return len(stale)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _drop(self, key: str, entry: _Entry) -> None:
-        del self._entries[key]
-        self._bytes -= entry.nbytes
-
     def _evict_over_budget(self) -> None:
         while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
             key, entry = self._entries.popitem(last=False)

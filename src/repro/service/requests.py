@@ -25,6 +25,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, RYDBERG_KEV
-from repro.core.task import Task, TaskKind
+from repro.core.task import TaskKind
 from repro.gpusim.kernel import KernelSpec
 from repro.physics.plan import PLAN_CACHE, PlanCache, PlanKey
 from repro.physics.spectrum import EnergyGrid
@@ -561,8 +562,13 @@ def family_spectra(
     ``j`` receives exactly the additions ``ion_emission`` would supply,
     in ion order, so each row is bit-identical to unbatched evaluation —
     the determinism contract the continuous-batching tests pin down.
-    The temperature axis is tiled (lattice builds pass hundreds of
-    probes) so no block exceeds :data:`BLOCK_TILE_BYTES`.
+    One ``np.add.reduce(block, axis=1, out=rows)`` does that fold: over
+    a C-contiguous ``(W, n_ions, n_bins)`` block with two or more bins
+    NumPy adds whole ion rows in order, the left fold bit for bit.  A
+    lone bin makes the ion axis the contiguous one, which NumPy sums
+    pairwise, so it keeps the sequential fold (no benchmark workload
+    sends one bin).  The temperature axis is tiled (lattice builds pass
+    hundreds of probes) so no block exceeds :data:`BLOCK_TILE_BYTES`.
     """
     requests, n_max, z_max = payload
     if not requests:
@@ -575,8 +581,11 @@ def family_spectra(
     for start in range(0, len(requests), tile):
         block = emission_block(basis, requests[start : start + tile])
         rows = out[start : start + tile]
-        for i in range(n_ions):
-            rows += block[:, i]
+        if lead.n_bins > 1:
+            np.add.reduce(block, axis=1, out=rows)
+        else:
+            for i in range(n_ions):
+                rows += block[:, i]
     return out
 
 
@@ -588,7 +597,7 @@ def compile_tasks(
     with_payload: bool = True,
     plan_cache: PlanCache = PLAN_CACHE,
     trace_parent: int = 0,
-) -> list[Task]:
+) -> list[_IonTask]:
     """Lower one request to Ion-granularity tasks for the hybrid runner.
 
     :func:`compile_group_tasks` of the request alone, apart from the
@@ -622,7 +631,7 @@ def compile_group_tasks(
     plan_cache: PlanCache = PLAN_CACHE,
     spread: bool = False,
     trace_parent: int = 0,
-) -> list[Task]:
+) -> list[_IonTask]:
     """Lower a same-family request group to megabatched ion tasks.
 
     One task per ion covers *all* temperatures of the group, returning a
@@ -657,6 +666,36 @@ def compile_group_tasks(
     )
 
 
+class _IonTask:
+    """One Ion task of a compiled request or group: a view over its
+    family's :class:`FamilyPlan` template, answering the task protocol
+    of :mod:`repro.core.task` for the task and its kernel alike
+    (``kernel`` is the view).  Its values were checked once per template
+    or per call, so building one checks nothing."""
+
+    __slots__ = (
+        "task_id", "point_index", "label", "n_integrals", "evals_saved",
+        "execute", "trace_parent", "n_levels", "bytes_in", "bytes_out", "_family",
+    )
+    kind = TaskKind.ION
+    efficiency = 1.0
+    cpu_evals_per_integral = None
+
+    def __init__(self, *fields) -> None:
+        (self.task_id, self.point_index, self.label, self.n_integrals,
+         self.evals_saved, self.execute, self.trace_parent, self.n_levels,
+         self.bytes_in, self.bytes_out, self._family) = fields
+
+    kernel = property(lambda self: self)
+    cpu_execute = property(attrgetter("execute"))
+    evals_per_integral = property(attrgetter("_family.evals_per_integral"))
+    method = cost_key_method = property(attrgetter("_family.rule"))
+    total_evals = property(lambda self: self.n_integrals * self.evals_per_integral)
+
+    def run_cpu(self) -> object:
+        return None if self.execute is None else self.execute()
+
+
 def _stamp_tasks(
     group: tuple[SpectrumRequest, ...],
     db: AtomicDatabase,
@@ -667,10 +706,16 @@ def _stamp_tasks(
     plan_cache: PlanCache,
     spread: bool,
     trace_parent: int,
-) -> list[Task]:
+) -> list[_IonTask]:
     """The one lowering loop: the group's tasks stamped from its
     family's template.  ``grouped`` picks the label and payload shape of
-    :func:`compile_group_tasks` over :func:`compile_tasks`'s."""
+    :func:`compile_group_tasks` over :func:`compile_tasks`'s.
+
+    Every check ``Task`` and ``KernelSpec`` make runs here once a call
+    (ids, active pairs) or ran once a family, on the template's dense
+    ``for_ion_task`` kernels (levels, rule, byte counts)."""
+    if task_id_base < 0:
+        raise ValueError("task_id must be non-negative")
     family = family_plan(db, group[0])
     width = len(group)
     evals = family.evals_per_integral
@@ -696,30 +741,17 @@ def _stamp_tasks(
     prefix = f"grp{point_index}/" if grouped else f"req{point_index}/"
     suffix = f"x{width}" if grouped else ""
     bytes_out = family.bytes_out * width
-    rule = family.rule
-    point = point_index
-    tasks: list[Task] = []
-    # 36 kernels and tasks a request: positional construction, which
-    # costs half of what keywords do.  Field order as declared;
-    # tests/service/test_family_plan.py compares every field with the
-    # keyword-built reference, so a reordered dataclass fails there.
-    for i, (name, n_levels, bytes_in, n_active, n_saved) in enumerate(
-        zip(basis.names, basis.n_levels, family.bytes_in, n_integrals, saved)
-    ):
-        execute = partial(rows, i) if rows is not None else None
-        label = f"{prefix}{name}{suffix}"
-        if spread:
-            point = point_index + i
-        kernel = KernelSpec(
-            n_active, evals, bytes_in, bytes_out, execute, 1.0, n_saved, label
+    return [
+        _IonTask(
+            task_id_base + i, point_index + i if spread else point_index,
+            f"{prefix}{name}{suffix}", n_active, n_saved,
+            None if rows is None else partial(rows, i), trace_parent,
+            n_levels, bytes_in, bytes_out, family,
         )
-        tasks.append(
-            Task(
-                task_id_base + i, TaskKind.ION, kernel, point, n_levels,
-                None, execute, label, trace_parent, rule,
-            )
+        for i, (name, n_levels, bytes_in, n_active, n_saved) in enumerate(
+            zip(basis.names, basis.n_levels, family.bytes_in, n_integrals, saved)
         )
-    return tasks
+    ]
 
 
 def group_member_weights(

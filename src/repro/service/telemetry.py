@@ -121,17 +121,6 @@ class LaneStats:
             return 0.0
         return float(np.percentile(np.asarray(self.latencies_s), q))
 
-    def latency_quantile(self, q: float) -> float:
-        """Quantile accessor on the [0, 1] scale the SLO engine uses.
-
-        Same linear-interpolation estimator as ``latency_percentile``
-        (which takes 0-100), so SLO rules and reports that target
-        p95/p99 read one number from one code path.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        return self.latency_percentile(q * 100.0)
-
     def mean_latency_s(self) -> float:
         if self._seen:
             return self._sum / self._seen

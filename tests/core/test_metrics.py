@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.metrics import MetricsLedger, RunResult
+from repro.core.metrics import MetricsLedger
 
 
 class TestLoadResidency:
@@ -106,16 +106,3 @@ class TestTaskCounting:
         m.on_task_timing(wait_s=3.0, service_s=0.1)
         assert m.mean_wait_s() == pytest.approx(2.0)
         assert MetricsLedger(1, 4).mean_wait_s() == 0.0
-
-
-class TestRunResult:
-    def test_speedup(self):
-        m = MetricsLedger(1, 4)
-        r = RunResult(makespan_s=10.0, metrics=m, n_tasks=5)
-        assert r.speedup_vs(100.0) == pytest.approx(10.0)
-
-    def test_speedup_zero_makespan_rejected(self):
-        m = MetricsLedger(1, 4)
-        r = RunResult(makespan_s=0.0, metrics=m, n_tasks=0)
-        with pytest.raises(ValueError):
-            r.speedup_vs(10.0)

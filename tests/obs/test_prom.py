@@ -132,18 +132,6 @@ class TestQuantile:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
-    def test_lane_stats_quantile_matches_percentile(self):
-        from repro.service.telemetry import LaneStats
-
-        stats = LaneStats()
-        for v in (0.1, 0.2, 0.4, 0.8, 1.6):
-            stats.record_latency(v)
-        assert stats.latency_quantile(0.95) == pytest.approx(
-            stats.latency_percentile(95.0)
-        )
-        with pytest.raises(ValueError):
-            stats.latency_quantile(95.0)
-
 
 class TestAccessors:
     def test_counter_and_gauge_value(self):

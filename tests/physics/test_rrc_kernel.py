@@ -184,6 +184,33 @@ class TestTheLevelFold:
         np.add.reduce(terms, axis=0, out=got)
         np.testing.assert_array_equal(got, want)
 
+    @given(
+        width=st.integers(1, 40),
+        ions=st.integers(1, 64),
+        bins=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_axis1_add_reduce_is_the_ion_fold_of_family_spectra(
+        self, width, ions, bins, seed
+    ):
+        """The same canary for the service payload:
+        ``repro.service.requests.family_spectra`` folds its C-contiguous
+        ``(W, n_ions, n_bins)`` emission block with ``np.add.reduce(block,
+        axis=1, out=rows)`` and is bit-identical to the ion-order left
+        fold only while that reduction adds whole ion rows in order.  If
+        this fails after a NumPy upgrade, mend the fold in
+        ``family_spectra``, never the serve, obs or lattice goldens."""
+        rng = np.random.default_rng(seed)
+        block = 10.0 ** rng.uniform(-8.0, 8.0, (width, ions, bins))  # 16 decades
+        block[rng.random(block.shape) < 0.25] = 0.0  # lines an ion lacks
+        want = block[:, 0].copy()
+        for i in range(1, ions):
+            want += block[:, i]
+        got = np.empty((width, bins))
+        np.add.reduce(block, axis=1, out=got)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("tail_tol", [0.0, 1.0e-9], ids=["dense", "pruned"])
     @pytest.mark.parametrize(
         "rule",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.simclock import SimClock
-from repro.service.broker import RETRY_AFTER_S, ServiceConfig, SpectrumBroker
+from repro.service.broker import RETRY_AFTER_S, ServiceConfig, SpectrumBroker, run_trace
+from repro.service.loadgen import TrafficSpec, generate_trace
 from repro.service.requests import SpectrumRequest
 
 
@@ -70,6 +71,34 @@ class TestSubmit:
             if ion.z <= request.z_max
         )
         np.testing.assert_allclose(ticket.result, expected, rtol=1e-12)
+
+
+class TestServedSpectraAreReadOnly:
+    def test_a_write_through_one_ticket_raises_and_the_key_stays_intact(self):
+        """Every ticket of a key holds the cache entry's one array (fan-back
+        row, cache hits, coalesced followers): it is frozen, not copied."""
+        trace = generate_trace(TrafficSpec(n_requests=120, seed=7))
+        broker, tickets = run_trace(trace, ServiceConfig())
+        by_key: dict[str, list] = {}
+        for ticket in tickets:
+            by_key.setdefault(ticket.key, []).append(ticket)
+        hot = max(by_key.values(), key=len)
+        assert any(t.cached for t in hot) and any(t.coalesced for t in hot)
+        assert all(t.result is hot[0].result for t in hot)
+        assert not any(t.result.flags.writeable for t in tickets)
+        before = hot[0].result.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            hot[-1].result[0] = -1.0
+        again = broker.submit(hot[0].request)
+        assert again.cached and again.result.tobytes() == before.tobytes()
+
+    def test_lattice_answers_are_read_only(self):
+        trace = generate_trace(
+            TrafficSpec(n_requests=40, seed=11, pattern="walk", accuracy=1.0e-3)
+        )
+        _, tickets = run_trace(trace, ServiceConfig())
+        served = [t for t in tickets if t.lattice]
+        assert served and not any(t.result.flags.writeable for t in served)
 
 
 class TestCoalescing:

@@ -48,14 +48,6 @@ class TestTTL:
         assert c.stats.expirations == 1
         assert "a" not in c
 
-    def test_sweep_purges_stale_entries(self):
-        c = SpectrumCache(ttl_s=10.0)
-        c.put("old", arr(), now=0.0)
-        c.put("new", arr(), now=8.0)
-        assert c.sweep(now=12.0) == 1
-        assert "new" in c and "old" not in c
-        assert c.stats.expirations == 1
-
 
 class TestByteBudget:
     def test_sizeof_includes_overhead(self):

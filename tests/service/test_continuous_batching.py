@@ -133,7 +133,7 @@ class TestBatchAssembler:
         groups = BatchAssembler().assemble([hot, cold])
         # Drain order put the interactive entry first; the assembler
         # must not reorder groups behind later-seen families.
-        assert groups[0].lanes == ("interactive",)
+        assert [e.lane for e in groups[0].entries] == ["interactive"]
 
     def test_width_validation(self):
         with pytest.raises(ValueError, match="width_max"):

@@ -20,6 +20,7 @@ once and rebuilds no ``PlanKey`` — compile and attribution weights price
 from one ``active_pairs``.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.obs import EventTracer
 from repro.physics.plan import PLAN_CACHE, PlanCache, SpectrumPlan
 from repro.service import ServiceConfig, TrafficSpec, generate_trace, run_trace
 from repro.service.requests import (
+    FamilyPlan,
     SpectrumRequest,
     compile_group_tasks,
     compile_tasks,
@@ -71,6 +73,12 @@ def _fields(task: Task) -> tuple:
         task.trace_parent, task.method, kernel.n_integrals,
         kernel.evals_per_integral, kernel.bytes_in, kernel.bytes_out,
         kernel.evals_saved,
+    )
+
+
+def _kernel_fields(kernel) -> tuple:
+    return tuple(
+        getattr(kernel, f.name) for f in dataclasses.fields(KernelSpec) if f.compare
     )
 
 
@@ -217,12 +225,63 @@ def test_stamped_tasks_equal_the_per_ion_loop_field_by_field(db, call):
         for task, ref in zip(tasks, reference):
             assert task.kind is ref.kind
             assert _fields(task) == _fields(ref)
-            # KernelSpec equality covers efficiency and label too
-            # (``execute`` is excluded from comparison by its field).
-            assert task.kernel == ref.kernel
+            # Every field ``KernelSpec.__eq__`` compares (all but
+            # ``execute``): a stamped task's kernel is a view, not a
+            # ``KernelSpec``, so equality is restated field by field.
+            assert _kernel_fields(task.kernel) == _kernel_fields(ref.kernel)
             assert task.cpu_evals_per_integral is None
             assert (task.kernel.execute is not None) == with_payload
             assert task.cpu_execute is task.kernel.execute
+
+
+# ----------------------------------------------------------------------
+# The dataclasses' checks, made once a template or a call
+# ----------------------------------------------------------------------
+class TestChecksOncePerCall:
+    def test_no_dataclass_is_built_per_ion(self, db, monkeypatch):
+        """A cold request and a 32-wide group construct no ``KernelSpec``
+        and no ``Task``; the template's one ``for_ion_task`` a family is
+        where ``KernelSpec``'s checks still run."""
+        def cold(t):
+            return SpectrumRequest(temperature_k=float(t), tail_tol=1.0e-9)
+
+        compile_tasks(cold(2.0e6), db)  # the family's template, once
+        calls = {KernelSpec: 0, Task: 0}
+        for cls in calls:
+            def counting(self, check=cls.__post_init__, cls=cls):
+                calls[cls] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        tasks = compile_tasks(cold(3.1e6), db)
+        tasks += compile_group_tasks(
+            tuple(cold(t) for t in np.geomspace(1.0e6, 1.0e8, 32)), db,
+            with_payload=False, spread=True,
+        )
+        assert len(tasks) == 2 * 36 and calls == {KernelSpec: 0, Task: 0}
+        FamilyPlan.build(db, cold(3.1e6))
+        assert calls == {KernelSpec: 36, Task: 0}
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["request", "group"])
+    def test_a_negative_task_id_base_raises_what_task_raised(self, db, grouped):
+        with pytest.raises(ValueError) as refused:
+            Task(-1, TaskKind.ION, KernelSpec(1, 1))
+        request = SpectrumRequest(temperature_k=1.0e7)
+        with pytest.raises(ValueError, match=str(refused.value)):
+            if grouped:
+                compile_group_tasks((request,), db, task_id_base=-1)
+            else:
+                compile_tasks(request, db, task_id_base=-1)
+
+    @pytest.mark.parametrize("bound", ["below", "above"])
+    def test_active_pairs_outside_zero_to_dense_are_refused(self, db, monkeypatch, bound):
+        request = SpectrumRequest(temperature_k=1.0e7, tail_tol=1.0e-9)
+        dense = family_plan(db, request).dense
+        active = np.zeros((1, dense.size), dtype=np.int64)
+        active[0, 5] = -1 if bound == "below" else dense[5] + 1
+        monkeypatch.setattr(FamilyPlan, "active_pairs", lambda *args: active)
+        with pytest.raises(ValueError, match=r"active pairs outside \[0, levels x bins x width\]"):
+            compile_tasks(request, db)
 
 
 # ----------------------------------------------------------------------

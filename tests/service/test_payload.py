@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
+from repro.service import requests as service_requests
 from repro.service.requests import (
     BLOCK_TILE_BYTES,
     FamilyBasis,
@@ -142,6 +143,26 @@ class TestFamilySpectra:
         for j, request in enumerate(requests):
             assert np.array_equal(stacked[j], request_spectrum((request, *scope)))
             assert np.array_equal(stacked[j], _fold(basis, request))
+
+    def test_a_one_bin_group_is_the_sequential_fold(self, db, monkeypatch):
+        """One bin makes the block's ion axis the contiguous one, which
+        ``np.add.reduce`` sums pairwise, so a lone bin keeps the
+        sequential fold.  The payload itself is +0.0 in every one-bin row
+        (the continuum's edge mask and the line window leave nothing
+        inside a lone bin), so the fold is also run on a block with mass."""
+        temps = np.geomspace(1.0e5, 1.0e9, 9)
+        requests = tuple(SpectrumRequest(temperature_k=float(t), n_bins=1) for t in temps)
+        scope = (db.config.n_max, db.config.z_max)
+        basis = basis_of(db, 8, 1)
+        stacked = family_spectra((requests, *scope))
+        for j, request in enumerate(requests):
+            assert stacked[j].tobytes() == _fold(basis, request).tobytes()
+        block = 10.0 ** np.random.default_rng(1).uniform(-8.0, 8.0, (9, len(basis.ions), 1))
+        monkeypatch.setattr(service_requests, "emission_block", lambda *args: block)
+        want = np.zeros((9, 1))
+        for i in range(len(basis.ions)):
+            want += block[:, i]
+        assert family_spectra((requests, *scope)).tobytes() == want.tobytes()
 
     def test_widths_past_the_temperature_tile(self, db):
         # 36 ions x 64 bins is 18 KiB a temperature: 75 rows span many

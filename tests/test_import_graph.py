@@ -94,7 +94,6 @@ TEST_ONLY = {
     "repro.atomic.ions:Ion.recombined_charge": "roadmap item 6: 1 test",
     "repro.atomic.ions:ions_of_element": "roadmap item 6: 2 tests",
     "repro.cluster.sharedmem:SharedArray.atomic_cas": "roadmap item 6: 2 tests",
-    "repro.core.metrics:RunResult.speedup_vs": "roadmap item 6: 2 tests",
     "repro.gpusim.memory:Allocation": "roadmap item 6: gpusim/memory.py, 12 tests",
     "repro.gpusim.memory:DeviceMemory": "roadmap item 6: gpusim/memory.py, 12 tests",
     "repro.gpusim.memory:DeviceOutOfMemory": "roadmap item 6: gpusim/memory.py, 12 tests",
@@ -111,7 +110,6 @@ TEST_ONLY = {
     "repro.quadrature.result:IntegrationResult.require_converged": "roadmap item 6: 3 tests",
     "repro.quadrature.result:QuadratureError": "roadmap item 6: raised by require_converged only",
     "repro.quadrature.simpson:simpson_panels": "roadmap item 6: 3 tests",
-    "repro.service.telemetry:LaneStats.latency_quantile": "roadmap item 6: 1 test",
 }
 
 #: ``repro`` names reached code imports, or takes of an imported module or
