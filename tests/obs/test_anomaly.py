@@ -1,8 +1,13 @@
 """Anomaly detection: control bands, counter deltas, bus/flight wiring."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import AnomalyDetector, AnomalyEvent, MetricsRegistry, TimeSeriesStore
+from repro.obs.anomaly import _mad, _median
 from tests.obs.test_prom import set_counter
 
 
@@ -111,6 +116,35 @@ class TestDetection:
             set_counter(reg, "c_total", total)
             store.scrape(reg, now=float(i))
         assert det.scan(store) == []  # gap deltas are meaningless, not alarms
+
+
+#: Window values: a few shared levels (ties, flat runs) or finite floats
+#: spread over 16 decades either side of zero.
+_levels = st.sampled_from([-2.5, -1.0, 0.0, 1.0, 3.0, 1.0e-8, 7.0e7])
+_spread = st.builds(
+    lambda sign, mantissa, exp: sign * mantissa * 10.0 ** exp,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.integers(min_value=-8, max_value=8),
+)
+
+
+class TestSelectedMad:
+    @settings(max_examples=400, deadline=None)
+    @example(values=[1.0, 1.0, 2.0, 2.0])  # even, ties on both sides
+    @example(values=[0.0, 5.0])
+    @example(values=[-3.0, 1.0, 1.0, 1.0, 9.0])  # odd, median tied
+    @given(values=st.lists(st.one_of(_levels, _spread), min_size=1, max_size=64))
+    def test_observe_mad_is_the_sorted_reference(self, values):
+        """``AnomalyDetector._observe`` scales its band by ``_mad``, which
+        selects from the window's two sorted deviation runs: for any
+        ascending window of up to 64 finite floats it is bit for bit the
+        median of the sorted absolute deviations it replaced."""
+        ordered = sorted(values)
+        m = _median(ordered)
+        reference = _median(sorted(abs(v - m) for v in ordered))
+        got = _mad(ordered)
+        assert got == reference and math.copysign(1.0, got) == math.copysign(1.0, reference)
 
 
 class TestWiring:

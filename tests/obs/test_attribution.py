@@ -281,13 +281,13 @@ class TestObservationOrder:
         self._phases(tracer, 1, "O+7", (0, 1))
         ledger = Attribution(tracer)
         ledger.ingest()
-        assert [o.ion for o in ledger.drain_observations()] == ["Fe+16"]
+        assert [key[0] for key, _, _ in ledger.drain_observations()] == ["Fe+16"]
         # 3 then 1 complete, in that order: reported in END-row order.
         self._phases(tracer, 3, "Ne+9", (0, 1, 2))
         tracer.task_end(t, "req3/Ne+9", 0.0, 3, 100, 0)
         self._phases(tracer, 1, "O+7", (2,))
         tracer.task_end(t, "req1/O+7", 0.0, 1, 100, 0)
         ledger.ingest()
-        assert [o.ion for o in ledger.drain_observations()] == ["Ne+9", "O+7"]
+        assert [key[0] for key, _, _ in ledger.drain_observations()] == ["Ne+9", "O+7"]
         ledger.ingest()
         assert ledger.drain_observations() == []
