@@ -49,7 +49,6 @@ from repro.service.requests import (
     compile_group_tasks,
     compile_tasks,
     family_spectra,
-    group_member_weights,
 )
 from repro.service.telemetry import ServiceTelemetry
 
@@ -571,15 +570,18 @@ class SpectrumBroker:
         """Lower every group to cost-only ion tasks.  Traced, a group
         first gets its span id (so its tasks parent under it) and the
         span's args: member roots and the fair-share weights attribution
-        splits the group's measured spans by."""
+        splits the group's measured spans by, which the compile fills in
+        from the active-pair matrix it prices the tasks from."""
         batching = self.config.batch_window_s is not None
         tasks = batch.tasks
         for group in batch.groups:
+            weights = None
             if self.tracer.enabled:
                 group.span_id = self.tracer.new_id()
+                weights = []
                 group.meta = {
                     "members": [e.subscribers[0].trace_id for e in group.entries],
-                    "weights": group_member_weights(group.requests, self.db),
+                    "weights": weights,
                     "width": group.width,
                     "method": group.entries[0].request.rule,
                 }
@@ -599,6 +601,7 @@ class SpectrumBroker:
                     task_id_base=len(tasks),
                     with_payload=False,
                     trace_parent=group.span_id,
+                    weights=weights,
                 )
             )
 
