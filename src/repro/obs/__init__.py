@@ -1,36 +1,19 @@
 """Unified observability: spans, event buses, trace and metric exports.
 
 One substrate for the whole stack — broker -> runner -> device — on the
-shared virtual clock:
-
-- :mod:`repro.obs.tracer` — the span tracer (:class:`EventTracer`) and
-  its zero-cost stand-in (:data:`NULL_TRACER`);
-- :mod:`repro.obs.bus` — fan-out buses that keep the metrics ledgers
-  derived consumers of the same event stream;
-- :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable),
-  a schema validator, and terminal Gantt/summary renderers;
-- :mod:`repro.obs.prom` — Prometheus-style registry, text exposition,
-  and a minimal parser for CI round-trips;
-- :mod:`repro.obs.profile` — hierarchical cost attribution over span
-  streams: self-vs-total tables, device utilization, critical paths,
-  and collapsed-stack flamegraph export;
-- :mod:`repro.obs.slo` — declarative SLO rules evaluated over registry
-  snapshots on the sim clock, with ``for:`` hysteresis and burn rates;
-- :mod:`repro.obs.attribution` — request-scoped causal cost attribution
-  (fair-share split of fused-group spans back to member requests, exact
-  conservation) and the online EWMA :class:`CostModel`;
-- :mod:`repro.obs.flight` — the SLO/anomaly-triggered flight recorder
-  dumping postmortem bundles (trailing trace window + scraped series +
-  cost ledger);
-- :mod:`repro.obs.tsdb` — ring-buffer time-series store on the sim clock
-  (:data:`NULL_TSDB` when off);
-- :mod:`repro.obs.query` — the PromQL-subset query engine over the
-  store (``rate``, ``increase``, ``histogram_quantile``, matchers,
-  binary ops);
-- :mod:`repro.obs.anomaly` — online EWMA+MAD control bands per series
-  emitting :class:`AnomalyEvent` onto the bus;
-- :mod:`repro.obs.dash` — deterministic self-contained HTML dashboards
-  (inline SVG) with SLO/anomaly annotations.
+shared virtual clock.  Recording: :mod:`~repro.obs.tracer` (the span
+tracer and its zero-cost :data:`NULL_TRACER`) and :mod:`~repro.obs.bus`
+(fan-out keeping the metrics ledgers consumers of the same stream).
+Folding: :mod:`~repro.obs.attribution` (fair-share request costs at
+exact conservation, the online EWMA :class:`CostModel`) and
+:mod:`~repro.obs.profile` (self/total tables, utilization, critical
+paths, flamegraphs).  Exporting and storing: :mod:`~repro.obs.export`
+(Chrome trace JSON, terminal views), :mod:`~repro.obs.prom` (registry
+and exposition) and :mod:`~repro.obs.tsdb` (ring-buffer series store).
+Reading: :mod:`~repro.obs.query` (a PromQL subset),
+:mod:`~repro.obs.slo` (rules with ``for:`` hysteresis and burn rates),
+:mod:`~repro.obs.anomaly` (EWMA + MAD bands), :mod:`~repro.obs.flight`
+(postmortem bundles) and :mod:`~repro.obs.dash` (HTML dashboards).
 """
 
 from repro.obs.anomaly import AnomalyDetector, AnomalyEvent

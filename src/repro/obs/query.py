@@ -66,10 +66,6 @@ class Sample:
     def label_dict(self) -> dict[str, str]:
         return dict(self.labels)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        lbl = ",".join(f'{k}="{v}"' for k, v in self.labels)
-        return f"Sample({{{lbl}}} {self.value!r})"
-
 
 Result = Union[float, list[Sample]]
 

@@ -58,7 +58,7 @@ class TestSeries:
         for t in range(10):
             s.append(float(t), float(t))
         assert len(s) == 4
-        assert s.times() == [6.0, 7.0, 8.0, 9.0]
+        assert [t for t, _ in s.points()] == [6.0, 7.0, 8.0, 9.0]
         assert s.evicted == 6
 
     def test_base_at_falls_back_to_oldest_retained(self):
