@@ -6,7 +6,7 @@ the Fig. 7 workload (T = 1e7 K, 10-45 Angstrom) and reports, per setting:
 - real wall-clock time of the batched Simpson hot path and its speedup
   over the unpruned kernel,
 - the simulated Tesla C2075's service time for the same task set, priced
-  from the *active* integral counts (`KernelSpec.for_ion_task`),
+  from the *active* integral counts (`repro.core.task.task_cost`),
 - integrand evaluations saved (the pruning ledger), and
 - the max per-bin relative error against the unpruned reference.
 
@@ -32,8 +32,8 @@ from conftest import emit
 from repro.bench.reporting import format_table
 from repro.bench.workloads import small_real_database, small_real_grid
 from repro.constants import K_B_KEV
+from repro.core.task import Task, TaskKind, task_cost
 from repro.gpusim.device import TESLA_C2075
-from repro.gpusim.kernel import KernelSpec
 from repro.physics.apec import GridPoint, ion_emissivity_batched
 from repro.physics.windows import level_windows
 
@@ -76,23 +76,15 @@ def _device_tasks(db, grid, point, ions, tail_tol):
     """The same workload priced for the simulated GPU."""
     kt = K_B_KEV * point.temperature_k
     specs = []
-    for ion in ions:
-        n_levels = db.n_levels(ion)
+    for i, ion in enumerate(ions):
         n_active = None
         if tail_tol > 0.0:
             win = level_windows(
                 db.levels(ion).energy_kev, grid, kt, tail_tol
             )
             n_active = win.n_active
-        specs.append(
-            KernelSpec.for_ion_task(
-                n_levels=n_levels,
-                n_bins=grid.n_bins,
-                evals_per_integral=SIMPSON_PIECES + 1,
-                label=ion.name,
-                n_active=n_active,
-            )
-        )
+        cost = task_cost(db.n_levels(ion), grid.n_bins, SIMPSON_PIECES + 1, n_active)
+        specs.append(Task(i, TaskKind.ION, label=ion.name, **cost))
     return specs
 
 

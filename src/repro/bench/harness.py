@@ -92,8 +92,8 @@ def _case_pruned_kernels(quick: bool, seed: int) -> dict:
 
     from repro.bench.workloads import small_real_database
     from repro.constants import K_B_KEV
+    from repro.core.task import Task, TaskKind, task_cost
     from repro.gpusim.device import TESLA_C2075
-    from repro.gpusim.kernel import KernelSpec
     from repro.physics.apec import GridPoint, ion_emissivity_batched
     from repro.physics.spectrum import EnergyGrid
     from repro.physics.windows import level_windows
@@ -116,23 +116,15 @@ def _case_pruned_kernels(quick: bool, seed: int) -> dict:
             )
         return out
 
-    def specs(tt: float) -> list[KernelSpec]:
+    def specs(tt: float) -> list[Task]:
         out = []
-        for ion in ions:
-            n_levels = db.n_levels(ion)
+        for i, ion in enumerate(ions):
             n_active = None
             if tt > 0.0:
                 win = level_windows(db.levels(ion).energy_kev, grid, kt, tt)
                 n_active = win.n_active
-            out.append(
-                KernelSpec.for_ion_task(
-                    n_levels=n_levels,
-                    n_bins=grid.n_bins,
-                    evals_per_integral=pieces + 1,
-                    label=ion.name,
-                    n_active=n_active,
-                )
-            )
+            cost = task_cost(db.n_levels(ion), grid.n_bins, pieces + 1, n_active)
+            out.append(Task(i, TaskKind.ION, label=ion.name, **cost))
         return out
 
     spectrum(tail_tol)  # warm
@@ -616,9 +608,8 @@ def _case_predictive_scheduling(quick: bool, seed: int) -> dict:
 
     from repro.core.calibration import CostModel
     from repro.core.hybrid import HybridConfig, HybridRunner
-    from repro.core.task import Task, TaskKind
+    from repro.core.task import Task, TaskKind, task_cost
     from repro.gpusim.device import TESLA_C2075
-    from repro.gpusim.kernel import KernelSpec
     from repro.obs.attribution import CostModel as SpanCostModel
 
     n_points = 24
@@ -636,24 +627,17 @@ def _case_predictive_scheduling(quick: bool, seed: int) -> dict:
             n_levels = int(heavy_levels[p]) if heavy else 4
             label = f"pt{p}/Heavy{n_levels}" if heavy else f"pt{p}/Light+{i % 2}"
             arr = np.full(16, float(tid % 11) + 0.25)
-            kern = KernelSpec.for_ion_task(
-                n_levels=n_levels,
-                n_bins=n_bins,
-                evals_per_integral=129,
-                label=label,
-                efficiency=0.08 if heavy else 1.0,
-                execute=(lambda a=arr: a),
-            )
             tasks.append(
                 Task(
-                    task_id=tid,
-                    kind=TaskKind.ION,
-                    kernel=kern,
-                    point_index=p,
-                    n_levels=n_levels,
-                    cpu_execute=(lambda a=arr: a),
-                    label=label,
+                    tid,
+                    TaskKind.ION,
+                    p,
                     method="simpson",
+                    label=label,
+                    efficiency=0.08 if heavy else 1.0,
+                    execute=(lambda a=arr: a),
+                    cpu_execute=(lambda a=arr: a),
+                    **task_cost(n_levels, n_bins, 129),
                 )
             )
             tid += 1

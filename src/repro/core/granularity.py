@@ -25,8 +25,7 @@ from typing import Callable, Optional
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.atomic.ions import Ion
-from repro.core.task import Task, TaskKind
-from repro.gpusim.kernel import KernelSpec
+from repro.core.task import Task, TaskKind, task_cost
 
 __all__ = [
     "Granularity",
@@ -71,6 +70,8 @@ class WorkloadSpec:
             raise ValueError("need at least one bin per level")
         if self.method not in ("simpson", "romberg"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.pieces < 0 or self.k < 0:
+            raise ValueError("pieces and k must be non-negative")
 
     @property
     def evals_per_integral(self) -> int:
@@ -104,91 +105,41 @@ def build_tasks(
     sub-space in the paper.
     """
     db = db or workload_database(spec)
-    evals = spec.evals_per_integral
+    bins, evals = spec.bins_per_level, spec.evals_per_integral
+    level = task_cost(1, bins, evals)
     tasks: list[Task] = []
-    tid = 0
-
     for point in range(spec.n_points):
-        if spec.granularity is Granularity.ION:
-            for ion in db.ions:
-                n_levels = db.n_levels(ion)
-                gpu_exec = (
-                    gpu_execute_factory(ion, point) if gpu_execute_factory else None
-                )
-                cpu_exec = (
-                    cpu_execute_factory(ion, point) if cpu_execute_factory else None
-                )
-                tasks.append(
-                    Task(
-                        task_id=tid,
-                        kind=TaskKind.ION,
-                        kernel=KernelSpec.for_ion_task(
-                            n_levels=n_levels,
-                            n_bins=spec.bins_per_level,
-                            evals_per_integral=evals,
-                            label=f"pt{point}/{ion.name}",
-                            execute=gpu_exec,
-                        ),
-                        point_index=point,
-                        n_levels=n_levels,
-                        cpu_execute=cpu_exec,
-                        label=f"pt{point}/{ion.name}",
-                    )
-                )
-                tid += 1
-        elif spec.granularity is Granularity.LEVEL:
-            for ion in db.ions:
-                n_levels = db.n_levels(ion)
-                gpu_exec = (
-                    gpu_execute_factory(ion, point) if gpu_execute_factory else None
-                )
-                cpu_exec = (
-                    cpu_execute_factory(ion, point) if cpu_execute_factory else None
-                )
-                for lvl in range(n_levels):
-                    tasks.append(
-                        Task(
-                            task_id=tid,
-                            kind=TaskKind.LEVEL,
-                            kernel=KernelSpec.for_level_task(
-                                n_bins=spec.bins_per_level,
-                                evals_per_integral=evals,
-                                label=f"pt{point}/{ion.name}/L{lvl}",
-                                execute=gpu_exec if lvl == 0 else None,
-                            ),
-                            point_index=point,
-                            n_levels=1,
-                            cpu_execute=cpu_exec if lvl == 0 else None,
-                            label=f"pt{point}/{ion.name}/L{lvl}",
-                        )
-                    )
-                    tid += 1
-        elif spec.granularity is Granularity.ELEMENT:
+        if spec.granularity is Granularity.ELEMENT:
             by_element: dict[int, list[Ion]] = {}
             for ion in db.ions:
                 by_element.setdefault(ion.z, []).append(ion)
             for z, ions in sorted(by_element.items()):
                 n_levels = sum(db.n_levels(ion) for ion in ions)
-                tasks.append(
-                    Task(
-                        task_id=tid,
-                        kind=TaskKind.ELEMENT,
-                        kernel=KernelSpec.for_ion_task(
-                            n_levels=n_levels,
-                            n_bins=spec.bins_per_level,
-                            evals_per_integral=evals,
-                            label=f"pt{point}/Z{z}",
-                            # Multi-ion kernels branch across ions: the
-                            # paper's reason element granularity is "not
-                            # suitable to run on GPU".
-                            efficiency=ELEMENT_KERNEL_EFFICIENCY,
-                        ),
-                        point_index=point,
-                        n_levels=n_levels,
-                        label=f"pt{point}/Z{z}",
-                    )
-                )
-                tid += 1
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(spec.granularity)
+                # Multi-ion kernels branch across ions: the paper's reason
+                # element granularity is "not suitable to run on GPU".
+                tasks.append(Task(
+                    len(tasks), TaskKind.ELEMENT, point, label=f"pt{point}/Z{z}",
+                    efficiency=ELEMENT_KERNEL_EFFICIENCY,
+                    **task_cost(n_levels, bins, evals),
+                ))
+            continue
+        for ion in db.ions:
+            gpu_exec = gpu_execute_factory(ion, point) if gpu_execute_factory else None
+            cpu_exec = cpu_execute_factory(ion, point) if cpu_execute_factory else None
+            if spec.granularity is Granularity.ION:
+                tasks.append(Task(
+                    len(tasks), TaskKind.ION, point, label=f"pt{point}/{ion.name}",
+                    execute=gpu_exec, cpu_execute=cpu_exec,
+                    **task_cost(db.n_levels(ion), bins, evals),
+                ))
+                continue
+            # Level tasks: the ion's payload rides its first level.
+            for lvl in range(db.n_levels(ion)):
+                tasks.append(Task(
+                    len(tasks), TaskKind.LEVEL, point,
+                    label=f"pt{point}/{ion.name}/L{lvl}",
+                    execute=None if lvl else gpu_exec,
+                    cpu_execute=None if lvl else cpu_exec,
+                    **level,
+                ))
     return tasks

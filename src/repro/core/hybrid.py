@@ -222,7 +222,7 @@ class HybridRunner:
         tracer = self.tracer
         start = clock.now
         metrics = MetricsLedger(cfg.n_gpus, cfg.max_queue_length, start_time=start)
-        metrics.evals_saved = sum(t.kernel.evals_saved for t in tasks)
+        metrics.evals_saved = sum(t.evals_saved for t in tasks)
         if tracer.enabled:
             device_tracks = [
                 tracer.track(self.scope, f"gpu{d}") for d in range(cfg.n_gpus)
@@ -243,7 +243,7 @@ class HybridRunner:
         elif cfg.scheduler_kind == "random":
             sched = RandomScheduler(cfg.n_gpus, cfg.max_queue_length, bus)
         elif cfg.scheduler_kind == "weighted":
-            reference = tasks[0].kernel if tasks else None
+            reference = tasks[0] if tasks else None
             service = [
                 specs[d].service_time(reference) if reference is not None else 1.0
                 for d in range(cfg.n_gpus)
@@ -392,11 +392,9 @@ class HybridRunner:
             else:
                 # Priced once: the table key rides on the pending entry to
                 # the observe call, the ticks to every segment update.
-                evals = task.kernel.total_evals
+                evals = task.total_evals
                 key = model.key(
-                    ion_from_label(task.kernel.label or task.label),
-                    task.cost_key_method,
-                    evals,
+                    ion_from_label(task.label), task.cost_key_method, evals
                 )
                 predicted = model.predict_key(key, evals)
                 ticks = sched.cost_ticks(predicted)
@@ -411,7 +409,7 @@ class HybridRunner:
                 submitted_at = clock.now
                 if dispatch is not None:
                     entry = dispatch.enqueue(
-                        device, task.kernel, key, evals, predicted, ticks, span_id
+                        device, task, key, evals, predicted, ticks, span_id
                     )
                     payload = yield entry.done
                     stolen = device != entry.executed_device
@@ -424,9 +422,9 @@ class HybridRunner:
                         wait_s = started - submitted_at
                 else:
                     gpu = gpus[device]
-                    price = gpu.spec.phase_times(task.kernel)
+                    price = gpu.spec.phase_times(task)
                     try:
-                        done = gpu.submit(task.kernel, span_id, price)
+                        done = gpu.submit(task, span_id, price)
                     except RuntimeError:
                         # The device died between admission and submission:
                         # release the slot, revoke the phantom admission, and
@@ -515,7 +513,7 @@ class HybridRunner:
                 yield cost.submit_overhead_s
                 submitted_at = clock.now
                 try:
-                    done = gpus[device].submit(task.kernel, parent=span_id)
+                    done = gpus[device].submit(task, parent=span_id)
                 except RuntimeError:
                     # Dead device: as in the synchronous loop, release the
                     # slot, revoke the admission, fall back to the CPU.
@@ -592,12 +590,12 @@ class _PendingTask:
     """One admitted task parked in a device's dispatch queue."""
 
     __slots__ = (
-        "kernel", "key", "evals", "cost_s", "ticks", "span_id", "enqueued_at",
+        "task", "key", "evals", "cost_s", "ticks", "span_id", "enqueued_at",
         "done", "executed_device", "exec_started", "service_s", "failed",
     )
 
-    def __init__(self, kernel, key, evals, cost_s, ticks, span_id, now):
-        self.kernel = kernel
+    def __init__(self, task, key, evals, cost_s, ticks, span_id, now):
+        self.task = task
         #: The cost model's table key and the priced evaluation count —
         #: computed once, at placement.
         self.key = key
@@ -655,7 +653,7 @@ class _PredictiveDispatch:
         ]
 
     def enqueue(
-        self, device, kernel, key, evals, cost_s, ticks, span_id
+        self, device, task, key, evals, cost_s, ticks, span_id
     ) -> _PendingTask:
         """Park one admitted task on ``device``'s queue and wake every
         idle slot, ``device``'s own first.
@@ -665,7 +663,7 @@ class _PredictiveDispatch:
         another device steals it only when the owner's slots are all busy.
         """
         clock = self.clock
-        entry = _PendingTask(kernel, key, evals, cost_s, ticks, span_id, clock.now)
+        entry = _PendingTask(task, key, evals, cost_s, ticks, span_id, clock.now)
         self.pending[device].append(entry)
         self.n_pending += 1
         self.pending_ticks[device] += ticks
@@ -752,7 +750,7 @@ class _DispatchSlot:
                 dispatch._idle.append(self)
                 return
             try:
-                gpu_done = self.gpu.submit(entry.kernel, parent=entry.span_id)
+                gpu_done = self.gpu.submit(entry.task, parent=entry.span_id)
             except RuntimeError:
                 # Device died after admission: release the slot, flag the
                 # entry; the owning rank revokes the placement count and

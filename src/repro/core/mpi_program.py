@@ -142,7 +142,7 @@ class MPIProgram:
             device = sched.sche_alloc(clock.now)
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
-                done = gpus[device].submit(task.kernel)
+                done = gpus[device].submit(task)
                 payload = yield done
                 sched.sche_free(device, clock.now)
                 gpu_done += 1

@@ -7,22 +7,10 @@ cost.  :class:`~repro.gpusim.device.DeviceSpec` encodes those ratios for a
 Fermi Tesla C2075 (the paper's card) and a Kepler K20 (for the Hyper-Q
 discussion); :class:`~repro.gpusim.device.SimulatedGPU` executes kernel
 submissions against a :class:`~repro.cluster.simclock.SimClock`, while the
-*numerical* work of a kernel is performed for real by the vectorized batch
-integrators when a task carries an ``execute`` callable.
+*numerical* work of a task is performed for real by the vectorized batch
+integrators when it carries an ``execute`` callable.
 """
 
 from repro.gpusim.device import DeviceSpec, SimulatedGPU, TESLA_C2075, TESLA_K20
-from repro.gpusim.kernel import KernelSpec
-from repro.gpusim.memory import DeviceMemory, DeviceOutOfMemory
-from repro.gpusim.stream import Stream
 
-__all__ = [
-    "DeviceSpec",
-    "SimulatedGPU",
-    "TESLA_C2075",
-    "TESLA_K20",
-    "KernelSpec",
-    "DeviceMemory",
-    "DeviceOutOfMemory",
-    "Stream",
-]
+__all__ = ["DeviceSpec", "SimulatedGPU", "TESLA_C2075", "TESLA_K20"]

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.cluster.simclock import Signal, SimClock
-from repro.gpusim.kernel import KernelSpec
 from repro.obs.tracer import NULL_TRACER
+
+if TYPE_CHECKING:
+    from repro.core.task import Task
 
 __all__ = ["DeviceSpec", "SimulatedGPU", "TESLA_C2075", "TESLA_K20"]
 
@@ -58,9 +61,9 @@ class DeviceSpec:
         if self.max_concurrent_kernels < 1:
             raise ValueError("need at least one concurrent kernel slot")
 
-    def compute_time(self, spec: KernelSpec) -> float:
+    def compute_time(self, task: Task) -> float:
         """Pure kernel execution time (no launch, no transfer)."""
-        return spec.total_evals / (self.eval_rate * spec.efficiency)
+        return task.total_evals / (self.eval_rate * task.efficiency)
 
     def transfer_time(self, nbytes: int) -> float:
         """One PCIe transfer: fixed latency + bytes over bandwidth."""
@@ -70,23 +73,23 @@ class DeviceSpec:
             return 0.0
         return self.pcie_latency_s + nbytes / (self.pcie_bandwidth_gbs * 1.0e9)
 
-    def phase_times(self, spec: KernelSpec) -> tuple[float, float, float]:
+    def phase_times(self, task: Task) -> tuple[float, float, float]:
         """(ingress, compute, egress) seconds of one task — the one place
-        a kernel is priced; ingress = context switch + H2D + launch."""
+        a task is priced; ingress = context switch + H2D + launch."""
         return (
             self.context_switch_s
-            + self.transfer_time(spec.bytes_in)
+            + self.transfer_time(task.bytes_in)
             + self.kernel_launch_s,
-            self.compute_time(spec),
-            self.transfer_time(spec.bytes_out),
+            self.compute_time(task),
+            self.transfer_time(task.bytes_out),
         )
 
-    def service_time(self, spec: KernelSpec) -> float:
+    def service_time(self, task: Task) -> float:
         """End-to-end device time of one task.
 
         context switch + H2D + launch + compute + D2H.
         """
-        ingress, compute, egress = self.phase_times(spec)
+        ingress, compute, egress = self.phase_times(task)
         return ingress + compute + egress
 
     def with_eval_rate(self, eval_rate: float) -> "DeviceSpec":
@@ -149,7 +152,7 @@ class SimulatedGPU:
     compute at full rate has the same aggregate throughput and keeps the
     event model exact.)
 
-    When a kernel carries an ``execute`` callable, the real computation
+    When a task carries an ``execute`` callable, the real computation
     runs at completion time and its result becomes the signal payload.
 
     With a tracer attached (``tracer``/``track``), each task emits three
@@ -172,7 +175,7 @@ class SimulatedGPU:
         self.index = index
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
-        # A job is (kernel, done, parent, (ingress_s, compute_s, egress_s)):
+        # A job is (task, done, parent, (ingress_s, compute_s, egress_s)):
         # priced once at submit, then carried through the three phases.
         self._waiting: deque[tuple] = deque()
         self._active = 0  # tasks in any phase
@@ -196,7 +199,7 @@ class SimulatedGPU:
 
     def submit(
         self,
-        kernel: KernelSpec,
+        task: Task,
         parent: int = 0,
         price: tuple[float, float, float] | None = None,
     ) -> Signal:
@@ -204,12 +207,12 @@ class SimulatedGPU:
 
         ``parent`` is the trace span id of the causing task span; the
         three sub-spans the device emits link back to it.  ``price`` is
-        ``spec.phase_times(kernel)`` when the caller already holds it.
+        ``spec.phase_times(task)`` when the caller already holds it.
         """
         if self.failed:
             raise RuntimeError(f"GPU {self.index} has failed")
         done = Signal(self._done_name)
-        job = (kernel, done, parent, price or self.spec.phase_times(kernel))
+        job = (task, done, parent, price or self.spec.phase_times(task))
         if self._active < self.spec.max_concurrent_kernels:
             self._start(job)
         else:
@@ -279,13 +282,13 @@ class SimulatedGPU:
                 self.tracer.device_phase(
                     self.track, job[2], job[0], 2, started, self.clock.now
                 )
-        kernel, done = job[0], job[1]
+        task, done = job[0], job[1]
         self._active -= 1
         self.completed += 1
         if self._active == 0 and self._busy_since is not None:
             self.busy_time += self.clock.now - self._busy_since
             self._busy_since = None
-        payload = kernel.execute() if kernel.execute is not None else None
+        payload = task.execute() if task.execute is not None else None
         done.fire(self.clock, payload)
         if self._waiting and self._active < self.spec.max_concurrent_kernels:
             self._start(self._waiting.popleft())

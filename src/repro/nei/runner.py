@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.task import Task, TaskKind
-from repro.gpusim.kernel import KernelSpec
 
 __all__ = ["NEIWorkloadSpec", "build_nei_tasks", "attach_real_execution"]
 
@@ -55,6 +54,10 @@ class NEIWorkloadSpec:
             raise ValueError(
                 "n_grid_points must be a multiple of points_per_task"
             )
+        if self.gpu_units_per_step < 1:
+            raise ValueError("gpu_units_per_step must be >= 1")
+        if self.n_elements < 0 or self.prep_levels < 0:
+            raise ValueError("n_elements and prep_levels must be non-negative")
 
     @property
     def n_tasks(self) -> int:
@@ -77,28 +80,23 @@ def build_nei_tasks(
     runner's equal-subspace partition gives every rank the same share
     (the NEI parameter space has no 24-point structure to reuse).
     """
+    nbytes = spec.points_per_task * spec.n_elements * 16 * 8
     tasks: list[Task] = []
-    n_tasks = spec.n_tasks
-    for tid in range(n_tasks):
-        gpu_exec = gpu_execute_factory(tid) if gpu_execute_factory else None
-        cpu_exec = cpu_execute_factory(tid) if cpu_execute_factory else None
+    for tid in range(spec.n_tasks):
         tasks.append(
             Task(
-                task_id=tid,
-                kind=TaskKind.NEI_CHUNK,
-                kernel=KernelSpec(
-                    n_integrals=spec.steps_per_task,
-                    evals_per_integral=spec.gpu_units_per_step,
-                    bytes_in=spec.points_per_task * spec.n_elements * 16 * 8,
-                    bytes_out=spec.points_per_task * spec.n_elements * 16 * 8,
-                    execute=gpu_exec,
-                    label=f"nei{tid}",
-                ),
-                point_index=tid % n_partitions,
-                n_levels=spec.prep_levels,
-                cpu_evals_per_integral=spec.cpu_units_per_step,
-                cpu_execute=cpu_exec,
+                tid,
+                TaskKind.NEI_CHUNK,
+                tid % n_partitions,
                 label=f"nei{tid}",
+                n_levels=spec.prep_levels,
+                n_integrals=spec.steps_per_task,
+                evals_per_integral=spec.gpu_units_per_step,
+                bytes_in=nbytes,
+                bytes_out=nbytes,
+                cpu_evals_per_integral=spec.cpu_units_per_step,
+                execute=gpu_execute_factory(tid) if gpu_execute_factory else None,
+                cpu_execute=cpu_execute_factory(tid) if cpu_execute_factory else None,
             )
         )
     return tasks
@@ -159,10 +157,8 @@ def attach_real_execution(
 
         return run
 
-    from dataclasses import replace as dc_replace
-
     for task in tasks:
-        task.kernel = dc_replace(task.kernel, execute=gpu_execute(task.task_id))
+        task.execute = gpu_execute(task.task_id)
         task.cpu_execute = cpu_execute(task.task_id)
     return {
         "system": system,

@@ -310,20 +310,20 @@ class EventTracer:
              None if backlog is None else tuple(backlog), ticks, predicted_s)
         )
 
-    def device_task(self, track, parent, kernel, t0, t1, t2, t3) -> None:
-        """A whole kernel: ingress ``[t0, t1]``, compute, egress ``[t2, t3]``."""
+    def device_task(self, track, parent, task, t0, t1, t2, t3) -> None:
+        """A whole task: ingress ``[t0, t1]``, compute, egress ``[t2, t3]``."""
         self.log += (
-            (DEVICE, track, parent, kernel.label, kernel.bytes_in,
-             kernel.total_evals, kernel.evals_saved, kernel.bytes_out,
+            (DEVICE, track, parent, task.label, task.bytes_in,
+             task.total_evals, task.evals_saved, task.bytes_out,
              t0, t1, t2, t3),
             None, None,
         )
 
-    def device_phase(self, track, parent, kernel, phase, t0, t1) -> None:
-        """One phase of a kernel (0 ingress, 1 compute, 2 egress)."""
+    def device_phase(self, track, parent, task, phase, t0, t1) -> None:
+        """One phase of a task on a device (0 ingress, 1 compute, 2 egress)."""
         self.log.append(
-            (PHASE, track, parent, kernel.label, kernel.bytes_in,
-             kernel.total_evals, kernel.evals_saved, kernel.bytes_out,
+            (PHASE, track, parent, task.label, task.bytes_in,
+             task.total_evals, task.evals_saved, task.bytes_out,
              phase, t0, t1)
         )
 

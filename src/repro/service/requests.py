@@ -25,7 +25,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +32,7 @@ import numpy as np
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.atomic.ions import Ion
 from repro.constants import K_B_KEV, RYDBERG_KEV
-from repro.core.task import TaskKind
-from repro.gpusim.kernel import KernelSpec
+from repro.core.task import Task, TaskKind, task_cost
 from repro.physics.plan import PLAN_CACHE, PlanCache, PlanKey
 from repro.physics.spectrum import EnergyGrid
 
@@ -344,9 +342,8 @@ class FamilyPlan:
     ``z_max``, ``n_bins``, ``rule``, ``tolerance`` and ``tail_tol``: a
     request contributes its ``(kT, ne)``, a point index and a trace id,
     and :func:`compile_tasks` / :func:`compile_group_tasks` stamp its
-    tasks from the per-ion template kept here.  The template is read off
-    dense :meth:`KernelSpec.for_ion_task` kernels built once per family,
-    so it is priced — and validated — by the device model's own rules.
+    tasks from the per-ion template kept here.  The template is priced
+    once per family, every ion at once, by :func:`~repro.core.task.task_cost`.
     """
 
     basis: FamilyBasis
@@ -386,16 +383,14 @@ class FamilyPlan:
                 db, basis.grid, ions=basis.ions, method=request.rule,
                 pieces=pieces, k=k, tail_tol=request.tail_tol, gaunt=True,
             )
-        kernels = [
-            KernelSpec.for_ion_task(n_levels, request.n_bins, evals)
-            for n_levels in basis.n_levels
-        ]
-        dense = np.array([k.n_integrals for k in kernels], dtype=np.int64)
+        cost = task_cost(
+            np.array(basis.n_levels, dtype=np.int64), request.n_bins, evals
+        )
+        dense = cost["n_integrals"]
         dense.setflags(write=False)
         return cls(
             basis, request.rule, evals, plan_key,
-            tuple(k.bytes_in for k in kernels), dense,
-            kernels[0].bytes_out if kernels else 0,
+            tuple(cost["bytes_in"].tolist()), dense, cost["bytes_out"],
         )
 
     def active_pairs(
@@ -597,7 +592,7 @@ def compile_tasks(
     plan_cache: PlanCache = PLAN_CACHE,
     trace_parent: int = 0,
     weights: list[float] | None = None,
-) -> list[_IonTask]:
+) -> list[Task]:
     """Lower one request to Ion-granularity tasks for the hybrid runner.
 
     :func:`compile_group_tasks` of the request alone, apart from the
@@ -632,7 +627,7 @@ def compile_group_tasks(
     spread: bool = False,
     trace_parent: int = 0,
     weights: list[float] | None = None,
-) -> list[_IonTask]:
+) -> list[Task]:
     """Lower a same-family request group to megabatched ion tasks.
 
     One task per ion covers *all* temperatures of the group, returning a
@@ -667,36 +662,6 @@ def compile_group_tasks(
     )
 
 
-class _IonTask:
-    """One Ion task of a compiled request or group: a view over its
-    family's :class:`FamilyPlan` template, answering the task protocol
-    of :mod:`repro.core.task` for the task and its kernel alike
-    (``kernel`` is the view).  Its values were checked once per template
-    or per call, so building one checks nothing."""
-
-    __slots__ = (
-        "task_id", "point_index", "label", "n_integrals", "evals_saved",
-        "execute", "trace_parent", "n_levels", "bytes_in", "bytes_out", "_family",
-    )
-    kind = TaskKind.ION
-    efficiency = 1.0
-    cpu_evals_per_integral = None
-
-    def __init__(self, *fields) -> None:
-        (self.task_id, self.point_index, self.label, self.n_integrals,
-         self.evals_saved, self.execute, self.trace_parent, self.n_levels,
-         self.bytes_in, self.bytes_out, self._family) = fields
-
-    kernel = property(lambda self: self)
-    cpu_execute = property(attrgetter("execute"))
-    evals_per_integral = property(attrgetter("_family.evals_per_integral"))
-    method = cost_key_method = property(attrgetter("_family.rule"))
-    total_evals = property(lambda self: self.n_integrals * self.evals_per_integral)
-
-    def run_cpu(self) -> object:
-        return None if self.execute is None else self.execute()
-
-
 def _stamp_tasks(
     group: tuple[SpectrumRequest, ...],
     db: AtomicDatabase,
@@ -708,7 +673,7 @@ def _stamp_tasks(
     spread: bool,
     trace_parent: int,
     weights: list[float] | None,
-) -> list[_IonTask]:
+) -> list[Task]:
     """The one lowering loop: the group's tasks stamped from its
     family's template.  ``grouped`` picks the label and payload shape of
     :func:`compile_group_tasks` over :func:`compile_tasks`'s.  A
@@ -716,9 +681,8 @@ def _stamp_tasks(
     (:func:`_member_weights`), read off the matrix the tasks are priced
     from: a traced compile asks the plan cache once per group.
 
-    Every check ``Task`` and ``KernelSpec`` make runs here once a call
-    (ids, active pairs) or ran once a family, on the template's dense
-    ``for_ion_task`` kernels (levels, rule, byte counts)."""
+    Its inputs are checked here once a call (ids, active pairs); the
+    records it stamps check nothing."""
     if task_id_base < 0:
         raise ValueError("task_id must be non-negative")
     family = family_plan(db, group[0])
@@ -748,17 +712,19 @@ def _stamp_tasks(
     prefix = f"grp{point_index}/" if grouped else f"req{point_index}/"
     suffix = f"x{width}" if grouped else ""
     bytes_out = family.bytes_out * width
-    return [
-        _IonTask(
-            task_id_base + i, point_index + i if spread else point_index,
-            f"{prefix}{name}{suffix}", n_active, n_saved,
-            None if rows is None else partial(rows, i), trace_parent,
-            n_levels, bytes_in, bytes_out, family,
-        )
-        for i, (name, n_levels, bytes_in, n_active, n_saved) in enumerate(
-            zip(basis.names, basis.n_levels, family.bytes_in, n_integrals, saved)
-        )
-    ]
+    rule = family.rule
+    tasks = []
+    for i, (name, n_levels, bytes_in, n_active, n_saved) in enumerate(
+        zip(basis.names, basis.n_levels, family.bytes_in, n_integrals, saved)
+    ):
+        run = None if rows is None else partial(rows, i)
+        tasks.append(Task(
+            task_id_base + i, TaskKind.ION,
+            point_index + i if spread else point_index, trace_parent, rule,
+            f"{prefix}{name}{suffix}", n_levels, n_active, evals, bytes_in,
+            bytes_out, 1.0, n_saved, None, run, run,
+        ))
+    return tasks
 
 
 def _member_weights(active: np.ndarray | None, width: int) -> list[float]:

@@ -32,6 +32,18 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [dict(method="romberg", k=-1), dict(pieces=-1)], ids=["k", "pieces"]
+    )
+    def test_negative_rule_knobs_rejected_by_the_spec(self, kwargs):
+        """A negative Romberg ``k`` priced tasks at 1.5 evals an integral;
+        both knobs are refused where the workload is described."""
+        with pytest.raises(ValueError):
+            WorkloadSpec(**kwargs)
+
+    def test_zero_pieces_still_accepted(self):
+        assert WorkloadSpec(pieces=0).evals_per_integral == 1
+
 
 class TestIonGranularity:
     def test_task_count(self, small_spec):
@@ -113,7 +125,7 @@ class TestExecuteFactories:
         tasks = build_tasks(
             small_spec, gpu_execute_factory=gpu_factory, cpu_execute_factory=cpu_factory
         )
-        tasks[0].kernel.execute()
+        tasks[0].execute()
         tasks[1].run_cpu()
         assert calls[0][0] == "gpu"
         assert calls[1][0] == "cpu"

@@ -8,7 +8,6 @@ from repro.core.calibration import CostModel
 from repro.core.granularity import Granularity, WorkloadSpec, build_tasks
 from repro.core.hybrid import HybridConfig, HybridRunner
 from repro.core.task import Task, TaskKind
-from repro.gpusim.kernel import KernelSpec
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +98,11 @@ class TestHybridRun:
                 Task(
                     task_id=tid,
                     kind=TaskKind.ION,
-                    kernel=KernelSpec(
-                        n_integrals=100,
-                        evals_per_integral=65,
-                        execute=(lambda p=payload: p),
-                    ),
                     point_index=point,
                     n_levels=1,
+                    n_integrals=100,
+                    evals_per_integral=65,
+                    execute=(lambda p=payload: p),
                     cpu_execute=(lambda p=payload: p),
                 )
             )
@@ -159,7 +156,8 @@ class TestPartitioning:
         t = Task(
             task_id=0,
             kind=TaskKind.NEI_CHUNK,
-            kernel=KernelSpec(n_integrals=10, evals_per_integral=100),
+            n_integrals=10,
+            evals_per_integral=100,
             cpu_evals_per_integral=1000,
         )
         priced = cost.cpu_task_fallback_s(t.n_integrals, t.cpu_evals_per_integral)

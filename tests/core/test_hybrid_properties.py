@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.calibration import CostModel
 from repro.core.hybrid import HybridConfig, HybridRunner
-from repro.core.task import Task, TaskKind
-from repro.gpusim.kernel import KernelSpec
+from repro.core.task import Task, TaskKind, task_cost
 
 
 @st.composite
@@ -26,11 +25,8 @@ def workload(draw):
             Task(
                 task_id=tid,
                 kind=TaskKind.ION,
-                kernel=KernelSpec.for_ion_task(
-                    n_levels=n_levels, n_bins=bins, evals_per_integral=65
-                ),
                 point_index=tid % n_points,
-                n_levels=n_levels,
+                **task_cost(n_levels, bins, 65),
             )
         )
     return tasks

@@ -55,6 +55,20 @@ class TestRun:
         assert total == len(tasks_8pt)
         assert result.makespan_s > 0.0
 
+    def test_service_tasks_run(self):
+        """Any producer's tasks run on the cluster, the service's too."""
+        from repro.bench.workloads import small_real_database
+        from repro.service.requests import SpectrumRequest, compile_tasks
+
+        tasks = compile_tasks(
+            SpectrumRequest(temperature_k=2.0e6), small_real_database(),
+            with_payload=False,
+        )
+        runner = MultiNodeRunner(MultiNodeConfig(n_nodes=2, node=node_cfg()))
+        result = runner.run(tasks)
+        assert len(tasks) == 36
+        assert sum(r.metrics.total_tasks for r in result.node_results) == 36
+
     def test_two_nodes_roughly_halve_time(self, tasks_8pt):
         one = MultiNodeRunner(MultiNodeConfig(n_nodes=1, node=node_cfg())).run(tasks_8pt)
         two = MultiNodeRunner(MultiNodeConfig(n_nodes=2, node=node_cfg())).run(tasks_8pt)

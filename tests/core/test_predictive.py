@@ -11,8 +11,7 @@ import pytest
 
 from repro.core.calibration import CostModel
 from repro.core.hybrid import HybridConfig, HybridRunner
-from repro.core.task import Task, TaskKind
-from repro.gpusim.kernel import KernelSpec
+from repro.core.task import Task, TaskKind, task_cost
 
 
 def _skewed_tasks(n_points=18, tasks_per_point=6, heavy_every=7):
@@ -26,24 +25,17 @@ def _skewed_tasks(n_points=18, tasks_per_point=6, heavy_every=7):
             n_levels = 120 if heavy else 4
             label = f"pt{p}/{'Heavy' if heavy else 'Light'}+{i % 2}"
             arr = np.full(12, float(tid % 7) + 0.5)
-            kern = KernelSpec.for_ion_task(
-                n_levels=n_levels,
-                n_bins=200,
-                evals_per_integral=65,
-                label=label,
-                efficiency=0.1 if heavy else 1.0,
-                execute=(lambda a=arr: a),
-            )
             tasks.append(
                 Task(
                     task_id=tid,
                     kind=TaskKind.ION,
-                    kernel=kern,
                     point_index=p,
-                    n_levels=n_levels,
-                    cpu_execute=(lambda a=arr: a),
-                    label=label,
                     method="simpson",
+                    label=label,
+                    efficiency=0.1 if heavy else 1.0,
+                    execute=(lambda a=arr: a),
+                    cpu_execute=(lambda a=arr: a),
+                    **task_cost(n_levels, 200, 65),
                 )
             )
             tid += 1

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.cluster.simclock import SimClock
+from repro.core.task import Task, TaskKind
 from repro.gpusim.device import TESLA_C2075, TESLA_K20, DeviceSpec, SimulatedGPU
-from repro.gpusim.kernel import KernelSpec
+
+
+def priced(**fields) -> Task:
+    """A cost-only task with the given price fields."""
+    return Task(0, TaskKind.ION, **fields)
 
 
 class TestDeviceSpec:
@@ -20,8 +25,8 @@ class TestDeviceSpec:
         assert TESLA_K20.context_switch_s == 0.0
 
     def test_compute_time_linear_in_evals(self):
-        k1 = KernelSpec(n_integrals=1000, evals_per_integral=65)
-        k2 = KernelSpec(n_integrals=2000, evals_per_integral=65)
+        k1 = priced(n_integrals=1000, evals_per_integral=65)
+        k2 = priced(n_integrals=2000, evals_per_integral=65)
         assert TESLA_C2075.compute_time(k2) == pytest.approx(
             2.0 * TESLA_C2075.compute_time(k1)
         )
@@ -39,7 +44,7 @@ class TestDeviceSpec:
         assert TESLA_C2075.transfer_time(0) == 0.0
 
     def test_service_time_components(self):
-        k = KernelSpec(n_integrals=1000, evals_per_integral=65, bytes_in=64, bytes_out=8000)
+        k = priced(n_integrals=1000, evals_per_integral=65, bytes_in=64, bytes_out=8000)
         spec = TESLA_C2075
         expected = (
             spec.context_switch_s
@@ -80,7 +85,7 @@ class TestDeviceSpec:
 
 class TestSimulatedGPU:
     def _kernel(self, evals=1000):
-        return KernelSpec(n_integrals=evals, evals_per_integral=1)
+        return priced(n_integrals=evals, evals_per_integral=1)
 
     def test_fifo_serial_execution(self):
         clock = SimClock()
@@ -128,7 +133,7 @@ class TestSimulatedGPU:
     def test_execute_payload_delivered(self):
         clock = SimClock()
         gpu = SimulatedGPU(clock, TESLA_C2075)
-        k = KernelSpec(n_integrals=10, evals_per_integral=1, execute=lambda: 42)
+        k = priced(n_integrals=10, evals_per_integral=1, execute=lambda: 42)
         done = gpu.submit(k)
         clock.run()
         assert done.payload == 42

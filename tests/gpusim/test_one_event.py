@@ -11,22 +11,28 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster.simclock import SimClock
+from repro.core.task import Task, TaskKind
 from repro.gpusim.device import TESLA_C2075, TESLA_K20, SimulatedGPU
-from repro.gpusim.kernel import KernelSpec
 from repro.obs.tracer import EventTracer
 
-FULL = KernelSpec(
+
+def priced(**fields) -> Task:
+    """A cost-only task with the given price fields."""
+    return Task(0, TaskKind.ION, **fields)
+
+
+FULL = priced(
     n_integrals=50_000, evals_per_integral=65, bytes_in=4096, bytes_out=8000,
     label="full",
 )
 #: Zero-length phases: no result transfer (cost-only kernels in tests and
 #: probes), no integrals (a fully pruned ion), and both.
-NO_EGRESS = KernelSpec(n_integrals=50_000, evals_per_integral=65, bytes_in=4096, label="no-egress")
-NO_COMPUTE = KernelSpec(
+NO_EGRESS = priced(n_integrals=50_000, evals_per_integral=65, bytes_in=4096, label="no-egress")
+NO_COMPUTE = priced(
     n_integrals=0, evals_per_integral=65, bytes_in=4096, bytes_out=8000,
     label="no-compute",
 )
-NEITHER = KernelSpec(n_integrals=0, evals_per_integral=65, bytes_in=4096, label="neither")
+NEITHER = priced(n_integrals=0, evals_per_integral=65, bytes_in=4096, label="neither")
 
 
 def phased(gpu: SimulatedGPU) -> SimulatedGPU:

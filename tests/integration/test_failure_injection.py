@@ -6,8 +6,8 @@ import pytest
 from repro.cluster.simclock import SimClock
 from repro.core.metrics import MetricsLedger
 from repro.core.scheduler import NO_DEVICE, SharedMemoryScheduler
+from repro.core.task import Task, TaskKind
 from repro.gpusim.device import TESLA_C2075, SimulatedGPU
-from repro.gpusim.kernel import KernelSpec
 
 
 class TestDeviceFailure:
@@ -16,7 +16,7 @@ class TestDeviceFailure:
         unfired completion signal, never a silent wrong result."""
         clock = SimClock()
         gpu = SimulatedGPU(clock, TESLA_C2075)
-        done = gpu.submit(KernelSpec(n_integrals=1000, evals_per_integral=65))
+        done = gpu.submit(Task(0, TaskKind.ION, n_integrals=1000, evals_per_integral=65))
         gpu.fail()
         clock.run()
         assert not done.fired

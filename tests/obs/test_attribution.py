@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.gpusim.kernel import KernelSpec
+from repro.core.task import Task, TaskKind
 from repro.obs import EventTracer, kernel_root_map
 from repro.obs.attribution import (
     COMPONENTS,
@@ -264,7 +264,7 @@ class TestObservationOrder:
 
     @staticmethod
     def _phases(tracer, task_id, ion, phases):
-        kernel = KernelSpec(64, 1, label=f"req{task_id}/{ion}")
+        kernel = Task(0, TaskKind.ION, label=f"req{task_id}/{ion}", n_integrals=64)
         for phase in phases:
             tracer.device_phase(0, task_id, kernel, phase, 0.5 * phase, 0.5 * phase + 0.5)
 

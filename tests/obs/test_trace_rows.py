@@ -35,8 +35,8 @@ from repro.cluster.simclock import SimClock
 from repro.core.calibration import CostModel
 from repro.core.granularity import WorkloadSpec, build_tasks
 from repro.core.hybrid import HybridConfig, HybridRunner
+from repro.core.task import Task, TaskKind
 from repro.gpusim.device import TESLA_C2075, TESLA_K20, SimulatedGPU
-from repro.gpusim.kernel import KernelSpec
 from repro.obs import EventTracer, tracer as tracer_mod
 from repro.obs.attribution import COMPONENTS, TICKS_PER_S, Attribution, CostEntry
 from repro.obs.attribution import CostModel as SpanCostModel
@@ -242,7 +242,10 @@ def _record_batches(batches, interleave: int) -> EventTracer:
             tracer.load(gpu, clock.now, 1)
             tracer.task_alloc(rank, 0, (1,), (sid,), sid)
             submitted = clock.now
-            kernel = KernelSpec(evals, 1, bytes_in=64, bytes_out=32, label=f"req{gid}/O+{evals % 8}")
+            kernel = Task(
+                0, TaskKind.ION, label=f"req{gid}/O+{evals % 8}", n_integrals=evals,
+                bytes_in=64, bytes_out=32,
+            )
             if kind == "cpu":
                 clock.now += d_c
                 tracer.task_end(rank, f"task{sid}", started, sid, gid, -1, 0.0)
@@ -553,7 +556,10 @@ class TestEventsView:
     def test_eager_events_and_rows_keep_their_order(self):
         clock = SimpleNamespace(now=1.0)
         tracer = EventTracer(clock)
-        kernel = KernelSpec(10, 65, bytes_in=8, bytes_out=16, label="pt0/O+7")
+        kernel = Task(
+            0, TaskKind.ION, label="pt0/O+7", n_integrals=10, evals_per_integral=65,
+            bytes_in=8, bytes_out=16,
+        )
         tracer.instant(0, "before")
         tracer.device_task(1, 7, kernel, 0.0, 0.25, 0.75, 1.0)
         tracer.instant(0, "between")
@@ -570,7 +576,10 @@ class TestEventsView:
         """In place: the log never holds a row beside its events, except
         from the cursor of a bound ``Attribution`` on."""
         tracer = EventTracer(SimpleNamespace(now=1.0))
-        kernel = KernelSpec(10, 65, bytes_in=8, bytes_out=16, label="pt0/O+7")
+        kernel = Task(
+            0, TaskKind.ION, label="pt0/O+7", n_integrals=10, evals_per_integral=65,
+            bytes_in=8, bytes_out=16,
+        )
         ledger = Attribution(tracer)
         tracer.device_task(1, 7, kernel, 0.0, 0.25, 0.75, 1.0)
         ledger.ingest()  # read as a row: slots 0-2

@@ -105,7 +105,7 @@ def test_compile_emits_the_parent_loops_tasks_and_point_sequence(window):
         want += tasks
         point = tasks[-1].point_index + 1
     assert [_fields(t) for t in batch.tasks] == [_fields(t) for t in want]
-    assert all(t.cpu_execute is None and t.kernel.execute is None for t in batch.tasks)
+    assert all(t.cpu_execute is None and t.execute is None for t in batch.tasks)
     n_ions = len(want) // len(units)
     points = [t.point_index for t in batch.tasks]
     if batching:

@@ -86,9 +86,9 @@ class TestCompileGroupTasks:
         for gtask, stask in zip(gtasks, singles):
             # Output (integrals, result bytes) scales with width; the
             # per-level parameter upload is paid once for the group.
-            assert gtask.kernel.n_integrals == 3 * stask.kernel.n_integrals
-            assert gtask.kernel.bytes_out == 3 * stask.kernel.bytes_out
-            assert gtask.kernel.bytes_in == stask.kernel.bytes_in
+            assert gtask.n_integrals == 3 * stask.n_integrals
+            assert gtask.bytes_out == 3 * stask.bytes_out
+            assert gtask.bytes_in == stask.bytes_in
 
     def test_spread_assigns_one_point_per_task(self, db):
         group = _group(8.0e6, 2.0e7)

@@ -1,8 +1,8 @@
 """Cross-commit guard on what ``compile_tasks`` / ``compile_group_tasks`` emit.
 
 ``GOLDEN`` was recorded at commit 54dae41 — the parent of the PR that
-stamps tasks from a per-family template instead of building each one
-through ``KernelSpec.for_ion_task`` — *before the first edit*, and must
+stamps tasks from a per-family template instead of pricing each one
+through the per-ion kernel descriptor — *before the first edit*, and must
 never be refreshed by a change that claims the same tasks.  One sha1 per
 (rule, tail_tol, spread) over every priced field of every task of a
 seeded request set: widths 1-8, three tolerances, pruning on and off,
@@ -12,7 +12,7 @@ both rules, with each group's members also lowered one by one through
 The property below it is the same statement without a literal: for any
 family, group and call arguments, the emitted tasks equal — field by
 field — the ones the parent's loop builds (``_reference_tasks``: one
-``for_ion_task`` per ion, one ``per_ion_active`` per member).
+pricing per ion, one ``per_ion_active`` per member).
 
 The last two classes are about the ``FamilyPlan`` itself: there is one
 family cache, and a batch computes each distinct temperature's windows
@@ -30,8 +30,7 @@ from hypothesis import strategies as st
 
 from repro.atomic.database import AtomicConfig, AtomicDatabase
 from repro.constants import K_B_KEV
-from repro.core.task import Task, TaskKind
-from repro.gpusim.kernel import KernelSpec
+from repro.core.task import Task, TaskKind, task_cost
 from repro.obs import EventTracer
 from repro.physics.plan import PLAN_CACHE, PlanCache, SpectrumPlan
 from repro.service import ServiceConfig, TrafficSpec, generate_trace, run_trace
@@ -67,18 +66,19 @@ def db() -> AtomicDatabase:
 
 
 def _fields(task: Task) -> tuple:
-    kernel = task.kernel
     return (
         task.task_id, task.label, task.point_index, task.n_levels,
-        task.trace_parent, task.method, kernel.n_integrals,
-        kernel.evals_per_integral, kernel.bytes_in, kernel.bytes_out,
-        kernel.evals_saved,
+        task.trace_parent, task.method, task.n_integrals,
+        task.evals_per_integral, task.bytes_in, task.bytes_out,
+        task.evals_saved,
     )
 
 
-def _kernel_fields(kernel) -> tuple:
+def _priced_fields(task: Task) -> tuple:
+    """Every field of the record but its two callables."""
     return tuple(
-        getattr(kernel, f.name) for f in dataclasses.fields(KernelSpec) if f.compare
+        getattr(task, f.name) for f in dataclasses.fields(Task)
+        if f.name not in ("execute", "cpu_execute")
     )
 
 
@@ -163,15 +163,11 @@ def _reference_tasks(
             Task(
                 task_id=task_id_base + i,
                 kind=TaskKind.ION,
-                kernel=KernelSpec.for_ion_task(
-                    n_levels=n_levels, n_bins=lead.n_bins * width,
-                    evals_per_integral=evals, label=label, n_active=n_active,
-                ),
                 point_index=point_index + i if spread else point_index,
-                n_levels=n_levels,
-                label=label,
                 trace_parent=trace_parent,
                 method=lead.rule,
+                label=label,
+                **task_cost(n_levels, lead.n_bins * width, evals, n_active),
             )
         )
     return tasks
@@ -225,49 +221,45 @@ def test_stamped_tasks_equal_the_per_ion_loop_field_by_field(db, call):
         for task, ref in zip(tasks, reference):
             assert task.kind is ref.kind
             assert _fields(task) == _fields(ref)
-            # Every field ``KernelSpec.__eq__`` compares (all but
-            # ``execute``): a stamped task's kernel is a view, not a
-            # ``KernelSpec``, so equality is restated field by field.
-            assert _kernel_fields(task.kernel) == _kernel_fields(ref.kernel)
+            assert _priced_fields(task) == _priced_fields(ref)
             assert task.cpu_evals_per_integral is None
-            assert (task.kernel.execute is not None) == with_payload
-            assert task.cpu_execute is task.kernel.execute
+            assert (task.execute is not None) == with_payload
+            assert task.cpu_execute is task.execute
 
 
 # ----------------------------------------------------------------------
-# The dataclasses' checks, made once a template or a call
+# The checks, made once a template or a call
 # ----------------------------------------------------------------------
 class TestChecksOncePerCall:
     def test_no_dataclass_is_built_per_ion(self, db, monkeypatch):
-        """A cold request and a 32-wide group construct no ``KernelSpec``
-        and no ``Task``; the template's one ``for_ion_task`` a family is
-        where ``KernelSpec``'s checks still run."""
+        """A cold request and a 32-wide group price nothing; the
+        template prices every ion of its family in one ``task_cost``."""
+        from repro.service import requests
+
         def cold(t):
             return SpectrumRequest(temperature_k=float(t), tail_tol=1.0e-9)
 
         compile_tasks(cold(2.0e6), db)  # the family's template, once
-        calls = {KernelSpec: 0, Task: 0}
-        for cls in calls:
-            def counting(self, check=cls.__post_init__, cls=cls):
-                calls[cls] += 1
-                check(self)
+        calls = []
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        def counting(*args, price=requests.task_cost):
+            calls.append(args)
+            return price(*args)
+
+        monkeypatch.setattr(requests, "task_cost", counting)
         tasks = compile_tasks(cold(3.1e6), db)
         tasks += compile_group_tasks(
             tuple(cold(t) for t in np.geomspace(1.0e6, 1.0e8, 32)), db,
             with_payload=False, spread=True,
         )
-        assert len(tasks) == 2 * 36 and calls == {KernelSpec: 0, Task: 0}
+        assert len(tasks) == 2 * 36 and calls == []
         FamilyPlan.build(db, cold(3.1e6))
-        assert calls == {KernelSpec: 36, Task: 0}
+        assert len(calls) == 1 and len(calls[0][0]) == 36
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["request", "group"])
     def test_a_negative_task_id_base_raises_what_task_raised(self, db, grouped):
-        with pytest.raises(ValueError) as refused:
-            Task(-1, TaskKind.ION, KernelSpec(1, 1))
         request = SpectrumRequest(temperature_k=1.0e7)
-        with pytest.raises(ValueError, match=str(refused.value)):
+        with pytest.raises(ValueError, match="task_id must be non-negative"):
             if grouped:
                 compile_group_tasks((request,), db, task_id_base=-1)
             else:

@@ -191,7 +191,7 @@ class TestSharedBlockMemory:
         singles = compile_tasks(group[1], db)
         for _ in range(2):  # the second round re-evaluates dropped runs
             for i, task in enumerate(tasks):
-                rows = task.kernel.execute()
+                rows = task.execute()
                 for j, request in enumerate(group):
                     want = ion_emission(basis.ions[i], basis.n_levels[i], request)
                     assert np.array_equal(rows[j], want)
@@ -207,7 +207,7 @@ class TestSharedBlockMemory:
         tracemalloc.start()
         try:
             for task in tasks:
-                total += task.kernel.execute()
+                total += task.execute()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -221,7 +221,7 @@ class TestSharedBlockMemory:
         tasks = compile_group_tasks(_burst_group(), db)
         blocks = []
         for task in tasks:
-            rows = task.kernel.execute()
+            rows = task.execute()
             if not any(ref() is rows.base for ref in blocks):
                 blocks.append(weakref.ref(rows.base))
             del rows

@@ -54,10 +54,10 @@ class TestCompileTasksPlanCache:
         )
         assert len(priced) == len(costed)
         for a, b in zip(priced, costed):
-            assert a.kernel.n_integrals == b.kernel.n_integrals
-            assert a.kernel.evals_saved == b.kernel.evals_saved
-            assert a.kernel.total_evals == b.kernel.total_evals
-            assert b.cpu_execute is None and b.kernel.execute is None
+            assert a.n_integrals == b.n_integrals
+            assert a.evals_saved == b.evals_saved
+            assert a.total_evals == b.total_evals
+            assert b.cpu_execute is None and b.execute is None
             assert a.cpu_execute is not None
 
 

@@ -108,7 +108,7 @@ class TestCompileTasks:
     def test_both_paths_same_answer(self, db):
         req = SpectrumRequest(temperature_k=1e7, z_max=4, n_bins=16)
         task = compile_tasks(req, db)[0]
-        np.testing.assert_array_equal(task.kernel.execute(), task.run_cpu())
+        np.testing.assert_array_equal(task.execute(), task.run_cpu())
 
     def test_grid_shared_per_bin_count(self):
         a = request_grid(SpectrumRequest(temperature_k=1e7, n_bins=48))
@@ -139,20 +139,20 @@ class TestPrunedPricing:
         pruned = compile_tasks(
             SpectrumRequest(temperature_k=1e7, tail_tol=1e-9), db
         )
-        e_dense = sum(t.kernel.total_evals for t in dense)
-        e_pruned = sum(t.kernel.total_evals for t in pruned)
-        saved = sum(t.kernel.evals_saved for t in pruned)
+        e_dense = sum(t.total_evals for t in dense)
+        e_pruned = sum(t.total_evals for t in pruned)
+        saved = sum(t.evals_saved for t in pruned)
         assert e_pruned < e_dense
         # The ledger must balance: active + saved == dense workload.
         assert e_pruned + saved == e_dense
-        assert all(t.kernel.evals_saved == 0 for t in dense)
+        assert all(t.evals_saved == 0 for t in dense)
 
     def test_looser_tail_tol_saves_more(self, db):
         def saved(tt):
             tasks = compile_tasks(
                 SpectrumRequest(temperature_k=1e6, tail_tol=tt), db
             )
-            return sum(t.kernel.evals_saved for t in tasks)
+            return sum(t.evals_saved for t in tasks)
 
         assert saved(1e-6) >= saved(1e-9) >= saved(1e-12)
 
@@ -164,4 +164,4 @@ class TestPrunedPricing:
             SpectrumRequest(temperature_k=1e7, tail_tol=1e-9), db
         )
         for a, b in zip(dense, pruned):
-            assert np.array_equal(a.kernel.execute(), b.kernel.execute())
+            assert np.array_equal(a.execute(), b.execute())

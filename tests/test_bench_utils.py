@@ -30,13 +30,13 @@ class TestWorkloads:
         costs (half the bins, double the evals per integral)."""
         simpson = paper_workload(n_points=1)
         romberg7 = romberg_workload(k=7, n_points=1)
-        s_evals = sum(t.kernel.total_evals for t in simpson)
-        r_evals = sum(t.kernel.total_evals for t in romberg7)
+        s_evals = sum(t.total_evals for t in simpson)
+        r_evals = sum(t.total_evals for t in romberg7)
         assert r_evals == pytest.approx(s_evals, rel=0.01)
 
     def test_romberg_cost_doubles_per_k(self):
-        e9 = sum(t.kernel.total_evals for t in romberg_workload(k=9, n_points=1))
-        e11 = sum(t.kernel.total_evals for t in romberg_workload(k=11, n_points=1))
+        e9 = sum(t.total_evals for t in romberg_workload(k=9, n_points=1))
+        e11 = sum(t.total_evals for t in romberg_workload(k=11, n_points=1))
         assert e11 / e9 == pytest.approx(4.0, rel=0.01)
 
     def test_real_grid_window(self):

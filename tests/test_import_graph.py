@@ -94,10 +94,6 @@ TEST_ONLY = {
     "repro.atomic.ions:Ion.recombined_charge": "roadmap item 6: 1 test",
     "repro.atomic.ions:ions_of_element": "roadmap item 6: 2 tests",
     "repro.cluster.sharedmem:SharedArray.atomic_cas": "roadmap item 6: 2 tests",
-    "repro.gpusim.memory:Allocation": "roadmap item 6: gpusim/memory.py, 12 tests",
-    "repro.gpusim.memory:DeviceMemory": "roadmap item 6: gpusim/memory.py, 12 tests",
-    "repro.gpusim.memory:DeviceOutOfMemory": "roadmap item 6: gpusim/memory.py, 12 tests",
-    "repro.gpusim.stream:Stream": "roadmap item 6: gpusim/stream.py, 6 tests",
     "repro.physics.cooling:CoolingCurve": "roadmap item 6: physics/cooling.py, 9 tests",
     "repro.physics.cooling:cooling_curve": "roadmap item 6: physics/cooling.py, 9 tests",
     "repro.physics.cooling:cooling_function": "roadmap item 6: physics/cooling.py, 9 tests",
