@@ -430,7 +430,7 @@ def _case_cost_attribution(quick: bool, seed: int) -> dict:
 
     A bursty megabatched run is traced end to end and the attribution
     ledger audited: ``conservation`` (attributed / measured span ticks,
-    min over components) and ``kernel_rooted_fraction`` (gpusim kernel
+    min over components) and ``kernel_rooted_fraction`` (device kernel
     spans reachable from a request root through parent edges) are exact
     claims gated at **zero tolerance** — the integer-tick largest-
     remainder split makes both decidable bit-for-bit.  The online cost

@@ -617,7 +617,7 @@ class CostModel:
 # Reachability + rendering helpers
 # ----------------------------------------------------------------------
 def kernel_root_map(tracer) -> list[tuple[int, Optional[int]]]:
-    """(event index, request root id) of every gpusim kernel sub-span.
+    """(event index, request root id) of every device kernel sub-span.
 
     Walks the ``parent`` edges from each ingress/compute/egress span up
     to its request root; ``None`` marks a span with no reachable root.

@@ -8,7 +8,7 @@ The load-bearing claims:
 - the ledger is bit-identical across execution backends (serial,
   thread) and with continuous batching off, because it is a
   pure function of the virtual-time span stream;
-- every gpusim kernel sub-span is reachable from exactly one request
+- every device kernel sub-span is reachable from exactly one request
   root through parent edges;
 - the online cost model predicts, observes, serializes, and round-trips.
 """
