@@ -211,6 +211,33 @@ class TestTheLevelFold:
         np.add.reduce(block, axis=1, out=got)
         np.testing.assert_array_equal(got, want)
 
+    @given(
+        lines=st.integers(0, 8),
+        width=st.integers(1, 12),
+        ions=st.integers(1, 16),
+        bins=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_axis0_add_reduce_is_the_line_fold_of_the_payload_kernel(
+        self, lines, width, ions, bins, seed
+    ):
+        """The canary for the payload kernel's line fold: the service
+        writes a continuum and ``lines`` line terms into a C-contiguous
+        ``(lines + 1, W, ions, n_bins)`` stack and folds it with one
+        ``np.add.reduce(stack, axis=0)``, bit-identical to the oracle's
+        continuum-then-lines sum only while that reduction adds whole
+        rows in order.  If this fails after a NumPy upgrade, mend the
+        fold in ``repro.service.requests``, never the serve, obs or
+        lattice goldens."""
+        rng = np.random.default_rng(seed)
+        stack = 10.0 ** rng.uniform(-8.0, 8.0, (lines + 1, width, ions, bins))
+        stack[rng.random(stack.shape) < 0.25] = 0.0  # lines an ion lacks
+        want = stack[0].copy()
+        for term in stack[1:]:
+            want += term
+        np.testing.assert_array_equal(np.add.reduce(stack, axis=0), want)
+
     @pytest.mark.parametrize("tail_tol", [0.0, 1.0e-9], ids=["dense", "pruned"])
     @pytest.mark.parametrize(
         "rule",

@@ -89,6 +89,7 @@ TEST_ONLY = {
     "repro.atomic.abundances:AbundanceSet.with_metallicity": "roadmap item 6: 1 test, shared with with_override",
     "repro.atomic.abundances:AbundanceSet.with_override": "roadmap item 6: 1 test, shared with with_metallicity",
     "repro.atomic.cross_sections:recombination_cross_section": "roadmap item 6: an alias; 1 test",
+    "repro.atomic.elements:Element.n_ions": "roadmap item 6: 2 tests",
     "repro.atomic.database:AtomicDatabase.max_binding_energy_kev": "roadmap item 6: 1 test; cooling's only caller",
     "repro.atomic.ions:Ion.n_core_electrons": "roadmap item 6: 1 test",
     "repro.atomic.ions:Ion.recombined_charge": "roadmap item 6: 1 test",
