@@ -6,8 +6,8 @@ stand-ins:
 
 - :mod:`repro.cluster.simclock` — a discrete-event engine with
   generator-based processes (the "MPI ranks" of the simulation);
-- :mod:`repro.cluster.sharedmem` — the shared load/history counter arrays
-  with atomic operations (the ``shmat`` segment of Algorithm 1);
+- :mod:`repro.cluster.sharedmem` — the shared load/history counter lists
+  (the ``shmat`` segment of Algorithm 1), written only by the scheduler;
 - :mod:`repro.cluster.mpi` — a miniature message-passing layer (send /
   recv / bcast / scatter / gather) over the event engine;
 - :mod:`repro.cluster.shm` — a *real* ``multiprocessing`` shared-memory
@@ -17,7 +17,7 @@ stand-ins:
 """
 
 from repro.cluster.simclock import SimClock, Signal, Interrupt, ProcessHandle
-from repro.cluster.sharedmem import SharedSegment, SharedArray
+from repro.cluster.sharedmem import SharedSegment
 from repro.cluster.mpi import MiniComm
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "Interrupt",
     "ProcessHandle",
     "SharedSegment",
-    "SharedArray",
     "MiniComm",
 ]

@@ -5,69 +5,19 @@ the per-device *load* (active + waiting tasks) and the per-device *history
 task count* — which MPI processes attach with ``shmat()`` and mutate with
 atomic increments/decrements.
 
-Inside the single-threaded event simulation, atomicity is trivially
-guaranteed; modelling it anyway keeps the scheduler written against the
-operations a real segment offers.  The live runner
+Here each array is a plain ``list[int]``, written only by
+:mod:`repro.core.scheduler`'s SCHE-ALLOC, SCHE-FREE and steal, in their
+own frames.  Atomicity is the event loop's: the simulation is
+single-threaded and a scheduler call runs to completion inside one
+event, so no other rank can observe a half-made update.  The live runner
 :mod:`repro.cluster.shm` does not share this code: it carries its own
-``_sche_alloc`` / ``_sche_free`` copy over a ``multiprocessing`` array
-(ROADMAP item 4 converges the two).
+``_sche_alloc`` / ``_sche_free`` copy over locked ``multiprocessing``
+arrays (ROADMAP item 4 converges the two).
 """
 
 from __future__ import annotations
 
-from operator import index
-from typing import Iterator
-
-import numpy as np
-
-__all__ = ["SharedArray", "SharedSegment"]
-
-
-class SharedArray:
-    """An int64 array with the atomic operations Algorithm 1 relies on.
-
-    ``cells`` is the mapped memory itself — a plain ``list[int]``, which
-    is what the scheduler's scan reads after ``attach()``, as a process
-    reads the array ``shmat()`` handed it.  Every *write* goes through
-    the atomic operations below.
-    """
-
-    __slots__ = ("name", "cells")
-
-    def __init__(self, size: int, name: str = "") -> None:
-        if size < 1:
-            raise ValueError("shared array needs at least one slot")
-        self.name = name
-        self.cells: list[int] = [0] * size
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __getitem__(self, i: int) -> int:
-        return self.cells[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.cells)
-
-    def snapshot(self) -> np.ndarray:
-        """A point-in-time copy (what a racing reader could observe)."""
-        return np.array(self.cells, dtype=np.int64)
-
-    def atomic_add(self, i: int, delta: int) -> int:
-        """Atomically add ``delta`` to slot ``i``; returns the new value."""
-        cells = self.cells
-        cells[i] = new = cells[i] + index(delta)
-        return new
-
-    def atomic_cas(self, i: int, expected: int, new: int) -> bool:
-        """Compare-and-swap; True when the swap happened."""
-        if self.cells[i] == expected:
-            self.cells[i] = index(new)
-            return True
-        return False
-
-    def store(self, i: int, value: int) -> None:
-        self.cells[i] = index(value)
+__all__ = ["SharedSegment"]
 
 
 class SharedSegment:
@@ -90,17 +40,20 @@ class SharedSegment:
     Depth-only schedulers never touch them; they stay all-zero.
     """
 
+    __slots__ = ("n_devices", "load", "history", "backlog", "steals", "donations")
+
     def __init__(self, n_devices: int) -> None:
         if n_devices < 0:
             raise ValueError("device count must be non-negative")
         self.n_devices = n_devices
-        self.load = SharedArray(max(1, n_devices), name="load")
-        self.history = SharedArray(max(1, n_devices), name="history")
-        self.backlog = SharedArray(max(1, n_devices), name="backlog")
-        self.steals = SharedArray(max(1, n_devices), name="steals")
-        self.donations = SharedArray(max(1, n_devices), name="donations")
+        size = max(1, n_devices)
+        self.load: list[int] = [0] * size
+        self.history: list[int] = [0] * size
+        self.backlog: list[int] = [0] * size
+        self.steals: list[int] = [0] * size
+        self.donations: list[int] = [0] * size
 
-    def attach(self) -> tuple[SharedArray, SharedArray]:
+    def attach(self) -> tuple[list[int], list[int]]:
         """The ``shmat()`` of Algorithm 1: hand out the mapped arrays."""
         return self.load, self.history
 

@@ -19,7 +19,6 @@ later ``scheduled_at``: one event sorting where a chain's last link would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
 from typing import Callable, Generator, Optional, Union
@@ -31,7 +30,6 @@ class Interrupt(Exception):
     """Thrown into a process that is killed while waiting."""
 
 
-@dataclass(slots=True)
 class Signal:
     """One-shot event; processes yield it to block until :meth:`fire`.
 
@@ -39,10 +37,13 @@ class Signal:
     output array).
     """
 
-    name: str = ""
-    fired: bool = False
-    payload: object = None
-    _waiters: list["ProcessHandle"] = field(default_factory=list, repr=False)
+    __slots__ = ("name", "fired", "payload", "_waiters")
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+        self.fired = False
+        self.payload: object = None
+        self._waiters: list["ProcessHandle"] = []
 
     def fire(self, clock: "SimClock", payload: object = None) -> None:
         """Fire the signal, waking all waiters at the current time."""

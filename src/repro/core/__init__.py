@@ -1,10 +1,9 @@
 """The paper's contribution: hybrid CPU/GPU scheduling of small tasks.
 
 - :mod:`repro.core.task` — task descriptors (Ion / Level / NEI-chunk).
-- :mod:`repro.core.queue` — per-device task queue state (load, history,
-  maximum queue length).
 - :mod:`repro.core.scheduler` — Algorithm 1 (SCHE-ALLOC / SCHE-FREE) over
-  shared memory, plus the client-server (MPS-like) ablation variant.
+  the shared segment's load and history counters, plus the client-server
+  (MPS-like) ablation variant.
 - :mod:`repro.core.granularity` — packing integrals into tasks at ion /
   level / element granularity.
 - :mod:`repro.core.calibration` — the cost model tying simulated seconds
@@ -17,7 +16,6 @@
 """
 
 from repro.core.task import Task, TaskKind
-from repro.core.queue import TaskQueue
 from repro.core.scheduler import (
     SharedMemoryScheduler,
     ClientServerScheduler,
@@ -32,7 +30,6 @@ from repro.core.autotune import autotune_queue_length
 __all__ = [
     "Task",
     "TaskKind",
-    "TaskQueue",
     "SharedMemoryScheduler",
     "ClientServerScheduler",
     "NO_DEVICE",

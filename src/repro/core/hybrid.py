@@ -29,7 +29,6 @@ import numpy as np
 from repro.cluster.simclock import Signal, SimClock
 from repro.core.calibration import CostModel
 from repro.core.metrics import MetricsLedger, RunResult, TaskEvent
-from repro.obs.attribution import ion_from_label
 from repro.obs.bus import RunBus
 from repro.obs.tracer import NULL_TRACER
 from repro.core.scheduler import (
@@ -82,8 +81,9 @@ class HybridConfig:
     #: hit the scheduler in perfect lockstep); 0.2 s spreads the 24 ranks
     #: over ~5 s, killing the artificial t=0 admission burst.
     stagger_s: Optional[float] = 0.2
-    #: Tie-breaking rule among equally loaded devices ("history" = the
+    #: Tie-breaking rule among equally ranked devices ("history" = the
     #: paper's minimum-history rule; "first" = positional, for ablation).
+    #: Every ranking scheduler honours it; "random" takes only "history".
     tie_break: str = "history"
     #: Record a per-task TaskEvent timeline in the metrics ledger
     #: (off by default: ~12k events per paper-scale run).
@@ -100,6 +100,13 @@ class HybridConfig:
             "shared", "client-server", "random", "weighted", "predictive"
         ):
             raise ValueError(f"unknown scheduler kind {self.scheduler_kind!r}")
+        if self.tie_break not in ("history", "first"):
+            raise ValueError(f"unknown tie_break {self.tie_break!r}")
+        if self.scheduler_kind == "random" and self.tie_break != "history":
+            raise ValueError(
+                f"scheduler_kind='random' ranks no devices, so it takes no "
+                f"tie_break: got tie_break={self.tie_break!r}"
+            )
         if self.async_depth < 0:
             raise ValueError("async_depth must be non-negative")
         if self.scheduler_kind == "predictive" and self.async_depth > 0:
@@ -237,9 +244,9 @@ class HybridRunner:
         specs = cfg.devices or tuple(cfg.device for _ in range(cfg.n_gpus))
         if cfg.scheduler_kind == "client-server":
             sched: SharedMemoryScheduler = ClientServerScheduler(
-                cfg.n_gpus, cfg.max_queue_length, cfg.rpc_latency_s, bus
+                cfg.n_gpus, cfg.max_queue_length, cfg.rpc_latency_s, bus,
+                cfg.tie_break,
             )
-            sched.tie_break = cfg.tie_break
         elif cfg.scheduler_kind == "random":
             sched = RandomScheduler(cfg.n_gpus, cfg.max_queue_length, bus)
         elif cfg.scheduler_kind == "weighted":
@@ -249,7 +256,7 @@ class HybridRunner:
                 for d in range(cfg.n_gpus)
             ]
             sched = WeightedScheduler(
-                cfg.n_gpus, cfg.max_queue_length, service, bus
+                cfg.n_gpus, cfg.max_queue_length, service, bus, cfg.tie_break
             )
         elif cfg.scheduler_kind == "predictive":
             sched = PredictiveScheduler(
@@ -392,11 +399,7 @@ class HybridRunner:
             else:
                 # Priced once: the table key rides on the pending entry to
                 # the observe call, the ticks to every segment update.
-                evals = task.total_evals
-                key = model.key(
-                    ion_from_label(task.label), task.cost_key_method, evals
-                )
-                predicted = model.predict_key(key, evals)
+                key, evals, predicted = model.price(task)
                 ticks = sched.cost_ticks(predicted)
                 device = sched.sche_alloc(clock.now, ticks=ticks)
                 if traced:
@@ -743,7 +746,7 @@ class _DispatchSlot:
                 dispatch.n_pending
                 and dispatch.steal
                 and not self.gpu.failed
-                and sched.queues[device].load < sched.max_queue_length
+                and sched.segment.load[device] < sched.max_queue_length
             ):
                 entry = dispatch._steal_from(device)
             else:

@@ -2,18 +2,29 @@
 
 ``SCHE-ALLOC`` scans the shared load array for the least-loaded device,
 breaking ties by the smallest *history task count*; if that minimum load
-is below the maximum queue length the slot is occupied atomically and the
-device index returned, otherwise -1 ("all GPUs are busy") and the caller
-runs the task on its own CPU with the traditional QAGS routine.
+is below the maximum queue length the slot is occupied and the device
+index returned, otherwise -1 ("all GPUs are busy") and the caller runs
+the task on its own CPU with the traditional QAGS routine.
 
-Two variants:
+Every scheduler reads and writes the segment's five counter lists
+(:class:`~repro.cluster.sharedmem.SharedSegment`) in its own frame: an
+admission, a release and a steal are each a few list reads plus the
+writes, with every check that can fire made before the first write, so a
+refused call leaves the segment as it was.  The bound on a device's load
+is checked by the scan that picks it; ``validate()`` rechecks every
+bound at the end of a run.
+
+Variants:
 
 - :class:`SharedMemoryScheduler` — the paper's design: scheduling is a
-  few shared-memory reads plus one atomic update, effectively free.
+  few shared-memory reads plus one update, effectively free.
 - :class:`ClientServerScheduler` — the MPS-style ablation: identical
   policy, but every alloc/free round-trips through a scheduler server
   with a configurable RPC latency, reproducing the overhead argument the
   paper makes against client-server architectures for small tasks.
+- :class:`RandomScheduler`, :class:`WeightedScheduler` and
+  :class:`PredictiveScheduler` — the policy baseline, the speed-aware
+  rule and measured-cost placement with work stealing.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from typing import Optional, Sequence
 
 from repro.cluster.sharedmem import SharedSegment
 from repro.core.metrics import MetricsLedger
-from repro.core.queue import TaskQueue
 
 __all__ = [
     "NO_DEVICE",
@@ -42,7 +52,6 @@ NO_DEVICE: int = -1
 #: exactly through occupy/steal/release integer arithmetic.
 TICKS_PER_S: int = 10**12
 
-
 class SharedMemoryScheduler:
     """The shared-memory scheduler of Section III-A / Algorithm 1."""
 
@@ -51,7 +60,6 @@ class SharedMemoryScheduler:
         n_devices: int,
         max_queue_length: int,
         metrics: Optional[MetricsLedger] = None,
-        segment: Optional[SharedSegment] = None,
         tie_break: str = "history",
     ) -> None:
         if n_devices < 0:
@@ -62,10 +70,7 @@ class SharedMemoryScheduler:
             raise ValueError(f"unknown tie_break {tie_break!r}")
         self.n_devices = n_devices
         self.max_queue_length = max_queue_length
-        self.segment = segment or SharedSegment(n_devices)
-        self.queues: list[TaskQueue] = [
-            TaskQueue(self.segment, d, max_queue_length) for d in range(n_devices)
-        ]
+        self.segment = SharedSegment(n_devices)
         self.metrics = metrics
         #: "history" (the paper: minimum history count wins ties) or
         #: "first" (first device at the minimum load — the ablation).
@@ -79,10 +84,11 @@ class SharedMemoryScheduler:
 
         Scan order follows the pseudocode: track the minimum load; among
         devices tied at the minimum, prefer the smallest history count.
+        Admission is load++ and history++ on the winner.
         """
         if self.n_devices == 0:
             return NO_DEVICE
-        load, history = self.segment.load.cells, self.segment.history.cells
+        load, history = self.segment.load, self.segment.history
         best = 0
         l_min = load[0]
         h_min = history[0]
@@ -94,24 +100,40 @@ class SharedMemoryScheduler:
                 best, l_min, h_min = d, l_d, h_d
         if l_min >= self.max_queue_length:
             return NO_DEVICE
-        self.queues[best].occupy()
+        load[best] = l_min + 1
+        history[best] = h_min + 1
         if self.metrics is not None:
             self.metrics.on_load_change(best, l_min, l_min + 1, now)
         return best
 
     def sche_free(self, device: int, now: float = 0.0) -> None:
-        """Algorithm 1 SCHE-FREE: release the slot after completion."""
+        """Algorithm 1 SCHE-FREE: release the slot after completion
+        (load--; history is monotone, never decremented)."""
         if not 0 <= device < self.n_devices:
             raise ValueError(f"device {device} out of range")
-        new_load = self.queues[device].release()
+        load = self.segment.load
+        new_load = load[device] - 1
+        if new_load < 0:
+            raise RuntimeError(f"device {device}: release without matching occupy")
+        load[device] = new_load
         if self.metrics is not None:
             self.metrics.on_load_change(device, new_load + 1, new_load, now)
 
+    def _occupy(self, device: int, now: float) -> None:
+        """Admit one task on ``device``, which the caller's scan found
+        below the bound: load++ and history++."""
+        segment = self.segment
+        old_load = segment.load[device]
+        segment.load[device] = old_load + 1
+        segment.history[device] += 1
+        if self.metrics is not None:
+            self.metrics.on_load_change(device, old_load, old_load + 1, now)
+
     def loads(self) -> list[int]:
-        return self.segment.load.cells[: self.n_devices]
+        return self.segment.load[: self.n_devices]
 
     def histories(self) -> list[int]:
-        return self.segment.history.cells[: self.n_devices]
+        return self.segment.history[: self.n_devices]
 
     def validate(self) -> None:
         self.segment.validate(self.max_queue_length)
@@ -133,9 +155,9 @@ class ClientServerScheduler(SharedMemoryScheduler):
         max_queue_length: int,
         rpc_latency_s: float = 5.0e-4,
         metrics: Optional[MetricsLedger] = None,
-        segment: Optional[SharedSegment] = None,
+        tie_break: str = "history",
     ) -> None:
-        super().__init__(n_devices, max_queue_length, metrics, segment)
+        super().__init__(n_devices, max_queue_length, metrics, tie_break)
         if rpc_latency_s < 0.0:
             raise ValueError("RPC latency must be non-negative")
         self.rpc_latency_s = rpc_latency_s
@@ -147,8 +169,8 @@ class RandomScheduler(SharedMemoryScheduler):
     Ablation target for Algorithm 1's min-load rule.  Admission still
     respects the maximum queue length (otherwise nothing would bound GPU
     backlog), but the *choice* among admissible devices is random, so the
-    queue-length distribution across devices is unmanaged.  Deterministic
-    via an internal seeded generator.
+    queue-length distribution across devices is unmanaged and no
+    tie-break applies.  Deterministic via an internal seeded generator.
     """
 
     def __init__(
@@ -156,10 +178,9 @@ class RandomScheduler(SharedMemoryScheduler):
         n_devices: int,
         max_queue_length: int,
         metrics: Optional[MetricsLedger] = None,
-        segment: Optional[SharedSegment] = None,
         seed: int = 20150413,
     ) -> None:
-        super().__init__(n_devices, max_queue_length, metrics, segment)
+        super().__init__(n_devices, max_queue_length, metrics)
         import numpy as np
 
         self._rng = np.random.default_rng(seed)
@@ -174,10 +195,7 @@ class RandomScheduler(SharedMemoryScheduler):
         if not admissible:
             return NO_DEVICE
         best = int(self._rng.choice(admissible))
-        old_load = self.queues[best].load
-        self.queues[best].occupy()
-        if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
+        self._occupy(best, now)
         return best
 
 
@@ -192,7 +210,7 @@ class WeightedScheduler(SharedMemoryScheduler):
     The fix keeps the shared-memory structure and the queue bound but
     ranks devices by *expected backlog time* — load x expected service
     time — instead of raw load.  With equal weights it reduces exactly to
-    Algorithm 1 (history tie-break included), so it is a strict
+    Algorithm 1 under either tie-break, so it is a strict
     generalization.
     """
 
@@ -202,9 +220,9 @@ class WeightedScheduler(SharedMemoryScheduler):
         max_queue_length: int,
         service_s: Sequence[float],
         metrics: Optional[MetricsLedger] = None,
-        segment: Optional[SharedSegment] = None,
+        tie_break: str = "history",
     ) -> None:
-        super().__init__(n_devices, max_queue_length, metrics, segment)
+        super().__init__(n_devices, max_queue_length, metrics, tie_break)
         service = list(service_s)
         if len(service) != n_devices:
             raise ValueError(
@@ -219,6 +237,7 @@ class WeightedScheduler(SharedMemoryScheduler):
         if self.n_devices == 0:
             return NO_DEVICE
         load, history = self.segment.attach()
+        use_history = self.tie_break == "history"
         best = -1
         best_backlog = float("inf")
         best_history = 0
@@ -230,15 +249,12 @@ class WeightedScheduler(SharedMemoryScheduler):
             backlog = (l_d + 1) * self.service_s[d]
             h_d = history[d]
             if backlog < best_backlog or (
-                backlog == best_backlog and h_d < best_history
+                use_history and backlog == best_backlog and h_d < best_history
             ):
                 best, best_backlog, best_history = d, backlog, h_d
         if best < 0:
             return NO_DEVICE
-        old_load = self.queues[best].load
-        self.queues[best].occupy()
-        if self.metrics is not None:
-            self.metrics.on_load_change(best, old_load, old_load + 1, now)
+        self._occupy(best, now)
         return best
 
 
@@ -266,7 +282,7 @@ class PredictiveScheduler(SharedMemoryScheduler):
 
     ``on_steal`` is the work-stealing transfer: an idle device pulls one
     admitted task from a loaded victim, moving its slot and predicted
-    backlog atomically on the segment (conservation is validated at end
+    backlog on the segment in one call (conservation is validated at end
     of run — no slot or tick is lost or duplicated).
     """
 
@@ -275,13 +291,10 @@ class PredictiveScheduler(SharedMemoryScheduler):
         n_devices: int,
         max_queue_length: int,
         metrics: Optional[MetricsLedger] = None,
-        segment: Optional[SharedSegment] = None,
         cpu_threshold_s: Optional[float] = None,
         tie_break: str = "history",
     ) -> None:
-        super().__init__(
-            n_devices, max_queue_length, metrics, segment, tie_break
-        )
+        super().__init__(n_devices, max_queue_length, metrics, tie_break)
         if cpu_threshold_s is not None and cpu_threshold_s <= 0.0:
             raise ValueError("cpu_threshold_s must be positive or None")
         self.cpu_threshold_s = cpu_threshold_s
@@ -300,10 +313,9 @@ class PredictiveScheduler(SharedMemoryScheduler):
 
         Scans for the minimum predicted finish time (device backlog +
         this task's cost), history tie-break among exact tick ties; the
-        new cost is added to the winner's backlog in the same atomic
-        admission step.  Returns ``NO_DEVICE`` when every queue is at
-        the slot cap or the best predicted finish time crosses
-        ``cpu_threshold_s``.
+        new cost is added to the winner's backlog in the same admission
+        step.  Returns ``NO_DEVICE`` when every queue is at the slot cap
+        or the best predicted finish time crosses ``cpu_threshold_s``.
 
         ``ticks``, here and in :meth:`sche_free` / :meth:`on_steal`, is
         the same cost already converted by :meth:`cost_ticks`: a caller
@@ -314,15 +326,17 @@ class PredictiveScheduler(SharedMemoryScheduler):
             return NO_DEVICE
         if ticks is None:
             ticks = self.cost_ticks(cost_s)
+        elif ticks < 0:
+            raise ValueError("cost ticks must be non-negative")
         segment = self.segment
-        load, history = segment.load.cells, segment.history.cells
-        backlog = segment.backlog.cells
+        load, history, backlog = segment.load, segment.history, segment.backlog
+        max_load = self.max_queue_length
         use_history = self.tie_break == "history"
         best = -1
         best_finish = 0
         best_history = 0
         for d in range(self.n_devices):
-            if load[d] >= self.max_queue_length:
+            if load[d] >= max_load:
                 continue
             finish = backlog[d] + ticks
             h_d = history[d]
@@ -339,9 +353,12 @@ class PredictiveScheduler(SharedMemoryScheduler):
             and best_finish > self.cost_ticks(self.cpu_threshold_s)
         ):
             return NO_DEVICE
-        new_load = self.queues[best].occupy(ticks)
+        old_load = load[best]
+        load[best] = old_load + 1
+        history[best] = best_history + 1
+        backlog[best] = best_finish
         if self.metrics is not None:
-            self.metrics.on_load_change(best, new_load - 1, new_load, now)
+            self.metrics.on_load_change(best, old_load, old_load + 1, now)
         return best
 
     def sche_free(
@@ -356,13 +373,27 @@ class PredictiveScheduler(SharedMemoryScheduler):
         ``cost_s`` must be the value passed to the matching
         ``sche_alloc`` (or carried through ``on_steal``) — the tick
         conversion is deterministic, so the backlog returns to exactly
-        what it was.
+        what it was.  A release below zero load or backlog raises and
+        leaves the segment unchanged.
         """
         if not 0 <= device < self.n_devices:
             raise ValueError(f"device {device} out of range")
         if ticks is None:
             ticks = self.cost_ticks(cost_s)
-        new_load = self.queues[device].release(ticks)
+        elif ticks < 0:
+            raise ValueError("cost ticks must be non-negative")
+        segment = self.segment
+        load, backlog = segment.load, segment.backlog
+        new_load = load[device] - 1
+        if new_load < 0:
+            raise RuntimeError(f"device {device}: release without matching occupy")
+        new_backlog = backlog[device] - ticks
+        if new_backlog < 0:
+            raise RuntimeError(
+                f"device {device}: backlog release exceeds admitted cost"
+            )
+        load[device] = new_load
+        backlog[device] = new_backlog
         if self.metrics is not None:
             self.metrics.on_load_change(device, new_load + 1, new_load, now)
 
@@ -374,15 +405,43 @@ class PredictiveScheduler(SharedMemoryScheduler):
         cost_s: float = 0.0,
         ticks: Optional[int] = None,
     ) -> None:
-        """Transfer one admitted task's slot + backlog from victim to thief."""
+        """Transfer one admitted task's slot + backlog from victim to thief.
+
+        The victim's load and backlog drop, the thief's rise, and the
+        steal/donation counters advance, so ``total_load`` and
+        ``total_backlog`` are unchanged.  History does not move: it
+        records where the scheduler *admitted* the task, and a steal is a
+        dispatch-level rebalance.  A steal from an empty queue, into a
+        full one, or of more ticks than the victim holds raises and
+        leaves the segment unchanged.
+        """
         for d in (victim, thief):
             if not 0 <= d < self.n_devices:
                 raise ValueError(f"device {d} out of range")
+        if victim == thief:
+            raise ValueError("device cannot steal from itself")
         if ticks is None:
             ticks = self.cost_ticks(cost_s)
-        victim_old = self.queues[victim].load
-        thief_old = self.queues[thief].load
-        self.queues[victim].transfer_to(self.queues[thief], ticks)
+        elif ticks < 0:
+            raise ValueError("cost ticks must be non-negative")
+        segment = self.segment
+        load, backlog = segment.load, segment.backlog
+        victim_old = load[victim]
+        thief_old = load[thief]
+        if victim_old < 1:
+            raise RuntimeError(f"device {victim}: steal from an empty queue")
+        if thief_old >= self.max_queue_length:
+            raise RuntimeError(f"device {thief}: steal beyond max queue length")
+        if backlog[victim] < ticks:
+            raise RuntimeError(
+                f"device {victim}: steal exceeds the victim's admitted cost"
+            )
+        load[victim] = victim_old - 1
+        load[thief] = thief_old + 1
+        backlog[victim] -= ticks
+        backlog[thief] += ticks
+        segment.donations[victim] += 1
+        segment.steals[thief] += 1
         if self.metrics is not None:
             self.metrics.on_load_change(victim, victim_old, victim_old - 1, now)
             self.metrics.on_load_change(thief, thief_old, thief_old + 1, now)
@@ -390,7 +449,7 @@ class PredictiveScheduler(SharedMemoryScheduler):
 
     def backlog_ticks(self) -> list[int]:
         """Predicted backlog per device, in integer ticks."""
-        return self.segment.backlog.cells[: self.n_devices]
+        return self.segment.backlog[: self.n_devices]
 
     def backlogs_s(self) -> list[float]:
         """Predicted backlog per device, in seconds (diagnostics)."""

@@ -95,11 +95,6 @@ class Task:
         return self.n_integrals * self.evals_per_integral
 
     @property
-    def cost_key_method(self) -> str:
-        """The method axis of this task's cost-model key."""
-        return self.method or self.kind.value
-
-    @property
     def kernel(self) -> "Task":
         """The record itself.  Kept only for the wall benchmark's
         ``gpusim`` probes (``benchmarks/wall/probes.py: _kernels``), which

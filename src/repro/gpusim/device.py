@@ -65,23 +65,23 @@ class DeviceSpec:
         """Pure kernel execution time (no launch, no transfer)."""
         return task.total_evals / (self.eval_rate * task.efficiency)
 
-    def transfer_time(self, nbytes: int) -> float:
-        """One PCIe transfer: fixed latency + bytes over bandwidth."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if nbytes == 0:
-            return 0.0
-        return self.pcie_latency_s + nbytes / (self.pcie_bandwidth_gbs * 1.0e9)
-
     def phase_times(self, task: Task) -> tuple[float, float, float]:
         """(ingress, compute, egress) seconds of one task — the one place
-        a task is priced; ingress = context switch + H2D + launch."""
+        a task is priced.  Ingress = context switch + H2D + launch; a
+        PCIe transfer is its fixed latency + bytes over bandwidth, and
+        free when empty."""
+        bytes_in, bytes_out = task.bytes_in, task.bytes_out
+        if bytes_in < 0 or bytes_out < 0:
+            raise ValueError("nbytes must be non-negative")
+        latency = self.pcie_latency_s
+        bandwidth = self.pcie_bandwidth_gbs * 1.0e9
         return (
             self.context_switch_s
-            + self.transfer_time(task.bytes_in)
+            + (latency + bytes_in / bandwidth if bytes_in else 0.0)
             + self.kernel_launch_s,
-            self.compute_time(task),
-            self.transfer_time(task.bytes_out),
+            task.n_integrals * task.evals_per_integral
+            / (self.eval_rate * task.efficiency),
+            latency + bytes_out / bandwidth if bytes_out else 0.0,
         )
 
     def service_time(self, task: Task) -> float:

@@ -522,47 +522,43 @@ class CostModel:
         return cls(alpha=alpha, prior_overhead_s=overhead, prior_eval_rate=spec.eval_rate)
 
     # ------------------------------------------------------------------
-    def key(self, ion: str, method: str, evals: int) -> tuple[str, str, int]:
-        """Table key of one task: a caller that prices and later observes
-        the same task builds it once and uses the ``*_key`` methods."""
-        return (ion, method, width_bucket(evals))
+    def price(self, task) -> tuple[tuple[str, str, int], int, float]:
+        """``(key, evals, predicted_s)`` of one task: its table key (ion,
+        method or else kind, width bucket), priced evaluation count and
+        predicted device seconds; :meth:`observe_key` takes the first two."""
+        evals = task.n_integrals * task.evals_per_integral
+        ion = _ion_of_segment(task.label.split("/", 1)[-1])
+        key = (ion, task.method or task.kind.value, int(evals).bit_length())
+        row = self._table.get(key)
+        return key, evals, row[0] if row is not None else self._prior(evals)
 
     def _prior(self, evals: int) -> float:
         return self.prior_overhead_s + evals / self.prior_eval_rate
 
-    def predict_key(self, key: tuple[str, str, int], evals: int) -> float:
-        """Predicted device service time of the task whose :meth:`key`
-        is ``key``, in seconds."""
-        row = self._table.get(key)
-        return row[0] if row is not None else self._prior(evals)
-
     def observe(self, ion: str, method: str, evals: int, measured_s: float) -> None:
         """Fold one measured task cost into its key's EWMA."""
-        self.ingest((((ion, method, width_bucket(evals)), evals, measured_s),))
+        self.observe_key((ion, method, width_bucket(evals)), evals, measured_s)
 
     def observe_key(self, key: tuple[str, str, int], evals: int, measured_s: float) -> None:
-        """:meth:`observe` for a caller holding the task's :meth:`key`."""
-        self.ingest(((key, evals, measured_s),))
+        """The one EWMA update, for a caller holding the task's key (see
+        :meth:`price`): score the prediction, then pull the key's
+        ``[mean_s, count]`` row toward the measurement."""
+        row = self._table.get(key)
+        if measured_s > 0.0:
+            predicted = row[0] if row is not None else self._prior(evals)
+            self._err_sum += abs(predicted - measured_s) / measured_s
+            self._err_n += 1
+        if row is None or row[1] == 0:
+            self._table[key] = [float(measured_s), 1]
+        else:
+            row[0] += self.alpha * (measured_s - row[0])
+            row[1] += 1
 
     def ingest(self, observations: Iterable[tuple]) -> None:
-        """The one EWMA update, per ``(key, evals, measured_s)`` in order
-        (:meth:`Attribution.drain_observations`' rows): score the
-        prediction, then pull the key's ``[mean_s, count]`` row toward
-        the measurement."""
-        table, alpha = self._table, self.alpha
-        err_sum, err_n = self._err_sum, self._err_n
+        """:meth:`observe_key` per ``(key, evals, measured_s)`` in order
+        (:meth:`Attribution.drain_observations`' rows)."""
         for key, evals, measured_s in observations:
-            row = table.get(key)
-            if measured_s > 0.0:
-                predicted = row[0] if row is not None else self._prior(evals)
-                err_sum += abs(predicted - measured_s) / measured_s
-                err_n += 1
-            if row is None or row[1] == 0:
-                table[key] = [float(measured_s), 1]
-            else:
-                row[0] += alpha * (measured_s - row[0])
-                row[1] += 1
-        self._err_sum, self._err_n = err_sum, err_n
+            self.observe_key(key, evals, measured_s)
 
     # ------------------------------------------------------------------
     @property

@@ -143,6 +143,47 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             mini_config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kind", ["shared", "client-server", "random", "weighted", "predictive"]
+    )
+    def test_unknown_tie_break_refused_by_every_kind(self, kind):
+        with pytest.raises(ValueError, match="tie_break"):
+            mini_config(scheduler_kind=kind, tie_break="bogus")
+
+    def test_random_refuses_a_tie_break(self):
+        with pytest.raises(ValueError, match="scheduler_kind='random'.*tie_break"):
+            mini_config(scheduler_kind="random", tie_break="first")
+
+
+class TestTieBreak:
+    """Every ranking scheduler honours ``tie_break``: with equal weights
+    the weighted and client-server rules place exactly as Algorithm 1
+    does under the same rule."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.bench.workloads import paper_workload
+
+        tasks = paper_workload(2)
+        out = {}
+        for kind in ("shared", "client-server", "weighted"):
+            for rule in ("history", "first"):
+                cfg = HybridConfig(
+                    n_workers=8, n_gpus=3, max_queue_length=2,
+                    scheduler_kind=kind, tie_break=rule,
+                )
+                res = HybridRunner(cfg).run(tasks)
+                out[kind, rule] = [int(n) for n in res.metrics.gpu_tasks]
+        return out
+
+    def test_the_rule_changes_placement(self, runs):
+        assert runs["shared", "first"] != runs["shared", "history"]
+
+    @pytest.mark.parametrize("kind", ["client-server", "weighted"])
+    @pytest.mark.parametrize("rule", ["history", "first"])
+    def test_placement_follows_algorithm_1_under_either_rule(self, runs, kind, rule):
+        assert runs[kind, rule] == runs["shared", rule]
+
 
 class TestPartitioning:
     def test_points_partitioned_by_modulo(self, mini_tasks):

@@ -6,8 +6,33 @@ from repro.core.metrics import MetricsLedger
 from repro.core.scheduler import (
     NO_DEVICE,
     ClientServerScheduler,
+    PredictiveScheduler,
+    RandomScheduler,
     SharedMemoryScheduler,
+    WeightedScheduler,
 )
+
+
+def counters(s):
+    """Every counter list of a scheduler's segment, copied."""
+    seg = s.segment
+    return [list(c) for c in (seg.load, seg.history, seg.backlog, seg.steals, seg.donations)]
+
+
+#: Every scheduler class, with the positional arguments it takes after
+#: ``(n_devices, max_queue_length)`` for ``n`` devices.
+CLASSES = {
+    "shared": (SharedMemoryScheduler, lambda n: ()),
+    "client-server": (ClientServerScheduler, lambda n: (1e-3,)),
+    "random": (RandomScheduler, lambda n: ()),
+    "weighted": (WeightedScheduler, lambda n: ([1.0] * max(n, 0),)),
+    "predictive": (PredictiveScheduler, lambda n: ()),
+}
+
+
+def make(kind, n, max_len=2, **kw):
+    cls, extra = CLASSES[kind]
+    return cls(n, max_len, *extra(n), **kw)
 
 
 class TestScheAlloc:
@@ -91,6 +116,136 @@ class TestScheAlloc:
 
     def test_shared_memory_scheduler_is_free(self):
         assert SharedMemoryScheduler(1, 2).rpc_latency_s == 0.0
+
+
+class TestSegmentWrites:
+    """The scheduler's own writes to the segment's counter lists: each
+    call checks before its first write, so a refused call leaves every
+    list as it was."""
+
+    def test_alloc_free_cycle_moves_load_and_history(self):
+        s = SharedMemoryScheduler(n_devices=2, max_queue_length=2)
+        assert s.sche_alloc() == 0
+        assert (s.loads(), s.histories()) == ([1, 0], [1, 0])
+        s.sche_free(0)
+        assert (s.loads(), s.histories()) == ([0, 0], [1, 0])
+
+    @pytest.mark.parametrize("kind", sorted(CLASSES))
+    def test_full_device_is_skipped_by_every_scan(self, kind):
+        s = make(kind, 2)
+        s.segment.load[0] = 2  # device 0 at its bound
+        assert s.sche_alloc() == 1
+        assert s.sche_alloc() == 1
+        assert s.sche_alloc() == NO_DEVICE
+        assert s.loads() == [2, 2]
+
+    @pytest.mark.parametrize("kind", ["shared", "predictive"])
+    def test_refused_free_leaves_the_segment_unchanged(self, kind):
+        s = make(kind, 2)
+        s.sche_alloc()
+        before = counters(s)
+        with pytest.raises(RuntimeError, match="without matching occupy"):
+            s.sche_free(1)
+        assert counters(s) == before
+
+    def test_refused_backlog_release_leaves_the_segment_unchanged(self):
+        s = PredictiveScheduler(2, 2)
+        s.sche_alloc(ticks=5)
+        before = counters(s)
+        with pytest.raises(RuntimeError, match="exceeds admitted cost"):
+            s.sche_free(0, ticks=6)
+        assert counters(s) == before
+
+    @pytest.mark.parametrize(
+        "victim, thief, fill, ticks, match",
+        [
+            (1, 0, 0, 5, "empty queue"),
+            (0, 1, 2, 5, "beyond max queue length"),
+            (0, 1, 0, 6, "admitted cost"),
+        ],
+    )
+    def test_refused_steal_leaves_the_segment_unchanged(self, victim, thief, fill, ticks, match):
+        s = PredictiveScheduler(2, 2)
+        s.sche_alloc(ticks=5)  # device 0 holds one task of 5 ticks
+        s.segment.load[1] = fill
+        before = counters(s)
+        with pytest.raises(RuntimeError, match=match):
+            s.on_steal(victim, thief, ticks=ticks)
+        assert counters(s) == before
+
+    def test_negative_ticks_refused_everywhere(self):
+        s = PredictiveScheduler(2, 2)
+        s.sche_alloc(ticks=5)
+        before = counters(s)
+        for call in (
+            lambda: s.sche_alloc(ticks=-1),
+            lambda: s.sche_free(0, ticks=-1),
+            lambda: s.on_steal(0, 1, ticks=-1),
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                call()
+        assert counters(s) == before
+
+    def test_devices_independent_of_each_other(self):
+        s = SharedMemoryScheduler(n_devices=3, max_queue_length=4)
+        s.segment.load[1] = s.segment.load[2] = 1  # steer the scan to 0
+        assert s.sche_alloc() == 0
+        assert s.loads() == [1, 1, 1]
+        assert s.histories() == [1, 0, 0]
+
+    @pytest.mark.parametrize("kind", ["shared", "predictive"])
+    def test_device_index_checked_on_every_write(self, kind):
+        s = make(kind, 2)
+        s.sche_alloc()
+        before = counters(s)
+        for device in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                s.sche_free(device)
+        if kind == "predictive":
+            with pytest.raises(ValueError, match="steal from itself"):
+                s.on_steal(0, 0)
+        assert counters(s) == before
+
+    def test_history_monotone_across_many_cycles(self):
+        s = SharedMemoryScheduler(n_devices=1, max_queue_length=3)
+        for cycle in range(1, 11):
+            assert s.sche_alloc() == 0
+            assert s.histories() == [cycle]
+            s.sche_free(0)
+            assert s.histories() == [cycle]
+
+    @pytest.mark.parametrize("kind", sorted(CLASSES))
+    def test_every_constructor_checks_its_bounds(self, kind):
+        with pytest.raises(ValueError, match="queue length"):
+            make(kind, 1, max_len=0)
+        with pytest.raises(ValueError, match="device count"):
+            make(kind, -1)
+
+
+class TestTieBreak:
+    @pytest.mark.parametrize("kind", ["shared", "client-server", "weighted", "predictive"])
+    def test_unknown_rule_refused(self, kind):
+        with pytest.raises(ValueError, match="tie_break"):
+            make(kind, 2, tie_break="bogus")
+
+    @pytest.mark.parametrize("kind", ["shared", "client-server", "weighted"])
+    def test_first_rule_is_positional(self, kind):
+        first = make(kind, 3, 4, tie_break="first")
+        history = make(kind, 3, 4)
+        for _ in range(3):
+            assert first.sche_alloc() == 0
+            first.sche_free(0)
+        assert [history.sche_alloc() for _ in range(3)] == [0, 1, 2]
+
+    def test_weighted_with_equal_weights_is_algorithm_1_under_either_rule(self):
+        for rule in ("history", "first"):
+            reference = SharedMemoryScheduler(3, 4, tie_break=rule)
+            weighted = WeightedScheduler(3, 4, [2.0] * 3, tie_break=rule)
+            for step in range(9):
+                assert weighted.sche_alloc() == reference.sche_alloc()
+                if step % 3 == 2:
+                    weighted.sche_free(1)
+                    reference.sche_free(1)
 
 
 class TestClientServerScheduler:

@@ -50,10 +50,6 @@ class TestTask:
         assert not hasattr(t, "__dict__")
         assert t != make_task() and t == t
 
-    def test_cost_key_method(self):
-        assert make_task().cost_key_method == "ion"
-        assert make_task(method="romberg").cost_key_method == "romberg"
-
     def test_kind_enum_values(self):
         assert TaskKind.ION.value == "ion"
         assert TaskKind.LEVEL.value == "level"

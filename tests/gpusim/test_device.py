@@ -31,27 +31,35 @@ class TestDeviceSpec:
             2.0 * TESLA_C2075.compute_time(k1)
         )
 
-    def test_transfer_time_latency_plus_bandwidth(self):
+    def test_phase_times_transfer_latency_plus_bandwidth(self):
         spec = TESLA_C2075
-        t_small = spec.transfer_time(8)
-        t_big = spec.transfer_time(8_000_000)
-        assert t_small >= spec.pcie_latency_s
-        assert t_big == pytest.approx(
+        ingress, _, egress = spec.phase_times(priced(bytes_in=8, bytes_out=8_000_000))
+        fixed = spec.context_switch_s + spec.kernel_launch_s
+        assert ingress - fixed >= spec.pcie_latency_s
+        assert egress == pytest.approx(
             spec.pcie_latency_s + 8e6 / (spec.pcie_bandwidth_gbs * 1e9)
         )
 
-    def test_zero_transfer_free(self):
-        assert TESLA_C2075.transfer_time(0) == 0.0
+    def test_phase_times_zero_transfer_free(self):
+        spec = TESLA_C2075
+        ingress, _, egress = spec.phase_times(priced(bytes_in=0, bytes_out=0))
+        assert ingress == spec.context_switch_s + spec.kernel_launch_s
+        assert egress == 0.0
+
+    def test_phase_times_refuses_negative_bytes(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TESLA_C2075.phase_times(priced(bytes_out=-1))
 
     def test_service_time_components(self):
         k = priced(n_integrals=1000, evals_per_integral=65, bytes_in=64, bytes_out=8000)
         spec = TESLA_C2075
+        link = spec.pcie_bandwidth_gbs * 1e9
         expected = (
             spec.context_switch_s
-            + spec.transfer_time(64)
+            + spec.pcie_latency_s + 64 / link
             + spec.kernel_launch_s
             + spec.compute_time(k)
-            + spec.transfer_time(8000)
+            + spec.pcie_latency_s + 8000 / link
         )
         assert spec.service_time(k) == pytest.approx(expected)
 

@@ -26,8 +26,7 @@ class TestDeviceFailure:
         occupying its slots, and traffic flows to the survivor."""
         s = SharedMemoryScheduler(n_devices=2, max_queue_length=2)
         # Device 0 dies: poison its queue to capacity.
-        while s.loads()[0] < 2:
-            s.queues[0].occupy()
+        s.segment.load[0] = 2
         for _ in range(2):
             assert s.sche_alloc() == 1
         assert s.sche_alloc() == NO_DEVICE  # both exhausted now
@@ -38,13 +37,13 @@ class TestQueueCorruption:
         s = SharedMemoryScheduler(n_devices=1, max_queue_length=1)
         s.sche_alloc()
         # Corrupt the shared counter behind the scheduler's back.
-        s.segment.load.store(0, 5)
+        s.segment.load[0] = 5
         with pytest.raises(ValueError):
             s.validate()
 
     def test_negative_load_detected(self):
         s = SharedMemoryScheduler(n_devices=1, max_queue_length=4)
-        s.segment.load.store(0, -3)
+        s.segment.load[0] = -3
         with pytest.raises(ValueError):
             s.validate()
 

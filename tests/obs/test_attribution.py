@@ -186,13 +186,21 @@ class TestZeroCostOutcomes:
 
 def _predict(model: CostModel, ion: str, method: str, evals: int) -> float:
     """The model's prediction, asked the way the scheduler asks it."""
-    return model.predict_key(model.key(ion, method, evals), evals)
+    task = Task(0, TaskKind.ION, method=method, label=f"pt0/{ion}", n_integrals=evals)
+    return model.price(task)[2]
 
 
 class TestCostModel:
     def test_prior_prediction(self):
         model = CostModel(prior_overhead_s=0.5, prior_eval_rate=100.0)
         assert _predict(model, "O+7", "simpson", 200) == 0.5 + 2.0
+
+    def test_price_keys_on_ion_method_or_kind_and_width(self):
+        model = CostModel(prior_overhead_s=0.5, prior_eval_rate=100.0)
+        task = Task(0, TaskKind.ION, label="grp3/Fe+13x4", n_integrals=50, evals_per_integral=4)
+        assert model.price(task) == (("Fe+13", "ion", 8), 200, 0.5 + 2.0)
+        task.method = "romberg"
+        assert model.price(task)[0] == ("Fe+13", "romberg", 8)
 
     def test_observe_then_predict(self):
         model = CostModel(alpha=0.5, prior_overhead_s=0.0, prior_eval_rate=1.0)

@@ -94,7 +94,6 @@ TEST_ONLY = {
     "repro.atomic.ions:Ion.n_core_electrons": "roadmap item 6: 1 test",
     "repro.atomic.ions:Ion.recombined_charge": "roadmap item 6: 1 test",
     "repro.atomic.ions:ions_of_element": "roadmap item 6: 2 tests",
-    "repro.cluster.sharedmem:SharedArray.atomic_cas": "roadmap item 6: 2 tests",
     "repro.physics.cooling:CoolingCurve": "roadmap item 6: physics/cooling.py, 9 tests",
     "repro.physics.cooling:cooling_curve": "roadmap item 6: physics/cooling.py, 9 tests",
     "repro.physics.cooling:cooling_function": "roadmap item 6: physics/cooling.py, 9 tests",
