@@ -10,9 +10,8 @@ Here each array is a plain ``list[int]``, written only by
 own frames.  Atomicity is the event loop's: the simulation is
 single-threaded and a scheduler call runs to completion inside one
 event, so no other rank can observe a half-made update.  The live runner
-:mod:`repro.cluster.shm` does not share this code: it carries its own
-``_sche_alloc`` / ``_sche_free`` copy over locked ``multiprocessing``
-arrays (ROADMAP item 4 converges the two).
+:mod:`repro.cluster.shm` swaps load and history for ``multiprocessing``
+shared arrays and makes each call under a process lock.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ The event simulation answers the paper's quantitative questions; this
 module answers a different one — does the scheduler actually work as a
 concurrent program?  It runs N worker processes and one server process
 per "GPU" (executing the vectorized batch kernel, the same role the CUDA
-device plays), with the load/history arrays in ``multiprocessing``
-shared memory and the SCHE-ALLOC scan + increment under a lock (the
-paper's atomic ops).
+device plays).  The workers share one
+:class:`~repro.core.scheduler.SharedMemoryScheduler` whose load and
+history lists are ``multiprocessing`` shared arrays, and call its
+SCHE-ALLOC / SCHE-FREE under one process lock (the paper's atomic ops).
 
 The integrand family is fixed (the Kramers-collapsed RRC form
 ``scale * exp(-(x - edge) / kt)`` above its edge) because closures do not
@@ -17,17 +18,18 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import queue
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.scheduler import NO_DEVICE, SharedMemoryScheduler
 from repro.quadrature.batch import batch_simpson
 from repro.quadrature.qags import qags
+from repro.quadrature.simpson import _check_pieces
 
 __all__ = ["LiveTask", "LiveRunResult", "LiveHybridRunner", "rrc_like_integrand"]
-
-NO_DEVICE = -1
 
 
 def rrc_like_integrand(edge: float, kt: float, scale: float):
@@ -51,6 +53,13 @@ class LiveTask:
     kt: float = 1.0
     scale: float = 1.0
     pieces: int = 64
+
+    def __post_init__(self) -> None:
+        _check_pieces(self.pieces)
+        if np.shape(self.lo) != np.shape(self.hi):
+            raise ValueError(
+                f"lo and hi differ in shape: {np.shape(self.lo)} vs {np.shape(self.hi)}"
+            )
 
     def gpu_compute(self) -> np.ndarray:
         """The device-side computation: one vectorized batch call."""
@@ -86,65 +95,30 @@ class LiveRunResult:
         return self.gpu_tasks / total if total else 0.0
 
 
-def _sche_alloc(load, history, lock, max_len: int) -> int:
-    """SCHE-ALLOC over real shared arrays (scan under the lock)."""
-    with lock:
-        best, l_min, h_min = 0, load[0], history[0]
-        for d in range(1, len(load)):
-            if load[d] < l_min or (load[d] == l_min and history[d] < h_min):
-                best, l_min, h_min = d, load[d], history[d]
-        if l_min >= max_len:
-            return NO_DEVICE
-        load[best] += 1
-        history[best] += 1
-        return best
-
-
-def _sche_free(load, lock, device: int) -> None:
-    with lock:
-        load[device] -= 1
-
-
-def _gpu_server(device_idx, task_queue, reply_queues, counters, counter_lock):
+def _gpu_server(task_queue, reply_queues):
     """One simulated device: executes batch kernels FIFO until sentinel."""
     while True:
         item = task_queue.get()
         if item is None:
             return
         worker_rank, task = item
-        result = task.gpu_compute()
-        with counter_lock:
-            counters[0] += 1  # gpu task count
-        reply_queues[worker_rank].put((task.task_id, float(result.sum())))
+        reply_queues[worker_rank].put((task.task_id, float(task.gpu_compute().sum())))
 
 
-def _worker(
-    rank,
-    tasks,
-    load,
-    history,
-    lock,
-    max_len,
-    device_queues,
-    reply_queue,
-    counters,
-    counter_lock,
-    results_queue,
-):
+def _worker(rank, tasks, sched, lock, device_queues, reply_queue, results_queue):
     """One MPI-rank equivalent: Algorithm 1's per-process loop."""
     totals: dict[int, float] = {}
     for task in tasks:
-        device = _sche_alloc(load, history, lock, max_len)
+        with lock:
+            device = sched.sche_alloc()
         if device != NO_DEVICE:
             device_queues[device].put((rank, task))
             task_id, total = reply_queue.get()  # synchronous wait
-            _sche_free(load, lock, device)
+            with lock:
+                sched.sche_free(device)
             totals[task_id] = total
         else:
-            result = task.cpu_compute()
-            with counter_lock:
-                counters[1] += 1  # cpu task count
-            totals[task.task_id] = float(result.sum())
+            totals[task.task_id] = float(task.cpu_compute().sum())
     results_queue.put(totals)
 
 
@@ -166,13 +140,17 @@ class LiveHybridRunner:
         self.max_queue_length = max_queue_length
 
     def run(self, tasks: list[LiveTask], timeout_s: float = 120.0) -> LiveRunResult:
-        """Execute; tasks are dealt round-robin to workers."""
+        """Execute; tasks are dealt round-robin to workers.
+
+        Raises ``RuntimeError`` as soon as a server or worker dies, or
+        when the run ends with a queue slot still held, and
+        ``TimeoutError`` when ``timeout_s`` passes first.
+        """
         ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
-        load = ctx.Array("q", self.n_devices, lock=False)
-        history = ctx.Array("q", self.n_devices, lock=False)
+        sched = SharedMemoryScheduler(self.n_devices, self.max_queue_length)
+        sched.segment.load = ctx.Array("q", self.n_devices, lock=False)
+        sched.segment.history = ctx.Array("q", self.n_devices, lock=False)
         lock = ctx.Lock()
-        counters = ctx.Array("q", 2, lock=False)  # [gpu, cpu]
-        counter_lock = ctx.Lock()
         device_queues = [ctx.Queue() for _ in range(self.n_devices)]
         reply_queues = [ctx.Queue() for _ in range(self.n_workers)]
         results_queue = ctx.Queue()
@@ -180,7 +158,8 @@ class LiveHybridRunner:
         servers = [
             ctx.Process(
                 target=_gpu_server,
-                args=(d, device_queues[d], reply_queues, counters, counter_lock),
+                args=(device_queues[d], reply_queues),
+                name=f"device server {d}",
                 daemon=True,
             )
             for d in range(self.n_devices)
@@ -191,44 +170,51 @@ class LiveHybridRunner:
         workers = [
             ctx.Process(
                 target=_worker,
-                args=(
-                    r,
-                    partitions[r],
-                    load,
-                    history,
-                    lock,
-                    self.max_queue_length,
-                    device_queues,
-                    reply_queues[r],
-                    counters,
-                    counter_lock,
-                    results_queue,
-                ),
+                args=(r, partitions[r], sched, lock, device_queues,
+                      reply_queues[r], results_queue),
+                name=f"worker {r}",
                 daemon=True,
             )
             for r in range(self.n_workers)
         ]
+        procs = servers + workers
 
         t0 = time.perf_counter()
-        for p in servers + workers:
+        deadline = t0 + timeout_s
+        for p in procs:
             p.start()
         totals: dict[int, float] = {}
+        reports = 0
         try:
-            for _ in range(self.n_workers):
-                totals.update(results_queue.get(timeout=timeout_s))
+            while reports < self.n_workers:
+                try:  # short slices, so a dead process is seen at once
+                    totals.update(results_queue.get(timeout=0.1))
+                except queue.Empty:
+                    dead = [f"{p.name} (exit code {p.exitcode})" for p in procs if p.exitcode]
+                    if dead:
+                        raise RuntimeError(f"live run failed: {', '.join(dead)} died")
+                    if time.perf_counter() > deadline:
+                        raise TimeoutError(
+                            f"live run: {self.n_workers - reports} of {self.n_workers} "
+                            f"workers unfinished after {timeout_s} s"
+                        )
+                else:
+                    reports += 1
         finally:
             for q in device_queues:
                 q.put(None)  # stop sentinels
-            deadline = time.time() + 10.0
-            for p in servers + workers:
-                p.join(timeout=max(0.1, deadline - time.time()))
-            for p in servers + workers:
+            if reports < self.n_workers:
+                for p in procs:  # a failed run's blocked ranks never return
+                    p.terminate()
+            join_by = time.perf_counter() + 10.0
+            for p in procs:
+                p.join(timeout=max(0.1, join_by - time.perf_counter()))
+            for p in procs:
                 if p.is_alive():
                     p.terminate()
         wall = time.perf_counter() - t0
-        return LiveRunResult(
-            wall_s=wall,
-            gpu_tasks=int(counters[0]),
-            cpu_tasks=int(counters[1]),
-            totals=totals,
-        )
+        sched.validate()
+        if sched.segment.total_load() != 0:
+            raise RuntimeError("live run leaked queue slots at end of run")
+        gpu_tasks = sum(sched.histories())  # every admission ran on a device
+        return LiveRunResult(wall, gpu_tasks, len(tasks) - gpu_tasks, totals)

@@ -203,9 +203,6 @@ class SimClock:
         self._schedule(0.0, handle._step, None)
         return handle
 
-    def signal(self, name: str = "") -> Signal:
-        return Signal(name=name)
-
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the heap drains (or ``until`` is passed).
 

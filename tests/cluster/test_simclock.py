@@ -117,7 +117,7 @@ class TestProcesses:
 
     def test_signal_wait_and_payload(self):
         clock = SimClock()
-        sig = clock.signal("data")
+        sig = Signal("data")
         got = []
 
         def waiter():
@@ -135,7 +135,7 @@ class TestProcesses:
 
     def test_already_fired_signal_returns_immediately(self):
         clock = SimClock()
-        sig = clock.signal()
+        sig = Signal()
         sig.fire(clock, payload=7)
 
         def proc():
@@ -148,7 +148,7 @@ class TestProcesses:
 
     def test_double_fire_rejected(self):
         clock = SimClock()
-        sig = clock.signal()
+        sig = Signal()
         sig.fire(clock)
         with pytest.raises(RuntimeError):
             sig.fire(clock)
@@ -171,7 +171,7 @@ class TestProcesses:
 
     def test_multiple_waiters_all_wake(self):
         clock = SimClock()
-        sig = clock.signal()
+        sig = Signal()
         woken = []
 
         def waiter(i):
@@ -251,7 +251,7 @@ class TestProcesses:
 
     def test_add_callback(self):
         clock = SimClock()
-        sig = clock.signal()
+        sig = Signal()
         got = []
         sig.add_callback(clock, got.append)
         clock.at(1.0, lambda: sig.fire(clock, payload="x"))
@@ -260,7 +260,7 @@ class TestProcesses:
 
     def test_add_callback_after_fire(self):
         clock = SimClock()
-        sig = clock.signal()
+        sig = Signal()
         sig.fire(clock, payload=3)
         got = []
         sig.add_callback(clock, got.append)

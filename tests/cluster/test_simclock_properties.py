@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.simclock import SimClock
+from repro.cluster.simclock import Signal, SimClock
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -83,7 +83,7 @@ class TestClockProperties:
     @settings(max_examples=60, deadline=None)
     def test_signal_wakes_all_waiters_at_fire_time(self, population, fire_after):
         clock = SimClock()
-        sig = clock.signal()
+        sig = Signal()
         wake_times = []
 
         def waiter(sleeps):
@@ -229,7 +229,7 @@ def hop_by_hop(clock, hops, fn, arg):
 def engine_order(program, until, chained=True):
     clock = SimClock()
     log = []
-    signals = [clock.signal(f"s{k}") for k in range(N_SIGNALS)]
+    signals = [Signal(f"s{k}") for k in range(N_SIGNALS)]
     handles = []
 
     def proc(p):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.simclock import SimClock
+from repro.cluster.simclock import Signal, SimClock
 from repro.core.task import Task, TaskKind
 from repro.gpusim.device import TESLA_C2075, TESLA_K20, SimulatedGPU
 from repro.obs.tracer import EventTracer
@@ -169,7 +169,7 @@ class TestLockstep:
         def order(make):
             clock = SimClock()
             log = []
-            woken = clock.signal("observer")
+            woken = Signal("observer")
             woken.add_callback(clock, lambda _p: log.append("observer"))
             ingress, compute, _ = TESLA_C2075.phase_times(kernel)
             clock.at((0.0 + ingress) + compute, lambda: woken.fire(clock))

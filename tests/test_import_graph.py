@@ -80,8 +80,6 @@ TEST_ONLY = {
     # Seeds of open items.
     "repro.gpusim.device:SimulatedGPU.fail":
         "roadmap item 1: the device fault whose waiters get a failure payload",
-    "repro.cluster.mpi:MiniComm": "roadmap item 4: one of the two MPI modules goes with live ranks",
-    "repro.core.mpi_program:MPIProgram": "roadmap item 4: one of the two MPI modules goes with live ranks",
     "repro.nei.propagator:EigenPropagator": "roadmap item 4: the fixed-step NEI pack a live run executes",
     "repro.nei.runner:attach_real_execution": "roadmap item 4: real NEI numerics for a live run",
     # Features only their own tests call, each deleted with those tests.
