@@ -100,10 +100,6 @@ class AtomicDatabase:
         """Sum of level counts over every ion in scope."""
         return sum(self.n_levels(ion) for ion in self.ions)
 
-    def max_binding_energy_kev(self) -> float:
-        """Largest binding energy across the database (spectral hard edge)."""
-        return max(float(self.levels(ion).energy_kev.max()) for ion in self.ions)
-
     def validate(self) -> None:
         """Database-wide invariant checks; raises ``ValueError`` on breach.
 

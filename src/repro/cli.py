@@ -547,6 +547,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     from repro.physics.apec import GridPoint, SerialAPEC
     from repro.physics.spectrum import EnergyGrid
 
+    if not args.accuracy >= 0.0:
+        raise SystemExit(f"--accuracy must be >= 0, got {args.accuracy}")
+    if args.accuracy > 0.0:
+        # The lattice path serves the rrc component and records no trace.
+        if set(args.components) != {"rrc"}:
+            raise SystemExit("--components other than rrc is not supported with --accuracy")
+        for flag in ("--trace", "--metrics", "--profile", "--flamegraph", "--cost-report"):
+            if getattr(args, flag[2:].replace("-", "_")):
+                raise SystemExit(f"{flag} is not supported with --accuracy")
     db = AtomicDatabase(AtomicConfig(n_max=6, z_max=14))
     grid = EnergyGrid.from_wavelength(10.0, 45.0, args.bins)
     if args.accuracy > 0.0:

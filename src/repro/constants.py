@@ -46,13 +46,6 @@ HC_KEV_ANGSTROM: float = 12.39841984
 SIGMA_KRAMERS_CM2: float = 6.30e-18
 
 
-def kt_kev(temperature_k: float) -> float:
-    """Thermal energy kT in keV for a plasma temperature in Kelvin."""
-    if temperature_k <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature_k}")
-    return K_B_KEV * temperature_k
-
-
 def maxwellian_norm(temperature_k: float) -> float:
     """The sqrt(1 / (2 pi m_e k T)) factor of Eq. (1).
 

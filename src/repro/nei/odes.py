@@ -73,10 +73,6 @@ class NEISystem:
         self._cached_matrix: Optional[np.ndarray] = None
         self.n_matrix_builds = 0
 
-    @property
-    def dim(self) -> int:
-        return self.z + 1
-
     def temperature_at(self, t: float) -> float:
         if self.temperature_profile is None:
             return self.temperature_k

@@ -61,13 +61,6 @@ class AnomalyEvent:
             "kind": self.kind,
         }
 
-    def describe(self) -> str:
-        lbl = ",".join(f'{k}="{v}"' for k, v in sorted(self.labels.items()))
-        return (
-            f"{self.kind} on {self.series}{{{lbl}}} at t={self.t:.3f}: "
-            f"{self.value:g} outside [{self.lower:g}, {self.upper:g}]"
-        )
-
 
 def _median(ordered: list[float]) -> float:
     """Median of an ascending list."""

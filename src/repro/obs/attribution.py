@@ -104,11 +104,6 @@ def _ion_of_segment(seg: str) -> str:
     return _GROUP_LABEL_SUFFIX.sub("", seg)
 
 
-def width_bucket(evals: int) -> int:
-    """Power-of-two work bucket of a kernel's priced evaluation count."""
-    return int(evals).bit_length()
-
-
 @dataclass
 class CostEntry:
     """Attributed cost ledger of one request."""
@@ -479,14 +474,15 @@ class CostModel:
     """EWMA of measured device service time per (ion, method, width).
 
     The *width* axis buckets the kernel's priced evaluation count by
-    powers of two, so one key covers one (ion, quadrature rule,
-    active-window width) regime — exactly the workload signature a
-    measured-cost scheduler prices.  Unseen keys fall back to the
+    powers of two (``evals.bit_length()``, in :meth:`price` only), so
+    one key covers one (ion, quadrature rule, active-window width)
+    regime — exactly the workload signature a measured-cost scheduler
+    prices.  Unseen keys fall back to the
     analytic prior (per-task overhead + evals at the calibrated rate);
     every observation then pulls its key toward the measured truth with
     exponential forgetting.
 
-    Prediction quality is tracked online: each :meth:`observe` first
+    Prediction quality is tracked online: each :meth:`observe_key` first
     predicts, then updates, and the running mean absolute relative error
     is exported (and gated by the ``cost_attribution`` bench case).
     """
@@ -534,10 +530,6 @@ class CostModel:
 
     def _prior(self, evals: int) -> float:
         return self.prior_overhead_s + evals / self.prior_eval_rate
-
-    def observe(self, ion: str, method: str, evals: int, measured_s: float) -> None:
-        """Fold one measured task cost into its key's EWMA."""
-        self.observe_key((ion, method, width_bucket(evals)), evals, measured_s)
 
     def observe_key(self, key: tuple[str, str, int], evals: int, measured_s: float) -> None:
         """The one EWMA update, for a caller holding the task's key (see

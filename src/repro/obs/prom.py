@@ -234,10 +234,6 @@ class Histogram(_Metric):
         for value in data[seen:]:
             self.observe(value, **labels)
 
-    def count(self, **labels) -> int:
-        """Observations recorded for one label set."""
-        return sum(self._counts.get(self._key(labels), ()))
-
     def quantile(self, q: float, **labels) -> float:
         """The q-quantile by linear interpolation within cumulative buckets.
 

@@ -169,48 +169,6 @@ class Spectrum:
         out[both_zero] = 0.0
         return out
 
-    def rebin(self, factor: int) -> "Spectrum":
-        """Merge every ``factor`` adjacent bins (flux-conserving).
-
-        Per-bin values are already *integrated* emission (Eq. 2), so
-        rebinning is a plain sum; ``n_bins`` must divide evenly.
-        """
-        if factor < 1:
-            raise ValueError("rebin factor must be >= 1")
-        if self.grid.n_bins % factor != 0:
-            raise ValueError(
-                f"{self.grid.n_bins} bins do not divide by {factor}"
-            )
-        new_edges = self.grid.edges[::factor]
-        new_values = self.values.reshape(-1, factor).sum(axis=1)
-        return Spectrum(
-            grid=EnergyGrid(new_edges), values=new_values, meta=dict(self.meta)
-        )
-
-    def slice_energy(self, e_lo_kev: float, e_hi_kev: float) -> "Spectrum":
-        """The sub-spectrum of whole bins inside ``[e_lo, e_hi]``."""
-        if not e_lo_kev < e_hi_kev:
-            raise ValueError("need e_lo < e_hi")
-        edges = self.grid.edges
-        keep = (edges[:-1] >= e_lo_kev) & (edges[1:] <= e_hi_kev)
-        if not keep.any():
-            raise ValueError("no whole bins inside the requested window")
-        first = int(np.argmax(keep))
-        last = int(len(keep) - np.argmax(keep[::-1]))
-        return Spectrum(
-            grid=EnergyGrid(edges[first : last + 1]),
-            values=self.values[first:last].copy(),
-            meta=dict(self.meta),
-        )
-
-    def slice_wavelength(self, wl_lo_a: float, wl_hi_a: float) -> "Spectrum":
-        """Like :meth:`slice_energy`, bounds given in Angstrom."""
-        if not 0.0 < wl_lo_a < wl_hi_a:
-            raise ValueError("need 0 < wl_lo < wl_hi")
-        return self.slice_energy(
-            HC_KEV_ANGSTROM / wl_hi_a, HC_KEV_ANGSTROM / wl_lo_a
-        )
-
     def _check_same_grid(self, other: "Spectrum") -> None:
         if self.grid.n_bins != other.grid.n_bins or not np.array_equal(
             self.grid.edges, other.grid.edges

@@ -128,10 +128,6 @@ class LevelWindows:
     dropped_mass_per_c: np.ndarray
 
     @property
-    def n_levels(self) -> int:
-        return self.first.size
-
-    @property
     def counts(self) -> np.ndarray:
         """Active bins per level."""
         return self.cutoff - self.first

@@ -7,8 +7,8 @@ implemented from scratch:
 
 - :mod:`repro.quadrature.simpson` — composite Simpson rule (Algorithm 2's
   per-region method).
-- :mod:`repro.quadrature.romberg` — Romberg integration with the dichotomy
-  recurrence of Eq. (3).
+- :mod:`repro.quadrature.romberg` — scalar Romberg integration with the
+  dichotomy recurrence of Eq. (3): the reference ``batch_romberg`` is held to.
 - :mod:`repro.quadrature.gauss_kronrod` — Gauss–Kronrod 10–21 point pair.
 - :mod:`repro.quadrature.qags` — adaptive quadrature with interval bisection
   and Wynn epsilon-algorithm extrapolation (the QAGS role).

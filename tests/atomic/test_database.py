@@ -48,11 +48,6 @@ class TestAtomicDatabase:
         for ion in tiny_db.ions[:10]:
             assert tiny_db.n_levels(ion) == len(tiny_db.levels(ion))
 
-    def test_max_binding_energy_is_heaviest_bare_ground(self, tiny_db):
-        e_max = tiny_db.max_binding_energy_kev()
-        bare_o = Ion(z=8, charge=8)
-        assert e_max == pytest.approx(float(tiny_db.levels(bare_o).energy_kev[0]))
-
     def test_validate_passes(self, tiny_db):
         tiny_db.validate()  # should not raise
 

@@ -38,7 +38,7 @@ class TestNEIRealExecution:
         spec, tasks, ctx = nei_setup
         out = tasks[0].execute()
         ref = reference_final(ctx, spec)
-        assert out.shape == (spec.points_per_task, ctx["system"].dim)
+        assert out.shape == (spec.points_per_task, ctx["system"].z + 1)
         assert np.abs(out - ref[None, :]).max() < 1e-8
 
     def test_cpu_path_matches_expm(self, nei_setup):

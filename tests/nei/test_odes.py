@@ -91,4 +91,4 @@ class TestNEISystem:
         assert sys_.stiffness_ratio() > 1e3
 
     def test_dim(self):
-        assert NEISystem(z=26, ne_cm3=1.0, temperature_k=1e7).dim == 27
+        assert NEISystem(z=26, ne_cm3=1.0, temperature_k=1e7).matrix().shape == (27, 27)

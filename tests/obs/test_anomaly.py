@@ -160,7 +160,6 @@ class TestWiring:
         (event,) = det.scan(_gauge_store(_steady_with_spike()))
         doc = event.as_dict()
         assert doc["series"] == "g" and doc["kind"] == "spike"
-        assert "outside" in event.describe()
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from repro.obs.attribution import (
     CostModel,
     _split_ticks,
     ion_from_label,
-    width_bucket,
 )
 from repro.service.broker import ServiceConfig, run_trace
 from repro.service.loadgen import TrafficSpec, generate_trace
@@ -86,9 +85,9 @@ class TestLabels:
         assert ion_from_label("bare") == "bare"
 
     def test_width_bucket(self):
-        assert width_bucket(0) == 0
-        assert width_bucket(1) == 1
-        assert width_bucket(1024) == 11
+        model = CostModel()
+        for evals, width in ((0, 0), (1, 1), (1024, 11)):
+            assert _price(model, "O+7", "simpson", evals)[:2] == (("O+7", "simpson", width), evals)
 
 
 class TestConservation:
@@ -184,10 +183,20 @@ class TestZeroCostOutcomes:
         assert sum(by_id[first.trace_id].ticks.values()) > 0
 
 
+def _price(model: CostModel, ion: str, method: str, evals: int) -> tuple:
+    """``model.price`` of one task, asked the way the scheduler asks it."""
+    return model.price(Task(0, TaskKind.ION, method=method, label=f"pt0/{ion}", n_integrals=evals))
+
+
 def _predict(model: CostModel, ion: str, method: str, evals: int) -> float:
-    """The model's prediction, asked the way the scheduler asks it."""
-    task = Task(0, TaskKind.ION, method=method, label=f"pt0/{ion}", n_integrals=evals)
-    return model.price(task)[2]
+    return _price(model, ion, method, evals)[2]
+
+
+def _observe(model: CostModel, ion: str, method: str, evals: int, measured_s: float) -> None:
+    """Fold one measurement in the way the dispatch keys it: under the
+    key and evaluation count ``price`` gave the task."""
+    key, evals, _ = _price(model, ion, method, evals)
+    model.observe_key(key, evals, measured_s)
 
 
 class TestCostModel:
@@ -204,22 +213,22 @@ class TestCostModel:
 
     def test_observe_then_predict(self):
         model = CostModel(alpha=0.5, prior_overhead_s=0.0, prior_eval_rate=1.0)
-        model.observe("O+7", "simpson", 100, 3.0)
+        _observe(model, "O+7", "simpson", 100, 3.0)
         assert _predict(model, "O+7", "simpson", 100) == 3.0
         # Same width bucket -> same key; EWMA pulls halfway.
-        model.observe("O+7", "simpson", 100, 5.0)
+        _observe(model, "O+7", "simpson", 100, 5.0)
         assert _predict(model, "O+7", "simpson", 100) == 4.0
 
     def test_error_tracked_before_update(self):
         model = CostModel(prior_overhead_s=0.0, prior_eval_rate=1.0)
-        model.observe("X", "m", 10, 20.0)  # predicted 10 -> |rel err| 0.5
+        _observe(model, "X", "m", 10, 20.0)  # predicted 10 -> |rel err| 0.5
         assert model.n_observations == 1
         assert model.mean_abs_rel_error == pytest.approx(0.5)
 
     def test_round_trip(self):
         model = CostModel(alpha=0.3, prior_overhead_s=0.1, prior_eval_rate=2.0)
-        model.observe("O+7", "simpson", 64, 1.5)
-        model.observe("Fe+13", "romberg", 4096, 9.0)
+        _observe(model, "O+7", "simpson", 64, 1.5)
+        _observe(model, "Fe+13", "romberg", 4096, 9.0)
         clone = CostModel.from_dict(json.loads(json.dumps(model.to_dict())))
         assert clone.to_dict() == model.to_dict()
         assert _predict(clone, "O+7", "simpson", 64) == _predict(model, "O+7", "simpson", 64)

@@ -342,8 +342,8 @@ def _reference_fold(tracer: EventTracer, cuts: list[int]) -> tuple:
                  sum(map(ticks, kernel)) / TICKS_PER_S),
             ))
     model = SpanCostModel()
-    for _, obs in sorted(observations):
-        model.observe(*obs)
+    for _, (ion, method, evals, measured_s) in sorted(observations):
+        model.observe_key((ion, method, int(evals).bit_length()), evals, measured_s)
     lanes: dict[tuple[str, str], float] = {}
     for tid in sorted(payers):
         for comp, total in entries[tid].ticks.items():

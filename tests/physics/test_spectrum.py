@@ -128,59 +128,3 @@ class TestSpectrum:
         got = Spectrum(grid=g, values=np.array([0.5, 1.0]))
         err = got.relative_error_percent(ref)
         assert np.isnan(err[0])
-
-
-class TestSpectrumOps:
-    def _spec(self, n=12):
-        g = EnergyGrid.linear(1.0, 2.2, n)
-        return Spectrum(grid=g, values=np.arange(1.0, n + 1.0))
-
-    def test_rebin_conserves_flux(self):
-        s = self._spec(12)
-        r = s.rebin(3)
-        assert r.grid.n_bins == 4
-        assert r.total() == pytest.approx(s.total())
-        assert np.allclose(r.values, [1 + 2 + 3, 4 + 5 + 6, 7 + 8 + 9, 10 + 11 + 12])
-
-    def test_rebin_identity(self):
-        s = self._spec(6)
-        r = s.rebin(1)
-        assert np.array_equal(r.values, s.values)
-
-    def test_rebin_validation(self):
-        s = self._spec(12)
-        with pytest.raises(ValueError):
-            s.rebin(0)
-        with pytest.raises(ValueError):
-            s.rebin(5)  # 12 % 5 != 0
-
-    def test_slice_energy_whole_bins(self):
-        s = self._spec(12)  # edges 1.0 .. 2.2 step 0.1
-        sub = s.slice_energy(1.2, 1.6)
-        assert sub.grid.edges[0] == pytest.approx(1.2)
-        assert sub.grid.edges[-1] == pytest.approx(1.6)
-        assert np.allclose(sub.values, [3.0, 4.0, 5.0, 6.0])
-
-    def test_slice_energy_validation(self):
-        s = self._spec(12)
-        with pytest.raises(ValueError):
-            s.slice_energy(2.0, 1.0)
-        with pytest.raises(ValueError):
-            s.slice_energy(5.0, 6.0)  # outside the grid
-
-    def test_slice_wavelength_roundtrip(self):
-        from repro.constants import HC_KEV_ANGSTROM
-
-        g = EnergyGrid.from_wavelength(10.0, 45.0, 70)
-        s = Spectrum(grid=g, values=np.ones(70))
-        sub = s.slice_wavelength(15.0, 30.0)
-        wl = sub.grid.wavelength_centers
-        assert wl.min() >= 15.0 - 1.0  # whole-bin slack
-        assert wl.max() <= 30.0 + 1.0
-        assert sub.total() < s.total()
-
-    def test_slice_preserves_meta(self):
-        s = self._spec(12)
-        s.meta["tag"] = "x"
-        assert s.slice_energy(1.2, 1.6).meta["tag"] == "x"
-        assert s.rebin(3).meta["tag"] == "x"

@@ -94,9 +94,9 @@ class TestLevelWindows:
     def test_counts_and_totals(self):
         grid = EnergyGrid.linear(0.1, 10.0, 100)
         win = level_windows(np.array([1.0, 3.0, 20.0]), grid, 1.0, 0.0)
-        assert win.n_levels == 3
+        assert win.first.size == 3
         assert win.n_active == int((win.cutoff - win.first).sum())
-        assert win.n_active < win.n_levels * grid.n_bins
+        assert win.n_active < win.first.size * grid.n_bins
 
     def test_tail_mass_bound_pins_analytic_integral(self):
         # Sum the *exact* per-bin masses beyond the cutoff and check the
@@ -144,7 +144,7 @@ class TestLevelWindows:
     def test_empty_levels(self):
         grid = EnergyGrid.linear(0.1, 1.0, 4)
         win = level_windows(np.zeros(0), grid, 1.0, 1e-9)
-        assert win.n_levels == 0
+        assert win.first.size == 0
         assert win.n_active == 0
 
     def test_validation(self):

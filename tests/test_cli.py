@@ -132,6 +132,30 @@ class TestCommands:
         assert "repro_plan_cache_lookups_total" in text
         assert "repro_plan_compilations_total" in text
 
+    def test_spectrum_accuracy_serves_from_the_lattice(self, capsys):
+        import json
+
+        assert main(["spectrum", "--bins", "12", "--accuracy", "1e-3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["source"] == "lattice" and len(payload["flux"]) == 12
+
+    @pytest.mark.parametrize("flag, extra", [
+        ("--components", ["lines"]), ("--trace", ["t.json"]), ("--metrics", ["m.prom"]),
+        ("--profile", []), ("--flamegraph", ["f.txt"]), ("--cost-report", []),
+    ])
+    def test_spectrum_accuracy_refuses_what_the_lattice_cannot_honour(
+        self, tmp_path, monkeypatch, flag, extra
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=flag):
+            main(["spectrum", "--bins", "12", "--accuracy", "1e-3", flag, *extra])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_spectrum_rejects_an_accuracy_below_zero(self, value):
+        with pytest.raises(SystemExit, match="--accuracy"):
+            main(["spectrum", "--bins", "12", "--accuracy", value])
+
     def test_serve_runs(self, capsys):
         assert main(["serve", "--requests", "40", "--seed", "7"]) == 0
         out = capsys.readouterr().out

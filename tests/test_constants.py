@@ -10,10 +10,6 @@ from repro.physics.spectrum import EnergyGrid
 
 
 class TestValues:
-    def test_kt_at_1e7_kelvin(self):
-        """kT(1e7 K) ~ 0.86 keV — the canonical hot-plasma scale."""
-        assert c.kt_kev(1.0e7) == pytest.approx(0.8617, rel=1e-3)
-
     def test_rydberg(self):
         assert c.RYDBERG_KEV == pytest.approx(13.6057e-3, rel=1e-4)
 
@@ -51,10 +47,6 @@ class TestConversions:
             fn(0.0)
         with pytest.raises(ValueError):
             fn(-1.0)
-
-    def test_kt_requires_positive_temperature(self):
-        with pytest.raises(ValueError):
-            c.kt_kev(0.0)
 
 
 class TestMaxwellianNorm:

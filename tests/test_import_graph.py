@@ -14,8 +14,12 @@ wall harness and the figure scripts) and ``examples/*.py``.  A public
 top-level function or class of ``repro``, or a public method of one of
 its classes, passes if code a root reaches mentions it: as a bare name,
 an attribute, a renamed import or an identifier string (``getattr``).
-A reached class reaches its dunders; a method is reached once its class
-is and any reached code names it (matching is by name, not by type).  A
+A top-level ``M:f`` counts only where the mention is in a file F that
+is M, imports ``f`` from M (directly or through a module that imports it,
+such as a package ``__init__``), uses ``x.f`` with ``x`` bound to
+module M, or imports M and names ``f`` bare or as a string.  A reached
+class reaches its dunders; a method is reached once its class is and
+any reached code names it (matching is by name, not by type).  A
 package ``__init__``'s re-exports and any ``__all__`` reach nothing.
 What only tests reach is on :data:`TEST_ONLY` with a one-line reason,
 or is deleted.  Every ``repro`` import that reached code makes must
@@ -75,6 +79,10 @@ TEST_ONLY = {
     "repro.quadrature.megabatch:batch_gauss_windows": "reference: the generic window driver (REFERENCE_ONLY)",
     "repro.quadrature.megabatch:batch_romberg_windows": "reference: the generic window driver (REFERENCE_ONLY)",
     "repro.quadrature.megabatch:batch_simpson_windows": "reference: the generic window driver (REFERENCE_ONLY)",
+    "repro.quadrature.romberg:romberg":
+        "reference: the scalar Romberg of Eq. (3) batch_romberg is held to (test_matches_scalar_romberg)",
+    "repro.quadrature.romberg:romberg_table": "reference: the tableau romberg reads (Eq. 3)",
+    "repro.quadrature.romberg:trapezoid_ladder": "reference: the trapezoid column romberg_table extrapolates",
     "repro.service.requests:ion_emission":
         "reference: the per-ion emission oracle served rows are checked against",
     # Seeds of open items.
@@ -88,16 +96,9 @@ TEST_ONLY = {
     "repro.atomic.abundances:AbundanceSet.with_override": "roadmap item 6: 1 test, shared with with_metallicity",
     "repro.atomic.cross_sections:recombination_cross_section": "roadmap item 6: an alias; 1 test",
     "repro.atomic.elements:Element.n_ions": "roadmap item 6: 2 tests",
-    "repro.atomic.database:AtomicDatabase.max_binding_energy_kev": "roadmap item 6: 1 test; cooling's only caller",
     "repro.atomic.ions:Ion.n_core_electrons": "roadmap item 6: 1 test",
     "repro.atomic.ions:Ion.recombined_charge": "roadmap item 6: 1 test",
     "repro.atomic.ions:ions_of_element": "roadmap item 6: 2 tests",
-    "repro.physics.cooling:CoolingCurve": "roadmap item 6: physics/cooling.py, 9 tests",
-    "repro.physics.cooling:cooling_curve": "roadmap item 6: physics/cooling.py, 9 tests",
-    "repro.physics.cooling:cooling_function": "roadmap item 6: physics/cooling.py, 9 tests",
-    "repro.physics.spectrum:Spectrum.rebin": "roadmap item 6: 4 tests, one shared with slice_energy",
-    "repro.physics.spectrum:Spectrum.slice_energy": "roadmap item 6: 3 tests, one shared with rebin",
-    "repro.physics.spectrum:Spectrum.slice_wavelength": "roadmap item 6: 1 test",
     "repro.physics.windows:LevelWindows.dropped_mass_bound": "roadmap item 6: 2 tests",
     "repro.quadrature.batch:batch_trapezoid": "roadmap item 6: 3 tests",
     "repro.quadrature.gauss_legendre:batch_gauss_legendre": "roadmap item 6: 3 tests",
@@ -259,6 +260,20 @@ class Package:
                 return self.attributes(s.module, source) if s.module in self.trees else None
         return None
 
+    @functools.cache
+    def origin(self, module: str, name: str) -> str | None:
+        """The module whose top-level def ``name`` of ``module`` is:
+        ``module`` itself, or where a top-level ``from ... import`` of
+        ``module`` takes it from; None when it is neither."""
+        for s in self.trees[module].body if module in self.trees else ():
+            if isinstance(s, _DEF) and s.name == name:
+                return module
+            if isinstance(s, ast.ImportFrom) and s.module and not s.level:
+                for a in s.names:
+                    if (a.asname or a.name) == name:
+                        return self.origin(s.module, a.name)
+        return None
+
     def loaded(self, found: list[tuple[str, str | None]]) -> set[str]:
         """This package's modules the imports ``found`` load, with their
         parent packages."""
@@ -297,6 +312,18 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
     bindings = {path: aliases(tree, pkg.name) for path, tree in trees.items()}
     defs = list(pkg.definitions())
     reached: set[str] = set()
+    mentioned_in: dict[str, set[Path]] = {}
+    #: What each file's reached code imports (``(module, name or None)``)
+    #: or takes of a module it binds (``x.attr`` as ``(module, attr)``).
+    imported: dict[Path, set[tuple[str, str | None]]] = {path: set() for path in trees}
+
+    def reaches(path: Path, module: str, name: str) -> bool:
+        return path == pkg.paths[module] or any(
+            (n == name and pkg.origin(m, n) == module)
+            or pkg.origin(m if n is None else f"{m}.{n}", name) == module
+            for m, n in imported[path]
+        )
+
     modules: set[str] = set()
     scanned: set[int] = set()
     dangling: set[str] = set()
@@ -306,6 +333,9 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
             path, nodes = pending.pop()
             names, found, uses = read(nodes)
             reached |= names
+            for name in names:
+                mentioned_in.setdefault(name, set()).add(path)
+            imported[path].update(found)
             dangling.update(
                 f"{_shown(path)}: {module}" + (f".{name}" if name else "")
                 for module, name in found
@@ -313,6 +343,9 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
             )
             for x, attr in uses:
                 module, name = bindings[path].get(x, (None, None))
+                target = module if name is None else f"{module}.{name}"
+                if target in pkg.trees:
+                    imported[path].add((target, attr))
                 if module in pkg.trees and not _is_dunder(attr):
                     offered = pkg.attributes(module, name)
                     if offered is not None and attr not in offered:
@@ -321,7 +354,13 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
                 modules.add(module)
                 pending.append((pkg.paths[module], pkg.top(module)))
         for i, (module, _, name, owner, nodes) in enumerate(defs):
-            if i not in scanned and name in reached and (owner is None or owner in reached):
+            if i in scanned:
+                continue
+            if owner is None:
+                hit = any(reaches(path, module, name) for path in mentioned_in.get(name, ()))
+            else:
+                hit = name in reached and owner in reached
+            if hit:
                 scanned.add(i)
                 pending.append((pkg.paths[module], nodes))
                 if module not in modules:
@@ -389,7 +428,7 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text(
-        "from pkg.lib import exported\n__all__ = ['exported', 'tested']\n"
+        "from pkg.lib import exported, reexported\n__all__ = ['exported', 'tested']\n"
     )
     (pkg / "lib.py").write_text(
         "def lazy(): pass\n"
@@ -398,21 +437,31 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
         "def from_a_dunder(): pass\n"
         "def exported(): pass\n"
         "def tested(): pass\n"
+        "def reexported(): pass\n"
+        "def shadowed(): pass\n"
         "class Reached:\n"
         "    def __init__(self): from_a_dunder()\n"
         "    def unused(self): pass\n"
         "class Unreached:\n"
         "    def lazy(self): pass\n"
     )
+    # Names ``shadowed`` only as another object's method, and never imports pkg.lib.
+    (pkg / "other.py").write_text(
+        "from pkg import reexported\n"
+        "def helper(x):\n"
+        "    reexported()\n"
+        "    return x.shadowed()\n"
+    )
     root = tmp_path / "root.py"
     root.write_text(
         "import pkg.lib\n"
+        "from pkg.other import helper\n"
         "def main():\n"
         "    from pkg.lib import Reached, lazy, missing\n"
         "    lazy()\n"
         "    pkg.lib.attribute()\n"
         "    getattr(pkg.lib, 'by_string')()\n"
-        "    return Reached(), Reached.gone\n"
+        "    return Reached(), Reached.gone, helper\n"
     )
     (tmp_path / "test_lib.py").write_text(
         "from pkg.lib import tested\n"
@@ -421,6 +470,7 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
     )
     unreached, dangling = reachability(Package(pkg), [root])
     assert unreached == [
-        "pkg.lib:Reached.unused", "pkg.lib:Unreached", "pkg.lib:exported", "pkg.lib:tested",
+        "pkg.lib:Reached.unused", "pkg.lib:Unreached", "pkg.lib:exported", "pkg.lib:shadowed",
+        "pkg.lib:tested",
     ]
     assert dangling == ["root.py: pkg.lib.Reached.gone", "root.py: pkg.lib.missing"]
