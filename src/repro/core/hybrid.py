@@ -80,7 +80,7 @@ class HybridConfig:
     #: Per-rank start offset modelling real MPI startup skew (ranks never
     #: hit the scheduler in perfect lockstep); 0.2 s spreads the 24 ranks
     #: over ~5 s, killing the artificial t=0 admission burst.
-    stagger_s: Optional[float] = 0.2
+    stagger_s: float = 0.2
     #: Tie-breaking rule among equally ranked devices ("history" = the
     #: paper's minimum-history rule; "first" = positional, for ablation).
     #: Every ranking scheduler honours it; "random" takes only "history".
@@ -109,6 +109,8 @@ class HybridConfig:
             )
         if self.async_depth < 0:
             raise ValueError("async_depth must be non-negative")
+        if self.stagger_s is None or not 0.0 <= self.stagger_s < np.inf:
+            raise ValueError(f"stagger_s must be finite and >= 0, got {self.stagger_s!r}")
         if self.scheduler_kind == "predictive" and self.async_depth > 0:
             raise ValueError(
                 "predictive scheduling dispatches through per-device "
@@ -296,7 +298,7 @@ class HybridRunner:
             )
 
         per_worker = self._partition(tasks)
-        stagger = self._stagger()
+        stagger = self.config.stagger_s
         handles = []
         for rank, my_tasks in enumerate(per_worker):
             rank_track = (
@@ -567,12 +569,6 @@ class HybridRunner:
             counts[task.point_index] = counts.get(task.point_index, 0) + 1
         overhead = self.config.cost.point_overhead_s
         return {p: overhead / c for p, c in counts.items()}
-
-    def _stagger(self) -> float:
-        if self.config.stagger_s is not None:
-            return self.config.stagger_s
-        # Fallback: spread rank starts across roughly one prep period.
-        return self.config.cost.prep_s(1) / max(1, self.config.n_workers)
 
     @staticmethod
     def _accumulate(spectra: dict, task: Task, payload: object) -> None:

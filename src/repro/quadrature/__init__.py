@@ -9,11 +9,16 @@ implemented from scratch:
   per-region method).
 - :mod:`repro.quadrature.romberg` — scalar Romberg integration with the
   dichotomy recurrence of Eq. (3): the reference ``batch_romberg`` is held to.
+- :mod:`repro.quadrature.gauss_legendre` — Gauss-Legendre nodes (the plan's
+  Gauss rule) and the scalar rule on them that tests hold that rule to.
 - :mod:`repro.quadrature.gauss_kronrod` — Gauss–Kronrod 10–21 point pair.
 - :mod:`repro.quadrature.qags` — adaptive quadrature with interval bisection
   and Wynn epsilon-algorithm extrapolation (the QAGS role).
-- :mod:`repro.quadrature.batch` — vectorized batch integrators: the "GPU
-  kernels" that evaluate tens of thousands of bins in one call.
+- :mod:`repro.quadrature.batch` — vectorized batch integrators (the "GPU
+  kernels" that evaluate tens of thousands of bins in one call) and
+  ``linear_rule``, the Simpson / Romberg / Gauss weights the plan runs.
+- :mod:`repro.quadrature.megabatch` — the generic pair-by-pair window
+  driver: the reference the production RRC kernel is checked against.
 """
 
 from repro.quadrature.result import IntegrationResult, QuadratureError
@@ -25,14 +30,8 @@ from repro.quadrature.batch import (
     batch_simpson,
     batch_simpson_edges,
     batch_romberg,
-    batch_trapezoid,
 )
-from repro.quadrature.gauss_legendre import (
-    gauss_legendre,
-    batch_gauss_legendre,
-    gauss_legendre_nodes,
-)
-from repro.quadrature.adaptive_simpson import adaptive_simpson
+from repro.quadrature.gauss_legendre import gauss_legendre, gauss_legendre_nodes
 
 __all__ = [
     "IntegrationResult",
@@ -47,9 +46,6 @@ __all__ = [
     "batch_simpson",
     "batch_simpson_edges",
     "batch_romberg",
-    "batch_trapezoid",
     "gauss_legendre",
-    "batch_gauss_legendre",
     "gauss_legendre_nodes",
-    "adaptive_simpson",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "batch_simpson",
     "batch_simpson_edges",
     "batch_romberg",
-    "batch_trapezoid",
     "linear_rule",
     "simpson_weights",
     "unit_fractions",
@@ -85,7 +84,8 @@ def linear_rule(method: str, order: int) -> tuple[np.ndarray, np.ndarray, float]
     :func:`_romberg_reduce` runs it on samples) it ends in one weight a node.
     """
     if method == "simpson":
-        return unit_fractions(order + 1), simpson_weights(order), float(order)
+        weights = simpson_weights(order)  # refuses bad pieces, naming them
+        return unit_fractions(order + 1), weights, float(order)
     if method == "gauss":
         nodes, weights = gauss_legendre_nodes(order)
         frac = 0.5 * (nodes + 1.0)
@@ -187,27 +187,6 @@ def batch_simpson_edges(
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be strictly ascending")
     return batch_simpson(f, edges[:-1], edges[1:], pieces=pieces)
-
-
-def batch_trapezoid(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    panels: int = 64,
-) -> np.ndarray:
-    """Composite trapezoid integrals over many intervals (baseline kernel)."""
-    lo, hi = _as_bounds(lo, hi)
-    if panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
-    out = np.empty(lo.size, dtype=np.float64)
-    frac = unit_fractions(panels + 1)
-    w = _trapezoid_weights(panels)
-    for sl in _chunks(lo.size, panels + 1):
-        width = hi[sl] - lo[sl]
-        x = lo[sl][:, None] + width[:, None] * frac[None, :]
-        y = np.asarray(f(x), dtype=np.float64)
-        out[sl] = width / panels * (y @ w)
-    return out
 
 
 def batch_romberg(

@@ -1,4 +1,4 @@
-"""Fixed-order Gauss-Legendre rules, scalar and batched.
+"""Fixed-order Gauss-Legendre nodes and the scalar rule on them.
 
 A third GPU-kernel candidate besides Simpson and Romberg: for the same
 evaluation count an n-point Gauss rule is exact to degree 2n-1 (Simpson
@@ -7,7 +7,9 @@ fewer evaluations per bin — at the price of nodes that cannot be reused
 between refinement levels.  The pluggable-integrator design of the
 paper's implementation ("different numerical integration algorithms can
 be connected to the main program on demand") is what this module
-exercises.
+exercises: :func:`repro.quadrature.batch.linear_rule` builds the plan's
+Gauss rule from :func:`gauss_legendre_nodes`, and the scalar
+:func:`gauss_legendre` is the reference the tests hold that rule to.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from repro.quadrature.result import IntegrationResult
 
-__all__ = ["gauss_legendre_nodes", "gauss_legendre", "batch_gauss_legendre"]
+__all__ = ["gauss_legendre_nodes", "gauss_legendre"]
 
 
 @lru_cache(maxsize=64)
@@ -65,23 +67,3 @@ def gauss_legendre(
         abserr = abs(value)
     return IntegrationResult(value=value, abserr=abserr, neval=neval)
 
-
-def batch_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    n: int = 8,
-) -> np.ndarray:
-    """n-point Gauss-Legendre integrals over many bins at once."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError("lower/upper bounds must be matching 1-D arrays")
-    x, w = gauss_legendre_nodes(n)
-    half = 0.5 * (hi - lo)
-    center = 0.5 * (hi + lo)
-    grid = center[:, None] + half[:, None] * x[None, :]
-    y = np.asarray(f(grid), dtype=np.float64)
-    if y.shape != grid.shape:
-        raise ValueError(f"integrand returned shape {y.shape}, expected {grid.shape}")
-    return half * (y @ w)

@@ -154,6 +154,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="scheduler_kind='random'.*tie_break"):
             mini_config(scheduler_kind="random", tie_break="first")
 
+    @pytest.mark.parametrize("stagger", [-0.5, float("nan"), None], ids=["negative", "nan", "none"])
+    def test_bad_stagger_refused_at_construction(self, stagger):
+        with pytest.raises(ValueError, match="stagger_s"):
+            mini_config(stagger_s=stagger)
+
 
 class TestTieBreak:
     """Every ranking scheduler honours ``tie_break``: with equal weights

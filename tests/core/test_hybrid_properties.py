@@ -103,5 +103,5 @@ class TestHybridInvariants:
         hybrid = runner.run(tasks).makespan_s
         serial = runner.serial_time(tasks)
         mpi_factor = cfg.cost.mpi_contention * cfg.cost.cpu_fallback_penalty
-        slack = cfg.n_workers * (cfg.stagger_s or 0.0) + 1e-6
+        slack = cfg.n_workers * cfg.stagger_s + 1e-6
         assert hybrid <= serial * mpi_factor + slack

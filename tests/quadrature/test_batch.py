@@ -7,7 +7,6 @@ from repro.quadrature.batch import (
     batch_romberg,
     batch_simpson,
     batch_simpson_edges,
-    batch_trapezoid,
     simpson_weights,
     unit_fractions,
 )
@@ -125,23 +124,6 @@ class TestBatchRomberg:
         e_small = abs(batch_romberg(np.sin, lo, hi, k=3)[0] - 2.0)
         e_large = abs(batch_romberg(np.sin, lo, hi, k=7)[0] - 2.0)
         assert e_large < e_small
-
-
-class TestBatchTrapezoid:
-    def test_linear_exact(self):
-        out = batch_trapezoid(lambda x: 2.0 * x + 1.0, np.array([0.0]), np.array([3.0]), panels=1)
-        assert out[0] == pytest.approx(12.0)
-
-    def test_second_order_convergence(self):
-        lo, hi = np.array([0.0]), np.array([1.0])
-        exact = np.e - 1.0
-        e1 = abs(batch_trapezoid(np.exp, lo, hi, panels=16)[0] - exact)
-        e2 = abs(batch_trapezoid(np.exp, lo, hi, panels=32)[0] - exact)
-        assert e1 / e2 == pytest.approx(4.0, rel=0.05)
-
-    def test_invalid_panels(self):
-        with pytest.raises(ValueError):
-            batch_trapezoid(np.exp, np.zeros(1), np.ones(1), panels=0)
 
 
 class TestCachedNodes:

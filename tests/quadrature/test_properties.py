@@ -149,6 +149,11 @@ class TestLinearRuleProperties:
         if frac.size <= 5:
             assert abs(w @ frac ** (degree + 1) - 1.0 / (degree + 2)) > 1e-7
 
+    @pytest.mark.parametrize("pieces", [0, -2, 3])
+    def test_bad_simpson_pieces_are_refused_by_name(self, pieces):
+        with pytest.raises(ValueError, match="pieces"):
+            linear_rule("simpson", pieces)
+
     def test_unknown_rules_are_refused(self):
         for method, order in (("midpoint", 4), ("romberg", -1), ("simpson", 3), ("gauss", 0)):
             with pytest.raises(ValueError):

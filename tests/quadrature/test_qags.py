@@ -59,10 +59,16 @@ class TestErrorBudget:
 
 class TestQAGS:
     def test_smooth_integrand(self):
-        res = qags(np.exp, 0.0, 2.0)
-        assert res.converged
-        assert res.value == pytest.approx(np.exp(2.0) - 1.0, rel=1e-12)
-        assert abs(res.value - (np.exp(2.0) - 1.0)) <= max(res.abserr, 1e-14)
+        cases = [
+            (np.exp, 0.0, 2.0, np.exp(2.0) - 1.0),
+            # Closed form of the integral of ln(1 + x) / (1 + x^2) on [0, 1].
+            (lambda x: np.log1p(x) / (1.0 + x**2), 0.0, 1.0, np.pi * np.log(2.0) / 8.0),
+        ]
+        for f, a, b, exact in cases:
+            res = qags(f, a, b)
+            assert res.converged
+            assert res.value == pytest.approx(exact, rel=1e-12)
+            assert abs(res.value - exact) <= max(res.abserr, 1e-14)
 
     def test_oscillatory_integrand(self):
         # [0, 1] (not [0, pi]): an interval where sin(50x) is NOT odd

@@ -70,12 +70,10 @@ TEST_ONLY = {
     "repro.physics.rrc:analytic_bin_integral":
         "reference: the closed-form bin integral the RRC windows and kernels are checked against",
     "repro.physics.rrc:window_integrand": "reference: the generic window driver's integrand (REFERENCE_ONLY)",
-    "repro.quadrature.adaptive_simpson:adaptive_simpson":
-        "reference: a scalar adaptive rule held to QAGS on the RRC edge integrand",
     "repro.quadrature.batch:batch_simpson_edges":
         "reference: the dense per-bin Simpson the window-driver tests compare against",
     "repro.quadrature.gauss_legendre:gauss_legendre":
-        "reference: the scalar rule on the Gauss nodes the plan's Gauss kernel uses",
+        "reference: the scalar rule linear_rule('gauss', n) is held to (test_matches_scalar)",
     "repro.quadrature.megabatch:batch_gauss_windows": "reference: the generic window driver (REFERENCE_ONLY)",
     "repro.quadrature.megabatch:batch_romberg_windows": "reference: the generic window driver (REFERENCE_ONLY)",
     "repro.quadrature.megabatch:batch_simpson_windows": "reference: the generic window driver (REFERENCE_ONLY)",
@@ -100,8 +98,6 @@ TEST_ONLY = {
     "repro.atomic.ions:Ion.recombined_charge": "roadmap item 6: 1 test",
     "repro.atomic.ions:ions_of_element": "roadmap item 6: 2 tests",
     "repro.physics.windows:LevelWindows.dropped_mass_bound": "roadmap item 6: 2 tests",
-    "repro.quadrature.batch:batch_trapezoid": "roadmap item 6: 3 tests",
-    "repro.quadrature.gauss_legendre:batch_gauss_legendre": "roadmap item 6: 3 tests",
     "repro.quadrature.result:IntegrationResult.require_converged": "roadmap item 6: 3 tests",
     "repro.quadrature.result:QuadratureError": "roadmap item 6: raised by require_converged only",
     "repro.quadrature.simpson:simpson_panels": "roadmap item 6: 3 tests",
