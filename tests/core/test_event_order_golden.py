@@ -31,7 +31,6 @@ NODES = {
 CASES = {
     "shared": dict(),
     "predictive": dict(scheduler_kind="predictive"),
-    "predictive_nosteal": dict(scheduler_kind="predictive", steal=False),
     "async2": dict(async_depth=2),
     "client_server": dict(scheduler_kind="client-server"),
     "fallback": dict(max_queue_length=2),
@@ -87,13 +86,6 @@ GOLDEN = {('paper2', 'shared'): ('0x1.bdb59ba97f8e7p+6',
                             0,
                             '0x0.0p+0',
                             '73f714afd25e7f228c57d58027545592e2fcd10c'),
- ('paper2', 'predictive_nosteal'): ('0x1.bdb59ba97f8e7p+6',
-                                    [331, 331, 330],
-                                    0,
-                                    'badd9845b83ceec513134dafb1f8138f34dadac0',
-                                    0,
-                                    '0x0.0p+0',
-                                    '73f714afd25e7f228c57d58027545592e2fcd10c'),
  ('paper2', 'async2'): ('0x1.a0380fbad4857p+6',
                         [331, 331, 330],
                         0,
@@ -136,13 +128,6 @@ GOLDEN = {('paper2', 'shared'): ('0x1.bdb59ba97f8e7p+6',
                                268,
                                '0x1.c3573fafb8070p-2',
                                '6e52badb9e62eb6c4af46421454347180e15dec2'),
- ('contended', 'predictive_nosteal'): ('0x1.c2d5bd5ecd031p+6',
-                                       [1984, 1984],
-                                       0,
-                                       'f1c855ff0e63a67e85427b83f1d53e77d6bec0e2',
-                                       0,
-                                       '0x1.54c84eda6c010p+0',
-                                       '27f4d6033cfb0ab7937e322ac8d8c872a4b0d141'),
  ('contended', 'async2'): ('0x1.a504dc87a1527p+6',
                            [1984, 1984],
                            0,
