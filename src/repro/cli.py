@@ -145,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-tol", type=float, default=0.0,
                    help="relative tail tolerance for active-window "
                         "pruning on every request (0 = off)")
-    p.add_argument("--latency-reservoir", type=int, default=None,
-                   help="cap per-lane latency samples at this reservoir "
-                        "size (default: keep every sample)")
     p.add_argument("--json", action="store_true")
     _add_obs_flags(p)
     p.add_argument("--gantt", action="store_true",
@@ -276,6 +273,12 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
                         "(wall-clock seconds for 'spectrum'; default 0.5)")
 
 
+def _refuse(args: argparse.Namespace, exc: Exception) -> int:
+    """Report a flag value the library refused, before any work ran."""
+    print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _load_cost_model(args: argparse.Namespace):
     """The (possibly persisted) cost model a run should start from.
 
@@ -366,8 +369,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.obs import QueryEngine, QueryError, TimeSeriesStore
     from repro.obs.query import format_result
 
-    with open(args.tsdb) as fh:
-        store = TimeSeriesStore.from_dict(json.load(fh))
+    try:
+        with open(args.tsdb) as fh:
+            store = TimeSeriesStore.from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:
+        return _refuse(args, exc)
     try:
         result = QueryEngine(store).query(args.expr, at=args.at)
     except QueryError as exc:
@@ -556,8 +562,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         for flag in ("--trace", "--metrics", "--profile", "--flamegraph", "--cost-report"):
             if getattr(args, flag[2:].replace("-", "_")):
                 raise SystemExit(f"{flag} is not supported with --accuracy")
+    try:
+        point = GridPoint(temperature_k=args.temperature, ne_cm3=args.density)
+        grid = EnergyGrid.from_wavelength(10.0, 45.0, args.bins)
+    except ValueError as exc:
+        return _refuse(args, exc)
     db = AtomicDatabase(AtomicConfig(n_max=6, z_max=14))
-    grid = EnergyGrid.from_wavelength(10.0, 45.0, args.bins)
     if args.accuracy > 0.0:
         return _spectrum_via_lattice(args, db, grid)
     tsdb, anomaly = _make_tsdb(args)
@@ -597,9 +607,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = tracer.now if tracer is not None else 0.0
     if tsdb is not None:
         tsdb.scrape(registry, t0)  # wall-clock baseline sample
-    spec = apec.compute(
-        GridPoint(temperature_k=args.temperature, ne_cm3=args.density)
-    ).normalized()
+    spec = apec.compute(point).normalized()
     if tracer is not None:
         tracer.span(
             tracer.track("spectrum", "apec"),
@@ -916,46 +924,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceConfig, TrafficSpec, generate_trace, run_trace
-    from repro.service.broker import _default_hybrid
+    from repro.service import ServiceConfig, TrafficSpec, generate_trace
+    from repro.service.broker import _default_hybrid, play_trace, trace_broker
 
     from dataclasses import replace
 
     if args.rate <= 0.0:
         raise SystemExit("--rate must be positive")
-    trace = generate_trace(
-        TrafficSpec(
-            n_requests=args.requests,
-            seed=args.seed,
-            mean_interarrival_s=1.0 / args.rate,
-            burst=args.burst,
-            pattern=args.pattern,
-            zipf_s=args.zipf_s,
-            walk_sigma_dex=args.walk_sigma,
-            n_distinct=args.distinct,
-            tail_tol=args.tail_tol,
-            accuracy=args.accuracy,
-            tail=args.tail,
-            # Inflated requests must stay servable by the broker's DB.
-            tail_z_max=ServiceConfig().db_z_max,
-        )
-    )
-    config = ServiceConfig(
-        queue_capacity=args.queue_capacity,
-        n_service_workers=args.workers,
-        batch_max=args.batch_max,
-        batch_window_s=args.batch_window,
-        batch_width_max=args.batch_width,
-        cache_max_entries=args.cache_entries,
-        cache_max_bytes=int(args.cache_mb * (1 << 20)),
-        cache_ttl_s=args.ttl,
-        hybrid=replace(
-            _default_hybrid(),
-            n_gpus=args.gpus,
-            scheduler_kind=_sched_kind(args),
-        ),
-        latency_reservoir=args.latency_reservoir,
-    )
     tracer = None
     if (
         args.trace
@@ -972,6 +947,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.slo or args.postmortem:
         from repro.obs import Rule, SLOEngine
 
+        # An objective these fail would breach on the first sample.
+        if not args.slo_p95 > 0.0:
+            raise SystemExit(f"--slo-p95 must be positive, got {args.slo_p95}")
+        if args.slo_depth is not None and not args.slo_depth >= 0.0:
+            raise SystemExit(f"--slo-depth must be >= 0, got {args.slo_depth}")
         depth = (
             args.slo_depth
             if args.slo_depth is not None
@@ -997,17 +977,52 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         )
     tsdb, anomaly = _make_tsdb(args)
-    broker, _tickets = run_trace(
-        trace,
-        config,
-        tracer=tracer,
-        slo=slo,
-        flight_dir=args.postmortem,
-        flight_window_s=args.postmortem_window,
-        tsdb=tsdb,
-        anomaly=anomaly,
-        cost_model=_load_cost_model(args),
-    )
+    try:
+        trace = generate_trace(
+            TrafficSpec(
+                n_requests=args.requests,
+                seed=args.seed,
+                mean_interarrival_s=1.0 / args.rate,
+                burst=args.burst,
+                pattern=args.pattern,
+                zipf_s=args.zipf_s,
+                walk_sigma_dex=args.walk_sigma,
+                n_distinct=args.distinct,
+                tail_tol=args.tail_tol,
+                accuracy=args.accuracy,
+                tail=args.tail,
+                # Inflated requests must stay servable by the broker's DB.
+                tail_z_max=ServiceConfig().db_z_max,
+            )
+        )
+        config = ServiceConfig(
+            queue_capacity=args.queue_capacity,
+            n_service_workers=args.workers,
+            batch_max=args.batch_max,
+            batch_window_s=args.batch_window,
+            batch_width_max=args.batch_width,
+            cache_max_entries=args.cache_entries,
+            cache_max_bytes=int(args.cache_mb * (1 << 20)),
+            cache_ttl_s=args.ttl,
+            hybrid=replace(
+                _default_hybrid(),
+                n_gpus=args.gpus,
+                scheduler_kind=_sched_kind(args),
+            ),
+        )
+        broker = trace_broker(
+            config,
+            tracer=tracer,
+            slo=slo,
+            flight_dir=args.postmortem,
+            flight_window_s=args.postmortem_window,
+            tsdb=tsdb,
+            anomaly=anomaly,
+            cost_model=_load_cost_model(args),
+        )
+    except ValueError as exc:
+        return _refuse(args, exc)
+    play_trace(broker, trace)
     _save_cost_model(args, broker.cost_model)
     if args.postmortem and broker.flight is not None and broker.flight.bundles:
         for bundle in broker.flight.bundles:
@@ -1137,16 +1152,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--z-max {args.z_max} exceeds the service database's z_max={db_z_max}"
         )
-    request = SpectrumRequest(
-        temperature_k=args.temperature,
-        ne_cm3=args.density,
-        z_max=args.z_max,
-        n_bins=args.bins,
-        rule=args.rule,
-        tolerance=args.tolerance,
-        tail_tol=args.tail_tol,
-        accuracy=args.accuracy,
-    )
+    try:
+        request = SpectrumRequest(
+            temperature_k=args.temperature,
+            ne_cm3=args.density,
+            z_max=args.z_max,
+            n_bins=args.bins,
+            rule=args.rule,
+            tolerance=args.tolerance,
+            tail_tol=args.tail_tol,
+            accuracy=args.accuracy,
+        )
+    except ValueError as exc:
+        return _refuse(args, exc)
     clock = SimClock()
     tracer = None
     if args.trace or args.profile or args.flamegraph or args.cost_report:

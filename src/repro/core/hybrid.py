@@ -65,15 +65,6 @@ class HybridConfig:
     #: model, with work stealing in the dispatch loop).
     scheduler_kind: str = "shared"
     rpc_latency_s: float = 5.0e-4
-    #: Work stealing on the predictive dispatch path: an idle device
-    #: pulls from the tail of the most-loaded pending queue.  Results
-    #: are bit-identical either way (placement prices, never answers);
-    #: off is the ablation that isolates placement from stealing.
-    steal: bool = True
-    #: Predictive CPU-fallback threshold, in predicted *seconds*: a task
-    #: whose best predicted finish time exceeds this runs on the rank's
-    #: CPU instead.  ``None`` keeps only the slot-count bound.
-    cpu_threshold_s: Optional[float] = None
     #: 0 = synchronous (the paper's implementation); n > 0 allows each
     #: rank n outstanding GPU tasks (the "future work" asynchronous mode).
     async_depth: int = 0
@@ -116,8 +107,6 @@ class HybridConfig:
                 "predictive scheduling dispatches through per-device "
                 "slots; async_depth applies only to direct-submit modes"
             )
-        if self.cpu_threshold_s is not None and self.cpu_threshold_s <= 0.0:
-            raise ValueError("cpu_threshold_s must be positive or None")
         if self.devices is not None and len(self.devices) != self.n_gpus:
             raise ValueError(
                 f"devices tuple has {len(self.devices)} entries for "
@@ -265,7 +254,6 @@ class HybridRunner:
                 cfg.n_gpus,
                 cfg.max_queue_length,
                 bus,
-                cpu_threshold_s=cfg.cpu_threshold_s,
                 tie_break=cfg.tie_break,
             )
         else:
@@ -293,8 +281,7 @@ class HybridRunner:
 
                 self.span_cost_model = SpanCostModel.from_spec(cfg.device)
             dispatch = _PredictiveDispatch(
-                clock, sched, gpus, bus, self.span_cost_model,
-                steal=cfg.steal,
+                clock, sched, gpus, bus, self.span_cost_model
             )
 
         per_worker = self._partition(tasks)
@@ -620,25 +607,24 @@ class _PredictiveDispatch:
     Rank workers enqueue admitted tasks here instead of submitting to
     the device directly; one :class:`_DispatchSlot` per device kernel
     slot drains its own queue head-first (FIFO — admission order,
-    matching the direct-submit modes), and, when stealing is on, an idle
-    device pulls from the *tail* of the pending queue with the largest
-    summed predicted backlog (ties to the lowest index).  The steal
+    matching the direct-submit modes), and an idle device pulls from the
+    *tail* of the pending queue with the largest summed predicted
+    backlog (ties to the lowest index).  The steal
     rebalances slot + predicted ticks on the shared segment through
     :meth:`PredictiveScheduler.on_steal`, so conservation is validated
     at end of run exactly as for unstolen tasks.
 
     Relocating a task never changes its result — placement prices
     answers, it does not compute them — and each rank still blocks per
-    task, so spectra are bit-identical with stealing on or off.
+    task, so a steal moves when a task runs, never what it returns.
     """
 
-    def __init__(self, clock, sched, gpus, bus, model, steal=True):
+    def __init__(self, clock, sched, gpus, bus, model):
         self.clock = clock
         self.sched = sched
         self.gpus = gpus
         self.bus = bus
         self.model = model
-        self.steal = steal
         self.pending: list[deque] = [deque() for _ in gpus]
         #: Entries over all pending queues and summed ``ticks`` of each,
         #: kept in step with them.
@@ -740,7 +726,6 @@ class _DispatchSlot:
                 dispatch.pending_ticks[device] -= entry.ticks
             elif (
                 dispatch.n_pending
-                and dispatch.steal
                 and not self.gpu.failed
                 and sched.segment.load[device] < sched.max_queue_length
             ):

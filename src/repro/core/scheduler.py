@@ -273,31 +273,14 @@ class PredictiveScheduler(SharedMemoryScheduler):
     with equal costs it reduces exactly to Algorithm 1 (backlog is then
     load x cost).
 
-    The CPU fallback turns from a queue-*depth* rule into a predicted-
-    *seconds* rule: ``cpu_threshold_s`` rejects a placement whose
-    predicted finish time would exceed the threshold, which is the
-    quantity the paper's max-queue-length bound was approximating under
-    the equal-size-task assumption.  The slot bound stays as a hard cap
-    (the shared arrays are still bounded).
+    The CPU fallback is Algorithm 1's: a task goes to the CPU when every
+    queue is at the slot cap.
 
     ``on_steal`` is the work-stealing transfer: an idle device pulls one
     admitted task from a loaded victim, moving its slot and predicted
     backlog on the segment in one call (conservation is validated at end
     of run — no slot or tick is lost or duplicated).
     """
-
-    def __init__(
-        self,
-        n_devices: int,
-        max_queue_length: int,
-        metrics: Optional[MetricsLedger] = None,
-        cpu_threshold_s: Optional[float] = None,
-        tie_break: str = "history",
-    ) -> None:
-        super().__init__(n_devices, max_queue_length, metrics, tie_break)
-        if cpu_threshold_s is not None and cpu_threshold_s <= 0.0:
-            raise ValueError("cpu_threshold_s must be positive or None")
-        self.cpu_threshold_s = cpu_threshold_s
 
     @staticmethod
     def cost_ticks(cost_s: float) -> int:
@@ -314,8 +297,7 @@ class PredictiveScheduler(SharedMemoryScheduler):
         Scans for the minimum predicted finish time (device backlog +
         this task's cost), history tie-break among exact tick ties; the
         new cost is added to the winner's backlog in the same admission
-        step.  Returns ``NO_DEVICE`` when every queue is at the slot cap
-        or the best predicted finish time crosses ``cpu_threshold_s``.
+        step.  Returns ``NO_DEVICE`` when every queue is at the slot cap.
 
         ``ticks``, here and in :meth:`sche_free` / :meth:`on_steal`, is
         the same cost already converted by :meth:`cost_ticks`: a caller
@@ -347,11 +329,6 @@ class PredictiveScheduler(SharedMemoryScheduler):
             ):
                 best, best_finish, best_history = d, finish, h_d
         if best < 0:
-            return NO_DEVICE
-        if (
-            self.cpu_threshold_s is not None
-            and best_finish > self.cost_ticks(self.cpu_threshold_s)
-        ):
             return NO_DEVICE
         old_load = load[best]
         load[best] = old_load + 1

@@ -87,7 +87,7 @@ class Task:
     #: device hands back.  ``None`` for cost-only runs.
     execute: Optional[Callable[[], object]] = field(default=None, repr=False)
     #: Optional real CPU computation (the QAGS path) returning the same
-    #: result type as ``execute``.
+    #: result type as ``execute``; ``None`` falls back to ``execute``.
     cpu_execute: Optional[Callable[[], object]] = field(default=None, repr=False)
 
     @property
@@ -103,10 +103,11 @@ class Task:
         return self
 
     def run_cpu(self) -> object:
-        """Execute the real CPU-fallback numerics (scalar QAGS path)."""
-        if self.cpu_execute is None:
-            return None
-        return self.cpu_execute()
+        """Execute the CPU-fallback numerics: ``cpu_execute`` (the scalar
+        QAGS path) when set, else ``execute``; ``None`` for a cost-only
+        task.  Either way the task is priced as QAGS."""
+        run = self.execute if self.cpu_execute is None else self.cpu_execute
+        return None if run is None else run()
 
 
 def task_cost(n_levels, n_bins, evals_per_integral, n_active=None) -> dict:

@@ -212,21 +212,11 @@ class Histogram(_Metric):
     def _put(self, key: tuple, data) -> None:
         """Bring one label set up to date with its ledger.
 
-        ``data`` is either the ledger's append-only sample list — only
-        the items past this label set's observation count are observed,
-        in order, so ``_sum`` is the float a full replay would give — or
-        a ``(bucket counts, sum)`` pair a ledger streams itself.
+        ``data`` is the ledger's append-only sample list: only the items
+        past this label set's observation count are observed, in order,
+        so ``_sum`` is the float a full replay would give.
         """
         counts = self._counts.get(key)
-        if type(data) is tuple:
-            streamed, total = data
-            if counts is None and not sum(streamed):
-                return
-            if counts is not None and any(n < c for n, c in zip(streamed, counts)):
-                raise ValueError(f"{self.name}: bucket counts only go up")
-            self._counts[key] = list(streamed)
-            self._sums[key] = float(total)
-            return
         seen = sum(counts) if counts is not None else 0
         if len(data) == seen:
             return
@@ -520,7 +510,7 @@ _REQUEST_FAMILIES = (
            _lane_outcomes, ("lane", "outcome")),
     Family(Histogram, "repro_request_latency_seconds",
            "Completion latency by lane (virtual seconds)",
-           lambda b: (((lane,), s.latency_histogram())
+           lambda b: (((lane,), s.latencies_s)
                       for lane, s in b.telemetry.lanes.items()),
            ("lane",)),
     Family(Counter, "repro_coalesced_joins_total",

@@ -17,17 +17,14 @@ engine:
   a Prometheus ``for:`` clause provides;
 - ``quantile`` targets a histogram family's q-quantile (linear
   interpolation within cumulative buckets — no exposition-text
-  re-parsing), and ``rate_window_s`` turns a counter into a *burn
-  rate*: the increase per virtual second over the trailing window, the
-  standard error-budget alerting shape.
+  re-parsing).
 
 Since the continuous-telemetry PR the engine is wired onto the
 time-series store and query engine rather than hand-rolled deltas:
 every :meth:`SLOEngine.sample` scrapes the snapshot into an internal
 :class:`~repro.obs.tsdb.TimeSeriesStore` and evaluates each rule as a
-compiled query — ``metric{labels}``, ``histogram_quantile(q, ...)``,
-or ``rate(metric{labels}[w])`` — over real windows.  The query
-engine's rate and quantile estimators are exact matches for the
+compiled query — ``metric{labels}`` or ``histogram_quantile(q, ...)``.
+The query engine's quantile estimator is an exact match for the
 historical semantics (see :mod:`repro.obs.query`), so transition
 sequences are reproduced bit for bit; the engine's store doubles as a
 free telemetry trail for postmortems (:attr:`SLOEngine.store`).
@@ -43,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.obs.prom import Counter, Histogram, MetricsRegistry
+from repro.obs.prom import Histogram, MetricsRegistry
 from repro.obs.query import FuncCall, Matcher, Number, QueryEngine, Selector
 from repro.obs.tsdb import TimeSeriesStore
 
@@ -80,10 +77,6 @@ class Rule:
     quantile:
         When set, the metric must be a histogram and the compared value
         is its q-quantile (0 <= q <= 1).
-    rate_window_s:
-        When set, the metric must be a counter and the compared value is
-        its increase per virtual second over the trailing window (the
-        burn rate).  Needs at least two samples inside the window.
     """
 
     name: str
@@ -93,7 +86,6 @@ class Rule:
     labels: Mapping[str, str] = field(default_factory=dict)
     for_s: float = 0.0
     quantile: Optional[float] = None
-    rate_window_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
@@ -102,10 +94,6 @@ class Rule:
             raise ValueError("for_s must be non-negative")
         if self.quantile is not None and not 0.0 <= self.quantile <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if self.rate_window_s is not None and self.rate_window_s <= 0.0:
-            raise ValueError("rate_window_s must be positive")
-        if self.quantile is not None and self.rate_window_s is not None:
-            raise ValueError("a rule is either a quantile or a burn rate, not both")
 
     def breaches(self, value: float) -> bool:
         return _OPS[self.op](value, self.threshold)
@@ -114,8 +102,6 @@ class Rule:
         target = self.metric
         if self.quantile is not None:
             target = f"quantile({self.quantile:g}, {target})"
-        if self.rate_window_s is not None:
-            target = f"rate({target}[{self.rate_window_s:g}s])"
         if self.labels:
             sel = ",".join(f'{k}="{v}"' for k, v in sorted(self.labels.items()))
             target += "{" + sel + "}"
@@ -152,8 +138,7 @@ class SLOEngine:
     """Evaluates rules against registry snapshots; tracks transitions.
 
     Snapshots are scraped into :attr:`store` and rules evaluate as
-    compiled queries over it, so windowed rules (``for:`` hysteresis,
-    burn rates) see real history instead of per-rule deltas.
+    compiled queries over it.
     """
 
     def __init__(
@@ -197,9 +182,8 @@ class SLOEngine:
 
         The snapshot is scraped into :attr:`store` first, then each rule
         evaluates as a query at ``now`` — the newest point of every
-        series is exactly the value the snapshot holds, so plain and
-        quantile rules read current state while windowed rules see the
-        full scraped history.
+        series is exactly the value the snapshot holds, so every rule
+        reads current state.
         """
         if not self.rules:  # the zero-overhead no-op path
             return
@@ -227,11 +211,6 @@ class SLOEngine:
                     Selector(rule.metric + "_bucket", matchers),
                 ),
             )
-        elif rule.rate_window_s is not None:
-            ast = FuncCall(
-                "rate",
-                (Selector(rule.metric, matchers, rule.rate_window_s),),
-            )
         else:
             ast = Selector(rule.metric, matchers)
         self._rule_asts[rule.name] = ast
@@ -247,11 +226,6 @@ class SLOEngine:
             raise TypeError(
                 f"rule {rule.name!r}: quantile target {rule.metric!r} "
                 "is not a histogram"
-            )
-        if rule.rate_window_s is not None and not isinstance(metric, Counter):
-            raise TypeError(
-                f"rule {rule.name!r}: burn-rate target {rule.metric!r} "
-                "is not a counter"
             )
         metric._key(dict(rule.labels))  # full-label-set check
         result = self._engine.query_ast(self._rule_ast(rule), at=now)

@@ -52,7 +52,10 @@ from repro.service.requests import (
 )
 from repro.service.telemetry import ServiceTelemetry
 
-__all__ = ["ServiceConfig", "SpectrumBroker", "Ticket", "run_trace"]
+__all__ = [
+    "ServiceConfig", "SpectrumBroker", "Ticket", "play_trace", "run_trace",
+    "trace_broker",
+]
 
 LANES = ("interactive", "survey")
 #: Backpressure hint returned with a rejection (virtual seconds).
@@ -103,10 +106,6 @@ class ServiceConfig:
     #: Atomic database scope shared by all requests.
     db_n_max: int = 4
     db_z_max: int = 14
-    #: Cap per-lane latency samples at this reservoir size (uniform
-    #: sample, deterministic); ``None`` keeps every sample, matching the
-    #: historical behaviour.
-    latency_reservoir: Optional[int] = None
     #: Approximate serving (:mod:`repro.approx`): the shape of every
     #: family lattice.  Engages only for requests declaring a positive
     #: ``accuracy`` budget; ``None`` routes every request to the exact
@@ -126,8 +125,6 @@ class ServiceConfig:
             raise ValueError("batch_window_s must be >= 0 or None")
         if self.batch_width_max < 1:
             raise ValueError("batch_width_max must be >= 1")
-        if self.latency_reservoir is not None and self.latency_reservoir < 1:
-            raise ValueError("latency_reservoir must be >= 1 or None")
 
 
 @dataclass
@@ -247,7 +244,7 @@ class SpectrumBroker:
             track=track("service", "cache"),
         )
         self.coalescer = RequestCoalescer(self.tracer, track("service", "coalescer"))
-        self.telemetry = ServiceTelemetry(LANES, config.latency_reservoir)
+        self.telemetry = ServiceTelemetry(LANES)
         self.bus = ServiceBus(
             self.telemetry,
             tracer=self.tracer,
@@ -706,6 +703,27 @@ def run_trace(
     Returns the broker (telemetry, cache, coalescer all inspectable) and
     each arrival's final ticket, trace-ordered.
     """
+    broker = trace_broker(
+        config, db, tracer, slo, flight_dir, flight_window_s, tsdb, anomaly,
+        cost_model,
+    )
+    return broker, play_trace(broker, trace)
+
+
+def trace_broker(
+    config: ServiceConfig | None = None,
+    db: AtomicDatabase | None = None,
+    tracer=None,
+    slo=None,
+    flight_dir: Optional[str] = None,
+    flight_window_s: float = 10.0,
+    tsdb=None,
+    anomaly=None,
+    cost_model=None,
+) -> SpectrumBroker:
+    """The broker :func:`run_trace` plays its trace through, on a fresh
+    clock and with the flight recorder armed.  Nothing has run yet, so
+    a setting the broker or the recorder refuses raises here."""
     clock = SimClock()
     if tracer is not None:
         tracer.bind(clock)
@@ -721,6 +739,15 @@ def run_trace(
             broker.flight.arm(slo)
         if anomaly is not None:
             broker.flight.arm_anomalies(anomaly)
+    return broker
+
+
+def play_trace(
+    broker: SpectrumBroker, trace: Sequence[Arrival]
+) -> list[Optional[Ticket]]:
+    """Start ``broker`` and play ``trace`` through it to completion, as
+    :func:`run_trace` does; returns each arrival's final ticket."""
+    clock = broker.clock
     broker.start()
     tickets: list[Optional[Ticket]] = [None] * len(trace)
 
@@ -753,4 +780,4 @@ def run_trace(
         # One closing scrape so the stored series end on the finalized
         # registry state (residency folded, end_time stamped).
         broker._scrape(clock.now)
-    return broker, tickets
+    return tickets

@@ -11,40 +11,27 @@ The hooks are fed through :class:`repro.obs.bus.ServiceBus`, which makes
 this ledger one *derived consumer* of the service event stream (the span
 tracer being the other); calling the hooks directly remains supported —
 a ledger is a valid sink for its own API.
-
-Latency samples are exact by default; for long trace replays pass
-``latency_reservoir`` to cap per-lane memory with deterministic
-reservoir sampling (mean/max stay exact from streaming aggregates,
-percentiles come from the reservoir).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.core.metrics import RunResult
-from repro.obs.prom import DEFAULT_BUCKETS
 
 __all__ = ["LaneStats", "ServiceTelemetry"]
-
-#: Fixed seed of the reservoir's replacement draws — sampling stays
-#: deterministic for a given observation sequence, like everything else.
-_RESERVOIR_SEED = 20150413
 
 
 @dataclass
 class LaneStats:
     """Request counters and latency samples of one priority lane.
 
-    ``reservoir=None`` keeps every latency sample (exact percentiles,
-    unbounded memory); ``reservoir=k`` holds a uniform k-sample
-    reservoir (Vitter's algorithm R) instead, so arbitrarily long
-    replays use O(k) memory.  Mean and max are always exact — they come
-    from streaming aggregates, not the sample set.
+    ``latencies_s`` keeps every sample, in completion order; the
+    exported latency histogram observes it.  Mean and max come from
+    streaming aggregates.
     """
 
     arrivals: int = 0
@@ -61,19 +48,9 @@ class LaneStats:
     #: the exemplar source linking the Prometheus latency histogram back
     #: to concrete request spans (OpenMetrics-style exemplars).
     latency_exemplars: list[tuple[float, int]] = field(default_factory=list)
-    reservoir: Optional[int] = None
     _seen: int = field(default=0, repr=False)
     _sum: float = field(default=0.0, repr=False)
     _max: float = field(default=0.0, repr=False)
-    _rng: Optional[np.random.Generator] = field(default=None, repr=False)
-    #: Reservoir mode only: completions per latency bucket (+Inf last).
-    _buckets: list[int] = field(
-        default_factory=lambda: [0] * (len(DEFAULT_BUCKETS) + 1), repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.reservoir is not None and self.reservoir < 1:
-            raise ValueError("reservoir capacity must be >= 1")
 
     @property
     def lost(self) -> int:
@@ -81,7 +58,7 @@ class LaneStats:
         return self.arrivals - self.completions
 
     def record_latency(self, latency_s: float, trace_id: int = 0) -> None:
-        """Stream one latency sample into the (bounded or exact) store."""
+        """Record one latency sample."""
         if trace_id > 0:
             self.latency_exemplars.append((latency_s, trace_id))
             if len(self.latency_exemplars) > 64:
@@ -90,31 +67,7 @@ class LaneStats:
         self._sum += latency_s
         if latency_s > self._max:
             self._max = latency_s
-        if self.reservoir is None:
-            self.latencies_s.append(latency_s)
-            return
-        # Bounded mode streams the histogram too: the reservoir forgets
-        # samples, and an exported counter must never go down.
-        self._buckets[bisect.bisect_left(DEFAULT_BUCKETS, latency_s)] += 1
-        if len(self.latencies_s) < self.reservoir:
-            self.latencies_s.append(latency_s)
-            return
-        if self._rng is None:
-            self._rng = np.random.default_rng(_RESERVOIR_SEED)
-        j = int(self._rng.integers(0, self._seen))
-        if j < self.reservoir:
-            self.latencies_s[j] = latency_s
-
-    def latency_histogram(self):
-        """What the latency histogram family exports for this lane.
-
-        Exact mode: the append-only sample list (the registry observes
-        what it has not seen).  Reservoir mode: the streamed ``(bucket
-        counts, sum)`` — monotone, ``count == completions``.
-        """
-        if self.reservoir is None:
-            return self.latencies_s
-        return self._buckets, self._sum
+        self.latencies_s.append(latency_s)
 
     def latency_percentile(self, q: float) -> float:
         if not self.latencies_s:
@@ -156,13 +109,10 @@ class ServiceTelemetry:
     def __init__(
         self,
         lanes: tuple[str, ...] = ("interactive", "survey"),
-        latency_reservoir: Optional[int] = None,
     ) -> None:
         if not lanes:
             raise ValueError("need at least one lane")
-        self.lanes: dict[str, LaneStats] = {
-            lane: LaneStats(reservoir=latency_reservoir) for lane in lanes
-        }
+        self.lanes: dict[str, LaneStats] = {lane: LaneStats() for lane in lanes}
         # Queue-depth residency (all lanes pooled): virtual seconds the
         # admission queue spent at each observed depth.
         self._depth_residency: dict[int, float] = {}

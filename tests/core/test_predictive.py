@@ -2,7 +2,7 @@
 
 The contract under test: the predictive scheduler prices *placement*
 but must never change an *answer* — spectra are bit-identical to the
-depth scheduler's, with stealing on or off — and the shared-segment
+depth scheduler's — and the shared-segment
 bookkeeping conserves every slot, tick, steal, and donation.
 """
 
@@ -85,16 +85,6 @@ class TestBitIdentity:
                 depth_result.spectra[p], predictive_result.spectra[p]
             )
 
-    def test_spectra_match_with_stealing_off(self, tasks, predictive_result):
-        no_steal = HybridRunner(
-            _config(scheduler_kind="predictive", steal=False)
-        ).run(tasks)
-        assert no_steal.metrics.total_steals == 0
-        for p in predictive_result.spectra:
-            np.testing.assert_array_equal(
-                predictive_result.spectra[p], no_steal.spectra[p]
-            )
-
     def test_deterministic_replay(self, tasks, predictive_result):
         again = HybridRunner(_config(scheduler_kind="predictive")).run(tasks)
         assert again.makespan_s == predictive_result.makespan_s
@@ -119,22 +109,7 @@ class TestConservation:
         assert all(meas > 0.0 for _pred, meas in m.predictions)
 
 
-class TestCpuThreshold:
-    def test_tight_threshold_forces_cpu_fallback(self, tasks, predictive_result):
-        clipped = HybridRunner(
-            _config(scheduler_kind="predictive", cpu_threshold_s=1.0e-4)
-        ).run(tasks)
-        assert clipped.metrics.cpu_tasks > predictive_result.metrics.cpu_tasks
-        for p in predictive_result.spectra:
-            np.testing.assert_array_equal(
-                predictive_result.spectra[p], clipped.spectra[p]
-            )
-
-
 class TestConfigValidation:
     def test_predictive_rejects_async_depth(self):
         with pytest.raises(ValueError, match="async_depth"):
             _config(scheduler_kind="predictive", async_depth=2)
-
-    def test_steal_flag_defaults_on(self):
-        assert _config().steal is True

@@ -35,12 +35,16 @@ def setup():
     return db, grid, space
 
 
-def real_tasks(db, grid, space):
-    """The workload with real execute callables on both paths."""
-
+def _gpu_factory(db, grid, space):
     def gpu_factory(ion, point_index):
         point = space.point(point_index)
         return lambda: ion_emissivity_batched(db, ion, point, grid)
+
+    return gpu_factory
+
+
+def real_tasks(db, grid, space):
+    """The workload with real execute callables on both paths."""
 
     def cpu_factory(ion, point_index):
         point = space.point(point_index)
@@ -55,7 +59,10 @@ def real_tasks(db, grid, space):
         db_config=AtomicConfig.tiny(),
     )
     return build_tasks(
-        spec, db=db, gpu_execute_factory=gpu_factory, cpu_execute_factory=cpu_factory
+        spec,
+        db=db,
+        gpu_execute_factory=_gpu_factory(db, grid, space),
+        cpu_execute_factory=cpu_factory,
     )
 
 
@@ -100,6 +107,32 @@ class TestHybridProducesSerialSpectra:
                 starved.spectra[point_index],
                 roomy.spectra[point_index],
                 rtol=1e-10,
+            )
+
+
+    def test_fallback_without_a_cpu_factory_runs_execute(self, setup):
+        """A task built with only ``execute`` runs it on the CPU path:
+        forced fallbacks give the all-device run's bits."""
+        db, grid, space = setup
+        spec = WorkloadSpec(
+            n_points=len(space), bins_per_level=grid.n_bins,
+            db_config=AtomicConfig.tiny(),
+        )
+        tasks = build_tasks(
+            spec, db=db, gpu_execute_factory=_gpu_factory(db, grid, space)
+        )
+        starved = HybridRunner(
+            HybridConfig(n_workers=2, n_gpus=1, max_queue_length=1, stagger_s=0.0)
+        ).run(tasks)
+        device_only = HybridRunner(
+            HybridConfig(n_workers=2, n_gpus=1, max_queue_length=2)
+        ).run(tasks)
+        assert starved.metrics.cpu_tasks > 0
+        assert device_only.metrics.cpu_tasks == 0
+        assert set(starved.spectra) == set(device_only.spectra) == set(range(len(space)))
+        for point_index in device_only.spectra:
+            np.testing.assert_array_equal(
+                starved.spectra[point_index], device_only.spectra[point_index]
             )
 
 

@@ -1,4 +1,4 @@
-"""Event buses, the latency reservoir, and TaskEvent timing fields."""
+"""Event buses, per-lane latency samples, and TaskEvent timing fields."""
 
 import numpy as np
 import pytest
@@ -68,86 +68,18 @@ class TestServiceBus:
 
 
 class TestLatencyReservoir:
+    """Per-lane latency storage: every sample kept, mean and max streamed."""
+
     def test_unbounded_by_default(self):
         stats = LaneStats()
         for i in range(500):
             stats.record_latency(float(i))
         assert len(stats.latencies_s) == 500
 
-    def test_reservoir_caps_memory(self):
-        stats = LaneStats(reservoir=32)
-        for i in range(10_000):
-            stats.record_latency(float(i))
-        assert len(stats.latencies_s) == 32
-        assert all(0.0 <= v < 10_000.0 for v in stats.latencies_s)
-
-    def test_mean_and_max_exact_despite_sampling(self):
-        stats = LaneStats(reservoir=8)
-        values = [float(i) for i in range(1000)]
-        for v in values:
-            stats.record_latency(v)
-        assert stats.mean_latency_s() == pytest.approx(np.mean(values))
-        assert stats.max_latency_s() == max(values)
-
-    def test_sampling_is_deterministic(self):
-        def fill():
-            s = LaneStats(reservoir=16)
-            for i in range(2000):
-                s.record_latency(float(i))
-            return s.latencies_s
-
-        assert fill() == fill()
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LaneStats(reservoir=0)
-
     def test_hand_built_stats_still_report(self):
         stats = LaneStats(latencies_s=[1.0, 3.0])
         assert stats.mean_latency_s() == pytest.approx(2.0)
         assert stats.max_latency_s() == 3.0
-
-    def test_telemetry_threads_reservoir_to_lanes(self):
-        tel = ServiceTelemetry(("a", "b"), latency_reservoir=4)
-        for _ in range(10):
-            tel.on_completion("a", 1.0, cached=False, coalesced=False)
-        assert len(tel.lanes["a"].latencies_s) == 4
-        assert tel.lanes["a"].completions == 10
-
-    def test_reservoir_histogram_is_monotone_and_complete(self):
-        """The exported latency histogram streams next to the reservoir:
-        rebuilt from the reservoir's current contents its counter series
-        went *down* between scrapes and ``_count`` stopped at ``k``."""
-        from repro.obs import TimeSeriesStore
-        from repro.service.broker import ServiceConfig, run_trace
-        from repro.service.loadgen import TrafficSpec, generate_trace
-
-        trace = generate_trace(
-            TrafficSpec(
-                n_requests=120, pattern="uniform", n_distinct=30000,
-                mean_interarrival_s=0.4, seed=7,
-            )
-        )
-        store = TimeSeriesStore(cadence_s=0.5)
-        broker, _ = run_trace(
-            trace,
-            ServiceConfig(n_service_workers=2, latency_reservoir=8),
-            tsdb=store,
-        )
-        histogram = [
-            s for s in store.series()
-            if s.name.startswith("repro_request_latency_seconds_")
-        ]
-        assert histogram and store.n_scrapes > 10
-        for series in histogram:
-            values = series.values()
-            assert values == sorted(values), (series.name, series.labels)
-        latency = broker.registry().get("repro_request_latency_seconds")
-        for lane, stats in broker.telemetry.lanes.items():
-            assert sum(latency._counts.get((lane,), ())) == stats.completions
-            if stats.completions:
-                assert latency._sums[(lane,)] == stats._sum
-        assert sum(s.completions for s in broker.telemetry.lanes.values()) == 120
 
 
 class TestTaskEventTiming:

@@ -125,12 +125,11 @@ class TestLiveRegistry:
         pattern=st.sampled_from(["uniform", "zipf", "walk"]),
         interactive=st.sampled_from([0.0, 0.25, 1.0]),
         window=st.sampled_from([None, 0.0, 0.05]),
-        reservoir=st.sampled_from([None, 4]),
         traced=st.booleans(),
         seed=st.integers(min_value=0, max_value=50),
     )
     def test_refreshed_registry_renders_what_a_fresh_one_would(
-        self, pattern, interactive, window, reservoir, traced, seed
+        self, pattern, interactive, window, traced, seed
     ):
         """At every batch of a random trace the broker's live registry is
         byte-identical to one filled for the first time at that instant."""
@@ -141,9 +140,7 @@ class TestLiveRegistry:
                 accuracy=1e-3 if pattern == "walk" else 0.0,
             )
         )
-        config = ServiceConfig(
-            n_service_workers=2, batch_window_s=window, latency_reservoir=reservoir
-        )
+        config = ServiceConfig(n_service_workers=2, batch_window_s=window)
         live_registry = SpectrumBroker.registry
         renders = []
 

@@ -1,11 +1,10 @@
-"""SLO engine: rule lifecycle, burn rates, quantiles, zero overhead."""
+"""SLO engine: rule lifecycle, quantiles, zero overhead."""
 
 import pytest
 
-from repro.obs import Counter, Histogram, MetricsRegistry, Rule, RuleState, SLOEngine
+from repro.obs import Histogram, MetricsRegistry, Rule, RuleState, SLOEngine
 from repro.service.broker import ServiceConfig, run_trace
 from repro.service.loadgen import TrafficSpec, generate_trace
-from tests.obs.test_prom import set_counter
 
 
 def _state(engine: SLOEngine, name: str) -> str:
@@ -32,13 +31,6 @@ class TestRuleValidation:
     def test_quantile_range(self):
         with pytest.raises(ValueError, match="quantile"):
             Rule(name="r", metric="m", op=">", threshold=1.0, quantile=1.5)
-
-    def test_quantile_and_rate_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            Rule(
-                name="r", metric="m", op=">", threshold=1.0,
-                quantile=0.95, rate_window_s=10.0,
-            )
 
     def test_duplicate_rule_name_rejected(self):
         engine = SLOEngine()
@@ -132,34 +124,6 @@ class TestValueKinds:
         with pytest.raises(TypeError, match="not a histogram"):
             engine.sample(reg, now=0.0)
 
-    def test_burn_rate_over_trailing_window(self):
-        rule = Rule(
-            name="errors", metric="errors_total", op=">", threshold=2.0,
-            rate_window_s=10.0,
-        )
-        engine = SLOEngine((rule,))
-
-        def reg_at(total: float) -> MetricsRegistry:
-            reg = MetricsRegistry()
-            set_counter(reg, "errors_total", total)
-            return reg
-
-        engine.sample(reg_at(0.0), now=0.0)   # first sample: no rate yet
-        assert _state(engine, "errors") == RuleState.INACTIVE
-        engine.sample(reg_at(10.0), now=2.0)  # 5/s over [0, 2]
-        assert _state(engine, "errors") == RuleState.FIRING
-        engine.sample(reg_at(11.0), now=12.0)  # window slides; rate ~0.1/s
-        assert _state(engine, "errors") == RuleState.INACTIVE
-
-    def test_burn_rate_on_non_counter_raises(self):
-        reg = MetricsRegistry()
-        reg.gauge("x", "h").set(1.0)
-        engine = SLOEngine(
-            (Rule(name="r", metric="x", op=">", threshold=0.0, rate_window_s=5.0),)
-        )
-        with pytest.raises(TypeError, match="not a counter"):
-            engine.sample(reg, now=0.0)
-
     def test_missing_metric_raises_key_error(self):
         engine = SLOEngine(
             (Rule(name="r", metric="absent", op=">", threshold=0.0),)
@@ -218,20 +182,15 @@ class TestServiceIntegration:
 
 
 class _LegacySLOEngine(SLOEngine):
-    """Reference evaluator: direct registry reads, pruned rate history.
+    """Reference evaluator: direct registry reads.
 
     This reimplements the pre-query-engine ``_value`` semantics the
     engine shipped with before it was rewired onto the time-series
-    store: plain rules read the registry snapshot directly, quantile
-    rules call :meth:`Histogram.quantile`, and burn-rate rules keep a
-    per-rule ``(t, total)`` history pruned to the trailing window.  The
-    equivalence test below asserts the rewired engine reproduces this
-    evaluator's transition sequence exactly.
+    store: plain rules read the registry snapshot directly and quantile
+    rules call :meth:`Histogram.quantile`.  The equivalence test below
+    asserts the rewired engine reproduces this evaluator's transition
+    sequence exactly.
     """
-
-    def __init__(self, rules=()):
-        super().__init__(rules)
-        self._history: dict[str, list[tuple[float, float]]] = {}
 
     def _value(self, rule, registry, now):
         metric = registry.get(rule.metric)
@@ -240,19 +199,6 @@ class _LegacySLOEngine(SLOEngine):
             if not isinstance(metric, Histogram):
                 raise TypeError("not a histogram")
             return metric.quantile(rule.quantile, **labels)
-        if rule.rate_window_s is not None:
-            if not isinstance(metric, Counter):
-                raise TypeError("not a counter")
-            total = metric.value(**labels)
-            history = self._history.setdefault(rule.name, [])
-            history.append((now, total))
-            horizon = now - rule.rate_window_s
-            while len(history) > 1 and history[1][0] <= horizon:
-                history.pop(0)
-            t0, v0 = history[0]
-            if now <= t0:
-                return 0.0
-            return (total - v0) / (now - t0)
         return metric.value(**labels)
 
 
@@ -275,14 +221,6 @@ class TestQueryEngineEquivalence:
             op=">",
             threshold=3.0,
             for_s=0.1,
-        ),
-        Rule(
-            name="burn-rate",
-            metric="repro_requests_total",
-            labels={"lane": "survey", "outcome": "computed"},
-            op=">",
-            threshold=2.0,
-            rate_window_s=2.0,
         ),
     )
 
@@ -315,7 +253,6 @@ class TestQueryEngineEquivalence:
             for j in range(i + 1):
                 h.observe(0.1 * ((i + j) % 9), lane="interactive")
             reg.gauge("repro_queue_depth", "h").set(float((i * 3) % 5))
-            set_counter(reg, "repro_requests_total", 1.7 * i, lane="survey", outcome="computed")
             now = 0.3 * i
             new.sample(reg, now=now)
             old.sample(reg, now=now)

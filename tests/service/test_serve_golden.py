@@ -30,7 +30,7 @@ import io
 
 import pytest
 
-import repro.service
+import repro.service.broker
 from repro.cli import main
 from repro.physics.plan import PLAN_CACHE
 
@@ -100,13 +100,13 @@ def serve(case: str, tmp_path, monkeypatch):
     # a fresh process does.
     PLAN_CACHE.clear()
     played = []
-    run_trace = repro.service.run_trace
+    play_trace = repro.service.broker.play_trace
 
-    def recording_run_trace(*args, **kw):
-        played.append(run_trace(*args, **kw))
-        return played[-1]
+    def recording_play_trace(broker, trace):
+        played.append((broker, play_trace(broker, trace)))
+        return played[-1][1]
 
-    monkeypatch.setattr(repro.service, "run_trace", recording_run_trace)
+    monkeypatch.setattr(repro.service.broker, "play_trace", recording_play_trace)
     paths = {part: tmp_path / f"{case}.{part}" for part in ("metrics", "trace")}
     argv = ["serve", *CASES[case], "--json"]
     if case == "batching":

@@ -256,6 +256,41 @@ class TestCommands:
         with pytest.raises(SystemExit, match="--z-max 20"):
             main(["submit", "--z-max", "20"])
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--slo-p95", "-1"), ("--slo-p95", "0"), ("--slo-p95", "nan"),
+         ("--slo-depth", "-3"), ("--slo-depth", "nan")],
+    )
+    def test_serve_refuses_an_objective_that_always_breaches(self, flag, value):
+        with pytest.raises(SystemExit, match=flag):
+            main(["serve", "--requests", "10", "--slo", flag, value])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--requests", "0"],
+            ["serve", "--workers", "0"],
+            ["serve", "--cache-mb", "-1"],
+            ["serve", "--ttl", "-5"],
+            ["serve", "--batch-width", "0"],
+            ["serve", "--zipf-s", "-2"],
+            ["serve", "--postmortem", "{tmp}", "--postmortem-window", "-1"],
+            ["submit", "--bins", "0"],
+            ["submit", "--tolerance", "-1"],
+            ["spectrum", "--bins", "0"],
+            ["spectrum", "--temperature", "-5"],
+            ["query", "depth", "--tsdb", "{tmp}/missing.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_refused_flag_value_is_a_usage_error(self, argv, tmp_path, capsys):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: error: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_query_roundtrip(self, tmp_path, capsys):
         import json
 
