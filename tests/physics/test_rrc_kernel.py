@@ -30,7 +30,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.atomic.abundances import SOLAR
@@ -49,6 +49,7 @@ from repro.physics.rrc_kernel import (
 )
 from repro.physics.spectrum import EnergyGrid
 from repro.physics.windows import level_windows
+from repro.quadrature.batch import linear_rule
 from tests.physics.test_plan import GENERIC, generic_launch
 
 
@@ -312,6 +313,10 @@ def kernel_inputs(draw):
 
 class TestTheExpansionItself:
     @given(inputs=kernel_inputs())
+    @example(inputs=(  # 10^4 K over one 80 keV bin: every node value underflows
+        EnergyGrid(np.array([1.0, 81.0])), np.array([1.0, 1.0, 12.40937761]),
+        np.array([1.0, 1.0, 0.5]), ("gauss", 12), K_B_KEV * 1.0e4, False, 0.0, [0, 1],
+    ))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_generic_kernel_on_any_grid(self, inputs):
         """... and its runs of bins, joined, are the whole call bit for bit
@@ -335,7 +340,15 @@ class TestTheExpansionItself:
         # exponent carries eps * E / kT: beyond 1e-12 only where a grid
         # reaches thousands of kT (1.5e-14 observed below 100 kT).
         budget = 1.0e-12 + 2.0 * np.finfo(float).eps * grid.edges[-1] / kt
-        assert np.abs(fast.values - generic.values).max() <= budget * scale
+        # Below the normal range a value keeps absolute, not relative,
+        # precision: each kernel rounds a node's subnormal exponential to a
+        # multiple of the smallest subnormal before the bin width, the rule
+        # weight and C_l scale it: a floor near 1e-320, below any normal value.
+        subnormal = (
+            np.finfo(float).smallest_subnormal * linear_rule(*rule)[0].size
+            * max(1.0, float(np.diff(grid.edges).max())) * float(c_l.sum())
+        )
+        assert np.abs(fast.values - generic.values).max() <= budget * scale + subnormal
         runs = [
             rule_rrc(
                 grid, rule, gaunt, energies, win.first, win.cutoff[None, :],
