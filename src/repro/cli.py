@@ -931,6 +931,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.rate <= 0.0:
         raise SystemExit("--rate must be positive")
+    if not args.postmortem_window > 0.0:  # refused with or without --postmortem
+        return _refuse(args, ValueError(
+            f"--postmortem-window must be positive, got {args.postmortem_window}"
+        ))
     tracer = None
     if (
         args.trace

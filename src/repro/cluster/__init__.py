@@ -12,13 +12,12 @@ stand-ins:
   :mod:`repro.core.scheduler` on live processes and shared arrays.
 """
 
-from repro.cluster.simclock import SimClock, Signal, Interrupt, ProcessHandle
+from repro.cluster.simclock import SimClock, Signal, ProcessHandle
 from repro.cluster.sharedmem import SharedSegment
 
 __all__ = [
     "SimClock",
     "Signal",
-    "Interrupt",
     "ProcessHandle",
     "SharedSegment",
 ]

@@ -15,19 +15,26 @@ time, so ordinary pushes run in schedule order at equal times and a given
 workload always produces the identical trace — the property that makes
 every figure reproducible.  :meth:`SimClock.call_chain` alone declares a
 later ``scheduled_at``: one event sorting where a chain's last link would.
+
+Wake-up protocol.  A *waiter* is anything with a ``_step(payload)``; to
+wake one is to push ``(now, now, seq, waiter._step, payload)``, the entry
+:meth:`Signal.fire` pushes per waiter, and a hot loop may push it onto
+``clock._heap`` itself (bumping ``clock._seq``) instead of building a
+one-waiter signal.  A generator started by :meth:`SimClock.start` is
+resumed by its own C-level ``send``: before each ``yield`` it pushes the
+entry a handle's step would, ``(now + d, now, seq, send, None)`` for a
+sleep of ``d`` (:meth:`SimClock.wake_after` refuses what a handle
+refuses).  It ends on a bare ``yield``, signalling its joiners itself:
+a return would raise ``StopIteration`` out of :meth:`SimClock.run`.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import inf
-from typing import Callable, Generator, Optional, Union
+from typing import Callable, Generator, Optional
 
-__all__ = ["SimClock", "Signal", "Interrupt", "ProcessHandle"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is killed while waiting."""
+__all__ = ["SimClock", "Signal", "ProcessHandle"]
 
 
 class Signal:
@@ -74,9 +81,6 @@ class _FnWaiter:
         self._step = fn
 
 
-Yieldable = Union[float, int, Signal, "ProcessHandle"]
-
-
 def _call(fn: Callable[[], None]) -> None:
     """Heap trampoline of :meth:`SimClock.at`: the event's arg is ``fn``."""
     fn()
@@ -93,32 +97,16 @@ class ProcessHandle:
         self.alive = True
         self.result: object = None
 
-    def kill(self) -> None:
-        """Interrupt the process; it may catch :class:`Interrupt` to clean up."""
-        if not self.alive:
-            return
-        try:
-            self._gen.throw(Interrupt())
-        except (StopIteration, Interrupt):
-            pass
-        self._finish(None)
-
-    def _finish(self, result: object) -> None:
-        if self.alive:
-            self.alive = False
-            self.result = result
-            self.done.fire(self._clock, result)
-
     def _step(self, send_value: object = None) -> None:
-        if not self.alive:
-            return
         try:
             target = self._gen.send(send_value)
         except StopIteration as stop:
-            self._finish(stop.value)
+            self.alive = False
+            self.result = stop.value
+            self.done.fire(self._clock, stop.value)
             return
-        # The two yields a simulated task is made of come first: a plain
-        # float sleep and a wait on a Signal.
+        # The common yields come first: a plain float sleep and a wait on
+        # a Signal.
         kind = type(target)
         if kind is float and 0.0 <= target < inf:
             self._clock._schedule(target, self._step, None)
@@ -126,27 +114,18 @@ class ProcessHandle:
         if kind is not Signal:
             if isinstance(target, ProcessHandle):
                 target = target.done  # join = wait for the done signal
-            elif not isinstance(target, Signal):
-                self._sleep(target)
+            elif isinstance(target, (float, int)):  # ints, NumPy floats, refusals
+                self._clock.wake_after(target, self._step, self.name)
                 return
+            elif not isinstance(target, Signal):
+                raise TypeError(
+                    f"process {self.name!r} yielded unsupported {target!r}; "
+                    "yield a delay, a Signal, or a ProcessHandle"
+                )
         if target.fired:
             self._clock._schedule(0.0, self._step, target.payload)
         else:
             target._waiters.append(self)
-
-    def _sleep(self, target: Yieldable) -> None:
-        """Ints, NumPy floats, and every yield that must be refused."""
-        if not isinstance(target, (float, int)):
-            raise TypeError(
-                f"process {self.name!r} yielded unsupported {target!r}; "
-                "yield a delay, a Signal, or a ProcessHandle"
-            )
-        if not 0 <= target < inf:
-            raise ValueError(
-                f"process {self.name!r} yielded negative or non-finite "
-                f"delay {target}"
-            )
-        self._clock._schedule(float(target), self._step, None)
 
 
 class SimClock:
@@ -175,6 +154,15 @@ class SimClock:
         now = self.now
         heappush(self._heap, (now + delay, now, self._seq, fn, arg))
 
+    def wake_after(self, delay: float, fn: Callable[[object], None], name: str) -> None:
+        """Push ``fn(None)`` ``delay`` seconds on: process ``name``'s
+        wake-up from a sleep of ``delay``, refused if it must be."""
+        if not 0 <= delay < inf:
+            raise ValueError(
+                f"process {name!r} yielded negative or non-finite delay {delay}"
+            )
+        self._schedule(float(delay), fn, None)
+
     def call_chain(
         self, hops: tuple[float, ...], fn: Callable[[object], None], arg: object
     ) -> None:
@@ -202,6 +190,13 @@ class SimClock:
         handle = ProcessHandle(self, gen, name)
         self._schedule(0.0, handle._step, None)
         return handle
+
+    def start(self, gen: Generator) -> None:
+        """Start a generator that drives itself (see the module docstring):
+        at t = now, as one event, its first ``yield`` receives its own
+        ``send``, the callable every later wake-up of it pushes."""
+        gen.send(None)
+        self.call_at(0.0, gen.send, gen.send)
 
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the heap drains (or ``until`` is passed).

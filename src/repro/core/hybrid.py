@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
+from math import inf
 from typing import Generator, Optional
 
 import numpy as np
@@ -220,7 +222,7 @@ class HybridRunner:
         tracer = self.tracer
         start = clock.now
         metrics = MetricsLedger(cfg.n_gpus, cfg.max_queue_length, start_time=start)
-        metrics.evals_saved = sum(t.evals_saved for t in tasks)
+        metrics.evals_saved = sum([t.evals_saved for t in tasks])
         if tracer.enabled:
             device_tracks = [
                 tracer.track(self.scope, f"gpu{d}") for d in range(cfg.n_gpus)
@@ -251,10 +253,7 @@ class HybridRunner:
             )
         elif cfg.scheduler_kind == "predictive":
             sched = PredictiveScheduler(
-                cfg.n_gpus,
-                cfg.max_queue_length,
-                bus,
-                tie_break=cfg.tie_break,
+                cfg.n_gpus, cfg.max_queue_length, bus, tie_break=cfg.tie_break
             )
         else:
             sched = SharedMemoryScheduler(
@@ -280,61 +279,45 @@ class HybridRunner:
                 from repro.obs.attribution import CostModel as SpanCostModel
 
                 self.span_cost_model = SpanCostModel.from_spec(cfg.device)
-            dispatch = _PredictiveDispatch(
-                clock, sched, gpus, bus, self.span_cost_model
-            )
+            dispatch = _PredictiveDispatch(clock, sched, gpus, bus, self.span_cost_model)
 
-        per_worker = self._partition(tasks)
-        stagger = self.config.stagger_s
-        handles = []
+        per_worker, stagger = self._partition(tasks), cfg.stagger_s
+        joins = []
         for rank, my_tasks in enumerate(per_worker):
             rank_track = (
                 tracer.track(self.scope, f"rank{rank}") if tracer.enabled else 0
             )
             if cfg.async_depth > 0:
-                gen = self._worker_async(
+                joins.append(clock.spawn(self._worker_async(
                     rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
                     rank_track,
-                )
+                ), name=f"rank{rank}"))
             else:
-                gen = self._worker_sync(
+                joins.append(Signal(f"rank{rank}.done"))
+                clock.start(self._worker_sync(
                     rank, my_tasks, clock, sched, gpus, dispatch, bus, spectra,
-                    stagger, rank_track,
-                )
-            handles.append(clock.spawn(gen, name=f"rank{rank}"))
+                    stagger, joins[-1], rank_track,
+                ))
 
-        for handle in handles:
-            yield handle
+        for join in joins:
+            yield join
         makespan = clock.now - start
         metrics.finalize(clock.now)
         sched.validate()
         if sched.segment.total_load() != 0:
             raise RuntimeError("scheduler leaked queue slots at end of run")
         if sched.segment.total_backlog() != 0:
-            raise RuntimeError(
-                "scheduler leaked predicted backlog at end of run"
-            )
+            raise RuntimeError("scheduler leaked predicted backlog at end of run")
         if tracer.enabled:
-            tracer.span(
-                batch_track,
-                name,
-                start,
-                clock.now,
-                cat="batch",
-                args={
-                    "n_tasks": len(tasks),
-                    "gpu_tasks": int(metrics.gpu_tasks.sum()),
-                    "cpu_tasks": metrics.cpu_tasks,
-                    "evals_saved": metrics.evals_saved,
-                },
-            )
+            tracer.span(batch_track, name, start, clock.now, cat="batch", args={
+                "n_tasks": len(tasks),
+                "gpu_tasks": int(metrics.gpu_tasks.sum()),
+                "cpu_tasks": metrics.cpu_tasks,
+                "evals_saved": metrics.evals_saved,
+            })
         return RunResult(
-            makespan_s=makespan,
-            metrics=metrics,
-            n_tasks=len(tasks),
-            mode="hybrid",
-            spectra=spectra,
-            gpu_utilization=[g.utilization(makespan) for g in gpus],
+            makespan_s=makespan, metrics=metrics, n_tasks=len(tasks), mode="hybrid",
+            spectra=spectra, gpu_utilization=[g.utilization(makespan) for g in gpus],
         )
 
     # ------------------------------------------------------------------
@@ -342,7 +325,7 @@ class HybridRunner:
     # ------------------------------------------------------------------
     def _worker_sync(
         self, rank, my_tasks, clock, sched, gpus, dispatch, bus, spectra,
-        stagger, rank_track=0,
+        stagger, done, rank_track=0,
     ) -> Generator:
         """One rank's task loop, for every synchronous policy.
 
@@ -353,9 +336,14 @@ class HybridRunner:
         model, placed by predicted finish time and parked on the
         per-device queues (where a steal may relocate it), and the
         executing slot frees.  Either way the rank blocks on the task's
-        completion signal, so accumulation order — and with it every
-        spectrum bit — is the rank's own task order whichever device ran
-        the task.
+        completion, so accumulation order — and with it every spectrum
+        bit — is the rank's own task order whichever device ran the task.
+
+        The rank drives itself (:meth:`SimClock.start`): it pushes its own
+        wake-ups — the two sleeps every task takes inline, as a helper
+        would cost the frame this saves — hands its ``send`` to the device
+        or dispatch slot as its task's waiter, and at the end fires
+        ``done`` and parks.
         """
         cfg = self.config
         cost = cfg.cost
@@ -363,7 +351,11 @@ class HybridRunner:
         traced = tracer.enabled
         model = dispatch.model if dispatch is not None else None
         stolen = predicted = None  # per task under predictive dispatch
-        yield rank * stagger
+        rpc = sched.rpc_latency_s
+        heap, name = clock._heap, f"rank{rank}"
+        send = yield
+        clock.wake_after(rank * stagger, send, name)
+        yield
         point_share = self._point_share(my_tasks)
         for task in my_tasks:
             task_started = clock.now
@@ -375,16 +367,21 @@ class HybridRunner:
             # task loop in APEC, so it is amortized across the point's
             # tasks rather than paid as a serial prelude that would starve
             # the GPUs at startup.
-            yield cost.prep_s(task.n_levels) + point_share[task.point_index]
-            if sched.rpc_latency_s:
-                yield sched.rpc_latency_s
+            delay = cost.prep_s(task.n_levels) + point_share[task.point_index]
+            if type(delay) is float and 0.0 <= delay < inf:
+                clock._seq = seq = clock._seq + 1
+                heappush(heap, (clock.now + delay, clock.now, seq, send, None))
+            else:
+                clock.wake_after(delay, send, name)
+            yield
+            if rpc:
+                clock.wake_after(rpc, send, name)
+                yield
             if dispatch is None:
                 device = sched.sche_alloc(clock.now)
                 if traced:
-                    tracer.task_alloc(
-                        rank_track, device, sched.loads(), sched.histories(),
-                        task.task_id,
-                    )
+                    tracer.task_alloc(rank_track, device, sched.loads(),
+                                      sched.histories(), task.task_id)
             else:
                 # Priced once: the table key rides on the pending entry to
                 # the observe call, the ticks to every segment update.
@@ -397,13 +394,18 @@ class HybridRunner:
                         task.task_id, sched.backlog_ticks(), ticks, predicted,
                     )
             if device != NO_DEVICE:
-                yield cost.submit_overhead_s
+                delay = cost.submit_overhead_s
+                if type(delay) is float and 0.0 <= delay < inf:
+                    clock._seq = seq = clock._seq + 1
+                    heappush(heap, (clock.now + delay, clock.now, seq, send, None))
+                else:
+                    clock.wake_after(delay, send, name)
+                yield
                 submitted_at = clock.now
                 if dispatch is not None:
-                    entry = dispatch.enqueue(
-                        device, task, key, evals, predicted, ticks, span_id
-                    )
-                    payload = yield entry.done
+                    entry = dispatch.enqueue(device, task, key, evals, predicted, ticks,
+                                             span_id, send)
+                    payload = yield
                     stolen = device != entry.executed_device
                     device = entry.executed_device
                     if entry.failed:
@@ -416,7 +418,7 @@ class HybridRunner:
                     gpu = gpus[device]
                     price = gpu.spec.phase_times(task)
                     try:
-                        done = gpu.submit(task, span_id, price)
+                        gpu.submit(task, span_id, price, send)
                     except RuntimeError:
                         # The device died between admission and submission:
                         # release the slot, revoke the phantom admission, and
@@ -427,13 +429,15 @@ class HybridRunner:
                         bus.on_admission_revoked(device)
                         device = NO_DEVICE
                     else:
-                        payload = yield done
+                        payload = yield
                         service = price[0] + price[1] + price[2]
-                        wait_s = max(0.0, clock.now - submitted_at - service)
+                        wait_s = clock.now - submitted_at - service
+                        wait_s = wait_s if wait_s > 0.0 else 0.0
                         started = submitted_at + wait_s
                         bus.on_task_timing(wait_s, service)
-                        if sched.rpc_latency_s:
-                            yield sched.rpc_latency_s
+                        if rpc:
+                            clock.wake_after(rpc, send, name)
+                            yield
                         sched.sche_free(device, clock.now)
             if device != NO_DEVICE:
                 if payload is not None:
@@ -444,28 +448,27 @@ class HybridRunner:
                         task_started, span_id, task.trace_parent, device,
                         wait_s, service, submitted_at, started, stolen, predicted,
                     )
-                if cfg.record_trace:
-                    bus.on_task_event(TaskEvent(
-                        rank=rank, task_id=task.task_id, placement="gpu",
-                        device=device, start=started, end=clock.now,
-                        enqueue=submitted_at,
-                    ))
             else:
                 bus.on_cpu_task()
-                cpu_started = clock.now
-                yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
+                submitted_at = started = clock.now
+                delay = cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
+                clock.wake_after(delay, send, name)
+                yield
                 self._accumulate(spectra, task, task.run_cpu())
                 if traced:
-                    tracer.task_end(
-                        rank_track, task.label or f"task{task.task_id}",
-                        task_started, span_id, task.trace_parent, NO_DEVICE, 0.0,
-                    )
-                if cfg.record_trace:
-                    bus.on_task_event(TaskEvent(
-                        rank=rank, task_id=task.task_id, placement="cpu",
-                        device=-1, start=cpu_started, end=clock.now,
-                        enqueue=cpu_started,
-                    ))
+                    tracer.task_end(rank_track, task.label or f"task{task.task_id}",
+                                    task_started, span_id, task.trace_parent,
+                                    NO_DEVICE, 0.0)
+            if cfg.record_trace:
+                bus.on_task_event(TaskEvent(
+                    rank=rank, task_id=task.task_id,
+                    placement="cpu" if device == NO_DEVICE else "gpu",
+                    device=device, start=started, end=clock.now,
+                    enqueue=submitted_at,
+                ))
+        done.fire(clock)
+        send = entry = None  # no cycle through the frame: freed at once
+        yield  # parked: nothing wakes a finished rank
 
     def _worker_async(
         self, rank, my_tasks, clock, sched, gpus, bus, spectra, stagger,
@@ -577,10 +580,10 @@ class _PendingTask:
 
     __slots__ = (
         "task", "key", "evals", "cost_s", "ticks", "span_id", "enqueued_at",
-        "done", "executed_device", "exec_started", "service_s", "failed",
+        "wake", "executed_device", "exec_started", "service_s", "failed",
     )
 
-    def __init__(self, task, key, evals, cost_s, ticks, span_id, now):
+    def __init__(self, task, key, evals, cost_s, ticks, span_id, now, wake):
         self.task = task
         #: The cost model's table key and the priced evaluation count —
         #: computed once, at placement.
@@ -593,7 +596,7 @@ class _PendingTask:
         self.ticks = ticks
         self.span_id = span_id
         self.enqueued_at = now
-        self.done = Signal("task.done")
+        self.wake = wake  # the owning rank's send: the entry's one waiter
         # Set by the executing dispatch slot:
         self.executed_device = -1
         self.exec_started = 0.0
@@ -638,29 +641,29 @@ class _PredictiveDispatch:
         ]
 
     def enqueue(
-        self, device, task, key, evals, cost_s, ticks, span_id
+        self, device, task, key, evals, cost_s, ticks, span_id, wake
     ) -> _PendingTask:
         """Park one admitted task on ``device``'s queue and wake every
-        idle slot, ``device``'s own first.
+        idle slot, ``device``'s own first; ``wake`` resumes the rank.
 
         Waking is a same-instant event per slot, so push order decides
         who claims the entry: the owning device gets first refusal, and
         another device steals it only when the owner's slots are all busy.
         """
         clock = self.clock
-        entry = _PendingTask(task, key, evals, cost_s, ticks, span_id, clock.now)
+        now = clock.now
+        entry = _PendingTask(task, key, evals, cost_s, ticks, span_id, now, wake)
         self.pending[device].append(entry)
         self.n_pending += 1
         self.pending_ticks[device] += ticks
         idle = self._idle
         if idle:
             self._idle = []
-            for slot in idle:
-                if slot.device == device:
-                    clock.call_at(0.0, slot._step, None)
-            for slot in idle:
-                if slot.device != device:
-                    clock.call_at(0.0, slot._step, None)
+            for owner in (True, False):
+                for slot in idle:
+                    if (slot.device == device) is owner:
+                        clock._seq = seq = clock._seq + 1
+                        heappush(clock._heap, (now, now, seq, slot._step, None))
         return entry
 
     def _steal_from(self, thief: int) -> _PendingTask:
@@ -685,10 +688,10 @@ class _DispatchSlot:
     """One kernel slot's drain loop: own head, else steal, else park.
 
     The slot is a plain waiter, not a process: an enqueue wakes it with a
-    same-instant ``_step(None)`` and the device's completion signal
-    resumes it with the payload — the events a generator yielding those
-    two waits would cause, in the same order, without the generator or a
-    signal per park.
+    same-instant ``_step(None)`` and, as its device's waiter, the task's
+    completion resumes it with the payload — the events a generator
+    yielding those two waits would cause, in the same order, without the
+    generator or a signal per park.
     """
 
     __slots__ = ("dispatch", "device", "gpu", "own", "entry")
@@ -718,7 +721,8 @@ class _DispatchSlot:
                 entry.exec_started - entry.enqueued_at, measured
             )
             sched.sche_free(device, now, ticks=entry.ticks)
-            entry.done.fire(clock, payload)
+            clock._seq = seq = clock._seq + 1
+            heappush(clock._heap, (now, now, seq, entry.wake, payload))
         while True:
             if self.own:
                 entry = self.own.popleft()
@@ -734,7 +738,7 @@ class _DispatchSlot:
                 dispatch._idle.append(self)
                 return
             try:
-                gpu_done = self.gpu.submit(entry.task, parent=entry.span_id)
+                self.gpu.submit(entry.task, entry.span_id, None, self._step)
             except RuntimeError:
                 # Device died after admission: release the slot, flag the
                 # entry; the owning rank revokes the placement count and
@@ -743,9 +747,8 @@ class _DispatchSlot:
                 sched.sche_free(device, clock.now, ticks=entry.ticks)
                 entry.executed_device = device
                 entry.failed = True
-                entry.done.fire(clock, None)
+                clock.call_at(0.0, entry.wake, None)
                 continue
             entry.exec_started = clock.now
             self.entry = entry
-            gpu_done._waiters.append(self)
             return

@@ -427,7 +427,3 @@ class PredictiveScheduler(SharedMemoryScheduler):
     def backlog_ticks(self) -> list[int]:
         """Predicted backlog per device, in integer ticks."""
         return self.segment.backlog[: self.n_devices]
-
-    def backlogs_s(self) -> list[float]:
-        """Predicted backlog per device, in seconds (diagnostics)."""
-        return [ticks / TICKS_PER_S for ticks in self.backlog_ticks()]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from heapq import heappush
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.simclock import Signal, SimClock
 from repro.obs.tracer import NULL_TRACER
@@ -142,18 +143,17 @@ class SimulatedGPU:
     queued tasks are performed serially in their submission orders" — so
     a task is **one** heap event, a ``SimClock.call_chain`` over its three
     phase lengths: the fire-time float and the place in the event order
-    of the last of three per-phase events.  On
-    Kepler, up to ``max_concurrent_kernels`` clients may be in flight at
-    once: their ingress/egress phases *overlap*, but the compute phases
-    still serialize through the SMs at full rate — Hyper-Q hides the
+    of the last of three per-phase events.  On Kepler, up to
+    ``max_concurrent_kernels`` clients may be in flight at once: their
+    ingress/egress phases *overlap*, but the compute phases still
+    serialize through the SMs at full rate — Hyper-Q hides the
     per-client overheads, it does not multiply the silicon — and each
-    phase is its own event.  (True
-    fine-grained SM sharing would be processor-sharing; serializing
-    compute at full rate has the same aggregate throughput and keeps the
-    event model exact.)
+    phase is its own event.  (True fine-grained SM sharing would be
+    processor-sharing; serializing compute at full rate has the same
+    aggregate throughput and keeps the event model exact.)
 
     When a task carries an ``execute`` callable, the real computation
-    runs at completion time and its result becomes the signal payload.
+    runs at completion time and its result becomes the payload.
 
     With a tracer attached (``tracer``/``track``), each task emits three
     sub-spans on the device track — ``h2d+launch`` (ingress), ``compute``,
@@ -163,11 +163,7 @@ class SimulatedGPU:
     """
 
     def __init__(
-        self,
-        clock: SimClock,
-        spec: DeviceSpec,
-        index: int = 0,
-        tracer=None,
+        self, clock: SimClock, spec: DeviceSpec, index: int = 0, tracer=None,
         track: int = 0,
     ) -> None:
         self.clock = clock
@@ -175,7 +171,7 @@ class SimulatedGPU:
         self.index = index
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
-        # A job is (task, done, parent, (ingress_s, compute_s, egress_s)):
+        # A job is (task, done or wake, parent, (ingress_s, compute_s, egress_s)):
         # priced once at submit, then carried through the three phases.
         self._waiting: deque[tuple] = deque()
         self._active = 0  # tasks in any phase
@@ -188,11 +184,6 @@ class SimulatedGPU:
         self.failed = False
         self._done_name = f"gpu{index}.task"
 
-    @property
-    def in_flight(self) -> int:
-        """Submitted-but-unfinished tasks (all phases + device waits)."""
-        return self._active + len(self._waiting)
-
     def fail(self) -> None:
         """Failure injection: device stops accepting and completing work."""
         self.failed = True
@@ -202,17 +193,19 @@ class SimulatedGPU:
         task: Task,
         parent: int = 0,
         price: tuple[float, float, float] | None = None,
-    ) -> Signal:
+        wake: Callable[[object], None] | None = None,
+    ) -> Signal | None:
         """Queue one task; returns the signal fired at completion.
 
         ``parent`` is the trace span id of the causing task span; the
         three sub-spans the device emits link back to it.  ``price`` is
-        ``spec.phase_times(task)`` when the caller already holds it.
+        ``spec.phase_times(task)`` when the caller already holds it.  A sole
+        waiter passes its resume callable as ``wake``: no signal is built.
         """
         if self.failed:
             raise RuntimeError(f"GPU {self.index} has failed")
-        done = Signal(self._done_name)
-        job = (task, done, parent, price or self.spec.phase_times(task))
+        done = Signal(self._done_name) if wake is None else None
+        job = (task, wake or done, parent, price or self.spec.phase_times(task))
         if self._active < self.spec.max_concurrent_kernels:
             self._start(job)
         else:
@@ -282,14 +275,19 @@ class SimulatedGPU:
                 self.tracer.device_phase(
                     self.track, job[2], job[0], 2, started, self.clock.now
                 )
-        task, done = job[0], job[1]
+        task, wake = job[0], job[1]
         self._active -= 1
         self.completed += 1
         if self._active == 0 and self._busy_since is not None:
             self.busy_time += self.clock.now - self._busy_since
             self._busy_since = None
         payload = task.execute() if task.execute is not None else None
-        done.fire(self.clock, payload)
+        clock = self.clock
+        if type(wake) is Signal:
+            wake.fire(clock, payload)
+        else:  # the entry ``Signal.fire`` would push for its one waiter
+            clock._seq = seq = clock._seq + 1
+            heappush(clock._heap, (clock.now, clock.now, seq, wake, payload))
         if self._waiting and self._active < self.spec.max_concurrent_kernels:
             self._start(self._waiting.popleft())
 

@@ -524,7 +524,8 @@ class CostModel:
         predicted device seconds; :meth:`observe_key` takes the first two."""
         evals = task.n_integrals * task.evals_per_integral
         ion = _ion_of_segment(task.label.split("/", 1)[-1])
-        key = (ion, task.method or task.kind.value, int(evals).bit_length())
+        # ``_value_``: the member's value without ``Enum.value``'s frames.
+        key = (ion, task.method or task.kind._value_, int(evals).bit_length())
         row = self._table.get(key)
         return key, evals, row[0] if row is not None else self._prior(evals)
 

@@ -57,8 +57,8 @@ class FlightRecorder:
         window_s: float = 10.0,
         limit: int = 8,
     ) -> None:
-        if window_s <= 0.0:
-            raise ValueError("window_s must be positive")
+        if not window_s > 0.0:  # NaN too
+            raise ValueError(f"window_s must be positive, got {window_s}")
         if limit < 1:
             raise ValueError("limit must be at least 1")
         self.broker = broker

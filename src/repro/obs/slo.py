@@ -19,15 +19,15 @@ engine:
   interpolation within cumulative buckets — no exposition-text
   re-parsing).
 
-Since the continuous-telemetry PR the engine is wired onto the
-time-series store and query engine rather than hand-rolled deltas:
-every :meth:`SLOEngine.sample` scrapes the snapshot into an internal
-:class:`~repro.obs.tsdb.TimeSeriesStore` and evaluates each rule as a
-compiled query — ``metric{labels}`` or ``histogram_quantile(q, ...)``.
-The query engine's quantile estimator is an exact match for the
-historical semantics (see :mod:`repro.obs.query`), so transition
-sequences are reproduced bit for bit; the engine's store doubles as a
-free telemetry trail for postmortems (:attr:`SLOEngine.store`).
+The engine is wired onto the time-series store and query engine rather
+than hand-rolled deltas: every :meth:`SLOEngine.sample` scrapes the
+snapshot into a private :class:`~repro.obs.tsdb.TimeSeriesStore` and
+evaluates each rule as a compiled query — ``metric{labels}`` or
+``histogram_quantile(q, ...)``.  The query engine's quantile estimator
+is an exact match for the historical semantics (see
+:mod:`repro.obs.query`), so transition sequences are reproduced bit for
+bit.  Every rule reads only the newest point, so the store keeps two a
+series; postmortems read the broker's own store (:mod:`repro.obs.flight`).
 
 The no-op path is free: an engine with no rules returns from
 :meth:`~SLOEngine.sample` before touching the registry, and the broker
@@ -141,17 +141,13 @@ class SLOEngine:
     compiled queries over it.
     """
 
-    def __init__(
-        self,
-        rules: tuple[Rule, ...] | list[Rule] = (),
-        store_capacity: int = 1024,
-    ) -> None:
+    def __init__(self, rules: tuple[Rule, ...] | list[Rule] = ()) -> None:
         self.rules: list[Rule] = []
         self._states: dict[str, _State] = {}
         self.transitions: list[Transition] = []
         self._listeners: list = []
-        #: Every snapshot ever sampled, as queryable time series.
-        self.store = TimeSeriesStore(capacity=store_capacity)
+        #: The last two snapshots sampled, as queryable time series.
+        self.store = TimeSeriesStore(capacity=2)
         self._engine = QueryEngine(self.store)
         self._rule_asts: dict[str, object] = {}
         for rule in rules:

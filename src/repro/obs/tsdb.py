@@ -331,6 +331,8 @@ class TimeSeriesStore:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TimeSeriesStore":
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a {TSDB_SCHEMA!r} object, got {type(doc).__name__}")
         if doc.get("schema") != TSDB_SCHEMA:
             raise ValueError(
                 f"expected schema {TSDB_SCHEMA!r}, got {doc.get('schema')!r}"

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.cluster.simclock import Interrupt, SimClock, Signal
+from repro.cluster.simclock import SimClock, Signal
 
 
 class TestScheduling:
@@ -231,23 +231,6 @@ class TestProcesses:
         clock.spawn(proc())
         with pytest.raises(TypeError):
             clock.run()
-
-    def test_kill_interrupts(self):
-        clock = SimClock()
-        cleaned = []
-
-        def proc():
-            try:
-                yield 100.0
-            except Interrupt:
-                cleaned.append(True)
-                raise
-
-        h = clock.spawn(proc())
-        clock.at(1.0, h.kill)
-        clock.run()
-        assert cleaned == [True]
-        assert not h.alive
 
     def test_add_callback(self):
         clock = SimClock()

@@ -267,3 +267,47 @@ class TestEmbeddedBatch:
         clock.run()
         assert handle.result is not None
         assert handle.result.n_tasks == len(mini_tasks)
+
+
+class TestSelfDrivenRanks:
+    """A synchronous rank pushes its own wake-ups (SimClock.start): what a
+    process handle refused, normalised or released, it still does."""
+
+    @pytest.mark.parametrize(
+        "where,knobs",
+        [
+            ("submit", dict(cost=CostModel(submit_overhead_s=float("nan")))),
+            ("prep", dict(cost=CostModel(prep_fixed_s=float("inf")))),
+            ("rpc", dict(scheduler_kind="client-server", rpc_latency_s=float("inf"))),
+            ("cpu", dict(n_gpus=0, cost=CostModel(cpu_eval_s=float("inf")))),
+            ("predictive", dict(scheduler_kind="predictive",
+                                cost=CostModel(submit_overhead_s=float("nan")))),
+        ],
+    )
+    def test_a_bad_delay_is_refused_with_the_handles_error(self, mini_tasks, where, knobs):
+        with pytest.raises(ValueError, match=r"process 'rank\d+' yielded negative or non-finite delay"):
+            HybridRunner(mini_config(**knobs)).run(mini_tasks)
+
+    @pytest.mark.parametrize("overhead", [0, np.float64(0.0177)])
+    def test_a_non_float_delay_sleeps_as_its_float(self, mini_tasks, overhead):
+        as_float = HybridRunner(mini_config(cost=CostModel(submit_overhead_s=float(overhead))))
+        other = HybridRunner(mini_config(cost=CostModel(submit_overhead_s=overhead)))
+        expected, got = as_float.run(mini_tasks), other.run(mini_tasks)
+        assert type(got.makespan_s) is float
+        assert got.makespan_s == expected.makespan_s
+
+    @pytest.mark.parametrize("kind", ["shared", "client-server", "predictive"])
+    def test_finished_ranks_are_freed_without_the_cycle_collector(self, mini_tasks, kind):
+        import gc
+        import inspect
+
+        code = HybridRunner._worker_sync.__code__
+        gc.collect()
+        gc.disable()
+        try:
+            HybridRunner(mini_config(scheduler_kind=kind)).run(mini_tasks)
+            left = [o for o in gc.get_objects()
+                    if inspect.isgenerator(o) and o.gi_code is code]
+        finally:
+            gc.enable()
+        assert left == []

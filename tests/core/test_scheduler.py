@@ -359,13 +359,13 @@ class TestPredictiveScheduler:
         # sooner on device 1 despite its higher count.
         assert s.sche_alloc(cost_s=1.0) == 1
         assert s.sche_alloc(cost_s=1.0) == 1
-        assert s.backlogs_s() == pytest.approx([10.0, 2.0])
+        assert s.backlog_ticks() == [s.cost_ticks(10.0), 2 * s.cost_ticks(1.0)]
 
     def test_free_restores_backlog_exactly(self):
         s = self._make(n=2)
         d = s.sche_alloc(cost_s=0.123456789)
         s.sche_free(d, cost_s=0.123456789)
-        assert s.backlogs_s() == [0.0, 0.0]
+        assert s.backlog_ticks() == [0, 0]
         assert s.loads() == [0, 0]
         s.validate()
 
@@ -401,13 +401,13 @@ class TestPredictiveScheduler:
         assert s.sche_alloc(cost_s=0.5) == 0  # finish 1.5 vs 2.5
         s.on_steal(victim=0, thief=1, cost_s=0.5)
         assert s.loads() == [1, 2]
-        assert s.backlogs_s() == pytest.approx([1.0, 2.5])
+        assert s.backlog_ticks() == [s.cost_ticks(1.0), s.cost_ticks(2.0) + s.cost_ticks(0.5)]
         s.validate()
         # Conservation: freeing each with its carried cost zeroes out.
         s.sche_free(0, cost_s=1.0)
         s.sche_free(1, cost_s=2.0)
         s.sche_free(1, cost_s=0.5)
-        assert s.backlogs_s() == [0.0, 0.0]
+        assert s.backlog_ticks() == [0, 0]
         s.validate()
 
     def test_on_steal_rejects_out_of_range(self):

@@ -146,15 +146,6 @@ class TestSimulatedGPU:
         clock.run()
         assert done.payload == 42
 
-    def test_in_flight_counter(self):
-        clock = SimClock()
-        gpu = SimulatedGPU(clock, TESLA_C2075)
-        gpu.submit(self._kernel())
-        gpu.submit(self._kernel())
-        assert gpu.in_flight == 2
-        clock.run()
-        assert gpu.in_flight == 0
-
     def test_failed_device_rejects_submissions(self):
         clock = SimClock()
         gpu = SimulatedGPU(clock, TESLA_C2075)

@@ -124,6 +124,11 @@ class TestStore:
         with pytest.raises(ValueError, match="schema"):
             TimeSeriesStore.from_dict({"schema": "nope"})
 
+    @pytest.mark.parametrize("doc", [[], [{"schema": "repro.tsdb/v1"}], "x", 3, None])
+    def test_from_dict_refuses_a_document_that_is_not_an_object(self, doc):
+        with pytest.raises(ValueError, match=r"'repro\.tsdb/v1' object"):
+            TimeSeriesStore.from_dict(doc)
+
     def test_to_dict_since_trims_window(self):
         store = TimeSeriesStore()
         for i in range(10):

@@ -275,6 +275,10 @@ class TestCommands:
             ["serve", "--batch-width", "0"],
             ["serve", "--zipf-s", "-2"],
             ["serve", "--postmortem", "{tmp}", "--postmortem-window", "-1"],
+            ["serve", "--postmortem", "{tmp}", "--postmortem-window", "nan"],
+            ["serve", "--postmortem-window", "-1"],
+            ["serve", "--postmortem-window", "0"],
+            ["serve", "--postmortem-window", "nan"],
             ["submit", "--bins", "0"],
             ["submit", "--tolerance", "-1"],
             ["spectrum", "--bins", "0"],
@@ -290,6 +294,16 @@ class TestCommands:
         assert captured.err.startswith(f"repro {argv[0]}: error: ")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("doc", ["[]", "[1, 2]", "7"])
+    def test_query_refuses_a_tsdb_file_that_is_not_an_object(self, doc, tmp_path, capsys):
+        path = tmp_path / "tsdb.json"
+        path.write_text(doc)
+        assert main(["query", "depth", "--tsdb", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro query: error: ")
+        assert "'repro.tsdb/v1'" in captured.err
+        assert captured.out == ""
 
     def test_query_roundtrip(self, tmp_path, capsys):
         import json
