@@ -203,10 +203,6 @@ class SpectrumLattice:
     def n_intervals(self) -> int:
         return len(self._intervals)
 
-    def max_certified_error(self) -> float:
-        """The loosest interval's certified peak-relative bound."""
-        return max(self.certified_error(i) for i in range(self.n_intervals))
-
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.atomic.levels import Level, LevelStructure, build_levels
 from repro.atomic.cross_sections import (
     kramers_photoionization,
     milne_recombination,
-    recombination_cross_section,
 )
 from repro.atomic.rates import ionization_rate, recombination_rate
 from repro.atomic.database import AtomicConfig, AtomicDatabase
@@ -40,7 +39,6 @@ __all__ = [
     "build_levels",
     "kramers_photoionization",
     "milne_recombination",
-    "recombination_cross_section",
     "ionization_rate",
     "recombination_rate",
     "AtomicConfig",

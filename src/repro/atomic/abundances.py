@@ -53,14 +53,6 @@ class AbundanceSet:
             return solar
         return solar * self.metallicity
 
-    def with_metallicity(self, metallicity: float) -> "AbundanceSet":
-        return AbundanceSet(metallicity=metallicity, overrides=dict(self.overrides))
-
-    def with_override(self, z: int, value: float) -> "AbundanceSet":
-        merged = dict(self.overrides)
-        merged[z] = value
-        return AbundanceSet(metallicity=self.metallicity, overrides=merged)
-
 
 #: The default: solar composition.
 SOLAR = AbundanceSet()

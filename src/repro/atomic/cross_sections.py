@@ -27,11 +27,7 @@ import numpy as np
 
 from repro.constants import ME_C2_KEV, SIGMA_KRAMERS_CM2
 
-__all__ = [
-    "kramers_photoionization",
-    "milne_recombination",
-    "recombination_cross_section",
-]
+__all__ = ["kramers_photoionization", "milne_recombination"]
 
 
 def kramers_photoionization(
@@ -86,17 +82,3 @@ def milne_recombination(
             e_e > 0.0, e_gamma**2 / (2.0 * ME_C2_KEV * e_e), 0.0
         )
     return np.where(e_e > 0.0, weight * factor * sigma_ph, 0.0)
-
-
-def recombination_cross_section(
-    e_electron_kev: np.ndarray,
-    binding_kev: float,
-    n: int,
-    c_eff: float,
-    g_level: float,
-    g_ion: float = 1.0,
-) -> np.ndarray:
-    """Public alias with validation: the sigma_rec_n(E_e) of Eq. (1)."""
-    return milne_recombination(
-        e_electron_kev, binding_kev, n, c_eff, g_level, g_ion
-    )

@@ -66,11 +66,6 @@ class Element:
         """Number density relative to hydrogen, N_X / N_H."""
         return 10.0 ** (self.log_abundance - 12.0)
 
-    @property
-    def n_ions(self) -> int:
-        """Number of recombining charge states: j+1 runs over 1..Z."""
-        return self.z
-
 
 #: All elements, keyed by atomic number 1..31.
 ELEMENTS: dict[int, Element] = {

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from repro.atomic.elements import ELEMENTS, MAX_Z, Element
 
-__all__ = ["Ion", "ion_registry", "ions_of_element", "TOTAL_IONS"]
+__all__ = ["Ion", "ion_registry", "TOTAL_IONS"]
 
 #: sum_{Z=1}^{31} Z — the paper's "496 ions".
 TOTAL_IONS: int = sum(range(1, MAX_Z + 1))
@@ -48,16 +48,6 @@ class Ion:
         return ELEMENTS[self.z]
 
     @property
-    def recombined_charge(self) -> int:
-        """Charge j of the product ion (Z, j)."""
-        return self.charge - 1
-
-    @property
-    def n_core_electrons(self) -> int:
-        """Bound electrons of the recombining ion (before capture)."""
-        return self.z - self.charge
-
-    @property
     def name(self) -> str:
         """Spectroscopic-style name, e.g. ``O+7`` for hydrogen-like oxygen."""
         return f"{self.element.symbol}+{self.charge}"
@@ -76,10 +66,3 @@ def ion_registry() -> tuple[Ion, ...]:
     )
     assert len(ions) == TOTAL_IONS
     return ions
-
-
-def ions_of_element(z: int) -> tuple[Ion, ...]:
-    """The recombining charge states of element ``z``."""
-    if z < 1 or z > MAX_Z:
-        raise ValueError(f"Z={z} outside 1..{MAX_Z}")
-    return tuple(Ion(z=z, charge=c) for c in range(1, z + 1))

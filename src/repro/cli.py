@@ -273,8 +273,8 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
                         "(wall-clock seconds for 'spectrum'; default 0.5)")
 
 
-def _refuse(args: argparse.Namespace, exc: Exception) -> int:
-    """Report a flag value the library refused, before any work ran."""
+def _refuse(args: argparse.Namespace, exc: Exception | str) -> int:
+    """Report a flag value refused before any work ran: exit status 2."""
     print(f"repro {args.command}: error: {exc}", file=sys.stderr)
     return 2
 
@@ -320,12 +320,13 @@ def _make_tsdb(args: argparse.Namespace):
     """Build the (store, detector) pair when ``--dash``/``--tsdb-out`` ask.
 
     Returns ``(None, None)`` when neither flag is set, keeping the run on
-    the :data:`~repro.obs.tsdb.NULL_TSDB` zero-overhead path.
+    the :data:`~repro.obs.tsdb.NULL_TSDB` zero-overhead path; raises
+    ValueError for a cadence that is not positive.
     """
     if not (getattr(args, "dash", None) or getattr(args, "tsdb_out", None)):
         return None, None
-    if args.scrape_cadence <= 0.0:
-        raise SystemExit("--scrape-cadence must be positive")
+    if not args.scrape_cadence > 0.0:
+        raise ValueError(f"--scrape-cadence must be positive, got {args.scrape_cadence}")
     from repro.obs import AnomalyDetector, TimeSeriesStore
 
     return TimeSeriesStore(cadence_s=args.scrape_cadence), AnomalyDetector()
@@ -554,23 +555,23 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     from repro.physics.spectrum import EnergyGrid
 
     if not args.accuracy >= 0.0:
-        raise SystemExit(f"--accuracy must be >= 0, got {args.accuracy}")
+        return _refuse(args, f"--accuracy must be >= 0, got {args.accuracy}")
     if args.accuracy > 0.0:
         # The lattice path serves the rrc component and records no trace.
         if set(args.components) != {"rrc"}:
-            raise SystemExit("--components other than rrc is not supported with --accuracy")
+            return _refuse(args, "--components other than rrc is not supported with --accuracy")
         for flag in ("--trace", "--metrics", "--profile", "--flamegraph", "--cost-report"):
             if getattr(args, flag[2:].replace("-", "_")):
-                raise SystemExit(f"{flag} is not supported with --accuracy")
+                return _refuse(args, f"{flag} is not supported with --accuracy")
     try:
         point = GridPoint(temperature_k=args.temperature, ne_cm3=args.density)
         grid = EnergyGrid.from_wavelength(10.0, 45.0, args.bins)
+        tsdb, anomaly = _make_tsdb(args)
     except ValueError as exc:
         return _refuse(args, exc)
     db = AtomicDatabase(AtomicConfig(n_max=6, z_max=14))
     if args.accuracy > 0.0:
-        return _spectrum_via_lattice(args, db, grid)
-    tsdb, anomaly = _make_tsdb(args)
+        return _spectrum_via_lattice(args, db, grid, tsdb, anomaly)
     tracer = None
     if (
         args.trace
@@ -687,7 +688,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spectrum_via_lattice(args: argparse.Namespace, db, grid) -> int:
+def _spectrum_via_lattice(args: argparse.Namespace, db, grid, tsdb, anomaly) -> int:
     """``spectrum --accuracy E``: interpolate from a plan-backed lattice.
 
     Builds a log-T lattice around the requested temperature through the
@@ -704,7 +705,6 @@ def _spectrum_via_lattice(args: argparse.Namespace, db, grid) -> int:
         n_nodes=9,
         method="cubic",
     )
-    tsdb, anomaly = _make_tsdb(args)
     registry = None
     if tsdb is not None:
         from repro.obs import MetricsRegistry, WallClock
@@ -929,12 +929,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from dataclasses import replace
 
-    if args.rate <= 0.0:
-        raise SystemExit("--rate must be positive")
+    if not 0.0 < args.rate < float("inf"):
+        return _refuse(args, f"--rate must be positive and finite, got {args.rate}")
     if not args.postmortem_window > 0.0:  # refused with or without --postmortem
-        return _refuse(args, ValueError(
-            f"--postmortem-window must be positive, got {args.postmortem_window}"
-        ))
+        return _refuse(args, f"--postmortem-window must be positive, got {args.postmortem_window}")
     tracer = None
     if (
         args.trace
@@ -953,9 +951,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         # An objective these fail would breach on the first sample.
         if not args.slo_p95 > 0.0:
-            raise SystemExit(f"--slo-p95 must be positive, got {args.slo_p95}")
+            return _refuse(args, f"--slo-p95 must be positive, got {args.slo_p95}")
         if args.slo_depth is not None and not args.slo_depth >= 0.0:
-            raise SystemExit(f"--slo-depth must be >= 0, got {args.slo_depth}")
+            return _refuse(args, f"--slo-depth must be >= 0, got {args.slo_depth}")
         depth = (
             args.slo_depth
             if args.slo_depth is not None
@@ -980,8 +978,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
             )
         )
-    tsdb, anomaly = _make_tsdb(args)
     try:
+        tsdb, anomaly = _make_tsdb(args)
         trace = generate_trace(
             TrafficSpec(
                 n_requests=args.requests,
@@ -1150,11 +1148,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, SpectrumBroker, SpectrumRequest
 
     if args.repeat < 1:
-        raise SystemExit("--repeat must be >= 1")
+        return _refuse(args, f"--repeat must be >= 1, got {args.repeat}")
     db_z_max = ServiceConfig().db_z_max
     if args.z_max > db_z_max:
-        raise SystemExit(
-            f"--z-max {args.z_max} exceeds the service database's z_max={db_z_max}"
+        return _refuse(
+            args, f"--z-max {args.z_max} exceeds the service database's z_max={db_z_max}"
         )
     try:
         request = SpectrumRequest(
@@ -1167,6 +1165,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             tail_tol=args.tail_tol,
             accuracy=args.accuracy,
         )
+        tsdb, anomaly = _make_tsdb(args)
     except ValueError as exc:
         return _refuse(args, exc)
     clock = SimClock()
@@ -1175,7 +1174,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         from repro.obs import EventTracer
 
         tracer = EventTracer(clock)
-    tsdb, anomaly = _make_tsdb(args)
     from dataclasses import replace
 
     from repro.service.broker import _default_hybrid

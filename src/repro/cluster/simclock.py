@@ -81,11 +81,6 @@ class _FnWaiter:
         self._step = fn
 
 
-def _call(fn: Callable[[], None]) -> None:
-    """Heap trampoline of :meth:`SimClock.at`: the event's arg is ``fn``."""
-    fn()
-
-
 class ProcessHandle:
     """A running generator process; yield it from another process to join."""
 
@@ -141,13 +136,8 @@ class SimClock:
         now = self.now
         heappush(self._heap, (now + delay, now, self._seq, fn, arg))
 
-    def at(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run a plain callback ``delay`` seconds from now."""
-        self.call_at(delay, _call, fn)
-
     def call_at(self, delay: float, fn: Callable[[object], None], arg: object) -> None:
-        """Run ``fn(arg)`` ``delay`` seconds from now — the raw heap event,
-        for callers that would otherwise close over ``arg`` per event."""
+        """Run ``fn(arg)`` ``delay`` seconds from now — the raw heap event."""
         if not 0 <= delay < inf:
             raise ValueError("delay must be non-negative and finite")
         self._seq += 1

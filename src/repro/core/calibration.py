@@ -23,8 +23,9 @@ records measured-vs-paper for every figure.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 __all__ = ["CostModel", "measure_live_eval_rates"]
@@ -71,19 +72,12 @@ class CostModel:
     point_overhead_s: float = 70.0
 
     def __post_init__(self) -> None:
-        if min(
-            self.cpu_eval_s,
-            self.cpu_fallback_penalty,
-            self.mpi_contention,
-        ) <= 0.0:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
+        if min(self.cpu_eval_s, self.cpu_fallback_penalty, self.mpi_contention) == 0.0:
             raise ValueError("cost constants must be positive")
-        if min(
-            self.prep_fixed_s,
-            self.prep_per_level_s,
-            self.submit_overhead_s,
-            self.point_overhead_s,
-        ) < 0.0:
-            raise ValueError("overheads must be non-negative")
 
     def prep_s(self, n_levels: int) -> float:
         """Host-side preparation time of a task holding ``n_levels`` levels."""

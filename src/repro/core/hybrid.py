@@ -104,6 +104,8 @@ class HybridConfig:
             raise ValueError("async_depth must be non-negative")
         if self.stagger_s is None or not 0.0 <= self.stagger_s < np.inf:
             raise ValueError(f"stagger_s must be finite and >= 0, got {self.stagger_s!r}")
+        if not 0.0 <= self.rpc_latency_s < np.inf:
+            raise ValueError(f"rpc_latency_s must be finite and >= 0, got {self.rpc_latency_s!r}")
         if self.scheduler_kind == "predictive" and self.async_depth > 0:
             raise ValueError(
                 "predictive scheduling dispatches through per-device "

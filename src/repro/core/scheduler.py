@@ -158,8 +158,8 @@ class ClientServerScheduler(SharedMemoryScheduler):
         tie_break: str = "history",
     ) -> None:
         super().__init__(n_devices, max_queue_length, metrics, tie_break)
-        if rpc_latency_s < 0.0:
-            raise ValueError("RPC latency must be non-negative")
+        if not 0.0 <= rpc_latency_s < float("inf"):
+            raise ValueError(f"rpc_latency_s must be finite and >= 0, got {rpc_latency_s!r}")
         self.rpc_latency_s = rpc_latency_s
 
 

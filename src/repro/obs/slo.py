@@ -15,19 +15,13 @@ engine:
   *fires* (``inactive -> pending -> firing``), and the first
   non-breaching sample after firing *resolves* it — the same hysteresis
   a Prometheus ``for:`` clause provides;
-- ``quantile`` targets a histogram family's q-quantile (linear
-  interpolation within cumulative buckets — no exposition-text
-  re-parsing).
+- ``quantile`` targets a histogram family's q-quantile
+  (:meth:`~repro.obs.prom.Histogram.quantile`); a rule without one
+  reads a counter or gauge (:meth:`~repro.obs.prom._Scalar.value`).
 
-The engine is wired onto the time-series store and query engine rather
-than hand-rolled deltas: every :meth:`SLOEngine.sample` scrapes the
-snapshot into a private :class:`~repro.obs.tsdb.TimeSeriesStore` and
-evaluates each rule as a compiled query — ``metric{labels}`` or
-``histogram_quantile(q, ...)``.  The query engine's quantile estimator
-is an exact match for the historical semantics (see
-:mod:`repro.obs.query`), so transition sequences are reproduced bit for
-bit.  Every rule reads only the newest point, so the store keeps two a
-series; postmortems read the broker's own store (:mod:`repro.obs.flight`).
+Every rule compares the registry's current value, so the engine reads
+the registry it is handed and keeps no history; postmortems read the
+broker's own time-series store (:mod:`repro.obs.flight`).
 
 The no-op path is free: an engine with no rules returns from
 :meth:`~SLOEngine.sample` before touching the registry, and the broker
@@ -41,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.obs.prom import Histogram, MetricsRegistry
-from repro.obs.query import FuncCall, Matcher, Number, QueryEngine, Selector
-from repro.obs.tsdb import TimeSeriesStore
 
 __all__ = ["Rule", "RuleState", "Transition", "SLOEngine"]
 
@@ -135,21 +127,13 @@ class _State:
 
 
 class SLOEngine:
-    """Evaluates rules against registry snapshots; tracks transitions.
-
-    Snapshots are scraped into :attr:`store` and rules evaluate as
-    compiled queries over it.
-    """
+    """Evaluates rules against registry snapshots; tracks transitions."""
 
     def __init__(self, rules: tuple[Rule, ...] | list[Rule] = ()) -> None:
         self.rules: list[Rule] = []
         self._states: dict[str, _State] = {}
         self.transitions: list[Transition] = []
         self._listeners: list = []
-        #: The last two snapshots sampled, as queryable time series.
-        self.store = TimeSeriesStore(capacity=2)
-        self._engine = QueryEngine(self.store)
-        self._rule_asts: dict[str, object] = {}
         for rule in rules:
             self.add(rule)
 
@@ -174,69 +158,35 @@ class SLOEngine:
     # Evaluation
     # ------------------------------------------------------------------
     def sample(self, registry: MetricsRegistry, now: float) -> None:
-        """Evaluate every rule against one snapshot at virtual ``now``.
-
-        The snapshot is scraped into :attr:`store` first, then each rule
-        evaluates as a query at ``now`` — the newest point of every
-        series is exactly the value the snapshot holds, so every rule
-        reads current state.
-        """
+        """Evaluate every rule against one snapshot at virtual ``now``."""
         if not self.rules:  # the zero-overhead no-op path
             return
-        self.store.scrape(registry, now)
         for rule in self.rules:
             state = self._states[rule.name]
-            value = self._value(rule, registry, now)
+            value = self._value(rule, registry)
             state.last_value = value
             state.last_sampled = now
             self._advance(rule, state, value, now)
 
-    def _rule_ast(self, rule: Rule):
-        """Compile a rule to a query AST (built once, evaluated per sample)."""
-        ast = self._rule_asts.get(rule.name)
-        if ast is not None:
-            return ast
-        matchers = tuple(
-            Matcher(k, "=", str(v)) for k, v in sorted(rule.labels.items())
-        )
-        if rule.quantile is not None:
-            ast = FuncCall(
-                "histogram_quantile",
-                (
-                    Number(rule.quantile),
-                    Selector(rule.metric + "_bucket", matchers),
-                ),
-            )
-        else:
-            ast = Selector(rule.metric, matchers)
-        self._rule_asts[rule.name] = ast
-        return ast
-
-    def _value(self, rule: Rule, registry: MetricsRegistry, now: float) -> float:
-        # Validate against the live registry first so missing metrics,
-        # wrong metric kinds, and incomplete label selectors raise the
-        # same KeyError/TypeError/ValueError they always did, regardless
-        # of what past scrapes happen to hold.
+    def _value(self, rule: Rule, registry: MetricsRegistry) -> float:
+        """The registry's current value for ``rule`` (0 for an unset
+        label set); KeyError for a missing metric, TypeError for the
+        wrong kind, ValueError for an incomplete label selector."""
         metric = registry.get(rule.metric)
-        if rule.quantile is not None and not isinstance(metric, Histogram):
+        is_histogram = isinstance(metric, Histogram)
+        if rule.quantile is not None:
+            if not is_histogram:
+                raise TypeError(
+                    f"rule {rule.name!r}: quantile target {rule.metric!r} "
+                    "is not a histogram"
+                )
+            return metric.quantile(rule.quantile, **rule.labels)
+        if is_histogram:
             raise TypeError(
-                f"rule {rule.name!r}: quantile target {rule.metric!r} "
-                "is not a histogram"
+                f"rule {rule.name!r}: {rule.metric!r} is a histogram; "
+                "set quantile to compare one of its quantiles"
             )
-        metric._key(dict(rule.labels))  # full-label-set check
-        result = self._engine.query_ast(self._rule_ast(rule), at=now)
-        if isinstance(result, float):
-            return result
-        if not result:
-            # No scraped series for this label set yet: the registry
-            # accessors' defaults (unset counter/gauge -> 0, empty
-            # histogram quantile -> 0).
-            return 0.0
-        if len(result) > 1:
-            raise ValueError(
-                f"rule {rule.name!r}: selector matched {len(result)} series"
-            )
-        return result[0].value
+        return metric.value(**rule.labels)
 
     def _advance(self, rule: Rule, state: _State, value: float, now: float) -> None:
         breached = rule.breaches(value)

@@ -114,18 +114,12 @@ class LevelWindows:
         The tail-cutoff distance used (``inf`` when ``tail_tol = 0``).
     n_bins:
         Bins of the underlying grid.
-    dropped_mass_per_c:
-        Per-level upper bound on the emission mass discarded beyond the
-        cutoff, in units of the level's flat constant ``C_l`` — multiply
-        by ``C_l`` (see :func:`repro.physics.rrc._flat_constant`) for an
-        absolute bound.  Zero where the cutoff lies beyond the grid.
     """
 
     first: np.ndarray
     cutoff: np.ndarray
     tau_kev: float
     n_bins: int
-    dropped_mass_per_c: np.ndarray
 
     @property
     def counts(self) -> np.ndarray:
@@ -136,13 +130,6 @@ class LevelWindows:
     def n_active(self) -> int:
         """Total active (level, bin) pairs — the pruned integral count."""
         return int(self.counts.sum())
-
-    def dropped_mass_bound(self, c_l: np.ndarray) -> np.ndarray:
-        """Absolute per-level dropped-mass bounds for flat constants ``c_l``."""
-        c_l = np.asarray(c_l, dtype=np.float64)
-        if c_l.shape != self.first.shape:
-            raise ValueError("c_l must have one entry per level")
-        return c_l * self.dropped_mass_per_c
 
 
 def level_windows(
@@ -179,7 +166,6 @@ def level_windows(
             cutoff=empty.copy(),
             tau_kev=float("inf"),
             n_bins=n_bins,
-            dropped_mass_per_c=np.zeros(0),
         )
     if np.any(energies <= 0.0):
         raise ValueError("binding energies must be positive")
@@ -195,22 +181,4 @@ def level_windows(
         cutoff = np.searchsorted(grid.lower, energies + tau, side="left")
     first = np.minimum(first, n_bins).astype(np.int64)
     cutoff = np.maximum(np.minimum(cutoff, n_bins).astype(np.int64), first)
-
-    # Closed-form bound on what the cutoff discards: the full analytic
-    # tail beyond the first dropped bin's lower edge, times the Gaunt
-    # supremum when the integrand carries the correction.
-    dropped = np.zeros(energies.shape, dtype=np.float64)
-    cut_inside = cutoff < n_bins
-    if cut_inside.any():
-        e_cut = grid.lower[cutoff[cut_inside]]
-        sup = GAUNT_SUP if gaunt else 1.0
-        dropped[cut_inside] = (
-            sup * kt_kev * np.exp(-(e_cut - energies[cut_inside]) / kt_kev)
-        )
-    return LevelWindows(
-        first=first,
-        cutoff=cutoff,
-        tau_kev=tau,
-        n_bins=n_bins,
-        dropped_mass_per_c=dropped,
-    )
+    return LevelWindows(first=first, cutoff=cutoff, tau_kev=tau, n_bins=n_bins)

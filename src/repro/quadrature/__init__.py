@@ -21,8 +21,8 @@ implemented from scratch:
   driver: the reference the production RRC kernel is checked against.
 """
 
-from repro.quadrature.result import IntegrationResult, QuadratureError
-from repro.quadrature.simpson import simpson, simpson_panels
+from repro.quadrature.result import IntegrationResult
+from repro.quadrature.simpson import simpson
 from repro.quadrature.romberg import romberg, romberg_table
 from repro.quadrature.gauss_kronrod import gauss_kronrod_21, GK21_NODES
 from repro.quadrature.qags import qags
@@ -35,9 +35,7 @@ from repro.quadrature.gauss_legendre import gauss_legendre, gauss_legendre_nodes
 
 __all__ = [
     "IntegrationResult",
-    "QuadratureError",
     "simpson",
-    "simpson_panels",
     "romberg",
     "romberg_table",
     "gauss_kronrod_21",

@@ -82,8 +82,8 @@ def qags(
     Notes
     -----
     The result never silently degrades: ``converged`` is False when the
-    subdivision limit was hit before reaching tolerance, and callers that
-    need a hard guarantee use :meth:`IntegrationResult.require_converged`.
+    subdivision limit was hit before reaching tolerance; callers that
+    need a hard guarantee check it.
     """
     budget = ErrorBudget(epsabs=epsabs, epsrel=epsrel)
     if a == b:

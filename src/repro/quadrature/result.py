@@ -1,12 +1,8 @@
-"""Result and error types shared by all integrators."""
+"""Result and tolerance types shared by all integrators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an integrator cannot reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -36,15 +32,6 @@ class IntegrationResult:
     converged: bool = True
     subdivisions: int = 1
     extrapolated: bool = False
-
-    def require_converged(self) -> float:
-        """Return ``value`` or raise :class:`QuadratureError`."""
-        if not self.converged:
-            raise QuadratureError(
-                f"integral did not converge: value={self.value!r} "
-                f"abserr={self.abserr!r} after {self.neval} evaluations"
-            )
-        return self.value
 
 
 @dataclass

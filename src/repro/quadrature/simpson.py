@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.quadrature.result import IntegrationResult
 
-__all__ = ["simpson", "simpson_panels", "DEFAULT_PIECES"]
+__all__ = ["simpson", "DEFAULT_PIECES"]
 
 #: The paper: "the Simpson algorithm can provide enough accuracy just by
 #: dividing the integral range into 64 equal pieces".
@@ -64,21 +64,6 @@ def simpson(
     coarse = _simpson_sum(y[::2], 2.0 * h)
     abserr = abs(fine - coarse) / 15.0
     return IntegrationResult(value=fine, abserr=abserr, neval=x.size)
-
-
-def simpson_panels(y: np.ndarray, h: float) -> float:
-    """Simpson sum of pre-evaluated samples ``y`` with uniform spacing ``h``.
-
-    ``y`` must hold an odd number of samples (an even number of panels).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("y must be one-dimensional")
-    if y.size < 3 or y.size % 2 == 0:
-        raise ValueError(
-            f"need an odd number >= 3 of samples, got {y.size}"
-        )
-    return _simpson_sum(y, h)
 
 
 def _simpson_sum(y: np.ndarray, h: float) -> float:

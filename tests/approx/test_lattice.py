@@ -117,11 +117,6 @@ class TestCertificates:
             assert peak_rel_error(approx, exact) <= lat.certified_error(i)
             assert np.all(np.abs(approx - exact) <= lat.error_bound(t))
 
-    def test_max_certified_error_is_the_loosest_interval(self):
-        lat = SpectrumLattice(_spec(), _synthetic_exact)
-        certs = [lat.certified_error(i) for i in range(lat.n_intervals)]
-        assert lat.max_certified_error() == max(certs)
-
 
 class TestRefinement:
     @pytest.mark.parametrize("method", INTERP_METHODS)

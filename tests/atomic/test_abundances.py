@@ -24,13 +24,6 @@ class TestAbundanceSet:
         assert a.of(26) == 1.0e-3
         assert a.of(14) == pytest.approx(0.5 * cosmic_abundance(14))
 
-    def test_with_helpers_are_pure(self):
-        a = SOLAR.with_metallicity(2.0)
-        b = a.with_override(8, 1e-3)
-        assert SOLAR.metallicity == 1.0
-        assert a.of(8) == pytest.approx(2.0 * cosmic_abundance(8))
-        assert b.of(8) == 1e-3
-
     @pytest.mark.parametrize(
         "kwargs",
         [

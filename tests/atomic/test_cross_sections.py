@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.atomic.cross_sections import (
-    kramers_photoionization,
-    milne_recombination,
-    recombination_cross_section,
-)
+from repro.atomic.cross_sections import kramers_photoionization, milne_recombination
 
 
 class TestKramersPhotoionization:
@@ -85,12 +81,6 @@ class TestMilneRecombination:
             * kramers_photoionization(e_g, binding, n, c_eff)
         )
         assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
-
-    def test_alias(self):
-        e = np.array([0.2])
-        assert recombination_cross_section(e, 0.5, 1, 8.0, 2.0) == pytest.approx(
-            milne_recombination(e, 0.5, 1, 8.0, 2.0)
-        )
 
     def test_physical_magnitude(self):
         """Recombination cross sections should be far below Thomson-scale

@@ -1,8 +1,11 @@
 """Elements table: identity, abundances, the 496-ion arithmetic."""
 
+from collections import Counter
+
 import pytest
 
-from repro.atomic.elements import ELEMENTS, MAX_Z, Element, cosmic_abundance
+from repro.atomic.elements import ELEMENTS, MAX_Z, cosmic_abundance
+from repro.atomic.ions import TOTAL_IONS, ion_registry
 
 
 class TestElementsTable:
@@ -21,7 +24,9 @@ class TestElementsTable:
 
     def test_ion_counts_sum_to_496(self):
         """The paper's 'most abundant elements ... totally contain 496 ions'."""
-        assert sum(e.n_ions for e in ELEMENTS.values()) == 496
+        counts = Counter(ion.z for ion in ion_registry())
+        assert counts == {z: z for z in ELEMENTS}  # charges 1..Z per element
+        assert sum(counts.values()) == TOTAL_IONS == 496
 
     def test_hydrogen_reference_abundance(self):
         assert ELEMENTS[1].abundance == pytest.approx(1.0)
@@ -52,7 +57,3 @@ class TestElementDataclass:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ELEMENTS[1].z = 2
-
-    def test_n_ions_equals_z(self):
-        e = Element(z=7, symbol="N", name="nitrogen", log_abundance=8.0)
-        assert e.n_ions == 7

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atomic.ions import TOTAL_IONS, Ion, ion_registry, ions_of_element
+from repro.atomic.ions import TOTAL_IONS, Ion, ion_registry
 
 
 class TestIonRegistry:
@@ -22,30 +22,11 @@ class TestIonRegistry:
     def test_registry_cached(self):
         assert ion_registry() is ion_registry()
 
-    def test_ions_of_element(self):
-        oxygens = ions_of_element(8)
-        assert len(oxygens) == 8
-        assert all(i.z == 8 for i in oxygens)
-        assert [i.charge for i in oxygens] == list(range(1, 9))
-
-    @pytest.mark.parametrize("z", [0, 32])
-    def test_ions_of_element_range(self, z):
-        with pytest.raises(ValueError):
-            ions_of_element(z)
-
 
 class TestIon:
     def test_names(self):
         assert Ion(z=8, charge=8).name == "O+8"
         assert Ion(z=26, charge=17).name == "Fe+17"
-
-    def test_core_electrons(self):
-        assert Ion(z=8, charge=8).n_core_electrons == 0  # bare
-        assert Ion(z=8, charge=7).n_core_electrons == 1  # H-like
-        assert Ion(z=26, charge=1).n_core_electrons == 25
-
-    def test_recombined_charge(self):
-        assert Ion(z=6, charge=4).recombined_charge == 3
 
     @pytest.mark.parametrize("z,charge", [(8, 0), (8, 9), (0, 1), (32, 1)])
     def test_invalid_states_rejected(self, z, charge):

@@ -242,7 +242,7 @@ def engine_order(program, until, chained=True):
             elif kind == "join":
                 yield handles[x]
             elif kind == "at":
-                clock.at(x, lambda i=i: log.append(("at", p, i, clock.now)))
+                clock.call_at(x, lambda _a, i=i: log.append(("at", p, i, clock.now)), None)
             elif kind == "chain":
                 push = clock.call_chain if chained else partial(hop_by_hop, clock)
                 push(x, lambda _a, i=i: log.append(("chain", p, i, clock.now)), None)
@@ -290,7 +290,7 @@ class TestExecutedOrder:
 
         def order(push_chain):
             clock, log = SimClock(), []
-            clock.at(0.5, lambda: clock.call_at(0.5, log.append, "other"))
+            clock.call_at(0.5, lambda _a: clock.call_at(0.5, log.append, "other"), None)
             push_chain(clock, (0.5, 0.5), log.append, "chain")
             clock.run()
             return log

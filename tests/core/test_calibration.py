@@ -1,5 +1,7 @@
 """Cost model: paper-anchor consistency."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.calibration import CostModel, measure_live_eval_rates
@@ -44,6 +46,12 @@ class TestCostModel:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CostModel(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostModel)])
+    def test_non_finite_constant_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CostModel(**{name: value})
 
 
 def _point_s(c: CostModel, integrals_s: float, prep_s: float) -> float:

@@ -7,6 +7,7 @@ from repro.atomic.database import AtomicConfig
 from repro.core.calibration import CostModel
 from repro.core.granularity import Granularity, WorkloadSpec, build_tasks
 from repro.core.hybrid import HybridConfig, HybridRunner
+from repro.core.scheduler import ClientServerScheduler
 from repro.core.task import Task, TaskKind
 
 
@@ -159,6 +160,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="stagger_s"):
             mini_config(stagger_s=stagger)
 
+    @pytest.mark.parametrize("kind", ["shared", "client-server"])
+    @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+    def test_bad_rpc_latency_refused_at_construction(self, kind, latency):
+        with pytest.raises(ValueError, match="rpc_latency_s"):
+            mini_config(scheduler_kind=kind, rpc_latency_s=latency)
+
 
 class TestTieBreak:
     """Every ranking scheduler honours ``tie_break``: with equal weights
@@ -276,17 +283,34 @@ class TestSelfDrivenRanks:
     @pytest.mark.parametrize(
         "where,knobs",
         [
-            ("submit", dict(cost=CostModel(submit_overhead_s=float("nan")))),
-            ("prep", dict(cost=CostModel(prep_fixed_s=float("inf")))),
-            ("rpc", dict(scheduler_kind="client-server", rpc_latency_s=float("inf"))),
-            ("cpu", dict(n_gpus=0, cost=CostModel(cpu_eval_s=float("inf")))),
+            ("submit", dict(forced=dict(submit_overhead_s=float("nan")))),
+            ("prep", dict(cost=CostModel(prep_fixed_s=1e308, prep_per_level_s=1e308))),
+            ("rpc", dict(scheduler_kind="client-server")),
+            ("cpu", dict(n_gpus=0, cost=CostModel(cpu_eval_s=1e308))),
             ("predictive", dict(scheduler_kind="predictive",
-                                cost=CostModel(submit_overhead_s=float("nan")))),
+                                forced=dict(submit_overhead_s=float("nan")))),
         ],
     )
-    def test_a_bad_delay_is_refused_with_the_handles_error(self, mini_tasks, where, knobs):
+    def test_a_bad_delay_is_refused_with_the_handles_error(
+        self, mini_tasks, monkeypatch, where, knobs
+    ):
+        """The configs refuse a non-finite constant, so a bad delay is an
+        overflow of finite ones (prep, cpu) or forced in after construction."""
+        knobs = dict(knobs)
+        forced = knobs.pop("forced", {})
+        runner = HybridRunner(mini_config(**knobs))
+        for name, value in forced.items():
+            object.__setattr__(runner.config.cost, name, value)
+        if where == "rpc":
+            init = ClientServerScheduler.__init__
+
+            def unchecked(self, *args):
+                init(self, *args)
+                self.rpc_latency_s = float("inf")
+
+            monkeypatch.setattr(ClientServerScheduler, "__init__", unchecked)
         with pytest.raises(ValueError, match=r"process 'rank\d+' yielded negative or non-finite delay"):
-            HybridRunner(mini_config(**knobs)).run(mini_tasks)
+            runner.run(mini_tasks)
 
     @pytest.mark.parametrize("overhead", [0, np.float64(0.0177)])
     def test_a_non_float_delay_sleeps_as_its_float(self, mini_tasks, overhead):

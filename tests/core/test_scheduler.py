@@ -258,6 +258,11 @@ class TestClientServerScheduler:
         with pytest.raises(ValueError):
             ClientServerScheduler(1, 2, rpc_latency_s=-1.0)
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="rpc_latency_s"):
+            ClientServerScheduler(1, 2, rpc_latency_s=latency)
+
 
 class TestBalancePolicy:
     def test_even_distribution_under_symmetric_load(self):

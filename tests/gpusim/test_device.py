@@ -133,7 +133,7 @@ class TestSimulatedGPU:
         gpu = SimulatedGPU(clock, TESLA_C2075)
         gpu.submit(self._kernel())
         svc = TESLA_C2075.service_time(self._kernel())
-        clock.at(svc * 3.0, lambda: gpu.submit(self._kernel()))
+        clock.call_at(svc * 3.0, gpu.submit, self._kernel())
         clock.run()
         assert clock.now == pytest.approx(4.0 * svc)
         assert gpu.utilization(clock.now) == pytest.approx(0.5)

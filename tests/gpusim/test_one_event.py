@@ -172,7 +172,7 @@ class TestLockstep:
             woken = Signal("observer")
             woken.add_callback(clock, lambda _p: log.append("observer"))
             ingress, compute, _ = TESLA_C2075.phase_times(kernel)
-            clock.at((0.0 + ingress) + compute, lambda: woken.fire(clock))
+            clock.call_at((0.0 + ingress) + compute, woken.fire, clock)
             for d in range(2):
                 gpu = make(SimulatedGPU(clock, TESLA_C2075, index=d))
                 gpu.submit(replace(kernel, execute=lambda d=d: log.append(d)))

@@ -90,16 +90,6 @@ class TestSolverFailureModes:
         assert res.message
         assert np.all(np.isfinite(res.y))
 
-    def test_quadrature_nonconvergence_raises_on_demand(self):
-        from repro.quadrature.qags import qags
-        from repro.quadrature.result import QuadratureError
-
-        f = lambda x: np.sin(1.0 / np.maximum(np.abs(x), 1e-12))
-        res = qags(f, 0.0, 1.0, epsrel=1e-15, epsabs=1e-300, limit=2)
-        assert not res.converged
-        with pytest.raises(QuadratureError):
-            res.require_converged()
-
 
 class TestMetricsRobustness:
     def test_finalize_is_idempotent_enough(self):
@@ -180,7 +170,7 @@ class TestEndToEndDeviceFailure:
 
         def dies_mid_service(self, clock, spec, index=0):
             original_init(self, clock, spec, index)
-            clock.at(0.3, self.fail)
+            clock.call_at(0.3, dmod.SimulatedGPU.fail, self)
 
         monkeypatch.setattr(dmod.SimulatedGPU, "__init__", dies_mid_service)
         with pytest.raises(RuntimeError, match="leaked"):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry, Rule, RuleState, SLOEngine
+from repro.obs import MetricsRegistry, Rule, RuleState, SLOEngine
+from repro.obs.query import FuncCall, Matcher, Number, QueryEngine, Selector
+from repro.obs.tsdb import TimeSeriesStore
 from repro.service.broker import ServiceConfig, run_trace
 from repro.service.loadgen import TrafficSpec, generate_trace
 
@@ -124,6 +126,16 @@ class TestValueKinds:
         with pytest.raises(TypeError, match="not a histogram"):
             engine.sample(reg, now=0.0)
 
+    def test_plain_rule_on_a_histogram_raises(self):
+        """Without ``quantile`` a histogram has no one value to compare."""
+        reg = MetricsRegistry()
+        reg.histogram("lat", "h", buckets=(1.0,)).observe(5.0)
+        engine = SLOEngine(
+            (Rule(name="lat-high", metric="lat", op=">", threshold=0.5),)
+        )
+        with pytest.raises(TypeError, match="'lat-high'.*histogram"):
+            engine.sample(reg, now=0.0)
+
     def test_missing_metric_raises_key_error(self):
         engine = SLOEngine(
             (Rule(name="r", metric="absent", op=">", threshold=0.0),)
@@ -181,29 +193,44 @@ class TestServiceIntegration:
         SLOEngine().sample(Exploding(), now=0.0)
 
 
-class _LegacySLOEngine(SLOEngine):
-    """Reference evaluator: direct registry reads.
-
-    This reimplements the pre-query-engine ``_value`` semantics the
-    engine shipped with before it was rewired onto the time-series
-    store: plain rules read the registry snapshot directly and quantile
-    rules call :meth:`Histogram.quantile`.  The equivalence test below
-    asserts the rewired engine reproduces this evaluator's transition
-    sequence exactly.
+class _StoreQuerySLOEngine(SLOEngine):
+    """Reference evaluator: each sample is scraped into a two-point
+    :class:`TimeSeriesStore` and each rule evaluated as a query at
+    ``now`` — ``metric{labels}`` or ``histogram_quantile(q,
+    metric_bucket{labels})``.  The equivalence tests below assert that
+    reading the registry directly reproduces this evaluator's values and
+    transitions bit for bit, so the query engine's quantile estimator and
+    :meth:`Histogram.quantile` stay held to each other.
     """
 
-    def _value(self, rule, registry, now):
-        metric = registry.get(rule.metric)
-        labels = dict(rule.labels)
+    def __init__(self, rules):
+        self.store = TimeSeriesStore(capacity=2)
+        self.now = 0.0
+        super().__init__(rules)
+
+    def sample(self, registry, now):
+        self.store.scrape(registry, now)
+        self.now = now
+        super().sample(registry, now)
+
+    def _value(self, rule, registry):
+        matchers = tuple(
+            Matcher(k, "=", str(v)) for k, v in sorted(rule.labels.items())
+        )
         if rule.quantile is not None:
-            if not isinstance(metric, Histogram):
-                raise TypeError("not a histogram")
-            return metric.quantile(rule.quantile, **labels)
-        return metric.value(**labels)
+            bucket = Selector(rule.metric + "_bucket", matchers)
+            ast = FuncCall("histogram_quantile", (Number(rule.quantile), bucket))
+        else:
+            ast = Selector(rule.metric, matchers)
+        result = QueryEngine(self.store).query_ast(ast, at=self.now)
+        if isinstance(result, float):
+            return result
+        assert len(result) <= 1, (rule.name, result)
+        return result[0].value if result else 0.0
 
 
 class TestQueryEngineEquivalence:
-    """The store-backed engine must be a drop-in for direct evaluation."""
+    """Direct registry reads must agree with store-plus-query evaluation."""
 
     RULES = (
         Rule(
@@ -237,13 +264,13 @@ class TestQueryEngineEquivalence:
 
     def test_transitions_match_legacy_evaluator_exactly(self):
         new = self._run(SLOEngine(self.RULES))
-        legacy = self._run(_LegacySLOEngine(self.RULES))
+        legacy = self._run(_StoreQuerySLOEngine(self.RULES))
         assert new == legacy
         assert new  # the trace must actually exercise transitions
 
     def test_values_match_on_synthetic_timeline(self):
         """Per-sample values, not just transitions, agree bit for bit."""
-        new, old = SLOEngine(self.RULES), _LegacySLOEngine(self.RULES)
+        new, old = SLOEngine(self.RULES), _StoreQuerySLOEngine(self.RULES)
         for i in range(12):
             reg = MetricsRegistry()
             h = reg.histogram(

@@ -92,7 +92,7 @@ def traced_run(mode: str, device: str, fail: bool, monkeypatch, tracer=None, hoo
         def dies_mid_run(self, *args, **kwargs):
             original(self, *args, **kwargs)
             if self.index == 0:
-                clock.at(FAIL_AT_S, self.fail)
+                clock.call_at(FAIL_AT_S, SimulatedGPU.fail, self)
 
         monkeypatch.setattr(SimulatedGPU, "__init__", dies_mid_run)
     config = HybridConfig(
@@ -527,7 +527,7 @@ class TestEventsView:
 
         def reads(clock):
             for at in (0.5, 1.0, 1.0, 3.0, 7.5):
-                clock.at(at, lambda: seen.append(list(piecewise.events)))
+                clock.call_at(at, lambda _a: seen.append(list(piecewise.events)), None)
 
         traced_run(mode, device, False, monkeypatch, tracer=piecewise, hook=reads)
         assert 0 < len(seen[0]) < len(seen[-1]) < len(piecewise.events)

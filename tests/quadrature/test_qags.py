@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.quadrature.qags import qags, wynn_epsilon
-from repro.quadrature.result import ErrorBudget, QuadratureError
+from repro.quadrature.result import ErrorBudget
 
 
 class TestWynnEpsilon:
@@ -111,13 +111,7 @@ class TestQAGS:
         f = lambda x: np.sin(1.0 / np.maximum(np.abs(x), 1e-12))
         res = qags(f, 0.0, 1.0, epsrel=1e-14, epsabs=1e-14, limit=3)
         assert not res.converged
-        with pytest.raises(QuadratureError):
-            res.require_converged()
 
     def test_neval_accounting(self):
         res = qags(np.exp, 0.0, 1.0)
         assert res.neval % 21 == 0
-
-    def test_converged_result_requires_ok(self):
-        res = qags(np.exp, 0.0, 1.0)
-        assert res.require_converged() == res.value

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.quadrature.result import IntegrationResult
-from repro.quadrature.simpson import DEFAULT_PIECES, simpson, simpson_panels
+from repro.quadrature.simpson import DEFAULT_PIECES, simpson
 
 
 class TestSimpsonExactness:
@@ -87,21 +87,3 @@ class TestSimpsonEdgeCases:
         res = simpson(np.exp, 0.0, 1.0)
         assert isinstance(res, IntegrationResult)
         assert res.converged
-
-
-class TestSimpsonPanels:
-    def test_matches_simpson_on_grid(self):
-        x = np.linspace(0.0, 2.0, 65)
-        y = np.exp(x)
-        direct = simpson_panels(y, float(x[1] - x[0]))
-        via_f = simpson(np.exp, 0.0, 2.0, pieces=64).value
-        assert direct == pytest.approx(via_f, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 4])
-    def test_even_or_tiny_sample_counts_rejected(self, n):
-        with pytest.raises(ValueError):
-            simpson_panels(np.zeros(n), 0.1)
-
-    def test_two_dimensional_input_rejected(self):
-        with pytest.raises(ValueError):
-            simpson_panels(np.zeros((3, 3)), 0.1)

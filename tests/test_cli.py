@@ -5,6 +5,15 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def assert_refused(capsys, argv, *messages):
+    """``argv`` exits 2 before any work, with each of ``messages`` on stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"repro {argv[0]}: error: ")
+    assert all(message in captured.err for message in messages)
+    assert captured.out == ""
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -144,17 +153,21 @@ class TestCommands:
         ("--profile", []), ("--flamegraph", ["f.txt"]), ("--cost-report", []),
     ])
     def test_spectrum_accuracy_refuses_what_the_lattice_cannot_honour(
-        self, tmp_path, monkeypatch, flag, extra
+        self, tmp_path, monkeypatch, capsys, flag, extra
     ):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match=flag):
-            main(["spectrum", "--bins", "12", "--accuracy", "1e-3", flag, *extra])
+        assert_refused(
+            capsys, ["spectrum", "--bins", "12", "--accuracy", "1e-3", flag, *extra],
+            flag, "not supported with --accuracy",
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
-    def test_spectrum_rejects_an_accuracy_below_zero(self, value):
-        with pytest.raises(SystemExit, match="--accuracy"):
-            main(["spectrum", "--bins", "12", "--accuracy", value])
+    def test_spectrum_rejects_an_accuracy_below_zero(self, value, capsys):
+        assert_refused(
+            capsys, ["spectrum", "--bins", "12", "--accuracy", value],
+            f"--accuracy must be >= 0, got {float(value)}",
+        )
 
     def test_serve_runs(self, capsys):
         assert main(["serve", "--requests", "40", "--seed", "7"]) == 0
@@ -241,29 +254,37 @@ class TestCommands:
         assert main(argv + ["--dash", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
-    def test_serve_rejects_bad_cadence(self, tmp_path):
-        with pytest.raises(SystemExit, match="scrape-cadence"):
-            main([
-                "serve", "--requests", "10",
-                "--dash", str(tmp_path / "d.html"), "--scrape-cadence", "0",
-            ])
+    def test_serve_rejects_bad_cadence(self, tmp_path, capsys):
+        assert_refused(
+            capsys,
+            ["serve", "--requests", "10",
+             "--dash", str(tmp_path / "d.html"), "--scrape-cadence", "0"],
+            "--scrape-cadence must be positive, got 0.0",
+        )
+        assert list(tmp_path.iterdir()) == []
 
-    def test_serve_rejects_zero_rate(self):
-        with pytest.raises(SystemExit, match="--rate"):
-            main(["serve", "--requests", "10", "--rate", "0"])
+    def test_serve_rejects_zero_rate(self, capsys):
+        assert_refused(
+            capsys, ["serve", "--requests", "10", "--rate", "0"],
+            "--rate must be positive and finite, got 0.0",
+        )
 
-    def test_submit_rejects_z_max_beyond_the_database(self):
-        with pytest.raises(SystemExit, match="--z-max 20"):
-            main(["submit", "--z-max", "20"])
+    def test_submit_rejects_z_max_beyond_the_database(self, capsys):
+        assert_refused(
+            capsys, ["submit", "--z-max", "20"],
+            "--z-max 20 exceeds the service database's z_max=14",
+        )
 
     @pytest.mark.parametrize(
         "flag,value",
         [("--slo-p95", "-1"), ("--slo-p95", "0"), ("--slo-p95", "nan"),
          ("--slo-depth", "-3"), ("--slo-depth", "nan")],
     )
-    def test_serve_refuses_an_objective_that_always_breaches(self, flag, value):
-        with pytest.raises(SystemExit, match=flag):
-            main(["serve", "--requests", "10", "--slo", flag, value])
+    def test_serve_refuses_an_objective_that_always_breaches(self, flag, value, capsys):
+        assert_refused(
+            capsys, ["serve", "--requests", "10", "--slo", flag, value],
+            f"{flag} must be ",
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -281,6 +302,7 @@ class TestCommands:
             ["serve", "--postmortem-window", "nan"],
             ["submit", "--bins", "0"],
             ["submit", "--tolerance", "-1"],
+            ["submit", "--repeat", "0"],
             ["spectrum", "--bins", "0"],
             ["spectrum", "--temperature", "-5"],
             ["query", "depth", "--tsdb", "{tmp}/missing.json"],

@@ -88,19 +88,6 @@ TEST_ONLY = {
         "roadmap item 1: the device fault whose waiters get a failure payload",
     "repro.nei.propagator:EigenPropagator": "roadmap item 4: the fixed-step NEI pack a live run executes",
     "repro.nei.runner:attach_real_execution": "roadmap item 4: real NEI numerics for a live run",
-    # Features only their own tests call, each deleted with those tests.
-    "repro.approx.lattice:SpectrumLattice.max_certified_error": "roadmap item 6: 1 test",
-    "repro.atomic.abundances:AbundanceSet.with_metallicity": "roadmap item 6: 1 test, shared with with_override",
-    "repro.atomic.abundances:AbundanceSet.with_override": "roadmap item 6: 1 test, shared with with_metallicity",
-    "repro.atomic.cross_sections:recombination_cross_section": "roadmap item 6: an alias; 1 test",
-    "repro.atomic.elements:Element.n_ions": "roadmap item 6: 2 tests",
-    "repro.atomic.ions:Ion.n_core_electrons": "roadmap item 6: 1 test",
-    "repro.atomic.ions:Ion.recombined_charge": "roadmap item 6: 1 test",
-    "repro.atomic.ions:ions_of_element": "roadmap item 6: 2 tests",
-    "repro.physics.windows:LevelWindows.dropped_mass_bound": "roadmap item 6: 2 tests",
-    "repro.quadrature.result:IntegrationResult.require_converged": "roadmap item 6: 3 tests",
-    "repro.quadrature.result:QuadratureError": "roadmap item 6: raised by require_converged only",
-    "repro.quadrature.simpson:simpson_panels": "roadmap item 6: 3 tests",
 }
 
 #: ``repro`` names reached code imports, or takes of an imported module or
