@@ -28,44 +28,19 @@ Quick start::
     print(result.makespan_s, result.metrics.gpu_task_ratio())
 """
 
-from repro.core import (
-    CostModel,
-    Granularity,
-    HybridConfig,
-    HybridRunner,
-    MetricsLedger,
-    RunResult,
-    SharedMemoryScheduler,
-    Task,
-    TaskKind,
-    WorkloadSpec,
-    autotune_queue_length,
-    build_tasks,
-)
-from repro.gpusim import DeviceSpec, TESLA_C2075, TESLA_K20
-from repro.physics import EnergyGrid, GridPoint, SerialAPEC, Spectrum
+from repro._lazy import _exports
+
+__all__, __getattr__ = _exports(__name__, {
+    "repro.core.calibration": ("CostModel",),
+    "repro.core.granularity": ("Granularity", "WorkloadSpec", "build_tasks"),
+    "repro.core.hybrid": ("HybridConfig", "HybridRunner"),
+    "repro.core.metrics": ("MetricsLedger", "RunResult"),
+    "repro.core.scheduler": ("SharedMemoryScheduler",),
+    "repro.core.task": ("Task", "TaskKind"),
+    "repro.core.autotune": ("autotune_queue_length",),
+    "repro.gpusim.device": ("DeviceSpec", "TESLA_C2075", "TESLA_K20"),
+    "repro.physics.spectrum": ("EnergyGrid", "Spectrum"),
+    "repro.physics.apec": ("GridPoint", "SerialAPEC"),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "CostModel",
-    "Granularity",
-    "HybridConfig",
-    "HybridRunner",
-    "MetricsLedger",
-    "RunResult",
-    "SharedMemoryScheduler",
-    "Task",
-    "TaskKind",
-    "WorkloadSpec",
-    "autotune_queue_length",
-    "build_tasks",
-    "DeviceSpec",
-    "TESLA_C2075",
-    "TESLA_K20",
-    "EnergyGrid",
-    "GridPoint",
-    "SerialAPEC",
-    "Spectrum",
-    "__version__",
-]

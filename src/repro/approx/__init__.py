@@ -10,36 +10,12 @@ log-log space with a measured per-interval error certificate
 back to the exact path — accuracy is a contract, never a hope.
 """
 
-from repro.approx.interp import (
-    INTERP_METHODS,
-    interpolate_loglog,
-    peak_rel_error,
-)
-from repro.approx.lattice import (
-    ExactFn,
-    ExactManyFn,
-    LatticeSpec,
-    SpectrumLattice,
-    plan_exact_fn,
-)
-from repro.approx.store import (
-    LatticeResult,
-    LatticeStats,
-    LatticeStore,
-    RequestEvaluator,
-)
+from repro._lazy import _exports
 
-__all__ = [
-    "ExactFn",
-    "ExactManyFn",
-    "INTERP_METHODS",
-    "LatticeResult",
-    "LatticeSpec",
-    "LatticeStats",
-    "LatticeStore",
-    "RequestEvaluator",
-    "SpectrumLattice",
-    "interpolate_loglog",
-    "peak_rel_error",
-    "plan_exact_fn",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.approx.interp": ("INTERP_METHODS", "interpolate_loglog", "peak_rel_error"),
+    "repro.approx.lattice": (
+        "ExactFn", "ExactManyFn", "LatticeSpec", "SpectrumLattice", "plan_exact_fn",
+    ),
+    "repro.approx.store": ("LatticeResult", "LatticeStats", "LatticeStore", "RequestEvaluator"),
+})

@@ -17,30 +17,13 @@ Everything is deterministic: the same configuration always produces the
 same database, so experiments are exactly reproducible.
 """
 
-from repro.atomic.elements import Element, ELEMENTS, cosmic_abundance
-from repro.atomic.ions import Ion, ion_registry, TOTAL_IONS
-from repro.atomic.levels import Level, LevelStructure, build_levels
-from repro.atomic.cross_sections import (
-    kramers_photoionization,
-    milne_recombination,
-)
-from repro.atomic.rates import ionization_rate, recombination_rate
-from repro.atomic.database import AtomicConfig, AtomicDatabase
+from repro._lazy import _exports
 
-__all__ = [
-    "Element",
-    "ELEMENTS",
-    "cosmic_abundance",
-    "Ion",
-    "ion_registry",
-    "TOTAL_IONS",
-    "Level",
-    "LevelStructure",
-    "build_levels",
-    "kramers_photoionization",
-    "milne_recombination",
-    "ionization_rate",
-    "recombination_rate",
-    "AtomicConfig",
-    "AtomicDatabase",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.atomic.elements": ("Element", "ELEMENTS", "cosmic_abundance"),
+    "repro.atomic.ions": ("Ion", "ion_registry", "TOTAL_IONS"),
+    "repro.atomic.levels": ("Level", "LevelStructure", "build_levels"),
+    "repro.atomic.cross_sections": ("kramers_photoionization", "milne_recombination"),
+    "repro.atomic.rates": ("ionization_rate", "recombination_rate"),
+    "repro.atomic.database": ("AtomicConfig", "AtomicDatabase"),
+})

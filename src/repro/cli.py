@@ -30,12 +30,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.bench.reporting import format_series, format_table
-from repro.core.autotune import autotune_queue_length, probe_prefix
-from repro.core.calibration import CostModel
-from repro.core.granularity import Granularity, WorkloadSpec, build_tasks
-from repro.core.hybrid import HybridConfig, HybridRunner
-
 __all__ = ["main", "build_parser"]
 
 
@@ -442,6 +436,9 @@ def _emit_profile(args: argparse.Namespace, tracer) -> None:
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_table
+    from repro.core import HybridConfig, HybridRunner, WorkloadSpec, build_tasks
+
     tasks = build_tasks(WorkloadSpec())
     runner = HybridRunner(
         HybridConfig(n_gpus=args.gpus, max_queue_length=args.maxlen)
@@ -472,6 +469,9 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_series
+    from repro.core import Granularity, HybridConfig, HybridRunner, WorkloadSpec, build_tasks
+
     ion = build_tasks(WorkloadSpec(n_points=args.points))
     level = build_tasks(
         WorkloadSpec(n_points=args.points, granularity=Granularity.LEVEL)
@@ -487,6 +487,9 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_series
+    from repro.core import HybridConfig, HybridRunner, WorkloadSpec, build_tasks
+
     tasks = build_tasks(WorkloadSpec())
     series: dict[str, dict[int, float]] = {}
     for g in args.gpus:
@@ -501,9 +504,12 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(_args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_table
+    # Named apart from the obs EWMA CostModel this file also imports.
+    from repro.core import CostModel as HostCostModel, HybridConfig, HybridRunner
     from repro.nei.runner import NEIWorkloadSpec, build_nei_tasks
 
-    cost = CostModel(point_overhead_s=0.0)
+    cost = HostCostModel(point_overhead_s=0.0)
     tasks = build_nei_tasks(NEIWorkloadSpec())
     mpi = HybridRunner(
         HybridConfig(n_gpus=0, max_queue_length=8, cost=cost)
@@ -527,6 +533,10 @@ def _cmd_table2(_args: argparse.Namespace) -> int:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_table
+    from repro.core import HybridConfig, WorkloadSpec, build_tasks
+    from repro.core.autotune import autotune_queue_length, probe_prefix
+
     tasks = build_tasks(WorkloadSpec())
     cfg = HybridConfig(n_gpus=args.gpus, max_queue_length=2)
     probe, probe_cfg = probe_prefix(tasks, cfg, tasks_per_point=args.tasks_per_point)
@@ -551,6 +561,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.atomic.database import AtomicConfig, AtomicDatabase
+    from repro.bench.reporting import format_table
     from repro.physics.apec import GridPoint, SerialAPEC
     from repro.physics.spectrum import EnergyGrid
 
@@ -697,6 +708,7 @@ def _spectrum_via_lattice(args: argparse.Namespace, db, grid, tsdb, anomaly) -> 
     or recomputes exactly when the certificate cannot be met.
     """
     from repro.approx import LatticeSpec, SpectrumLattice, plan_exact_fn
+    from repro.bench.reporting import format_table
 
     exact_fn = plan_exact_fn(db, grid, tail_tol=args.tail_tol, ne_cm3=args.density)
     spec_ = LatticeSpec(
@@ -812,6 +824,9 @@ def _spectrum_via_lattice(args: argparse.Namespace, db, grid, tsdb, anomaly) -> 
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_series
+    from repro.core import HybridConfig, HybridRunner, WorkloadSpec, build_tasks
+
     tasks = build_tasks(WorkloadSpec())
     series: dict[str, dict[int, float]] = {}
     for g in args.gpus:
@@ -826,7 +841,9 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_table
     from repro.bench.workloads import romberg_workload
+    from repro.core import HybridConfig, HybridRunner
 
     rows = []
     for k in args.ks:
@@ -854,6 +871,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_nei_solve(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from repro.bench.reporting import format_table
     from repro.nei.equilibrium import equilibrium_state, relaxation_time_scale
     from repro.nei.odes import NEISystem
     from repro.nei.solvers import AutoSwitchSolver
@@ -887,6 +905,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.atomic.database import AtomicConfig, AtomicDatabase
+    from repro.bench.reporting import format_table
     from repro.physics.apec import GridPoint, SerialAPEC
     from repro.physics.fitting import (
         InstrumentResponse,
@@ -924,6 +943,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_table
     from repro.service import ServiceConfig, TrafficSpec, generate_trace
     from repro.service.broker import _default_hybrid, play_trace, trace_broker
 
@@ -1144,6 +1164,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import format_table
     from repro.cluster.simclock import SimClock
     from repro.service import ServiceConfig, SpectrumBroker, SpectrumRequest
 

@@ -12,12 +12,9 @@ stand-ins:
   :mod:`repro.core.scheduler` on live processes and shared arrays.
 """
 
-from repro.cluster.simclock import SimClock, Signal, ProcessHandle
-from repro.cluster.sharedmem import SharedSegment
+from repro._lazy import _exports
 
-__all__ = [
-    "SimClock",
-    "Signal",
-    "ProcessHandle",
-    "SharedSegment",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.cluster.simclock": ("SimClock", "Signal", "ProcessHandle"),
+    "repro.cluster.sharedmem": ("SharedSegment",),
+})

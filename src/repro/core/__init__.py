@@ -15,31 +15,14 @@
 - :mod:`repro.core.autotune` — the automatic maximum-queue-length search.
 """
 
-from repro.core.task import Task, TaskKind
-from repro.core.scheduler import (
-    SharedMemoryScheduler,
-    ClientServerScheduler,
-    NO_DEVICE,
-)
-from repro.core.calibration import CostModel
-from repro.core.granularity import Granularity, WorkloadSpec, build_tasks
-from repro.core.metrics import MetricsLedger, RunResult
-from repro.core.hybrid import HybridConfig, HybridRunner
-from repro.core.autotune import autotune_queue_length
+from repro._lazy import _exports
 
-__all__ = [
-    "Task",
-    "TaskKind",
-    "SharedMemoryScheduler",
-    "ClientServerScheduler",
-    "NO_DEVICE",
-    "CostModel",
-    "Granularity",
-    "WorkloadSpec",
-    "build_tasks",
-    "MetricsLedger",
-    "RunResult",
-    "HybridConfig",
-    "HybridRunner",
-    "autotune_queue_length",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.core.task": ("Task", "TaskKind"),
+    "repro.core.scheduler": ("SharedMemoryScheduler", "ClientServerScheduler", "NO_DEVICE"),
+    "repro.core.calibration": ("CostModel",),
+    "repro.core.granularity": ("Granularity", "WorkloadSpec", "build_tasks"),
+    "repro.core.metrics": ("MetricsLedger", "RunResult"),
+    "repro.core.hybrid": ("HybridConfig", "HybridRunner"),
+    "repro.core.autotune": ("autotune_queue_length",),
+})

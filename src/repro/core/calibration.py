@@ -78,6 +78,10 @@ class CostModel:
                 raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
         if min(self.cpu_eval_s, self.cpu_fallback_penalty, self.mpi_contention) == 0.0:
             raise ValueError("cost constants must be positive")
+        if self.cpu_qags_evals_per_integral < 1:
+            raise ValueError(
+                f"cpu_qags_evals_per_integral must be >= 1, got {self.cpu_qags_evals_per_integral!r}"
+            )
 
     def prep_s(self, n_levels: int) -> float:
         """Host-side preparation time of a task holding ``n_levels`` levels."""
@@ -90,8 +94,11 @@ class CostModel:
     # ------------------------------------------------------------------
     def cpu_integral_s(self, evals_per_integral: int | None = None) -> float:
         """Serial CPU time of one bin integral (QAGS unless overridden)."""
-        evals = evals_per_integral or self.cpu_qags_evals_per_integral
-        return evals * self.cpu_eval_s
+        if evals_per_integral is None:
+            evals_per_integral = self.cpu_qags_evals_per_integral
+        elif evals_per_integral < 1:
+            raise ValueError(f"evals_per_integral must be >= 1, got {evals_per_integral!r}")
+        return evals_per_integral * self.cpu_eval_s
 
     def cpu_task_serial_s(
         self, n_integrals: int, evals_per_integral: int | None = None

@@ -46,6 +46,10 @@ from repro.gpusim.device import DeviceSpec, SimulatedGPU, TESLA_C2075
 
 __all__ = ["HybridConfig", "HybridRunner"]
 
+#: The client-server scheduler's per-request round trip; no other kind
+#: makes one, so no other kind takes another value.
+_RPC_LATENCY_S = 5.0e-4
+
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -66,7 +70,7 @@ class HybridConfig:
     #: "predictive" (measured-cost placement via the online EWMA cost
     #: model, with work stealing in the dispatch loop).
     scheduler_kind: str = "shared"
-    rpc_latency_s: float = 5.0e-4
+    rpc_latency_s: float = _RPC_LATENCY_S
     #: 0 = synchronous (the paper's implementation); n > 0 allows each
     #: rank n outstanding GPU tasks (the "future work" asynchronous mode).
     async_depth: int = 0
@@ -106,6 +110,11 @@ class HybridConfig:
             raise ValueError(f"stagger_s must be finite and >= 0, got {self.stagger_s!r}")
         if not 0.0 <= self.rpc_latency_s < np.inf:
             raise ValueError(f"rpc_latency_s must be finite and >= 0, got {self.rpc_latency_s!r}")
+        if self.scheduler_kind != "client-server" and self.rpc_latency_s != _RPC_LATENCY_S:
+            raise ValueError(
+                f"scheduler_kind={self.scheduler_kind!r} makes no scheduler RPC, so it "
+                f"takes no rpc_latency_s: got rpc_latency_s={self.rpc_latency_s!r}"
+            )
         if self.scheduler_kind == "predictive" and self.async_depth > 0:
             raise ValueError(
                 "predictive scheduling dispatches through per-device "

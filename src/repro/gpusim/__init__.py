@@ -1,16 +1,16 @@
 """Simulated GPU devices with explicit analytic timing models.
 
-No CUDA hardware is available (or needed) for the reproduction: every
-experimental conclusion of the paper rests on the *ratios* between kernel
-compute time, kernel-launch overhead, PCIe transfer cost and CPU serial
-cost.  :class:`~repro.gpusim.device.DeviceSpec` encodes those ratios for a
-Fermi Tesla C2075 (the paper's card) and a Kepler K20 (for the Hyper-Q
-discussion); :class:`~repro.gpusim.device.SimulatedGPU` executes kernel
-submissions against a :class:`~repro.cluster.simclock.SimClock`, while the
-*numerical* work of a task is performed for real by the vectorized batch
-integrators when it carries an ``execute`` callable.
+No CUDA hardware is available (or needed): the paper's conclusions rest
+on the *ratios* of kernel compute time, launch overhead, PCIe transfer
+and CPU serial cost.  :class:`~repro.gpusim.device.DeviceSpec` encodes
+them for a Fermi Tesla C2075 (the paper's card) and a Kepler K20;
+:class:`~repro.gpusim.device.SimulatedGPU` prices kernel submissions on a
+:class:`~repro.cluster.simclock.SimClock`, and a task's ``execute``
+callable does its numerical work for real.
 """
 
-from repro.gpusim.device import DeviceSpec, SimulatedGPU, TESLA_C2075, TESLA_K20
+from repro._lazy import _exports
 
-__all__ = ["DeviceSpec", "SimulatedGPU", "TESLA_C2075", "TESLA_K20"]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.gpusim.device": ("DeviceSpec", "SimulatedGPU", "TESLA_C2075", "TESLA_K20"),
+})

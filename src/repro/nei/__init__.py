@@ -15,27 +15,14 @@ of the tracer.  This package provides:
   and optionally executing real solves.
 """
 
-from repro.nei.odes import NEISystem, nei_matrix
-from repro.nei.solvers import (
-    AutoSwitchSolver,
-    ODESolveResult,
-    SolverStats,
-    backward_euler,
-    exact_linear_solution,
-)
-from repro.nei.equilibrium import equilibrium_state, relaxation_time_scale
-from repro.nei.runner import NEIWorkloadSpec, build_nei_tasks
+from repro._lazy import _exports
 
-__all__ = [
-    "NEISystem",
-    "nei_matrix",
-    "AutoSwitchSolver",
-    "ODESolveResult",
-    "SolverStats",
-    "backward_euler",
-    "exact_linear_solution",
-    "equilibrium_state",
-    "relaxation_time_scale",
-    "NEIWorkloadSpec",
-    "build_nei_tasks",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.nei.odes": ("NEISystem", "nei_matrix"),
+    "repro.nei.solvers": (
+        "AutoSwitchSolver", "ODESolveResult", "SolverStats", "backward_euler",
+        "exact_linear_solution",
+    ),
+    "repro.nei.equilibrium": ("equilibrium_state", "relaxation_time_scale"),
+    "repro.nei.runner": ("NEIWorkloadSpec", "build_nei_tasks"),
+})

@@ -16,87 +16,25 @@ Reading: :mod:`~repro.obs.query` (a PromQL subset),
 (postmortem bundles) and :mod:`~repro.obs.dash` (HTML dashboards).
 """
 
-from repro.obs.anomaly import AnomalyDetector, AnomalyEvent
+from repro._lazy import _exports
 
-from repro.obs.attribution import (
-    Attribution,
-    AttributionResult,
-    CostEntry,
-    CostModel,
-    kernel_root_map,
-    render_cost_report,
-)
-from repro.obs.bus import RunBus, ServiceBus
-from repro.obs.dash import Panel, SERVICE_PANELS, render_dashboard
-from repro.obs.flight import FlightRecorder
-from repro.obs.export import (
-    render_gantt,
-    render_summary,
-    to_chrome,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.profile import (
-    Profile,
-    render_profile,
-    to_collapsed,
-    write_collapsed,
-)
-from repro.obs.prom import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_exposition,
-)
-from repro.obs.query import QueryEngine, QueryError, Sample, parse_query
-from repro.obs.slo import Rule, RuleState, SLOEngine, Transition
-from repro.obs.tracer import NULL_TRACER, EventTracer, NullTracer, WallClock
-from repro.obs.tsdb import NULL_TSDB, NullTimeSeriesStore, Series, TimeSeriesStore
-
-__all__ = [
-    "AnomalyDetector",
-    "AnomalyEvent",
-    "Attribution",
-    "AttributionResult",
-    "CostEntry",
-    "CostModel",
-    "Counter",
-    "EventTracer",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NULL_TSDB",
-    "NullTimeSeriesStore",
-    "NullTracer",
-    "Panel",
-    "Profile",
-    "QueryEngine",
-    "QueryError",
-    "Rule",
-    "RuleState",
-    "RunBus",
-    "SERVICE_PANELS",
-    "SLOEngine",
-    "Sample",
-    "Series",
-    "ServiceBus",
-    "TimeSeriesStore",
-    "Transition",
-    "WallClock",
-    "kernel_root_map",
-    "parse_query",
-    "render_dashboard",
-    "parse_exposition",
-    "render_cost_report",
-    "render_gantt",
-    "render_profile",
-    "render_summary",
-    "to_chrome",
-    "to_collapsed",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_collapsed",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.obs.anomaly": ("AnomalyDetector", "AnomalyEvent"),
+    "repro.obs.attribution": (
+        "Attribution", "AttributionResult", "CostEntry", "CostModel", "kernel_root_map",
+        "render_cost_report",
+    ),
+    "repro.obs.bus": ("RunBus", "ServiceBus"),
+    "repro.obs.dash": ("Panel", "SERVICE_PANELS", "render_dashboard"),
+    "repro.obs.flight": ("FlightRecorder",),
+    "repro.obs.export": (
+        "render_gantt", "render_summary", "to_chrome", "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "repro.obs.profile": ("Profile", "render_profile", "to_collapsed", "write_collapsed"),
+    "repro.obs.prom": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "parse_exposition"),
+    "repro.obs.query": ("QueryEngine", "QueryError", "Sample", "parse_query"),
+    "repro.obs.slo": ("Rule", "RuleState", "SLOEngine", "Transition"),
+    "repro.obs.tracer": ("NULL_TRACER", "EventTracer", "NullTracer", "WallClock"),
+    "repro.obs.tsdb": ("NULL_TSDB", "NullTimeSeriesStore", "Series", "TimeSeriesStore"),
+})

@@ -1,12 +1,11 @@
 """Real parallelism: the plan's ranks.
 
-Everything else in the reproduction measures *simulated* time on the
-event clock; this package is about *real* time — running a
-``SpectrumPlan`` call's grid points, or one point's bins, on forked rank
-processes sized by the CPUs the process may use
-(:mod:`repro.parallel.ranks`).
+Everything else measures *simulated* time on the event clock; this
+package is about *real* time: a ``SpectrumPlan`` call's grid points, or
+one point's bins, run on forked rank processes sized by the CPUs the
+process may use (:mod:`repro.parallel.ranks`).
 """
 
-from repro.parallel.ranks import usable_cpus
+from repro._lazy import _exports
 
-__all__ = ["usable_cpus"]
+__all__, __getattr__ = _exports(__name__, {"repro.parallel.ranks": ("usable_cpus",)})

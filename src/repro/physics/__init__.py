@@ -15,38 +15,17 @@
   per-ion path and the compiled plans, dense and pruned.
 """
 
-from repro.physics.rrc import (
-    RRCLevelParams,
-    rrc_integrand,
-    make_level_integrand,
-    analytic_bin_integral,
-    rrc_prefactor,
-)
-from repro.physics.spectrum import EnergyGrid, Spectrum
-from repro.physics.ionbalance import cie_fractions, ion_density
-from repro.physics.apec import (
-    GridPoint,
-    SerialAPEC,
-    ion_emissivity_batched,
-    ion_emissivity_scalar,
-)
-from repro.physics.windows import LevelWindows, level_windows, tail_cutoff_kev
+from repro._lazy import _exports
 
-__all__ = [
-    "LevelWindows",
-    "level_windows",
-    "tail_cutoff_kev",
-    "RRCLevelParams",
-    "rrc_integrand",
-    "make_level_integrand",
-    "analytic_bin_integral",
-    "rrc_prefactor",
-    "EnergyGrid",
-    "Spectrum",
-    "cie_fractions",
-    "ion_density",
-    "GridPoint",
-    "SerialAPEC",
-    "ion_emissivity_batched",
-    "ion_emissivity_scalar",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.physics.rrc": (
+        "RRCLevelParams", "rrc_integrand", "make_level_integrand", "analytic_bin_integral",
+        "rrc_prefactor",
+    ),
+    "repro.physics.spectrum": ("EnergyGrid", "Spectrum"),
+    "repro.physics.ionbalance": ("cie_fractions", "ion_density"),
+    "repro.physics.apec": (
+        "GridPoint", "SerialAPEC", "ion_emissivity_batched", "ion_emissivity_scalar",
+    ),
+    "repro.physics.windows": ("LevelWindows", "level_windows", "tail_cutoff_kev"),
+})

@@ -21,29 +21,12 @@ implemented from scratch:
   driver: the reference the production RRC kernel is checked against.
 """
 
-from repro.quadrature.result import IntegrationResult
-from repro.quadrature.simpson import simpson
-from repro.quadrature.romberg import romberg, romberg_table
-from repro.quadrature.gauss_kronrod import gauss_kronrod_21, GK21_NODES
-from repro.quadrature.qags import qags
-from repro.quadrature.batch import (
-    batch_simpson,
-    batch_simpson_edges,
-    batch_romberg,
-)
-from repro.quadrature.gauss_legendre import gauss_legendre, gauss_legendre_nodes
+from repro._lazy import _exports
 
-__all__ = [
-    "IntegrationResult",
-    "simpson",
-    "romberg",
-    "romberg_table",
-    "gauss_kronrod_21",
-    "GK21_NODES",
-    "qags",
-    "batch_simpson",
-    "batch_simpson_edges",
-    "batch_romberg",
-    "gauss_legendre",
-    "gauss_legendre_nodes",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.quadrature.result": ("IntegrationResult",),
+    "repro.quadrature.romberg": ("romberg_table",),
+    "repro.quadrature.gauss_kronrod": ("gauss_kronrod_21", "GK21_NODES"),
+    "repro.quadrature.batch": ("batch_simpson", "batch_simpson_edges", "batch_romberg"),
+    "repro.quadrature.gauss_legendre": ("gauss_legendre_nodes",),
+})

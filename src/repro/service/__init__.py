@@ -13,25 +13,13 @@ hybrid runner uses, so a traffic trace plays back identically run after
 run — latency percentiles included.
 """
 
-from repro.service.broker import ServiceConfig, SpectrumBroker, Ticket, run_trace
-from repro.service.cache import CacheStats, SpectrumCache
-from repro.service.coalesce import RequestCoalescer
-from repro.service.loadgen import Arrival, TrafficSpec, generate_trace
-from repro.service.requests import SpectrumRequest, compile_tasks
-from repro.service.telemetry import ServiceTelemetry
+from repro._lazy import _exports
 
-__all__ = [
-    "Arrival",
-    "CacheStats",
-    "RequestCoalescer",
-    "ServiceConfig",
-    "ServiceTelemetry",
-    "SpectrumBroker",
-    "SpectrumCache",
-    "SpectrumRequest",
-    "Ticket",
-    "TrafficSpec",
-    "compile_tasks",
-    "generate_trace",
-    "run_trace",
-]
+__all__, __getattr__ = _exports(__name__, {
+    "repro.service.broker": ("ServiceConfig", "SpectrumBroker", "Ticket", "run_trace"),
+    "repro.service.cache": ("CacheStats", "SpectrumCache"),
+    "repro.service.coalesce": ("RequestCoalescer",),
+    "repro.service.loadgen": ("Arrival", "TrafficSpec", "generate_trace"),
+    "repro.service.requests": ("SpectrumRequest", "compile_tasks"),
+    "repro.service.telemetry": ("ServiceTelemetry",),
+})

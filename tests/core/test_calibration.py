@@ -47,6 +47,16 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(**kwargs)
 
+    @pytest.mark.parametrize("evals", [0, 0.5])
+    def test_qags_evals_below_one_refused_by_name(self, evals):
+        with pytest.raises(ValueError, match="cpu_qags_evals_per_integral must be >= 1"):
+            CostModel(cpu_qags_evals_per_integral=evals)
+
+    @pytest.mark.parametrize("evals", [0, -1])
+    def test_explicit_evals_below_one_refused_not_defaulted(self, evals):
+        with pytest.raises(ValueError, match="evals_per_integral must be >= 1"):
+            CostModel().cpu_task_fallback_s(10**6, evals_per_integral=evals)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostModel)])
     def test_non_finite_constant_refused_by_name(self, name, value):

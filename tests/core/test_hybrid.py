@@ -160,6 +160,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="stagger_s"):
             mini_config(stagger_s=stagger)
 
+    @pytest.mark.parametrize("kind", ["shared", "random", "weighted", "predictive"])
+    def test_rpc_latency_refused_where_no_rpc_is_made(self, kind):
+        with pytest.raises(ValueError, match=f"scheduler_kind='{kind}'.*rpc_latency_s"):
+            mini_config(scheduler_kind=kind, rpc_latency_s=3.0)
+
     @pytest.mark.parametrize("kind", ["shared", "client-server"])
     @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
     def test_bad_rpc_latency_refused_at_construction(self, kind, latency):

@@ -15,12 +15,14 @@ top-level function or class of ``repro``, or a public method of one of
 its classes, passes if code a root reaches mentions it: as a bare name,
 an attribute, a renamed import or an identifier string (``getattr``).
 A top-level ``M:f`` counts only where the mention is in a file F that
-is M, imports ``f`` from M (directly or through a module that imports it,
-such as a package ``__init__``), uses ``x.f`` with ``x`` bound to
-module M, or imports M and names ``f`` bare or as a string.  A reached
-class reaches its dunders; a method is reached once its class is and
-any reached code names it (matching is by name, not by type).  A
-package ``__init__``'s re-exports and any ``__all__`` reach nothing.
+is M, imports ``f`` from M (directly or through a module that offers it,
+such as a package ``__init__`` by an import or in the ``{module:
+(name, ...)}`` table of its lazy façade), uses ``x.f`` with ``x`` bound
+to module M, or imports M and names ``f`` bare or as a string.  A
+reached class reaches its dunders; a method is reached once its class
+is and any reached code names it (matching is by name, not by type).  A
+package ``__init__``'s re-exports, eager or lazy, and any ``__all__``
+reach nothing.
 What only tests reach is on :data:`TEST_ONLY` with a one-line reason,
 or is deleted.  Every ``repro`` import that reached code makes must
 resolve, and so must every attribute it takes of an imported ``repro``
@@ -168,9 +170,25 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _is_all(s: ast.stmt) -> bool:
+def _assigns(s: ast.stmt, name: str) -> bool:
     targets = s.targets if isinstance(s, ast.Assign) else [getattr(s, "target", None)]
-    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+    return any(
+        isinstance(n, ast.Name) and n.id == name
+        for t in targets if t is not None for n in ast.walk(t)
+    )
+
+
+def lazy_table(body: list[ast.stmt]) -> dict[str, str]:
+    """``{name: module}`` of a lazy package façade (PEP 562): the
+    ``{module: (name, ...)}`` table in the call its ``__getattr__`` is
+    assigned from."""
+    return {
+        name.value: module.value
+        for s in body if _assigns(s, "__getattr__") and isinstance(s.value, ast.Call)
+        for table in s.value.args if isinstance(table, ast.Dict)
+        for module, names in zip(table.keys, table.values)
+        for name in names.elts
+    }
 
 
 def _bound(body: list[ast.stmt]) -> set[str]:
@@ -198,7 +216,8 @@ class Package:
         self.root, self.name = root, root.name
         self.paths = {self._module(p): p for p in sorted(root.rglob("*.py"))}
         self.trees = {m: ast.parse(p.read_text()) for m, p in self.paths.items()}
-        self.bound = {m: _bound(tree.body) for m, tree in self.trees.items()}
+        self.lazy = {m: lazy_table(tree.body) for m, tree in self.trees.items()}
+        self.bound = {m: _bound(tree.body) | self.lazy[m].keys() for m, tree in self.trees.items()}
         for module in self.trees:
             parent, _, leaf = module.rpartition(".")
             self.bound.get(parent, set()).add(leaf)
@@ -213,7 +232,7 @@ class Package:
         init = self.paths[module].name == "__init__.py"
         return [
             s for s in self.trees[module].body
-            if not isinstance(s, _DEF) and not _is_all(s)
+            if not isinstance(s, _DEF) and not _assigns(s, "__all__")
             and not (init and isinstance(s, (ast.Import, ast.ImportFrom)))
         ]
 
@@ -229,6 +248,8 @@ class Package:
         a class with a base from outside the package."""
         if name is None or f"{module}.{name}" in self.trees:
             return self.bound[module if name is None else f"{module}.{name}"]
+        if name in self.lazy[module]:
+            return self.attributes(self.lazy[module][name], name)
         for s in self.trees[module].body:
             if isinstance(s, ast.ClassDef) and s.name == name:
                 found = _bound(s.body)
@@ -246,8 +267,11 @@ class Package:
     @functools.cache
     def origin(self, module: str, name: str) -> str | None:
         """The module whose top-level def ``name`` of ``module`` is:
-        ``module`` itself, or where a top-level ``from ... import`` of
-        ``module`` takes it from; None when it is neither."""
+        ``module`` itself, or where a top-level ``from ... import`` or
+        the lazy table of ``module`` takes it from; None when it is
+        neither."""
+        if name in self.lazy.get(module, {}):
+            return self.origin(self.lazy[module][name], name)
         for s in self.trees[module].body if module in self.trees else ():
             if isinstance(s, _DEF) and s.name == name:
                 return module
@@ -422,11 +446,22 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
         "def tested(): pass\n"
         "def reexported(): pass\n"
         "def shadowed(): pass\n"
+        "def lazily(): pass\n"
+        "def lazily_unused(): pass\n"
+        "class LazyClass: pass\n"
         "class Reached:\n"
         "    def __init__(self): from_a_dunder()\n"
         "    def unused(self): pass\n"
         "class Unreached:\n"
         "    def lazy(self): pass\n"
+    )
+    # A lazy façade: its table offers names without importing pkg.lib.
+    (pkg / "facade").mkdir()
+    (pkg / "facade" / "__init__.py").write_text(
+        "from pkg._lazy import _exports\n"
+        "__all__, __getattr__ = _exports(__name__, {\n"
+        "    'pkg.lib': ('lazily', 'lazily_unused', 'LazyClass'),\n"
+        "})\n"
     )
     # Names ``shadowed`` only as another object's method, and never imports pkg.lib.
     (pkg / "other.py").write_text(
@@ -439,9 +474,11 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
     root.write_text(
         "import pkg.lib\n"
         "from pkg.other import helper\n"
+        "from pkg.facade import LazyClass, lazily, not_offered\n"
         "def main():\n"
         "    from pkg.lib import Reached, lazy, missing\n"
         "    lazy()\n"
+        "    lazily(LazyClass.gone)\n"
         "    pkg.lib.attribute()\n"
         "    getattr(pkg.lib, 'by_string')()\n"
         "    return Reached(), Reached.gone, helper\n"
@@ -453,7 +490,10 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
     )
     unreached, dangling = reachability(Package(pkg), [root])
     assert unreached == [
-        "pkg.lib:Reached.unused", "pkg.lib:Unreached", "pkg.lib:exported", "pkg.lib:shadowed",
-        "pkg.lib:tested",
+        "pkg.lib:Reached.unused", "pkg.lib:Unreached", "pkg.lib:exported", "pkg.lib:lazily_unused",
+        "pkg.lib:shadowed", "pkg.lib:tested",
     ]
-    assert dangling == ["root.py: pkg.lib.Reached.gone", "root.py: pkg.lib.missing"]
+    assert dangling == [
+        "root.py: pkg.facade.LazyClass.gone", "root.py: pkg.facade.not_offered",
+        "root.py: pkg.lib.Reached.gone", "root.py: pkg.lib.missing",
+    ]
