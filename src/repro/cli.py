@@ -10,7 +10,7 @@
     python -m repro spectrum --temperature 1e7 --bins 120
     python -m repro nei-solve --element 8 --temperature 1e6
     python -m repro fit --temperature 1.05e7
-    python -m repro serve --trace zipf --requests 200 --seed 7
+    python -m repro serve --pattern zipf --requests 200 --seed 7
     python -m repro serve --dash dash.html --tsdb-out tsdb.json --slo
     python -m repro query 'rate(repro_requests_total[2s])' --tsdb tsdb.json
     python -m repro submit --temperature 1e7 --repeat 2
@@ -505,11 +505,10 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
 def _cmd_table2(_args: argparse.Namespace) -> int:
     from repro.bench.reporting import format_table
-    # Named apart from the obs EWMA CostModel this file also imports.
-    from repro.core import CostModel as HostCostModel, HybridConfig, HybridRunner
+    from repro.core import CostModel, HybridConfig, HybridRunner
     from repro.nei.runner import NEIWorkloadSpec, build_nei_tasks
 
-    cost = HostCostModel(point_overhead_s=0.0)
+    cost = CostModel(point_overhead_s=0.0)
     tasks = build_nei_tasks(NEIWorkloadSpec())
     mpi = HybridRunner(
         HybridConfig(n_gpus=0, max_queue_length=8, cost=cost)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.cluster.simclock import Signal, SimClock
 from repro.core.calibration import CostModel
-from repro.core.metrics import MetricsLedger, RunResult, TaskEvent
+from repro.core.metrics import MetricsLedger, RunResult
 from repro.obs.bus import RunBus
 from repro.obs.tracer import NULL_TRACER
 from repro.core.scheduler import (
@@ -82,9 +82,6 @@ class HybridConfig:
     #: paper's minimum-history rule; "first" = positional, for ablation).
     #: Every ranking scheduler honours it; "random" takes only "history".
     tie_break: str = "history"
-    #: Record a per-task TaskEvent timeline in the metrics ledger
-    #: (off by default: ~12k events per paper-scale run).
-    record_trace: bool = False
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -458,10 +455,11 @@ class HybridRunner:
                         rank_track, task.label or f"task{task.task_id}",
                         task_started, span_id, task.trace_parent, device,
                         wait_s, service, submitted_at, started, stolen, predicted,
+                        task.task_id,
                     )
             else:
                 bus.on_cpu_task()
-                submitted_at = started = clock.now
+                started = clock.now
                 delay = cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
                 clock.wake_after(delay, send, name)
                 yield
@@ -469,14 +467,8 @@ class HybridRunner:
                 if traced:
                     tracer.task_end(rank_track, task.label or f"task{task.task_id}",
                                     task_started, span_id, task.trace_parent,
-                                    NO_DEVICE, 0.0)
-            if cfg.record_trace:
-                bus.on_task_event(TaskEvent(
-                    rank=rank, task_id=task.task_id,
-                    placement="cpu" if device == NO_DEVICE else "gpu",
-                    device=device, start=started, end=clock.now,
-                    enqueue=submitted_at,
-                ))
+                                    NO_DEVICE, 0.0, started=started,
+                                    task_id=task.task_id)
         done.fire(clock)
         send = entry = None  # no cycle through the frame: freed at once
         yield  # parked: nothing wakes a finished rank
@@ -518,8 +510,9 @@ class HybridRunner:
             if device != NO_DEVICE:
                 yield cost.submit_overhead_s
                 submitted_at = clock.now
+                price = gpus[device].spec.phase_times(task)
                 try:
-                    done = gpus[device].submit(task, parent=span_id)
+                    done = gpus[device].submit(task, span_id, price)
                 except RuntimeError:
                     # Dead device: as in the synchronous loop, release the
                     # slot, revoke the admission, fall back to the CPU.
@@ -528,13 +521,18 @@ class HybridRunner:
                     device = NO_DEVICE
                 else:
 
-                    def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id):
+                    def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id,
+                                service=price[0] + price[1] + price[2]):
                         sched.sche_free(d, clock.now)
                         self._accumulate(spectra, t, payload)
                         if traced:
+                            # Served for its price up to now, as the sync
+                            # loop reads its start.
                             tracer.task_end(
                                 rank_track, t.label or f"task{t.task_id}", t0,
                                 sid, t.trace_parent, d,
+                                started=t0 + max(0.0, clock.now - t0 - service),
+                                task_id=t.task_id,
                             )
 
                     done.add_callback(clock, on_done)
@@ -548,6 +546,7 @@ class HybridRunner:
                     tracer.task_end(
                         rank_track, task.label or f"task{task.task_id}",
                         cpu_started, span_id, task.trace_parent, NO_DEVICE,
+                        started=cpu_started, task_id=task.task_id,
                     )
         for sig in in_flight:
             yield sig

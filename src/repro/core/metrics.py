@@ -15,41 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TaskEvent", "MetricsLedger", "RunResult"]
-
-
-@dataclass(frozen=True)
-class TaskEvent:
-    """One task's lifetime inside a hybrid run (for timeline analysis).
-
-    ``enqueue`` is when the task became ready for service (GPU path: the
-    moment it was submitted to the device; CPU path: when the fallback
-    execution began), ``start`` is when service actually began (GPU
-    path: after any device-queue wait), and ``end`` is when the rank
-    moved on (result in hand) — so ``start``/``end`` delimit pure
-    service and :attr:`wait` is the queueing delay, no longer conflated.
-    ``device`` is -1 for CPU fallback executions.  ``enqueue`` defaults
-    to ``None`` for hand-built events (wait reads as zero).
-    """
-
-    rank: int
-    task_id: int
-    placement: str  # "gpu" | "cpu"
-    device: int
-    start: float
-    end: float
-    enqueue: float | None = None
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def wait(self) -> float:
-        """Queueing delay between readiness and service start."""
-        if self.enqueue is None:
-            return 0.0
-        return self.start - self.enqueue
+__all__ = ["MetricsLedger", "RunResult"]
 
 
 class MetricsLedger:
@@ -88,9 +54,6 @@ class MetricsLedger:
         #: batch's tasks (set once by the runner, folded by telemetry).
         self.evals_saved: int = 0
         self.end_time: float = 0.0
-        #: Per-task timeline records (populated only when the runner is
-        #: configured with ``record_trace=True``).
-        self.trace: list[TaskEvent] = []
 
     @property
     def gpu_tasks(self) -> np.ndarray:
@@ -143,9 +106,6 @@ class MetricsLedger:
     def on_prediction(self, predicted_s: float, measured_s: float) -> None:
         """One cost-model prediction resolved against measured service."""
         self.predictions.append((predicted_s, measured_s))
-
-    def on_task_event(self, event: TaskEvent) -> None:
-        self.trace.append(event)
 
     def finalize(self, now: float) -> None:
         """Close all residency intervals at the end of the run."""

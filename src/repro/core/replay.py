@@ -1,33 +1,38 @@
-"""Offline schedule analysis: replay and validate recorded traces.
+"""Offline schedule analysis: replay and validate a run's task rows.
 
-A recorded :class:`~repro.core.metrics.TaskEvent` timeline is a complete
-description of one hybrid schedule.  This module re-derives scheduler
-state from the trace alone and checks it against the invariants the live
-scheduler is supposed to maintain — an independent auditor, sharing no
-code with the scheduler it audits — plus summary statistics for schedule
+The task rows a traced run leaves in its :class:`~repro.obs.tracer.EventTracer`
+are a complete description of one hybrid schedule: each task's ``END``
+row names its rank (the track), task id, device, and when it was
+submitted, served and done.  This module re-derives scheduler state from
+those rows alone and checks it against the invariants the live scheduler
+is supposed to maintain — an independent auditor, sharing no code with
+the scheduler it audits — plus summary statistics for schedule
 post-mortems (per-rank busy fractions, device occupancy, fallback
-clustering).
+clustering).  It audits synchronous, asynchronous and predictive runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.metrics import TaskEvent
+from repro.obs.tracer import END
 
 __all__ = ["ReplayReport", "replay_trace"]
 
 
 @dataclass
 class ReplayReport:
-    """Everything the auditor derived from one trace."""
+    """Everything the auditor derived from one run's rows.
 
-    n_events: int
+    ``tasks`` holds one ``(rank track, task_id, device, enqueue, start,
+    end)`` per ``END`` row, in row order; ``device`` is -1 for a CPU
+    fallback, whose ``enqueue`` is its ``start``.
+    """
+
     n_gpu: int
     n_cpu: int
     makespan_s: float
+    tasks: list[tuple] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     rank_busy_fraction: dict[int, float] = field(default_factory=dict)
     device_task_counts: dict[int, int] = field(default_factory=dict)
@@ -39,32 +44,71 @@ class ReplayReport:
         return not self.violations
 
 
+def _sweep(intervals: list[tuple[float, float]]) -> tuple[int, float]:
+    """(most intervals open at once, time at least one is open); an
+    interval ending where another starts does not overlap it."""
+    edges = sorted([(s, 1) for s, _ in intervals] + [(e, -1) for _, e in intervals])
+    live = peak = 0
+    covered = opened = 0.0
+    for t, delta in edges:
+        if live == 0:
+            opened = t
+        live += delta
+        peak = max(peak, live)
+        if live == 0:
+            covered += t - opened
+    return peak, covered
+
+
 def replay_trace(
-    trace: list[TaskEvent],
+    tracer,
     max_queue_length: int | None = None,
     n_expected_tasks: int | None = None,
+    async_depth: int = 0,
 ) -> ReplayReport:
-    """Audit a task timeline.
+    """Audit the task rows ``tracer`` recorded over one hybrid run (the
+    batches of a service run reuse task ids).
 
     Checks performed:
 
     - every task id appears exactly once;
-    - per-rank intervals are disjoint (a synchronous rank runs one task
-      at a time);
+    - no rank has more than ``max(1, async_depth)`` tasks open, from
+      submission to end, at once (a synchronous rank runs one task at a
+      time);
+    - no task starts before it is submitted or ends before it starts;
     - when ``max_queue_length`` is given, the number of *simultaneously
-      open* GPU events per device never exceeds it (the queue bound seen
+      open* GPU tasks per device never exceeds it (the queue bound seen
       from the outside);
-    - when ``n_expected_tasks`` is given, the trace is complete.
+    - when ``n_expected_tasks`` is given, the record is complete.
+
+    Reading ``tracer.events`` expands rows into events in place, so a
+    tracer whose task rows have already given way cannot be audited:
+    that raises ``ValueError`` rather than audit part of a run.
     """
+    tasks = []
+    for row in tracer.log:
+        if row.__class__ is tuple:
+            if row[0] == END:
+                # (END, track, name, start, end, id, parent, device, wait_s,
+                #  service_s, submitted_at, started, stolen, predicted_s, task_id)
+                started = row[11]
+                enqueue = started if row[10] is None else row[10]
+                tasks.append((row[1], row[14], row[7], enqueue, started, row[4]))
+        elif row is not None and row.ph == "X" and row.cat == "task":
+            raise ValueError(
+                "the tracer's events were read: its task rows gave way to "
+                "events, so the record is no longer complete"
+            )
+    n_gpu = sum(1 for t in tasks if t[2] >= 0)
     report = ReplayReport(
-        n_events=len(trace),
-        n_gpu=sum(1 for e in trace if e.placement == "gpu"),
-        n_cpu=sum(1 for e in trace if e.placement == "cpu"),
-        makespan_s=max((e.end for e in trace), default=0.0),
+        n_gpu=n_gpu,
+        n_cpu=len(tasks) - n_gpu,
+        makespan_s=max((t[5] for t in tasks), default=0.0),
+        tasks=tasks,
     )
 
     # Uniqueness / completeness.
-    ids = [e.task_id for e in trace]
+    ids = [t[1] for t in tasks]
     if len(set(ids)) != len(ids):
         report.violations.append("duplicate task ids in trace")
     if n_expected_tasks is not None and len(ids) != n_expected_tasks:
@@ -72,42 +116,34 @@ def replay_trace(
             f"trace has {len(ids)} tasks, expected {n_expected_tasks}"
         )
 
-    # Per-rank serialization + busy fractions.
-    by_rank: dict[int, list[TaskEvent]] = {}
-    for ev in trace:
-        by_rank.setdefault(ev.rank, []).append(ev)
-    for rank, events in by_rank.items():
-        events.sort(key=lambda e: (e.start, e.end))
-        busy = 0.0
-        for a, b in zip(events, events[1:]):
-            if b.start < a.end - 1e-9:
-                report.violations.append(
-                    f"rank {rank}: overlapping tasks {a.task_id} and {b.task_id}"
-                )
-        for ev in events:
-            if ev.end < ev.start:
-                report.violations.append(
-                    f"rank {rank}: task {ev.task_id} ends before it starts"
-                )
-            busy += max(0.0, ev.duration)
+    # Per-rank concurrency + busy fractions.
+    by_rank: dict[int, list[tuple[float, float]]] = {}
+    for rank, task_id, _device, enqueue, start, end in tasks:
+        if not enqueue <= start <= end:
+            report.violations.append(
+                f"task {task_id} is not submitted, started and done in that order"
+            )
+        by_rank.setdefault(rank, []).append((enqueue, end))
+    bound = max(1, async_depth)
+    for rank, intervals in by_rank.items():
+        peak, busy = _sweep(intervals)
+        if peak > bound:
+            track = tracer.tracks[rank]
+            report.violations.append(
+                f"{track.process}/{track.thread}: {peak} tasks open at once, "
+                f"more than {bound}"
+            )
         if report.makespan_s > 0.0:
             report.rank_busy_fraction[rank] = busy / report.makespan_s
 
-    # Device occupancy from the outside: sweep event edges.
-    by_device: dict[int, list[TaskEvent]] = {}
-    for ev in trace:
-        if ev.placement == "gpu":
-            by_device.setdefault(ev.device, []).append(ev)
-    for device, events in by_device.items():
-        report.device_task_counts[device] = len(events)
-        edges = sorted(
-            [(e.start, +1) for e in events] + [(e.end, -1) for e in events],
-            key=lambda p: (p[0], p[1]),
-        )
-        live = peak = 0
-        for _t, delta in edges:
-            live += delta
-            peak = max(peak, live)
+    # Device occupancy from the outside.
+    by_device: dict[int, list[tuple[float, float]]] = {}
+    for _rank, _task_id, device, _enqueue, start, end in tasks:
+        if device >= 0:
+            by_device.setdefault(device, []).append((start, end))
+    for device, intervals in by_device.items():
+        report.device_task_counts[device] = len(intervals)
+        peak, _busy = _sweep(intervals)
         report.max_concurrent_per_device[device] = peak
         if max_queue_length is not None and peak > max_queue_length:
             report.violations.append(
@@ -117,10 +153,9 @@ def replay_trace(
 
     # Fallback clustering: lengths of consecutive CPU placements in
     # task-id order (long runs = a rank stuck on the slow path).
-    ordered = sorted(trace, key=lambda e: e.task_id)
     run = 0
-    for ev in ordered:
-        if ev.placement == "cpu":
+    for _task_id, device in sorted((t[1], t[2]) for t in tasks):
+        if device < 0:
             run += 1
         elif run:
             report.fallback_runs.append(run)

@@ -288,7 +288,7 @@ class SimulatedGPU:
         else:  # the entry ``Signal.fire`` would push for its one waiter
             clock._seq = seq = clock._seq + 1
             heappush(clock._heap, (clock.now, clock.now, seq, wake, payload))
-        if self._waiting and self._active < self.spec.max_concurrent_kernels:
+        if self._waiting:  # into the slot this task held
             self._start(self._waiting.popleft())
 
     def utilization(self, makespan: float) -> float:

@@ -312,7 +312,7 @@ class Attribution:
                         o_co += t_c
                 elif kind == END:
                     (_, _, _, began, ended, sid, gid, placed, _, _, submitted_at,
-                     started, _, _) = ev
+                     started, _, _, _) = ev
                     wait = cpu = 0
                     if submitted_at is not None:  # it waited: the queue-wait span
                         wait = round((started - submitted_at) * TICKS_PER_S)

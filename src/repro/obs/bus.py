@@ -37,7 +37,6 @@ class RunBus:
     __slots__ = (
         "ledger", "tracer", "device_tracks", "on_load_change", "on_cpu_task",
         "on_admission_revoked", "on_task_timing", "on_steal", "on_prediction",
-        "on_task_event",
     )
 
     def __init__(self, ledger, tracer=None, device_tracks: Sequence[int] = ()) -> None:
@@ -50,7 +49,6 @@ class RunBus:
         self.on_cpu_task = ledger.on_cpu_task
         self.on_task_timing = ledger.on_task_timing
         self.on_prediction = ledger.on_prediction
-        self.on_task_event = ledger.on_task_event
         if self.tracer.enabled:
             self.on_load_change = self._traced_load_change
             self.on_admission_revoked = self._traced_admission_revoked

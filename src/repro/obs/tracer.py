@@ -67,10 +67,11 @@ is the kind):
   bytes_out, phase, t0, t1)`` — one phase (0 ingress, 1 compute,
   2 egress) from a multi-slot device, which overlaps its clients;
 - ``(END, track, name, start, end, id, parent, device, wait_s,
-  service_s, submitted_at, started, stolen, predicted_s)`` — the task
-  span, preceded by its ``queue-wait`` span ``[submitted_at, started]``
-  if it waited; ``submitted_at`` is ``None`` in the row of one that did
-  not.
+  service_s, submitted_at, started, stolen, predicted_s, task_id)`` —
+  the task span, preceded by its ``queue-wait`` span ``[submitted_at,
+  started]`` if it waited; ``submitted_at`` is ``None`` in the row of
+  one that did not.  ``task_id``, and the ``started`` of a task that did
+  not wait, reach no event: :mod:`repro.core.replay` reads the row.
 """
 
 from __future__ import annotations
@@ -329,13 +330,13 @@ class EventTracer:
 
     def task_end(self, track, name, start, id, parent, device, wait_s=None,
                  service_s=None, submitted_at=0.0, started=0.0, stolen=None,
-                 predicted_s=None) -> None:
+                 predicted_s=None, task_id=None) -> None:
         """Close a task: ``device`` < 0 is the CPU fallback; ``wait_s`` /
         ``service_s`` / ``stolen`` left ``None`` stay out of the span's args."""
         self.log.append(
             (END, track, name, start, self._clock.now, id, parent, device,
              wait_s, service_s, submitted_at if wait_s else None, started,
-             stolen, predicted_s)
+             stolen, predicted_s, task_id)
         )
         if wait_s:  # it waited: a slot for the queue-wait span
             self.log.append(None)
@@ -391,7 +392,7 @@ class EventTracer:
                 add(_phase_span(row, *row[8:]))
             else:  # END
                 (_, _, name, start, end, id, parent, device, wait_s, service_s,
-                 submitted_at, started, stolen, predicted) = row
+                 submitted_at, started, stolen, predicted, _) = row
                 if submitted_at is not None:
                     add(TraceEvent(
                         "X", "queue-wait", "wait", track, submitted_at,

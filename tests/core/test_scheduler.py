@@ -1,5 +1,7 @@
 """Algorithm 1 semantics: SCHE-ALLOC / SCHE-FREE."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.metrics import MetricsLedger
@@ -44,6 +46,12 @@ class TestScheAlloc:
         s.sche_free(0)
         assert s.loads() == [0]
         assert s.histories() == [1]  # history is monotone
+
+    @pytest.mark.parametrize("kind", ["random", "weighted"])
+    def test_one_device_takes_the_task(self, kind):
+        s = make(kind, 1)
+        assert s.sche_alloc() == 0
+        assert s.loads() == [1]
 
     def test_least_loaded_wins(self):
         s = SharedMemoryScheduler(n_devices=3, max_queue_length=4)
@@ -414,6 +422,24 @@ class TestPredictiveScheduler:
         s.sche_free(1, cost_s=0.5)
         assert s.backlog_ticks() == [0, 0]
         s.validate()
+
+    def test_zero_ticks_are_a_cost_like_any_other(self):
+        s = self._make(n=2)
+        assert s.sche_alloc(ticks=0) == 0
+        assert s.sche_alloc(ticks=0) == 1
+        s.on_steal(victim=0, thief=1, ticks=0)
+        s.sche_free(1, ticks=0)
+        s.sche_free(1, ticks=0)
+        assert s.loads() == [0, 0] and s.backlog_ticks() == [0, 0]
+        s.validate()
+
+    def test_alloc_hands_the_hook_the_new_load(self):
+        calls = []
+        hook = SimpleNamespace(on_load_change=lambda *change: calls.append(change))
+        s = self._make(n=2, metrics=hook)
+        for now in (1.5, 2.0, 2.5):
+            s.sche_alloc(now, ticks=5)
+        assert calls == [(0, 0, 1, 1.5), (1, 0, 1, 2.0), (0, 1, 2, 2.5)]
 
     def test_on_steal_rejects_out_of_range(self):
         s = self._make(n=2)

@@ -73,6 +73,7 @@ class TestDeviceSpec:
         [
             dict(architecture="volta"),
             dict(eval_rate=0.0),
+            dict(pcie_bandwidth_gbs=0.0),
             dict(max_concurrent_kernels=0),
         ],
     )

@@ -1,9 +1,9 @@
-"""Event buses, per-lane latency samples, and TaskEvent timing fields."""
+"""Event buses, per-lane latency samples, and END-row timing fields."""
 
 import numpy as np
 import pytest
 
-from repro.core.metrics import MetricsLedger, TaskEvent
+from repro.core.metrics import MetricsLedger
 from repro.obs import EventTracer, RunBus, ServiceBus
 from repro.cluster.simclock import SimClock
 from repro.service.telemetry import LaneStats, ServiceTelemetry
@@ -82,33 +82,20 @@ class TestLatencyReservoir:
         assert stats.max_latency_s() == 3.0
 
 
-class TestTaskEventTiming:
-    def test_wait_derived_from_enqueue(self):
-        ev = TaskEvent(
-            rank=0, task_id=1, placement="gpu", device=0,
-            start=2.0, end=5.0, enqueue=1.5,
-        )
-        assert ev.wait == pytest.approx(0.5)
-        assert ev.duration == pytest.approx(3.0)
-
-    def test_wait_zero_without_enqueue(self):
-        ev = TaskEvent(0, 2, "cpu", -1, 1.0, 2.0)
-        assert ev.enqueue is None
-        assert ev.wait == 0.0
-
-    def test_hybrid_run_records_enqueue_separately(self):
+class TestEndRowTiming:
+    def test_hybrid_run_records_submission_separately(self):
         from repro.core.granularity import WorkloadSpec, build_tasks
         from repro.core.hybrid import HybridConfig, HybridRunner
+        from repro.core.replay import replay_trace
 
         tasks = build_tasks(WorkloadSpec(n_points=1))
-        result = HybridRunner(
-            HybridConfig(n_gpus=1, max_queue_length=2, record_trace=True)
+        tracer = EventTracer()
+        HybridRunner(
+            HybridConfig(n_gpus=1, max_queue_length=2), tracer=tracer
         ).run(tasks)
-        events = result.metrics.trace
-        assert events
-        for ev in events:
-            assert ev.enqueue is not None
-            assert ev.enqueue <= ev.start <= ev.end
-            assert ev.wait == pytest.approx(ev.start - ev.enqueue)
+        records = replay_trace(tracer).tasks
+        assert len(records) == len(tasks)
+        for _rank, _task_id, _device, enqueue, start, end in records:
+            assert enqueue <= start <= end
         # Some GPU tasks in a contended run actually waited.
-        assert any(ev.wait > 0 for ev in events if ev.placement == "gpu")
+        assert any(start > enqueue for _, _, d, enqueue, start, _ in records if d >= 0)

@@ -68,6 +68,24 @@ class TestParser:
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
 
+    def test_every_docstring_example_parses(self):
+        """Each ``python -m repro ...`` line of the module's docstring is
+        a command the parser takes as written, and means what it shows."""
+        import shlex
+
+        import repro.cli
+
+        examples = [
+            shlex.split(line.split("python -m repro", 1)[1])
+            for line in repro.cli.__doc__.splitlines() if "python -m repro" in line
+        ]
+        assert len(examples) == 16
+        for argv in examples:
+            assert build_parser().parse_args(argv).command == argv[0]
+        (zipf,) = [argv for argv in examples if "zipf" in argv]
+        args = build_parser().parse_args(zipf)
+        assert (args.command, args.pattern, args.trace) == ("serve", "zipf", None)
+
     def test_spectrum_rejects_bad_component(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["spectrum", "--components", "magic"])

@@ -119,21 +119,28 @@ def read(nodes: list[ast.AST]):
     """``(names, imports, uses)`` of ``nodes``: every name they mention
     (bare names, attributes, the source name of a renamed import,
     identifier strings less docstrings), every absolute import as
-    ``(module, name or None)``, and every ``x.attr`` as ``(x, attr)``."""
-    walked = [n for node in nodes for n in ast.walk(node)]
+    ``(module, name or None)``, and every ``x.attr`` as ``(x, attr,
+    scopes)``, ``scopes`` the ``id()`` of each function around it,
+    outermost first."""
+    walked, stack = [], [(node, ()) for node in nodes]
+    while stack:
+        n, around = stack.pop()
+        walked.append((n, around))
+        inner = (*around, id(n)) if isinstance(n, _FUNCTION) else around
+        stack += [(c, inner) for c in ast.iter_child_nodes(n)]
     docstrings = {
-        id(n.body[0].value) for n in walked
+        id(n.body[0].value) for n, _ in walked
         if isinstance(n, (ast.Module, *_DEF)) and n.body
         and isinstance(n.body[0], ast.Expr) and isinstance(n.body[0].value, ast.Constant)
     }
     names, imports, uses = set(), [], []
-    for n in walked:
+    for n, around in walked:
         if isinstance(n, ast.Name):
             names.add(n.id)
         elif isinstance(n, ast.Attribute):
             names.add(n.attr)
             if isinstance(n.value, ast.Name):
-                uses.append((n.value.id, n.attr))
+                uses.append((n.value.id, n.attr, around))
         elif isinstance(n, ast.Import):
             imports += [(a.name, None) for a in n.names]
         elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
@@ -147,23 +154,45 @@ def read(nodes: list[ast.AST]):
 
 
 def _statements(body: list) -> Iterator[ast.AST]:
-    """Every statement in ``body``, nested ones included."""
+    """Every statement in ``body``, nested ones included, less the body
+    of a function it defines."""
     for s in body:
         yield s
-        for field in ("body", "orelse", "finalbody", "handlers"):
-            yield from _statements(getattr(s, field, []))
+        if not isinstance(s, _FUNCTION):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _statements(getattr(s, field, []))
 
 
-def aliases(tree: ast.Module, package: str) -> dict[str, tuple[str, str | None]]:
+def aliases(tree: ast.Module, package: str) -> dict:
     """What each name a file binds by importing from ``package`` stands
-    for: ``(module, name)``, or ``(module, None)`` for ``import m as x``."""
-    found = {}
-    for n in _statements(tree.body):
-        if isinstance(n, ast.ImportFrom) and n.module and not n.level:
-            found.update({a.asname or a.name: (n.module, a.name) for a in n.names})
-        elif isinstance(n, ast.Import):
-            found.update({a.asname: (a.name, None) for a in n.names if a.asname})
-    return {k: v for k, v in found.items() if v[0].split(".")[0] == package}
+    for, ``(module, name)`` or ``(module, None)`` for ``import m as x``,
+    by scope: ``{id(function) or None: {name: ...}}``, None for the
+    module's own (class bodies included)."""
+    found: dict = {}
+    pending = [(None, tree.body)]
+    while pending:
+        scope, body = pending.pop()
+        bound = found.setdefault(scope, {})
+        for n in _statements(body):
+            if isinstance(n, ast.ImportFrom) and n.module and not n.level:
+                bound.update({a.asname or a.name: (n.module, a.name) for a in n.names})
+            elif isinstance(n, ast.Import):
+                bound.update({a.asname: (a.name, None) for a in n.names if a.asname})
+            elif isinstance(n, _FUNCTION):
+                pending.append((id(n), n.body))
+    return {
+        scope: {k: v for k, v in bound.items() if v[0].split(".")[0] == package}
+        for scope, bound in found.items()
+    }
+
+
+def _alias(scoped: dict, x: str, scopes: tuple) -> tuple[str | None, str | None]:
+    """What ``x`` stands for where it is used: the innermost of
+    ``scopes`` that imports it, else the module's import."""
+    for scope in (*reversed(scopes), None):
+        if x in scoped.get(scope, {}):
+            return scoped[scope][x]
+    return None, None
 
 
 def _is_dunder(name: str) -> bool:
@@ -348,8 +377,8 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
                 for module, name in found
                 if module.split(".")[0] == pkg.name and pkg.missing(module, name)
             )
-            for x, attr in uses:
-                module, name = bindings[path].get(x, (None, None))
+            for x, attr, scopes in uses:
+                module, name = _alias(bindings[path], x, scopes)
                 target = module if name is None else f"{module}.{name}"
                 if target in pkg.trees:
                     imported[path].add((target, attr))
@@ -454,6 +483,8 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
         "    def unused(self): pass\n"
         "class Unreached:\n"
         "    def lazy(self): pass\n"
+        "class Twin:\n"
+        "    def here(self): pass\n"
     )
     # A lazy façade: its table offers names without importing pkg.lib.
     (pkg / "facade").mkdir()
@@ -469,6 +500,8 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
         "def helper(x):\n"
         "    reexported()\n"
         "    return x.shadowed()\n"
+        "class Twin:\n"
+        "    def there(self): pass\n"
     )
     root = tmp_path / "root.py"
     root.write_text(
@@ -482,6 +515,13 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
         "    pkg.lib.attribute()\n"
         "    getattr(pkg.lib, 'by_string')()\n"
         "    return Reached(), Reached.gone, helper\n"
+        # One name imported from two modules: each function's own import.
+        "def first():\n"
+        "    from pkg.lib import Twin\n"
+        "    return Twin.here, Twin.there\n"
+        "def second():\n"
+        "    from pkg.other import Twin\n"
+        "    return Twin.there\n"
     )
     (tmp_path / "test_lib.py").write_text(
         "from pkg.lib import tested\n"
@@ -495,5 +535,5 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
     ]
     assert dangling == [
         "root.py: pkg.facade.LazyClass.gone", "root.py: pkg.facade.not_offered",
-        "root.py: pkg.lib.Reached.gone", "root.py: pkg.lib.missing",
+        "root.py: pkg.lib.Reached.gone", "root.py: pkg.lib.Twin.there", "root.py: pkg.lib.missing",
     ]

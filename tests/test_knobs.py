@@ -21,7 +21,7 @@ CONFIG_FIELDS = {
     HybridConfig: (
         "n_workers", "n_gpus", "max_queue_length", "device", "devices", "cost",
         "scheduler_kind", "rpc_latency_s", "async_depth", "stagger_s",
-        "tie_break", "record_trace",
+        "tie_break",
     ),
     ServiceConfig: (
         "queue_capacity", "n_service_workers", "batch_max", "batch_window_s",
