@@ -14,7 +14,7 @@ def end_rows(tracer) -> list[dict]:
     fields = (
         "kind", "track", "name", "start", "end", "id", "parent", "device",
         "wait_s", "service_s", "submitted_at", "started", "stolen",
-        "predicted_s", "task_id",
+        "predicted_s", "task_id", "load_track", "load",
     )
     return [
         dict(zip(fields, row, strict=True))
