@@ -5,10 +5,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.atomic.database import AtomicConfig
+from repro.core.calibration import CostModel
 from repro.core.granularity import WorkloadSpec, build_tasks
 from repro.core.hybrid import HybridConfig, HybridRunner
 from repro.core.replay import replay_trace
 from repro.obs import EventTracer
+from repro.service.broker import ServiceConfig, run_trace
+from repro.service.loadgen import TrafficSpec, generate_trace
+
 
 def traced_run(**knobs):
     tasks = build_tasks(
@@ -82,6 +86,39 @@ class TestAuditLiveRuns:
             d: int(n) for d, n in enumerate(result.metrics.gpu_tasks) if n
         }
         assert report.n_cpu == result.metrics.cpu_tasks
+
+
+    def test_a_rank_holding_two_tasks_is_audited_at_its_depth(self):
+        """Host work far shorter than a task's GPU service: each rank keeps
+        two tasks in flight under ``async_depth=2``, which that depth
+        allows and a depth of one names, rank by rank (the two points
+        fall to ranks 0 and 1)."""
+        fast_host = CostModel(
+            point_overhead_s=0.0, prep_fixed_s=1e-5, prep_per_level_s=0.0,
+            submit_overhead_s=1e-5,
+        )
+        tasks, cfg, _result, tracer = traced_run(async_depth=2, cost=fast_host)
+        report = replay_trace(tracer, cfg.max_queue_length, len(tasks), async_depth=2)
+        assert report.ok, report.violations
+        assert replay_trace(tracer, async_depth=1).violations == [
+            f"hybrid/rank{r}: 2 tasks open at once, more than 1" for r in (0, 1)
+        ]
+
+    def test_a_service_run_is_audited_batch_by_batch(self):
+        """Two service workers, each its own node, number every batch's
+        tasks from 0: a task is its (group, task id), a device its node's."""
+        config = ServiceConfig(n_service_workers=2)
+        tracer = EventTracer()
+        run_trace(generate_trace(TrafficSpec(
+            n_requests=24, pattern="uniform", n_distinct=30000,
+            mean_interarrival_s=0.4, tail_tol=1.0e-9, seed=7,
+        )), config, tracer=tracer)
+        report = replay_trace(
+            tracer, config.hybrid.max_queue_length, n_expected_tasks=24 * 36
+        )
+        assert report.ok, report.violations
+        assert report.n_gpu + report.n_cpu == 24 * 36
+        assert {tracer.tracks[t[0]].process for t in report.tasks} == {"svc0", "svc1"}
 
 
 class TestAuditCraftedTraces:
