@@ -45,26 +45,25 @@ class SharedSegment:
         if n_devices < 0:
             raise ValueError("device count must be non-negative")
         self.n_devices = n_devices
-        size = max(1, n_devices)
-        self.load: list[int] = [0] * size
-        self.history: list[int] = [0] * size
-        self.backlog: list[int] = [0] * size
-        self.steals: list[int] = [0] * size
-        self.donations: list[int] = [0] * size
+        self.load: list[int] = [0] * n_devices
+        self.history: list[int] = [0] * n_devices
+        self.backlog: list[int] = [0] * n_devices
+        self.steals: list[int] = [0] * n_devices
+        self.donations: list[int] = [0] * n_devices
 
     def attach(self) -> tuple[list[int], list[int]]:
         """The ``shmat()`` of Algorithm 1: hand out the mapped arrays."""
         return self.load, self.history
 
     def total_load(self) -> int:
-        return sum(self.load) if self.n_devices else 0
+        return sum(self.load)
 
     def total_backlog(self) -> int:
         """Summed predicted backlog ticks across devices (0 when drained)."""
-        return sum(self.backlog) if self.n_devices else 0
+        return sum(self.backlog)
 
     def total_steals(self) -> int:
-        return sum(self.steals) if self.n_devices else 0
+        return sum(self.steals)
 
     def validate(self, max_queue_length: int) -> None:
         """Invariant check: loads within [0, max], histories monotone >= 0."""
@@ -81,7 +80,5 @@ class SharedSegment:
             if self.steals[d] < 0 or self.donations[d] < 0:
                 raise ValueError(f"device {d}: negative steal counter")
         # Steal conservation: every steal has exactly one donation.
-        if self.total_steals() != (
-            sum(self.donations) if self.n_devices else 0
-        ):
+        if self.total_steals() != sum(self.donations):
             raise ValueError("steal/donation counters out of balance")
