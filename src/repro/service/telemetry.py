@@ -272,9 +272,9 @@ class ServiceTelemetry:
             out.append(float((row * np.arange(row.size)).sum() / total))
         return out
 
-    def sched_imbalance(self) -> float:
-        """Spread (max - min) of the pooled mean device loads."""
-        means = self.sched_mean_loads()
+    def sched_imbalance(self, means: Optional[list[float]] = None) -> float:
+        """Spread (max - min) of the pooled mean device loads, or of ``means``."""
+        means = self.sched_mean_loads() if means is None else means
         if len(means) < 2:
             return 0.0
         return max(means) - min(means)

@@ -136,10 +136,9 @@ class TestSelectedMad:
     @example(values=[-3.0, 1.0, 1.0, 1.0, 9.0])  # odd, median tied
     @given(values=st.lists(st.one_of(_levels, _spread), min_size=1, max_size=64))
     def test_observe_mad_is_the_sorted_reference(self, values):
-        """``AnomalyDetector._observe`` scales its band by ``_mad``, which
-        selects from the window's two sorted deviation runs: for any
-        ascending window of up to 64 finite floats it is bit for bit the
-        median of the sorted absolute deviations it replaced."""
+        """``AnomalyDetector._observe`` scales its band by ``_mad``: for
+        any ascending window of up to 64 finite floats it is bit for bit
+        the median of the sorted absolute deviations."""
         ordered = sorted(values)
         m = _median(ordered)
         reference = _median(sorted(abs(v - m) for v in ordered))
