@@ -102,7 +102,7 @@ class TestTaskCounting:
 
     def test_wait_statistics(self):
         m = MetricsLedger(1, 4)
-        m.on_task_timing(wait_s=1.0, service_s=0.1)
-        m.on_task_timing(wait_s=3.0, service_s=0.1)
+        m.on_task_timing(wait_s=1.0)
+        m.on_task_timing(wait_s=3.0)
         assert m.mean_wait_s() == pytest.approx(2.0)
         assert MetricsLedger(1, 4).mean_wait_s() == 0.0

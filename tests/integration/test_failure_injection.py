@@ -125,8 +125,8 @@ class TestEndToEndDeviceFailure:
 
         original_init = dmod.SimulatedGPU.__init__
 
-        def dead_on_arrival(self, clock, spec, index=0):
-            original_init(self, clock, spec, index)
+        def dead_on_arrival(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
             self.fail()
 
         segments = []
@@ -168,9 +168,9 @@ class TestEndToEndDeviceFailure:
         )[:4]
         original_init = dmod.SimulatedGPU.__init__
 
-        def dies_mid_service(self, clock, spec, index=0):
-            original_init(self, clock, spec, index)
-            clock.call_at(0.3, dmod.SimulatedGPU.fail, self)
+        def dies_mid_service(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            self.clock.call_at(0.3, dmod.SimulatedGPU.fail, self)
 
         monkeypatch.setattr(dmod.SimulatedGPU, "__init__", dies_mid_service)
         with pytest.raises(RuntimeError, match="leaked"):
