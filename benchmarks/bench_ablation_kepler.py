@@ -22,6 +22,8 @@ comparison isolates *architecture*, not silicon generation):
    switch it kept paying on Fermi is gone — so the Ion/Level gap narrows.
 """
 
+from dataclasses import replace
+
 from conftest import emit
 
 from repro.bench.reporting import format_table
@@ -37,7 +39,7 @@ def test_ablation_fermi_vs_kepler(
     benchmark, ion_tasks, serial_seconds, results_dir
 ):
     level_tasks = paper_level_workload()
-    k20_iso = TESLA_K20.with_eval_rate(TESLA_C2075.eval_rate)
+    k20_iso = replace(TESLA_K20, eval_rate=TESLA_C2075.eval_rate)
     devices = {"C2075": TESLA_C2075, "K20": k20_iso}
 
     def sweep():

@@ -19,6 +19,8 @@ Two experiments probing the boundaries of the paper's design:
    scheme for load balancing".
 """
 
+from dataclasses import replace
+
 from conftest import emit
 
 from repro.bench.reporting import format_table
@@ -29,7 +31,7 @@ from repro.gpusim.device import TESLA_C2075
 def test_ablation_policy_and_heterogeneity(
     benchmark, ion_tasks, serial_seconds, results_dir
 ):
-    half_speed = TESLA_C2075.with_eval_rate(TESLA_C2075.eval_rate / 2.0)
+    half_speed = replace(TESLA_C2075, eval_rate=TESLA_C2075.eval_rate / 2.0)
 
     def sweep():
         out = {}
@@ -43,7 +45,7 @@ def test_ablation_policy_and_heterogeneity(
             out[("policy", kind)] = res
         # Fleet comparison at the paper's operating point; the mixed
         # fleet is run under both placement rules.
-        quarter_speed = TESLA_C2075.with_eval_rate(TESLA_C2075.eval_rate / 4.0)
+        quarter_speed = replace(TESLA_C2075, eval_rate=TESLA_C2075.eval_rate / 4.0)
         for fleet_name, fleet, kind in (
             ("2x full", (TESLA_C2075, TESLA_C2075), "shared"),
             ("full + 1/4 (min-load)", (TESLA_C2075, quarter_speed), "shared"),

@@ -101,7 +101,7 @@ def test_pruning_speedup_sweep(results_dir):
     base_wall = _wall_seconds(db, grid, point, ions, 0.0, repeats)
     base_specs = _device_tasks(db, grid, point, ions, 0.0)
     base_device = sum(TESLA_C2075.service_time(s) for s in base_specs)
-    base_compute = sum(TESLA_C2075.compute_time(s) for s in base_specs)
+    base_compute = sum(TESLA_C2075.phase_times(s)[1] for s in base_specs)
     base_evals = sum(s.total_evals for s in base_specs)
 
     rows = []
@@ -114,7 +114,7 @@ def test_pruning_speedup_sweep(results_dir):
         )
         specs = _device_tasks(db, grid, point, ions, tt)
         device = sum(TESLA_C2075.service_time(s) for s in specs)
-        compute = sum(TESLA_C2075.compute_time(s) for s in specs)
+        compute = sum(TESLA_C2075.phase_times(s)[1] for s in specs)
         evals = sum(s.total_evals for s in specs)
         saved = sum(s.evals_saved for s in specs)
         # The ledger must balance: active + saved == the dense workload.

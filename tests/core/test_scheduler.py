@@ -1,5 +1,6 @@
 """Algorithm 1 semantics: SCHE-ALLOC / SCHE-FREE."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -339,7 +340,7 @@ class TestWeightedScheduler:
         tasks = build_tasks(
             WorkloadSpec(n_points=2, bins_per_level=20_000, db_config=AtomicConfig.tiny())
         )
-        slow = TESLA_C2075.with_eval_rate(TESLA_C2075.eval_rate / 4.0)
+        slow = replace(TESLA_C2075, eval_rate=TESLA_C2075.eval_rate / 4.0)
         fleet = (TESLA_C2075, slow)
         times = {}
         for kind in ("shared", "weighted"):
