@@ -34,17 +34,16 @@ class MetricsLedger:
         self.start_time = start_time
         # The per-load-change state is plain Python lists (two updates per
         # task); ``gpu_tasks`` and ``load_residency`` hand out ndarrays.
-        rows = max(1, n_devices)
-        self._gpu_tasks = [0] * rows
+        self._gpu_tasks = [0] * n_devices
         self.cpu_tasks = 0
-        self._residency = [[0.0] * (max_queue_length + 1) for _ in range(rows)]
-        self._last_change = [float(start_time)] * rows
-        self._current_load = [0] * rows
+        self._residency = [[0.0] * (max_queue_length + 1) for _ in range(n_devices)]
+        self._last_change = [float(start_time)] * n_devices
+        self._current_load = [0] * n_devices
         self.task_waits: list[float] = []
         #: Work stealing (predictive dispatch): tasks each device pulled
         #: from another queue / had pulled away.  All-zero on depth runs.
-        self.steals = np.zeros(max(1, n_devices), dtype=np.int64)
-        self.donations = np.zeros(max(1, n_devices), dtype=np.int64)
+        self.steals = np.zeros(n_devices, dtype=np.int64)
+        self.donations = np.zeros(n_devices, dtype=np.int64)
         #: Predicted-vs-measured service pairs from the cost model
         #: (predictive dispatch only): one (predicted_s, measured_s) per
         #: GPU-executed task, for the prediction-error histogram.
@@ -63,7 +62,9 @@ class MetricsLedger:
     def load_residency(self) -> np.ndarray:
         """``[d, L]`` = virtual seconds device d spent with load exactly L:
         float64, shape (n_devices, max_queue_length + 1)."""
-        return np.array(self._residency, dtype=np.float64)
+        return np.array(self._residency, dtype=np.float64).reshape(
+            self.n_devices, self.max_queue_length + 1
+        )
 
     # ------------------------------------------------------------------
     # Hooks called by the scheduler / runner

@@ -78,8 +78,18 @@ class TestArrayViews:
         m.on_load_change(0, 0, 1, now=1.0)
         assert m.load_residency[0, 0] == 1.0
 
-    def test_zero_devices_keeps_one_row(self):
-        self._check(MetricsLedger(0, 4), 1, 4)
+    def test_zero_devices_keeps_no_row(self):
+        """A CPU-only run has no device to report on, not a phantom one."""
+        m = MetricsLedger(0, 4)
+        self._check(m, 0, 4)
+        m.on_cpu_task()
+        m.finalize(1.0)
+        self._check(m, 0, 4)
+        assert m.load_imbalance() == 0.0 and m.gpu_task_ratio() == 0.0
+        with pytest.raises(IndexError):
+            m.load_distribution_percent(0)
+        with pytest.raises(IndexError):
+            m.on_load_change(0, 0, 1, 0.5)
 
 
 class TestTaskCounting:
