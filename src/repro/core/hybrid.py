@@ -42,7 +42,7 @@ from repro.core.scheduler import (
     WeightedScheduler,
 )
 from repro.core.task import Task
-from repro.gpusim.device import DeviceSpec, SimulatedGPU, TESLA_C2075
+from repro.gpusim.device import LOST, DeviceSpec, SimulatedGPU, TESLA_C2075
 
 __all__ = ["HybridConfig", "HybridRunner"]
 
@@ -198,8 +198,9 @@ class HybridRunner:
         handle = self.spawn_batch(tasks, clock)
         clock.run()
         if handle.alive:
-            # The event heap drained with ranks still blocked: a device
-            # died with tasks in flight and their waiters are stranded.
+            # The event heap drained with ranks still blocked.  Every job a
+            # device takes ends in a result or LOST, even on a dead device,
+            # so a waiter nothing will wake is a bug in the loops.
             raise RuntimeError(
                 "hybrid run stalled: stranded waiters leaked queue slots"
             )
@@ -408,38 +409,31 @@ class HybridRunner:
                     payload = yield
                     stolen = device != entry.executed_device
                     device = entry.executed_device
-                    if entry.failed:
-                        bus.on_admission_revoked(device)
-                        device = NO_DEVICE
-                    else:
-                        started, service = entry.exec_started, entry.service_s
-                        wait_s = started - submitted_at
+                    started, service = entry.exec_started, entry.service_s
+                    wait_s = started - submitted_at
                 else:
-                    gpu = gpus[device]
-                    price = gpu.spec.phase_times(task)
-                    try:
-                        gpu.submit(task, span_id, price, send)
-                    except RuntimeError:
-                        # The device died between admission and submission:
-                        # release the slot, revoke the phantom admission, and
-                        # degrade to the CPU path (the operational behaviour a
-                        # real node needs — the task must not vanish and the
-                        # queue must not leak).
+                    price = gpus[device].spec.phase_times(task)
+                    gpus[device].submit(task, span_id, price, send)
+                    payload = yield
+                    service = price[0] + price[1] + price[2]
+                    wait_s = clock.now - submitted_at - service
+                    wait_s = wait_s if wait_s > 0.0 else 0.0
+                    started = submitted_at + wait_s
+                if payload is LOST:
+                    # The device died holding the task: give back the slot
+                    # (a dispatch slot frees its own) and the admission, and
+                    # run the task on this rank's CPU — it must not vanish.
+                    if dispatch is None:
                         sched.sche_free(device, clock.now)
                         tracer.load(tracks[device], clock.now, loads[device])
-                        bus.on_admission_revoked(device)
-                        device = NO_DEVICE
-                    else:
-                        payload = yield
-                        service = price[0] + price[1] + price[2]
-                        wait_s = clock.now - submitted_at - service
-                        wait_s = wait_s if wait_s > 0.0 else 0.0
-                        started = submitted_at + wait_s
-                        bus.on_task_timing(wait_s)
-                        if rpc:
-                            clock.wake_after(rpc, send, name)
-                            yield
-                        sched.sche_free(device, clock.now)
+                    bus.on_admission_revoked(device)
+                    device = NO_DEVICE
+                elif dispatch is None:
+                    bus.on_task_timing(wait_s)
+                    if rpc:
+                        clock.wake_after(rpc, send, name)
+                        yield
+                    sched.sche_free(device, clock.now)
             if device != NO_DEVICE:
                 if payload is not None:
                     self._accumulate(spectra, task, payload)
@@ -481,19 +475,36 @@ class HybridRunner:
         tracer = self.tracer
         traced = tracer.enabled
         yield rank * stagger
-        # Completion signals, oldest first; popleft() keeps the drain O(1)
-        # per task where a list.pop(0) would shift the whole window.
+        # (completion signal, task, span id) of each GPU task in flight,
+        # oldest first; popleft() keeps the drain O(1) per task where a
+        # list.pop(0) would shift the whole window.
         in_flight: deque = deque()
         point_share = self._point_share(my_tasks)
         # The segment's counters (one per device), which the rows copy.
         tracks, loads, histories = bus.device_tracks, sched.segment.load, sched.segment.history
 
+        def on_cpu(task, span_id):
+            bus.on_cpu_task()
+            cpu_started = clock.now
+            yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
+            self._accumulate(spectra, task, task.run_cpu())
+            if traced:
+                tracer.task_end(
+                    rank_track, task.label or f"task{task.task_id}",
+                    cpu_started, span_id, task.trace_parent, NO_DEVICE,
+                    started=cpu_started, task_id=task.task_id,
+                )
+
+        def reap():
+            signal, task, span_id = in_flight.popleft()
+            if (yield signal) is LOST:  # on_done gave back slot and admission
+                yield from on_cpu(task, span_id)
+
         for task in my_tasks:
             span_id = tracer.new_id() if traced else 0
             yield cost.prep_s(task.n_levels) + point_share[task.point_index]
             while len(in_flight) >= cfg.async_depth:
-                oldest = in_flight.popleft()
-                yield oldest
+                yield from reap()
             if sched.rpc_latency_s:
                 yield sched.rpc_latency_s
             device = sched.sche_alloc(clock.now)
@@ -506,46 +517,32 @@ class HybridRunner:
                 yield cost.submit_overhead_s
                 submitted_at = clock.now
                 price = gpus[device].spec.phase_times(task)
-                try:
-                    done = gpus[device].submit(task, span_id, price)
-                except RuntimeError:
-                    # Dead device: as in the synchronous loop, release the
-                    # slot, revoke the admission, fall back to the CPU.
-                    sched.sche_free(device, clock.now)
-                    tracer.load(tracks[device], clock.now, loads[device])
-                    bus.on_admission_revoked(device)
-                    device = NO_DEVICE
-                else:
+                done = gpus[device].submit(task, span_id, price)
 
-                    def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id,
-                                service=price[0] + price[1] + price[2]):
-                        sched.sche_free(d, clock.now)
-                        self._accumulate(spectra, t, payload)
-                        if traced:
-                            # Served for its price up to now, as the sync
-                            # loop reads its start.
-                            tracer.task_end(
-                                rank_track, t.label or f"task{t.task_id}", t0,
-                                sid, t.trace_parent, d,
-                                started=t0 + max(0.0, clock.now - t0 - service),
-                                task_id=t.task_id, load_track=tracks[d], load=loads[d],
-                            )
+                def on_done(payload, d=device, t=task, t0=submitted_at, sid=span_id,
+                            service=price[0] + price[1] + price[2]):
+                    sched.sche_free(d, clock.now)
+                    if payload is LOST:  # the rank runs it on its CPU at reaping
+                        tracer.load(tracks[d], clock.now, loads[d])
+                        bus.on_admission_revoked(d)
+                        return
+                    self._accumulate(spectra, t, payload)
+                    if traced:
+                        # Served for its price up to now, as the sync
+                        # loop reads its start.
+                        tracer.task_end(
+                            rank_track, t.label or f"task{t.task_id}", t0,
+                            sid, t.trace_parent, d,
+                            started=t0 + max(0.0, clock.now - t0 - service),
+                            task_id=t.task_id, load_track=tracks[d], load=loads[d],
+                        )
 
-                    done.add_callback(clock, on_done)
-                    in_flight.append(done)
-            if device == NO_DEVICE:
-                bus.on_cpu_task()
-                cpu_started = clock.now
-                yield cost.cpu_task_fallback_s(task.n_integrals, task.cpu_evals_per_integral)
-                self._accumulate(spectra, task, task.run_cpu())
-                if traced:
-                    tracer.task_end(
-                        rank_track, task.label or f"task{task.task_id}",
-                        cpu_started, span_id, task.trace_parent, NO_DEVICE,
-                        started=cpu_started, task_id=task.task_id,
-                    )
-        for sig in in_flight:
-            yield sig
+                done.add_callback(clock, on_done)
+                in_flight.append((done, task, span_id))
+            else:
+                yield from on_cpu(task, span_id)
+        while in_flight:
+            yield from reap()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -586,7 +583,7 @@ class _PendingTask:
 
     __slots__ = (
         "task", "key", "evals", "cost_s", "ticks", "span_id", "enqueued_at",
-        "wake", "executed_device", "exec_started", "service_s", "failed",
+        "wake", "executed_device", "exec_started", "service_s",
     )
 
     def __init__(self, task, key, evals, cost_s, ticks, span_id, now, wake):
@@ -607,7 +604,6 @@ class _PendingTask:
         self.executed_device = -1
         self.exec_started = 0.0
         self.service_s = 0.0
-        self.failed = False
 
 
 class _PredictiveDispatch:
@@ -720,39 +716,27 @@ class _DispatchSlot:
             self.entry = None
             now = clock.now
             entry.executed_device = device
-            entry.service_s = measured = now - entry.exec_started
-            dispatch.model.observe_key(entry.key, entry.evals, measured)
-            dispatch.bus.on_prediction(entry.cost_s, measured)
-            dispatch.bus.on_task_timing(entry.exec_started - entry.enqueued_at)
+            if payload is not LOST:  # a lost task measured nothing
+                entry.service_s = measured = now - entry.exec_started
+                dispatch.model.observe_key(entry.key, entry.evals, measured)
+                dispatch.bus.on_prediction(entry.cost_s, measured)
+                dispatch.bus.on_task_timing(entry.exec_started - entry.enqueued_at)
             sched.sche_free(device, now, ticks=entry.ticks)
             clock._seq = seq = clock._seq + 1
             heappush(clock._heap, (now, now, seq, entry.wake, payload))
-        while True:
-            if self.own:
-                entry = self.own.popleft()
-                dispatch.n_pending -= 1
-                dispatch.pending_ticks[device] -= entry.ticks
-            elif (
-                dispatch.n_pending
-                and not self.gpu.failed
-                and sched.segment.load[device] < sched.max_queue_length
-            ):
-                entry = dispatch._steal_from(device)
-            else:
-                dispatch._idle.append(self)
-                return
-            try:
-                self.gpu.submit(entry.task, entry.span_id, None, self._step)
-            except RuntimeError:
-                # Device died after admission: release the slot, flag the
-                # entry; the owning rank revokes the placement count and
-                # degrades to the CPU path.  Keep looping so later
-                # entries (enqueued or stolen here) fail fast too.
-                sched.sche_free(device, clock.now, ticks=entry.ticks)
-                entry.executed_device = device
-                entry.failed = True
-                clock.call_at(0.0, entry.wake, None)
-                continue
-            entry.exec_started = clock.now
-            self.entry = entry
+        if self.own:
+            entry = self.own.popleft()
+            dispatch.n_pending -= 1
+            dispatch.pending_ticks[device] -= entry.ticks
+        elif (
+            dispatch.n_pending
+            and not self.gpu.failed
+            and sched.segment.load[device] < sched.max_queue_length
+        ):
+            entry = dispatch._steal_from(device)
+        else:
+            dispatch._idle.append(self)
             return
+        self.gpu.submit(entry.task, entry.span_id, None, self._step)
+        entry.exec_started = clock.now
+        self.entry = entry
