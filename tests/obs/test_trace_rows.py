@@ -81,9 +81,9 @@ def event_records(tracer) -> list[str]:
 
 def traced_run(mode: str, device: str, fail: bool, monkeypatch, tracer=None, hook=None):
     """One contended batch (8 ranks, 2 GPUs, 3 slots a queue) on its own
-    clock; with ``fail`` GPU 0 dies at ``FAIL_AT_S`` and strands its
-    waiters, so the batch never joins — the trace up to the stall is the
-    subject.  ``hook(clock)`` may schedule extra observers."""
+    clock; with ``fail`` GPU 0 dies at ``FAIL_AT_S``, and each task it held
+    or is handed after that reruns on its rank's CPU.  ``hook(clock)`` may
+    schedule extra observers."""
     tracer = tracer if tracer is not None else EventTracer()
     clock = SimClock()
     if fail:
@@ -103,7 +103,7 @@ def traced_run(mode: str, device: str, fail: bool, monkeypatch, tracer=None, hoo
     if hook is not None:
         hook(clock)
     clock.run()
-    return tracer, handle.alive  # alive: ranks stranded on the dead device
+    return tracer, handle.alive  # alive: the batch stalled
 
 
 def stream_hashes(tracer, stalled: bool) -> tuple[bool, int, str, str]:
@@ -118,7 +118,8 @@ CASES = sorted(
 )
 
 #: (mode, device, fail) -> (batch stalled, events, ordered sha1, sorted sha1)
-#: at 92a6c94.
+#: at 92a6c94; the ``fail`` cases re-recorded when a dead device began to
+#: answer its waiters with ``LOST`` (no case stalls since).
 GOLDEN = {
     ("async", "c2075", False): (
         False, 1977,
@@ -127,8 +128,8 @@ GOLDEN = {
     ),
     ("async", "c2075", True): (
         False, 1775,
-        "8b3153a573a0b1d8114669b3f54adb3da81c532c",
-        "ecf9c935e7d2d47f601c2b384c447d8c3a23a549",
+        "e10d08aede34b3c09a84e46a1cf72e988b486ab0",
+        "c64399ecf024269d1c1b0578e2b7510137c2ba6d",
     ),
     ("async", "k20", False): (
         False, 1997,
@@ -136,9 +137,9 @@ GOLDEN = {
         "bdbc0d500e8b2a429bd8e63c1f4e13359a359073",
     ),
     ("async", "k20", True): (
-        True, 1938,
-        "31c4e9f62e98ff48d187bebb065ff806ca1db638",
-        "b4d5e07d08f39c0288d8293c8404184e9f26f9e4",
+        False, 1854,
+        "c724b3065f7bb9190f13308670199d6db1c5bb7f",
+        "fccfb4618debef4513fe7db481bba66d35858e62",
     ),
     ("predictive", "c2075", False): (
         False, 2203,
@@ -146,9 +147,9 @@ GOLDEN = {
         "fc7f293d44175534e16e596a1abfdbf500421abe",
     ),
     ("predictive", "c2075", True): (
-        True, 2150,
-        "98676543ca21cab2aaf517a3e681faa47d77a065",
-        "4484ca8ff38327c410bf416b5484bce8bf01d551",
+        False, 1887,
+        "f7abd488f8aaa3d786f62341aa7bd8d28b8341b3",
+        "4f093ebb24498df2b4f8b62e7a1b45c392e08f44",
     ),
     ("predictive", "k20", False): (
         False, 2016,
@@ -156,9 +157,9 @@ GOLDEN = {
         "2bf2f82cc0d33e3e126f8156579eecaed0d03f82",
     ),
     ("predictive", "k20", True): (
-        True, 1899,
-        "d4607b8d685e3165ad12d652bf2d90aeaa76a400",
-        "797d7468de03983e7d74f5cc08e116dc27ff0ee0",
+        False, 1873,
+        "4467bf88128aeb51c37908b4af4a25725d9eab7a",
+        "fb8b9eae054ba2535f72a4b5832d76f395fce07c",
     ),
     ("sync", "c2075", False): (
         False, 2260,
@@ -166,9 +167,9 @@ GOLDEN = {
         "41bdc890dabbb31ca8f0b8767fa378fb7c5ffd03",
     ),
     ("sync", "c2075", True): (
-        True, 1887,
-        "b2b5d93b1699a43c5f91aecc10106d551abe6ba6",
-        "85bc1ddb1db578c19d104fcf5f1bffe80f1bb2a7",
+        False, 1954,
+        "591a6a205fe29423119889d864555db0fdaab043",
+        "be33d445826688af11ccb9f7108f0647175ca946",
     ),
     ("sync", "k20", False): (
         False, 2169,
@@ -176,9 +177,9 @@ GOLDEN = {
         "97c9949fd017b980e326ca8bce71cc90cf2d715a",
     ),
     ("sync", "k20", True): (
-        True, 2067,
-        "f12dd9a857e8ed57545f969e2f10997cdf8df5aa",
-        "2e682f8c9c081d34bc900d1824e8ae53190fe34d",
+        False, 2053,
+        "5aaee135489c4e02aacf545c9dc6066bf4268a46",
+        "f91975d3e5ef39adbcc7db52d042f7ce30a6551d",
     ),
 }
 
