@@ -196,6 +196,46 @@ class TestEndToEndDeviceFailure:
         assert metrics.task_waits == []  # a lost task is no timing sample
         assert result.gpu_utilization[0] * result.makespan_s < 0.7
 
+    def test_client_server_frees_a_lost_task_one_rpc_later(self, monkeypatch):
+        """Under the client-server scheduler every release is a round
+        trip, a lost task's too: the rank frees the slot one
+        ``rpc_latency_s`` after ``LOST`` reaches it, as it frees a
+        completed task's one round trip after the result."""
+        import repro.core.scheduler as smod
+        import repro.gpusim.device as dmod
+
+        tasks = build_tasks(
+            WorkloadSpec(n_points=1, bins_per_level=2_000_000, db_config=AtomicConfig.tiny())
+        )[:4]
+        lost_at, freed_at = [], []
+        original_init, original_wake = dmod.SimulatedGPU.__init__, dmod.SimulatedGPU._wake
+        original_free = smod.ClientServerScheduler.sche_free
+
+        def dies_mid_service(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            self.clock.call_at(0.3, dmod.SimulatedGPU.fail, self)
+
+        def wake(self, waiter, payload):
+            if payload is LOST:
+                lost_at.append(self.clock.now)
+            original_wake(self, waiter, payload)
+
+        def free(self, device, now=0.0):
+            freed_at.append(now)
+            original_free(self, device, now)
+
+        monkeypatch.setattr(dmod.SimulatedGPU, "__init__", dies_mid_service)
+        monkeypatch.setattr(dmod.SimulatedGPU, "_wake", wake)
+        monkeypatch.setattr(smod.ClientServerScheduler, "sche_free", free)
+        config = HybridConfig(
+            n_workers=1, n_gpus=1, max_queue_length=2, stagger_s=0.0,
+            cost=CostModel(point_overhead_s=0.0), scheduler_kind="client-server",
+        )
+        result = HybridRunner(config).run(tasks)
+        assert result.metrics.cpu_tasks == len(tasks) == len(lost_at)
+        assert lost_at[0] > 0.3  # the task in service, at its end; then refusals
+        assert freed_at == [t + config.rpc_latency_s for t in lost_at]
+
 
 #: Every rank loop: synchronous, predictive dispatch, async at depth 1-3.
 LOOPS = {
