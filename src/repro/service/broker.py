@@ -60,7 +60,7 @@ __all__ = [
 LANES = ("interactive", "survey")
 #: Backpressure hint returned with a rejection (virtual seconds).
 RETRY_AFTER_S = 0.5
-#: Cap on a ``run_trace`` client's exponential backoff factor.
+#: Cap on the exponential backoff factor of a ``run_trace`` retry.
 MAX_RETRY_BACKOFF = 32.0
 
 
@@ -684,10 +684,12 @@ def run_trace(
 ) -> tuple[SpectrumBroker, list[Optional[Ticket]]]:
     """Play a traffic trace through a fresh broker to completion.
 
-    One client process per arrival: it submits at its arrival time and,
-    on rejection, backs off exponentially (deterministically) from the
+    Each arrival is submitted at its arrival time, inside the trace
+    dispatcher's own event; a rejected one is resubmitted by a clock
+    callback after an exponential (deterministic) backoff from the
     broker's retry-after hint until admitted — so a finite trace always
-    ends with zero lost requests unless the service itself stalls.
+    ends with zero lost requests unless the service itself stalls.  A
+    ticket the reuse tiers answer costs no simulated process.
 
     ``flight_dir`` (with an ``slo`` engine or ``anomaly`` detector
     attached) arms a :class:`~repro.obs.flight.FlightRecorder`: every
@@ -751,27 +753,22 @@ def play_trace(
     broker.start()
     tickets: list[Optional[Ticket]] = [None] * len(trace)
 
-    def client(i: int, arrival: Arrival) -> Generator:
-        attempt = 0
-        while True:
-            ticket = broker.submit(
-                arrival.request, lane=arrival.lane, retry=attempt > 0
-            )
-            if not ticket.rejected:
-                tickets[i] = ticket
-                if not ticket.done:
-                    yield ticket.signal
-                return
+    def submit(job: tuple[int, int]) -> None:
+        i, attempt = job
+        arrival = trace[i]
+        ticket = broker.submit(arrival.request, lane=arrival.lane, retry=attempt > 0)
+        if ticket.rejected:
             backoff = min(2.0**attempt, MAX_RETRY_BACKOFF)
-            attempt += 1
-            yield ticket.retry_after_s * backoff
+            clock.call_at(ticket.retry_after_s * backoff, submit, (i, attempt + 1))
+        else:
+            tickets[i] = ticket
 
     def dispatcher() -> Generator:
         for i, arrival in enumerate(trace):
             delay = arrival.t - clock.now
             if delay > 0:
                 yield delay
-            clock.spawn(client(i, arrival), name=f"client{i}")
+            submit((i, 0))
 
     clock.spawn(dispatcher(), name="dispatcher")
     clock.run()

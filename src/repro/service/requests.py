@@ -134,18 +134,13 @@ class SpectrumRequest:
         pre-accuracy request renders (and hashes) exactly as it always
         has — ``accuracy=0`` is bit-compatible with history.
         """
-        fields = [
-            f"T={self.temperature_k:.9e}",
-            f"ne={self.ne_cm3:.9e}",
-            f"z={self.z_max}",
-            f"bins={self.n_bins}",
-            f"rule={self.rule}",
-            f"tol={self.tolerance:.3e}",
-            f"tt={self.tail_tol:.3e}",
-        ]
+        text = "T=%.9e|ne=%.9e|z=%s|bins=%s|rule=%s|tol=%.3e|tt=%.3e" % (
+            self.temperature_k, self.ne_cm3, self.z_max, self.n_bins, self.rule,
+            self.tolerance, self.tail_tol,
+        )
         if self.accuracy > 0.0:
-            fields.append(f"acc={self.accuracy:.3e}")
-        return "|".join(fields)
+            text += "|acc=%.3e" % self.accuracy
+        return text
 
     @property
     def key(self) -> str:
