@@ -230,24 +230,6 @@ class TestProcesses:
         with pytest.raises(TypeError):
             clock.run()
 
-    def test_add_callback(self):
-        clock = SimClock()
-        sig = Signal()
-        got = []
-        sig.add_callback(clock, got.append)
-        clock.call_at(1.0, lambda _a: sig.fire(clock, payload="x"), None)
-        clock.run()
-        assert got == ["x"]
-
-    def test_add_callback_after_fire(self):
-        clock = SimClock()
-        sig = Signal()
-        sig.fire(clock, payload=3)
-        got = []
-        sig.add_callback(clock, got.append)
-        clock.run()
-        assert got == [3]
-
 
 class TestDeterminism:
     def test_identical_runs_identical_traces(self):

@@ -151,7 +151,7 @@ def programs(draw):
         st.tuples(st.just("sleep"), DELAYS),
         st.tuples(st.just("at"), DELAYS),
         st.tuples(st.just("chain"), HOPS.map(tuple)),
-        st.tuples(st.sampled_from(["wait", "fire", "callback"]),
+        st.tuples(st.sampled_from(["wait", "fire"]),
                   st.integers(min_value=0, max_value=N_SIGNALS - 1)),
         st.tuples(st.just("join"), st.integers(min_value=0, max_value=n - 1)),
     )
@@ -203,8 +203,6 @@ def reference_order(program):
                 schedule([x], lambda i=i: log.append(("at", p, i, now)))
             elif kind == "chain":
                 schedule(x, lambda i=i: log.append(("chain", p, i, now)))
-            elif kind == "callback":
-                when(("sig", x), lambda i=i: log.append(("callback", p, i, now)))
             elif ("sig", x) not in fired:
                 fire(("sig", x))
         fire(("done", p))
@@ -246,10 +244,6 @@ def engine_order(program, until, chained=True):
             elif kind == "chain":
                 push = clock.call_chain if chained else partial(hop_by_hop, clock)
                 push(x, lambda _a, i=i: log.append(("chain", p, i, clock.now)), None)
-            elif kind == "callback":
-                signals[x].add_callback(
-                    clock, lambda _p, i=i: log.append(("callback", p, i, clock.now))
-                )
             elif not signals[x].fired:
                 signals[x].fire(clock)
 

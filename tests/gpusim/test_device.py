@@ -173,14 +173,19 @@ class TestSimulatedGPU:
         gpu = SimulatedGPU(clock, replace(spec, max_concurrent_kernels=2))
         kernel = priced(n_integrals=1000, evals_per_integral=1, bytes_out=64)
         svc = spec.service_time(kernel)
-        done = [gpu.submit(kernel) for _ in range(4)]  # two held, two waiting
+        woken_at, payloads = {}, {}
+
+        def waiter(i):
+            def wake(payload):
+                woken_at[i], payloads[i] = clock.now, payload
+            return wake
+
+        for i in range(4):  # two held, two waiting
+            gpu.submit(kernel, wake=waiter(i))
         fail_at = 0.5 * svc
         clock.call_at(fail_at, lambda _: gpu.fail(), None)
-        woken_at = {}
-        for i, sig in enumerate(done):
-            sig.add_callback(clock, lambda payload, i=i: woken_at.setdefault(i, clock.now))
         clock.run()
-        assert all(sig.payload is LOST for sig in done)
+        assert len(payloads) == 4 and all(p is LOST for p in payloads.values())
         assert woken_at[2] == woken_at[3] == fail_at  # the two waiting for a slot
         for held in (0, 1):  # in flight: lost when its current phase ends
             assert fail_at <= woken_at[held] <= fail_at + svc
@@ -201,7 +206,7 @@ class TestSimulatedGPU:
         svc = spec.service_time(kernel)
         ends = []
         for _ in range(3):
-            gpu.submit(kernel).add_callback(clock, lambda payload: ends.append(clock.now))
+            gpu.submit(kernel, wake=lambda payload: ends.append(clock.now))
         fail_at = fail_at_svc * svc
         clock.call_at(fail_at, lambda _: gpu.fail(), None)
         clock.call_at(20.0 * svc, lambda _: gpu.submit(kernel), None)  # after the failure

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.simclock import Signal, SimClock
+from repro.cluster.simclock import SimClock
 from repro.core.task import Task, TaskKind
 from repro.gpusim.device import TESLA_C2075, TESLA_K20, SimulatedGPU
 from repro.obs.tracer import EventTracer
@@ -86,7 +86,7 @@ class TestClosedForm:
         kernels = [FULL, NO_COMPUTE, FULL, NO_EGRESS, FULL]
         finished = []
         for kernel in kernels:
-            gpu.submit(kernel).add_callback(clock, lambda _p: finished.append(clock.now))
+            gpu.submit(kernel, wake=lambda _p: finished.append(clock.now))
         clock.run()
         expected, start = [], 0.1
         for kernel in kernels:
@@ -169,10 +169,11 @@ class TestLockstep:
         def order(make):
             clock = SimClock()
             log = []
-            woken = Signal("observer")
-            woken.add_callback(clock, lambda _p: log.append("observer"))
             ingress, compute, _ = TESLA_C2075.phase_times(kernel)
-            clock.call_at((0.0 + ingress) + compute, woken.fire, clock)
+            clock.call_at(  # an event that pushes a +0 one, as a fire with one waiter
+                (0.0 + ingress) + compute,
+                lambda _: clock.call_at(0.0, lambda _p: log.append("observer"), None), None,
+            )
             for d in range(2):
                 gpu = make(SimulatedGPU(clock, TESLA_C2075, index=d))
                 gpu.submit(replace(kernel, execute=lambda d=d: log.append(d)))
