@@ -52,11 +52,6 @@ class Ion:
         """Spectroscopic-style name, e.g. ``O+7`` for hydrogen-like oxygen."""
         return f"{self.element.symbol}+{self.charge}"
 
-    @property
-    def index(self) -> int:
-        """Stable 0-based index in the global 496-ion ordering."""
-        return self.z * (self.z - 1) // 2 + (self.charge - 1)
-
 
 @lru_cache(maxsize=1)
 def ion_registry() -> tuple[Ion, ...]:

@@ -3,9 +3,8 @@
 "There is a three-dimensional parameter space: temperature, density and
 time.  The parameter space is often given by a result of astrophysical
 simulation or a configuration file."  This module provides that object:
-axes, grid-point enumeration, equal-subspace partitioning (what the main
-program hands to MPI ranks), and loading from a configuration mapping or
-from synthetic "simulation output" (a tracer-particle history).
+axes, grid-point enumeration, and loading from a configuration mapping
+or from synthetic "simulation output" (a tracer-particle history).
 """
 
 from __future__ import annotations
@@ -82,34 +81,6 @@ class ParameterSpace:
             for d in self.density.values:
                 for s in self.time.values:
                     yield GridPoint(temperature_k=t, ne_cm3=d, time_s=s)
-
-    def point(self, index: int) -> GridPoint:
-        """The grid point with flat index ``index`` (C-order)."""
-        if not 0 <= index < self.n_points:
-            raise IndexError(
-                f"point index {index} outside 0..{self.n_points - 1}"
-            )
-        _nt, nd, ns = self.shape
-        it, rem = divmod(index, nd * ns)
-        id_, is_ = divmod(rem, ns)
-        return GridPoint(
-            temperature_k=self.temperature.values[it],
-            ne_cm3=self.density.values[id_],
-            time_s=self.time.values[is_],
-        )
-
-    def partition(self, n_ranks: int) -> list[list[int]]:
-        """Equal sub-spaces for ``n_ranks`` workers (the paper's split).
-
-        Round-robin on the flat index, so every rank receives an equal
-        share to within one point.
-        """
-        if n_ranks < 1:
-            raise ValueError("need at least one rank")
-        parts: list[list[int]] = [[] for _ in range(n_ranks)]
-        for i in range(self.n_points):
-            parts[i % n_ranks].append(i)
-        return parts
 
     # ------------------------------------------------------------------
     # Construction from external descriptions

@@ -220,23 +220,20 @@ def batch_romberg(
 # ----------------------------------------------------------------------
 @dataclass
 class WindowKernelCounters:
-    """Process-global savings ledger of the per-ion window kernels.
+    """Process-global ledger of zero-width window pairs.
 
     ``lower_clip`` clamping can collapse a (row, bin) pair to zero width
     (the bin lies entirely below its row's recombination edge).  Such a
     pair contributes exactly 0.0, so the window driver
     (:mod:`repro.quadrature.megabatch`) elides it before the integrand
-    pass; the per-ion ``batch_*_windows`` names book the elisions here so
-    callers (the bench harness, the service cost model) can surface them
-    as extra ``evals_saved`` on top of window pruning.
+    pass and reports it on its result.  No kernel
+    writes this ledger: it stays at zero, and is kept only because the
+    wall benchmark's ``quadrature.pairs_skipped`` probe reads
+    :meth:`snapshot`.
     """
 
     zero_width_pairs: int = 0
     evals_saved: int = 0
-
-    def book(self, n_pairs: int, evals_saved: int) -> None:
-        self.zero_width_pairs += n_pairs
-        self.evals_saved += evals_saved
 
     def snapshot(self) -> dict[str, int]:
         return {
@@ -245,7 +242,7 @@ class WindowKernelCounters:
         }
 
 
-#: Shared ledger instance used by every per-ion window kernel in this process.
+#: The process's one ledger (see :class:`WindowKernelCounters`).
 KERNEL_COUNTERS = WindowKernelCounters()
 
 

@@ -19,8 +19,7 @@ per-bin totals plus ``n_passes`` (vectorized launches), ``n_pairs``
 (evaluated pairs) and the zero-width elision savings — which the plan
 layer (:mod:`repro.physics.plan`) and the bench harness surface.  The
 per-ion names ``batch_*_windows`` are the same call reduced to its
-``values``, with the elisions booked on
-:data:`repro.quadrature.batch.KERNEL_COUNTERS`.
+``values``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from repro.quadrature.batch import (
-    KERNEL_COUNTERS,
     _chunks,
     _romberg_reduce,
     simpson_weights,
@@ -280,13 +278,8 @@ def megabatch_gauss_windows(
 
 
 # ----------------------------------------------------------------------
-# Per-ion names: the same launch, values only, elisions booked
+# Per-ion names: the same launch, values only
 # ----------------------------------------------------------------------
-def _booked(result: MegabatchResult) -> np.ndarray:
-    KERNEL_COUNTERS.book(result.n_pairs_skipped, result.evals_saved)
-    return result.values
-
-
 def batch_simpson_windows(
     f: WindowIntegrand,
     edges: np.ndarray,
@@ -296,9 +289,7 @@ def batch_simpson_windows(
     pieces: int = DEFAULT_PIECES,
 ) -> np.ndarray:
     """Per-bin totals of :func:`megabatch_simpson_windows`."""
-    return _booked(
-        megabatch_simpson_windows(f, edges, first, cutoff, lower_clip, pieces)
-    )
+    return megabatch_simpson_windows(f, edges, first, cutoff, lower_clip, pieces).values
 
 
 def batch_romberg_windows(
@@ -310,9 +301,7 @@ def batch_romberg_windows(
     k: int = 7,
 ) -> np.ndarray:
     """Per-bin totals of :func:`megabatch_romberg_windows`."""
-    return _booked(
-        megabatch_romberg_windows(f, edges, first, cutoff, lower_clip, k)
-    )
+    return megabatch_romberg_windows(f, edges, first, cutoff, lower_clip, k).values
 
 
 def batch_gauss_windows(
@@ -324,6 +313,4 @@ def batch_gauss_windows(
     n: int = 8,
 ) -> np.ndarray:
     """Per-bin totals of :func:`megabatch_gauss_windows`."""
-    return _booked(
-        megabatch_gauss_windows(f, edges, first, cutoff, lower_clip, n)
-    )
+    return megabatch_gauss_windows(f, edges, first, cutoff, lower_clip, n).values

@@ -1,4 +1,4 @@
-"""Ion registry: the 496 recombining ions and their indexing."""
+"""Ion registry: the 496 recombining ions and their order."""
 
 import pytest
 
@@ -14,10 +14,6 @@ class TestIonRegistry:
         ions = ion_registry()
         keys = [(i.z, i.charge) for i in ions]
         assert keys == sorted(keys)
-
-    def test_index_is_dense_and_stable(self):
-        for k, ion in enumerate(ion_registry()):
-            assert ion.index == k
 
     def test_registry_cached(self):
         assert ion_registry() is ion_registry()

@@ -52,39 +52,13 @@ class TestParameterSpace:
         assert space.shape == (3, 2, 2)
         assert len(space) == 12
 
-    def test_iteration_matches_indexing(self, space):
-        for i, pt in enumerate(space):
-            indexed = space.point(i)
-            assert indexed.temperature_k == pt.temperature_k
-            assert indexed.ne_cm3 == pt.ne_cm3
-            assert indexed.time_s == pt.time_s
-
-    def test_point_out_of_range(self, space):
-        with pytest.raises(IndexError):
-            space.point(12)
-        with pytest.raises(IndexError):
-            space.point(-1)
-
-    def test_partition_equal_shares(self, space):
-        parts = space.partition(5)
-        sizes = [len(p) for p in parts]
-        assert sum(sizes) == 12
-        assert max(sizes) - min(sizes) <= 1
-        # Every point appears exactly once.
-        flat = sorted(i for p in parts for i in p)
-        assert flat == list(range(12))
-
-    def test_partition_validation(self, space):
-        with pytest.raises(ValueError):
-            space.partition(0)
-
     def test_default_time_axis(self):
         space = ParameterSpace(
             temperature=Axis.linear("temperature", 1e6, 1e6, 1),
             density=Axis.linear("density", 1.0, 1.0, 1),
         )
         assert len(space) == 1
-        assert space.point(0).time_s == 0.0
+        assert next(iter(space)).time_s == 0.0
 
     def test_paper_test_space_has_24_points(self):
         """The paper's test region, a small one where 'the amount of

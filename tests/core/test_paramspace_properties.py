@@ -29,21 +29,9 @@ class TestParameterSpaceProperties:
 
     @given(space=spaces())
     @settings(max_examples=60, deadline=None)
-    def test_points_unique_and_indexable(self, space):
+    def test_points_unique(self, space):
         seen = set()
-        for i, pt in enumerate(space):
+        for pt in space:
             key = (pt.temperature_k, pt.ne_cm3, pt.time_s)
             assert key not in seen
             seen.add(key)
-            indexed = space.point(i)
-            assert (indexed.temperature_k, indexed.ne_cm3, indexed.time_s) == key
-
-    @given(space=spaces(), n_ranks=st.integers(min_value=1, max_value=30))
-    @settings(max_examples=80, deadline=None)
-    def test_partition_is_a_partition(self, space, n_ranks):
-        parts = space.partition(n_ranks)
-        assert len(parts) == n_ranks
-        flat = sorted(i for p in parts for i in p)
-        assert flat == list(range(space.n_points))
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1

@@ -37,7 +37,7 @@ def setup():
 
 def _gpu_factory(db, grid, space):
     def gpu_factory(ion, point_index):
-        point = space.point(point_index)
+        point = list(space)[point_index]
         return lambda: ion_emissivity_batched(db, ion, point, grid)
 
     return gpu_factory
@@ -47,7 +47,7 @@ def real_tasks(db, grid, space):
     """The workload with real execute callables on both paths."""
 
     def cpu_factory(ion, point_index):
-        point = space.point(point_index)
+        point = list(space)[point_index]
         # Scalar Simpson (not QAGS) keeps the test fast; numerically the
         # two CPU variants agree to 1e-12 anyway.
         return lambda: ion_emissivity_scalar(
@@ -78,8 +78,8 @@ class TestHybridProducesSerialSpectra:
 
         assert set(result.spectra) == set(range(len(space)))
         apec = SerialAPEC(db, grid, method="simpson-batch")
-        for point_index in range(len(space)):
-            serial = apec.compute(space.point(point_index))
+        for point_index, point in enumerate(space):
+            serial = apec.compute(point)
             hybrid = result.spectra[point_index]
             assert np.allclose(hybrid, serial.values, rtol=1e-10), (
                 f"point {point_index} differs (n_gpus={n_gpus})"

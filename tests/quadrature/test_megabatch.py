@@ -1,9 +1,9 @@
 """The window kernels under both of their names.
 
-``batch_*_windows`` is ``megabatch_*_windows(...).values`` with the
-zero-width elisions booked on ``KERNEL_COUNTERS``: one driver, so the
-per-bin totals are bit-equal on any window set, the megabatch names
-report launch statistics and book nothing, the per-ion names book.
+``batch_*_windows`` is ``megabatch_*_windows(...).values``: one driver,
+so the per-bin totals are bit-equal on any window set, the megabatch
+names report launch statistics, and neither name books anything on
+``KERNEL_COUNTERS``.
 """
 
 import numpy as np
@@ -62,7 +62,7 @@ class TestMatchesBatchKernels:
     @pytest.mark.parametrize("mega,batch,kw", _RULES)
     def test_all_elided_row_set_identical(self, mega, batch, kw):
         """Every pair clamps to zero width: both names return zeros, the
-        megabatch name reports the elisions, only the per-ion name books."""
+        megabatch name reports the elisions, neither name books them."""
         edges = np.linspace(0.0, 1.0, 9)
         first, cutoff = np.array([0, 1, 3]), np.array([2, 3, 4])
         clip = np.array([0.25, 0.5, 0.5])
@@ -72,7 +72,7 @@ class TestMatchesBatchKernels:
         np.testing.assert_array_equal(got, res.values)
         np.testing.assert_array_equal(got, np.zeros(8))
         assert (res.n_passes, res.n_pairs, res.n_pairs_skipped) == (0, 0, 5)
-        assert counted == {"zero_width_pairs": 5, "evals_saved": res.evals_saved}
+        assert counted == {"zero_width_pairs": 0, "evals_saved": 0}
 
     def test_no_clip_matches_too(self, windows):
         edges, first, cutoff, _ = windows
@@ -114,22 +114,3 @@ class TestLaunchStatistics:
         assert res.n_pairs == 0
         assert res.n_pairs_skipped == 1
         np.testing.assert_array_equal(res.values, np.zeros(4))
-
-
-class TestZeroWidthCounters:
-    def test_batch_kernels_book_elisions(self, windows):
-        edges, first, cutoff, clip = windows
-        counted, _ = booked(
-            lambda: batch_simpson_windows(_f, edges, first, cutoff, lower_clip=clip, pieces=8)
-        )
-        assert counted == {"zero_width_pairs": 1, "evals_saved": 9}
-
-    def test_gauss_kernel_books_too(self, windows):
-        edges, first, cutoff, clip = windows
-        counted, _ = booked(lambda: batch_gauss_windows(_f, edges, first, cutoff, lower_clip=clip, n=6))
-        assert counted == {"zero_width_pairs": 1, "evals_saved": 6}
-
-    def test_unclipped_books_nothing(self, windows):
-        edges, first, cutoff, _ = windows
-        counted, _ = booked(lambda: batch_simpson_windows(_f, edges, first, cutoff, pieces=8))
-        assert counted == {"zero_width_pairs": 0, "evals_saved": 0}

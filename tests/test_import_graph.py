@@ -19,10 +19,14 @@ is M, imports ``f`` from M (directly or through a module that offers it,
 such as a package ``__init__`` by an import or in the ``{module:
 (name, ...)}`` table of its lazy façade), uses ``x.f`` with ``x`` bound
 to module M, or imports M and names ``f`` bare or as a string.  A
-reached class reaches its dunders; a method is reached once its class
-is and any reached code names it (matching is by name, not by type).  A
-package ``__init__``'s re-exports, eager or lazy, and any ``__all__``
-reach nothing.
+reached class reaches its dunders.  A method is reached once its class
+is (a class is keyed by its module: two classes may share a name) and
+reached code names it as an attribute or an identifier string; a bare
+name does not reach a method.  ``x.m`` and ``"m"`` reach ``m`` on every
+reached class, since the type of ``x`` is not known; ``self.m`` or
+``cls.m`` inside a class reaches it only on that class, its bases in
+the package and its subclasses.  A package ``__init__``'s re-exports,
+eager or lazy, and any ``__all__`` reach nothing.
 What only tests reach is on :data:`TEST_ONLY` with a one-line reason,
 or is deleted.  Every ``repro`` import that reached code makes must
 resolve, and so must every attribute it takes of an imported ``repro``
@@ -115,32 +119,41 @@ def reference_imports(tree: ast.Module) -> list[str]:
     return [f"{name} ({line})" for name, line in names if REFERENCE_ONLY.fullmatch(name)]
 
 
-def read(nodes: list[ast.AST]):
-    """``(names, imports, uses)`` of ``nodes``: every name they mention
-    (bare names, attributes, the source name of a renamed import,
-    identifier strings less docstrings), every absolute import as
-    ``(module, name or None)``, and every ``x.attr`` as ``(x, attr,
+def read(nodes: list[ast.AST], cls: ast.ClassDef | None = None):
+    """``(names, imports, uses, members, selfs)`` of ``nodes``, which
+    sit in the body of class ``cls`` if one is given: every name they
+    mention (bare names, attributes, the source name of a renamed
+    import, identifier strings less docstrings), every absolute import
+    as ``(module, name or None)``, every ``x.attr`` as ``(x, attr,
     scopes)``, ``scopes`` the ``id()`` of each function around it,
-    outermost first."""
-    walked, stack = [], [(node, ()) for node in nodes]
+    outermost first, the names that can reach a method (attributes
+    other than ``self.m`` / ``cls.m`` inside a class, and identifier
+    strings), and each ``self.m`` / ``cls.m`` inside a class as
+    ``(class, scopes around the class, m)``."""
+    walked, stack = [], [(node, (), (cls, ()) if cls else None) for node in nodes]
     while stack:
-        n, around = stack.pop()
-        walked.append((n, around))
+        n, around, inside = stack.pop()
+        walked.append((n, around, inside))
         inner = (*around, id(n)) if isinstance(n, _FUNCTION) else around
-        stack += [(c, inner) for c in ast.iter_child_nodes(n)]
+        inside = (n, around) if isinstance(n, ast.ClassDef) else inside
+        stack += [(c, inner, inside) for c in ast.iter_child_nodes(n)]
     docstrings = {
-        id(n.body[0].value) for n, _ in walked
+        id(n.body[0].value) for n, _, _ in walked
         if isinstance(n, (ast.Module, *_DEF)) and n.body
         and isinstance(n.body[0], ast.Expr) and isinstance(n.body[0].value, ast.Constant)
     }
-    names, imports, uses = set(), [], []
-    for n, around in walked:
+    names, imports, uses, members, selfs = set(), [], [], set(), []
+    for n, around, inside in walked:
         if isinstance(n, ast.Name):
             names.add(n.id)
         elif isinstance(n, ast.Attribute):
             names.add(n.attr)
             if isinstance(n.value, ast.Name):
                 uses.append((n.value.id, n.attr, around))
+                if inside and n.value.id in ("self", "cls"):
+                    selfs.append((*inside, n.attr))
+                    continue
+            members.add(n.attr)
         elif isinstance(n, ast.Import):
             imports += [(a.name, None) for a in n.names]
         elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
@@ -150,7 +163,8 @@ def read(nodes: list[ast.AST]):
         elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
               and n.value.isidentifier() and id(n) not in docstrings):
             names.add(n.value)
-    return names, imports, uses
+            members.add(n.value)
+    return names, imports, uses, members, selfs
 
 
 def _statements(body: list) -> Iterator[ast.AST]:
@@ -320,20 +334,27 @@ class Package:
         return modules & self.trees.keys()
 
     def definitions(self):
-        """``(module, qualname, name, owning class or None, nodes a reach
-        scans)`` of every top-level function and class and every method.
-        A class's nodes are its header and its body less the methods
-        that are not dunders."""
+        """``(module, qualname, name, owning class or None, class the
+        nodes sit in or None, nodes a reach scans)`` of every top-level
+        function and class and every method.  A class's nodes are its
+        header and its body less the methods that are not dunders."""
         for module, tree in self.trees.items():
             for s in tree.body:
                 if isinstance(s, _FUNCTION):
-                    yield module, s.name, s.name, None, [s]
+                    yield module, s.name, s.name, None, None, [s]
                 elif isinstance(s, ast.ClassDef):
                     methods = [m for m in s.body if isinstance(m, _FUNCTION) and not _is_dunder(m.name)]
                     rest = [m for m in s.body if m not in methods]
-                    yield module, s.name, s.name, None, [*s.bases, *s.keywords, *s.decorator_list, *rest]
+                    yield module, s.name, s.name, None, s, [*s.bases, *s.keywords, *s.decorator_list, *rest]
                     for m in methods:
-                        yield module, f"{s.name}.{m.name}", m.name, s.name, [m]
+                        yield module, f"{s.name}.{m.name}", m.name, s, s, [m]
+
+    def classes(self) -> dict:
+        """``{id(class): (module, name)}`` of every top-level class."""
+        return {
+            id(s): (module, s.name)
+            for module, tree in self.trees.items() for s in tree.body if isinstance(s, ast.ClassDef)
+        }
 
 
 def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]:
@@ -345,9 +366,15 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
     or by code a root reaches, as ``path: module.name``."""
     trees = {path: ast.parse(path.read_text()) for path in roots}
     trees.update({pkg.paths[m]: tree for m, tree in pkg.trees.items()})
+    module_of = {path: m for m, path in pkg.paths.items()}
     bindings = {path: aliases(tree, pkg.name) for path, tree in trees.items()}
     defs = list(pkg.definitions())
-    reached: set[str] = set()
+    classes = pkg.classes()
+    index = {(module, name): i for i, (module, _, name, owner, _, _) in enumerate(defs) if owner is None}
+    #: Names that reach a method of any reached class (``x.m``, ``"m"``).
+    members: set[str] = set()
+    #: ``(module, class)``: the methods ``self.m`` / ``cls.m`` reach on it.
+    own: dict[tuple[str, str], set[str]] = {}
     mentioned_in: dict[str, set[Path]] = {}
     #: What each file's reached code imports (``(module, name or None)``)
     #: or takes of a module it binds (``x.attr`` as ``(module, attr)``).
@@ -360,15 +387,50 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
             for m, n in imported[path]
         )
 
+    def base_of(path: Path, base: ast.expr, scopes: tuple) -> tuple[str, str] | None:
+        """The package class a class header's ``base`` names, if any."""
+        if isinstance(base, ast.Name):
+            module, name = _alias(bindings[path], base.id, scopes)
+            if module is None:
+                module, name = module_of.get(path), base.id
+        elif isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+            module, name = _alias(bindings[path], base.value.id, scopes)
+            module, name = (module if name is None else f"{module}.{name}"), base.attr
+        else:
+            return None
+        source = pkg.origin(module, name) if module in pkg.trees else None
+        return (source, name) if source else None
+
+    bases = {
+        key: {b for b in (base_of(pkg.paths[key[0]], e, ()) for e in defs[index[key]][4].bases) if b}
+        for key in classes.values()
+    }
+
+    @functools.cache
+    def ancestors(key: tuple[str, str]) -> frozenset:
+        return frozenset(bases.get(key, ())).union(*(ancestors(b) for b in bases.get(key, ())))
+
+    def family(path: Path, cls: ast.ClassDef, scopes: tuple) -> set[tuple[str, str]]:
+        """The package classes a ``self.m`` in ``cls`` may land on: the
+        class, its package bases and, for a package class, its subclasses."""
+        key = classes.get(id(cls))
+        if key is None:
+            found = {b for b in (base_of(path, e, scopes) for e in cls.bases) if b}
+            return found.union(*(ancestors(b) for b in found))
+        return {key, *ancestors(key), *(k for k in bases if key in ancestors(k))}
+
     modules: set[str] = set()
     scanned: set[int] = set()
     dangling: set[str] = set()
-    pending = [(path, [trees[path]]) for path in roots]
+    pending = [(path, None, [trees[path]]) for path in roots]
     while pending:
         while pending:
-            path, nodes = pending.pop()
-            names, found, uses = read(nodes)
-            reached |= names
+            path, inside, nodes = pending.pop()
+            names, found, uses, named, selfs = read(nodes, inside)
+            members |= named
+            for cls, scopes, attr in selfs:
+                for key in family(path, cls, scopes):
+                    own.setdefault(key, set()).add(attr)
             for name in names:
                 mentioned_in.setdefault(name, set()).add(path)
             imported[path].update(found)
@@ -388,25 +450,27 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
                         dangling.add(f"{_shown(path)}: {module}.{f'{name}.' if name else ''}{attr}")
             for module in sorted(pkg.loaded(found) - modules):
                 modules.add(module)
-                pending.append((pkg.paths[module], pkg.top(module)))
-        for i, (module, _, name, owner, nodes) in enumerate(defs):
+                pending.append((pkg.paths[module], None, pkg.top(module)))
+        for i, (module, _, name, owner, inside, nodes) in enumerate(defs):
             if i in scanned:
                 continue
             if owner is None:
                 hit = any(reaches(path, module, name) for path in mentioned_in.get(name, ()))
             else:
-                hit = name in reached and owner in reached
+                hit = index[module, owner.name] in scanned and (
+                    name in members or name in own.get((module, owner.name), ())
+                )
             if hit:
                 scanned.add(i)
-                pending.append((pkg.paths[module], nodes))
+                pending.append((pkg.paths[module], inside, nodes))
                 if module not in modules:
                     modules.add(module)
-                    pending.append((pkg.paths[module], pkg.top(module)))
+                    pending.append((pkg.paths[module], None, pkg.top(module)))
     unreached = sorted(
         f"{module}:{qualname}"
-        for i, (module, qualname, name, owner, _) in enumerate(defs)
+        for i, (module, qualname, name, owner, _, _) in enumerate(defs)
         if i not in scanned and not name.startswith("_")
-        and (owner is None or (owner in reached and not owner.startswith("_")))
+        and (owner is None or (index[module, owner.name] in scanned and not owner.name.startswith("_")))
     )
     return unreached, sorted(dangling)
 
@@ -481,10 +545,28 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
         "class Reached:\n"
         "    def __init__(self): from_a_dunder()\n"
         "    def unused(self): pass\n"
+        "    def bare(self): pass\n"
+        "    def selfish(self): pass\n"
         "class Unreached:\n"
         "    def lazy(self): pass\n"
         "class Twin:\n"
         "    def here(self): pass\n"
+        "class Base:\n"
+        "    def hook(self): pass\n"
+        "    def template(self): return self.step()\n"
+        "    def step(self): pass\n"
+        # ``self.hook`` / ``self.selfish`` here reach no other class's method.
+        "class Stranger:\n"
+        "    def hook(self): pass\n"
+        "    def go(self): return self.selfish()\n"
+    )
+    # A subclass in another module: its ``self.hook`` reaches its base's
+    # hook, and the base's ``self.step`` reaches the override.
+    (pkg / "kin.py").write_text(
+        "from pkg.lib import Base\n"
+        "class Sub(Base):\n"
+        "    def run(self): return self.hook()\n"
+        "    def step(self): pass\n"
     )
     # A lazy façade: its table offers names without importing pkg.lib.
     (pkg / "facade").mkdir()
@@ -508,9 +590,11 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
         "import pkg.lib\n"
         "from pkg.other import helper\n"
         "from pkg.facade import LazyClass, lazily, not_offered\n"
+        "from pkg.kin import Sub\n"
         "def main():\n"
-        "    from pkg.lib import Reached, lazy, missing\n"
+        "    from pkg.lib import Reached, Stranger, lazy, missing\n"
         "    lazy()\n"
+        "    bare = Sub().run(), Sub().template(), Stranger().go()\n"
         "    lazily(LazyClass.gone)\n"
         "    pkg.lib.attribute()\n"
         "    getattr(pkg.lib, 'by_string')()\n"
@@ -530,7 +614,8 @@ def test_the_reachability_scan_sees_every_way_of_reaching_a_name(tmp_path):
     )
     unreached, dangling = reachability(Package(pkg), [root])
     assert unreached == [
-        "pkg.lib:Reached.unused", "pkg.lib:Unreached", "pkg.lib:exported", "pkg.lib:lazily_unused",
+        "pkg.lib:Reached.bare", "pkg.lib:Reached.selfish", "pkg.lib:Reached.unused",
+        "pkg.lib:Stranger.hook", "pkg.lib:Unreached", "pkg.lib:exported", "pkg.lib:lazily_unused",
         "pkg.lib:shadowed", "pkg.lib:tested",
     ]
     assert dangling == [
