@@ -312,21 +312,8 @@ class MetricsRegistry:
         """Every registered metric, registration-ordered."""
         return list(self._metrics.values())
 
-    def value(self, name: str, **labels) -> float:
-        """Shortcut: current value of a counter or gauge sample."""
-        metric = self.get(name)
-        if not hasattr(metric, "value"):
-            raise TypeError(f"metric {name!r} ({metric.kind}) has no scalar value")
-        return metric.value(**labels)
-
-    def counter(self, name, help, labelnames=()) -> Counter:
-        return self.register(Counter(name, help, labelnames))
-
     def gauge(self, name, help, labelnames=()) -> Gauge:
         return self.register(Gauge(name, help, labelnames))
-
-    def histogram(self, name, help, labelnames=(), buckets=DEFAULT_BUCKETS) -> Histogram:
-        return self.register(Histogram(name, help, labelnames, buckets))
 
     def render(self) -> str:
         """The Prometheus text exposition format, one family per metric."""

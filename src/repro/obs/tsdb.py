@@ -296,16 +296,6 @@ class TimeSeriesStore:
             self._sorted = sorted(self._series.values(), key=lambda s: s.key)
         return [s for s in self._sorted if name is None or s.name == name]
 
-    def get(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Series:
-        key = (name, _label_key(labels or {}))
-        try:
-            return self._series[key]
-        except KeyError:
-            raise KeyError(
-                f"no series {name}{dict(labels or {})}; "
-                f"{len(self._series)} series stored"
-            ) from None
-
     # ------------------------------------------------------------------
     # Exact JSON round trip
     # ------------------------------------------------------------------

@@ -408,14 +408,6 @@ class PlanCacheStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "compilations": self.compilations,
-            "evictions": self.evictions,
-        }
-
 
 class PlanCache:
     """Thread-safe LRU cache of compiled :class:`SpectrumPlan` objects.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.obs import AnomalyDetector, AnomalyEvent, MetricsRegistry, TimeSeriesStore
 from repro.obs.anomaly import _mad, _median
+from repro.obs.prom import Histogram
 from tests.obs.test_prom import set_counter
 
 
@@ -89,7 +90,7 @@ class TestDetection:
         store = TimeSeriesStore()
         for i in range(40):
             reg = MetricsRegistry()
-            h = reg.histogram("lat", "h", buckets=(1.0, 2.0))
+            h = reg.register(Histogram("lat", "h", buckets=(1.0, 2.0)))
             for _ in range(1 if i != 30 else 500):
                 h.observe(0.5)
             store.scrape(reg, now=float(i))

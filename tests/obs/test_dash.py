@@ -14,6 +14,7 @@ from repro.obs import (
     TimeSeriesStore,
     render_dashboard,
 )
+from repro.obs.prom import Histogram
 from tests.obs.test_prom import set_counter
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_dash.html")
@@ -26,7 +27,7 @@ def _canned_store() -> TimeSeriesStore:
         reg = MetricsRegistry()
         set_counter(reg, "reqs_total", 3.0 * i, lane="a")
         reg.gauge("depth", "h").set(float((i * 5) % 7))
-        h = reg.histogram("lat", "h", buckets=(0.5, 1.0, 2.0))
+        h = reg.register(Histogram("lat", "h", buckets=(0.5, 1.0, 2.0)))
         for j in range(i):
             h.observe(0.1 + 0.2 * (j % 9))
         store.scrape(reg, now=0.5 * i)
@@ -39,7 +40,7 @@ def _render() -> str:
     for t in (0.0, 2.0, 4.0):
         # Re-sample the stored gauge states to produce transitions.
         reg = MetricsRegistry()
-        point = store.get("depth").latest_at(t)
+        point = store.series("depth")[0].latest_at(t)
         reg.gauge("depth", "h").set(point[1])
         slo.sample(reg, now=t)
     detector = AnomalyDetector(warmup=4, window=8)

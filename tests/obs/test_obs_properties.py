@@ -97,8 +97,8 @@ class TestInstalmentScans:
             t += 1
             total += abs(step)
             for store in (small, big):
-                store.get("g").append(float(t), gauge)
-                store.get("c_total", {"k": "v"}).append(float(t), total)
+                store.series("g")[0].append(float(t), gauge)
+                store.series("c_total")[0].append(float(t), total)
             left -= 1
             if left == 0:
                 piecewise.scan(small)

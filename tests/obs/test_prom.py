@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.obs import MetricsRegistry, parse_exposition
-from repro.obs.prom import Counter, Family, fill
+from repro.obs.prom import Counter, Family, Histogram, fill
 
 
 def set_counter(registry: MetricsRegistry, name: str, total: float, **labels: str) -> None:
@@ -18,7 +18,7 @@ def set_counter(registry: MetricsRegistry, name: str, total: float, **labels: st
 class TestRegistry:
     def test_counter_renders_with_labels(self):
         reg = MetricsRegistry()
-        reg.counter("x_total", "things", ("kind",))
+        reg.register(Counter("x_total", "things", ("kind",)))
         set_counter(reg, "x_total", 2, kind="a")
         set_counter(reg, "x_total", 1, kind="b")
         text = reg.render()
@@ -41,7 +41,7 @@ class TestRegistry:
 
     def test_histogram_cumulative_buckets(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "h", buckets=(1.0, 2.0))
+        h = reg.register(Histogram("lat", "h", buckets=(1.0, 2.0)))
         h.observe(0.5)
         h.observe(1.5)
         h.observe(9.0)
@@ -62,7 +62,7 @@ class TestRegistry:
             MetricsRegistry().gauge("bad name", "h")
 
     def test_wrong_labels_rejected(self):
-        c = MetricsRegistry().counter("x_total", "h", ("lane",))
+        c = MetricsRegistry().register(Counter("x_total", "h", ("lane",)))
         with pytest.raises(ValueError, match="expected labels"):
             c.value(kind="a")
 
@@ -80,7 +80,7 @@ class TestEscaping:
 
     def test_adversarial_label_values_round_trip(self):
         reg = MetricsRegistry()
-        reg.counter("x_total", "h", ("k",))
+        reg.register(Counter("x_total", "h", ("k",)))
         for i, value in enumerate(self.ADVERSARIAL):
             set_counter(reg, "x_total", i + 1, k=value)
         fams = parse_exposition(reg.render())
@@ -104,7 +104,7 @@ class TestEscaping:
 class TestQuantile:
     def test_linear_interpolation_within_bucket(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "h", buckets=(1.0, 2.0, 4.0))
+        h = reg.register(Histogram("lat", "h", buckets=(1.0, 2.0, 4.0)))
         for v in (0.5, 1.5, 1.6, 3.0):
             h.observe(v)
         # q=0.5 -> target rank 2 of 4: second observation falls in the
@@ -116,19 +116,19 @@ class TestQuantile:
 
     def test_overflow_clamps_to_last_bound(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "h", buckets=(1.0,))
+        h = reg.register(Histogram("lat", "h", buckets=(1.0,)))
         h.observe(50.0)
         assert h.quantile(0.99) == 1.0  # +Inf bucket reports the last bound
 
     def test_labelled_series_and_empty(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "h", ("lane",), buckets=(1.0, 2.0))
+        h = reg.register(Histogram("lat", "h", ("lane",), buckets=(1.0, 2.0)))
         h.observe(0.5, lane="a")
         assert h.quantile(0.5, lane="a") == pytest.approx(0.5)
         assert h.quantile(0.5, lane="b") == 0.0  # never observed
 
     def test_invalid_q_rejected(self):
-        h = MetricsRegistry().histogram("lat", "h")
+        h = MetricsRegistry().register(Histogram("lat", "h"))
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
@@ -136,7 +136,7 @@ class TestQuantile:
 class TestAccessors:
     def test_counter_and_gauge_value(self):
         reg = MetricsRegistry()
-        c = reg.counter("c_total", "h", ("k",))
+        c = reg.register(Counter("c_total", "h", ("k",)))
         set_counter(reg, "c_total", 3, k="a")
         assert c.value(k="a") == 3.0
         assert c.value(k="never") == 0.0
@@ -147,7 +147,7 @@ class TestAccessors:
     def test_registry_get_and_value(self):
         reg = MetricsRegistry()
         reg.gauge("g", "h").set(7)
-        assert reg.value("g") == 7.0
+        assert reg.get("g").value() == 7.0
         assert "g" in reg
         with pytest.raises(KeyError, match="registered"):
             reg.get("missing")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import MetricsRegistry, QueryEngine, QueryError, TimeSeriesStore
+from repro.obs.prom import Histogram
 from repro.obs.query import format_result, parse_query
 from tests.obs.test_prom import set_counter
 
@@ -16,7 +17,7 @@ def _canned_store() -> TimeSeriesStore:
         set_counter(reg, "reqs_total", 5.0 * i, lane="a")
         set_counter(reg, "reqs_total", 2.0 * i, lane="b")
         reg.gauge("depth", "h").set(float(i % 4))
-        h = reg.histogram("lat", "h", ("lane",), buckets=(1.0, 2.0, 4.0))
+        h = reg.register(Histogram("lat", "h", ("lane",), buckets=(1.0, 2.0, 4.0)))
         for j in range(i):
             h.observe(0.5 + 0.4 * j, lane="a")
         store.scrape(reg, now=float(i))
@@ -96,7 +97,7 @@ class TestRangeFunctions:
 class TestHistogramQuantile:
     def test_matches_registry_estimator_exactly(self, engine):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "h", ("lane",), buckets=(1.0, 2.0, 4.0))
+        h = reg.register(Histogram("lat", "h", ("lane",), buckets=(1.0, 2.0, 4.0)))
         for j in range(9):
             h.observe(0.5 + 0.4 * j, lane="a")
         for q in (0.5, 0.9, 0.95, 0.99):

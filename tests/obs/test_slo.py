@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import MetricsRegistry, Rule, RuleState, SLOEngine
+from repro.obs.prom import Histogram
 from repro.obs.query import FuncCall, Matcher, Number, QueryEngine, Selector
 from repro.obs.tsdb import TimeSeriesStore
 from repro.service.broker import ServiceConfig, run_trace
@@ -106,7 +107,7 @@ class TestLifecycle:
 class TestValueKinds:
     def test_quantile_rule_reads_histogram(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "h", ("lane",), buckets=(1.0, 2.0, 4.0))
+        h = reg.register(Histogram("lat", "h", ("lane",), buckets=(1.0, 2.0, 4.0)))
         for v in (0.5, 0.7, 3.5):
             h.observe(v, lane="a")
         rule = Rule(
@@ -129,7 +130,7 @@ class TestValueKinds:
     def test_plain_rule_on_a_histogram_raises(self):
         """Without ``quantile`` a histogram has no one value to compare."""
         reg = MetricsRegistry()
-        reg.histogram("lat", "h", buckets=(1.0,)).observe(5.0)
+        reg.register(Histogram("lat", "h", buckets=(1.0,))).observe(5.0)
         engine = SLOEngine(
             (Rule(name="lat-high", metric="lat", op=">", threshold=0.5),)
         )
@@ -273,10 +274,10 @@ class TestQueryEngineEquivalence:
         new, old = SLOEngine(self.RULES), _StoreQuerySLOEngine(self.RULES)
         for i in range(12):
             reg = MetricsRegistry()
-            h = reg.histogram(
+            h = reg.register(Histogram(
                 "repro_request_latency_seconds", "h", ("lane",),
                 buckets=(0.25, 0.5, 1.0, 2.0),
-            )
+            ))
             for j in range(i + 1):
                 h.observe(0.1 * ((i + j) % 9), lane="interactive")
             reg.gauge("repro_queue_depth", "h").set(float((i * 3) % 5))

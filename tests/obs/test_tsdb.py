@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.obs import MetricsRegistry, NULL_TSDB, NullTimeSeriesStore, Series, TimeSeriesStore
+from repro.obs.prom import Histogram
 from repro.obs.tsdb import decode_floats, encode_floats
 from tests.obs.test_prom import set_counter
 
@@ -74,7 +75,7 @@ def _registry(total: float, depth: float) -> MetricsRegistry:
     reg = MetricsRegistry()
     set_counter(reg, "reqs_total", total, lane="a")
     reg.gauge("depth", "h").set(depth)
-    h = reg.histogram("lat", "h", buckets=(1.0, 2.0))
+    h = reg.register(Histogram("lat", "h", buckets=(1.0, 2.0)))
     h.observe(0.5)
     return reg
 
@@ -84,17 +85,13 @@ class TestStore:
         store = TimeSeriesStore()
         store.scrape(_registry(3.0, 2.0), now=1.0)
         store.scrape(_registry(5.0, 1.0), now=2.0)
-        assert store.get("reqs_total", {"lane": "a"}).values() == [3.0, 5.0]
-        assert store.get("depth").values() == [2.0, 1.0]
+        [reqs], [depth] = store.series("reqs_total"), store.series("depth")
+        assert reqs.labels == {"lane": "a"} and reqs.values() == [3.0, 5.0]
+        assert depth.values() == [2.0, 1.0]
         assert store.families["reqs_total"] == "counter"
         assert store.families["lat_bucket"] == "histogram"
         assert store.scrape_times == [1.0, 2.0]
         assert store.n_scrapes == 2
-
-    def test_missing_series_raises(self):
-        store = TimeSeriesStore()
-        with pytest.raises(KeyError, match="no series"):
-            store.get("absent")
 
     def test_cadence_gates_due(self):
         store = TimeSeriesStore(cadence_s=1.0)

@@ -351,7 +351,7 @@ class TestWindowsOncePerTemperature:
             broker, _ = run_trace(trace, ServiceConfig(), tracer=tracer)
             lookups = broker.registry().get("repro_plan_cache_lookups_total")
             booked.append((
-                PLAN_CACHE.stats.as_dict(),
+                dataclasses.asdict(PLAN_CACHE.stats),
                 {r: lookups.value(result=r) for r in ("hit", "miss")},
             ))
         assert booked[0] == booked[1]
