@@ -195,10 +195,10 @@ class SimulatedGPU:
     ) -> Signal | None:
         """Queue one task; returns the signal fired with its result or LOST.
 
-        ``parent`` is the trace span id of the causing task span; the
-        three sub-spans the device emits link back to it.  ``price`` is
-        ``spec.phase_times(task)`` when the caller already holds it.  A sole
-        waiter passes its resume callable as ``wake``: no signal is built.
+        ``parent``: the causing task span's id, which its sub-spans link to;
+        ``price``: ``spec.phase_times(task)`` if the caller holds it.  A sole
+        waiter (each rank loop) passes its resume as ``wake`` and gets no
+        signal; the ``gpusim.device`` wall probe yields the one returned.
         """
         done = Signal(self._done_name) if wake is None else None
         job = (task, wake or done, parent, price or self.spec.phase_times(task))

@@ -154,9 +154,6 @@ class Ticket:
     #: Leader's trace id when this ticket coalesced onto an in-flight
     #: request — the causal link from a follower to the executed work.
     leader_trace_id: int = 0
-    #: Fires with the spectrum when the request resolves (pre-fired for
-    #: cache hits); ``None`` on rejected tickets.
-    signal: Optional[Signal] = None
 
     @property
     def rejected(self) -> bool:
@@ -254,6 +251,7 @@ class SpectrumBroker:
         self._queues: dict[str, deque[InFlight]] = {lane: deque() for lane in LANES}
         self._assembler = BatchAssembler(width_max=config.batch_width_max)
         self._idle: deque[Signal] = deque()
+        self._workers: list[Generator] = []
         self._batch_seq = 0
         self._started = False
         # Causal cost attribution rides the trace (None untraced: the hot
@@ -346,10 +344,10 @@ class SpectrumBroker:
         """Admit one request at the current virtual time.
 
         Returns a ticket that is already completed (cache or lattice
-        hit), pending (queued or coalesced — wait on ``ticket.signal``),
-        or rejected (queue full — resubmit with ``retry=True`` after
-        ``ticket.retry_after_s`` so only the first attempt counts as an
-        arrival).  A request this broker can never serve raises
+        hit), pending (queued or coalesced — it completes when the clock
+        runs its batch), or rejected (queue full — resubmit with
+        ``retry=True`` after ``ticket.retry_after_s`` so only the first
+        attempt counts as an arrival).  A request this broker can never serve raises
         ``ValueError`` before an arrival is counted.
         """
         self._validate(request, lane)
@@ -409,7 +407,6 @@ class SpectrumBroker:
         if entry is None:
             return None
         ticket.coalesced = True
-        ticket.signal = entry.done
         self.coalescer.attach(entry, ticket)
         # The leader (first subscriber) owns the executed work; the
         # follower's span parents under it so the trace shows exactly
@@ -427,7 +424,6 @@ class SpectrumBroker:
             return ticket
         entry = self.coalescer.open(ticket.key, ticket.request, ticket.lane, now)
         entry.subscribers.append(ticket)
-        ticket.signal = entry.done
         self._queues[ticket.lane].append(entry)
         if self.tracer.enabled:
             self._open_span(ticket, "queued")
@@ -441,8 +437,6 @@ class SpectrumBroker:
     ) -> Ticket:
         """Complete a ticket at admission: a reuse tier answered it."""
         ticket._complete(now, values)
-        ticket.signal = Signal(name=f"{outcome}.{ticket.key[:8]}")
-        ticket.signal.fire(self.clock, values)
         if self.tracer.enabled:
             self._open_span(ticket, outcome)
             self._close_span(ticket)
@@ -488,12 +482,14 @@ class SpectrumBroker:
     # trace -> fan-back -> observe
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the service workers on the clock (idempotent)."""
-        if self._started:
+        """Spawn the service workers on the clock (idempotent while they
+        run; :func:`play_trace` ends them)."""
+        if self._workers:
             return
         self._started = True
         for wid in range(self.config.n_service_workers):
-            self.clock.spawn(self._worker(wid), name=f"svc{wid}")
+            self._workers.append(self._worker(wid))
+            self.clock.spawn(self._workers[-1], name=f"svc{wid}")
 
     def _worker(self, wid: int) -> Generator:
         runner = HybridRunner(
@@ -644,7 +640,6 @@ class SpectrumBroker:
                         ticket.lane, ticket.latency_s, cached=False,
                         coalesced=ticket.coalesced, trace_id=ticket.trace_id,
                     )
-                entry.done.fire(self.clock, spectrum)
 
     def _observe(self, now: float) -> None:
         """The batch-completion tail: fold the trace into the cost
@@ -748,7 +743,9 @@ def play_trace(
     broker: SpectrumBroker, trace: Sequence[Arrival]
 ) -> list[Optional[Ticket]]:
     """Start ``broker`` and play ``trace`` through it to completion, as
-    :func:`run_trace` does; returns each arrival's final ticket."""
+    :func:`run_trace` does; returns each arrival's final ticket.  The
+    broker's workers end with the trace: its reuse tiers still answer,
+    and :meth:`SpectrumBroker.start` spawns new workers for more."""
     clock = broker.clock
     broker.start()
     tickets: list[Optional[Ticket]] = [None] * len(trace)
@@ -772,6 +769,14 @@ def play_trace(
 
     clock.spawn(dispatcher(), name="dispatcher")
     clock.run()
+    # A drained worker is parked on an idle signal the broker holds, and
+    # ``submit`` names itself: two cycles through the broker.  Ending the
+    # workers and unbinding ``submit`` lets reference counting free it.
+    for worker in broker._workers:
+        worker.close()
+    broker._workers.clear()
+    broker._idle.clear()
+    del submit
     broker.bus.finalize(clock.now)
     if broker.tsdb.enabled:
         # One closing scrape so the stored series end on the finalized

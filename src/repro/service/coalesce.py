@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.simclock import Signal
 from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -33,7 +32,6 @@ class InFlight:
     request: "SpectrumRequest"
     lane: str
     opened_at: float
-    done: Signal
     #: Every ticket (leader first) waiting on this entry's result.
     subscribers: list["Ticket"] = field(default_factory=list)
 
@@ -60,13 +58,7 @@ class RequestCoalescer:
         """Register a new unique in-flight request (the leader's entry)."""
         if key in self._inflight:
             raise ValueError(f"request {key} is already in flight")
-        entry = InFlight(
-            key=key,
-            request=request,
-            lane=lane,
-            opened_at=now,
-            done=Signal(name=f"inflight.{key[:8]}"),
-        )
+        entry = InFlight(key=key, request=request, lane=lane, opened_at=now)
         self._inflight[key] = entry
         self.opened += 1
         if self.tracer.enabled:

@@ -107,7 +107,7 @@ class TestCoalescing:
         leader = broker.submit(req())
         follower = broker.submit(req())
         assert not leader.coalesced and follower.coalesced
-        assert follower.signal is leader.signal
+        assert broker.coalescer.lookup(leader.key).subscribers == [leader, follower]
         clock.run()
         assert leader.done and follower.done
         np.testing.assert_array_equal(leader.result, follower.result)
@@ -140,7 +140,7 @@ class TestBackpressure:
         assert all(not t.rejected for t in admitted)
         assert overflow.rejected
         assert overflow.retry_after_s == RETRY_AFTER_S == 0.5
-        assert overflow.signal is None
+        assert overflow.result is None and broker.queue_depth == 2
         assert broker.telemetry.rejections == 1
 
     def test_rejected_request_succeeds_after_drain(self):

@@ -29,9 +29,7 @@ def _request(t: float, **kw) -> SpectrumRequest:
 def _open(broker: SpectrumBroker, request: SpectrumRequest, lane: str = "survey"):
     """What ``_admit`` leaves behind, minus the queue: entry plus leader."""
     entry = broker.coalescer.open(request.key, request, lane, 0.0)
-    entry.subscribers.append(
-        Ticket(request, lane, request.key, 0.0, signal=entry.done)
-    )
+    entry.subscribers.append(Ticket(request, lane, request.key, 0.0))
     return entry
 
 
@@ -40,9 +38,7 @@ def test_fan_back_completes_every_subscriber_once_and_caches_row_copies():
     broker = SpectrumBroker(clock)
     hot, cold = _request(2.0e7), _request(8.0e6)
     entries = [_open(broker, hot), _open(broker, cold)]
-    follower = Ticket(
-        hot, "interactive", hot.key, 0.5, coalesced=True, signal=entries[0].done
-    )
+    follower = Ticket(hot, "interactive", hot.key, 0.5, coalesced=True)
     broker.coalescer.attach(entries[0], follower)
     batch = _Batch(entries, groups=[MegabatchGroup(tuple(entries))])
 
@@ -64,9 +60,8 @@ def test_fan_back_completes_every_subscriber_once_and_caches_row_copies():
     assert not np.shares_memory(*cached)
     assert len(broker.coalescer) == 0
     for entry in entries:
-        assert entry.done.fired and entry.done.payload is entry.subscribers[0].result
-        with pytest.raises(RuntimeError, match="fired twice"):
-            entry.done.fire(clock)
+        with pytest.raises(KeyError, match="no in-flight request"):
+            broker.coalescer.resolve(entry.key)
 
 
 @pytest.mark.parametrize("window", [None, 0.0], ids=["plain", "batching"])

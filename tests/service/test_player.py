@@ -16,6 +16,8 @@ cache entry and golden would move.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from typing import Generator
 
 import pytest
@@ -44,8 +46,6 @@ def reference_play_trace(broker, trace):
             ticket = broker.submit(arrival.request, lane=arrival.lane, retry=attempt > 0)
             if not ticket.rejected:
                 tickets[i] = ticket
-                if not ticket.done:
-                    yield ticket.signal
                 return
             backoff = min(2.0**attempt, MAX_RETRY_BACKOFF)
             attempt += 1
@@ -107,6 +107,37 @@ def test_player_matches_the_client_per_arrival_reference(traffic, seed):
     assert player.report() == reference.report()
     if traffic == "tight":
         assert player.report()["rejections"] > 0 and player.report()["retries"] > 0
+
+
+@pytest.mark.parametrize("traffic", sorted(TRAFFIC))
+def test_a_played_broker_is_freed_by_reference_counting(traffic):
+    """Once its trace drains, nothing holds an unarmed broker in a cycle
+    (the parked workers have ended, and the retry callback of ``tight``
+    no longer names itself), so dropping the last reference frees it
+    with the cyclic collector off."""
+    spec, config = TRAFFIC[traffic]
+    trace = generate_trace(TrafficSpec(seed=7, **spec))
+    gc.collect()
+    gc.disable()
+    try:
+        broker = trace_broker(config)
+        play_trace(broker, trace)
+        freed = weakref.ref(broker)
+        del broker
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_a_played_broker_serves_again_once_restarted():
+    spec, config = TRAFFIC["zipf"]
+    broker = trace_broker(config)
+    play_trace(broker, generate_trace(TrafficSpec(seed=7, **spec)))
+    broker.start()
+    ticket = broker.submit(SpectrumRequest(temperature_k=3.3e6, z_max=6, n_bins=32))
+    assert not ticket.done
+    broker.clock.run()
+    assert ticket.done and not ticket.cached
 
 
 @pytest.mark.parametrize("traffic", ["tight", "zipf"])
