@@ -60,9 +60,9 @@ COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 def count_calls(op):
     """``(calls by repro package, op())``: the package of a frame is the
     second part of its module's ``__name__``.  The cyclic collector is
-    emptied first and off during ``op``: closing a parked generator of an
-    earlier run (a broker's idle worker) resumes it, and when that
-    happens depends on the process's allocation history."""
+    emptied first and off during ``op``: finalizing a generator it frees
+    resumes it, and when it runs depends on the process's allocation
+    history."""
     counts: Counter = Counter()
 
     def profile(frame, event, _arg):
@@ -184,16 +184,16 @@ COUNTS = {
         "cluster": 2394, "core": 13222, "gpusim": 4972, "obs": 1988,
     }),
     "serve_cold": (serve_cold, 20, [3032], {
-        "atomic": 269, "cluster": 1957, "core": 7535, "gpusim": 3618, "obs": 48,
-        "physics": 141, "service": 1368,
+        "atomic": 269, "cluster": 1917, "core": 7535, "gpusim": 3618, "obs": 48,
+        "physics": 141, "service": 1370,
     }),
     "serve_reuse": (serve_reuse, 182, [3673, 53, 325], {
-        "approx": 1715, "atomic": 596, "cluster": 2946, "core": 9740, "gpusim": 4700,
-        "obs": 108, "physics": 33, "service": 6792,
+        "approx": 1715, "atomic": 596, "cluster": 2710, "core": 9740, "gpusim": 4700,
+        "obs": 108, "physics": 33, "service": 6798,
     }),
     "serve_observed": (serve_observed, 10, [1525], {
-        "approx": 12, "atomic": 189, "cluster": 1013, "core": 4152, "gpusim": 1810,
-        "obs": 5664, "physics": 83, "service": 835,
+        "approx": 12, "atomic": 189, "cluster": 993, "core": 4152, "gpusim": 1810,
+        "obs": 5664, "physics": 83, "service": 837,
     }),
 }
 
