@@ -226,10 +226,9 @@ class WindowKernelCounters:
     (the bin lies entirely below its row's recombination edge).  Such a
     pair contributes exactly 0.0, so the window driver
     (:mod:`repro.quadrature.megabatch`) elides it before the integrand
-    pass and reports it on its result.  No kernel
-    writes this ledger: it stays at zero, and is kept only because the
-    wall benchmark's ``quadrature.pairs_skipped`` probe reads
-    :meth:`snapshot`.
+    pass and reports it on its result.  No kernel writes this ledger: it
+    stays at zero, kept only because the wall benchmark's
+    ``quadrature.pairs_skipped`` probe reads :meth:`snapshot`.
     """
 
     zero_width_pairs: int = 0

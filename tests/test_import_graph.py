@@ -349,13 +349,6 @@ class Package:
                     for m in methods:
                         yield module, f"{s.name}.{m.name}", m.name, s, s, [m]
 
-    def classes(self) -> dict:
-        """``{id(class): (module, name)}`` of every top-level class."""
-        return {
-            id(s): (module, s.name)
-            for module, tree in self.trees.items() for s in tree.body if isinstance(s, ast.ClassDef)
-        }
-
 
 def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]:
     """``(unreached, dangling)``.  ``unreached`` is every public name of
@@ -369,8 +362,9 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
     module_of = {path: m for m, path in pkg.paths.items()}
     bindings = {path: aliases(tree, pkg.name) for path, tree in trees.items()}
     defs = list(pkg.definitions())
-    classes = pkg.classes()
     index = {(module, name): i for i, (module, _, name, owner, _, _) in enumerate(defs) if owner is None}
+    #: ``id()`` of each top-level class -> ``(module, class)``.
+    classes = {id(c): (module, c.name) for module, _, _, owner, c, _ in defs if owner is None and c}
     #: Names that reach a method of any reached class (``x.m``, ``"m"``).
     members: set[str] = set()
     #: ``(module, class)``: the methods ``self.m`` / ``cls.m`` reach on it.
@@ -402,8 +396,8 @@ def reachability(pkg: Package, roots: list[Path]) -> tuple[list[str], list[str]]
         return (source, name) if source else None
 
     bases = {
-        key: {b for b in (base_of(pkg.paths[key[0]], e, ()) for e in defs[index[key]][4].bases) if b}
-        for key in classes.values()
+        (module, c.name): {b for b in (base_of(pkg.paths[module], e, ()) for e in c.bases) if b}
+        for module, _, _, owner, c, _ in defs if owner is None and c
     }
 
     @functools.cache
