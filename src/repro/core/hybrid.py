@@ -215,9 +215,10 @@ class HybridRunner:
         clock), and the returned :class:`ProcessHandle` can be yielded
         from another process to join.  ``handle.result`` is the batch's
         :class:`RunResult`; its ``makespan_s`` is the batch's *elapsed*
-        virtual time, not the absolute clock reading.
+        virtual time, not the absolute clock reading.  A tracer is bound to
+        ``clock``: the rows the batch records read the clock it runs on.
         """
-        if self.tracer.enabled and not self.tracer.bound:
+        if self.tracer.enabled:
             self.tracer.bind(clock)
         return clock.spawn(self._batch_process(tasks, clock, name), name=name)
 
@@ -354,24 +355,22 @@ class HybridRunner:
         tracks, loads, histories = bus.device_tracks, sched.segment.load, sched.segment.history
         rpc = sched.rpc_latency_s
         heap, name = clock._heap, f"rank{rank}"
+        prep, share = self._prep_tables(my_tasks)
+        submit_s = cost.submit_overhead_s
+        submit_pushed = type(submit_s) is float and 0.0 <= submit_s < inf
         send = yield
         clock.wake_after(rank * stagger, send, name)
         yield
-        point_share = self._point_share(my_tasks)
         for task in my_tasks:
-            task_started = clock.now
+            task_started = now = clock.now
             # One span id per task: the gpusim sub-spans parent under it,
             # and it parents under whatever compiled the task (megabatch
             # group span or request root) via task.trace_parent.
             span_id = tracer.new_id() if traced else 0
-            # Per-point overhead (I/O, ion balance) is interleaved with the
-            # task loop in APEC, so it is amortized across the point's
-            # tasks rather than paid as a serial prelude that would starve
-            # the GPUs at startup.
-            delay = cost.prep_s(task.n_levels) + point_share[task.point_index]
+            delay = prep[task.n_levels] + share[task.point_index]
             if type(delay) is float and 0.0 <= delay < inf:
                 clock._seq = seq = clock._seq + 1
-                heappush(heap, (clock.now + delay, clock.now, seq, send, None))
+                heappush(heap, (now + delay, now, seq, send, None))
             else:
                 clock.wake_after(delay, send, name)
             yield
@@ -393,12 +392,12 @@ class HybridRunner:
                     tracer.task_alloc(rank_track, device, loads, histories, task.task_id,
                                       sched.backlog_ticks(), ticks, predicted)
             if device != NO_DEVICE:
-                delay = cost.submit_overhead_s
-                if type(delay) is float and 0.0 <= delay < inf:
+                if submit_pushed:
+                    now = clock.now
                     clock._seq = seq = clock._seq + 1
-                    heappush(heap, (clock.now + delay, clock.now, seq, send, None))
+                    heappush(heap, (now + submit_s, now, seq, send, None))
                 else:
-                    clock.wake_after(delay, send, name)
+                    clock.wake_after(submit_s, send, name)
                 yield
                 submitted_at = clock.now
                 if dispatch is not None:
@@ -477,7 +476,6 @@ class HybridRunner:
         # oldest first; popleft() keeps the drain O(1) per task where a
         # list.pop(0) would shift the whole window.
         in_flight: deque = deque()
-        point_share = self._point_share(my_tasks)
         # The segment's counters (one per device), which the rows copy.
         tracks, loads, histories = bus.device_tracks, sched.segment.load, sched.segment.history
 
@@ -498,9 +496,10 @@ class HybridRunner:
             if (yield signal) is LOST:  # on_done gave back slot and admission
                 yield from on_cpu(task, span_id)
 
+        prep, share = self._prep_tables(my_tasks)
         for task in my_tasks:
             span_id = tracer.new_id() if traced else 0
-            yield cost.prep_s(task.n_levels) + point_share[task.point_index]
+            yield prep[task.n_levels] + share[task.point_index]
             while len(in_flight) >= cfg.async_depth:
                 yield from reap()
             if sched.rpc_latency_s:
@@ -554,13 +553,19 @@ class HybridRunner:
             out[task.point_index % n].append(task)
         return out
 
-    def _point_share(self, my_tasks: list[Task]) -> dict[int, float]:
-        """Per-task share of the per-point overhead, for each owned point."""
+    def _prep_tables(self, my_tasks: list[Task]) -> tuple[dict, dict]:
+        """A rank's host time before each hand-off, ``prep[n_levels] +
+        share[point_index]``, tabled in one pass.  APEC interleaves the
+        per-point overhead (I/O, ion balance) with its task loop, so each
+        task pays a share of it: a serial prelude would starve the GPUs."""
+        cost = self.config.cost
         counts: dict[int, int] = {}
+        prep: dict[int, float] = {}
         for task in my_tasks:
             counts[task.point_index] = counts.get(task.point_index, 0) + 1
-        overhead = self.config.cost.point_overhead_s
-        return {p: overhead / c for p, c in counts.items()}
+            if task.n_levels not in prep:
+                prep[task.n_levels] = cost.prep_s(task.n_levels)
+        return prep, {p: cost.point_overhead_s / c for p, c in counts.items()}
 
     @staticmethod
     def _accumulate(spectra: dict, task: Task, payload: object) -> None:
@@ -587,13 +592,11 @@ class _PendingTask:
 
     def __init__(self, task, key, evals, cost_s, ticks, span_id, now, wake):
         self.task = task
-        #: The cost model's table key and the priced evaluation count —
-        #: computed once, at placement.
+        #: Table key, priced evaluation count, predicted cost and its ticks:
+        #: computed once, at placement, so a free or steal moves exactly the
+        #: ticks admission added.
         self.key = key
         self.evals = evals
-        #: Predicted cost at admission time and its integer-tick form —
-        #: the exact amount added to the segment backlog, carried so
-        #: free/steal remove it exactly without re-rounding.
         self.cost_s = cost_s
         self.ticks = ticks
         self.span_id = span_id
@@ -688,11 +691,9 @@ class _PredictiveDispatch:
 class _DispatchSlot:
     """One kernel slot's drain loop: own head, else steal, else park.
 
-    The slot is a plain waiter, not a process: an enqueue wakes it with a
-    same-instant ``_step(None)`` and, as its device's waiter, the task's
-    completion resumes it with the payload — the events a generator
-    yielding those two waits would cause, in the same order, without the
-    generator or a signal per park.
+    A plain waiter, not a process: an enqueue wakes it with a same-instant
+    ``_step(None)`` and its task's completion resumes it with the payload,
+    which it hands on to the rank, in place when it may (``simclock``).
     """
 
     __slots__ = ("dispatch", "device", "gpu", "own", "entry")
@@ -706,11 +707,9 @@ class _DispatchSlot:
         self.entry: Optional[_PendingTask] = None
 
     def _step(self, payload: object = None) -> None:
-        dispatch = self.dispatch
-        device = self.device
-        sched = dispatch.sched
-        clock = dispatch.clock
-        entry = self.entry
+        dispatch, device, entry = self.dispatch, self.device, self.entry
+        sched, clock = dispatch.sched, dispatch.clock
+        wake = None  # the rank, if woken in place (simclock's hand-off)
         if entry is not None:
             self.entry = None
             now = clock.now
@@ -721,21 +720,25 @@ class _DispatchSlot:
                 dispatch.bus.on_prediction(entry.cost_s, measured)
                 dispatch.bus.on_task_timing(entry.exec_started - entry.enqueued_at)
             sched.sche_free(device, now, ticks=entry.ticks)
-            clock._seq = seq = clock._seq + 1
-            heappush(clock._heap, (now, now, seq, entry.wake, payload))
+            heap = clock._heap
+            if clock.hands_off and (not heap or heap[0][0] > now):
+                wake = entry.wake
+            else:
+                clock._seq = seq = clock._seq + 1
+                heappush(heap, (now, now, seq, entry.wake, payload))
         if self.own:
             entry = self.own.popleft()
             dispatch.n_pending -= 1
             dispatch.pending_ticks[device] -= entry.ticks
-        elif (
-            dispatch.n_pending
-            and not self.gpu.failed
-            and sched.segment.load[device] < sched.max_queue_length
-        ):
+        elif (dispatch.n_pending and not self.gpu.failed
+              and sched.segment.load[device] < sched.max_queue_length):
             entry = dispatch._steal_from(device)
         else:
+            entry = None
             dispatch._idle.append(self)
-            return
-        self.gpu.submit(entry.task, entry.span_id, None, self._step)
-        entry.exec_started = clock.now
-        self.entry = entry
+        if entry is not None:
+            self.gpu.submit(entry.task, entry.span_id, None, self._step)
+            entry.exec_started = clock.now
+            self.entry = entry
+        if wake is not None:
+            wake(payload)

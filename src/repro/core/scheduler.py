@@ -89,9 +89,7 @@ class SharedMemoryScheduler:
         if self.n_devices == 0:
             return NO_DEVICE
         load, history = self.segment.load, self.segment.history
-        best = 0
-        l_min = load[0]
-        h_min = history[0]
+        best, l_min, h_min = 0, load[0], history[0]
         use_history = self.tie_break == "history"
         for d in range(1, self.n_devices):
             l_d = load[d]
@@ -314,9 +312,7 @@ class PredictiveScheduler(SharedMemoryScheduler):
         load, history, backlog = segment.load, segment.history, segment.backlog
         max_load = self.max_queue_length
         use_history = self.tie_break == "history"
-        best = -1
-        best_finish = 0
-        best_history = 0
+        best, best_finish, best_history = -1, 0, 0
         for d in range(self.n_devices):
             if load[d] >= max_load:
                 continue

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
-from repro.cluster.simclock import Signal, SimClock
+from repro.cluster.simclock import Signal, SimClock, chain_key
 from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:
@@ -135,9 +136,10 @@ class SimulatedGPU:
     On Fermi (``max_concurrent_kernels = 1``) the phases of consecutive
     tasks serialize entirely — application-level context switching, "the
     queued tasks are performed serially in their submission orders" — so
-    a task is **one** heap event, a ``SimClock.call_chain`` over its three
-    phase lengths: the fire-time float and the place in the event order
-    of the last of three per-phase events.  On Kepler, up to
+    :meth:`submit` pushes a task as **one** heap event keyed by
+    ``chain_key`` over its three phase lengths, and its completion hands
+    the result to a callable waiter in place when it may (``simclock``'s
+    hand-off).  On Kepler, up to
     ``max_concurrent_kernels`` clients may be in flight at once: their
     ingress/egress phases *overlap*, but the compute phases still
     serialize through the SMs at full rate — Hyper-Q hides the
@@ -146,14 +148,9 @@ class SimulatedGPU:
     processor-sharing; serializing compute at full rate has the same
     aggregate throughput and keeps the event model exact.)
 
-    When a task carries an ``execute`` callable, the real computation
-    runs at completion time and its result becomes the payload.
-
-    With a tracer attached (``tracer``/``track``), each task emits three
-    sub-spans on the device track — ``h2d+launch`` (ingress), ``compute``,
-    and ``d2h`` (egress) — so a Perfetto timeline shows exactly where
-    device time goes.  The default :data:`~repro.obs.tracer.NULL_TRACER`
-    keeps the hot path untouched.
+    A task's ``execute`` callable runs at completion and its result is
+    the payload.  A tracer (``tracer``/``track``) gets three sub-spans a
+    task on the device track: ``h2d+launch``, ``compute`` and ``d2h``.
     """
 
     def __init__(
@@ -205,36 +202,32 @@ class SimulatedGPU:
         if self.failed:
             self._wake(job[1], LOST)
         elif self._active < self.spec.max_concurrent_kernels:
-            self._start(job)
+            self._active += 1
+            clock = self.clock
+            now = clock.now
+            if self._busy_since is None:
+                self._busy_since = now
+            price = job[3]
+            # A zero-length egress would be a +0 last link, which a chain
+            # cannot stand for (see chain_key): that job takes the phases.
+            if self._serial and price[2] > 0.0:
+                fire, at = chain_key(now, price)
+                clock._seq = seq = clock._seq + 1
+                heappush(clock._heap, (fire, at, seq, self._complete, (job, now, True)))
+            else:
+                clock.call_at(price[0], self._enter_compute, (job, now))
         else:
             self._waiting.append(job)
         return done
 
-    # ------------------------------------------------------------------
     # Execution.  Every heap event carries (job, phase start); the start
     # time is only read when tracing.
-    # ------------------------------------------------------------------
-    def _start(self, job: tuple) -> None:
-        self._active += 1
-        now = self.clock.now
-        if self._busy_since is None:
-            self._busy_since = now
-        price = job[3]
-        # A zero-length egress would be a +0 last link, which a chain
-        # cannot stand for (see call_chain): that job takes the phases.
-        if self._serial and price[2] > 0.0:
-            self.clock.call_chain(price, self._complete, (job, now, True))
-        else:
-            self.clock.call_at(price[0], self._enter_compute, (job, now))
-
     def _enter_compute(self, event: tuple) -> None:
         if self.failed:
             return self._complete(event + (False,))
         job, started = event
         if self.tracer.enabled:
-            self.tracer.device_phase(
-                self.track, job[2], job[0], 0, started, self.clock.now
-            )
+            self.tracer.device_phase(self.track, job[2], job[0], 0, started, self.clock.now)
         self._compute_queue.append(job)
         self._pump_compute()
 
@@ -251,39 +244,44 @@ class SimulatedGPU:
             return self._complete(event + (False,))
         job, started = event
         if self.tracer.enabled:
-            self.tracer.device_phase(
-                self.track, job[2], job[0], 1, started, self.clock.now
-            )
+            self.tracer.device_phase(self.track, job[2], job[0], 1, started, self.clock.now)
         self.clock.call_at(job[3][2], self._complete, (job, self.clock.now, False))
         self._pump_compute()
 
     def _complete(self, event: tuple) -> None:
         job, started, whole_task = event
         self._active -= 1
+        clock = self.clock
+        now = clock.now
         if self._active == 0 and self._busy_since is not None:
-            self.busy_time += self.clock.now - self._busy_since
+            self.busy_time += now - self._busy_since
             self._busy_since = None
+        wake = job[1]
         if self.failed:  # the result never arrives: the waiter is told so
-            payload = LOST
+            self._wake(wake, LOST)
+            wake = None
         else:
             if self.tracer.enabled:
                 if whole_task:
                     # The boundaries are the floats the per-phase events
                     # would have read off the clock.
                     computing = started + job[3][0]
-                    self.tracer.device_task(
-                        self.track, job[2], job[0], started, computing,
-                        computing + job[3][1], self.clock.now,
-                    )
+                    self.tracer.device_task(self.track, job[2], job[0], started, computing,
+                                            computing + job[3][1], now)
                 else:
-                    self.tracer.device_phase(
-                        self.track, job[2], job[0], 2, started, self.clock.now
-                    )
+                    self.tracer.device_phase(self.track, job[2], job[0], 2, started, now)
             self.completed += 1
             payload = job[0].execute() if job[0].execute is not None else None
-        self._wake(job[1], payload)
+            heap = clock._heap
+            # In place only if the +0 wake would be popped next (simclock).
+            if type(wake) is Signal or (heap and heap[0][0] <= now) or not clock.hands_off:
+                self._wake(wake, payload)
+                wake = None
         if self._waiting:  # into the slot this task held
-            self._start(self._waiting.popleft())
+            task, waiter, parent, price = self._waiting.popleft()
+            self.submit(task, parent, price, waiter)
+        if wake is not None:
+            wake(payload)
 
     def _wake(self, wake, payload: object) -> None:
         if type(wake) is Signal:

@@ -1,12 +1,21 @@
 """The discrete-event engine: determinism, causality, process semantics."""
 
 import gc
+import heapq
 import weakref
 
 import numpy as np
 import pytest
 
-from repro.cluster.simclock import SimClock, Signal
+from repro.cluster.simclock import SimClock, Signal, chain_key
+
+
+def call_chain(clock: SimClock, hops, fn, arg) -> None:
+    """Push ``fn(arg)`` as the one event :func:`chain_key` keys, as
+    ``SimulatedGPU.submit`` pushes a single-slot device's task."""
+    fire, scheduled_at = chain_key(clock.now, hops)
+    clock._seq += 1
+    heapq.heappush(clock._heap, (fire, scheduled_at, clock._seq, fn, arg))
 
 
 class TestScheduling:
@@ -51,7 +60,7 @@ class TestScheduling:
         clock = SimClock()
         clock.now = 0.3
         got = []
-        clock.call_chain((0.1, 0.2, 0.7), lambda a: got.append((a, clock.now)), "x")
+        call_chain(clock, (0.1, 0.2, 0.7), lambda a: got.append((a, clock.now)), "x")
         clock.run()
         assert got == [("x", ((0.3 + 0.1) + 0.2) + 0.7)]
         assert got[0][1] != 0.3 + (0.1 + (0.2 + 0.7))  # the order matters
@@ -65,13 +74,13 @@ class TestScheduling:
     def test_call_chain_refuses_hops_it_cannot_stand_for(self, hops):
         clock = SimClock()
         with pytest.raises(ValueError):
-            clock.call_chain(hops, print, None)
+            call_chain(clock, hops, print, None)
         assert clock.run() == 0.0
 
     def test_call_chain_allows_zero_hops_before_the_last(self):
         clock = SimClock()
         got = []
-        clock.call_chain((0.0, 0.0, 0.5), got.append, "x")
+        call_chain(clock, (0.0, 0.0, 0.5), got.append, "x")
         assert clock.run() == 0.5 and got == ["x"]
 
     def test_run_until(self):
@@ -84,6 +93,22 @@ class TestScheduling:
         assert clock.now == 2.0
         clock.run()
         assert fired == [1, 5]
+
+    @pytest.mark.parametrize("until", [3.0, float("nan")], ids=["before-now", "nan"])
+    def test_run_until_refuses_to_move_time_back(self, until):
+        """``until`` before ``now`` (or NaN) is refused before any event
+        pops: time stays, the heap keeps every entry."""
+        clock = SimClock()
+        fired = []
+        clock.call_at(6.0, fired.append, 6)
+        clock.call_at(7.0, fired.append, 7)
+        clock.run(until=6.5)
+        assert clock.now == 6.5 and fired == [6]
+        with pytest.raises(ValueError, match="until"):
+            clock.run(until=until)
+        assert clock.now == 6.5 and fired == [6] and len(clock._heap) == 1
+        assert clock.run(until=6.5) == 6.5  # the present is not the past
+        assert clock.run() == 7.0 and fired == [6, 7]
 
     def test_nested_scheduling(self):
         clock = SimClock()

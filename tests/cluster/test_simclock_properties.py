@@ -6,13 +6,13 @@ process populations, not only the hybrid runner's shapes.
 """
 
 from collections import Counter, defaultdict
-from functools import partial
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.simclock import Signal, SimClock
+from tests.cluster.test_simclock import call_chain
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -217,7 +217,7 @@ def reference_order(program):
 
 
 def hop_by_hop(clock, hops, fn, arg):
-    """The chain ``call_chain`` stands for: each event pushes the next."""
+    """The chain ``chain_key`` stands for: each event pushes the next."""
     if len(hops) == 1:
         clock.call_at(hops[0], fn, arg)
     else:
@@ -242,8 +242,8 @@ def engine_order(program, until, chained=True):
             elif kind == "at":
                 clock.call_at(x, lambda _a, i=i: log.append(("at", p, i, clock.now)), None)
             elif kind == "chain":
-                push = clock.call_chain if chained else partial(hop_by_hop, clock)
-                push(x, lambda _a, i=i: log.append(("chain", p, i, clock.now)), None)
+                push = call_chain if chained else hop_by_hop
+                push(clock, x, lambda _a, i=i: log.append(("chain", p, i, clock.now)), None)
             elif not signals[x].fired:
                 signals[x].fire(clock)
 
@@ -290,4 +290,4 @@ class TestExecutedOrder:
             return log
 
         assert order(hop_by_hop) == ["other", "chain"]
-        assert order(SimClock.call_chain) == ["chain", "other"]
+        assert order(call_chain) == ["chain", "other"]

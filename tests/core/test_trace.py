@@ -78,3 +78,27 @@ class TestTraceRecording:
         assert sum(row["wait_s"] for row in gpu) == pytest.approx(
             sum(result.metrics.task_waits)
         )
+
+
+@pytest.mark.parametrize("kind", ["shared", "predictive"])
+def test_a_reused_runner_stamps_its_second_run_with_that_runs_clock(kind):
+    """``run()`` builds a fresh clock each time; a traced runner's second
+    run must read that clock, not the first run's, so its events carry
+    the times and durations a fresh runner's do."""
+    from repro.bench.workloads import paper_workload
+
+    def stamps(events) -> list[tuple]:
+        return [(e.ph, e.name, e.cat, e.ts.hex(), float(e.dur).hex()) for e in events]
+
+    tasks = paper_workload(2)
+    config = HybridConfig(scheduler_kind=kind)
+    tracer = EventTracer()
+    runner = HybridRunner(config, tracer=tracer)
+    runner.run(tasks)
+    first = len(tracer.events)
+    runner.run(tasks)
+    fresh = EventTracer()
+    HybridRunner(config, tracer=fresh).run(tasks)
+    second = list(tracer.events)[first:]
+    assert len(second) == len(fresh.events)
+    assert stamps(second) == stamps(fresh.events)

@@ -65,7 +65,7 @@ class TestEventBudget:
 
     @pytest.mark.parametrize("kernel,events", [(NO_COMPUTE, 1), (NO_EGRESS, 3), (NEITHER, 3)])
     def test_zero_length_egress_takes_the_phased_path(self, kernel, events):
-        """A +0 last link cannot be chained (``SimClock.call_chain``); a
+        """A +0 last link cannot be chained (``simclock.chain_key``); a
         zero-length compute phase can."""
         clock = SimClock()
         gpu = SimulatedGPU(clock, TESLA_C2075)
