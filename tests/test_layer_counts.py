@@ -180,19 +180,19 @@ COUNTS = {
     "sweep_pruned_many": (sweep_pruned_many, 2, [], {
         "atomic": 630, "constants": 2, "parallel": 3, "physics": 671, "quadrature": 4,
     }),
-    "hybrid_paper": (hybrid_paper, 992, [2057, 4041], {
-        "cluster": 2394, "core": 13222, "gpusim": 4972, "obs": 1988,
+    "hybrid_paper": (hybrid_paper, 992, [1561, 3049], {
+        "cluster": 1402, "core": 12238, "gpusim": 2988, "obs": 1988,
     }),
-    "serve_cold": (serve_cold, 20, [3032], {
-        "atomic": 269, "cluster": 1917, "core": 7535, "gpusim": 3618, "obs": 48,
+    "serve_cold": (serve_cold, 20, [2312], {
+        "atomic": 269, "cluster": 1197, "core": 6875, "gpusim": 2222, "obs": 48,
         "physics": 141, "service": 1370,
     }),
-    "serve_reuse": (serve_reuse, 182, [3673, 53, 325], {
-        "approx": 1715, "atomic": 596, "cluster": 2710, "core": 9740, "gpusim": 4700,
+    "serve_reuse": (serve_reuse, 182, [2809, 53, 253], {
+        "approx": 1715, "atomic": 596, "cluster": 1774, "core": 8900, "gpusim": 3028,
         "obs": 108, "physics": 33, "service": 6798,
     }),
-    "serve_observed": (serve_observed, 10, [1525], {
-        "approx": 12, "atomic": 189, "cluster": 993, "core": 4152, "gpusim": 1810,
+    "serve_observed": (serve_observed, 10, [1165], {
+        "approx": 12, "atomic": 189, "cluster": 633, "core": 3822, "gpusim": 1110,
         "obs": 5664, "physics": 83, "service": 837,
     }),
 }
