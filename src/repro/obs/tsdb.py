@@ -227,8 +227,8 @@ class TimeSeriesStore:
     def __init__(self, capacity: int = 512, cadence_s: float = 0.0) -> None:
         if capacity < 2:
             raise ValueError("capacity must be >= 2")
-        if cadence_s < 0.0:
-            raise ValueError("cadence_s must be non-negative")
+        if not 0.0 <= cadence_s < float("inf"):
+            raise ValueError(f"cadence_s must be finite and non-negative, got {cadence_s}")
         self.capacity = capacity
         self.cadence_s = cadence_s
         self._series: dict[tuple, Series] = {}

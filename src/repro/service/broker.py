@@ -121,8 +121,8 @@ class ServiceConfig:
             raise ValueError("need at least one service worker")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.batch_window_s is not None and self.batch_window_s < 0.0:
-            raise ValueError("batch_window_s must be >= 0 or None")
+        if self.batch_window_s is not None and not 0.0 <= self.batch_window_s < float("inf"):
+            raise ValueError(f"batch_window_s must be finite and >= 0 or None, got {self.batch_window_s}")
         if self.batch_width_max < 1:
             raise ValueError("batch_width_max must be >= 1")
 

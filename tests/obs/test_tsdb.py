@@ -101,6 +101,12 @@ class TestStore:
         assert not store.due(0.5)
         assert store.due(1.0)
 
+    @pytest.mark.parametrize("cadence", [-1.0, math.nan, math.inf])
+    def test_refuses_a_cadence_that_is_negative_or_not_finite(self, cadence):
+        """A NaN cadence once scraped once and was never due again."""
+        with pytest.raises(ValueError, match="cadence_s must be finite"):
+            TimeSeriesStore(cadence_s=cadence)
+
     def test_json_round_trip_is_exact_and_stable(self):
         store = TimeSeriesStore(capacity=64, cadence_s=0.25)
         for i in range(20):

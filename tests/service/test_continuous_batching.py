@@ -219,8 +219,9 @@ class TestBrokerMegabatchIdentity:
             np.testing.assert_array_equal(a.result, b.result)
 
     def test_config_validates_batching_knobs(self):
-        with pytest.raises(ValueError, match="batch_window_s"):
-            ServiceConfig(batch_window_s=-0.1)
+        for window in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="batch_window_s"):
+                ServiceConfig(batch_window_s=window)
         with pytest.raises(ValueError, match="batch_width_max"):
             ServiceConfig(batch_width_max=0)
 

@@ -305,6 +305,21 @@ class TestCommands:
         )
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--batch-window", "inf"], "batch_window_s must be finite"),
+            (["--batch-window", "nan"], "batch_window_s must be finite"),
+            (["--tsdb-out", "{tmp}/s.json", "--scrape-cadence", "inf"], "cadence_s must be finite"),
+        ],
+    )
+    def test_serve_refuses_a_window_or_cadence_that_is_not_finite(
+        self, argv, message, tmp_path, capsys
+    ):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert_refused(capsys, ["serve", "--requests", "10", *argv], message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["serve", "--requests", "0"],
