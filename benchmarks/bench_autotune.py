@@ -12,29 +12,22 @@ performs within a few percent of the best fixed setting on the *full*
 
 from conftest import emit
 
+from repro.bench.paper import fig4
 from repro.bench.reporting import format_table
-from repro.bench.workloads import paper_workload
-from repro.core.autotune import autotune_queue_length, probe_prefix
-from repro.core.hybrid import HybridConfig, HybridRunner
-
-CANDIDATES = (2, 4, 6, 8, 10, 12, 14, 16)
+from repro.core.autotune import CANDIDATES, autotune_queue_length, probe_prefix
+from repro.core.hybrid import HybridConfig
 
 
 def test_autotune_generalizes(benchmark, ion_tasks, results_dir):
     def tune_and_validate():
+        # Full-workload time at every candidate: the tuned length vs the true optimum.
+        full = fig4(gpus=(1, 2), maxlens=CANDIDATES)
         out = {}
         for g in (1, 2):
             cfg = HybridConfig(n_gpus=g, max_queue_length=2)
             probe, probe_cfg = probe_prefix(ion_tasks, cfg, tasks_per_point=60)
-            best, probe_times = autotune_queue_length(probe_cfg, probe, CANDIDATES)
-            # Full-workload time at the tuned length vs the true optimum.
-            full = {
-                m: HybridRunner(
-                    HybridConfig(n_gpus=g, max_queue_length=m)
-                ).run(ion_tasks).makespan_s
-                for m in CANDIDATES
-            }
-            out[g] = (best, probe_times, full)
+            best, probe_times = autotune_queue_length(probe_cfg, probe)
+            out[g] = (best, probe_times, full[g])
         return out
 
     results = benchmark.pedantic(tune_and_validate, rounds=1, iterations=1)

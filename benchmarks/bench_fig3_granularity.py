@@ -8,37 +8,16 @@ Paper series (speedup over the serial version):
 import pytest
 from conftest import emit
 
+from repro.bench.paper import fig3
 from repro.bench.reporting import format_series, paper_vs_measured
-from repro.bench.workloads import paper_level_workload
-from repro.core.hybrid import HybridConfig, HybridRunner
 
 PAPER_ION = {1: 196.4, 2: 278.7, 3: 305.8, 4: 311.4}
 PAPER_LEVEL = {1: 97.9, 2: 132.9, 3: 155.7, 4: 158.5}
 
 
-def _speedups(tasks, serial_s):
-    out = {}
-    for g in (1, 2, 3, 4):
-        cfg = HybridConfig(n_gpus=g, max_queue_length=12)
-        out[g] = serial_s / HybridRunner(cfg).run(tasks).makespan_s
-    return out
-
-
-@pytest.fixture(scope="module")
-def level_tasks():
-    return paper_level_workload()
-
-
-def test_fig3_speedup_vs_gpus(
-    benchmark, ion_tasks, level_tasks, serial_seconds, results_dir
-):
-    def sweep():
-        return (
-            _speedups(ion_tasks, serial_seconds),
-            _speedups(level_tasks, serial_seconds),
-        )
-
-    ion, level = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_fig3_speedup_vs_gpus(benchmark, results_dir):
+    measured = benchmark.pedantic(fig3, rounds=1, iterations=1)
+    ion, level = measured["Ion"], measured["Level"]
 
     text = "\n\n".join(
         [

@@ -14,10 +14,10 @@ row is visibly noisy — e.g. the 155 at maxlen 8).
 import pytest
 from conftest import emit
 
+from repro.bench.paper import MAXLENS, fig4
 from repro.bench.reporting import format_series
 from repro.core.hybrid import HybridConfig, HybridRunner
 
-MAXLENS = (2, 4, 6, 8, 10, 12, 14)
 PAPER = {
     1: dict(zip(MAXLENS, (356, 251, 221, 194, 186, 176, 179))),
     2: dict(zip(MAXLENS, (221, 182, 178, 135, 124, 124, 128))),
@@ -27,18 +27,7 @@ PAPER = {
 
 
 def test_fig4_queue_length_sweep(benchmark, ion_tasks, results_dir):
-    def sweep():
-        out = {}
-        for g in (1, 2, 3, 4):
-            out[g] = {
-                m: HybridRunner(
-                    HybridConfig(n_gpus=g, max_queue_length=m)
-                ).run(ion_tasks).makespan_s
-                for m in MAXLENS
-            }
-        return out
-
-    measured = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    measured = benchmark.pedantic(fig4, rounds=1, iterations=1)
 
     # Predictive-scheduler row at the paper's 3-GPU config: on the
     # paper's near-uniform workload, measured-cost placement must match

@@ -7,10 +7,9 @@ Paper: even at maxlen 2 more than 95% of tasks run on GPUs, rising to
 import pytest
 from conftest import emit
 
+from repro.bench.paper import MAXLENS, fig5
 from repro.bench.reporting import format_series
-from repro.core.hybrid import HybridConfig, HybridRunner
 
-MAXLENS = (2, 4, 6, 8, 10, 12, 14)
 PAPER = {
     1: dict(zip(MAXLENS, (95.57, 97.25, 98.12, 98.78, 98.93, 99.40, 99.54))),
     2: dict(zip(MAXLENS, (97.47, 99.00, 99.25, 99.76, 99.90, 100.0, 100.0))),
@@ -19,19 +18,8 @@ PAPER = {
 }
 
 
-def test_fig5_gpu_task_ratio(benchmark, ion_tasks, results_dir):
-    def sweep():
-        out = {}
-        for g in (1, 2, 3, 4):
-            out[g] = {}
-            for m in MAXLENS:
-                res = HybridRunner(
-                    HybridConfig(n_gpus=g, max_queue_length=m)
-                ).run(ion_tasks)
-                out[g][m] = res.metrics.gpu_task_ratio() * 100.0
-        return out
-
-    measured = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_fig5_gpu_task_ratio(benchmark, results_dir):
+    measured = benchmark.pedantic(fig5, rounds=1, iterations=1)
 
     series = {}
     for g in (1, 2, 3, 4):

@@ -15,30 +15,15 @@ main experiment; the ratio columns are the comparable quantities.)
 import pytest
 from conftest import emit
 
+from repro.bench.paper import table1
 from repro.bench.reporting import format_table, paper_vs_measured
-from repro.bench.workloads import romberg_workload
-from repro.core.hybrid import HybridConfig, HybridRunner
 
 PAPER_RATIO = {7: 98.26, 9: 93.40, 11: 66.52, 13: 40.92}
 PAPER_LOAD3 = {7: 37.85, 9: 65.46, 11: 70.76, 13: 66.64}
 
 
 def test_table1_task_distribution(benchmark, results_dir):
-    def sweep():
-        out = {}
-        for k in PAPER_RATIO:
-            tasks = romberg_workload(k)
-            res = HybridRunner(
-                HybridConfig(n_gpus=2, max_queue_length=6)
-            ).run(tasks)
-            out[k] = (
-                int(res.metrics.gpu_tasks.sum()),
-                res.metrics.gpu_task_ratio() * 100.0,
-                res.metrics.load_at_least_ratio(3, device=0) * 100.0,
-            )
-        return out
-
-    measured = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    measured = benchmark.pedantic(table1, rounds=1, iterations=1)
 
     rows = [
         [

@@ -13,31 +13,15 @@ a work-conserving deterministic model; EXPERIMENTS.md discusses the gap.
 import pytest
 from conftest import emit
 
+from repro.bench.paper import table2
 from repro.bench.reporting import paper_vs_measured
-from repro.core.calibration import CostModel
-from repro.core.hybrid import HybridConfig, HybridRunner
-from repro.nei.runner import NEIWorkloadSpec, build_nei_tasks
 
 PAPER_SPEEDUP = {1: 2.8, 2: 5.9, 3: 10.8, 4: 15.1}
 
 
 def test_table2_nei_speedup(benchmark, results_dir):
-    cost = CostModel(point_overhead_s=0.0)  # NEI has no per-point I/O lump
-    tasks = build_nei_tasks(NEIWorkloadSpec())
-    mpi = HybridRunner(
-        HybridConfig(n_gpus=0, max_queue_length=8, cost=cost)
-    ).run_mpi_only(tasks)
-
-    def sweep():
-        out = {}
-        for g in (1, 2, 3, 4):
-            res = HybridRunner(
-                HybridConfig(n_gpus=g, max_queue_length=8, cost=cost)
-            ).run(tasks)
-            out[g] = mpi.makespan_s / res.makespan_s
-        return out
-
-    speedups = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    mpi, runs = benchmark.pedantic(table2, rounds=1, iterations=1)
+    speedups = {g: mpi.makespan_s / res.makespan_s for g, res in runs.items()}
 
     emit(
         results_dir,

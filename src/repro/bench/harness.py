@@ -10,10 +10,9 @@ perf trajectory of the repo itself, enforceable in CI.
 Determinism contract: every number under a case's ``"sim"`` key derives
 from the virtual clock (makespans, virtual throughput, utilization,
 hit rates, pruning ledgers) and is **bit-identical across runs** of the
-same seed and mode — the comparator gates on those.  ``"wall_s"`` is a
-host wall-clock quantity, recorded for trend plots but never gated (CI
-machines are noisy; the simulated metrics are the repo's claims here,
-and ``benchmarks/wall/`` is where host time is measured properly).
+same seed and mode — the comparator gates on those.  The suite records
+no host time: ``benchmarks/wall/`` is where that is measured, with
+repeats and spread.
 
 The schema is hand-rolled (:func:`validate_bench`) so CI needs no
 third-party JSON-Schema package.
@@ -48,7 +47,7 @@ SCHEMA_ID = "repro.bench.perf/v1"
 # Suite cases
 # ----------------------------------------------------------------------
 def _case_rrc_spectrum(quick: bool, seed: int) -> dict:
-    """Physics-grade RRC spectrum (wall) + the equivalent hybrid batch (sim)."""
+    """Physics-grade RRC spectrum's peak share + the equivalent hybrid batch."""
     from repro.bench.workloads import small_real_database, small_real_grid
     from repro.core.hybrid import HybridConfig, HybridRunner
     from repro.physics.apec import GridPoint, SerialAPEC
@@ -57,18 +56,13 @@ def _case_rrc_spectrum(quick: bool, seed: int) -> dict:
     db = small_real_database()
     grid = small_real_grid(n_bins=120 if quick else 400)
     apec = SerialAPEC(db, grid, method="simpson-batch", components=("rrc",))
-    point = GridPoint(temperature_k=1.0e7, ne_cm3=1.0)
-    apec.compute(point)  # warm caches off the clock
-    t0 = time.perf_counter()
-    spec = apec.compute(point)
-    wall_s = time.perf_counter() - t0
+    spec = apec.compute(GridPoint(temperature_k=1.0e7, ne_cm3=1.0))
 
     request = SpectrumRequest(temperature_k=1.0e7, z_max=8, n_bins=grid.n_bins)
     tasks = compile_tasks(request, db)
     runner = HybridRunner(HybridConfig(n_gpus=1, max_queue_length=8))
     result = runner.run(tasks)
     return {
-        "wall_s": wall_s,
         "sim": {
             "makespan_s": result.makespan_s,
             "tasks_per_s": result.n_tasks / result.makespan_s,
@@ -79,7 +73,7 @@ def _case_rrc_spectrum(quick: bool, seed: int) -> dict:
 
 
 def _case_pruned_kernels(quick: bool, seed: int) -> dict:
-    """Active-window pruning: wall speedup + the simulated device ledger.
+    """Active-window pruning: the simulated device ledger of its task prices.
 
     Runs where pruning bites: on Fig. 7's 0.28-1.24 keV window the
     ``tail_tol = 1e-9`` budget (>= 3.6 keV above each edge at 2e6 K and
@@ -88,13 +82,10 @@ def _case_pruned_kernels(quick: bool, seed: int) -> dict:
     enough bins (4000) that an ion task's compute is comparable to the
     device's 1.7 ms context switch and the saving shows in device time.
     """
-    import numpy as np
-
     from repro.bench.workloads import small_real_database
     from repro.constants import K_B_KEV
     from repro.core.task import Task, TaskKind, task_cost
     from repro.gpusim.device import TESLA_C2075
-    from repro.physics.apec import GridPoint, ion_emissivity_batched
     from repro.physics.spectrum import EnergyGrid
     from repro.physics.windows import level_windows
 
@@ -102,19 +93,10 @@ def _case_pruned_kernels(quick: bool, seed: int) -> dict:
     tail_tol = 1.0e-9
     db = small_real_database()
     grid = EnergyGrid.linear(0.05, 8.0, 4000)
-    point = GridPoint(temperature_k=2.0e6, ne_cm3=1.0)
     ions = [ion for ion in db.ions if db.n_levels(ion) > 0]
     if quick:
         ions = ions[:: max(1, len(ions) // 8)][:8]
-    kt = K_B_KEV * point.temperature_k
-
-    def spectrum(tt: float) -> np.ndarray:
-        out = np.zeros(grid.n_bins)
-        for ion in ions:
-            out += ion_emissivity_batched(
-                db, ion, point, grid, pieces=pieces, tail_tol=tt
-            )
-        return out
+    kt = K_B_KEV * 2.0e6
 
     def specs(tt: float) -> list[Task]:
         out = []
@@ -127,17 +109,11 @@ def _case_pruned_kernels(quick: bool, seed: int) -> dict:
             out.append(Task(i, TaskKind.ION, label=ion.name, **cost))
         return out
 
-    spectrum(tail_tol)  # warm
-    t0 = time.perf_counter()
-    spectrum(tail_tol)
-    wall_s = time.perf_counter() - t0
-
     base = specs(0.0)
     pruned = specs(tail_tol)
     base_device = sum(TESLA_C2075.service_time(s) for s in base)
     device = sum(TESLA_C2075.service_time(s) for s in pruned)
     return {
-        "wall_s": wall_s,
         "sim": {
             "device_time_s": device,
             "device_speedup": base_device / device,
@@ -175,7 +151,6 @@ def _case_service_throughput(
         tsdb = TimeSeriesStore(cadence_s=0.5)
         detector = AnomalyDetector()
     tracer = EventTracer()
-    t0 = time.perf_counter()
     broker, _tickets = run_trace(
         trace,
         ServiceConfig(n_service_workers=2),
@@ -183,7 +158,6 @@ def _case_service_throughput(
         tsdb=tsdb,
         anomaly=detector,
     )
-    wall_s = time.perf_counter() - t0
     if dash:
         from repro.obs.dash import render_dashboard
 
@@ -210,7 +184,6 @@ def _case_service_throughput(
     if flamegraph:
         write_collapsed(flamegraph, tracer)
     return {
-        "wall_s": wall_s,
         "sim": {
             "virtual_time_s": virtual_s,
             "tasks_per_s": tasks / virtual_s if virtual_s > 0 else 0.0,
@@ -272,7 +245,6 @@ def _case_continuous_batching(quick: bool, seed: int) -> dict:
         )
         return broker, tickets, util, p95
 
-    t0 = time.perf_counter()
     batched, b_tickets, b_util, b_p95 = play(
         ServiceConfig(
             n_service_workers=2,
@@ -285,7 +257,6 @@ def _case_continuous_batching(quick: bool, seed: int) -> dict:
     _, u_tickets, u_util, u_p95 = play(
         ServiceConfig(n_service_workers=2, queue_capacity=96)
     )
-    wall_s = time.perf_counter() - t0
 
     identical = len(b_tickets) == len(u_tickets) and all(
         b is not None
@@ -297,7 +268,6 @@ def _case_continuous_batching(quick: bool, seed: int) -> dict:
     tel = batched.telemetry
     widths = list(tel.megabatch_widths)
     return {
-        "wall_s": wall_s,
         "sim": {
             "device_utilization": b_util,
             "p95_latency_s": b_p95,
@@ -352,10 +322,8 @@ def _case_fused_megabatch(quick: bool, seed: int) -> dict:
             )
         return out
 
-    t0 = time.perf_counter()
     spectra = [model.compute(p).values for p in points]
     references = [oracle(p) for p in points]
-    wall_s = time.perf_counter() - t0
     plan = PLAN_CACHE.get(db, grid, method="simpson", tail_tol=tail_tol)
     fused_passes = sum(plan.execute(p).n_passes for p in points)
     per_ion_launches = sum(
@@ -365,7 +333,6 @@ def _case_fused_megabatch(quick: bool, seed: int) -> dict:
         peak_rel_error(got, ref) for got, ref in zip(spectra, references)
     )
     return {
-        "wall_s": wall_s,
         "sim": {
             "fused_pass_ratio": per_ion_launches / fused_passes,
             "fused_passes": float(fused_passes),
@@ -396,9 +363,7 @@ def _case_approx_serving(quick: bool, seed: int) -> dict:
             accuracy=budget,
         )
     )
-    t0 = time.perf_counter()
     broker, tickets = run_trace(trace, ServiceConfig(n_service_workers=2))
-    wall_s = time.perf_counter() - t0
 
     evaluator = RequestEvaluator(broker.db)
     served = [t for t in tickets if t is not None and t.lattice]
@@ -413,7 +378,6 @@ def _case_approx_serving(quick: bool, seed: int) -> dict:
     report = broker.report()
     completions = report["completions"]
     return {
-        "wall_s": wall_s,
         "sim": {
             "lattice_hit_rate": (
                 len(served) / completions if completions else 0.0
@@ -453,7 +417,6 @@ def _case_cost_attribution(quick: bool, seed: int) -> dict:
         )
     )
     tracer = EventTracer()
-    t0 = time.perf_counter()
     broker, _tickets = run_trace(
         trace,
         ServiceConfig(
@@ -465,14 +428,12 @@ def _case_cost_attribution(quick: bool, seed: int) -> dict:
         ),
         tracer=tracer,
     )
-    wall_s = time.perf_counter() - t0
     result = broker.cost_report()
     roots = kernel_root_map(tracer)
     rooted = sum(1 for _, root in roots if root is not None)
     attributed = sum(1 for e in result.entries if sum(e.ticks.values()) > 0)
     model = broker.cost_model
     return {
-        "wall_s": wall_s,
         "sim": {
             "conservation": result.conservation,
             "kernel_rooted_fraction": rooted / len(roots) if roots else 0.0,
@@ -485,24 +446,13 @@ def _case_cost_attribution(quick: bool, seed: int) -> dict:
 
 
 def _case_nei(quick: bool, seed: int) -> dict:
-    """The Table II NEI workload: hybrid makespan vs the MPI baseline."""
-    from repro.core.calibration import CostModel
-    from repro.core.hybrid import HybridConfig, HybridRunner
-    from repro.nei.runner import NEIWorkloadSpec, build_nei_tasks
+    """Table II's NEI experiment on 2 GPUs: hybrid makespan vs the MPI baseline."""
+    from repro.bench.paper import table2
+    from repro.nei.runner import NEIWorkloadSpec
 
-    spec = NEIWorkloadSpec(n_grid_points=2_400 if quick else 24_000)
-    tasks = build_nei_tasks(spec)
-    cost = CostModel(point_overhead_s=0.0)
-    t0 = time.perf_counter()
-    mpi = HybridRunner(
-        HybridConfig(n_gpus=0, max_queue_length=8, cost=cost)
-    ).run_mpi_only(tasks)
-    hybrid = HybridRunner(
-        HybridConfig(n_gpus=2, max_queue_length=8, cost=cost)
-    ).run(tasks)
-    wall_s = time.perf_counter() - t0
+    mpi, runs = table2((2,), NEIWorkloadSpec(n_grid_points=2_400 if quick else 24_000))
+    hybrid = runs[2]
     return {
-        "wall_s": wall_s,
         "sim": {
             "makespan_s": hybrid.makespan_s,
             "speedup_vs_mpi": mpi.makespan_s / hybrid.makespan_s,
@@ -563,7 +513,6 @@ def _case_telemetry_pipeline(quick: bool, seed: int) -> dict:
         )
     )
 
-    t0 = time.perf_counter()
     docs = [
         json.dumps(play(bursty).to_dict(), sort_keys=True) for _ in range(2)
     ]
@@ -571,10 +520,7 @@ def _case_telemetry_pipeline(quick: bool, seed: int) -> dict:
     play(steady, detector=steady_detector)
     bursty_detector = AnomalyDetector()
     bursty_store = play(bursty, detector=bursty_detector)
-    wall_s = time.perf_counter() - t0
-
     return {
-        "wall_s": wall_s,
         "sim": {
             "scrape_determinism": 1.0 if len(set(docs)) == 1 else 0.0,
             "anomaly_false_positives": float(len(steady_detector.events)),
@@ -658,7 +604,6 @@ def _case_predictive_scheduling(quick: bool, seed: int) -> dict:
         cost=host,
         stagger_s=0.001,
     )
-    t0 = time.perf_counter()
     depth = HybridRunner(HybridConfig(scheduler_kind="shared", **base)).run(tasks)
     model = SpanCostModel.from_spec(TESLA_C2075)
     HybridRunner(
@@ -667,7 +612,6 @@ def _case_predictive_scheduling(quick: bool, seed: int) -> dict:
     pred = HybridRunner(
         HybridConfig(scheduler_kind="predictive", **base), span_cost_model=model
     ).run(tasks)
-    wall_s = time.perf_counter() - t0
 
     identical = set(depth.spectra) == set(pred.spectra) and all(
         np.array_equal(depth.spectra[p], pred.spectra[p]) for p in depth.spectra
@@ -676,7 +620,6 @@ def _case_predictive_scheduling(quick: bool, seed: int) -> dict:
     oracle_s = device_time_s / base["n_gpus"]
     errors = pred.metrics.prediction_errors()
     return {
-        "wall_s": wall_s,
         "sim": {
             "makespan_s": pred.makespan_s,
             "makespan_vs_depth": pred.makespan_s / depth.makespan_s,
@@ -775,9 +718,6 @@ def validate_bench(doc: object) -> list[str]:
         if not isinstance(case, dict):
             errors.append(f"{where}: expected object")
             continue
-        wall = case.get("wall_s")
-        if not isinstance(wall, (int, float)) or isinstance(wall, bool) or wall < 0:
-            errors.append(f"{where}.wall_s: expected non-negative number")
         sim = case.get("sim")
         if not isinstance(sim, dict) or not sim:
             errors.append(f"{where}.sim: expected non-empty object")
@@ -821,7 +761,7 @@ class Tolerance:
 #: Documented defaults (see docs/ARCHITECTURE.md §10).  Simulated metrics
 #: are deterministic, so the slack only absorbs intentional algorithm
 #: changes small enough not to matter; unlisted metrics are reported but
-#: never gated (``wall_s`` intentionally has no entry).
+#: never gated.
 DEFAULT_TOLERANCES: dict[str, Tolerance] = {
     "makespan_s": Tolerance(0.02, "lower"),
     "device_time_s": Tolerance(0.02, "lower"),
@@ -927,14 +867,14 @@ def render_bench(doc: dict) -> str:
     """Human-readable table of one bench document."""
     from repro.bench.reporting import format_table
 
-    rows = []
-    for name, case in doc.get("cases", {}).items():
-        for metric, value in case.get("sim", {}).items():
-            rows.append([name, metric, f"{value:.6g}", "sim"])
-        rows.append([name, "wall_s", f"{case.get('wall_s', 0.0):.4f}", "wall"])
+    rows = [
+        [name, metric, f"{value:.6g}"]
+        for name, case in doc.get("cases", {}).items()
+        for metric, value in case.get("sim", {}).items()
+    ]
     mode = "quick" if doc.get("quick") else "full"
     return format_table(
-        ["case", "metric", "value", "clock"],
+        ["case", "metric", "value"],
         rows,
         title=f"repro bench — {mode} mode, seed {doc.get('seed')}",
     )

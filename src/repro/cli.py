@@ -469,58 +469,31 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
+    from repro.bench.paper import fig3
     from repro.bench.reporting import format_series
-    from repro.core import Granularity, HybridConfig, HybridRunner, WorkloadSpec, build_tasks
 
-    ion = build_tasks(WorkloadSpec(n_points=args.points))
-    level = build_tasks(
-        WorkloadSpec(n_points=args.points, granularity=Granularity.LEVEL)
-    )
-    serial = HybridRunner().serial_time(ion)
-    series: dict[str, dict[int, float]] = {"Ion": {}, "Level": {}}
-    for g in (1, 2, 3, 4):
-        cfg = HybridConfig(n_gpus=g, max_queue_length=12)
-        series["Ion"][g] = serial / HybridRunner(cfg).run(ion).makespan_s
-        series["Level"][g] = serial / HybridRunner(cfg).run(level).makespan_s
-    print(format_series("#GPUs", series, title="Fig. 3 — speedup over serial"))
+    print(format_series("#GPUs", fig3(args.points), title="Fig. 3 — speedup over serial"))
     return 0
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
+    from repro.bench.paper import fig4
     from repro.bench.reporting import format_series
-    from repro.core import HybridConfig, HybridRunner, WorkloadSpec, build_tasks
 
-    tasks = build_tasks(WorkloadSpec())
-    series: dict[str, dict[int, float]] = {}
-    for g in args.gpus:
-        series[f"{g} GPU(s)"] = {
-            m: HybridRunner(
-                HybridConfig(n_gpus=g, max_queue_length=m)
-            ).run(tasks).makespan_s
-            for m in args.maxlens
-        }
+    series = {f"{g} GPU(s)": times for g, times in fig4(args.gpus, args.maxlens).items()}
     print(format_series("maxlen", series, title="Fig. 4 — total time (s)"))
     return 0
 
 
 def _cmd_table2(_args: argparse.Namespace) -> int:
+    from repro.bench.paper import table2
     from repro.bench.reporting import format_table
-    from repro.core import CostModel, HybridConfig, HybridRunner
-    from repro.nei.runner import NEIWorkloadSpec, build_nei_tasks
 
-    cost = CostModel(point_overhead_s=0.0)
-    tasks = build_nei_tasks(NEIWorkloadSpec())
-    mpi = HybridRunner(
-        HybridConfig(n_gpus=0, max_queue_length=8, cost=cost)
-    ).run_mpi_only(tasks)
-    rows = []
-    for g in (1, 2, 3, 4):
-        res = HybridRunner(
-            HybridConfig(n_gpus=g, max_queue_length=8, cost=cost)
-        ).run(tasks)
-        rows.append(
-            [g, f"{res.makespan_s:.0f}", f"{mpi.makespan_s / res.makespan_s:.1f}x"]
-        )
+    mpi, runs = table2()
+    rows = [
+        [g, f"{res.makespan_s:.0f}", f"{mpi.makespan_s / res.makespan_s:.1f}x"]
+        for g, res in runs.items()
+    ]
     print(
         format_table(
             ["#GPUs", "time (s)", "speedup vs MPI"],
@@ -539,9 +512,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     tasks = build_tasks(WorkloadSpec())
     cfg = HybridConfig(n_gpus=args.gpus, max_queue_length=2)
     probe, probe_cfg = probe_prefix(tasks, cfg, tasks_per_point=args.tasks_per_point)
-    best, times = autotune_queue_length(
-        probe_cfg, probe, candidates=(2, 4, 6, 8, 10, 12, 14, 16)
-    )
+    best, times = autotune_queue_length(probe_cfg, probe)
     rows = [
         [m, f"{t:.1f}", "<- chosen" if m == best else ""]
         for m, t in times.items()
@@ -823,40 +794,23 @@ def _spectrum_via_lattice(args: argparse.Namespace, db, grid, tsdb, anomaly) -> 
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
+    from repro.bench.paper import fig5
     from repro.bench.reporting import format_series
-    from repro.core import HybridConfig, HybridRunner, WorkloadSpec, build_tasks
 
-    tasks = build_tasks(WorkloadSpec())
-    series: dict[str, dict[int, float]] = {}
-    for g in args.gpus:
-        series[f"{g} GPU(s) %"] = {
-            m: HybridRunner(
-                HybridConfig(n_gpus=g, max_queue_length=m)
-            ).run(tasks).metrics.gpu_task_ratio() * 100.0
-            for m in (2, 4, 6, 8, 10, 12, 14)
-        }
+    series = {f"{g} GPU(s) %": ratios for g, ratios in fig5(args.gpus).items()}
     print(format_series("maxlen", series, title="Fig. 5 — tasks on GPUs (%)"))
     return 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.bench.paper import table1
     from repro.bench.reporting import format_table
-    from repro.bench.workloads import romberg_workload
-    from repro.core import HybridConfig, HybridRunner
 
-    rows = []
-    for k in args.ks:
-        tasks = romberg_workload(k)
-        res = HybridRunner(HybridConfig(n_gpus=2, max_queue_length=6)).run(tasks)
-        m = res.metrics
-        rows.append(
-            [
-                f"2^{k}",
-                int(m.gpu_tasks.sum()),
-                f"{m.gpu_task_ratio() * 100:.2f}%",
-                f"{m.load_at_least_ratio(3, 0) * 100:.2f}%",
-            ]
-        )
+    measured = table1(args.ks)
+    rows = [
+        [f"2^{k}", measured[k][0], f"{measured[k][1]:.2f}%", f"{measured[k][2]:.2f}%"]
+        for k in args.ks
+    ]
     print(
         format_table(
             ["amount/task", "tasks on GPU", "ratio", "load>=3"],

@@ -19,7 +19,10 @@ from typing import Sequence
 from repro.core.hybrid import HybridConfig, HybridRunner
 from repro.core.task import Task
 
-__all__ = ["autotune_queue_length", "probe_prefix"]
+__all__ = ["CANDIDATES", "autotune_queue_length", "probe_prefix"]
+
+#: The queue lengths the search walks unless told otherwise.
+CANDIDATES = (2, 4, 6, 8, 10, 12, 14, 16)
 
 
 def probe_prefix(
@@ -67,7 +70,7 @@ def probe_prefix(
 def autotune_queue_length(
     config: HybridConfig,
     probe_tasks: Sequence[Task],
-    candidates: Sequence[int] = (2, 4, 6, 8, 10, 12, 14, 16),
+    candidates: Sequence[int] = CANDIDATES,
     patience: int = 1,
 ) -> tuple[int, dict[int, float]]:
     """Find the queue length at the performance inflexion point.
@@ -76,9 +79,6 @@ def autotune_queue_length(
     each; stops after the makespan has risen for ``patience`` consecutive
     steps past the best seen (the inflexion).  Returns the best length and
     the measured times.
-
-    Determinism: the simulation is deterministic, so repeated calls with
-    the same inputs return identical results.
     """
     if not probe_tasks:
         raise ValueError("need a non-empty probe workload")

@@ -28,8 +28,7 @@ class TestSuite:
         assert validate_bench(quick_doc) == []
         assert set(quick_doc["cases"]) == set(CASES)
         for case in quick_doc["cases"].values():
-            assert case["wall_s"] >= 0.0
-            assert case["sim"]
+            assert list(case) == ["sim"] and case["sim"]
 
     def test_sim_fields_bit_identical_across_runs(self, quick_doc):
         """The determinism contract: virtual-clock metrics never drift."""
@@ -82,10 +81,11 @@ class TestSchema:
         doc["cases"]["nei"]["sim"]["makespan_s"] = "fast"
         assert any("makespan_s" in e for e in validate_bench(doc))
 
-    def test_rejects_negative_wall(self, quick_doc):
+    def test_accepts_a_document_that_still_records_wall_s(self, quick_doc):
+        """A baseline written while cases carried host time stays comparable."""
         doc = json.loads(json.dumps(quick_doc))
-        doc["cases"]["nei"]["wall_s"] = -1.0
-        assert any("wall_s" in e for e in validate_bench(doc))
+        doc["cases"]["nei"]["wall_s"] = 0.01
+        assert validate_bench(doc) == []
 
     def test_rejects_empty_cases(self, quick_doc):
         doc = dict(quick_doc, cases={})
@@ -165,16 +165,9 @@ class TestCompare:
         regressions, _ = compare_bench(quick_doc, better)
         assert regressions == []
 
-    def test_wall_time_is_never_gated(self, quick_doc):
-        worse = json.loads(json.dumps(quick_doc))
-        for case in worse["cases"].values():
-            case["wall_s"] *= 100.0  # a noisy CI machine
-        regressions, _ = compare_bench(quick_doc, worse)
-        assert regressions == []
-
     def test_new_case_notes_but_never_gates(self, quick_doc):
         grown = json.loads(json.dumps(quick_doc))
-        grown["cases"]["brand_new"] = {"wall_s": 1.0, "sim": {"makespan_s": 9.9}}
+        grown["cases"]["brand_new"] = {"sim": {"makespan_s": 9.9}}
         regressions, lines = compare_bench(quick_doc, grown)
         assert regressions == []
         assert any("new" in l and "brand_new" in l for l in lines)
