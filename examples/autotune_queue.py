@@ -23,9 +23,7 @@ def main() -> None:
     for n_gpus in (1, 3):
         cfg = HybridConfig(n_gpus=n_gpus, max_queue_length=2)
         probe, probe_cfg = probe_prefix(tasks, cfg, tasks_per_point=60)
-        best, times = autotune_queue_length(
-            probe_cfg, probe, candidates=(2, 4, 6, 8, 10, 12, 14, 16)
-        )
+        best, times = autotune_queue_length(probe_cfg, probe)
         print(f"{n_gpus} GPU(s) — probe of {len(probe)} tasks:")
         for length, t in times.items():
             marker = "  <- chosen" if length == best else ""
